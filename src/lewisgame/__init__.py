@@ -2,13 +2,13 @@
 Listener can pick them out of a lineup, and both improve together."""
 
 from .agents import (ListenerModel, MessageSample, ModelConfig,
-                     SpeakerPolicy, listener_embed, listener_probs)
+                     SpeakerPolicy, listener_probs)
 from .config import ConfigError, RunConfig, load_config, parse_config
 from .evaluate import (EvalReport, ablation_sweep, attribute_coverage, bleu,
                        ema, evaluate_agents, supervised_pretrain,
-                       sweep_summary, token_accuracy)
-from .game import (GameConfig, GameEpisode, indicator_reward_mc, play_round,
-                   rewards_to_go, solve_rate)
+                       sweep_summary)
+from .game import (GameConfig, GameEpisode, play_round, rewards_to_go,
+                   solve_rate)
 from .optim import Adam, Sgd, clip_global_norm, grad_global_norm, make_optimizer
 from .params import (FormatError, ParameterSet, UnsupportedVersionError,
                      load_checkpoint, save_checkpoint)

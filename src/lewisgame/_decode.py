@@ -1,11 +1,13 @@
-"""Hand-fused forward/backward kernels for the hot sequence loops.
+"""Hand-fused forward/backward kernels: the model's only code path.
 
-These mirror the generic tape ops expression for expression (same numpy
-calls, same order), so a message decoded here is bitwise identical to
-one built from individual ops. They exist because recording one tape
-node per message instead of ~16 per token is what keeps training fast
-on a small CPU. Backward passes are ordinary backprop-through-time with
-the weight-gradient outer products batched over steps.
+The observation encoder, the speaker decoder and the listener's message
+GRU each record one tape node per observation or message instead of
+~16 generic ops per token, which is what keeps training fast on a small
+CPU. ``tests/reference.py`` builds the same computations from individual
+tape ops and is the oracle: forward values must match it bitwise (same
+numpy calls in the same order), gradients to float32 round-off. Backward
+passes are ordinary backprop-through-time with the weight-gradient outer
+products batched over steps.
 """
 
 from __future__ import annotations
@@ -274,7 +276,7 @@ def gru_sequence(embs: Tensor, h0: np.ndarray, wz: Tensor, bz: Tensor,
 
 
 # ---------------------------------------------------------------------------
-# observation encoder: linear-relu-linear, one node per observation
+# observation encoder: linear-tanh-linear, one node per observation
 
 
 def encode_observation(obs_rows: np.ndarray, w1: Tensor, b1: Tensor,

@@ -25,7 +25,6 @@ from . import tensor as T
 from ._decode import decode_message, encode_observation, gru_sequence
 from .params import ParameterSet
 from .tensor import F32, Tensor
-from .world import BOS, EOS
 
 
 @dataclass(frozen=True)
@@ -109,16 +108,13 @@ def _raster_patches(flat_obs: np.ndarray, cfg: ModelConfig) -> np.ndarray:
 class SpeakerPolicy:
     """Observation encoder plus attentional recurrent token decoder.
 
-    ``fused`` switches between the hand-fused decode kernels (fast, the
-    default) and the op-by-op tape build; both produce bitwise-identical
-    forward values.
+    The encoder and the decoder are the kernels of ``_decode``, which
+    record one tape node per observation and one per message.
     """
 
-    def __init__(self, cfg: ModelConfig, params: ParameterSet,
-                 fused: bool = True):
+    def __init__(self, cfg: ModelConfig, params: ParameterSet):
         self.cfg = cfg
         self.params = params
-        self.fused = fused
 
     @classmethod
     def create(cls, cfg: ModelConfig, seed: int) -> "SpeakerPolicy":
@@ -144,30 +140,17 @@ class SpeakerPolicy:
         return cls(cfg, p)
 
     def copy(self) -> "SpeakerPolicy":
-        return SpeakerPolicy(self.cfg, self.params.copy(), self.fused)
+        return SpeakerPolicy(self.cfg, self.params.copy())
 
     # -- forward pieces ----------------------------------------------------
 
     def encode(self, obs: np.ndarray, tape) -> Tensor:
         """Observation to a (patches x d_e) set of vectors."""
-        p = self.params
-        if self.cfg.raster:
-            rows = _raster_patches(obs, self.cfg)
-            out_shape = (self.cfg.patch_count, self.cfg.d_e)
-        else:
-            rows = obs.reshape(1, -1)
-            out_shape = (self.cfg.n_patches, self.cfg.d_e)
-        if self.fused:
-            return encode_observation(rows, p["enc.l1.w"], p["enc.l1.b"],
-                                      p["enc.l2.w"], p["enc.l2.b"],
-                                      out_shape, tape)
-        x = Tensor(rows)
-        h = T.tanh(tape, T.add(tape, T.matmul(tape, x, p["enc.l1.w"]),
-                               p["enc.l1.b"]))
-        flat = T.add(tape, T.matmul(tape, h, p["enc.l2.w"]), p["enc.l2.b"])
-        if self.cfg.raster:
-            return flat
-        return T.reshape(tape, flat, out_shape)
+        p, cfg = self.params, self.cfg
+        rows = _raster_patches(obs, cfg) if cfg.raster else obs.reshape(1, -1)
+        return encode_observation(rows, p["enc.l1.w"], p["enc.l1.b"],
+                                  p["enc.l2.w"], p["enc.l2.b"],
+                                  (cfg.patch_count, cfg.d_e), tape)
 
     def attention_keys(self, patches: Tensor, tape) -> Tensor:
         return T.matmul(tape, patches, self.params["attn.we"])
@@ -188,32 +171,6 @@ class SpeakerPolicy:
                 p[f"init{layer}.b"])))
         return states
 
-    def _attend(self, query: Tensor, patches: Tensor, keys: Tensor, tape):
-        p = self.params
-        q = T.reshape(tape, T.matmul(tape, query, p["attn.wh"]),
-                      (self.cfg.att_dim,))
-        e = T.tanh(tape, T.add(tape, keys, q))
-        scores = T.reshape(tape, T.matmul(tape, e, p["attn.v"]),
-                           (1, keys.shape[0]))
-        alpha = T.softmax(tape, scores)
-        return T.matmul(tape, alpha, patches), alpha
-
-    def _step(self, tok: int, hidden: list, patches: Tensor, keys: Tensor,
-              tape):
-        p = self.params
-        emb = T.embedding(tape, p["emb"], [tok])
-        ctx, alpha = self._attend(hidden[-1], patches, keys, tape)
-        x = T.concat(tape, [emb, ctx], axis=1)
-        new_hidden = []
-        for layer in range(self.cfg.n_layers):
-            g = f"gru{layer}"
-            x = T.gru_cell(tape, x, hidden[layer], p[f"{g}.wz"], p[f"{g}.bz"],
-                           p[f"{g}.wr"], p[f"{g}.br"], p[f"{g}.wh"],
-                           p[f"{g}.bh"])
-            new_hidden.append(x)
-        logits = T.add(tape, T.matmul(tape, x, p["head.w"]), p["head.b"])
-        return logits, new_hidden, alpha
-
     # -- decoding ----------------------------------------------------------
 
     def sample(self, obs: np.ndarray, t_max: int, temperature: float,
@@ -232,14 +189,9 @@ class SpeakerPolicy:
         h0 = self.initial_hidden(patches, tape)
         samples, nodes = [], []
         for _ in range(n_samples):
-            if self.fused:
-                tokens, lps, node = decode_message(
-                    self, patches, keys, h0, tape, t_max=t_max,
-                    temperature=temperature, rng=rng)
-            else:
-                tokens, lps, node = self._decode_ops(
-                    patches, keys, h0, tape, tokens=None, t_max=t_max,
-                    temperature=temperature, rng=rng)
+            tokens, lps, node = decode_message(
+                self, patches, keys, h0, tape, t_max=t_max,
+                temperature=temperature, rng=rng)
             samples.append(MessageSample(tuple(tokens), lps))
             nodes.append(node)
         return samples, nodes
@@ -252,45 +204,9 @@ class SpeakerPolicy:
         patches = self.encode(obs, tape)
         keys = self.attention_keys(patches, tape)
         h0 = self.initial_hidden(patches, tape)
-        if self.fused:
-            _, lps, node = decode_message(self, patches, keys, h0, tape,
-                                          tokens=tokens)
-        else:
-            _, lps, node = self._decode_ops(patches, keys, h0, tape,
-                                            tokens=tokens)
+        _, lps, node = decode_message(self, patches, keys, h0, tape,
+                                      tokens=tokens)
         return lps, node
-
-    def _decode_ops(self, patches, keys, h0, tape, *, tokens=None, t_max=0,
-                    temperature=1.0, rng=None):
-        """Reference decode built from individual tape ops."""
-        sampling = tokens is None
-        steps = t_max if sampling else len(tokens)
-        hidden = list(h0)
-        prev = BOS
-        out_tokens, lps, step_nodes = [], [], []
-        for t in range(steps):
-            logits, hidden, _ = self._step(prev, hidden, patches, keys, tape)
-            logp = T.log_softmax(tape, logits)
-            if sampling:
-                if temperature == 0:
-                    tok = int(np.argmax(logits.data))
-                else:
-                    x = logits.data.astype(np.float64) / temperature
-                    x -= x.max()
-                    prob = np.exp(x)
-                    prob /= prob.sum()
-                    tok = int(rng.choice(self.cfg.vocab_size, p=prob))
-            else:
-                tok = int(tokens[t])
-            node = T.gather_cols(tape, logp, [tok])
-            out_tokens.append(tok)
-            lps.append(float(node.data[0]))
-            step_nodes.append(node)
-            prev = tok
-            if sampling and tok == EOS:
-                break
-        node = T.concat(tape, step_nodes, axis=0)
-        return out_tokens, np.array(lps, F32), node
 
     def greedy(self, obs: np.ndarray, t_max: int) -> MessageSample:
         samples, _ = self.sample(obs, t_max, 0.0, 1, None, None)
@@ -300,12 +216,10 @@ class SpeakerPolicy:
 class ListenerModel:
     """Message encoder, projection MLP, and shared image encoder head."""
 
-    def __init__(self, cfg: ModelConfig, params: ParameterSet, encoder=None,
-                 fused: bool = True):
+    def __init__(self, cfg: ModelConfig, params: ParameterSet, encoder=None):
         self.cfg = cfg
         self.params = params
         self.encoder = encoder
-        self.fused = fused
 
     @classmethod
     def create(cls, cfg: ModelConfig, seed: int, encoder=None) -> "ListenerModel":
@@ -320,8 +234,7 @@ class ListenerModel:
         return cls(cfg, p, encoder)
 
     def copy(self) -> "ListenerModel":
-        return ListenerModel(self.cfg, self.params.copy(), self.encoder,
-                             self.fused)
+        return ListenerModel(self.cfg, self.params.copy(), self.encoder)
 
     def embed_message(self, tokens, tape=None) -> Tensor:
         """Summary vector of a message, from the final recurrent state."""
@@ -330,17 +243,9 @@ class ListenerModel:
             raise ValueError("embed_message: message must be non-empty")
         p = self.params
         embs = T.embedding(tape, p["emb"], tokens)
-        if self.fused:
-            h = gru_sequence(embs, np.zeros((1, self.cfg.d_o), F32),
-                             p["gru.wz"], p["gru.bz"], p["gru.wr"],
-                             p["gru.br"], p["gru.wh"], p["gru.bh"], tape)
-        else:
-            h = Tensor(np.zeros((1, self.cfg.d_o), F32))
-            for t in range(len(tokens)):
-                x = T.embedding(tape, embs, [t])
-                h = T.gru_cell(tape, x, h, p["gru.wz"], p["gru.bz"],
-                               p["gru.wr"], p["gru.br"], p["gru.wh"],
-                               p["gru.bh"])
+        h = gru_sequence(embs, np.zeros((1, self.cfg.d_o), F32),
+                         p["gru.wz"], p["gru.bz"], p["gru.wr"], p["gru.br"],
+                         p["gru.wh"], p["gru.bh"], tape)
         mid = T.tanh(tape, T.add(tape, T.matmul(tape, h, p["proj.l1.w"]),
                                  p["proj.l1.b"]))
         return T.add(tape, T.matmul(tape, mid, p["proj.l2.w"]), p["proj.l2.b"])
@@ -364,16 +269,6 @@ class ListenerModel:
         rows = [self.embed_image(observations[i], tape, encoder)
                 for i in range(observations.shape[0])]
         return T.concat(tape, rows, axis=0)
-
-
-def listener_embed(listener: ListenerModel, message, observations,
-                   tape=None, encoder=None):
-    """Message summary plus per-candidate image embeddings."""
-    if observations.shape[0] < 2:
-        raise ValueError("listener_embed: need at least 2 candidates")
-    v_m = listener.embed_message(message, tape)
-    v_imgs = listener.embed_images(observations, tape, encoder)
-    return v_m, v_imgs
 
 
 def listener_probs(v_m: np.ndarray, v_imgs: np.ndarray) -> np.ndarray:

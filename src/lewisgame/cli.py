@@ -23,9 +23,8 @@ from .evaluate import (ablation_sweep, ema, evaluate_agents,
 from .params import (FormatError, ParameterSet, load_checkpoint,
                      save_checkpoint)
 from .training import NumericalFailureError, Trainer
-from .world import (CapacityError, SamplingError, Vocabulary,
-                    generate_dataset, generate_splits, load_dataset,
-                    mix_datasets, save_dataset)
+from .world import (CapacityError, SamplingError, generate_dataset,
+                    generate_splits, load_dataset, mix_datasets, save_dataset)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -148,34 +147,9 @@ def cmd_sweep(args) -> int:
     cfg = _load_cfg(args.config)
     k_list = [int(x) for x in args.k_list.split(",")]
     seeds = [int(x) for x in args.seeds.split(",")]
-    g = cfg.game
-    t = cfg.train
-    m = cfg.model
-    w = cfg.world
-    cells = ablation_sweep(
-        cfg.world.seed, cfg.world_spec(), cfg.world.n_scenes,
-        cfg.world.val_scenes, k_list, seeds, steps=args.steps or t.steps,
-        game_kw={"gamma": g.gamma, "lam": g.lam,
-                 "generations": g.generations, "t_max": g.t_max},
-        model_kw={
-            "vocab_size": len(Vocabulary()), "d_e": m.d_e, "d_o": m.d_o,
-            "n_layers": m.n_layers, "n_patches": m.n_patches,
-            "d_att": m.d_att, "raster": w.raster,
-            "raster_size": w.raster_size, "raster_grid": w.grid,
-            "listener_stop_gradient": m.listener_stop_gradient,
-        },
-        settings_kw={
-            "replicas": t.replicas, "sync_period": t.sync_period,
-            "targets_per_replica": t.targets_per_replica,
-            "lr_speaker": t.lr_speaker, "lr_listener": t.lr_listener,
-            "optimizer_speaker": t.optimizer_speaker,
-            "optimizer_listener": t.optimizer_listener,
-            "baseline_mode": t.baseline_mode,
-            "standardize_advantages": t.standardize_advantages,
-            "temperature": t.temperature, "clip_norm": t.clip_norm,
-        },
-        eval_rounds=cfg.eval.rounds, workers=args.workers,
-    )
+    cells = ablation_sweep(cfg, k_list, seeds,
+                           steps=args.steps or cfg.train.steps,
+                           workers=args.workers)
     summary = sweep_summary(cells)
     for k, metrics in summary.items():
         cov = metrics["coverage"]
@@ -312,7 +286,16 @@ def main(argv=None) -> int:
         parser.print_help()
         return EXIT_USAGE
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe early (``| head``). Python flushes
+        # stdout again at exit, so point it at devnull to keep that flush
+        # from raising too, as the ``signal`` module docs recommend.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -16,16 +16,19 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from . import tensor as T
 from .agents import ListenerModel, SpeakerPolicy, listener_probs
-from .game import GameConfig, solve_rate, make_episode
+from .config import RunConfig
+from .game import solve_rate, make_episode
 from .optim import clip_global_norm, make_optimizer
-from .tensor import F32, Tape, Tensor, backward
-from .world import EOS, Dataset, sample_game_batch
+from .tensor import Tape, Tensor, backward
+from .training import Trainer
+from .world import EOS, Dataset, generate_splits, sample_game_batch
 
 BLEU_EPS = 1e-9
 
@@ -215,91 +218,53 @@ def supervised_pretrain(speaker: SpeakerPolicy, dataset: Dataset, steps: int,
     return speaker
 
 
-def token_accuracy(speaker: SpeakerPolicy, dataset: Dataset,
-                   n_scenes: int = 64, seed: int = 0) -> float:
-    """Teacher-forced next-token argmax accuracy on reference captions."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xACC]))
-    idx = rng.choice(len(dataset), size=min(n_scenes, len(dataset)),
-                     replace=False)
-    hits = total = 0
-    for i in idx:
-        tokens = list(dataset.captions[int(i)][0]) + [EOS]
-        inputs = dataset.model_inputs()
-        lps, _ = speaker.logprobs(inputs[int(i)], tokens, None)
-        # greedy agreement: re-run and compare argmax per position
-        patches = speaker.encode(inputs[int(i)], None)
-        keys = speaker.attention_keys(patches, None)
-        hidden = speaker._init_hidden()
-        prev = 0
-        for tok in tokens:
-            logits, hidden, _ = speaker._step(prev, hidden, patches, keys,
-                                              None)
-            hits += int(np.argmax(logits.data)) == tok
-            total += 1
-            prev = tok
-    return hits / total
-
-
 # ---------------------------------------------------------------------------
 # ablation sweep
 
 
-def _sweep_cell(args):
-    from .training import Trainer, TrainSettings
-    (world_seed, spec, n_train, n_val, k, seed, steps, game_kw, model_kw,
-     settings_kw, eval_rounds) = args
-    from .agents import ModelConfig
-    from .world import generate_splits
-    splits = generate_splits(world_seed, spec, n_train, n_val)
-    game_cfg = GameConfig(k=k, **game_kw)
-    model_cfg = ModelConfig(obs_dim=splits["train"].spec.input_dim, **model_kw)
-    settings = TrainSettings(seed=seed, **settings_kw)
-    trainer = Trainer(splits["train"], game_cfg, model_cfg, settings)
+def _sweep_cell(cfg: RunConfig, steps: int) -> dict:
+    w = cfg.world
+    splits = generate_splits(w.seed, cfg.world_spec(), w.n_scenes,
+                             w.val_scenes)
+    train = splits["train"]
+    game_cfg = cfg.game_config()
+    model_cfg = cfg.model_config(len(train.vocab), train.spec.input_dim)
+    trainer = Trainer(train, game_cfg, model_cfg, cfg.train_settings())
     trainer.run(steps)
-    eval_ds = splits.get("val", splits["train"])
-    report = evaluate_agents(trainer.speaker, trainer.listener, eval_ds,
-                             k=k, n_rounds=eval_rounds, t_max=game_cfg.t_max,
-                             seed=seed, gamma=game_cfg.gamma)
-    return {"k": k, "seed": seed, "report": report}
+    report = evaluate_agents(trainer.speaker, trainer.listener,
+                             splits.get("val", train), k=game_cfg.k,
+                             n_rounds=cfg.eval.rounds, t_max=game_cfg.t_max,
+                             seed=cfg.train.seed, gamma=game_cfg.gamma)
+    return {"k": game_cfg.k, "seed": cfg.train.seed, "report": report}
 
 
-def ablation_sweep(world_seed: int, spec, n_train: int, n_val: int,
-                   k_list, seeds, steps: int, game_kw: dict | None = None,
-                   model_kw: dict | None = None,
-                   settings_kw: dict | None = None, eval_rounds: int = 200,
+def _cell_outcome(cell: RunConfig, result) -> dict:
+    try:
+        return result()
+    except Exception as exc:  # noqa: BLE001 - per-cell isolation
+        return {"k": cell.game.k, "seed": cell.train.seed, "error": str(exc)}
+
+
+def ablation_sweep(cfg: RunConfig, k_list, seeds, steps: int,
                    workers: int = 1) -> list[dict]:
     """Train a fresh run per (K, seed) cell and evaluate each one.
 
-    Cell failures are recorded, not raised, so one bad cell cannot sink
-    a sweep. Returns one dict per cell with either a report or an error.
+    A cell is ``cfg`` with ``game.k`` and ``train.seed`` replaced. Its
+    world is the train and val splits of ``cfg.world``, and it is
+    evaluated for ``eval.rounds`` rounds on the val split. Cell failures
+    are recorded, not raised, so one bad cell cannot sink a sweep.
+    Returns one dict per cell with either a report or an error.
     """
-    game_kw = dict(game_kw or {})
-    game_kw.pop("k", None)
-    model_kw = dict(model_kw or {})
-    settings_kw = dict(settings_kw or {})
-    settings_kw.pop("seed", None)
-    jobs = [(world_seed, spec, n_train, n_val, k, seed, steps, game_kw,
-             model_kw, settings_kw, eval_rounds)
-            for k in k_list for seed in seeds]
-    results = []
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sweep_cell, job) for job in jobs]
-            for job, fut in zip(jobs, futures):
-                try:
-                    results.append(fut.result())
-                except Exception as exc:  # noqa: BLE001 - per-cell isolation
-                    results.append({"k": job[4], "seed": job[5],
-                                    "error": str(exc)})
-    else:
-        for job in jobs:
-            try:
-                results.append(_sweep_cell(job))
-            except Exception as exc:  # noqa: BLE001 - per-cell isolation
-                results.append({"k": job[4], "seed": job[5],
-                                "error": str(exc)})
-    return results
+    cells = [replace(cfg, game=replace(cfg.game, k=k),
+                     train=replace(cfg.train, seed=seed))
+             for k in k_list for seed in seeds]
+    if workers <= 1:
+        return [_cell_outcome(c, partial(_sweep_cell, c, steps))
+                for c in cells]
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_sweep_cell, c, steps) for c in cells]
+        return [_cell_outcome(c, f.result) for c, f in zip(cells, futures)]
 
 
 def sweep_summary(cells) -> dict:

@@ -146,18 +146,3 @@ def solve_rate(episodes, top_n: int) -> float:
         rank = 1 + int((p > pk).sum()) + int((p[:ep.target] == pk).sum())
         solved += rank <= top_n
     return solved / len(episodes)
-
-
-def indicator_reward_mc(probs: np.ndarray, target: int, n_samples: int,
-                        rng) -> float:
-    """Monte-Carlo mean of the 0/1 pick-correct reward under a ~ probs.
-
-    Unbiased for probs[target]; used as a test oracle for the shaped
-    reward.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    p = np.asarray(probs, np.float64)
-    p = p / p.sum()
-    draws = rng.choice(p.size, size=n_samples, p=p)
-    return float((draws == target).mean())

@@ -198,22 +198,6 @@ def add(tape, a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def sub(tape, a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise a - b; same broadcasting rules as add."""
-    mode = _binary_mode(a, b, "sub")
-    out_nd = a.nd() - (b.data if mode != "same" else b.nd())
-    req = a.requires_grad or b.requires_grad
-    out = _emit(tape, out_nd, req)
-    if req and tape is not None:
-        def rule(g):
-            return (
-                g.copy() if a.requires_grad else None,
-                -_reduce_b(g, mode, a.shape) if b.requires_grad else None,
-            )
-        tape.record(out, (a, b), rule)
-    return out
-
-
 def mul(tape, a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; b may be a scalar or a row vector."""
     mode = _binary_mode(a, b, "mul")
@@ -362,51 +346,19 @@ def reshape(tape, a: Tensor, shape) -> Tensor:
     return out
 
 
-def _unary(tape, a, out_nd, dfn):
+def tanh(tape, a: Tensor) -> Tensor:
+    out_nd = np.tanh(a.nd())
     req = a.requires_grad
     out = _emit(tape, out_nd, req)
     if req and tape is not None:
         def rule(g):
-            return (g * dfn(),)
+            return (g * (F32(1) - out_nd.ravel() * out_nd.ravel()),)
         tape.record(out, (a,), rule)
     return out
-
-
-def tanh(tape, a: Tensor) -> Tensor:
-    out_nd = np.tanh(a.nd())
-    return _unary(tape, a, out_nd, lambda: (F32(1) - out_nd.ravel() * out_nd.ravel()))
-
-
-def sigmoid(tape, a: Tensor) -> Tensor:
-    # 0.5 * (tanh(x/2) + 1) avoids exp overflow at large |x|
-    out_nd = F32(0.5) * (np.tanh(F32(0.5) * a.nd()) + F32(1))
-    return _unary(tape, a, out_nd, lambda: (out_nd.ravel() * (F32(1) - out_nd.ravel())))
-
-
-def relu(tape, a: Tensor) -> Tensor:
-    # subgradient at exactly 0 is 0
-    out_nd = np.maximum(a.nd(), F32(0))
-    return _unary(tape, a, out_nd, lambda: (a.data > 0).astype(F32))
 
 
 def _rows(a: Tensor) -> np.ndarray:
     return a.nd() if a.ndim == 2 else a.data.reshape(1, -1)
-
-
-def softmax(tape, a: Tensor) -> Tensor:
-    """Softmax along the last axis; each output row sums to 1."""
-    X = _rows(a)
-    shifted = X - X.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
-    req = a.requires_grad
-    out = _emit(tape, s.reshape(a.shape), req)
-    if req and tape is not None:
-        def rule(g):
-            G = g.reshape(s.shape)
-            return (((G - (G * s).sum(axis=1, keepdims=True)) * s),)
-        tape.record(out, (a,), rule)
-    return out
 
 
 def log_softmax(tape, a: Tensor) -> Tensor:
@@ -422,58 +374,6 @@ def log_softmax(tape, a: Tensor) -> Tensor:
             G = g.reshape(out_nd.shape)
             return ((G - np.exp(out_nd) * G.sum(axis=1, keepdims=True)),)
         tape.record(out, (a,), rule)
-    return out
-
-
-def gru_cell(tape, x: Tensor, h: Tensor, wz: Tensor, bz: Tensor,
-             wr: Tensor, br: Tensor, wh: Tensor, bh: Tensor) -> Tensor:
-    """One step of a gated recurrent cell.
-
-    Gate inputs are the concatenation [h, x]; the candidate uses
-    [r * h, x]. All weight matrices are (d_h + d_x, d_h).
-    """
-    if x.ndim != 2 or h.ndim != 2 or x.shape[0] != h.shape[0]:
-        raise ShapeError(f"gru_cell: bad state shapes x={x.shape} h={h.shape}")
-    m, dx = x.shape
-    dh = h.shape[1]
-    for name, w in (("wz", wz), ("wr", wr), ("wh", wh)):
-        if w.shape != (dh + dx, dh):
-            raise ShapeError(f"gru_cell: {name} must be {(dh + dx, dh)}, got {w.shape}")
-    for name, b in (("bz", bz), ("br", br), ("bh", bh)):
-        if b.shape != (dh,):
-            raise ShapeError(f"gru_cell: {name} must be {(dh,)}, got {b.shape}")
-    X, H = x.nd(), h.nd()
-    Wz, Wr, Wh = wz.nd(), wr.nd(), wh.nd()
-    U = np.concatenate([H, X], axis=1)
-    z = F32(0.5) * (np.tanh(F32(0.5) * (U @ Wz + bz.data)) + F32(1))
-    r = F32(0.5) * (np.tanh(F32(0.5) * (U @ Wr + br.data)) + F32(1))
-    V = np.concatenate([r * H, X], axis=1)
-    c = np.tanh(V @ Wh + bh.data)
-    out_nd = (F32(1) - z) * H + z * c
-    inputs = (x, h, wz, bz, wr, br, wh, bh)
-    req = any(t.requires_grad for t in inputs)
-    out = _emit(tape, out_nd, req)
-    if req and tape is not None:
-        def rule(g):
-            G = g.reshape(m, dh)
-            dz = G * (c - H) * z * (F32(1) - z)
-            dc = G * z * (F32(1) - c * c)
-            dH = G * (F32(1) - z)
-            dWh = V.T @ dc
-            dbh = dc.sum(axis=0, dtype=F32)
-            dV = dc @ Wh.T
-            drh = dV[:, :dh]
-            dX = dV[:, dh:].copy()
-            dr = drh * H * r * (F32(1) - r)
-            dH = dH + drh * r
-            dU = dz @ Wz.T + dr @ Wr.T
-            dWz = U.T @ dz
-            dWr = U.T @ dr
-            dH = dH + dU[:, :dh]
-            dX += dU[:, dh:]
-            return (dX, dH, dWz, dz.sum(axis=0, dtype=F32), dWr,
-                    dr.sum(axis=0, dtype=F32), dWh, dbh)
-        tape.record(out, inputs, rule)
     return out
 
 

@@ -1,0 +1,215 @@
+"""Op-by-op reference for the fused kernels in ``lewisgame._decode``.
+
+The observation encoder, the speaker decoder and the listener's message
+GRU are built here from individual tape ops, one node per operation.
+The kernels must reproduce these forward values bitwise, and their
+gradients to float32 round-off; the tests compare the two. Nothing in
+``src/`` imports this module.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from lewisgame import tensor as T
+from lewisgame.agents import MessageSample, _raster_patches
+from lewisgame.tensor import F32, ShapeError, Tensor, _emit, _rows
+from lewisgame.world import BOS, EOS
+
+
+def softmax(tape, a: Tensor) -> Tensor:
+    """Softmax along the last axis; each output row sums to 1."""
+    X = _rows(a)
+    shifted = X - X.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    s = e / e.sum(axis=1, keepdims=True)
+    req = a.requires_grad
+    out = _emit(tape, s.reshape(a.shape), req)
+    if req and tape is not None:
+        def rule(g):
+            G = g.reshape(s.shape)
+            return (((G - (G * s).sum(axis=1, keepdims=True)) * s),)
+        tape.record(out, (a,), rule)
+    return out
+
+
+def gru_cell(tape, x: Tensor, h: Tensor, wz: Tensor, bz: Tensor,
+             wr: Tensor, br: Tensor, wh: Tensor, bh: Tensor) -> Tensor:
+    """One step of a gated recurrent cell.
+
+    Gate inputs are the concatenation [h, x]; the candidate uses
+    [r * h, x]. All weight matrices are (d_h + d_x, d_h).
+    """
+    if x.ndim != 2 or h.ndim != 2 or x.shape[0] != h.shape[0]:
+        raise ShapeError(f"gru_cell: bad state shapes x={x.shape} h={h.shape}")
+    m, dx = x.shape
+    dh = h.shape[1]
+    for name, w in (("wz", wz), ("wr", wr), ("wh", wh)):
+        if w.shape != (dh + dx, dh):
+            raise ShapeError(f"gru_cell: {name} must be {(dh + dx, dh)}, got {w.shape}")
+    for name, b in (("bz", bz), ("br", br), ("bh", bh)):
+        if b.shape != (dh,):
+            raise ShapeError(f"gru_cell: {name} must be {(dh,)}, got {b.shape}")
+    X, H = x.nd(), h.nd()
+    Wz, Wr, Wh = wz.nd(), wr.nd(), wh.nd()
+    U = np.concatenate([H, X], axis=1)
+    z = F32(0.5) * (np.tanh(F32(0.5) * (U @ Wz + bz.data)) + F32(1))
+    r = F32(0.5) * (np.tanh(F32(0.5) * (U @ Wr + br.data)) + F32(1))
+    V = np.concatenate([r * H, X], axis=1)
+    c = np.tanh(V @ Wh + bh.data)
+    out_nd = (F32(1) - z) * H + z * c
+    inputs = (x, h, wz, bz, wr, br, wh, bh)
+    req = any(t.requires_grad for t in inputs)
+    out = _emit(tape, out_nd, req)
+    if req and tape is not None:
+        def rule(g):
+            G = g.reshape(m, dh)
+            dz = G * (c - H) * z * (F32(1) - z)
+            dc = G * z * (F32(1) - c * c)
+            dH = G * (F32(1) - z)
+            dWh = V.T @ dc
+            dbh = dc.sum(axis=0, dtype=F32)
+            dV = dc @ Wh.T
+            drh = dV[:, :dh]
+            dX = dV[:, dh:].copy()
+            dr = drh * H * r * (F32(1) - r)
+            dH = dH + drh * r
+            dU = dz @ Wz.T + dr @ Wr.T
+            dWz = U.T @ dz
+            dWr = U.T @ dr
+            dH = dH + dU[:, :dh]
+            dX += dU[:, dh:]
+            return (dX, dH, dWz, dz.sum(axis=0, dtype=F32), dWr,
+                    dr.sum(axis=0, dtype=F32), dWh, dbh)
+        tape.record(out, inputs, rule)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# observation encoder (oracle for _decode.encode_observation)
+
+
+def encode(speaker, obs: np.ndarray, tape) -> Tensor:
+    """Observation to a (patches x d_e) set of vectors."""
+    cfg, p = speaker.cfg, speaker.params
+    rows = _raster_patches(obs, cfg) if cfg.raster else obs.reshape(1, -1)
+    x = Tensor(rows)
+    h = T.tanh(tape, T.add(tape, T.matmul(tape, x, p["enc.l1.w"]),
+                           p["enc.l1.b"]))
+    flat = T.add(tape, T.matmul(tape, h, p["enc.l2.w"]), p["enc.l2.b"])
+    if cfg.raster:
+        return flat
+    return T.reshape(tape, flat, (cfg.n_patches, cfg.d_e))
+
+
+# ---------------------------------------------------------------------------
+# speaker decoder (oracle for _decode.decode_message)
+
+
+def attend(speaker, query: Tensor, patches: Tensor, keys: Tensor, tape):
+    """Additive attention of ``query`` over the patches: (context, weights)."""
+    p = speaker.params
+    q = T.reshape(tape, T.matmul(tape, query, p["attn.wh"]),
+                  (speaker.cfg.att_dim,))
+    e = T.tanh(tape, T.add(tape, keys, q))
+    scores = T.reshape(tape, T.matmul(tape, e, p["attn.v"]),
+                       (1, keys.shape[0]))
+    alpha = softmax(tape, scores)
+    return T.matmul(tape, alpha, patches), alpha
+
+
+def step(speaker, tok: int, hidden: list, patches: Tensor, keys: Tensor,
+         tape):
+    """One decoder step after token ``tok``: (logits, new hidden, weights)."""
+    p = speaker.params
+    emb = T.embedding(tape, p["emb"], [tok])
+    ctx, alpha = attend(speaker, hidden[-1], patches, keys, tape)
+    x = T.concat(tape, [emb, ctx], axis=1)
+    new_hidden = []
+    for layer in range(speaker.cfg.n_layers):
+        g = f"gru{layer}"
+        x = gru_cell(tape, x, hidden[layer], p[f"{g}.wz"], p[f"{g}.bz"],
+                     p[f"{g}.wr"], p[f"{g}.br"], p[f"{g}.wh"], p[f"{g}.bh"])
+        new_hidden.append(x)
+    logits = T.add(tape, T.matmul(tape, x, p["head.w"]), p["head.b"])
+    return logits, new_hidden, alpha
+
+
+def decode(speaker, patches, keys, h0, tape, *, tokens=None, t_max=0,
+           temperature=1.0, rng=None):
+    """Teacher-forced when ``tokens`` is given, sampling otherwise.
+
+    Returns (tokens, per-step log-probs, (T,1) tape node), as
+    ``decode_message`` does.
+    """
+    sampling = tokens is None
+    steps = t_max if sampling else len(tokens)
+    hidden = list(h0)
+    prev = BOS
+    out_tokens, lps, step_nodes = [], [], []
+    for t in range(steps):
+        logits, hidden, _ = step(speaker, prev, hidden, patches, keys, tape)
+        logp = T.log_softmax(tape, logits)
+        if sampling:
+            if temperature == 0:
+                tok = int(np.argmax(logits.data))
+            else:
+                x = logits.data.astype(np.float64) / temperature
+                x -= x.max()
+                prob = np.exp(x)
+                prob /= prob.sum()
+                tok = int(rng.choice(speaker.cfg.vocab_size, p=prob))
+        else:
+            tok = int(tokens[t])
+        node = T.gather_cols(tape, logp, [tok])
+        out_tokens.append(tok)
+        lps.append(float(node.data[0]))
+        step_nodes.append(node)
+        prev = tok
+        if sampling and tok == EOS:
+            break
+    node = T.concat(tape, step_nodes, axis=0)
+    return out_tokens, np.array(lps, F32), node
+
+
+def _start(speaker, obs, tape):
+    patches = encode(speaker, obs, tape)
+    keys = speaker.attention_keys(patches, tape)
+    return patches, keys, speaker.initial_hidden(patches, tape)
+
+
+def sample(speaker, obs: np.ndarray, t_max: int, temperature: float,
+           n_samples: int, rng, tape=None):
+    """``SpeakerPolicy.sample`` built from individual ops."""
+    patches, keys, h0 = _start(speaker, obs, tape)
+    samples, nodes = [], []
+    for _ in range(n_samples):
+        tokens, lps, node = decode(speaker, patches, keys, h0, tape,
+                                   t_max=t_max, temperature=temperature,
+                                   rng=rng)
+        samples.append(MessageSample(tuple(tokens), lps))
+        nodes.append(node)
+    return samples, nodes
+
+
+def logprobs(speaker, obs: np.ndarray, tokens, tape=None):
+    """``SpeakerPolicy.logprobs`` built from individual ops."""
+    patches, keys, h0 = _start(speaker, obs, tape)
+    _, lps, node = decode(speaker, patches, keys, h0, tape,
+                          tokens=list(tokens))
+    return lps, node
+
+
+# ---------------------------------------------------------------------------
+# listener message GRU (oracle for _decode.gru_sequence)
+
+
+def gru_sequence(embs: Tensor, h0: np.ndarray, wz: Tensor, bz: Tensor,
+                 wr: Tensor, br: Tensor, wh: Tensor, bh: Tensor,
+                 tape) -> Tensor:
+    """Final hidden state of a GRU run over the rows of ``embs``."""
+    h = Tensor(h0)
+    for t in range(embs.shape[0]):
+        x = T.embedding(tape, embs, [t])
+        h = gru_cell(tape, x, h, wz, bz, wr, br, wh, bh)
+    return h

@@ -1,11 +1,14 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
+import reference
 from lewisgame import tensor as T
+from lewisgame._decode import gru_sequence
 from lewisgame.agents import (ListenerModel, ModelConfig, SpeakerPolicy,
-                              listener_embed, listener_probs,
-                              model_config_from_params)
-from lewisgame.tensor import Tape, backward
+                              listener_probs, model_config_from_params)
+from lewisgame.tensor import Tape, Tensor, backward
 from lewisgame.world import EOS, WorldSpec, generate_dataset
 
 
@@ -64,14 +67,23 @@ def test_rescoring_reproduces_sampled_logprobs_bitwise(world):
 def test_fused_and_generic_paths_agree_bitwise(world):
     ds, _, speaker, _ = world
     obs = ds.model_inputs()[4]
-    speaker.fused = True
     f1, _ = speaker.sample(obs, 10, 1.0, 3, np.random.default_rng(1))
-    speaker.fused = False
-    f2, _ = speaker.sample(obs, 10, 1.0, 3, np.random.default_rng(1))
-    speaker.fused = True
+    f2, _ = reference.sample(speaker, obs, 10, 1.0, 3,
+                             np.random.default_rng(1))
     assert [m.tokens for m in f1] == [m.tokens for m in f2]
     for a, b in zip(f1, f2):
         assert a.logprobs.tobytes() == b.logprobs.tobytes()
+
+
+def _grads(params) -> dict:
+    return {n: t.grad.copy() for n, t in params.items() if t.grad is not None}
+
+
+def _assert_grads_close(fused: dict, generic: dict) -> None:
+    assert fused and fused.keys() == generic.keys()
+    for name in fused:
+        assert np.allclose(fused[name], generic[name], rtol=1e-4,
+                           atol=1e-6), name
 
 
 def test_fused_and_generic_gradients_agree(world):
@@ -79,19 +91,91 @@ def test_fused_and_generic_gradients_agree(world):
     obs = ds.model_inputs()[6]
     msg, _ = speaker.sample(obs, 8, 1.0, 1, np.random.default_rng(3))
     grads = {}
-    for fused in (True, False):
-        speaker.fused = fused
+    for path, logprobs in (("fused", speaker.logprobs),
+                           ("generic", partial(reference.logprobs, speaker))):
         speaker.params.zero_grads()
         tape = Tape()
-        _, node = speaker.logprobs(obs, msg[0].tokens, tape)
+        _, node = logprobs(obs, msg[0].tokens, tape)
         backward(tape, T.mean(tape, node))
-        grads[fused] = {n: t.grad.copy() for n, t in speaker.params.items()
-                        if t.grad is not None}
-    speaker.fused = True
-    assert grads[True].keys() == grads[False].keys()
-    for name in grads[True]:
-        a, b = grads[True][name], grads[False][name]
-        assert np.allclose(a, b, rtol=1e-4, atol=1e-6), name
+        grads[path] = _grads(speaker.params)
+    _assert_grads_close(grads["fused"], grads["generic"])
+
+
+@pytest.fixture(scope="module", params=["plain", "raster"])
+def encoder_world(request):
+    raster = request.param == "raster"
+    spec = WorldSpec(raster=raster)
+    ds = generate_dataset(5, 8, spec)
+    cfg = ModelConfig(vocab_size=len(ds.vocab), obs_dim=spec.input_dim,
+                      d_e=16, d_o=8, n_patches=3, raster=raster,
+                      raster_size=spec.raster_size, raster_grid=spec.grid)
+    return ds, SpeakerPolicy.create(cfg, 17)
+
+
+def test_encode_observation_matches_reference_bitwise(encoder_world):
+    ds, speaker = encoder_world
+    for obs in ds.model_inputs()[:4]:
+        fused = speaker.encode(obs, None)
+        generic = reference.encode(speaker, obs, None)
+        assert fused.shape == generic.shape
+        assert fused.data.tobytes() == generic.data.tobytes()
+
+
+def test_encode_observation_gradients_match_reference(encoder_world):
+    ds, speaker = encoder_world
+    obs = ds.model_inputs()[1]
+    cfg = speaker.cfg
+    # a random weighting, so that no two output cells get the same gradient
+    weights = Tensor(np.random.default_rng(0).normal(
+        0, 1, (cfg.patch_count, cfg.d_e)))
+    grads = {}
+    for path, encode in (("fused", speaker.encode),
+                         ("generic", partial(reference.encode, speaker))):
+        speaker.params.zero_grads()
+        tape = Tape()
+        out = encode(obs, tape)
+        backward(tape, T.tsum(tape, T.mul(tape, out, weights)))
+        grads[path] = _grads(speaker.params)
+    _assert_grads_close(grads["fused"], grads["generic"])
+
+
+def _listener_gru(listener):
+    p = listener.params
+    return (p["gru.wz"], p["gru.bz"], p["gru.wr"], p["gru.br"], p["gru.wh"],
+            p["gru.bh"])
+
+
+def test_gru_sequence_matches_reference_bitwise(world):
+    _, _, _, listener = world
+    emb = listener.params["emb"]
+    d_o = listener.cfg.d_o
+    rng = np.random.default_rng(2)
+    for tokens in ([5], [4, 2, 1], [7, 7, 3, 9, 2, 5]):
+        embs = T.embedding(None, emb, tokens)
+        for h0 in (np.zeros((1, d_o), np.float32),
+                   rng.normal(0, 1, (1, d_o)).astype(np.float32)):
+            fused = gru_sequence(embs, h0, *_listener_gru(listener), None)
+            generic = reference.gru_sequence(embs, h0,
+                                             *_listener_gru(listener), None)
+            assert fused.shape == generic.shape
+            assert fused.data.tobytes() == generic.data.tobytes()
+
+
+def test_gru_sequence_gradients_match_reference(world):
+    _, _, _, listener = world
+    h0 = np.zeros((1, listener.cfg.d_o), np.float32)
+    weights = Tensor(np.random.default_rng(1).normal(
+        0, 1, (1, listener.cfg.d_o)))
+    grads = {}
+    for path, run in (("fused", gru_sequence),
+                      ("generic", reference.gru_sequence)):
+        listener.params.zero_grads()
+        tape = Tape()
+        embs = T.embedding(tape, listener.params["emb"], [7, 7, 3, 9, 2, 5])
+        h = run(embs, h0, *_listener_gru(listener), tape)
+        backward(tape, T.tsum(tape, T.mul(tape, h, weights)))
+        grads[path] = _grads(listener.params)
+    _assert_grads_close(grads["fused"], grads["generic"])
 
 
 def test_per_step_distribution_normalized(world):
@@ -101,7 +185,8 @@ def test_per_step_distribution_normalized(world):
     patches = speaker.encode(obs, None)
     keys = speaker.attention_keys(patches, None)
     hidden = speaker.initial_hidden(patches, None)
-    logits, hidden, alpha = speaker._step(0, hidden, patches, keys, None)
+    logits, hidden, alpha = reference.step(speaker, 0, hidden, patches, keys,
+                                           None)
     logp = T.log_softmax(None, logits)
     assert abs(np.exp(logp.data).sum() - 1.0) < 1e-5
     assert abs(alpha.data.sum() - 1.0) < 1e-6
@@ -115,8 +200,8 @@ def test_attention_weights_normalized_every_step(world):
     hidden = speaker.initial_hidden(patches, None)
     tok = 0
     for _ in range(6):
-        logits, hidden, alpha = speaker._step(tok, hidden, patches, keys,
-                                              None)
+        logits, hidden, alpha = reference.step(speaker, tok, hidden, patches,
+                                               keys, None)
         assert abs(alpha.data.sum() - 1.0) < 1e-6
         tok = int(np.argmax(logits.data))
 
@@ -125,7 +210,8 @@ def test_listener_embed_identical_obs_bitwise(world):
     ds, _, speaker, listener = world
     obs = ds.model_inputs()[:4].copy()
     obs[2] = obs[0]
-    v_m, v_imgs = listener_embed(listener, [5, 6, 1], obs, encoder=speaker)
+    v_m = listener.embed_message([5, 6, 1])
+    v_imgs = listener.embed_images(obs, encoder=speaker)
     rows = v_imgs.nd()
     assert rows[0].tobytes() == rows[2].tobytes()
     assert np.isfinite(v_m.data).all()
@@ -135,15 +221,15 @@ def test_listener_embed_permutation_equivariant(world):
     ds, _, speaker, listener = world
     obs = ds.model_inputs()[:5]
     perm = [3, 1, 4, 0, 2]
-    _, v1 = listener_embed(listener, [4, 1], obs, encoder=speaker)
-    _, v2 = listener_embed(listener, [4, 1], obs[perm], encoder=speaker)
+    v1 = listener.embed_images(obs, encoder=speaker)
+    v2 = listener.embed_images(obs[perm], encoder=speaker)
     assert v2.nd().tobytes() == v1.nd()[perm].tobytes()
 
 
 def test_listener_embed_rejects_empty_message(world):
     ds, _, speaker, listener = world
     with pytest.raises(ValueError, match="non-empty"):
-        listener_embed(listener, [], ds.model_inputs()[:3], encoder=speaker)
+        listener.embed_message([])
 
 
 def test_listener_probs_uniform_when_identical():
@@ -177,8 +263,8 @@ def test_listener_accepts_any_k(world):
     ds, _, speaker, listener = world
     for k in (2, 5, 17, 33):
         obs = ds.model_inputs()[:k]
-        v_m, v_imgs = listener_embed(listener, [4, 2, 1], obs,
-                                     encoder=speaker)
+        v_m = listener.embed_message([4, 2, 1])
+        v_imgs = listener.embed_images(obs, encoder=speaker)
         p = listener_probs(v_m.data, v_imgs.nd())
         assert p.shape == (k,)
         assert abs(p.sum() - 1.0) < 1e-6

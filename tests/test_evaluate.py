@@ -1,0 +1,118 @@
+import glob
+import json
+import math
+import os
+from dataclasses import replace
+
+import pytest
+
+from lewisgame.cli import main
+from lewisgame.config import RunConfig
+from lewisgame.evaluate import ablation_sweep, bleu, evaluate_agents
+from lewisgame.training import Trainer
+from lewisgame.world import generate_splits
+
+EPS = 1e-9  # the pinned BLEU smoothing for a zero n-gram precision
+
+# BLEU-1..4 worked out by hand from the clipped precisions p1..p4 and
+# the brevity penalty bp: BLEU-n = bp * (p1 * ... * pn) ** (1/n).
+BLEU_EXPECTED = {
+    # exact match: every precision is 1
+    "case1.txt": [1.0, 1.0, 1.0, 1.0],
+    # c=3 < r=4: bp = exp(1 - 4/3); p1..p3 = 1, no 4-gram so p4 = EPS
+    "case2.txt": [math.exp(-1 / 3)] * 3 + [math.exp(-1 / 3) * EPS ** 0.25],
+    # complete miss: every precision is EPS
+    "case3.txt": [EPS] * 4,
+    # "a" occurs twice but is clipped to once: p1 = 2/3, p2 = 1/2,
+    # no matching 3-gram and no 4-gram
+    "case4.txt": [2 / 3, (1 / 3) ** 0.5, (EPS / 3) ** (1 / 3),
+                  (EPS * EPS / 3) ** 0.25],
+    # "the" is clipped to its count in the second reference (2), which
+    # also has the closest length (3, so bp = 1): the same p1..p4 as case4
+    "case5.txt": [2 / 3, (1 / 3) ** 0.5, (EPS / 3) ** (1 / 3),
+                  (EPS * EPS / 3) ** 0.25],
+}
+
+BLEU_CASES = sorted(glob.glob(os.path.join(os.path.dirname(__file__),
+                                           "data", "bleu", "case*.txt")))
+
+
+def _read_bleu_case(path):
+    candidate, references = None, []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            kind, _, words = line.partition(":")
+            if kind == "candidate":
+                candidate = words.split()
+            elif kind == "reference":
+                references.append(words.split())
+    return candidate, references
+
+
+@pytest.mark.parametrize("path", BLEU_CASES, ids=os.path.basename)
+def test_bleu_fixture(path):
+    candidate, references = _read_bleu_case(path)
+    expected = BLEU_EXPECTED[os.path.basename(path)]
+    assert bleu(candidate, references, 4) == pytest.approx(expected, rel=1e-9)
+
+
+def _tiny_config() -> RunConfig:
+    # non-default values throughout, so a cell that drops a setting on
+    # the way from the config to the trainer shows up as a different report
+    cfg = RunConfig()
+    cfg.world = replace(cfg.world, min_objects=1, max_objects=2, n_scenes=40,
+                        val_scenes=16, seed=3)
+    cfg.game = replace(cfg.game, k=8, gamma=0.9, lam=0.5, generations=2,
+                       t_max=5)
+    cfg.model = replace(cfg.model, d_e=16, d_o=8, n_layers=1, n_patches=2,
+                        d_att=12)
+    cfg.train = replace(cfg.train, steps=7, seed=1, replicas=2,
+                        sync_period=1, targets_per_replica=2, lr_speaker=0.05,
+                        lr_listener=0.01, optimizer_speaker="adam",
+                        temperature=0.8, clip_norm=0.5)
+    cfg.eval = replace(cfg.eval, rounds=6)
+    return cfg
+
+
+def _direct_run(cfg: RunConfig, k: int, seed: int, steps: int):
+    cfg = replace(cfg, game=replace(cfg.game, k=k),
+                  train=replace(cfg.train, seed=seed))
+    w = cfg.world
+    splits = generate_splits(w.seed, cfg.world_spec(), w.n_scenes,
+                             w.val_scenes)
+    train = splits["train"]
+    trainer = Trainer(train, cfg.game_config(),
+                      cfg.model_config(len(train.vocab),
+                                       train.spec.input_dim),
+                      cfg.train_settings())
+    trainer.run(steps)
+    return evaluate_agents(trainer.speaker, trainer.listener, splits["val"],
+                           k=k, n_rounds=cfg.eval.rounds, t_max=cfg.game.t_max,
+                           seed=seed, gamma=cfg.game.gamma)
+
+
+def test_sweep_cell_equals_direct_run(tmp_path, capsys):
+    cfg = _tiny_config()
+    config_path = tmp_path / "run.ini"
+    config_path.write_text(cfg.to_text(), encoding="utf-8")
+    out = tmp_path / "sweep.jsonl"
+    code = main(["sweep", "--config", str(config_path), "--k-list", "4",
+                 "--seeds", "5", "--steps", "2", "--out", str(out)])
+    assert code == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    expected = _direct_run(cfg, k=4, seed=5, steps=2)
+    assert rows == [expected.row(run_id="sweep", seed=5)]
+    assert "K=4: coverage" in capsys.readouterr().out
+
+
+def test_sweep_workers_give_the_same_cells():
+    # K=32 cannot be drawn from the 16 val scenes: that cell must fail
+    # alone, with the same error in both modes
+    cfg = _tiny_config()
+    serial = ablation_sweep(cfg, [4, 32], [5, 6], steps=2, workers=1)
+    parallel = ablation_sweep(cfg, [4, 32], [5, 6], steps=2, workers=2)
+    assert parallel == serial
+    assert [(c["k"], c["seed"]) for c in serial] == [(4, 5), (4, 6),
+                                                     (32, 5), (32, 6)]
+    assert all("report" in c for c in serial[:2])
+    assert all("error" in c for c in serial[2:])

@@ -2,10 +2,23 @@ import numpy as np
 import pytest
 
 from lewisgame.agents import ListenerModel, ModelConfig, SpeakerPolicy
-from lewisgame.game import (GameConfig, GameEpisode, indicator_reward_mc,
-                            make_episode, play_round, rewards_to_go,
-                            solve_rate)
+from lewisgame.game import (GameConfig, GameEpisode, make_episode,
+                            play_round, rewards_to_go, solve_rate)
 from lewisgame.world import WorldSpec, generate_dataset
+
+
+def indicator_reward_mc(probs: np.ndarray, target: int, n_samples: int,
+                        rng) -> float:
+    """Monte-Carlo mean of the 0/1 pick-correct reward under a ~ probs.
+
+    Unbiased for probs[target]; the oracle for the shaped reward.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    p = np.asarray(probs, np.float64)
+    p = p / p.sum()
+    draws = rng.choice(p.size, size=n_samples, p=p)
+    return float((draws == target).mean())
 
 
 @pytest.fixture(scope="module")
