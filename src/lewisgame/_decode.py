@@ -1,8 +1,9 @@
 """Hand-fused forward/backward kernels: the model's only code path.
 
-The observation encoder, the speaker decoder and the listener's message
-GRU each record one tape node per observation or message instead of
-~16 generic ops per token, which is what keeps training fast on a small
+The observation encoder records one tape node per batch of
+observations (a round's K candidates share one), and the speaker
+decoder and the listener's message GRU one per message, instead of ~16
+generic ops per token; that is what keeps training fast on a small
 CPU. ``tests/reference.py`` builds the same computations from individual
 tape ops and is the oracle: forward values must match it bitwise (same
 numpy calls in the same order), gradients to float32 round-off. Backward
@@ -276,12 +277,14 @@ def gru_sequence(embs: Tensor, h0: np.ndarray, wz: Tensor, bz: Tensor,
 
 
 # ---------------------------------------------------------------------------
-# observation encoder: linear-tanh-linear, one node per observation
+# observation encoder: linear-tanh-linear, one node per batch
 
 
 def encode_observation(obs_rows: np.ndarray, w1: Tensor, b1: Tensor,
                        w2: Tensor, b2: Tensor, out_shape, tape) -> Tensor:
-    """Fused two-layer MLP; ``obs_rows`` is constant input."""
+    """Fused two-layer MLP over every row of ``obs_rows`` (constant
+    input), which may hold any number of observations' rows; the
+    row-major result is laid out as ``out_shape``."""
     X = obs_rows
     W1, W2 = w1.nd(), w2.nd()
     pre = X @ W1 + b1.data

@@ -93,23 +93,25 @@ def _add_gru(params, rng, name, d_in, d_h):
         params.add(f"{name}.b{gate}", Tensor(np.zeros(d_h, F32), True))
 
 
-def _raster_patches(flat_obs: np.ndarray, cfg: ModelConfig) -> np.ndarray:
+def _raster_patches(obs: np.ndarray, cfg: ModelConfig) -> np.ndarray:
+    """Grid cells of one or more flat rasters as patch rows.
+
+    ``obs`` is (obs_dim,) or (N, obs_dim); the result holds grid² rows
+    per observation, cells in row-major grid order, each cell flattened
+    as (row, column, channel).
+    """
     size, grid = cfg.raster_size, cfg.raster_grid
     cell = size // grid
-    img = flat_obs.reshape(size, size, 3)
-    rows = []
-    for r in range(grid):
-        for c in range(grid):
-            rows.append(img[r * cell:(r + 1) * cell,
-                            c * cell:(c + 1) * cell].ravel())
-    return np.stack(rows)
+    img = obs.reshape(-1, grid, cell, grid, cell, 3)
+    return img.transpose(0, 1, 3, 2, 4, 5).reshape(-1, cfg.patch_dim)
 
 
 class SpeakerPolicy:
     """Observation encoder plus attentional recurrent token decoder.
 
     The encoder and the decoder are the kernels of ``_decode``, which
-    record one tape node per observation and one per message.
+    record one tape node per encoded batch of observations and one per
+    message.
     """
 
     def __init__(self, cfg: ModelConfig, params: ParameterSet):
@@ -145,12 +147,18 @@ class SpeakerPolicy:
     # -- forward pieces ----------------------------------------------------
 
     def encode(self, obs: np.ndarray, tape) -> Tensor:
-        """Observation to a (patches x d_e) set of vectors."""
+        """Observations to patch vectors in one tape node.
+
+        One (obs_dim,) observation gives a (patches, d_e) tensor; a
+        (N, obs_dim) stack gives (N, patches, d_e).
+        """
         p, cfg = self.params, self.cfg
-        rows = _raster_patches(obs, cfg) if cfg.raster else obs.reshape(1, -1)
+        rows = (_raster_patches(obs, cfg) if cfg.raster
+                else obs.reshape(-1, cfg.obs_dim))
         return encode_observation(rows, p["enc.l1.w"], p["enc.l1.b"],
                                   p["enc.l2.w"], p["enc.l2.b"],
-                                  (cfg.patch_count, cfg.d_e), tape)
+                                  obs.shape[:-1] + (cfg.patch_count, cfg.d_e),
+                                  tape)
 
     def attention_keys(self, patches: Tensor, tape) -> Tensor:
         return T.matmul(tape, patches, self.params["attn.we"])
@@ -214,7 +222,11 @@ class SpeakerPolicy:
 
 
 class ListenerModel:
-    """Message encoder, projection MLP, and shared image encoder head."""
+    """Message encoder, projection MLP, and shared image encoder head.
+
+    A round's K candidates are embedded as one batch (``embed_images``),
+    so the tape holds the same few nodes for them whatever K is.
+    """
 
     def __init__(self, cfg: ModelConfig, params: ParameterSet, encoder=None):
         self.cfg = cfg
@@ -250,25 +262,24 @@ class ListenerModel:
                                  p["proj.l1.b"]))
         return T.add(tape, T.matmul(tape, mid, p["proj.l2.w"]), p["proj.l2.b"])
 
-    def embed_image(self, obs: np.ndarray, tape=None, encoder=None) -> Tensor:
-        """d_o embedding of one observation via the shared encoder."""
+    def embed_images(self, observations: np.ndarray, tape=None,
+                     encoder=None) -> Tensor:
+        """(K, d_o) embeddings of K candidate observations, one per row.
+
+        All candidates go through the shared encoder in one node; each
+        candidate's patches are then mean-pooled and projected, again one
+        node per op for the whole set.
+        """
         enc = encoder or self.encoder
         if enc is None:
             raise ValueError("listener has no bound image encoder")
         p = self.params
         if self.cfg.listener_stop_gradient:
-            patches = enc.encode(obs, None).detached()
+            patches = enc.encode(observations, None).detached()
         else:
-            patches = enc.encode(obs, tape)
-        pooled = T.mean(tape, patches, axis=0)
+            patches = enc.encode(observations, tape)
+        pooled = T.mean(tape, patches, axis=1)
         return T.add(tape, T.matmul(tape, pooled, p["img.w"]), p["img.b"])
-
-    def embed_images(self, observations: np.ndarray, tape=None,
-                     encoder=None) -> Tensor:
-        """Stack of per-observation embeddings, one row each."""
-        rows = [self.embed_image(observations[i], tape, encoder)
-                for i in range(observations.shape[0])]
-        return T.concat(tape, rows, axis=0)
 
 
 def listener_probs(v_m: np.ndarray, v_imgs: np.ndarray) -> np.ndarray:

@@ -241,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=64)
     p.add_argument("--rounds", type=int, default=200)
     p.add_argument("--t-max", type=int, default=12)
-    p.add_argument("--topn", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="append JSON-lines here")
     p.set_defaults(fn=cmd_eval)

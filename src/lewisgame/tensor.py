@@ -253,11 +253,15 @@ def concat(tape, parts, axis: int = 0) -> Tensor:
 
 
 def mean(tape, a: Tensor, axis=None) -> Tensor:
-    """Mean over all elements (axis=None, scalar out) or over rows (axis=0)."""
+    """Mean over all elements (axis=None, scalar out), over the rows of a
+    rank-2 tensor (axis=0, one row out), or over the middle axis of a
+    rank-3 tensor (axis=1, (n, m, d) -> (n, d))."""
     if axis is None:
         out_nd = a.data.mean(dtype=F32).reshape(1)
     elif axis == 0 and a.ndim == 2:
         out_nd = a.nd().mean(axis=0, dtype=F32, keepdims=True)
+    elif axis == 1 and a.ndim == 3:
+        out_nd = a.nd().mean(axis=1, dtype=F32)
     else:
         raise ShapeError(f"mean: unsupported axis {axis} for shape {a.shape}")
     req = a.requires_grad
@@ -266,8 +270,9 @@ def mean(tape, a: Tensor, axis=None) -> Tensor:
         def rule(g):
             if axis is None:
                 return (np.full(a.size, g[0] / F32(a.size), F32),)
-            rows = a.shape[0]
-            return (np.broadcast_to(g.reshape(out.shape) / F32(rows), a.shape).ravel(),)
+            n = a.shape[axis]
+            kept = a.shape[:axis] + (1,) + a.shape[axis + 1:]
+            return (np.broadcast_to(g.reshape(kept) / F32(n), a.shape).ravel(),)
         tape.record(out, (a,), rule)
     return out
 

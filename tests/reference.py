@@ -1,10 +1,13 @@
 """Op-by-op reference for the fused kernels in ``lewisgame._decode``.
 
-The observation encoder, the speaker decoder and the listener's message
-GRU are built here from individual tape ops, one node per operation.
-The kernels must reproduce these forward values bitwise, and their
-gradients to float32 round-off; the tests compare the two. Nothing in
-``src/`` imports this module.
+The observation encoder, the speaker decoder, the listener's message
+GRU and its candidate embedding are built here from individual tape
+ops, one node per operation and one observation at a time. The
+kernels must reproduce these forward values bitwise, and their
+gradients to float32 round-off; the tests compare the two. The batched
+candidate embedding is the exception: its matmuls over all K rows sum
+in another order than K one-row products, so it is held to a stated
+tolerance instead. Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -100,6 +103,27 @@ def encode(speaker, obs: np.ndarray, tape) -> Tensor:
     if cfg.raster:
         return flat
     return T.reshape(tape, flat, (cfg.n_patches, cfg.d_e))
+
+
+# ---------------------------------------------------------------------------
+# listener candidate embedding (oracle for ListenerModel.embed_images)
+
+
+def embed_images(listener, observations: np.ndarray, tape=None,
+                 encoder=None) -> Tensor:
+    """``ListenerModel.embed_images`` one candidate at a time."""
+    enc = encoder or listener.encoder
+    p = listener.params
+    rows = []
+    for obs in observations:
+        if listener.cfg.listener_stop_gradient:
+            patches = encode(enc, obs, None).detached()
+        else:
+            patches = encode(enc, obs, tape)
+        pooled = T.mean(tape, patches, axis=0)
+        rows.append(T.add(tape, T.matmul(tape, pooled, p["img.w"]),
+                          p["img.b"]))
+    return T.concat(tape, rows, axis=0)
 
 
 # ---------------------------------------------------------------------------

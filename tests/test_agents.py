@@ -7,7 +7,8 @@ import reference
 from lewisgame import tensor as T
 from lewisgame._decode import gru_sequence
 from lewisgame.agents import (ListenerModel, ModelConfig, SpeakerPolicy,
-                              listener_probs, model_config_from_params)
+                              _raster_patches, listener_probs,
+                              model_config_from_params)
 from lewisgame.tensor import Tape, Tensor, backward
 from lewisgame.world import EOS, WorldSpec, generate_dataset
 
@@ -137,6 +138,77 @@ def test_encode_observation_gradients_match_reference(encoder_world):
         backward(tape, T.tsum(tape, T.mul(tape, out, weights)))
         grads[path] = _grads(speaker.params)
     _assert_grads_close(grads["fused"], grads["generic"])
+
+
+def _old_raster_patches(flat_obs, cfg):
+    # the per-cell loop that _raster_patches replaced, kept as its oracle
+    size, grid = cfg.raster_size, cfg.raster_grid
+    cell = size // grid
+    img = flat_obs.reshape(size, size, 3)
+    rows = []
+    for r in range(grid):
+        for c in range(grid):
+            rows.append(img[r * cell:(r + 1) * cell,
+                            c * cell:(c + 1) * cell].ravel())
+    return np.stack(rows)
+
+
+def test_raster_patches_match_cell_loop():
+    spec = WorldSpec(raster=True, raster_size=12, grid=3)
+    ds = generate_dataset(5, 6, spec)
+    cfg = ModelConfig(vocab_size=len(ds.vocab), obs_dim=spec.input_dim,
+                      raster=True, raster_size=12, raster_grid=3)
+    obs = ds.model_inputs()
+    stacked = _raster_patches(obs, cfg)
+    looped = np.concatenate([_old_raster_patches(o, cfg) for o in obs])
+    assert stacked.shape == looped.shape == (6 * 9, cfg.patch_dim)
+    assert stacked.tobytes() == looped.tobytes()
+    assert (_raster_patches(obs[2], cfg).tobytes()
+            == _old_raster_patches(obs[2], cfg).tobytes())
+
+
+@pytest.mark.parametrize("stop_gradient", [False, True])
+def test_embed_images_matches_per_candidate_reference(encoder_world,
+                                                      stop_gradient):
+    ds, speaker = encoder_world
+    cfg = ModelConfig(**{**speaker.cfg.__dict__,
+                         "listener_stop_gradient": stop_gradient})
+    listener = ListenerModel.create(cfg, 19, encoder=speaker)
+    obs = ds.model_inputs()[:6]
+    weights = Tensor(np.random.default_rng(3).normal(0, 1, (6, cfg.d_o)))
+    out, grads = {}, {}
+    for path, embed in (("batched", listener.embed_images),
+                        ("reference", partial(reference.embed_images,
+                                              listener))):
+        speaker.params.zero_grads()
+        listener.params.zero_grads()
+        tape = Tape()
+        v = embed(obs, tape, encoder=speaker)
+        backward(tape, T.tsum(tape, T.mul(tape, v, weights)))
+        out[path] = v.nd().copy()
+        grads[path] = {**_grads(speaker.params),
+                       **{f"listener.{n}": g for n, g in
+                          _grads(listener.params).items()}}
+    want = out["reference"]
+    assert out["batched"].shape == want.shape == (6, cfg.d_o)
+    assert (np.abs(out["batched"] - want).max()
+            <= 1e-6 * max(1.0, np.abs(want).max()))
+    assert grads["batched"].keys() == grads["reference"].keys()
+    assert ("enc.l1.w" in grads["batched"]) != stop_gradient
+    for name, g in grads["reference"].items():
+        assert (np.abs(grads["batched"][name] - g).max()
+                <= 1e-5 * np.abs(g).max()), name
+
+
+def test_embed_images_tape_nodes_independent_of_k(world):
+    # a per-candidate loop would record nodes in proportion to K
+    ds, _, speaker, listener = world
+    counts = []
+    for k in (2, 33):
+        tape = Tape()
+        listener.embed_images(ds.model_inputs()[:k], tape, encoder=speaker)
+        counts.append(len(tape))
+    assert counts[0] == counts[1] > 0
 
 
 def _listener_gru(listener):

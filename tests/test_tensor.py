@@ -188,6 +188,8 @@ OP_CASES = {
         t, T.concat(t, [p["p0"], p["p1"]], axis=1))), [(2, 3), (2, 2)]),
     "mean": (lambda p, t: T.tsum(t, T.tanh(t, T.mean(t, p["p0"], axis=0))),
              [(4, 3)]),
+    "mean_axis1": (lambda p, t: T.tsum(t, T.tanh(t, T.mul(
+        t, T.mean(t, p["p0"], axis=1), p["p1"]))), [(3, 4, 2), (3, 2)]),
     "tsum": (lambda p, t: T.tsum(t, T.mul(t, p["p0"], p["p0"])), [(5,)]),
     "embedding": (lambda p, t: T.tsum(t, T.tanh(
         t, T.embedding(t, p["p0"], [0, 2, 2]))), [(4, 3)]),
