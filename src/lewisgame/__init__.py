@@ -1,8 +1,7 @@
 """Cooperative description game: a Speaker captions scenes so a
 Listener can pick them out of a lineup, and both improve together."""
 
-from .agents import (ListenerModel, MessageSample, ModelConfig,
-                     SpeakerPolicy, listener_probs)
+from .agents import ListenerModel, MessageSample, ModelConfig, SpeakerPolicy
 from .config import ConfigError, RunConfig, load_config, parse_config
 from .evaluate import (EvalReport, ablation_sweep, attribute_coverage, bleu,
                        ema, evaluate_agents, supervised_pretrain,
@@ -15,8 +14,8 @@ from .params import (FormatError, ParameterSet, UnsupportedVersionError,
 from .tensor import (EvaluationError, ShapeError, Tape, Tensor, backward,
                      gradcheck)
 from .training import (LossReport, NumericalFailureError, Trainer,
-                       TrainSettings, advantage_variance, listener_loss,
-                       speaker_loss, sync_replicas, train_step)
+                       TrainSettings, advantage_variance, sync_replicas,
+                       train_step)
 from .world import (CapacityError, Dataset, GameBatch, ObjectSpec,
                     SamplingError, Scene, Vocabulary, WorldSpec,
                     build_captions, generate_dataset, generate_splits,

@@ -66,6 +66,15 @@ def _gru_backward(g, cache, Wz, Wr, Wh, dh_extra=None):
     return dX, dH, dz, dr, dc
 
 
+def _gru_weight_grads(rows):
+    """A GRU's six weight and bias gradients, batched over the steps'
+    (U, V, dz, dr, dc) rows from ``_gru_forward`` and ``_gru_backward``."""
+    U, V, DZ, DR, DC = (np.concatenate(col, axis=0) for col in zip(*rows))
+    return [U.T @ DZ, DZ.sum(axis=0, dtype=F32),
+            U.T @ DR, DR.sum(axis=0, dtype=F32),
+            V.T @ DC, DC.sum(axis=0, dtype=F32)]
+
+
 # ---------------------------------------------------------------------------
 # speaker decoder: attention + stacked GRU + head, one tape node per message
 
@@ -159,11 +168,7 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
         dv = np.zeros_like(v)
         carry = [np.zeros((1, cfg.d_e), F32) for _ in range(L)]
         h_tops, dlog_rows, hq_rows, dq_rows = [], [], [], []
-        u_rows = [[] for _ in range(L)]
-        v_rows = [[] for _ in range(L)]
-        dz_rows = [[] for _ in range(L)]
-        dr_rows = [[] for _ in range(L)]
-        dc_rows = [[] for _ in range(L)]
+        gru_rows = [[] for _ in range(L)]
         demb_rows = []
         for t in range(T_len - 1, -1, -1):
             hq, e, alpha, ctx, caches, h_top, lsm = stash[t]
@@ -180,11 +185,7 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
                 extra = carry[l] if l < L - 1 else None
                 dX, dH, dz, dr, dc = _gru_backward(dx, cache, Wz, Wr, Wh,
                                                    dh_extra=extra)
-                u_rows[l].append(cache[0])
-                v_rows[l].append(cache[3])
-                dz_rows[l].append(dz)
-                dr_rows[l].append(dr)
-                dc_rows[l].append(dc)
+                gru_rows[l].append((cache[0], cache[3], dz, dr, dc))
                 carry[l] = dH
                 dx = dX
             demb_rows.append(dx[:, :cfg.d_e])
@@ -213,14 +214,7 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
         grads = [dPt, dK, demb, HQ.T @ DQ, dv, HT.T @ DL,
                  DL.sum(axis=0, dtype=F32)]
         for l in range(L):
-            Ul = np.concatenate(u_rows[l], axis=0)
-            Vl = np.concatenate(v_rows[l], axis=0)
-            DZ = np.concatenate(dz_rows[l], axis=0)
-            DR = np.concatenate(dr_rows[l], axis=0)
-            DC = np.concatenate(dc_rows[l], axis=0)
-            grads.extend([Ul.T @ DZ, DZ.sum(axis=0, dtype=F32),
-                          Ul.T @ DR, DR.sum(axis=0, dtype=F32),
-                          Vl.T @ DC, DC.sum(axis=0, dtype=F32)])
+            grads.extend(_gru_weight_grads(gru_rows[l]))
         grads.extend(carry)  # d loss / d initial hidden, per layer
         return grads
 
@@ -252,25 +246,13 @@ def gru_sequence(embs: Tensor, h0: np.ndarray, wz: Tensor, bz: Tensor,
 
     def rule(g):
         dh = g.reshape(1, -1)
-        dx_rows = []
-        u_rows, v_rows, dz_rows, dr_rows, dc_rows = [], [], [], [], []
+        dx_rows, gru_rows = [], []
         for t in range(T_len - 1, -1, -1):
             dX, dh, dz, dr, dc = _gru_backward(dh, caches[t], Wz, Wr, Wh)
             dx_rows.append(dX)
-            u_rows.append(caches[t][0])
-            v_rows.append(caches[t][3])
-            dz_rows.append(dz)
-            dr_rows.append(dr)
-            dc_rows.append(dc)
+            gru_rows.append((caches[t][0], caches[t][3], dz, dr, dc))
         dE = np.concatenate(dx_rows[::-1], axis=0)
-        U = np.concatenate(u_rows, axis=0)
-        V = np.concatenate(v_rows, axis=0)
-        DZ = np.concatenate(dz_rows, axis=0)
-        DR = np.concatenate(dr_rows, axis=0)
-        DC = np.concatenate(dc_rows, axis=0)
-        return (dE, U.T @ DZ, DZ.sum(axis=0, dtype=F32),
-                U.T @ DR, DR.sum(axis=0, dtype=F32),
-                V.T @ DC, DC.sum(axis=0, dtype=F32))
+        return [dE] + _gru_weight_grads(gru_rows)
 
     tape.record(out, (embs, wz, bz, wr, br, wh, bh), rule)
     return out

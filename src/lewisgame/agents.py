@@ -245,9 +245,6 @@ class ListenerModel:
         _add_linear(p, rng, "img", cfg.d_e, cfg.d_o)
         return cls(cfg, p, encoder)
 
-    def copy(self) -> "ListenerModel":
-        return ListenerModel(self.cfg, self.params.copy(), self.encoder)
-
     def embed_message(self, tokens, tape=None) -> Tensor:
         """Summary vector of a message, from the final recurrent state."""
         tokens = list(tokens)
@@ -281,15 +278,19 @@ class ListenerModel:
         pooled = T.mean(tape, patches, axis=1)
         return T.add(tape, T.matmul(tape, pooled, p["img.w"]), p["img.b"])
 
+    def log_probs(self, tokens, v_imgs: Tensor, tape=None) -> Tensor:
+        """(1, K) log-probabilities of the candidates given a message.
 
-def listener_probs(v_m: np.ndarray, v_imgs: np.ndarray) -> np.ndarray:
-    """Softmax over inner products between the message and each candidate."""
-    v = np.asarray(v_m, F32).ravel()
-    imgs = np.asarray(v_imgs, F32).reshape(-1, v.size)
-    scores = imgs @ v
-    shifted = scores - scores.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+        Scores are inner products between the message summary and each
+        row of ``v_imgs`` (from ``embed_images``); their log-softmax is
+        both the listener's loss term and, through ``exp``, the shared
+        reward and the evaluation ranking.
+        """
+        v_m = self.embed_message(tokens, tape)
+        scores = T.matmul(tape, v_imgs,
+                          T.reshape(tape, v_m, (v_m.shape[1], 1)))
+        return T.log_softmax(
+            tape, T.reshape(tape, scores, (1, v_imgs.shape[0])))
 
 
 def model_config_from_params(speaker_params: ParameterSet,

@@ -1,8 +1,9 @@
 """Run configuration: a strict, diff-able INI document.
 
 Every hyperparameter of a run lives here, grouped in sections. Parsing
-is strict: an unknown section or key, or a value that fails type
-conversion, is a hard error naming the offender. This is what keeps a
+is strict: an unknown section or key, a value that fails type
+conversion, or a value the world, game or train settings reject, is a
+hard error naming the offender. This is what keeps a
 typo'd hyperparameter from silently training the wrong run.
 """
 
@@ -181,7 +182,8 @@ def _convert(raw: str, target_type, where: str):
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse an INI document over the defaults, rejecting unknown keys."""
+    """Parse an INI document over the defaults, rejecting unknown keys
+    and values that the world, game or train settings refuse."""
     parser = configparser.ConfigParser()
     try:
         parser.read_string(text)
@@ -201,6 +203,15 @@ def parse_config(text: str) -> RunConfig:
                     f"unknown key {key!r} in section [{section_name}]")
             setattr(target, key,
                     _convert(raw, types[key], f"[{section_name}] {key}"))
+    builders = [("world", cfg.world_spec), ("game", cfg.game_config),
+                ("train", cfg.train_settings)]
+    if cfg.world.mix_scenes > 0:
+        builders.append(("world", cfg.mix_spec))
+    for section_name, build in builders:
+        try:
+            build()
+        except ValueError as exc:
+            raise ConfigError(f"[{section_name}] {exc}") from None
     return cfg
 
 

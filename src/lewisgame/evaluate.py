@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from . import tensor as T
-from .agents import ListenerModel, SpeakerPolicy, listener_probs
+from .agents import ListenerModel, SpeakerPolicy
 from .config import RunConfig
 from .game import solve_rate, make_episode
 from .optim import clip_global_norm, make_optimizer
@@ -151,10 +151,10 @@ def evaluate_agents(speaker: SpeakerPolicy, listener: ListenerModel,
         obs = dataset.model_inputs()[batch.scene_indices]
         target_idx = int(batch.scene_indices[batch.target_pos])
         sample = speaker.greedy(obs[batch.target_pos], t_max)
-        v_m = listener.embed_message(sample.tokens, None)
         v_imgs = listener.embed_images(obs, None, encoder=speaker)
-        probs = listener_probs(v_m.data, v_imgs.nd())
-        episodes.append(make_episode(batch.target_pos, sample, probs, gamma))
+        logp = listener.log_probs(sample.tokens, v_imgs)
+        episodes.append(make_episode(batch.target_pos, sample,
+                                     np.exp(logp.data), gamma))
         content = _strip_eos(sample.tokens)
         lengths.append(len(content))
         refs = dataset.captions[target_idx]

@@ -2,9 +2,11 @@
 
 One round: draw a target plus K-1 distractors, let the Speaker describe
 the target G times, and score each message by the probability the
-Listener assigns to the true candidate. That probability is the shaped
-reward; the 0/1 indicator (argmax hit) is kept alongside it. Rewards
-are spread backward over message tokens as discounted rewards-to-go.
+Listener assigns to the true candidate. That shaped reward is ``exp`` of
+the listener's log-probability of the target, the same taped
+log-softmax its loss backpropagates through; the 0/1 indicator (argmax
+hit) is kept alongside it. Rewards are spread backward over message
+tokens as discounted rewards-to-go.
 
 Reference captions are never read here; the game is fully unsupervised.
 """
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .agents import ListenerModel, MessageSample, SpeakerPolicy, listener_probs
-from .tensor import F32, Tensor
+from .agents import ListenerModel, MessageSample, SpeakerPolicy
+from .tensor import F32
 from .world import Dataset, sample_game_batch
 
 
@@ -108,15 +110,9 @@ def _play_round_traced(speaker: SpeakerPolicy, listener: ListenerModel,
     v_imgs = listener.embed_images(obs, tape, encoder=speaker)
     episodes, logp_targets = [], []
     for sample in samples:
-        v_m = listener.embed_message(sample.tokens, tape)
-        scores = T.reshape(
-            tape,
-            T.matmul(tape, v_imgs,
-                     T.reshape(tape, v_m, (v_m.shape[1], 1))),
-            (1, config.k))
-        logp = T.log_softmax(tape, scores)
-        probs = listener_probs(v_m.data, v_imgs.nd())
-        episodes.append(make_episode(target, sample, probs, config.gamma))
+        logp = listener.log_probs(sample.tokens, v_imgs, tape)
+        episodes.append(make_episode(target, sample, np.exp(logp.data),
+                                     config.gamma))
         logp_targets.append(T.gather_cols(tape, logp, [target]))
     return RoundTrace(episodes, node_lists, logp_targets)
 

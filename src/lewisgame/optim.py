@@ -123,8 +123,11 @@ class Adam:
                 raise ValueError(f"unknown optimizer state key: {key!r}")
 
 
+OPTIMIZER_KINDS = ("sgd", "adam")
+
+
 def make_optimizer(kind: str, lr: float, **hyper):
-    """Build an optimizer by name ('sgd' or 'adam')."""
+    """Build an optimizer by name (one of ``OPTIMIZER_KINDS``)."""
     if kind == "sgd":
         return Sgd(lr)
     if kind == "adam":

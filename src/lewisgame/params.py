@@ -64,10 +64,6 @@ class ParameterSet:
         for name in sorted(self._items):
             yield name, self._items[name]
 
-    def tensors(self):
-        for name in sorted(self._items):
-            yield self._items[name]
-
     def zero_grads(self) -> None:
         for t in self._items.values():
             t.grad = None
@@ -86,9 +82,6 @@ class ParameterSet:
             if t.shape != o.shape or t.data.tobytes() != o.data.tobytes():
                 return False
         return True
-
-    def n_values(self) -> int:
-        return sum(t.size for t in self._items.values())
 
     def subset(self, prefix: str, strip: bool = True) -> "ParameterSet":
         """New set holding entries whose name starts with ``prefix``."""

@@ -65,16 +65,10 @@ class Tensor:
         """Row-major view of the flat buffer at this tensor's shape."""
         return self.data.reshape(self.shape)
 
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.data).all())
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item: tensor has shape {self.shape}, not scalar")
         return float(self.data[0])
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def detached(self) -> "Tensor":
         """Constant copy with no tape linkage and no gradient."""

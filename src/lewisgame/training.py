@@ -26,14 +26,18 @@ import numpy as np
 
 from . import tensor as T
 from .agents import ListenerModel, ModelConfig, SpeakerPolicy
-from .game import GameConfig, GameEpisode, _play_round_traced, rewards_to_go
-from .optim import clip_global_norm, grad_global_norm, make_optimizer
+from .game import GameConfig, _play_round_traced, rewards_to_go
+from .optim import (OPTIMIZER_KINDS, clip_global_norm, grad_global_norm,
+                    make_optimizer)
 from .params import ParameterSet
 from .tensor import F32, Tape, Tensor, backward
 
 
 class NumericalFailureError(RuntimeError):
     """A training step produced non-finite losses or gradients."""
+
+
+BASELINE_MODES = ("group", "literal", "none")
 
 
 @dataclass
@@ -52,6 +56,13 @@ class TrainSettings:
     standardize_advantages: bool = False
     temperature: float = 1.0
     clip_norm: float = 1.0
+
+    def __post_init__(self):
+        for kind in (self.optimizer_speaker, self.optimizer_listener):
+            if kind not in OPTIMIZER_KINDS:
+                raise ValueError(f"unknown optimizer kind: {kind!r}")
+        if self.baseline_mode not in BASELINE_MODES:
+            raise ValueError(f"unknown baseline mode: {self.baseline_mode!r}")
 
 
 REPORT_FIELDS = (
@@ -114,34 +125,17 @@ def group_advantages(episodes, gamma: float, baseline_mode: str = "group",
     raise ValueError(f"unknown baseline mode: {baseline_mode!r}")
 
 
-def speaker_loss(episodes, gamma: float, baseline_mode: str = "group",
-                 standardize: bool = False) -> float:
-    """Group surrogate loss: mean over episodes of -(1/T) sum logpi * A."""
-    advs = group_advantages(episodes, gamma, baseline_mode, standardize)
-    total = 0.0
-    for ep, a in zip(episodes, advs):
-        lp = ep.message.logprobs.astype(np.float64)
-        total += -(lp * a.astype(np.float64)).sum() / ep.message.length
-    return total / len(episodes)
-
-
-def listener_loss(episode: GameEpisode) -> float:
-    """Negative log probability assigned to the true candidate."""
-    with np.errstate(divide="ignore"):
-        return float(-np.log(episode.probs[episode.target]))
-
-
-def advantage_variance(episodes, gamma: float,
-                       baseline_mode: str = "group") -> float:
+def advantage_variance(advs) -> float:
     """Spread of per-episode summed advantages within one group.
 
-    Advantages are zero-mean by design, so the second moment is taken
-    about zero with the usual n-1 denominator; this is what shrinks
-    when a baseline removes the common reward level.
+    ``advs`` holds one group's per-step advantage vectors, as
+    ``group_advantages`` returns them. Advantages are zero-mean by
+    design, so the second moment is taken about zero with the usual n-1
+    denominator; this is what shrinks when a baseline removes the
+    common reward level.
     """
-    if len(episodes) < 2:
+    if len(advs) < 2:
         raise ValueError("advantage variance needs at least 2 episodes")
-    advs = group_advantages(episodes, gamma, baseline_mode)
     sums = np.array([a.sum(dtype=np.float64) for a in advs])
     return float((sums ** 2).sum() / (len(sums) - 1))
 
@@ -167,8 +161,8 @@ def sync_replicas(param_sets) -> None:
             ps[name].data = mean.copy()
 
 
-def _group_loss_node(tape, trace, gamma, baseline_mode, standardize):
-    advs = group_advantages(trace.episodes, gamma, baseline_mode, standardize)
+def _group_loss_node(tape, trace, advs):
+    """Group surrogate loss: mean over episodes of -(1/T) sum logpi * A."""
     episode_nodes = []
     for ep, node, a in zip(trace.episodes, trace.logprob_nodes, advs):
         weights = Tensor((-a / F32(ep.message.length)).reshape(-1, 1))
@@ -209,11 +203,14 @@ def train_step(replicas, listener: ListenerModel, dataset,
             traces.append(_play_round_traced(
                 rep, listener, dataset, game_cfg, rngs[w],
                 settings.temperature, tape))
-        group_nodes = [
-            _group_loss_node(tape, tr, game_cfg.gamma, settings.baseline_mode,
+        group_advs = [
+            group_advantages(tr.episodes, game_cfg.gamma,
+                             settings.baseline_mode,
                              settings.standardize_advantages)
             for tr in traces
         ]
+        group_nodes = [_group_loss_node(tape, tr, advs)
+                       for tr, advs in zip(traces, group_advs)]
         spk_node = T.mean(tape, T.concat(tape, group_nodes, axis=0))
         lst_node = _listener_loss_node(tape, traces)
         if lam > 0:
@@ -226,13 +223,12 @@ def train_step(replicas, listener: ListenerModel, dataset,
         if not (np.isfinite(spk_values[-1]) and np.isfinite(lst_values[-1])):
             _abort(replicas, listener)
         backward(tape, total)
-        for tr in traces:
+        for tr, advs in zip(traces, group_advs):
             for ep in tr.episodes:
                 rewards.append(ep.reward)
                 indicators.append(ep.indicator)
             if game_cfg.generations >= 2:
-                adv_vars.append(advantage_variance(
-                    tr.episodes, game_cfg.gamma, settings.baseline_mode))
+                adv_vars.append(advantage_variance(advs))
 
     spk_norms = [grad_global_norm(rep.params) for rep in replicas]
     lst_norm = grad_global_norm(listener.params)

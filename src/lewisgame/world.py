@@ -59,9 +59,6 @@ class Vocabulary:
     def decode(self, ids) -> list[str]:
         return [self.tokens[i] for i in ids]
 
-    def strip_specials(self, ids) -> list[int]:
-        return [i for i in ids if i > UNK]
-
 
 @dataclass(frozen=True)
 class ObjectSpec:

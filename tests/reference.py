@@ -1,4 +1,5 @@
-"""Op-by-op reference for the fused kernels in ``lewisgame._decode``.
+"""Op-by-op reference for the fused kernels in ``lewisgame._decode``,
+and numpy reference for the listener's scores and the trainer's losses.
 
 The observation encoder, the speaker decoder, the listener's message
 GRU and its candidate embedding are built here from individual tape
@@ -7,7 +8,13 @@ kernels must reproduce these forward values bitwise, and their
 gradients to float32 round-off; the tests compare the two. The batched
 candidate embedding is the exception: its matmuls over all K rows sum
 in another order than K one-row products, so it is held to a stated
-tolerance instead. Nothing in ``src/`` imports this module.
+tolerance instead.
+
+``listener_probs``, ``speaker_loss`` and ``listener_loss`` compute the
+candidate probabilities and the two training losses in plain numpy
+(the losses in float64), apart from the tape; the tests hold
+``ListenerModel.log_probs`` and the trainer's loss nodes to them within
+a stated tolerance. Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ import numpy as np
 from lewisgame import tensor as T
 from lewisgame.agents import MessageSample, _raster_patches
 from lewisgame.tensor import F32, ShapeError, Tensor, _emit, _rows
+from lewisgame.training import group_advantages
 from lewisgame.world import BOS, EOS
 
 
@@ -237,3 +245,35 @@ def gru_sequence(embs: Tensor, h0: np.ndarray, wz: Tensor, bz: Tensor,
         x = T.embedding(tape, embs, [t])
         h = gru_cell(tape, x, h, wz, bz, wr, br, wh, bh)
     return h
+
+
+# ---------------------------------------------------------------------------
+# listener scores and training losses (oracles for ListenerModel.log_probs,
+# training._group_loss_node and training._listener_loss_node)
+
+
+def listener_probs(v_m: np.ndarray, v_imgs: np.ndarray) -> np.ndarray:
+    """Softmax over inner products between the message and each candidate."""
+    v = np.asarray(v_m, F32).ravel()
+    imgs = np.asarray(v_imgs, F32).reshape(-1, v.size)
+    scores = imgs @ v
+    shifted = scores - scores.max()
+    e = np.exp(shifted)
+    return e / e.sum()
+
+
+def speaker_loss(episodes, gamma: float, baseline_mode: str = "group",
+                 standardize: bool = False) -> float:
+    """Group surrogate loss: mean over episodes of -(1/T) sum logpi * A."""
+    advs = group_advantages(episodes, gamma, baseline_mode, standardize)
+    total = 0.0
+    for ep, a in zip(episodes, advs):
+        lp = ep.message.logprobs.astype(np.float64)
+        total += -(lp * a.astype(np.float64)).sum() / ep.message.length
+    return total / len(episodes)
+
+
+def listener_loss(episode) -> float:
+    """Negative log probability assigned to the true candidate."""
+    with np.errstate(divide="ignore"):
+        return float(-np.log(episode.probs[episode.target]))

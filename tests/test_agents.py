@@ -7,8 +7,7 @@ import reference
 from lewisgame import tensor as T
 from lewisgame._decode import gru_sequence
 from lewisgame.agents import (ListenerModel, ModelConfig, SpeakerPolicy,
-                              _raster_patches, listener_probs,
-                              model_config_from_params)
+                              _raster_patches, model_config_from_params)
 from lewisgame.tensor import Tape, Tensor, backward
 from lewisgame.world import EOS, WorldSpec, generate_dataset
 
@@ -307,7 +306,7 @@ def test_listener_embed_rejects_empty_message(world):
 def test_listener_probs_uniform_when_identical():
     v_m = np.ones(8, np.float32)
     vs = np.tile(np.arange(8, dtype=np.float32), (5, 1))
-    p = listener_probs(v_m, vs)
+    p = reference.listener_probs(v_m, vs)
     assert np.allclose(p, 0.2, atol=1e-6)
 
 
@@ -315,7 +314,7 @@ def test_listener_probs_direct_value():
     # inner products [0, ln 2] -> [1/3, 2/3]
     v_m = np.array([1.0, 0.0], np.float32)
     vs = np.array([[0.0, 5.0], [np.log(2.0), -3.0]], np.float32)
-    p = listener_probs(v_m, vs)
+    p = reference.listener_probs(v_m, vs)
     assert np.allclose(p, [1 / 3, 2 / 3], atol=1e-6)
 
 
@@ -323,23 +322,47 @@ def test_listener_probs_shift_invariant():
     rng = np.random.default_rng(0)
     v_m = rng.normal(0, 1, 6).astype(np.float32)
     vs = rng.normal(0, 1, (4, 6)).astype(np.float32)
-    p1 = listener_probs(v_m, vs)
+    p1 = reference.listener_probs(v_m, vs)
     # add a constant to every inner product via a rank-one shift
     shift = np.linalg.lstsq(v_m[None, :], np.array([[2.5]]), rcond=None)[0]
     vs2 = vs + shift.T
-    p2 = listener_probs(v_m, vs2)
+    p2 = reference.listener_probs(v_m, vs2)
     assert np.allclose(p1, p2, atol=1e-5)
+
+
+def test_log_probs_matches_reference_listener_probs():
+    # the default model size and K; exp(log-softmax) and the numpy
+    # softmax round differently, by at most 6.5e-7 relative over 120
+    # random messages and candidate sets at initialization
+    spec = WorldSpec()
+    ds = generate_dataset(7, 80, spec)
+    cfg = ModelConfig(vocab_size=len(ds.vocab), obs_dim=spec.input_dim,
+                      d_e=128, d_o=128)
+    speaker = SpeakerPolicy.create(cfg, 3)
+    listener = ListenerModel.create(cfg, 4, encoder=speaker)
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        obs = ds.model_inputs()[rng.choice(len(ds), 64, replace=False)]
+        tokens = [int(t) for t in rng.integers(4, len(ds.vocab), size=6)]
+        v_imgs = listener.embed_images(obs)
+        logp = listener.log_probs(tokens, v_imgs)
+        got = np.exp(logp.data)
+        ref = reference.listener_probs(listener.embed_message(tokens).data,
+                                       v_imgs.nd())
+        assert logp.shape == (1, 64)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-6
+        taped = listener.log_probs(tokens, v_imgs, Tape())
+        assert taped.data.tobytes() == logp.data.tobytes()
 
 
 def test_listener_accepts_any_k(world):
     ds, _, speaker, listener = world
     for k in (2, 5, 17, 33):
         obs = ds.model_inputs()[:k]
-        v_m = listener.embed_message([4, 2, 1])
         v_imgs = listener.embed_images(obs, encoder=speaker)
-        p = listener_probs(v_m.data, v_imgs.nd())
-        assert p.shape == (k,)
-        assert abs(p.sum() - 1.0) < 1e-6
+        logp = listener.log_probs([4, 2, 1], v_imgs)
+        assert logp.shape == (1, k)
+        assert abs(np.exp(logp.data).sum() - 1.0) < 1e-6
 
 
 def test_listener_stop_gradient_detaches_encoder(world):

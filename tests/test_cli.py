@@ -3,10 +3,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from lewisgame.agents import ListenerModel, ModelConfig, SpeakerPolicy
-from lewisgame.params import ParameterSet, save_checkpoint
+from lewisgame.params import ParameterSet, load_checkpoint, save_checkpoint
 from lewisgame.world import WorldSpec, generate_dataset, save_dataset
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -86,3 +87,75 @@ def test_plotdata_into_closed_pipe_exits_cleanly(tmp_path):
     assert first == b"step\tjoint_loss\n"
     assert err == b""
     assert proc.returncode == 0
+
+
+
+
+def _train_config(path, dataset, run, **overrides):
+    """Write a one-step toy training config over ``dataset`` whose
+    outputs go under ``run``; ``overrides`` maps a section to the keys
+    it sets."""
+    sections = {
+        "paths": {"dataset": dataset, "checkpoint_dir": run / "ckpt",
+                  "metrics": run / "m.jsonl"},
+        "game": {"k": 4, "generations": 2, "t_max": 4},
+        "model": {"d_e": 8, "d_o": 8, "n_layers": 1},
+        "train": {"steps": 1, "replicas": 1},
+        "world": {},
+    }
+    for name, keys in overrides.items():
+        sections[name].update(keys)
+    path.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items()), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command, section, keys, message", [
+    ("train", "game", {"k": 1}, "[game] K must be at least 2"),
+    ("gen-world", "world", {"min_objects": 3, "max_objects": 1},
+     "[world] object counts"),
+    ("train", "train", {"optimizer_speaker": "bogus"},
+     "[train] unknown optimizer kind: 'bogus'"),
+    ("train", "train", {"baseline_mode": "bogus"},
+     "[train] unknown baseline mode: 'bogus'"),
+], ids=["game-k", "world-objects", "train-optimizer", "train-baseline"])
+def test_bad_config_value_exits_1(eval_files, tmp_path, command, section,
+                                  keys, message):
+    config = _train_config(tmp_path / "bad.ini", eval_files / "world.lgw",
+                           tmp_path, **{section: keys})
+    out = ["--out", str(tmp_path / "w.lgw")] if command == "gen-world" else []
+    proc = _run_cli(command, "--config", config, *out)
+    assert proc.returncode == 1
+    assert f"config error: {message}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert os.listdir(tmp_path) == ["bad.ini"]
+
+def test_train_with_missing_dataset_exits_2(tmp_path):
+    config = _train_config(tmp_path / "run.ini", tmp_path / "missing.lgw",
+                           tmp_path)
+    proc = _run_cli("train", "--config", config)
+    assert proc.returncode == 2
+    assert "data error:" in proc.stderr and "missing.lgw" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_train_resume_from_nan_weight_exits_3(eval_files, tmp_path):
+    dataset = eval_files / "world.lgw"
+    config = _train_config(tmp_path / "start.ini", dataset, tmp_path,
+                           train={"steps": 0})
+    assert _run_cli("train", "--config", config).returncode == 0
+    state = load_checkpoint(str(tmp_path / "ckpt" / "latest.lgc"))
+    state["listener.proj.l2.b"].data[0] = np.nan
+    save_checkpoint(state, str(tmp_path / "nan.lgc"))
+
+    run = tmp_path / "resumed"
+    config = _train_config(tmp_path / "run.ini", dataset, run)
+    proc = _run_cli("train", "--config", config, "--resume",
+                    str(tmp_path / "nan.lgc"))
+    assert proc.returncode == 3
+    assert "numerical failure at step 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    saved = load_checkpoint(str(run / "ckpt" / "latest.lgc"))
+    assert saved["meta.step"].data[0] == 0
+    assert np.isnan(saved["listener.proj.l2.b"].data[0])

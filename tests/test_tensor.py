@@ -15,12 +15,6 @@ def test_tensor_flat_row_major_storage():
     assert t.data.tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
-def test_tensor_validity_check():
-    t = Tensor([1.0, np.nan])
-    assert not t.is_finite()
-    assert Tensor([1.0, 2.0]).is_finite()
-
-
 def test_softmax_uniform_on_equal_logits():
     out = reference.softmax(None, Tensor([[0.0, 0.0, 0.0, 0.0]]))
     assert np.allclose(out.data, 0.25, atol=1e-7)

@@ -4,12 +4,17 @@ import warnings
 import numpy as np
 import pytest
 
+from reference import listener_loss, speaker_loss
+
+from lewisgame import training
 from lewisgame.agents import MessageSample, ModelConfig
-from lewisgame.game import GameConfig, make_episode
+from lewisgame.game import (GameConfig, RoundTrace, _play_round_traced,
+                            make_episode)
+from lewisgame.tensor import Tape, Tensor, backward
 from lewisgame.training import (NumericalFailureError, Trainer, TrainSettings,
+                                _group_loss_node, _listener_loss_node,
                                 advantage_variance, group_advantages,
-                                listener_loss, speaker_loss, sync_replicas,
-                                train_step)
+                                sync_replicas, train_step)
 from lewisgame.world import WorldSpec, generate_dataset
 
 
@@ -90,7 +95,7 @@ def test_listener_loss_equals_cross_entropy():
 
 def test_advantage_variance_zero_for_identical_rewards():
     group = [_episode(0.4, [-1.0, -2.0]) for _ in range(5)]
-    assert advantage_variance(group, 0.95) == 0.0
+    assert advantage_variance(group_advantages(group, 0.95)) == 0.0
 
 
 def test_advantage_variance_two_episode_closed_form():
@@ -99,7 +104,8 @@ def test_advantage_variance_two_episode_closed_form():
              _episode(0.0, [-1.0] * T, gamma=gamma)]
     s = sum(gamma ** (T - t) for t in range(1, T + 1))
     expected = 2 * (0.5 * s) ** 2 / (2 - 1)
-    assert abs(advantage_variance(group, gamma) - expected) < 1e-5
+    advs = group_advantages(group, gamma)
+    assert abs(advantage_variance(advs) - expected) < 1e-5
 
 
 def test_group_baseline_variance_not_above_none():
@@ -108,11 +114,80 @@ def test_group_baseline_variance_not_above_none():
     for _ in range(300):
         rewards = rng.random(5)
         group = [_episode(r, [-1.0, -0.5]) for r in rewards]
-        vg = advantage_variance(group, 0.95, "group")
-        vn = advantage_variance(group, 0.95, "none")
+        vg = advantage_variance(group_advantages(group, 0.95, "group"))
+        vn = advantage_variance(group_advantages(group, 0.95, "none"))
         assert vg <= vn + 1e-9
         wins += vg < vn
     assert wins == 300  # strict when mean reward is nonzero
+
+
+@pytest.mark.parametrize("standardize", [False, True])
+@pytest.mark.parametrize("baseline_mode", ["group", "literal", "none"])
+def test_group_loss_node_matches_reference(baseline_mode, standardize):
+    # the taped surrogate training backpropagates, against the float64
+    # numpy loss, on messages of different lengths
+    rng = np.random.default_rng(4)
+    group = [_episode(float(rng.random()), -rng.random(n))
+             for n in (1, 3, 4, 7, 12)]
+    nodes = [Tensor(ep.message.logprobs.reshape(-1, 1), True)
+             for ep in group]
+    advs = group_advantages(group, 0.95, baseline_mode, standardize)
+    tape = Tape()
+    loss = _group_loss_node(tape, RoundTrace(group, nodes, []), advs)
+    expected = speaker_loss(group, 0.95, baseline_mode, standardize)
+    assert abs(loss.item() - expected) <= 1e-6 * max(1.0, abs(expected))
+    backward(tape, loss)
+    for ep, node, a in zip(group, nodes, advs):
+        want = -a.astype(np.float64) / (ep.message.length * len(group))
+        assert np.allclose(node.grad, want, rtol=1e-6, atol=1e-9)
+
+
+def _played_rounds(trainer_setup, seed, n_rounds):
+    ds, mcfg, gcfg = trainer_setup
+    tr = Trainer(ds, gcfg, mcfg, TrainSettings(seed=seed, replicas=1))
+    rng = np.random.default_rng(seed)
+    tape = Tape()
+    traces = [_play_round_traced(tr.speaker, tr.listener, ds, gcfg, rng,
+                                 1.0, tape) for _ in range(n_rounds)]
+    return tape, traces
+
+
+def test_group_loss_node_matches_reference_on_played_round(trainer_setup):
+    tape, (trace,) = _played_rounds(trainer_setup, 10, 1)
+    advs = group_advantages(trace.episodes, 0.95)
+    loss = _group_loss_node(tape, trace, advs)
+    expected = speaker_loss(trace.episodes, 0.95)
+    assert abs(loss.item() - expected) <= 1e-6 * max(1.0, abs(expected))
+
+
+def test_listener_loss_node_matches_reference(trainer_setup):
+    tape, traces = _played_rounds(trainer_setup, 11, 2)
+    loss = _listener_loss_node(tape, traces)
+    expected = np.mean([listener_loss(ep) for tr in traces
+                        for ep in tr.episodes])
+    assert abs(loss.item() - expected) <= 1e-6 * expected
+
+
+def test_advantage_variance_reports_the_trained_advantages(trainer_setup,
+                                                          monkeypatch):
+    ds, mcfg, gcfg = trainer_setup
+    traces = []
+
+    def recording(*args, **kwargs):
+        traces.append(_play_round_traced(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(training, "_play_round_traced", recording)
+    settings = TrainSettings(seed=12, replicas=2, targets_per_replica=2,
+                             standardize_advantages=True)
+    report = Trainer(ds, gcfg, mcfg, settings).step_once()
+    expected = []
+    for tr in traces:
+        advs = group_advantages(tr.episodes, gcfg.gamma, standardize=True)
+        sums = np.array([a.sum(dtype=np.float64) for a in advs])
+        expected.append((sums ** 2).sum() / (len(sums) - 1))
+    assert len(traces) == 4
+    assert report.advantage_variance == float(np.mean(expected))
 
 
 def test_sync_replicas_means_and_equalizes():
