@@ -216,10 +216,6 @@ class SpeakerPolicy:
                                       tokens=tokens)
         return lps, node
 
-    def greedy(self, obs: np.ndarray, t_max: int) -> MessageSample:
-        samples, _ = self.sample(obs, t_max, 0.0, 1, None, None)
-        return samples[0]
-
 
 class ListenerModel:
     """Message encoder, projection MLP, and shared image encoder head.

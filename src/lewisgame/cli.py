@@ -18,7 +18,7 @@ import numpy as np
 
 from .agents import ListenerModel, SpeakerPolicy, model_config_from_params
 from .config import ConfigError, RunConfig, load_config
-from .evaluate import (ablation_sweep, ema, evaluate_agents,
+from .evaluate import (EVAL_METRICS, ablation_sweep, ema, evaluate_agents,
                        supervised_pretrain, sweep_summary)
 from .params import (FormatError, ParameterSet, load_checkpoint,
                      save_checkpoint)
@@ -128,13 +128,16 @@ def cmd_eval(args) -> int:
         print(f"K={args.k} exceeds dataset size {len(dataset)}",
               file=sys.stderr)
         return EXIT_DATA
+    for flag, value in (("--rounds", args.rounds), ("--t-max", args.t_max)):
+        if value < 1:
+            print(f"{flag} must be at least 1, got {value}", file=sys.stderr)
+            return EXIT_USAGE
     report = evaluate_agents(speaker, listener, dataset, k=args.k,
                              n_rounds=args.rounds, t_max=args.t_max,
                              seed=args.seed)
     row = report.row(run_id=os.path.basename(args.checkpoint),
                      seed=args.seed)
-    for name in ("bleu1", "bleu2", "bleu3", "bleu4", "coverage", "top1",
-                 "top10", "mean_length"):
+    for name in EVAL_METRICS:
         print(f"{name}: {row[name]:.4f}")
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)

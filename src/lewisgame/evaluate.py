@@ -24,7 +24,7 @@ import numpy as np
 from . import tensor as T
 from .agents import ListenerModel, SpeakerPolicy
 from .config import RunConfig
-from .game import solve_rate, make_episode
+from .game import play_round, solve_rate
 from .optim import clip_global_norm, make_optimizer
 from .tensor import Tape, Tensor, backward
 from .training import Trainer
@@ -94,6 +94,11 @@ def ema(values, alpha: float) -> np.ndarray:
     return out
 
 
+# EvalReport's metrics, in the order rows and printouts list them
+EVAL_METRICS = ("bleu1", "bleu2", "bleu3", "bleu4", "coverage", "top1",
+                "top10", "mean_length")
+
+
 @dataclass
 class EvalReport:
     """Greedy-decoding metrics over a batch of evaluation rounds.
@@ -116,11 +121,8 @@ class EvalReport:
     def row(self, run_id: str = "eval", step: int = -1, seed: int = -1) -> dict:
         return {
             "run_id": run_id, "step": step, "k": self.k, "seed": seed,
-            "bleu1": self.bleu1, "bleu2": self.bleu2, "bleu3": self.bleu3,
-            "bleu4": self.bleu4, "coverage": self.coverage,
-            "top1": self.top1, "top10": self.top10,
-            "mean_length": self.mean_length, "n_rounds": self.n_rounds,
-            **self.extra,
+            **{name: getattr(self, name) for name in EVAL_METRICS},
+            "n_rounds": self.n_rounds, **self.extra,
         }
 
 
@@ -135,36 +137,31 @@ def _strip_eos(tokens) -> list[int]:
 
 def evaluate_agents(speaker: SpeakerPolicy, listener: ListenerModel,
                     dataset: Dataset, k: int, n_rounds: int = 200,
-                    t_max: int = 12, seed: int = 0,
-                    gamma: float = 0.95) -> EvalReport:
-    """Play greedy evaluation rounds and aggregate caption/game metrics.
+                    t_max: int = 12, seed: int = 0) -> EvalReport:
+    """Play evaluation rounds and aggregate caption/game metrics.
 
-    Deterministic given (parameters, dataset, seed): distractor draws
-    come from a fresh seeded stream and decoding is greedy.
+    Each round draws K candidates and plays them through
+    ``game.play_round``, the round training plays, with one message
+    decoded at temperature 0 (argmax), no tape and no rng. Deterministic
+    given (parameters, dataset, seed): distractor draws come from a
+    fresh seeded stream.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A1]))
     episodes = []
     bleus, coverages, lengths = [], [], []
-    top10_n = min(10, k)
     for _ in range(n_rounds):
         batch = sample_game_batch(dataset, k, rng)
-        obs = dataset.model_inputs()[batch.scene_indices]
-        target_idx = int(batch.scene_indices[batch.target_pos])
-        sample = speaker.greedy(obs[batch.target_pos], t_max)
-        v_imgs = listener.embed_images(obs, None, encoder=speaker)
-        logp = listener.log_probs(sample.tokens, v_imgs)
-        episodes.append(make_episode(batch.target_pos, sample,
-                                     np.exp(logp.data), gamma))
-        content = _strip_eos(sample.tokens)
+        (episode,) = play_round(
+            speaker, listener, dataset.model_inputs()[batch.scene_indices],
+            batch.target_pos, 1, t_max, None, temperature=0.0).episodes
+        episodes.append(episode)
+        target = int(batch.scene_indices[batch.target_pos])
+        content = _strip_eos(episode.message.tokens)
         lengths.append(len(content))
-        refs = dataset.captions[target_idx]
-        scene = dataset.scenes[target_idx]
-        if content:
-            b = bleu(content, refs, 4)
-        else:
-            b = [0.0, 0.0, 0.0, 0.0]
-        bleus.append(b)
-        coverages.append(attribute_coverage(content, scene, dataset.vocab))
+        bleus.append(bleu(content, dataset.captions[target], 4) if content
+                     else [0.0, 0.0, 0.0, 0.0])
+        coverages.append(attribute_coverage(content, dataset.scenes[target],
+                                            dataset.vocab))
     bleus = np.asarray(bleus)
     return EvalReport(
         bleu1=float(bleus[:, 0].mean()),
@@ -173,7 +170,7 @@ def evaluate_agents(speaker: SpeakerPolicy, listener: ListenerModel,
         bleu4=float(bleus[:, 3].mean()),
         coverage=float(np.mean(coverages)),
         top1=solve_rate(episodes, 1),
-        top10=solve_rate(episodes, top10_n),
+        top10=solve_rate(episodes, min(10, k)),
         mean_length=float(np.mean(lengths)),
         n_rounds=n_rounds,
         k=k,
@@ -234,7 +231,7 @@ def _sweep_cell(cfg: RunConfig, steps: int) -> dict:
     report = evaluate_agents(trainer.speaker, trainer.listener,
                              splits.get("val", train), k=game_cfg.k,
                              n_rounds=cfg.eval.rounds, t_max=game_cfg.t_max,
-                             seed=cfg.train.seed, gamma=game_cfg.gamma)
+                             seed=cfg.train.seed)
     return {"k": game_cfg.k, "seed": cfg.train.seed, "report": report}
 
 
@@ -276,8 +273,7 @@ def sweep_summary(cells) -> dict:
     out = {}
     for k, reports in sorted(by_k.items()):
         metrics = {}
-        for name in ("bleu1", "bleu2", "bleu3", "bleu4", "coverage", "top1",
-                     "top10", "mean_length"):
+        for name in EVAL_METRICS:
             vals = np.array([getattr(r, name) for r in reports])
             metrics[name] = {"mean": float(vals.mean()),
                              "std": float(vals.std())}

@@ -5,8 +5,13 @@ the target G times, and score each message by the probability the
 Listener assigns to the true candidate. That shaped reward is ``exp`` of
 the listener's log-probability of the target, the same taped
 log-softmax its loss backpropagates through; the 0/1 indicator (argmax
-hit) is kept alongside it. Rewards are spread backward over message
-tokens as discounted rewards-to-go.
+hit) is kept alongside it.
+
+``play_round`` plays a round once its candidates are drawn, for training
+(sampled, taped) and evaluation (one greedy message, untaped) alike.
+Rewards are spread backward over message tokens as discounted
+rewards-to-go by ``training.group_advantages``, the one place that
+discounts.
 
 Reference captions are never read here; the game is fully unsupervised.
 """
@@ -54,13 +59,13 @@ class GameEpisode:
     message: MessageSample
     probs: np.ndarray
     reward: float
-    rewards_to_go: np.ndarray
     indicator: int
 
 
 @dataclass
 class RoundTrace:
-    """Tape handles for one traced round, consumed by the trainer."""
+    """One played round: its episodes and the tape handles the trainer
+    consumes (untaped when the round was played without a tape)."""
 
     episodes: list
     logprob_nodes: list      # per episode: (T,1) chosen-token log-probs
@@ -85,45 +90,44 @@ def rewards_to_go(reward: float, length: int, gamma: float) -> np.ndarray:
     return out
 
 
-def make_episode(target: int, message: MessageSample, probs: np.ndarray,
-                 gamma: float) -> GameEpisode:
-    reward = float(probs[target])
-    return GameEpisode(
-        target=target,
-        message=message,
-        probs=probs,
-        reward=reward,
-        rewards_to_go=rewards_to_go(reward, message.length, gamma),
-        indicator=int(int(np.argmax(probs)) == target),
-    )
+def make_episode(target: int, message: MessageSample,
+                 probs: np.ndarray) -> GameEpisode:
+    return GameEpisode(target=target, message=message, probs=probs,
+                       reward=float(probs[target]),
+                       indicator=int(int(np.argmax(probs)) == target))
+
+
+def play_round(speaker: SpeakerPolicy, listener: ListenerModel,
+               candidates: np.ndarray, target: int, generations: int,
+               t_max: int, rng, temperature: float = 1.0,
+               tape=None) -> RoundTrace:
+    """Play one round over drawn candidates: G episodes sharing a target.
+
+    ``candidates`` holds the K candidates' model inputs, one per row, and
+    ``target`` is the target's row. The speaker describes the target
+    ``generations`` times; temperature 0 decodes greedily and needs no
+    ``rng``.
+    """
+    samples, node_lists = speaker.sample(candidates[target], t_max,
+                                         temperature, generations, rng, tape)
+    v_imgs = listener.embed_images(candidates, tape, encoder=speaker)
+    episodes, logp_targets = [], []
+    for sample in samples:
+        logp = listener.log_probs(sample.tokens, v_imgs, tape)
+        episodes.append(make_episode(target, sample, np.exp(logp.data)))
+        logp_targets.append(T.gather_cols(tape, logp, [target]))
+    return RoundTrace(episodes, node_lists, logp_targets)
 
 
 def _play_round_traced(speaker: SpeakerPolicy, listener: ListenerModel,
                        dataset: Dataset, config: GameConfig, rng,
                        temperature: float = 1.0, tape=None) -> RoundTrace:
+    """Draw a training round's candidates, then play it."""
     batch = sample_game_batch(dataset, config.k, rng)
-    obs = dataset.model_inputs()[batch.scene_indices]
-    target = batch.target_pos
-    samples, node_lists = speaker.sample(obs[target], config.t_max,
-                                         temperature, config.generations,
-                                         rng, tape)
-    v_imgs = listener.embed_images(obs, tape, encoder=speaker)
-    episodes, logp_targets = [], []
-    for sample in samples:
-        logp = listener.log_probs(sample.tokens, v_imgs, tape)
-        episodes.append(make_episode(target, sample, np.exp(logp.data),
-                                     config.gamma))
-        logp_targets.append(T.gather_cols(tape, logp, [target]))
-    return RoundTrace(episodes, node_lists, logp_targets)
-
-
-def play_round(speaker: SpeakerPolicy, listener: ListenerModel,
-               dataset: Dataset, config: GameConfig, rng,
-               temperature: float = 1.0) -> list[GameEpisode]:
-    """Play one round: G episodes sharing a target and candidate set."""
-    trace = _play_round_traced(speaker, listener, dataset, config, rng,
-                               temperature, tape=None)
-    return trace.episodes
+    return play_round(speaker, listener,
+                      dataset.model_inputs()[batch.scene_indices],
+                      batch.target_pos, config.generations, config.t_max,
+                      rng, temperature, tape)
 
 
 def solve_rate(episodes, top_n: int) -> float:

@@ -38,9 +38,8 @@ class ParameterSet:
     shapes and bitwise-identical data.
     """
 
-    def __init__(self, version: int = 1):
+    def __init__(self):
         self._items: dict[str, Tensor] = {}
-        self.version = version
 
     def add(self, name: str, tensor: Tensor) -> Tensor:
         if name in self._items:
@@ -69,7 +68,7 @@ class ParameterSet:
             t.grad = None
 
     def copy(self) -> "ParameterSet":
-        out = ParameterSet(self.version)
+        out = ParameterSet()
         for name, t in self._items.items():
             out._items[name] = t.copy()
         return out
@@ -85,7 +84,7 @@ class ParameterSet:
 
     def subset(self, prefix: str, strip: bool = True) -> "ParameterSet":
         """New set holding entries whose name starts with ``prefix``."""
-        out = ParameterSet(self.version)
+        out = ParameterSet()
         for name, t in self.items():
             if name.startswith(prefix):
                 out.add(name[len(prefix):] if strip else name, t)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -63,13 +63,14 @@ class TrainSettings:
                 raise ValueError(f"unknown optimizer kind: {kind!r}")
         if self.baseline_mode not in BASELINE_MODES:
             raise ValueError(f"unknown baseline mode: {self.baseline_mode!r}")
-
-
-REPORT_FIELDS = (
-    "speaker_loss", "listener_loss", "joint_loss", "mean_reward",
-    "mean_indicator", "advantage_variance", "grad_norm_speaker",
-    "grad_norm_listener", "clip_scale_speaker", "clip_scale_listener",
-)
+        if self.replicas < 1:
+            raise ValueError("replicas must be at least 1")
+        if self.targets_per_replica < 1:
+            raise ValueError("targets_per_replica must be at least 1")
+        if self.clip_norm <= 0:
+            raise ValueError("clip_norm must be positive")
+        if self.temperature < 0:
+            raise ValueError("temperature must be >= 0")
 
 
 @dataclass
@@ -91,8 +92,9 @@ class LossReport:
 
     def row(self, run_id: str) -> dict:
         out = {"run_id": run_id, "step": self.step}
-        for f in REPORT_FIELDS:
-            out[f] = float(getattr(self, f))
+        for f in fields(self):
+            if f.name != "step":
+                out[f.name] = float(getattr(self, f.name))
         return out
 
 
@@ -100,29 +102,28 @@ def group_advantages(episodes, gamma: float, baseline_mode: str = "group",
                      standardize: bool = False) -> list[np.ndarray]:
     """Per-step advantage vectors for one group of episodes.
 
+    Every mode discounts with ``gamma``, over each episode's tokens.
     ``group``: subtract the group's mean reward, then discount.
     ``literal``: per-episode baseline equal to its summed rewards-to-go.
     ``none``: raw rewards-to-go (no baseline).
     """
-    rewards = np.array([ep.reward for ep in episodes], np.float64)
-    if baseline_mode == "group":
-        if len(episodes) == 1:
-            warnings.warn("group baseline with G=1 yields zero advantages",
-                          RuntimeWarning, stacklevel=2)
-        centered = rewards - rewards.mean()
-        if standardize:
-            centered = centered / (rewards.std() + 1e-8)
-        out = []
-        for ep, c in zip(episodes, centered):
-            discounts = rewards_to_go(1.0, ep.message.length, gamma)
-            out.append(discounts * F32(c))
-        return out
-    if baseline_mode == "literal":
-        return [ep.rewards_to_go - ep.rewards_to_go.sum(dtype=F32)
+    if baseline_mode in ("literal", "none"):
+        rtgs = [rewards_to_go(ep.reward, ep.message.length, gamma)
                 for ep in episodes]
-    if baseline_mode == "none":
-        return [ep.rewards_to_go.copy() for ep in episodes]
-    raise ValueError(f"unknown baseline mode: {baseline_mode!r}")
+        if baseline_mode == "none":
+            return rtgs
+        return [r - r.sum(dtype=F32) for r in rtgs]
+    if baseline_mode != "group":
+        raise ValueError(f"unknown baseline mode: {baseline_mode!r}")
+    if len(episodes) == 1:
+        warnings.warn("group baseline with G=1 yields zero advantages",
+                      RuntimeWarning, stacklevel=2)
+    rewards = np.array([ep.reward for ep in episodes], np.float64)
+    centered = rewards - rewards.mean()
+    if standardize:
+        centered = centered / (rewards.std() + 1e-8)
+    return [rewards_to_go(1.0, ep.message.length, gamma) * F32(c)
+            for ep, c in zip(episodes, centered)]
 
 
 def advantage_variance(advs) -> float:

@@ -350,13 +350,10 @@ def _build_dataset(scenes, spec, seed, split, obs_rng) -> Dataset:
                    vocab=vocab)
 
 
-def generate_dataset(seed: int, n_scenes: int, spec: WorldSpec,
-                     split: str = "train") -> Dataset:
-    """Deterministic dataset of ``n_scenes`` distinct scenes."""
-    scenes = draw_scenes(seed, n_scenes, spec)
-    obs_rng = np.random.default_rng(
-        np.random.SeedSequence([int(seed), 0x0B5, _SPLIT_CODES[split]]))
-    return _build_dataset(scenes, spec, seed, split, obs_rng)
+def generate_dataset(seed: int, n_scenes: int, spec: WorldSpec) -> Dataset:
+    """Deterministic dataset of ``n_scenes`` distinct scenes: the train
+    split of ``generate_splits`` with no val or test scenes."""
+    return generate_splits(seed, spec, n_scenes)["train"]
 
 
 def generate_splits(seed: int, spec: WorldSpec, n_train: int, n_val: int = 0,

@@ -1,0 +1,83 @@
+"""The pinned run: generate a world, train 50 default steps, evaluate.
+
+Runs, in a fresh temporary directory and with fixed relative paths (so
+that ``run_id`` and every hash compare across commits):
+
+1. ``lewisgame gen-world --out world.lgw``
+2. ``lewisgame train --config run.ini``: the default config with only
+   ``paths.dataset``, ``paths.checkpoint_dir``, ``paths.metrics`` and
+   ``train.steps = 50`` set
+3. ``lewisgame eval`` of ``ckpt/latest.lgc`` on ``world.lgw``
+
+and prints the sha256 of the world file, the metrics JSONL,
+``latest.lgc`` and the eval stdout, one per line. It takes no options;
+``PYTHONPATH`` chooses the package it runs. Two runs of one commit must
+print the same lines (bitwise reproducibility), and a refactor that
+claims unchanged numbers must print the parent's lines:
+
+    PYTHONPATH=src python tests/pinned_run.py
+
+pytest does not collect this file.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+
+STEPS = 50
+CONFIG = f"""[paths]
+dataset = world.lgw
+checkpoint_dir = ckpt
+metrics = metrics.jsonl
+
+[train]
+steps = {STEPS}
+"""
+
+
+def _lewisgame(cwd: str, *args: str) -> bytes:
+    # the commands run in the temp dir, so a relative PYTHONPATH is
+    # resolved against the caller's directory first
+    path = os.environ.get("PYTHONPATH", "")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        os.path.abspath(p) for p in path.split(os.pathsep) if p))
+    proc = subprocess.run([sys.executable, "-m", "lewisgame.cli", *args],
+                          cwd=cwd, env=env, capture_output=True, check=False)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr.decode(errors="replace"))
+        raise SystemExit(f"lewisgame {args[0]} exited {proc.returncode}")
+    return proc.stdout
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _file_sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return _sha256(fh.read())
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="pinned-run-") as root:
+        with open(os.path.join(root, "run.ini"), "w", encoding="utf-8") as fh:
+            fh.write(CONFIG)
+        _lewisgame(root, "gen-world", "--config", "run.ini",
+                   "--out", "world.lgw")
+        _lewisgame(root, "train", "--config", "run.ini")
+        eval_out = _lewisgame(root, "eval", "--checkpoint",
+                              os.path.join("ckpt", "latest.lgc"),
+                              "--dataset", "world.lgw")
+        print(f"world.lgw {_file_sha256(os.path.join(root, 'world.lgw'))}")
+        print(f"metrics.jsonl "
+              f"{_file_sha256(os.path.join(root, 'metrics.jsonl'))}")
+        print(f"latest.lgc "
+              f"{_file_sha256(os.path.join(root, 'ckpt', 'latest.lgc'))}")
+        print(f"eval.stdout {_sha256(eval_out)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

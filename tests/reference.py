@@ -14,7 +14,12 @@ tolerance instead.
 candidate probabilities and the two training losses in plain numpy
 (the losses in float64), apart from the tape; the tests hold
 ``ListenerModel.log_probs`` and the trainer's loss nodes to them within
-a stated tolerance. Nothing in ``src/`` imports this module.
+a stated tolerance.
+
+``evaluate_agents`` is the evaluation loop that assembled each round by
+hand before evaluation played through ``game.play_round``; the package's
+``evaluate_agents`` must return the same report bitwise. Nothing in
+``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -23,9 +28,12 @@ import numpy as np
 
 from lewisgame import tensor as T
 from lewisgame.agents import MessageSample, _raster_patches
+from lewisgame.evaluate import (EvalReport, _strip_eos, attribute_coverage,
+                                bleu)
+from lewisgame.game import make_episode, solve_rate
 from lewisgame.tensor import F32, ShapeError, Tensor, _emit, _rows
 from lewisgame.training import group_advantages
-from lewisgame.world import BOS, EOS
+from lewisgame.world import BOS, EOS, sample_game_batch
 
 
 def softmax(tape, a: Tensor) -> Tensor:
@@ -277,3 +285,47 @@ def listener_loss(episode) -> float:
     """Negative log probability assigned to the true candidate."""
     with np.errstate(divide="ignore"):
         return float(-np.log(episode.probs[episode.target]))
+
+
+# ---------------------------------------------------------------------------
+# evaluation rounds (oracle for evaluate.evaluate_agents)
+
+
+def evaluate_agents(speaker, listener, dataset, k: int, n_rounds: int = 200,
+                    t_max: int = 12, seed: int = 0) -> EvalReport:
+    """Greedy evaluation rounds, each drawn, decoded, embedded and scored
+    inline."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A1]))
+    episodes = []
+    bleus, coverages, lengths = [], [], []
+    for _ in range(n_rounds):
+        batch = sample_game_batch(dataset, k, rng)
+        obs = dataset.model_inputs()[batch.scene_indices]
+        target_idx = int(batch.scene_indices[batch.target_pos])
+        (message,), _ = speaker.sample(obs[batch.target_pos], t_max, 0.0, 1,
+                                       None, None)
+        v_imgs = listener.embed_images(obs, None, encoder=speaker)
+        logp = listener.log_probs(message.tokens, v_imgs)
+        episodes.append(make_episode(batch.target_pos, message,
+                                     np.exp(logp.data)))
+        content = _strip_eos(message.tokens)
+        lengths.append(len(content))
+        if content:
+            bleus.append(bleu(content, dataset.captions[target_idx], 4))
+        else:
+            bleus.append([0.0, 0.0, 0.0, 0.0])
+        coverages.append(attribute_coverage(
+            content, dataset.scenes[target_idx], dataset.vocab))
+    bleus = np.asarray(bleus)
+    return EvalReport(
+        bleu1=float(bleus[:, 0].mean()),
+        bleu2=float(bleus[:, 1].mean()),
+        bleu3=float(bleus[:, 2].mean()),
+        bleu4=float(bleus[:, 3].mean()),
+        coverage=float(np.mean(coverages)),
+        top1=solve_rate(episodes, 1),
+        top10=solve_rate(episodes, min(10, k)),
+        mean_length=float(np.mean(lengths)),
+        n_rounds=n_rounds,
+        k=k,
+    )

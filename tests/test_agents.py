@@ -40,8 +40,8 @@ def test_sample_contract(world):
 
 def test_greedy_is_deterministic(world):
     ds, _, speaker, _ = world
-    a = speaker.greedy(ds.model_inputs()[3], 12)
-    b = speaker.greedy(ds.model_inputs()[3], 12)
+    (a,), _ = speaker.sample(ds.model_inputs()[3], 12, 0.0, 1, None)
+    (b,), _ = speaker.sample(ds.model_inputs()[3], 12, 0.0, 1, None)
     assert a.tokens == b.tokens
     assert a.logprobs.tobytes() == b.logprobs.tobytes()
 

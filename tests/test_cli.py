@@ -50,6 +50,26 @@ def test_eval_k_larger_than_dataset_exits_2(eval_files):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("flag", ["--rounds", "--t-max"])
+def test_eval_nonpositive_count_exits_1(eval_files, flag):
+    proc = _run_cli("eval", "--checkpoint", str(eval_files / "agents.lgc"),
+                    "--dataset", str(eval_files / "world.lgw"), "--k", "4",
+                    flag, "0")
+    assert proc.returncode == 1
+    assert f"{flag} must be at least 1, got 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_eval_k_one_exits_2(eval_files):
+    proc = _run_cli("eval", "--checkpoint", str(eval_files / "agents.lgc"),
+                    "--dataset", str(eval_files / "world.lgw"), "--k", "1",
+                    "--rounds", "1")
+    assert proc.returncode == 2
+    assert "data error: need at least 2 candidates, got K=1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_eval_checkpoint_without_agents_exits_2(eval_files):
     proc = _run_cli("eval", "--checkpoint", str(eval_files / "bare.lgc"),
                     "--dataset", str(eval_files / "world.lgw"), "--k", "4")
@@ -119,7 +139,15 @@ def _train_config(path, dataset, run, **overrides):
      "[train] unknown optimizer kind: 'bogus'"),
     ("train", "train", {"baseline_mode": "bogus"},
      "[train] unknown baseline mode: 'bogus'"),
-], ids=["game-k", "world-objects", "train-optimizer", "train-baseline"])
+    ("train", "train", {"replicas": 0}, "[train] replicas must be at least 1"),
+    ("train", "train", {"targets_per_replica": 0},
+     "[train] targets_per_replica must be at least 1"),
+    ("train", "train", {"clip_norm": -1}, "[train] clip_norm must be positive"),
+    ("train", "train", {"temperature": -1},
+     "[train] temperature must be >= 0"),
+], ids=["game-k", "world-objects", "train-optimizer", "train-baseline",
+        "train-replicas", "train-targets", "train-clip-norm",
+        "train-temperature"])
 def test_bad_config_value_exits_1(eval_files, tmp_path, command, section,
                                   keys, message):
     config = _train_config(tmp_path / "bad.ini", eval_files / "world.lgw",

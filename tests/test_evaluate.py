@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+import reference
 from lewisgame.cli import main
 from lewisgame.config import RunConfig
 from lewisgame.evaluate import ablation_sweep, bleu, evaluate_agents
@@ -88,7 +89,7 @@ def _direct_run(cfg: RunConfig, k: int, seed: int, steps: int):
     trainer.run(steps)
     return evaluate_agents(trainer.speaker, trainer.listener, splits["val"],
                            k=k, n_rounds=cfg.eval.rounds, t_max=cfg.game.t_max,
-                           seed=seed, gamma=cfg.game.gamma)
+                           seed=seed)
 
 
 def test_sweep_cell_equals_direct_run(tmp_path, capsys):
@@ -116,3 +117,28 @@ def test_sweep_workers_give_the_same_cells():
                                                      (32, 5), (32, 6)]
     assert all("report" in c for c in serial[:2])
     assert all("error" in c for c in serial[2:])
+
+
+@pytest.mark.parametrize("raster", [False, True], ids=["plain", "raster"])
+def test_evaluate_agents_matches_inline_round_oracle(raster):
+    # three training steps first; with this seed both worlds' messages
+    # are non-empty and name some of the target's attributes
+    cfg = _tiny_config()
+    cfg.world = replace(cfg.world, raster=raster, raster_size=8)
+    cfg.train = replace(cfg.train, seed=5)
+    w = cfg.world
+    splits = generate_splits(w.seed, cfg.world_spec(), w.n_scenes,
+                             w.val_scenes)
+    train = splits["train"]
+    trainer = Trainer(train, cfg.game_config(),
+                      cfg.model_config(len(train.vocab), train.spec.input_dim),
+                      cfg.train_settings())
+    trainer.run(3)
+    args = (trainer.speaker, trainer.listener, splits["val"], 12)
+    kwargs = dict(n_rounds=25, t_max=6, seed=4)
+    got = evaluate_agents(*args, **kwargs)
+    want = reference.evaluate_agents(*args, **kwargs)
+    assert (want.n_rounds, want.k) == (25, 12)
+    assert want.mean_length > 0 and want.coverage > 0
+    for name, value in vars(want).items():
+        assert repr(getattr(got, name)) == repr(value), name

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from lewisgame.agents import ListenerModel, ModelConfig, SpeakerPolicy
-from lewisgame.game import (GameConfig, GameEpisode, make_episode,
-                            play_round, rewards_to_go, solve_rate)
+from lewisgame.game import (GameConfig, GameEpisode, _play_round_traced,
+                            make_episode, rewards_to_go, solve_rate)
 from lewisgame.world import WorldSpec, generate_dataset
 
 
@@ -79,11 +79,16 @@ def test_rewards_to_go_telescoping_exact():
     assert out[-1] == np.float32(0.9)
 
 
+def _episodes(speaker, listener, ds, cfg, rng):
+    """Draw a round from ``ds`` and play it through ``play_round``."""
+    return _play_round_traced(speaker, listener, ds, cfg, rng).episodes
+
+
 def test_play_round_structure(setup):
     ds, speaker, listener = setup
     cfg = GameConfig(k=4, generations=3, t_max=8)
     rng = np.random.default_rng(0)
-    episodes = play_round(speaker, listener, ds, cfg, rng)
+    episodes = _episodes(speaker, listener, ds, cfg, rng)
     assert len(episodes) == 3
     target = episodes[0].target
     for ep in episodes:
@@ -92,15 +97,15 @@ def test_play_round_structure(setup):
         assert abs(ep.probs.sum() - 1.0) < 1e-6
         assert 0.0 <= ep.reward <= 1.0
         assert ep.reward == ep.probs[target]
-        assert ep.rewards_to_go[-1] == np.float32(ep.reward)
-        assert ep.message.length == len(ep.rewards_to_go)
+        assert ep.indicator == int(np.argmax(ep.probs) == target)
+        assert 1 <= ep.message.length <= cfg.t_max
 
 
 def test_play_round_reproducible(setup):
     ds, speaker, listener = setup
     cfg = GameConfig(k=4, generations=2, t_max=8)
-    a = play_round(speaker, listener, ds, cfg, np.random.default_rng(7))
-    b = play_round(speaker, listener, ds, cfg, np.random.default_rng(7))
+    a = _episodes(speaker, listener, ds, cfg, np.random.default_rng(7))
+    b = _episodes(speaker, listener, ds, cfg, np.random.default_rng(7))
     for x, y in zip(a, b):
         assert x.message.tokens == y.message.tokens
         assert x.probs.tobytes() == y.probs.tobytes()
@@ -109,8 +114,8 @@ def test_play_round_reproducible(setup):
 def test_play_round_rewards_differ_across_messages(setup):
     ds, speaker, listener = setup
     cfg = GameConfig(k=8, generations=5, t_max=8)
-    episodes = play_round(speaker, listener, ds, cfg,
-                          np.random.default_rng(3))
+    episodes = _episodes(speaker, listener, ds, cfg,
+                         np.random.default_rng(3))
     rewards = {round(ep.reward, 8) for ep in episodes}
     tokens = {ep.message.tokens for ep in episodes}
     if len(tokens) > 1:          # generic case at random init
@@ -124,15 +129,15 @@ def test_play_round_never_reads_captions(setup):
         observations=ds.observations, captions=None, rasters=ds.rasters,
         vocab=ds.vocab)
     cfg = GameConfig(k=4, generations=2, t_max=6)
-    episodes = play_round(speaker, listener, poisoned, cfg,
-                          np.random.default_rng(1))
+    episodes = _episodes(speaker, listener, poisoned, cfg,
+                         np.random.default_rng(1))
     assert len(episodes) == 2
 
 
-def _episode_with(probs, target, length=3, gamma=0.95):
+def _episode_with(probs, target, length=3):
     from lewisgame.agents import MessageSample
     msg = MessageSample(tuple([5] * length), np.zeros(length, np.float32))
-    return make_episode(target, msg, np.asarray(probs, np.float32), gamma)
+    return make_episode(target, msg, np.asarray(probs, np.float32))
 
 
 def test_solve_rate_uniform_top10():

@@ -9,7 +9,7 @@ from reference import listener_loss, speaker_loss
 from lewisgame import training
 from lewisgame.agents import MessageSample, ModelConfig
 from lewisgame.game import (GameConfig, RoundTrace, _play_round_traced,
-                            make_episode)
+                            make_episode, rewards_to_go)
 from lewisgame.tensor import Tape, Tensor, backward
 from lewisgame.training import (NumericalFailureError, Trainer, TrainSettings,
                                 _group_loss_node, _listener_loss_node,
@@ -18,12 +18,12 @@ from lewisgame.training import (NumericalFailureError, Trainer, TrainSettings,
 from lewisgame.world import WorldSpec, generate_dataset
 
 
-def _episode(reward, logprobs, target=0, k=4, gamma=0.95):
+def _episode(reward, logprobs, target=0, k=4):
     lp = np.asarray(logprobs, np.float32)
     msg = MessageSample(tuple([5] * lp.size), lp)
     probs = np.full(k, (1.0 - reward) / (k - 1), np.float32)
     probs[target] = reward
-    return make_episode(target, msg, probs, gamma)
+    return make_episode(target, msg, probs)
 
 
 def test_speaker_loss_zero_when_rewards_equal():
@@ -65,10 +65,28 @@ def test_speaker_loss_shift_invariant_in_rewards():
 
 
 def test_literal_baseline_mode():
-    ep = _episode(0.5, [-1.0, -1.0], gamma=0.5)
+    ep = _episode(0.5, [-1.0, -1.0])
     advs = group_advantages([ep, ep], 0.5, baseline_mode="literal")
     # rtg = [0.25, 0.5]; b = 0.75; A = [-0.5, -0.25]
     assert np.allclose(advs[0], [-0.5, -0.25], atol=1e-6)
+
+
+@pytest.mark.parametrize("baseline_mode", ["literal", "none"])
+def test_group_advantages_discounts_with_its_gamma(baseline_mode):
+    # episodes carry no discount of their own: the gamma handed to
+    # group_advantages is the one applied
+    gamma = 0.6
+    group = [_episode(r, [-1.0] * n) for r, n in ((0.7, 4), (0.2, 1),
+                                                  (0.45, 7))]
+    advs = group_advantages(group, gamma, baseline_mode)
+    for ep, a in zip(group, advs):
+        rtg = rewards_to_go(ep.reward, ep.message.length, gamma)
+        if baseline_mode == "literal":
+            rtg = rtg - rtg.sum(dtype=np.float32)
+        assert a.dtype == np.float32
+        assert a.tobytes() == rtg.tobytes()
+    assert (advs[0].tobytes()
+            != group_advantages(group, 0.95, baseline_mode)[0].tobytes())
 
 
 def test_listener_loss_values():
@@ -85,7 +103,7 @@ def test_listener_loss_equals_cross_entropy():
         p = rng.dirichlet(np.ones(k)).astype(np.float32)
         target = int(rng.integers(k))
         msg = MessageSample((5,), np.zeros(1, np.float32))
-        ep = make_episode(target, msg, p, 0.95)
+        ep = make_episode(target, msg, p)
         onehot = np.zeros(k)
         onehot[target] = 1.0
         with np.errstate(divide="ignore"):
@@ -100,8 +118,7 @@ def test_advantage_variance_zero_for_identical_rewards():
 
 def test_advantage_variance_two_episode_closed_form():
     gamma, T = 0.5, 3
-    group = [_episode(1.0, [-1.0] * T, gamma=gamma),
-             _episode(0.0, [-1.0] * T, gamma=gamma)]
+    group = [_episode(1.0, [-1.0] * T), _episode(0.0, [-1.0] * T)]
     s = sum(gamma ** (T - t) for t in range(1, T + 1))
     expected = 2 * (0.5 * s) ** 2 / (2 - 1)
     advs = group_advantages(group, gamma)
