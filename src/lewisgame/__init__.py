@@ -11,15 +11,13 @@ from .game import (GameConfig, GameEpisode, play_round, rewards_to_go,
 from .optim import Adam, Sgd, clip_global_norm, grad_global_norm, make_optimizer
 from .params import (FormatError, ParameterSet, UnsupportedVersionError,
                      load_checkpoint, save_checkpoint)
-from .tensor import (EvaluationError, ShapeError, Tape, Tensor, backward,
-                     gradcheck)
+from .tensor import ShapeError, Tape, Tensor, backward
 from .training import (LossReport, NumericalFailureError, Trainer,
                        TrainSettings, advantage_variance, sync_replicas,
                        train_step)
 from .world import (CapacityError, Dataset, GameBatch, ObjectSpec,
                     SamplingError, Scene, Vocabulary, WorldSpec,
-                    build_captions, generate_dataset, generate_splits,
-                    load_dataset, mix_datasets, render_raster,
-                    sample_game_batch, save_dataset)
+                    build_captions, generate_splits, load_dataset,
+                    render_raster, sample_game_batch, save_dataset)
 
 __version__ = "0.1.0"

@@ -23,8 +23,7 @@ from .evaluate import (EVAL_METRICS, ablation_sweep, ema, evaluate_agents,
 from .params import (FormatError, ParameterSet, load_checkpoint,
                      save_checkpoint)
 from .training import NumericalFailureError, Trainer
-from .world import (CapacityError, SamplingError, generate_dataset,
-                    generate_splits, load_dataset, mix_datasets, save_dataset)
+from .world import CapacityError, SamplingError, load_dataset, save_dataset
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -41,19 +40,9 @@ def _load_cfg(path: str | None) -> RunConfig:
     return load_config(path)
 
 
-def _build_splits(cfg: RunConfig):
-    w = cfg.world
-    splits = generate_splits(w.seed, cfg.world_spec(), w.n_scenes,
-                             w.val_scenes, w.test_scenes)
-    if w.mix_scenes > 0:
-        extra = generate_dataset(w.mix_seed, w.mix_scenes, cfg.mix_spec())
-        splits["train"] = mix_datasets(splits["train"], extra)
-    return splits
-
-
 def cmd_gen_world(args) -> int:
     cfg = _load_cfg(args.config)
-    splits = _build_splits(cfg)
+    splits = cfg.world_splits()
     if args.split not in splits:
         print(f"split {args.split!r} has no scenes in this config",
               file=sys.stderr)

@@ -1,10 +1,19 @@
 """Run configuration: a strict, diff-able INI document.
 
-Every hyperparameter of a run lives here, grouped in sections. Parsing
-is strict: an unknown section or key, a value that fails type
+Every hyperparameter of a run lives here, grouped in sections. The
+``[game]`` and ``[train]`` sections are the runtime types themselves,
+``GameConfig`` and ``TrainSettings``, so each of their keys and defaults
+is declared once, there. Sections are mutable, so the adapters
+(``world_spec``, ``game_config``, ``train_settings``) hand out values
+built or copied through the runtime types' own checks, and a section
+mutated after parsing is validated again when it is used.
+
+Parsing is strict: an unknown section or key, a value that fails type
 conversion, or a value the world, game or train settings reject, is a
-hard error naming the offender. This is what keeps a
-typo'd hyperparameter from silently training the wrong run.
+hard error naming the offender. This is what keeps a typo'd
+hyperparameter from silently training the wrong run. Values are read
+literally, with no ``%`` interpolation, and a ``[DEFAULT]`` section is
+refused, because its keys would be read into every section.
 """
 
 from __future__ import annotations
@@ -12,12 +21,12 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .agents import ModelConfig
 from .game import GameConfig
 from .training import TrainSettings
-from .world import WorldSpec
+from .world import Dataset, WorldSpec, generate_splits
 
 
 class ConfigError(ValueError):
@@ -36,19 +45,6 @@ class WorldSection:
     val_scenes: int = 128
     test_scenes: int = 0
     seed: int = 7
-    mix_scenes: int = 0          # extra scenes from a second spec; 0 = off
-    mix_min_objects: int = 1
-    mix_max_objects: int = 3
-    mix_seed: int = 99
-
-
-@dataclass
-class GameSection:
-    k: int = 64
-    gamma: float = 0.95
-    lam: float = 1.0
-    generations: int = 5
-    t_max: int = 12
 
 
 @dataclass
@@ -62,27 +58,8 @@ class ModelSection:
 
 
 @dataclass
-class TrainSection:
-    steps: int = 5000
-    seed: int = 2024
-    replicas: int = 3
-    sync_period: int = 5
-    targets_per_replica: int = 1
-    lr_speaker: float = 0.1
-    lr_listener: float = 1e-3
-    optimizer_speaker: str = "sgd"
-    optimizer_listener: str = "adam"
-    baseline_mode: str = "group"
-    standardize_advantages: bool = False
-    temperature: float = 1.0
-    clip_norm: float = 1.0
-    eval_interval: int = 500
-
-
-@dataclass
 class EvalSection:
     rounds: int = 200
-    top_n: int = 10
     seed: int = 0
 
 
@@ -98,9 +75,9 @@ class PathsSection:
 @dataclass
 class RunConfig:
     world: WorldSection = field(default_factory=WorldSection)
-    game: GameSection = field(default_factory=GameSection)
+    game: GameConfig = field(default_factory=GameConfig)
     model: ModelSection = field(default_factory=ModelSection)
-    train: TrainSection = field(default_factory=TrainSection)
+    train: TrainSettings = field(default_factory=TrainSettings)
     eval: EvalSection = field(default_factory=EvalSection)
     paths: PathsSection = field(default_factory=PathsSection)
 
@@ -112,16 +89,15 @@ class RunConfig:
                          max_objects=w.max_objects, noise=w.noise,
                          raster=w.raster, raster_size=w.raster_size)
 
-    def mix_spec(self) -> WorldSpec:
+    def world_splits(self) -> dict[str, Dataset]:
+        """The train, val and test datasets of ``[world]``; a val or test
+        split with no scenes is left out."""
         w = self.world
-        return WorldSpec(grid=w.grid, min_objects=w.mix_min_objects,
-                         max_objects=w.mix_max_objects, noise=w.noise,
-                         raster=w.raster, raster_size=w.raster_size)
+        return generate_splits(w.seed, self.world_spec(), w.n_scenes,
+                               w.val_scenes, w.test_scenes)
 
     def game_config(self) -> GameConfig:
-        g = self.game
-        return GameConfig(k=g.k, gamma=g.gamma, lam=g.lam,
-                          generations=g.generations, t_max=g.t_max)
+        return replace(self.game)
 
     def model_config(self, vocab_size: int, obs_dim: int) -> ModelConfig:
         m = self.model
@@ -134,16 +110,7 @@ class RunConfig:
                            listener_stop_gradient=m.listener_stop_gradient)
 
     def train_settings(self) -> TrainSettings:
-        t = self.train
-        return TrainSettings(
-            seed=t.seed, replicas=t.replicas, sync_period=t.sync_period,
-            targets_per_replica=t.targets_per_replica,
-            lr_speaker=t.lr_speaker, lr_listener=t.lr_listener,
-            optimizer_speaker=t.optimizer_speaker,
-            optimizer_listener=t.optimizer_listener,
-            baseline_mode=t.baseline_mode,
-            standardize_advantages=t.standardize_advantages,
-            temperature=t.temperature, clip_norm=t.clip_norm)
+        return replace(self.train)
 
     def to_text(self) -> str:
         out = io.StringIO()
@@ -182,36 +149,38 @@ def _convert(raw: str, target_type, where: str):
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse an INI document over the defaults, rejecting unknown keys
-    and values that the world, game or train settings refuse."""
-    parser = configparser.ConfigParser()
+    """Parse an INI document over the defaults, rejecting unknown
+    sections and keys, and values that the world, game or train settings
+    refuse."""
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from None
+    if parser.defaults():
+        raise ConfigError("unknown section [DEFAULT]")
     cfg = RunConfig()
-    sections = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    section_names = {f.name for f in fields(cfg)}
     for section_name in parser.sections():
-        if section_name not in sections:
+        if section_name not in section_names:
             raise ConfigError(f"unknown section [{section_name}]")
-        target = sections[section_name]
-        known = {f.name: f.type for f in fields(target)}
-        types = {f.name: type(getattr(target, f.name)) for f in fields(target)}
+        default = getattr(cfg, section_name)
+        types = {f.name: type(getattr(default, f.name))
+                 for f in fields(default)}
+        values = {}
         for key, raw in parser.items(section_name):
-            if key not in known:
+            if key not in types:
                 raise ConfigError(
                     f"unknown key {key!r} in section [{section_name}]")
-            setattr(target, key,
-                    _convert(raw, types[key], f"[{section_name}] {key}"))
-    builders = [("world", cfg.world_spec), ("game", cfg.game_config),
-                ("train", cfg.train_settings)]
-    if cfg.world.mix_scenes > 0:
-        builders.append(("world", cfg.mix_spec))
-    for section_name, build in builders:
+            values[key] = _convert(raw, types[key], f"[{section_name}] {key}")
         try:
-            build()
+            setattr(cfg, section_name, replace(default, **values))
         except ValueError as exc:
             raise ConfigError(f"[{section_name}] {exc}") from None
+    try:
+        cfg.world_spec()
+    except ValueError as exc:
+        raise ConfigError(f"[world] {exc}") from None
     return cfg
 
 

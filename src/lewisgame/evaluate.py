@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from copy import deepcopy
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -28,7 +29,7 @@ from .game import play_round, solve_rate
 from .optim import clip_global_norm, make_optimizer
 from .tensor import Tape, Tensor, backward
 from .training import Trainer
-from .world import EOS, Dataset, generate_splits, sample_game_batch
+from .world import EOS, Dataset, sample_game_batch
 
 BLEU_EPS = 1e-9
 
@@ -220,9 +221,7 @@ def supervised_pretrain(speaker: SpeakerPolicy, dataset: Dataset, steps: int,
 
 
 def _sweep_cell(cfg: RunConfig, steps: int) -> dict:
-    w = cfg.world
-    splits = generate_splits(w.seed, cfg.world_spec(), w.n_scenes,
-                             w.val_scenes)
+    splits = cfg.world_splits()
     train = splits["train"]
     game_cfg = cfg.game_config()
     model_cfg = cfg.model_config(len(train.vocab), train.spec.input_dim)
@@ -246,15 +245,19 @@ def ablation_sweep(cfg: RunConfig, k_list, seeds, steps: int,
                    workers: int = 1) -> list[dict]:
     """Train a fresh run per (K, seed) cell and evaluate each one.
 
-    A cell is ``cfg`` with ``game.k`` and ``train.seed`` replaced. Its
+    A cell is a copy of ``cfg`` with ``game.k`` and ``train.seed`` set. Its
     world is the train and val splits of ``cfg.world``, and it is
     evaluated for ``eval.rounds`` rounds on the val split. Cell failures
     are recorded, not raised, so one bad cell cannot sink a sweep.
     Returns one dict per cell with either a report or an error.
     """
-    cells = [replace(cfg, game=replace(cfg.game, k=k),
-                     train=replace(cfg.train, seed=seed))
-             for k in k_list for seed in seeds]
+    cells = []
+    for k in k_list:
+        for seed in seeds:
+            # set, not ``replace``d, so a bad K fails in its own cell
+            cell = deepcopy(cfg)
+            cell.game.k, cell.train.seed = k, seed
+            cells.append(cell)
     if workers <= 1:
         return [_cell_outcome(c, partial(_sweep_cell, c, steps))
                 for c in cells]

@@ -28,9 +28,12 @@ from .tensor import F32
 from .world import Dataset, sample_game_batch
 
 
-@dataclass(frozen=True)
+@dataclass
 class GameConfig:
-    """Round shape: candidate count, discount, loss weight, generations."""
+    """Round shape: candidate count, discount, loss weight, generations.
+
+    This is the ``[game]`` section of a run config.
+    """
 
     k: int = 64
     gamma: float = 0.95

@@ -22,10 +22,6 @@ class ShapeError(ValueError):
     """Operand shapes incompatible with the requested op."""
 
 
-class EvaluationError(RuntimeError):
-    """A checked computation produced a non-finite value."""
-
-
 class Tensor:
     """A dense float32 array with an optional gradient buffer.
 
@@ -374,50 +370,3 @@ def log_softmax(tape, a: Tensor) -> Tensor:
             return ((G - np.exp(out_nd) * G.sum(axis=1, keepdims=True)),)
         tape.record(out, (a,), rule)
     return out
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-
-def gradcheck(f, params, eps: float = 1e-3, n_coords: int = 4, seed: int = 0) -> float:
-    """Compare tape gradients of ``f`` against central finite differences.
-
-    ``f(params, tape)`` must build and return a scalar Tensor; with
-    ``tape=None`` it must still evaluate. Returns the max over sampled
-    coordinates of |g_ad - g_fd| / max(1, |g_ad|, |g_fd|).
-    """
-    if eps <= 0:
-        raise ValueError("gradcheck: eps must be positive")
-    tape = Tape()
-    loss = f(params, tape)
-    if loss.size != 1:
-        raise ShapeError(f"gradcheck: f must return a scalar, got {loss.shape}")
-    if not np.isfinite(loss.data[0]):
-        raise EvaluationError("gradcheck: f evaluated to a non-finite value")
-    params.zero_grads()
-    backward(tape, loss)
-    analytic = {
-        name: (t.grad.copy() if t.grad is not None else np.zeros(t.size, F32))
-        for name, t in params.items()
-    }
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for name, t in params.items():
-        k = min(n_coords, t.size)
-        for i in rng.choice(t.size, size=k, replace=False):
-            v0 = t.data[i]
-            t.data[i] = F32(v0 + eps)
-            xp = float(t.data[i])
-            fp = float(f(params, None).data[0])
-            t.data[i] = F32(v0 - eps)
-            xm = float(t.data[i])
-            fm = float(f(params, None).data[0])
-            t.data[i] = v0
-            if not (np.isfinite(fp) and np.isfinite(fm)):
-                raise EvaluationError("gradcheck: non-finite value during perturbation")
-            g_fd = (fp - fm) / (xp - xm)
-            g_ad = float(analytic[name][i])
-            err = abs(g_ad - g_fd) / max(1.0, abs(g_ad), abs(g_fd))
-            worst = max(worst, err)
-    return worst

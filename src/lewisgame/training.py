@@ -1,11 +1,10 @@
 """Joint policy-gradient training for the signaling game.
 
 The speaker objective is a REINFORCE-style surrogate over each group of
-G generations: per-token credit gamma^(T-t) * (R - b), where b defaults
-to the group's mean reward (group-relative baseline) and alternatively
-the episode's summed rewards-to-go (the literal single-sample form,
-kept for fidelity experiments). Advantages are constants; no gradient
-flows through them. The listener objective is the negative log of the
+G generations: per-token credit gamma^(T-t) * (R - b), where b is the
+group's mean reward (the group-relative baseline of GRPO), or 0 for the
+plain REINFORCE ablation. Advantages are constants; no gradient flows
+through them. The listener objective is the negative log of the
 probability it assigns to the true candidate, which equals categorical
 cross-entropy against the one-hot target.
 
@@ -37,13 +36,19 @@ class NumericalFailureError(RuntimeError):
     """A training step produced non-finite losses or gradients."""
 
 
-BASELINE_MODES = ("group", "literal", "none")
+BASELINE_MODES = ("group", "none")
 
 
 @dataclass
 class TrainSettings:
-    """Knobs of the optimization loop (the game itself sits in GameConfig)."""
+    """Knobs of the optimization loop (the game itself sits in GameConfig).
 
+    This is the ``[train]`` section of a run config. ``steps`` (run
+    length) and ``eval_interval`` (steps between checkpoints) are read by
+    the command line; the trainer itself reads the rest.
+    """
+
+    steps: int = 5000
     seed: int = 2024
     replicas: int = 3
     sync_period: int = 5
@@ -56,6 +61,7 @@ class TrainSettings:
     standardize_advantages: bool = False
     temperature: float = 1.0
     clip_norm: float = 1.0
+    eval_interval: int = 500
 
     def __post_init__(self):
         for kind in (self.optimizer_speaker, self.optimizer_listener):
@@ -104,15 +110,11 @@ def group_advantages(episodes, gamma: float, baseline_mode: str = "group",
 
     Every mode discounts with ``gamma``, over each episode's tokens.
     ``group``: subtract the group's mean reward, then discount.
-    ``literal``: per-episode baseline equal to its summed rewards-to-go.
     ``none``: raw rewards-to-go (no baseline).
     """
-    if baseline_mode in ("literal", "none"):
-        rtgs = [rewards_to_go(ep.reward, ep.message.length, gamma)
+    if baseline_mode == "none":
+        return [rewards_to_go(ep.reward, ep.message.length, gamma)
                 for ep in episodes]
-        if baseline_mode == "none":
-            return rtgs
-        return [r - r.sum(dtype=F32) for r in rtgs]
     if baseline_mode != "group":
         raise ValueError(f"unknown baseline mode: {baseline_mode!r}")
     if len(episodes) == 1:

@@ -350,12 +350,6 @@ def _build_dataset(scenes, spec, seed, split, obs_rng) -> Dataset:
                    vocab=vocab)
 
 
-def generate_dataset(seed: int, n_scenes: int, spec: WorldSpec) -> Dataset:
-    """Deterministic dataset of ``n_scenes`` distinct scenes: the train
-    split of ``generate_splits`` with no val or test scenes."""
-    return generate_splits(seed, spec, n_scenes)["train"]
-
-
 def generate_splits(seed: int, spec: WorldSpec, n_train: int, n_val: int = 0,
                     n_test: int = 0) -> dict[str, Dataset]:
     """Disjoint train/val/test datasets drawn from one scene pool."""
@@ -372,28 +366,6 @@ def generate_splits(seed: int, spec: WorldSpec, n_train: int, n_val: int = 0,
                                     split, obs_rng)
         start += n
     return out
-
-
-def mix_datasets(base: Dataset, extra: Dataset) -> Dataset:
-    """Append scenes from a second world into a training dataset.
-
-    Scene ids may collide across different specs; colliding extras are
-    dropped so the distinct-id invariant holds.
-    """
-    if extra.spec.obs_dim != base.spec.obs_dim:
-        raise ValueError("mixed worlds must share the observation layout")
-    have = base.scene_ids()
-    keep = [i for i, s in enumerate(extra.scenes) if s.scene_id not in have]
-    scenes = base.scenes + [extra.scenes[i] for i in keep]
-    obs = np.concatenate([base.observations, extra.observations[keep]]) \
-        if keep else base.observations
-    captions = base.captions + [extra.captions[i] for i in keep]
-    rasters = base.rasters
-    if base.rasters is not None and extra.rasters is not None and keep:
-        rasters = np.concatenate([base.rasters, extra.rasters[keep]])
-    return Dataset(spec=base.spec, seed=base.seed, split=base.split,
-                   scenes=scenes, observations=obs, captions=captions,
-                   rasters=rasters, vocab=base.vocab)
 
 
 @dataclass(frozen=True)

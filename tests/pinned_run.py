@@ -10,10 +10,16 @@ that ``run_id`` and every hash compare across commits):
 3. ``lewisgame eval`` of ``ckpt/latest.lgc`` on ``world.lgw``
 
 and prints the sha256 of the world file, the metrics JSONL,
-``latest.lgc`` and the eval stdout, one per line. It takes no options;
-``PYTHONPATH`` chooses the package it runs. Two runs of one commit must
-print the same lines (bitwise reproducibility), and a refactor that
-claims unchanged numbers must print the parent's lines:
+``latest.lgc`` and the eval stdout, one per line, and a fifth line: the
+sha256 of the metrics rows with ``run_id`` dropped, each row as
+canonical JSON (sorted keys, no spaces) on its own line. ``run_id``
+hashes the config text, so a change that only adds or removes config
+keys moves the JSONL hash but leaves the fifth line alone.
+
+It takes no options; ``PYTHONPATH`` chooses the package it runs. Two
+runs of one commit must print the same lines (bitwise reproducibility),
+and a refactor that claims unchanged numbers must print the parent's
+lines:
 
     PYTHONPATH=src python tests/pinned_run.py
 
@@ -21,6 +27,7 @@ pytest does not collect this file.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -60,6 +67,18 @@ def _file_sha256(path: str) -> str:
         return _sha256(fh.read())
 
 
+def _rows_sha256(path: str) -> str:
+    """sha256 of the JSONL rows at ``path`` without their ``run_id``."""
+    lines = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            row = json.loads(line)
+            del row["run_id"]
+            lines.append(json.dumps(row, sort_keys=True,
+                                    separators=(",", ":")) + "\n")
+    return _sha256("".join(lines).encode())
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="pinned-run-") as root:
         with open(os.path.join(root, "run.ini"), "w", encoding="utf-8") as fh:
@@ -76,6 +95,8 @@ def main() -> int:
         print(f"latest.lgc "
               f"{_file_sha256(os.path.join(root, 'ckpt', 'latest.lgc'))}")
         print(f"eval.stdout {_sha256(eval_out)}")
+        print(f"metrics.rows-without-run_id "
+              f"{_rows_sha256(os.path.join(root, 'metrics.jsonl'))}")
     return 0
 
 

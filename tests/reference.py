@@ -18,8 +18,11 @@ a stated tolerance.
 
 ``evaluate_agents`` is the evaluation loop that assembled each round by
 hand before evaluation played through ``game.play_round``; the package's
-``evaluate_agents`` must return the same report bitwise. Nothing in
-``src/`` imports this module.
+``evaluate_agents`` must return the same report bitwise.
+
+``gradcheck`` holds tape gradients to central finite differences, and
+``generate_dataset`` is the one-split world the tests train and score
+on. Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -31,9 +34,11 @@ from lewisgame.agents import MessageSample, _raster_patches
 from lewisgame.evaluate import (EvalReport, _strip_eos, attribute_coverage,
                                 bleu)
 from lewisgame.game import make_episode, solve_rate
-from lewisgame.tensor import F32, ShapeError, Tensor, _emit, _rows
+from lewisgame.tensor import (F32, ShapeError, Tape, Tensor, _emit, _rows,
+                              backward)
 from lewisgame.training import group_advantages
-from lewisgame.world import BOS, EOS, sample_game_batch
+from lewisgame.world import (BOS, EOS, Dataset, WorldSpec, generate_splits,
+                             sample_game_batch)
 
 
 def softmax(tape, a: Tensor) -> Tensor:
@@ -329,3 +334,64 @@ def evaluate_agents(speaker, listener, dataset, k: int, n_rounds: int = 200,
         n_rounds=n_rounds,
         k=k,
     )
+
+
+# ---------------------------------------------------------------------------
+# test worlds
+
+
+def generate_dataset(seed: int, n_scenes: int, spec: WorldSpec) -> Dataset:
+    """Deterministic dataset of ``n_scenes`` distinct scenes: the train
+    split of ``generate_splits`` with no val or test scenes."""
+    return generate_splits(seed, spec, n_scenes)["train"]
+
+
+# ---------------------------------------------------------------------------
+# gradient checking
+
+
+class EvaluationError(RuntimeError):
+    """A checked computation produced a non-finite value."""
+
+
+def gradcheck(f, params, eps: float = 1e-3, n_coords: int = 4, seed: int = 0) -> float:
+    """Compare tape gradients of ``f`` against central finite differences.
+
+    ``f(params, tape)`` must build and return a scalar Tensor; with
+    ``tape=None`` it must still evaluate. Returns the max over sampled
+    coordinates of |g_ad - g_fd| / max(1, |g_ad|, |g_fd|).
+    """
+    if eps <= 0:
+        raise ValueError("gradcheck: eps must be positive")
+    tape = Tape()
+    loss = f(params, tape)
+    if loss.size != 1:
+        raise ShapeError(f"gradcheck: f must return a scalar, got {loss.shape}")
+    if not np.isfinite(loss.data[0]):
+        raise EvaluationError("gradcheck: f evaluated to a non-finite value")
+    params.zero_grads()
+    backward(tape, loss)
+    analytic = {
+        name: (t.grad.copy() if t.grad is not None else np.zeros(t.size, F32))
+        for name, t in params.items()
+    }
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for name, t in params.items():
+        k = min(n_coords, t.size)
+        for i in rng.choice(t.size, size=k, replace=False):
+            v0 = t.data[i]
+            t.data[i] = F32(v0 + eps)
+            xp = float(t.data[i])
+            fp = float(f(params, None).data[0])
+            t.data[i] = F32(v0 - eps)
+            xm = float(t.data[i])
+            fm = float(f(params, None).data[0])
+            t.data[i] = v0
+            if not (np.isfinite(fp) and np.isfinite(fm)):
+                raise EvaluationError("gradcheck: non-finite value during perturbation")
+            g_fd = (fp - fm) / (xp - xm)
+            g_ad = float(analytic[name][i])
+            err = abs(g_ad - g_fd) / max(1.0, abs(g_ad), abs(g_fd))
+            worst = max(worst, err)
+    return worst

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import reference
+from reference import generate_dataset
+
 from lewisgame import tensor as T
 from lewisgame._decode import gru_sequence
 from lewisgame.agents import (ListenerModel, ModelConfig, SpeakerPolicy,
                               _raster_patches, model_config_from_params)
 from lewisgame.tensor import Tape, Tensor, backward
-from lewisgame.world import EOS, WorldSpec, generate_dataset
+from lewisgame.world import EOS, WorldSpec
 
 
 @pytest.fixture(scope="module")

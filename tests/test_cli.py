@@ -6,9 +6,11 @@ import sys
 import numpy as np
 import pytest
 
+from reference import generate_dataset
+
 from lewisgame.agents import ListenerModel, ModelConfig, SpeakerPolicy
 from lewisgame.params import ParameterSet, load_checkpoint, save_checkpoint
-from lewisgame.world import WorldSpec, generate_dataset, save_dataset
+from lewisgame.world import WorldSpec, save_dataset
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -139,6 +141,8 @@ def _train_config(path, dataset, run, **overrides):
      "[train] unknown optimizer kind: 'bogus'"),
     ("train", "train", {"baseline_mode": "bogus"},
      "[train] unknown baseline mode: 'bogus'"),
+    ("train", "train", {"baseline_mode": "literal"},
+     "[train] unknown baseline mode: 'literal'"),
     ("train", "train", {"replicas": 0}, "[train] replicas must be at least 1"),
     ("train", "train", {"targets_per_replica": 0},
      "[train] targets_per_replica must be at least 1"),
@@ -146,7 +150,7 @@ def _train_config(path, dataset, run, **overrides):
     ("train", "train", {"temperature": -1},
      "[train] temperature must be >= 0"),
 ], ids=["game-k", "world-objects", "train-optimizer", "train-baseline",
-        "train-replicas", "train-targets", "train-clip-norm",
+        "train-baseline-literal", "train-replicas", "train-targets", "train-clip-norm",
         "train-temperature"])
 def test_bad_config_value_exits_1(eval_files, tmp_path, command, section,
                                   keys, message):
@@ -158,6 +162,31 @@ def test_bad_config_value_exits_1(eval_files, tmp_path, command, section,
     assert f"config error: {message}" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert os.listdir(tmp_path) == ["bad.ini"]
+
+
+def test_config_default_section_exits_1(eval_files, tmp_path):
+    # configparser would read its keys into every section: this one
+    # would set train.seed
+    config = _train_config(tmp_path / "bad.ini", eval_files / "world.lgw",
+                           tmp_path)
+    text = (tmp_path / "bad.ini").read_text(encoding="utf-8")
+    (tmp_path / "bad.ini").write_text("[DEFAULT]\nseed = 3\n\n" + text,
+                                      encoding="utf-8")
+    proc = _run_cli("train", "--config", config)
+    assert proc.returncode == 1
+    assert "config error: unknown section [DEFAULT]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert os.listdir(tmp_path) == ["bad.ini"]
+
+
+def test_config_values_are_read_literally(eval_files, tmp_path):
+    metrics = tmp_path / "100%" / "m.jsonl"
+    config = _train_config(tmp_path / "run.ini", eval_files / "world.lgw",
+                           tmp_path, paths={"metrics": metrics})
+    proc = _run_cli("train", "--config", config)
+    assert proc.returncode == 0, proc.stderr
+    assert len(metrics.read_text(encoding="utf-8").splitlines()) == 1
+
 
 def test_train_with_missing_dataset_exits_2(tmp_path):
     config = _train_config(tmp_path / "run.ini", tmp_path / "missing.lgw",

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from reference import generate_dataset
+
 from lewisgame.agents import ListenerModel, ModelConfig, SpeakerPolicy
 from lewisgame.game import (GameConfig, GameEpisode, _play_round_traced,
                             make_episode, rewards_to_go, solve_rate)
-from lewisgame.world import WorldSpec, generate_dataset
+from lewisgame.world import WorldSpec
 
 
 def indicator_reward_mc(probs: np.ndarray, target: int, n_samples: int,

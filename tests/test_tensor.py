@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import reference
+from reference import EvaluationError, gradcheck
+
 from lewisgame import tensor as T
 from lewisgame.params import ParameterSet
-from lewisgame.tensor import (EvaluationError, F32, ShapeError, Tape, Tensor,
-                              backward, gradcheck)
+from lewisgame.tensor import F32, ShapeError, Tape, Tensor, backward
 
 
 def test_tensor_flat_row_major_storage():

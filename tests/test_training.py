@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from reference import listener_loss, speaker_loss
+from reference import generate_dataset, listener_loss, speaker_loss
 
 from lewisgame import training
 from lewisgame.agents import MessageSample, ModelConfig
@@ -15,7 +15,7 @@ from lewisgame.training import (NumericalFailureError, Trainer, TrainSettings,
                                 _group_loss_node, _listener_loss_node,
                                 advantage_variance, group_advantages,
                                 sync_replicas, train_step)
-from lewisgame.world import WorldSpec, generate_dataset
+from lewisgame.world import WorldSpec
 
 
 def _episode(reward, logprobs, target=0, k=4):
@@ -64,14 +64,7 @@ def test_speaker_loss_shift_invariant_in_rewards():
     assert abs(a - b) < 1e-6
 
 
-def test_literal_baseline_mode():
-    ep = _episode(0.5, [-1.0, -1.0])
-    advs = group_advantages([ep, ep], 0.5, baseline_mode="literal")
-    # rtg = [0.25, 0.5]; b = 0.75; A = [-0.5, -0.25]
-    assert np.allclose(advs[0], [-0.5, -0.25], atol=1e-6)
-
-
-@pytest.mark.parametrize("baseline_mode", ["literal", "none"])
+@pytest.mark.parametrize("baseline_mode", ["none"])
 def test_group_advantages_discounts_with_its_gamma(baseline_mode):
     # episodes carry no discount of their own: the gamma handed to
     # group_advantages is the one applied
@@ -81,8 +74,6 @@ def test_group_advantages_discounts_with_its_gamma(baseline_mode):
     advs = group_advantages(group, gamma, baseline_mode)
     for ep, a in zip(group, advs):
         rtg = rewards_to_go(ep.reward, ep.message.length, gamma)
-        if baseline_mode == "literal":
-            rtg = rtg - rtg.sum(dtype=np.float32)
         assert a.dtype == np.float32
         assert a.tobytes() == rtg.tobytes()
     assert (advs[0].tobytes()
@@ -139,7 +130,7 @@ def test_group_baseline_variance_not_above_none():
 
 
 @pytest.mark.parametrize("standardize", [False, True])
-@pytest.mark.parametrize("baseline_mode", ["group", "literal", "none"])
+@pytest.mark.parametrize("baseline_mode", ["group", "none"])
 def test_group_loss_node_matches_reference(baseline_mode, standardize):
     # the taped surrogate training backpropagates, against the float64
     # numpy loss, on messages of different lengths

