@@ -2,8 +2,9 @@
 
 Subcommands: gen-world, train, eval, sweep, pretrain, plotdata.
 Exit codes: 0 ok, 1 usage or config error, 2 data or format error,
-3 numerical failure during training. The LEWISGAME_CONFIG environment
-variable supplies a default --config path.
+3 numerical failure during training. Hyperparameters come only from the
+run config: --config, else the LEWISGAME_CONFIG environment variable,
+else the defaults; ``eval`` reads ``[eval]`` and ``[game]`` k and t_max.
 """
 
 from __future__ import annotations
@@ -110,22 +111,15 @@ def _agents_from_checkpoint(state: ParameterSet, dataset):
 
 
 def cmd_eval(args) -> int:
+    cfg = _load_cfg(args.config)
     dataset = load_dataset(args.dataset)
     state = load_checkpoint(args.checkpoint)
     speaker, listener = _agents_from_checkpoint(state, dataset)
-    if args.k > len(dataset):
-        print(f"K={args.k} exceeds dataset size {len(dataset)}",
-              file=sys.stderr)
-        return EXIT_DATA
-    for flag, value in (("--rounds", args.rounds), ("--t-max", args.t_max)):
-        if value < 1:
-            print(f"{flag} must be at least 1, got {value}", file=sys.stderr)
-            return EXIT_USAGE
-    report = evaluate_agents(speaker, listener, dataset, k=args.k,
-                             n_rounds=args.rounds, t_max=args.t_max,
-                             seed=args.seed)
+    report = evaluate_agents(speaker, listener, dataset, k=cfg.game.k,
+                             n_rounds=cfg.eval.rounds, t_max=cfg.game.t_max,
+                             seed=cfg.eval.seed)
     row = report.row(run_id=os.path.basename(args.checkpoint),
-                     seed=args.seed)
+                     seed=cfg.eval.seed)
     for name in EVAL_METRICS:
         print(f"{name}: {row[name]:.4f}")
     if args.out:
@@ -137,11 +131,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_cfg(args.config)
-    k_list = [int(x) for x in args.k_list.split(",")]
-    seeds = [int(x) for x in args.seeds.split(",")]
-    cells = ablation_sweep(cfg, k_list, seeds,
-                           steps=args.steps or cfg.train.steps,
-                           workers=args.workers)
+    cells = ablation_sweep(cfg, args.k_list, args.seeds, workers=args.workers)
     summary = sweep_summary(cells)
     for k, metrics in summary.items():
         cov = metrics["coverage"]
@@ -169,7 +159,8 @@ def cmd_pretrain(args) -> int:
     dataset = load_dataset(cfg.paths.dataset)
     trainer = _make_trainer(cfg, dataset)
     supervised_pretrain(trainer.speaker, dataset, steps=args.steps,
-                        lr=args.lr, seed=cfg.train.seed)
+                        lr=args.lr, seed=cfg.train.seed,
+                        clip_norm=cfg.train.clip_norm)
     for rep in trainer.replicas[1:]:
         for name, t in rep.params.items():
             t.data = trainer.speaker.params[name].data.copy()
@@ -196,6 +187,9 @@ def cmd_plotdata(args) -> int:
             print(f"unknown field {f!r}; available: {', '.join(available)}",
                   file=sys.stderr)
             return EXIT_USAGE
+        if not isinstance(rows[0][f], (int, float)):
+            print(f"field {f!r} is not numeric", file=sys.stderr)
+            return EXIT_USAGE
     columns = {f: np.array([float(r[f]) for r in rows]) for f in fields}
     if args.alpha < 1.0:
         columns = {f: ema(v, args.alpha) for f, v in columns.items()}
@@ -204,6 +198,25 @@ def cmd_plotdata(args) -> int:
         vals = "\t".join(f"{columns[f][i]:.6g}" for f in fields)
         print(f"{r['step']}\t{vals}")
     return EXIT_OK
+
+
+def _int_list(text: str) -> list[int]:
+    """argparse type for a comma-separated list of integers."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
+def _alpha(text: str) -> float:
+    """argparse type for an EMA factor in (0, 1]."""
+    try:
+        if 0.0 < float(text) <= 1.0:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,21 +241,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
+    p.add_argument("--config", default=None,
+                   help="run config: [game] k and t_max, [eval] rounds, seed")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--k", type=int, default=64)
-    p.add_argument("--rounds", type=int, default=200)
-    p.add_argument("--t-max", type=int, default=12)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="append JSON-lines here")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("sweep", help="train across a list of K values")
-    p.add_argument("--config", default=None)
-    p.add_argument("--k-list", default="4,8,16,32,64")
-    p.add_argument("--seeds", default="2024,2025,2026")
-    p.add_argument("--steps", type=int, default=0,
-                   help="per-cell steps (0 = train.steps)")
+    p.add_argument("--config", default=None,
+                   help="run config: [train] steps per cell, [eval] rounds")
+    p.add_argument("--k-list", type=_int_list, default="4,8,16,32,64")
+    p.add_argument("--seeds", type=_int_list, default="2024,2025,2026")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_sweep)
@@ -258,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plotdata", help="emit tab-separated metric columns")
     p.add_argument("--metrics", required=True)
     p.add_argument("--fields", default="joint_loss")
-    p.add_argument("--alpha", type=float, default=1.0,
-                   help="EMA smoothing factor; 1 = raw values")
+    p.add_argument("--alpha", type=_alpha, default=1.0,
+                   help="EMA smoothing factor in (0, 1]; 1 = raw values")
     p.set_defaults(fn=cmd_plotdata)
     return parser
 

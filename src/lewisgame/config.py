@@ -1,19 +1,21 @@
 """Run configuration: a strict, diff-able INI document.
 
-Every hyperparameter of a run lives here, grouped in sections. The
-``[game]`` and ``[train]`` sections are the runtime types themselves,
-``GameConfig`` and ``TrainSettings``, so each of their keys and defaults
-is declared once, there. Sections are mutable, so the adapters
-(``world_spec``, ``game_config``, ``train_settings``) hand out values
-built or copied through the runtime types' own checks, and a section
-mutated after parsing is validated again when it is used.
+Every hyperparameter of a run lives here, grouped in sections, and no
+subcommand shadows one with a flag: ``lewisgame eval`` reads ``[eval]``
+and the K and ``t_max`` of ``[game]``. The ``[game]`` and ``[train]``
+sections are the runtime types themselves, ``GameConfig`` and
+``TrainSettings``, so each of their keys and defaults is declared once,
+there. Sections are mutable, so the adapters (``world_spec``,
+``game_config``, ``train_settings``) hand out values built or copied
+through the runtime types' own checks, and a section mutated after
+parsing is validated again when it is used.
 
 Parsing is strict: an unknown section or key, a value that fails type
-conversion, or a value the world, game or train settings reject, is a
-hard error naming the offender. This is what keeps a typo'd
-hyperparameter from silently training the wrong run. Values are read
-literally, with no ``%`` interpolation, and a ``[DEFAULT]`` section is
-refused, because its keys would be read into every section.
+conversion, or a value a section's own checks reject, is a hard error
+naming the offender. This is what keeps a typo'd hyperparameter from
+silently training the wrong run. Values are read literally, with no
+``%`` interpolation, and a ``[DEFAULT]`` section is refused, because its
+keys would be read into every section.
 """
 
 from __future__ import annotations
@@ -61,6 +63,10 @@ class ModelSection:
 class EvalSection:
     rounds: int = 200
     seed: int = 0
+
+    def __post_init__(self):
+        if self.rounds < 1:
+            raise ValueError("rounds must be at least 1")
 
 
 @dataclass
@@ -150,8 +156,8 @@ def _convert(raw: str, target_type, where: str):
 
 def parse_config(text: str) -> RunConfig:
     """Parse an INI document over the defaults, rejecting unknown
-    sections and keys, and values that the world, game or train settings
-    refuse."""
+    sections and keys, and values that the world, game, train or eval
+    settings refuse."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)

@@ -182,14 +182,20 @@ def evaluate_agents(speaker: SpeakerPolicy, listener: ListenerModel,
 # supervised warm start
 
 
+# scenes per supervised warm-start step (fewer if the dataset is smaller)
+PRETRAIN_BATCH = 8
+
+
 def supervised_pretrain(speaker: SpeakerPolicy, dataset: Dataset, steps: int,
-                        lr: float = 0.05, seed: int = 0, batch_size: int = 8,
-                        clip_norm: float = 1.0) -> SpeakerPolicy:
+                        lr: float, seed: int,
+                        clip_norm: float) -> SpeakerPolicy:
     """Teacher-forced cross-entropy training on reference captions.
 
     This is the only place reference captions feed a gradient; the game
-    loop itself never reads them. Returns the same speaker, updated in
-    place; steps=0 leaves it untouched.
+    loop itself never reads them. Each step fits ``PRETRAIN_BATCH``
+    scenes with SGD at ``lr`` and clips the gradient norm at
+    ``clip_norm``. Returns the same speaker, updated in place; steps=0
+    leaves it untouched.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5D]))
     opt = make_optimizer("sgd", lr)
@@ -197,8 +203,8 @@ def supervised_pretrain(speaker: SpeakerPolicy, dataset: Dataset, steps: int,
         speaker.params.zero_grads()
         tape = Tape()
         rows = []
-        idx = rng.choice(len(dataset), size=min(batch_size, len(dataset)),
-                         replace=False)
+        idx = rng.choice(len(dataset),
+                         size=min(PRETRAIN_BATCH, len(dataset)), replace=False)
         for i in idx:
             caps = dataset.captions[int(i)]
             cap = caps[int(rng.integers(len(caps)))]
@@ -220,13 +226,13 @@ def supervised_pretrain(speaker: SpeakerPolicy, dataset: Dataset, steps: int,
 # ablation sweep
 
 
-def _sweep_cell(cfg: RunConfig, steps: int) -> dict:
+def _sweep_cell(cfg: RunConfig) -> dict:
     splits = cfg.world_splits()
     train = splits["train"]
     game_cfg = cfg.game_config()
     model_cfg = cfg.model_config(len(train.vocab), train.spec.input_dim)
     trainer = Trainer(train, game_cfg, model_cfg, cfg.train_settings())
-    trainer.run(steps)
+    trainer.run(cfg.train.steps)
     report = evaluate_agents(trainer.speaker, trainer.listener,
                              splits.get("val", train), k=game_cfg.k,
                              n_rounds=cfg.eval.rounds, t_max=game_cfg.t_max,
@@ -241,15 +247,17 @@ def _cell_outcome(cell: RunConfig, result) -> dict:
         return {"k": cell.game.k, "seed": cell.train.seed, "error": str(exc)}
 
 
-def ablation_sweep(cfg: RunConfig, k_list, seeds, steps: int,
+def ablation_sweep(cfg: RunConfig, k_list, seeds,
                    workers: int = 1) -> list[dict]:
     """Train a fresh run per (K, seed) cell and evaluate each one.
 
     A cell is a copy of ``cfg`` with ``game.k`` and ``train.seed`` set. Its
-    world is the train and val splits of ``cfg.world``, and it is
-    evaluated for ``eval.rounds`` rounds on the val split. Cell failures
-    are recorded, not raised, so one bad cell cannot sink a sweep.
-    Returns one dict per cell with either a report or an error.
+    world is the train and val splits of ``cfg.world``; it trains for
+    ``train.steps`` steps and is evaluated for ``eval.rounds`` rounds on
+    the val split. The evaluation is seeded by the cell's own seed, not
+    by ``eval.seed``, so the cells of one K draw different rounds. Cell
+    failures are recorded, not raised, so one bad cell cannot sink a
+    sweep. Returns one dict per cell with either a report or an error.
     """
     cells = []
     for k in k_list:
@@ -259,11 +267,10 @@ def ablation_sweep(cfg: RunConfig, k_list, seeds, steps: int,
             cell.game.k, cell.train.seed = k, seed
             cells.append(cell)
     if workers <= 1:
-        return [_cell_outcome(c, partial(_sweep_cell, c, steps))
-                for c in cells]
+        return [_cell_outcome(c, partial(_sweep_cell, c)) for c in cells]
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_sweep_cell, c, steps) for c in cells]
+        futures = [pool.submit(_sweep_cell, c) for c in cells]
         return [_cell_outcome(c, f.result) for c, f in zip(cells, futures)]
 
 

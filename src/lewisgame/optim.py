@@ -126,10 +126,10 @@ class Adam:
 OPTIMIZER_KINDS = ("sgd", "adam")
 
 
-def make_optimizer(kind: str, lr: float, **hyper):
+def make_optimizer(kind: str, lr: float):
     """Build an optimizer by name (one of ``OPTIMIZER_KINDS``)."""
     if kind == "sgd":
         return Sgd(lr)
     if kind == "adam":
-        return Adam(lr, **hyper)
+        return Adam(lr)
     raise ValueError(f"unknown optimizer kind: {kind!r}")

@@ -111,6 +111,12 @@ def save_checkpoint(params: ParameterSet, path: str) -> None:
         chunks.append(struct.pack("<B", t.ndim))
         chunks.append(struct.pack(f"<{t.ndim}I", *t.shape))
         chunks.append(t.data.astype("<f4", copy=False).tobytes())
+    write_atomic(path, chunks)
+
+
+def write_atomic(path: str, chunks) -> None:
+    """Write the concatenated byte ``chunks`` to ``path`` through a temp
+    file plus rename, so readers see the old file or the whole new one."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(b"".join(chunks))

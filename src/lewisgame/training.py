@@ -30,6 +30,7 @@ from .optim import (OPTIMIZER_KINDS, clip_global_norm, grad_global_norm,
                     make_optimizer)
 from .params import ParameterSet
 from .tensor import F32, Tape, Tensor, backward
+from .world import check_candidate_count
 
 
 class NumericalFailureError(RuntimeError):
@@ -274,11 +275,14 @@ class Trainer:
 
     Every per-step rng stream is derived from (run seed, worker id,
     step index), so resuming from a checkpoint continues the exact
-    sequence an uninterrupted run would have produced.
+    sequence an uninterrupted run would have produced. A K that the
+    dataset cannot supply raises ``SamplingError`` here, before any
+    step runs or any file is written.
     """
 
     def __init__(self, dataset, game_cfg: GameConfig, model_cfg: ModelConfig,
                  settings: TrainSettings):
+        check_candidate_count(dataset, game_cfg.k)
         self.dataset = dataset
         self.game_cfg = game_cfg
         self.model_cfg = model_cfg

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import FormatError, UnsupportedVersionError, _Reader
+from .params import (FormatError, UnsupportedVersionError, _Reader,
+                     write_atomic)
 from .tensor import F32
 
 SHAPES = ("circle", "square", "triangle", "star", "cross")
@@ -376,13 +377,19 @@ class GameBatch:
     scene_indices: np.ndarray
 
 
-def sample_game_batch(dataset: Dataset, k: int, rng) -> GameBatch:
-    """Uniformly draw K distinct scenes and a uniform target position."""
+def check_candidate_count(dataset: Dataset, k: int) -> None:
+    """Raise ``SamplingError`` unless K distinct scenes can be drawn from
+    ``dataset`` for a round."""
     if k < 2:
         raise SamplingError(f"need at least 2 candidates, got K={k}")
     if k > len(dataset):
         raise SamplingError(
             f"K={k} exceeds dataset size {len(dataset)}")
+
+
+def sample_game_batch(dataset: Dataset, k: int, rng) -> GameBatch:
+    """Uniformly draw K distinct scenes and a uniform target position."""
+    check_candidate_count(dataset, k)
     idx = rng.choice(len(dataset), size=k, replace=False)
     target = int(rng.integers(k))
     return GameBatch(target_pos=target, scene_indices=idx)
@@ -419,11 +426,7 @@ def save_dataset(dataset: Dataset, path: str) -> None:
         for cap in caps:
             chunks.append(struct.pack("<B", len(cap)))
             chunks.append(struct.pack(f"<{len(cap)}H", *cap))
-    import os
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(b"".join(chunks))
-    os.replace(tmp, path)
+    write_atomic(path, chunks)
 
 
 def load_dataset(path: str) -> Dataset:

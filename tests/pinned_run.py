@@ -7,7 +7,9 @@ that ``run_id`` and every hash compare across commits):
 2. ``lewisgame train --config run.ini``: the default config with only
    ``paths.dataset``, ``paths.checkpoint_dir``, ``paths.metrics`` and
    ``train.steps = 50`` set
-3. ``lewisgame eval`` of ``ckpt/latest.lgc`` on ``world.lgw``
+3. ``lewisgame eval --config run.ini`` of ``ckpt/latest.lgc`` on
+   ``world.lgw``, so K, ``t_max``, the round count and the eval seed
+   come from the same config (its defaults)
 
 and prints the sha256 of the world file, the metrics JSONL,
 ``latest.lgc`` and the eval stdout, one per line, and a fifth line: the
@@ -86,7 +88,8 @@ def main() -> int:
         _lewisgame(root, "gen-world", "--config", "run.ini",
                    "--out", "world.lgw")
         _lewisgame(root, "train", "--config", "run.ini")
-        eval_out = _lewisgame(root, "eval", "--checkpoint",
+        eval_out = _lewisgame(root, "eval", "--config", "run.ini",
+                              "--checkpoint",
                               os.path.join("ckpt", "latest.lgc"),
                               "--dataset", "world.lgw")
         print(f"world.lgw {_file_sha256(os.path.join(root, 'world.lgw'))}")

@@ -9,8 +9,10 @@ import pytest
 from reference import generate_dataset
 
 from lewisgame.agents import ListenerModel, ModelConfig, SpeakerPolicy
+from lewisgame.cli import _agents_from_checkpoint
+from lewisgame.evaluate import evaluate_agents
 from lewisgame.params import ParameterSet, load_checkpoint, save_checkpoint
-from lewisgame.world import WorldSpec, save_dataset
+from lewisgame.world import WorldSpec, load_dataset, save_dataset
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -43,41 +45,95 @@ def eval_files(tmp_path_factory):
     return root
 
 
-def test_eval_k_larger_than_dataset_exits_2(eval_files):
-    proc = _run_cli("eval", "--checkpoint", str(eval_files / "agents.lgc"),
-                    "--dataset", str(eval_files / "world.lgw"),
-                    "--k", "13", "--rounds", "1")
+def _write_config(path, sections):
+    """Write ``sections``, a map from section name to the keys it sets,
+    as an INI file at ``path``; return the path as a string."""
+    path.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items()), encoding="utf-8")
+    return str(path)
+
+
+def _run_eval(eval_files, config, *args, checkpoint="agents.lgc"):
+    return _run_cli("eval", "--config", config,
+                    "--checkpoint", str(eval_files / checkpoint),
+                    "--dataset", str(eval_files / "world.lgw"), *args)
+
+
+def test_eval_k_larger_than_dataset_exits_2(eval_files, tmp_path):
+    config = _write_config(tmp_path / "eval.ini",
+                           {"game": {"k": 13}, "eval": {"rounds": 1}})
+    proc = _run_eval(eval_files, config)
     assert proc.returncode == 2
     assert "K=13 exceeds dataset size 12" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("flag", ["--rounds", "--t-max"])
-def test_eval_nonpositive_count_exits_1(eval_files, flag):
-    proc = _run_cli("eval", "--checkpoint", str(eval_files / "agents.lgc"),
-                    "--dataset", str(eval_files / "world.lgw"), "--k", "4",
-                    flag, "0")
+@pytest.mark.parametrize("section, key", [("eval", "rounds"),
+                                          ("game", "t_max")],
+                         ids=["eval-rounds", "game-t_max"])
+def test_eval_nonpositive_count_exits_1(eval_files, tmp_path, section, key):
+    config = _write_config(tmp_path / "eval.ini",
+                           {"game": {"k": 4}, section: {key: 0}})
+    proc = _run_eval(eval_files, config)
     assert proc.returncode == 1
-    assert f"{flag} must be at least 1, got 0" in proc.stderr
+    assert f"config error: [{section}] {key} must be at least 1" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
 
 
-def test_eval_k_one_exits_2(eval_files):
-    proc = _run_cli("eval", "--checkpoint", str(eval_files / "agents.lgc"),
-                    "--dataset", str(eval_files / "world.lgw"), "--k", "1",
-                    "--rounds", "1")
-    assert proc.returncode == 2
-    assert "data error: need at least 2 candidates, got K=1" in proc.stderr
+def test_eval_k_one_exits_1(eval_files, tmp_path):
+    config = _write_config(tmp_path / "eval.ini",
+                           {"game": {"k": 1}, "eval": {"rounds": 1}})
+    proc = _run_eval(eval_files, config)
+    assert proc.returncode == 1
+    assert "config error: [game] K must be at least 2" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
-def test_eval_checkpoint_without_agents_exits_2(eval_files):
-    proc = _run_cli("eval", "--checkpoint", str(eval_files / "bare.lgc"),
-                    "--dataset", str(eval_files / "world.lgw"), "--k", "4")
+def test_eval_checkpoint_without_agents_exits_2(eval_files, tmp_path):
+    config = _write_config(tmp_path / "eval.ini", {"game": {"k": 4}})
+    proc = _run_eval(eval_files, config, checkpoint="bare.lgc")
     assert proc.returncode == 2
     assert "speaker./listener." in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_eval_decodes_under_the_run_configs_t_max(eval_files, tmp_path):
+    # train and evaluate under one config with t_max = 4; at the default
+    # t_max of 12 the same agents report a mean length of 9.6
+    config = _train_config(tmp_path / "run.ini", eval_files / "world.lgw",
+                           tmp_path, eval={"rounds": 20})
+    assert _run_cli("train", "--config", config).returncode == 0
+    proc = _run_cli("eval", "--config", config, "--checkpoint",
+                    str(tmp_path / "ckpt" / "latest.lgc"),
+                    "--dataset", str(eval_files / "world.lgw"))
+    assert proc.returncode == 0, proc.stderr
+    lengths = [line for line in proc.stdout.splitlines()
+               if line.startswith("mean_length: ")]
+    assert len(lengths) == 1
+    assert 0 < float(lengths[0].split()[1]) <= 4
+
+
+def test_eval_honours_the_config_environment_variable(eval_files, tmp_path):
+    config = _write_config(tmp_path / "eval.ini",
+                           {"game": {"k": 5, "t_max": 3},
+                            "eval": {"rounds": 7, "seed": 9}})
+    out = tmp_path / "eval.jsonl"
+    env = dict(os.environ, PYTHONPATH=SRC, LEWISGAME_CONFIG=config)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lewisgame.cli", "eval",
+         "--checkpoint", str(eval_files / "agents.lgc"),
+         "--dataset", str(eval_files / "world.lgw"), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    (row,) = [json.loads(line) for line in out.read_text().splitlines()]
+    dataset = load_dataset(str(eval_files / "world.lgw"))
+    speaker, listener = _agents_from_checkpoint(
+        load_checkpoint(str(eval_files / "agents.lgc")), dataset)
+    report = evaluate_agents(speaker, listener, dataset, k=5, n_rounds=7,
+                             t_max=3, seed=9)
+    assert row == report.row(run_id="agents.lgc", seed=9)
 
 
 def test_config_with_unknown_section_exits_1(tmp_path):
@@ -124,13 +180,11 @@ def _train_config(path, dataset, run, **overrides):
         "model": {"d_e": 8, "d_o": 8, "n_layers": 1},
         "train": {"steps": 1, "replicas": 1},
         "world": {},
+        "eval": {},
     }
     for name, keys in overrides.items():
         sections[name].update(keys)
-    path.write_text("".join(
-        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
-        for name, keys in sections.items()), encoding="utf-8")
-    return str(path)
+    return _write_config(path, sections)
 
 
 @pytest.mark.parametrize("command, section, keys, message", [
@@ -149,14 +203,19 @@ def _train_config(path, dataset, run, **overrides):
     ("train", "train", {"clip_norm": -1}, "[train] clip_norm must be positive"),
     ("train", "train", {"temperature": -1},
      "[train] temperature must be >= 0"),
+    ("eval", "eval", {"rounds": 0}, "[eval] rounds must be at least 1"),
+    ("sweep", "eval", {"rounds": 0}, "[eval] rounds must be at least 1"),
 ], ids=["game-k", "world-objects", "train-optimizer", "train-baseline",
         "train-baseline-literal", "train-replicas", "train-targets", "train-clip-norm",
-        "train-temperature"])
+        "train-temperature", "eval-rounds-eval", "eval-rounds-sweep"])
 def test_bad_config_value_exits_1(eval_files, tmp_path, command, section,
                                   keys, message):
     config = _train_config(tmp_path / "bad.ini", eval_files / "world.lgw",
                            tmp_path, **{section: keys})
-    out = ["--out", str(tmp_path / "w.lgw")] if command == "gen-world" else []
+    out = ["--out", str(tmp_path / "out")] if command != "train" else []
+    if command == "eval":
+        out += ["--checkpoint", str(eval_files / "agents.lgc"),
+                "--dataset", str(eval_files / "world.lgw")]
     proc = _run_cli(command, "--config", config, *out)
     assert proc.returncode == 1
     assert f"config error: {message}" in proc.stderr
@@ -186,6 +245,51 @@ def test_config_values_are_read_literally(eval_files, tmp_path):
     proc = _run_cli("train", "--config", config)
     assert proc.returncode == 0, proc.stderr
     assert len(metrics.read_text(encoding="utf-8").splitlines()) == 1
+
+
+def test_train_k_larger_than_dataset_exits_2_before_writing(eval_files,
+                                                           tmp_path):
+    config = _train_config(tmp_path / "run.ini", eval_files / "world.lgw",
+                           tmp_path, game={"k": 13})
+    proc = _run_cli("train", "--config", config)
+    assert proc.returncode == 2
+    assert "data error: K=13 exceeds dataset size 12" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert os.listdir(tmp_path) == ["run.ini"]
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("sweep", "--k-list", "4,x", "expected comma-separated integers"),
+    ("sweep", "--seeds", "5,y", "expected comma-separated integers"),
+    ("plotdata", "--alpha", "0", "must lie in (0, 1]"),
+    ("plotdata", "--fields", "run_id", "field 'run_id' is not numeric"),
+], ids=["sweep-k-list", "sweep-seeds", "plotdata-alpha", "plotdata-fields"])
+def test_bad_argument_exits_1(tmp_path, command, flag, value, message):
+    metrics = tmp_path / "m.jsonl"
+    metrics.write_text(json.dumps({"run_id": "r", "step": 0,
+                                   "joint_loss": 0.5}) + "\n",
+                       encoding="utf-8")
+    extra = ["--metrics", str(metrics)] if command == "plotdata" else []
+    proc = _run_cli(command, flag, value, *extra)
+    assert proc.returncode == 1
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert os.listdir(tmp_path) == ["m.jsonl"]
+
+
+def test_pretrain_clips_at_the_configs_clip_norm(eval_files, tmp_path):
+    checkpoints = []
+    for clip_norm in ("1.0", "0.001"):
+        config = _train_config(tmp_path / f"{clip_norm}.ini",
+                               eval_files / "world.lgw", tmp_path,
+                               train={"clip_norm": clip_norm})
+        out = tmp_path / f"{clip_norm}.lgc"
+        proc = _run_cli("pretrain", "--config", config, "--out", str(out),
+                        "--steps", "2")
+        assert proc.returncode == 0, proc.stderr
+        checkpoints.append(load_checkpoint(str(out)))
+    assert not checkpoints[0].equal(checkpoints[1])
 
 
 def test_train_with_missing_dataset_exits_2(tmp_path):

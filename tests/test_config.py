@@ -32,7 +32,7 @@ def _tiny_config() -> RunConfig:
     cfg.world.max_objects, cfg.world.n_scenes, cfg.world.val_scenes = 2, 40, 16
     cfg.game.generations, cfg.game.t_max = 2, 4
     cfg.model.d_e, cfg.model.d_o, cfg.model.n_layers = 8, 8, 1
-    cfg.train.replicas = 1
+    cfg.train.steps, cfg.train.replicas = 1, 1
     cfg.eval.rounds = 2
     return cfg
 
@@ -71,7 +71,7 @@ def test_adapters_return_validated_copies():
 
 def test_sweep_records_an_invalid_k_as_a_failed_cell():
     cfg = _tiny_config()
-    cells = ablation_sweep(cfg, [1, 4], [5], steps=1)
+    cells = ablation_sweep(cfg, [1, 4], [5])
     assert cells[0] == {"k": 1, "seed": 5, "error": "K must be at least 2"}
     assert (cells[1]["k"], cells[1]["seed"]) == (4, 5)
     assert "report" in cells[1]

@@ -67,7 +67,7 @@ def _tiny_config() -> RunConfig:
                        t_max=5)
     cfg.model = replace(cfg.model, d_e=16, d_o=8, n_layers=1, n_patches=2,
                         d_att=12)
-    cfg.train = replace(cfg.train, steps=7, seed=1, replicas=2,
+    cfg.train = replace(cfg.train, steps=2, seed=1, replicas=2,
                         sync_period=1, targets_per_replica=2, lr_speaker=0.05,
                         lr_listener=0.01, optimizer_speaker="adam",
                         temperature=0.8, clip_norm=0.5)
@@ -75,7 +75,7 @@ def _tiny_config() -> RunConfig:
     return cfg
 
 
-def _direct_run(cfg: RunConfig, k: int, seed: int, steps: int):
+def _direct_run(cfg: RunConfig, k: int, seed: int):
     cfg = replace(cfg, game=replace(cfg.game, k=k),
                   train=replace(cfg.train, seed=seed))
     w = cfg.world
@@ -86,22 +86,23 @@ def _direct_run(cfg: RunConfig, k: int, seed: int, steps: int):
                       cfg.model_config(len(train.vocab),
                                        train.spec.input_dim),
                       cfg.train_settings())
-    trainer.run(steps)
+    trainer.run(cfg.train.steps)
     return evaluate_agents(trainer.speaker, trainer.listener, splits["val"],
                            k=k, n_rounds=cfg.eval.rounds, t_max=cfg.game.t_max,
                            seed=seed)
 
 
 def test_sweep_cell_equals_direct_run(tmp_path, capsys):
+    # each cell trains for the config's [train] steps = 2
     cfg = _tiny_config()
     config_path = tmp_path / "run.ini"
     config_path.write_text(cfg.to_text(), encoding="utf-8")
     out = tmp_path / "sweep.jsonl"
     code = main(["sweep", "--config", str(config_path), "--k-list", "4",
-                 "--seeds", "5", "--steps", "2", "--out", str(out)])
+                 "--seeds", "5", "--out", str(out)])
     assert code == 0
     rows = [json.loads(line) for line in out.read_text().splitlines()]
-    expected = _direct_run(cfg, k=4, seed=5, steps=2)
+    expected = _direct_run(cfg, k=4, seed=5)
     assert rows == [expected.row(run_id="sweep", seed=5)]
     assert "K=4: coverage" in capsys.readouterr().out
 
@@ -110,8 +111,8 @@ def test_sweep_workers_give_the_same_cells():
     # K=32 cannot be drawn from the 16 val scenes: that cell must fail
     # alone, with the same error in both modes
     cfg = _tiny_config()
-    serial = ablation_sweep(cfg, [4, 32], [5, 6], steps=2, workers=1)
-    parallel = ablation_sweep(cfg, [4, 32], [5, 6], steps=2, workers=2)
+    serial = ablation_sweep(cfg, [4, 32], [5, 6], workers=1)
+    parallel = ablation_sweep(cfg, [4, 32], [5, 6], workers=2)
     assert parallel == serial
     assert [(c["k"], c["seed"]) for c in serial] == [(4, 5), (4, 6),
                                                      (32, 5), (32, 6)]
