@@ -1,14 +1,18 @@
 """Hand-fused forward/backward kernels: the model's only code path.
 
-The observation encoder records one tape node per batch of
-observations (a round's K candidates share one), and the speaker
-decoder and the listener's message GRU one per message, instead of ~16
-generic ops per token; that is what keeps training fast on a small
-CPU. ``tests/reference.py`` builds the same computations from individual
-tape ops and is the oracle: forward values must match it bitwise (same
-numpy calls in the same order), gradients to float32 round-off. Backward
-passes are ordinary backprop-through-time with the weight-gradient outer
-products batched over steps.
+Each kernel records one tape node per block: the observation encoder
+one per batch of observations (a round's K candidates share one), the
+speaker decoder one per block of B messages and the listener's message
+GRU one per block of B padded messages, instead of ~16 generic ops per
+token and message; that is what keeps training fast on a small CPU.
+``tests/reference.py`` builds the same computations from individual
+tape ops, one observation or message at a time, and is the oracle. A
+one-row block runs the same numpy calls in the same order, so its
+forward values match the oracle bitwise; in a block of several rows
+each matmul sums over all rows at once, in another order, so rows match
+it within float32 round-off, as do gradients. Backward passes are
+ordinary backprop-through-time with the weight-gradient outer products
+batched over steps and rows.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import numpy as np
 
 from .tensor import F32, Tensor
 
+ZERO = F32(0)
 ONE = F32(1)
 HALF = F32(0.5)
 
@@ -46,21 +51,28 @@ def _gru_forward(x, h, Wz, bz, Wr, br, Wh, bh):
     return (ONE - z) * h + z * c, (U, z, r, V, c, h)
 
 
-def _gru_backward(g, cache, Wz, Wr, Wh, dh_extra=None):
-    """Returns (dx, dh_prev, dz, dr, dc) for one step; weight grads are
-    assembled later from the stashed U/V rows and these gate grads."""
+def _transposed(*weights):
+    """Contiguous transposes: a few rows times a contiguous W.T run
+    several times faster than times the strided view ``W.T``."""
+    return [np.ascontiguousarray(w.T) for w in weights]
+
+
+def _gru_backward(g, cache, WzT, WrT, WhT, dh_extra=None):
+    """Returns (dx, dh_prev, dz, dr, dc) for one step, given the weights'
+    ``_transposed`` copies; weight grads are assembled later from the
+    stashed U/V rows and these gate grads."""
     U, z, r, V, c, h = cache
     G = g if dh_extra is None else g + dh_extra
     dh_ = h.shape[1]
     dz = G * (c - h) * z * (ONE - z)
     dc = G * z * (ONE - c * c)
     dH = G * (ONE - z)
-    dV = dc @ Wh.T
+    dV = dc @ WhT
     drh = dV[:, :dh_]
     dX = dV[:, dh_:].copy()
     dr = drh * h * r * (ONE - r)
     dH = dH + drh * r
-    dU = dz @ Wz.T + dr @ Wr.T
+    dU = dz @ WzT + dr @ WrT
     dH = dH + dU[:, :dh_]
     dX += dU[:, dh_:]
     return dX, dH, dz, dr, dc
@@ -76,18 +88,44 @@ def _gru_weight_grads(rows):
 
 
 # ---------------------------------------------------------------------------
-# speaker decoder: attention + stacked GRU + head, one tape node per message
+# speaker decoder: attention + stacked GRU + head, one tape node per block
+
+
+def _draw(logits, temperature: float, rng) -> np.ndarray:
+    """One token per row of ``logits``: the argmax at temperature 0, else
+    a draw from softmax(logits / temperature).
+
+    A draw takes one uniform per row from ``rng`` and returns the number
+    of that row's CDF entries at or below it, which is the inverse-CDF
+    rule ``rng.choice(V, p=...)`` applies to one row.
+    """
+    if temperature == 0:
+        return np.argmax(logits, axis=1)
+    xs = logits.astype(np.float64) / temperature
+    xs -= xs.max(axis=1, keepdims=True)
+    prob = np.exp(xs)
+    prob /= prob.sum(axis=1, keepdims=True)
+    cdf = np.cumsum(prob, axis=1)
+    cdf /= cdf[:, -1:]
+    u = rng.random(len(cdf))
+    return (cdf <= u[:, None]).sum(axis=1)
 
 
 def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
                    *, tokens=None, t_max: int = 0, temperature: float = 1.0,
                    rng=None):
-    """Run the decoder over one message.
+    """Run the decoder over a block of B messages, one per row.
 
-    Teacher-forced when ``tokens`` is given, sampling otherwise.
-    ``init_hidden`` holds one start-state tensor per layer; gradients
-    flow back into them. Returns (tokens, per-step log-probs, (T,1)
-    tape node).
+    Row b attends over its own ``patches[b]`` (B, P, d_e) with its own
+    ``keys[b]`` (B, P, att_dim), and starts from row b of each layer's
+    (B, d_e) tensor in ``init_hidden``; gradients flow back into all of
+    them. Teacher-forced when ``tokens`` (B token sequences) is given,
+    sampling otherwise: each step draws one uniform per live row from
+    ``rng`` (see ``_draw``), and a row ends after its <eos> or at
+    ``t_max``. Returns (token lists, per-row log-prob arrays, (B, T) tape
+    node of the chosen tokens' log-probs, zero past each row's end).
+    Steps past a row's end are computed but masked out of its log-probs
+    and its gradients.
     """
     p = policy.params
     cfg = policy.cfg
@@ -102,24 +140,32 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
            p[f"gru{l}.wh"].nd(), p[f"gru{l}.bh"].data) for l in range(L)]
     Pt = patches.nd()
     K = keys.nd()
+    B = Pt.shape[0]
+    rows = np.arange(B)
 
     from .world import BOS, EOS
     sampling = tokens is None
-    steps = t_max if sampling else len(tokens)
+    if sampling:
+        lengths = np.full(B, t_max)
+        live = np.ones(B, bool)
+        steps = t_max
+    else:
+        lengths = np.array([len(seq) for seq in tokens])
+        steps = int(lengths.max())
+        forced = np.full((B, steps), EOS, np.intp)
+        for b, seq in enumerate(tokens):
+            forced[b, :len(seq)] = seq
     hidden = [h.nd() for h in init_hidden]
-    prev = BOS
+    prev = np.full(B, BOS, np.intp)
 
-    prev_ids, out_tokens, lps = [], [], []
+    prev_cols, tok_cols, lp_cols = [], [], []
     stash = []
     for t in range(steps):
         hq = hidden[L - 1]
-        q = hq @ Wq
-        e = np.tanh(K + q.ravel())
-        srow = (e @ v).reshape(1, K.shape[0])
-        alpha = _softmax_rows(srow)
-        ctx = alpha @ Pt
-        emb_x = emb[np.asarray([prev], dtype=np.intp)]
-        x = np.concatenate([emb_x, ctx], axis=1)
+        e = np.tanh(K + (hq @ Wq)[:, None, :])
+        alpha = _softmax_rows((e @ v)[:, :, 0])
+        ctx = (alpha[:, None, :] @ Pt)[:, 0, :]
+        x = np.concatenate([emb[prev], ctx], axis=1)
         caches = []
         for l in range(L):
             Wz, bz, Wr, br, Wh, bh = gw[l]
@@ -129,30 +175,33 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
         logits = x @ Wo + bo
         lsm = _log_softmax_rows(logits)
         if sampling:
-            if temperature == 0:
-                tok = int(np.argmax(logits.ravel()))
-            else:
-                xs = logits.ravel().astype(np.float64) / temperature
-                xs -= xs.max()
-                prob = np.exp(xs)
-                prob /= prob.sum()
-                tok = int(rng.choice(cfg.vocab_size, p=prob))
+            tok = np.full(B, EOS, np.intp)
+            tok[live] = _draw(logits[live], temperature, rng)
         else:
-            tok = int(tokens[t])
-        prev_ids.append(prev)
-        out_tokens.append(tok)
-        lps.append(lsm[0, tok])
-        stash.append((hq, e, alpha, ctx, caches, hidden[L - 1], lsm))
+            tok = forced[:, t]
+        prev_cols.append(prev)
+        tok_cols.append(tok)
+        lp_cols.append(lsm[rows, tok])
+        if tape is not None:
+            stash.append((hq, e, alpha, caches, x, lsm))
         prev = tok
-        if sampling and tok == EOS:
-            break
+        if sampling:
+            ended = live & (tok == EOS)
+            lengths[ended] = t + 1
+            live &= ~ended
+            if not live.any():
+                break
 
-    T_len = len(out_tokens)
-    lp_arr = np.array(lps, F32)
-    out = Tensor._wrap(lp_arr.copy(), (T_len, 1), True)
+    T_len = len(tok_cols)
+    mask = np.arange(T_len)[None, :] < lengths[:, None]
+    lp_arr = np.where(mask, np.stack(lp_cols, axis=1), F32(0))
+    tok_arr = np.stack(tok_cols, axis=1)
+    out_tokens = [tok_arr[b, :n].tolist() for b, n in enumerate(lengths)]
+    out_lps = [lp_arr[b, :n].copy() for b, n in enumerate(lengths)]
+    out = Tensor._wrap(lp_arr.ravel(), (B, T_len), True)
     if tape is None:
         out.requires_grad = False
-        return out_tokens, lp_arr, out
+        return out_tokens, out_lps, out
 
     inputs = [patches, keys, p["emb"], p["attn.wh"], p["attn.v"],
               p["head.w"], p["head.b"]]
@@ -162,56 +211,56 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
     inputs.extend(init_hidden)
 
     def rule(g):
-        gvec = g.reshape(T_len)
+        gmat = g.reshape(B, T_len) * mask
+        WoT, WqT = _transposed(Wo, Wq)
+        gwT = [_transposed(Wz, Wr, Wh) for Wz, _, Wr, _, Wh, _ in gw]
         dPt = np.zeros_like(Pt)
         dK = np.zeros_like(K)
-        dv = np.zeros_like(v)
-        carry = [np.zeros((1, cfg.d_e), F32) for _ in range(L)]
+        carry = [np.zeros((B, cfg.d_e), F32) for _ in range(L)]
         h_tops, dlog_rows, hq_rows, dq_rows = [], [], [], []
+        e_rows, ds_rows, demb_rows = [], [], []
         gru_rows = [[] for _ in range(L)]
-        demb_rows = []
         for t in range(T_len - 1, -1, -1):
-            hq, e, alpha, ctx, caches, h_top, lsm = stash[t]
-            go = gvec[t]
-            soft = np.exp(lsm)
-            dlogits = -go * soft
-            dlogits[0, out_tokens[t]] += go
+            hq, e, alpha, caches, h_top, lsm = stash[t]
+            go = gmat[:, t:t + 1]
+            dlogits = -go * np.exp(lsm)
+            dlogits[rows, tok_cols[t]] += go[:, 0]
             h_tops.append(h_top)
             dlog_rows.append(dlogits)
-            dx = dlogits @ Wo.T + carry[L - 1]
+            dx = dlogits @ WoT + carry[L - 1]
             for l in range(L - 1, -1, -1):
-                Wz, _, Wr, _, Wh, _ = gw[l]
                 cache = caches[l]
                 extra = carry[l] if l < L - 1 else None
-                dX, dH, dz, dr, dc = _gru_backward(dx, cache, Wz, Wr, Wh,
+                dX, dH, dz, dr, dc = _gru_backward(dx, cache, *gwT[l],
                                                    dh_extra=extra)
                 gru_rows[l].append((cache[0], cache[3], dz, dr, dc))
                 carry[l] = dH
                 dx = dX
             demb_rows.append(dx[:, :cfg.d_e])
             dctx = dx[:, cfg.d_e:]
-            dalpha = dctx @ Pt.T
-            dPt += alpha.T @ dctx
+            dalpha = (Pt @ dctx[:, :, None])[:, :, 0]
+            dPt += alpha[:, :, None] * dctx[:, None, :]
             dsrow = alpha * (dalpha - (dalpha * alpha).sum(axis=1,
                                                            keepdims=True))
-            dsc = dsrow.reshape(-1, 1)
-            dv += e.T @ dsc
-            de = dsc @ v.T
-            dpre = de * (ONE - e * e)
+            e_rows.append(e.reshape(-1, e.shape[2]))
+            ds_rows.append(dsrow.reshape(-1, 1))
+            dpre = dsrow[:, :, None] * v[:, 0] * (ONE - e * e)
             dK += dpre
-            dq = dpre.sum(axis=0, keepdims=True)
+            dq = dpre.sum(axis=1)
             hq_rows.append(hq)
             dq_rows.append(dq)
-            carry[L - 1] = carry[L - 1] + dq @ Wq.T
+            carry[L - 1] = carry[L - 1] + dq @ WqT
 
         demb = np.zeros(p["emb"].shape, F32)
-        np.add.at(demb, np.asarray(prev_ids[::-1], dtype=np.intp),
+        np.add.at(demb, np.concatenate(prev_cols[::-1]),
                   np.concatenate(demb_rows, axis=0))
         HQ = np.concatenate(hq_rows, axis=0)
         DQ = np.concatenate(dq_rows, axis=0)
         HT = np.concatenate(h_tops, axis=0)
         DL = np.concatenate(dlog_rows, axis=0)
-        grads = [dPt, dK, demb, HQ.T @ DQ, dv, HT.T @ DL,
+        E = np.concatenate(e_rows, axis=0)
+        DS = np.concatenate(ds_rows, axis=0)
+        grads = [dPt, dK, demb, HQ.T @ DQ, E.T @ DS, HT.T @ DL,
                  DL.sum(axis=0, dtype=F32)]
         for l in range(L):
             grads.extend(_gru_weight_grads(gru_rows[l]))
@@ -219,39 +268,54 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
         return grads
 
     tape.record(out, tuple(inputs), rule)
-    return out_tokens, lp_arr, out
+    return out_tokens, out_lps, out
 
 
 # ---------------------------------------------------------------------------
 # listener message encoder: plain GRU chain over an embedding matrix
 
 
-def gru_sequence(embs: Tensor, h0: np.ndarray, wz: Tensor, bz: Tensor,
-                 wr: Tensor, br: Tensor, wh: Tensor, bh: Tensor,
+def gru_sequence(embs: Tensor, lengths, h0: np.ndarray, wz: Tensor,
+                 bz: Tensor, wr: Tensor, br: Tensor, wh: Tensor, bh: Tensor,
                  tape) -> Tensor:
-    """Final hidden state of a GRU run over the rows of ``embs``."""
-    E = embs.nd()
+    """Final hidden states of a GRU run over a block of B padded sequences.
+
+    ``embs`` holds B sequences of T rows each, row-major as (B·T, d_in),
+    and ``h0`` their (B, d_h) start states. Sequence b runs for
+    ``lengths[b]`` steps and its state is held after that, so row b of
+    the (B, d_h) result is its state at its own length; padding rows get
+    no gradient.
+    """
+    lengths = np.asarray(lengths)
+    B = lengths.size
+    E = embs.nd().reshape(B, -1, embs.shape[1])
     Wz, Wr, Wh = wz.nd(), wr.nd(), wh.nd()
     bzd, brd, bhd = bz.data, br.data, bh.data
-    T_len = E.shape[0]
+    T_len = E.shape[1]
+    live = [(t < lengths)[:, None] for t in range(T_len)]
     h = h0
     caches = []
     for t in range(T_len):
-        h, cache = _gru_forward(E[t:t + 1], h, Wz, bzd, Wr, brd, Wh, bhd)
-        caches.append(cache)
-    out = Tensor._wrap(h.ravel().copy(), (1, h.shape[1]), True)
+        h_new, cache = _gru_forward(E[:, t], h, Wz, bzd, Wr, brd, Wh, bhd)
+        h = np.where(live[t], h_new, h)
+        if tape is not None:
+            caches.append(cache)
+    out = Tensor._wrap(h.ravel().copy(), h.shape, True)
     if tape is None:
         out.requires_grad = False
         return out
 
     def rule(g):
-        dh = g.reshape(1, -1)
+        dh = g.reshape(B, -1)
+        WT = _transposed(Wz, Wr, Wh)
         dx_rows, gru_rows = [], []
         for t in range(T_len - 1, -1, -1):
-            dX, dh, dz, dr, dc = _gru_backward(dh, caches[t], Wz, Wr, Wh)
+            dX, dH, dz, dr, dc = _gru_backward(np.where(live[t], dh, ZERO),
+                                               caches[t], *WT)
+            dh = np.where(live[t], dH, dh)
             dx_rows.append(dX)
             gru_rows.append((caches[t][0], caches[t][3], dz, dr, dc))
-        dE = np.concatenate(dx_rows[::-1], axis=0)
+        dE = np.stack(dx_rows[::-1], axis=1).reshape(B * T_len, -1)
         return [dE] + _gru_weight_grads(gru_rows)
 
     tape.record(out, (embs, wz, bz, wr, br, wh, bh), rule)

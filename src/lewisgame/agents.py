@@ -8,11 +8,16 @@ image-embedding space with a two-layer MLP, and scores candidates by
 inner product. By default the Listener reuses the Speaker's observation
 encoder; a stop-gradient flag detaches that path.
 
-Forward passes are pure functions of (parameters, inputs, rng state).
-Greedy decoding (temperature 0) is fully deterministic; sampled
-decoding is deterministic given the rng. Teacher-forced re-scoring of a
-sampled message reproduces the recorded log-probabilities bitwise
-because both paths execute the identical op sequence.
+Messages are decoded, rescored and embedded in blocks, one message per
+row. Forward passes are pure functions of (parameters, inputs, rng
+state, block shape). Greedy decoding (temperature 0) is fully
+deterministic; sampled decoding is deterministic given the rng.
+Teacher-forced rescoring of a sampled block, as a block of the same
+shape, reproduces the recorded log-probabilities bitwise, because both
+execute the identical op sequence. Rescoring its messages in a block of
+another shape, one at a time say, matches them within float32
+round-off, since matmuls over a different number of rows sum in another
+order.
 """
 
 from __future__ import annotations
@@ -111,7 +116,7 @@ class SpeakerPolicy:
 
     The encoder and the decoder are the kernels of ``_decode``, which
     record one tape node per encoded batch of observations and one per
-    message.
+    decoded block of messages.
     """
 
     def __init__(self, cfg: ModelConfig, params: ParameterSet):
@@ -161,16 +166,21 @@ class SpeakerPolicy:
                                   tape)
 
     def attention_keys(self, patches: Tensor, tape) -> Tensor:
-        return T.matmul(tape, patches, self.params["attn.we"])
+        """(N, P, att_dim) attention keys of (N, P, d_e) patches."""
+        n, n_patches, d_e = patches.shape
+        flat = T.reshape(tape, patches, (n * n_patches, d_e))
+        keys = T.matmul(tape, flat, self.params["attn.we"])
+        return T.reshape(tape, keys, (n, n_patches, self.cfg.att_dim))
 
     def initial_hidden(self, patches: Tensor, tape) -> list[Tensor]:
-        """Decoder start states, conditioned on the pooled observation.
+        """Decoder start states, (N, d_e) per layer, each row conditioned
+        on its pooled (N, P, d_e) patches.
 
         Seeding the recurrent state from the encoder makes messages
         observation-dependent from the first step, which is what lets
         the retrieval game bootstrap from random weights.
         """
-        pooled = T.mean(tape, patches, axis=0)
+        pooled = T.mean(tape, patches, axis=1)
         states = []
         for layer in range(self.cfg.n_layers):
             p = self.params
@@ -181,47 +191,57 @@ class SpeakerPolicy:
 
     # -- decoding ----------------------------------------------------------
 
+    def _decode(self, obs: np.ndarray, tape, **kwargs):
+        """Encode an (N, obs_dim) stack and decode one message per row."""
+        patches = self.encode(obs, tape)
+        keys = self.attention_keys(patches, tape)
+        h0 = self.initial_hidden(patches, tape)
+        return decode_message(self, patches, keys, h0, tape, **kwargs)
+
     def sample(self, obs: np.ndarray, t_max: int, temperature: float,
                n_samples: int, rng, tape=None):
-        """Draw ``n_samples`` messages; returns (samples, logprob nodes).
+        """Draw ``n_samples`` messages per observation as one block.
 
-        Sampling draws from softmax(logits / temperature); temperature 0
-        means greedy. Recorded log-probabilities always come from the
-        temperature-free log-softmax. Each returned node is a (T, 1)
-        tensor of the chosen tokens' log-probs (None when untaped).
+        ``obs`` is one (obs_dim,) observation or an (N, obs_dim) stack.
+        Returns (samples, node): a flat list of N·n_samples messages,
+        observation-major (the first observation's n_samples, then the
+        next one's), and the block's (N·n_samples, T) tensor of the chosen
+        tokens' log-probs, zero past each message's end (untaped when
+        ``tape`` is None). Sampling draws from softmax(logits /
+        temperature); temperature 0 means greedy. Recorded
+        log-probabilities always come from the temperature-free
+        log-softmax.
         """
         if temperature < 0:
             raise ValueError("temperature must be >= 0")
-        patches = self.encode(obs, tape)
-        keys = self.attention_keys(patches, tape)
-        h0 = self.initial_hidden(patches, tape)
-        samples, nodes = [], []
-        for _ in range(n_samples):
-            tokens, lps, node = decode_message(
-                self, patches, keys, h0, tape, t_max=t_max,
-                temperature=temperature, rng=rng)
-            samples.append(MessageSample(tuple(tokens), lps))
-            nodes.append(node)
-        return samples, nodes
+        rows = np.repeat(obs.reshape(-1, self.cfg.obs_dim), n_samples, axis=0)
+        tokens, lps, node = self._decode(rows, tape, t_max=t_max,
+                                         temperature=temperature, rng=rng)
+        return [MessageSample(tuple(t), lp) for t, lp in zip(tokens, lps)], node
 
-    def logprobs(self, obs: np.ndarray, tokens, tape=None):
-        """Teacher-forced per-step log-probabilities of a fixed message."""
-        tokens = list(tokens)
-        if not tokens:
-            raise ValueError("logprobs: message must contain at least one token")
-        patches = self.encode(obs, tape)
-        keys = self.attention_keys(patches, tape)
-        h0 = self.initial_hidden(patches, tape)
-        _, lps, node = decode_message(self, patches, keys, h0, tape,
-                                      tokens=tokens)
+    def logprobs(self, obs: np.ndarray, messages, tape=None):
+        """Teacher-forced per-step log-probabilities of fixed messages.
+
+        ``obs`` is an (N, obs_dim) stack and ``messages`` holds one token
+        sequence per row, decoded as one block. Returns (per-message
+        log-prob arrays, the block's (N, T) node, zero past each
+        message's end).
+        """
+        messages = [list(m) for m in messages]
+        if not messages or not all(messages):
+            raise ValueError("logprobs: every message must contain at "
+                             "least one token")
+        _, lps, node = self._decode(obs.reshape(-1, self.cfg.obs_dim), tape,
+                                    tokens=messages)
         return lps, node
 
 
 class ListenerModel:
     """Message encoder, projection MLP, and shared image encoder head.
 
-    A round's K candidates are embedded as one batch (``embed_images``),
-    so the tape holds the same few nodes for them whatever K is.
+    Candidates are embedded as one batch (``embed_images``) and messages
+    as one padded block (``embed_message``), so the tape holds the same
+    few nodes for them whatever their number.
     """
 
     def __init__(self, cfg: ModelConfig, params: ParameterSet, encoder=None):
@@ -241,14 +261,20 @@ class ListenerModel:
         _add_linear(p, rng, "img", cfg.d_e, cfg.d_o)
         return cls(cfg, p, encoder)
 
-    def embed_message(self, tokens, tape=None) -> Tensor:
-        """Summary vector of a message, from the final recurrent state."""
-        tokens = list(tokens)
-        if not tokens:
-            raise ValueError("embed_message: message must be non-empty")
+    def embed_message(self, messages, tape=None) -> Tensor:
+        """(B, d_o) summary vectors of B messages, from each one's final
+        recurrent state; the messages run through the GRU as one padded
+        block."""
+        lengths = [len(m) for m in messages]
+        if not lengths or min(lengths) == 0:
+            raise ValueError("embed_message: messages must be non-empty")
+        ids = np.zeros((len(lengths), max(lengths)), np.intp)  # 0 pads
+        for b, m in enumerate(messages):
+            ids[b, :len(m)] = m
         p = self.params
-        embs = T.embedding(tape, p["emb"], tokens)
-        h = gru_sequence(embs, np.zeros((1, self.cfg.d_o), F32),
+        embs = T.embedding(tape, p["emb"], ids.ravel())
+        h = gru_sequence(embs, lengths,
+                         np.zeros((len(lengths), self.cfg.d_o), F32),
                          p["gru.wz"], p["gru.bz"], p["gru.wr"], p["gru.br"],
                          p["gru.wh"], p["gru.bh"], tape)
         mid = T.tanh(tape, T.add(tape, T.matmul(tape, h, p["proj.l1.w"]),
@@ -274,19 +300,24 @@ class ListenerModel:
         pooled = T.mean(tape, patches, axis=1)
         return T.add(tape, T.matmul(tape, pooled, p["img.w"]), p["img.b"])
 
-    def log_probs(self, tokens, v_imgs: Tensor, tape=None) -> Tensor:
-        """(1, K) log-probabilities of the candidates given a message.
+    def log_probs(self, v_msgs: Tensor, v_imgs: Tensor,
+                  tape=None) -> Tensor:
+        """(N·G, K) log-probabilities of each round's candidates given
+        each of its messages.
 
-        Scores are inner products between the message summary and each
-        row of ``v_imgs`` (from ``embed_images``); their log-softmax is
-        both the listener's loss term and, through ``exp``, the shared
-        reward and the evaluation ranking.
+        ``v_msgs`` (N, G, d_o) holds G message summaries (from
+        ``embed_message``) for each of N rounds, and ``v_imgs`` (N, K,
+        d_o) each round's candidate embeddings (from ``embed_images``).
+        Scores are inner products between a message summary and its
+        round's candidates; row n·G + g is the log-softmax of round n's
+        scores for its message g. That is both the listener's loss term
+        and, through ``exp``, the shared reward and the evaluation
+        ranking.
         """
-        v_m = self.embed_message(tokens, tape)
-        scores = T.matmul(tape, v_imgs,
-                          T.reshape(tape, v_m, (v_m.shape[1], 1)))
+        n, g, _ = v_msgs.shape
+        scores = T.inner(tape, v_msgs, v_imgs)
         return T.log_softmax(
-            tape, T.reshape(tape, scores, (1, v_imgs.shape[0])))
+            tape, T.reshape(tape, scores, (n * g, v_imgs.shape[1])))
 
 
 def model_config_from_params(speaker_params: ParameterSet,

@@ -22,7 +22,7 @@ from .config import ConfigError, RunConfig, load_config
 from .evaluate import (EVAL_METRICS, ablation_sweep, ema, evaluate_agents,
                        supervised_pretrain, sweep_summary)
 from .params import (FormatError, ParameterSet, load_checkpoint,
-                     save_checkpoint)
+                     save_checkpoint, write_atomic)
 from .training import NumericalFailureError, Trainer
 from .world import CapacityError, SamplingError, load_dataset, save_dataset
 
@@ -61,6 +61,29 @@ def _make_trainer(cfg: RunConfig, dataset) -> Trainer:
                    cfg.train_settings())
 
 
+def _logged_from(line: bytes, run_id: str, step: int) -> bool:
+    """Whether ``line`` is a metrics row of ``run_id`` at or past ``step``."""
+    try:
+        row = json.loads(line)
+    except ValueError:
+        return False
+    return (isinstance(row, dict) and row.get("run_id") == run_id
+            and isinstance(row.get("step"), int) and row["step"] >= step)
+
+
+def _drop_rows_from(path: str, run_id: str, step: int) -> None:
+    """Rewrite the metrics log at ``path`` without ``run_id``'s rows at or
+    past ``step``, so that a run resumed from a checkpoint older than the
+    log does not log those steps twice. Other lines are kept as they are."""
+    if not os.path.exists(path):
+        return
+    with open(path, "rb") as fh:
+        lines = fh.readlines()
+    kept = [line for line in lines if not _logged_from(line, run_id, step)]
+    if len(kept) < len(lines):
+        write_atomic(path, kept)
+
+
 def cmd_train(args) -> int:
     cfg = _load_cfg(args.config)
     dataset = load_dataset(cfg.paths.dataset)
@@ -70,6 +93,7 @@ def cmd_train(args) -> int:
     remaining = cfg.train.steps - trainer.step_index
     run_id = cfg.run_id()
     os.makedirs(os.path.dirname(cfg.paths.metrics) or ".", exist_ok=True)
+    _drop_rows_from(cfg.paths.metrics, run_id, trainer.step_index)
     stop = {"flag": False}
 
     def on_signal(signum, frame):
@@ -171,30 +195,45 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
-    rows = []
+    rows = []  # (line number, row) of each non-blank line
     with open(args.metrics, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
+        for number, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except ValueError:
+                row = None
+            if not isinstance(row, dict):
+                print(f"data error: {args.metrics} line {number} is not a "
+                      f"JSON object", file=sys.stderr)
+                return EXIT_DATA
+            rows.append((number, row))
     if not rows:
         print("metrics log is empty", file=sys.stderr)
         return EXIT_DATA
-    available = [k for k in rows[0] if k not in ("run_id",)]
+    first = rows[0][1]
+    available = [k for k in first if k not in ("run_id",)]
     fields = [f.strip() for f in args.fields.split(",") if f.strip()]
     for f in fields:
-        if f not in rows[0]:
+        if f not in first:
             print(f"unknown field {f!r}; available: {', '.join(available)}",
                   file=sys.stderr)
             return EXIT_USAGE
-        if not isinstance(rows[0][f], (int, float)):
+        if not isinstance(first[f], (int, float)):
             print(f"field {f!r} is not numeric", file=sys.stderr)
             return EXIT_USAGE
-    columns = {f: np.array([float(r[f]) for r in rows]) for f in fields}
+    for number, row in rows:
+        for f in ["step"] + fields:
+            if not isinstance(row.get(f), (int, float)):
+                print(f"data error: {args.metrics} line {number} has no "
+                      f"numeric {f!r}", file=sys.stderr)
+                return EXIT_DATA
+    columns = {f: np.array([float(r[f]) for _, r in rows]) for f in fields}
     if args.alpha < 1.0:
         columns = {f: ema(v, args.alpha) for f, v in columns.items()}
     print("\t".join(["step"] + fields))
-    for i, r in enumerate(rows):
+    for i, (_, r) in enumerate(rows):
         vals = "\t".join(f"{columns[f][i]:.6g}" for f in fields)
         print(f"{r['step']}\t{vals}")
     return EXIT_OK

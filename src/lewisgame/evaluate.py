@@ -25,7 +25,7 @@ import numpy as np
 from . import tensor as T
 from .agents import ListenerModel, SpeakerPolicy
 from .config import RunConfig
-from .game import play_round, solve_rate
+from .game import play_rounds, solve_rate
 from .optim import clip_global_norm, make_optimizer
 from .tensor import Tape, Tensor, backward
 from .training import Trainer
@@ -141,21 +141,20 @@ def evaluate_agents(speaker: SpeakerPolicy, listener: ListenerModel,
                     t_max: int = 12, seed: int = 0) -> EvalReport:
     """Play evaluation rounds and aggregate caption/game metrics.
 
-    Each round draws K candidates and plays them through
-    ``game.play_round``, the round training plays, with one message
-    decoded at temperature 0 (argmax), no tape and no rng. Deterministic
-    given (parameters, dataset, seed): distractor draws come from a
+    Every round's K candidates are drawn first; the rounds are then
+    played through ``game.play_rounds``, as training plays them, with one
+    message per round decoded at temperature 0 (argmax), no tape and no
+    rng, all ``n_rounds`` messages as one block. Deterministic given
+    (parameters, dataset, seed, n_rounds): distractor draws come from a
     fresh seeded stream.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A1]))
-    episodes = []
+    batches = [sample_game_batch(dataset, k, rng) for _ in range(n_rounds)]
+    episodes = play_rounds(speaker, listener, dataset.model_inputs(),
+                           batches, 1, t_max, None,
+                           temperature=0.0).episodes
     bleus, coverages, lengths = [], [], []
-    for _ in range(n_rounds):
-        batch = sample_game_batch(dataset, k, rng)
-        (episode,) = play_round(
-            speaker, listener, dataset.model_inputs()[batch.scene_indices],
-            batch.target_pos, 1, t_max, None, temperature=0.0).episodes
-        episodes.append(episode)
+    for batch, episode in zip(batches, episodes):
         target = int(batch.scene_indices[batch.target_pos])
         content = _strip_eos(episode.message.tokens)
         lengths.append(len(content))
@@ -202,19 +201,17 @@ def supervised_pretrain(speaker: SpeakerPolicy, dataset: Dataset, steps: int,
     for _ in range(steps):
         speaker.params.zero_grads()
         tape = Tape()
-        rows = []
         idx = rng.choice(len(dataset),
                          size=min(PRETRAIN_BATCH, len(dataset)), replace=False)
+        messages = []
         for i in idx:
             caps = dataset.captions[int(i)]
-            cap = caps[int(rng.integers(len(caps)))]
-            tokens = list(cap) + [EOS]
-            _, node = speaker.logprobs(dataset.model_inputs()[int(i)], tokens,
-                                       tape)
-            rows.append(node)
-        flat = T.concat(tape, [T.reshape(tape, r, (r.size,)) for r in rows],
-                        axis=0)
-        loss = T.mul(tape, T.mean(tape, flat), Tensor([-1.0]))
+            messages.append(list(caps[int(rng.integers(len(caps)))]) + [EOS])
+        _, node = speaker.logprobs(dataset.model_inputs()[idx], messages, tape)
+        # the block is zero past each caption's end: its sum is the
+        # captions' total log-likelihood
+        n_tokens = sum(len(m) for m in messages)
+        loss = T.mul(tape, T.tsum(tape, node), Tensor([-1.0 / n_tokens]))
         backward(tape, loss)
         clip_global_norm(speaker.params, clip_norm)
         opt.step(speaker.params)

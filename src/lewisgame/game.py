@@ -7,8 +7,11 @@ the listener's log-probability of the target, the same taped
 log-softmax its loss backpropagates through; the 0/1 indicator (argmax
 hit) is kept alongside it.
 
-``play_round`` plays a round once its candidates are drawn, for training
-(sampled, taped) and evaluation (one greedy message, untaped) alike.
+``play_rounds`` plays rounds once their candidates are drawn, for
+training (sampled, taped) and evaluation (one greedy message per round,
+untaped) alike. Every message of the rounds it plays is decoded as one
+block and embedded by the listener as one block, so the tape holds the
+same nodes whatever the number of rounds and of messages per round.
 Rewards are spread backward over message tokens as discounted
 rewards-to-go by ``training.group_advantages``, the one place that
 discounts.
@@ -24,7 +27,7 @@ import numpy as np
 
 from . import tensor as T
 from .agents import ListenerModel, MessageSample, SpeakerPolicy
-from .tensor import F32
+from .tensor import F32, Tensor
 from .world import Dataset, sample_game_batch
 
 
@@ -67,12 +70,20 @@ class GameEpisode:
 
 @dataclass
 class RoundTrace:
-    """One played round: its episodes and the tape handles the trainer
-    consumes (untaped when the round was played without a tape)."""
+    """Played rounds: their episodes, round-major (each round's G
+    generations in a row), and the tape handles the trainer consumes."""
 
     episodes: list
-    logprob_nodes: list      # per episode: (T,1) chosen-token log-probs
-    logp_target_nodes: list  # per episode: (1,1) listener log-prob at target
+    generations: int
+    logprobs: Tensor     # (B, T) chosen-token log-probs, 0 past each end
+    logp_target: Tensor  # (B, 1) listener log-probs at the targets; None
+    #                      when played without a tape
+
+    def groups(self) -> list:
+        """The episodes of each round, in order."""
+        g = self.generations
+        return [self.episodes[i:i + g]
+                for i in range(0, len(self.episodes), g)]
 
 
 def rewards_to_go(reward: float, length: int, gamma: float) -> np.ndarray:
@@ -100,37 +111,66 @@ def make_episode(target: int, message: MessageSample,
                        indicator=int(int(np.argmax(probs)) == target))
 
 
-def play_round(speaker: SpeakerPolicy, listener: ListenerModel,
-               candidates: np.ndarray, target: int, generations: int,
-               t_max: int, rng, temperature: float = 1.0,
-               tape=None) -> RoundTrace:
-    """Play one round over drawn candidates: G episodes sharing a target.
+def _score(speaker: SpeakerPolicy, listener: ListenerModel,
+           inputs: np.ndarray, batches, v_msgs: Tensor, tape) -> Tensor:
+    """(n·G, K) listener log-probs of the n rounds in ``batches``, given
+    their messages' (n·G, d_o) summaries, round-major."""
+    n, k = len(batches), batches[0].scene_indices.size
+    v_imgs = listener.embed_images(
+        inputs[np.concatenate([b.scene_indices for b in batches])], tape,
+        encoder=speaker)
+    d = v_imgs.shape[1]
+    return listener.log_probs(
+        T.reshape(tape, v_msgs, (n, v_msgs.shape[0] // n, d)),
+        T.reshape(tape, v_imgs, (n, k, d)), tape)
 
-    ``candidates`` holds the K candidates' model inputs, one per row, and
-    ``target`` is the target's row. The speaker describes the target
-    ``generations`` times; temperature 0 decodes greedily and needs no
-    ``rng``.
+
+def play_rounds(speaker: SpeakerPolicy, listener: ListenerModel,
+                inputs: np.ndarray, batches, generations: int, t_max: int,
+                rng, temperature: float = 1.0, tape=None) -> RoundTrace:
+    """Play drawn rounds: ``generations`` episodes per round.
+
+    ``inputs`` holds every scene's model input, one per row, and each
+    ``GameBatch`` of ``batches`` names a round's K candidate rows and its
+    target. One ``SpeakerPolicy.sample`` call describes every round's
+    target ``generations`` times, and one ``embed_message`` call embeds
+    all those messages. Taped, every round's candidates are embedded and
+    scored as one block, since the tape keeps all their activations
+    anyway; untaped, round by round, so that memory does not grow with
+    K × rounds. Temperature 0 decodes greedily and needs no ``rng``.
     """
-    samples, node_lists = speaker.sample(candidates[target], t_max,
-                                         temperature, generations, rng, tape)
-    v_imgs = listener.embed_images(candidates, tape, encoder=speaker)
-    episodes, logp_targets = [], []
-    for sample in samples:
-        logp = listener.log_probs(sample.tokens, v_imgs, tape)
-        episodes.append(make_episode(target, sample, np.exp(logp.data)))
-        logp_targets.append(T.gather_cols(tape, logp, [target]))
-    return RoundTrace(episodes, node_lists, logp_targets)
+    targets = [b.scene_indices[b.target_pos] for b in batches]
+    samples, logprobs = speaker.sample(inputs[targets], t_max, temperature,
+                                       generations, rng, tape)
+    v_msgs = listener.embed_message([s.tokens for s in samples], tape)
+    g = generations
+    if tape is None:
+        logp = np.concatenate([
+            _score(speaker, listener, inputs, [b],
+                   Tensor(v_msgs.nd()[i * g:(i + 1) * g]), None).nd()
+            for i, b in enumerate(batches)])
+        logp_target = None
+    else:
+        node = _score(speaker, listener, inputs, batches, v_msgs, tape)
+        logp = node.nd()
+        logp_target = T.gather_cols(
+            tape, node, np.repeat([b.target_pos for b in batches], g))
+    episodes = [make_episode(batches[i // g].target_pos, sample,
+                             np.exp(logp[i]))
+                for i, sample in enumerate(samples)]
+    return RoundTrace(episodes, g, logprobs, logp_target)
 
 
 def _play_round_traced(speaker: SpeakerPolicy, listener: ListenerModel,
                        dataset: Dataset, config: GameConfig, rng,
-                       temperature: float = 1.0, tape=None) -> RoundTrace:
-    """Draw a training round's candidates, then play it."""
-    batch = sample_game_batch(dataset, config.k, rng)
-    return play_round(speaker, listener,
-                      dataset.model_inputs()[batch.scene_indices],
-                      batch.target_pos, config.generations, config.t_max,
-                      rng, temperature, tape)
+                       temperature: float = 1.0, tape=None,
+                       n_rounds: int = 1) -> RoundTrace:
+    """Draw ``n_rounds`` training rounds' candidates, then play them."""
+    batches = [sample_game_batch(dataset, config.k, rng)
+               for _ in range(n_rounds)]
+    return play_rounds(speaker, listener, dataset.model_inputs(), batches,
+                       config.generations, config.t_max, rng, temperature,
+                       tape)
 
 
 def solve_rate(episodes, top_n: int) -> float:

@@ -154,6 +154,27 @@ def matmul(tape, a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def inner(tape, a: Tensor, b: Tensor) -> Tensor:
+    """Inner products of rows, batched: a (n, m, d) and b (n, k, d) give
+    (n, m, k) with out[i, j, l] = a[i, j] . b[i, l]."""
+    if (a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0]
+            or a.shape[2] != b.shape[2]):
+        raise ShapeError(f"inner: incompatible shapes {a.shape} and {b.shape}")
+    A, B = a.nd(), b.nd()
+    out_nd = A @ B.transpose(0, 2, 1)
+    req = a.requires_grad or b.requires_grad
+    out = _emit(tape, out_nd, req)
+    if req and tape is not None:
+        def rule(g):
+            G = g.reshape(out.shape)
+            return (
+                (G @ B) if a.requires_grad else None,
+                (G.transpose(0, 2, 1) @ A) if b.requires_grad else None,
+            )
+        tape.record(out, (a, b), rule)
+    return out
+
+
 def _binary_mode(a: Tensor, b: Tensor, name: str) -> str:
     if a.shape == b.shape:
         return "same"
@@ -204,41 +225,6 @@ def mul(tape, a: Tensor, b: Tensor) -> Tensor:
                 _reduce_b((G * A).ravel(), mode, a.shape) if b.requires_grad else None,
             )
         tape.record(out, (a, b), rule)
-    return out
-
-
-def concat(tape, parts, axis: int = 0) -> Tensor:
-    """Concatenate tensors of equal rank along axis 0 or 1."""
-    parts = list(parts)
-    if not parts:
-        raise ShapeError("concat: no inputs")
-    nd = parts[0].ndim
-    if axis not in (0, 1) or axis >= nd:
-        raise ShapeError(f"concat: bad axis {axis} for rank {nd}")
-    for p in parts[1:]:
-        if p.ndim != nd:
-            raise ShapeError(f"concat: rank mismatch {parts[0].shape} vs {p.shape}")
-        other = 1 - axis
-        if nd == 2 and p.shape[other] != parts[0].shape[other]:
-            raise ShapeError(f"concat: shape mismatch {parts[0].shape} vs {p.shape}")
-    out_nd = np.concatenate([p.nd() for p in parts], axis=axis)
-    req = any(p.requires_grad for p in parts)
-    out = _emit(tape, out_nd, req)
-    if req and tape is not None:
-        sizes = [p.shape[axis] for p in parts]
-        def rule(g):
-            G = g.reshape(out.shape)
-            grads = []
-            off = 0
-            for p, s in zip(parts, sizes):
-                if p.requires_grad:
-                    piece = G[off:off + s] if axis == 0 else G[:, off:off + s]
-                    grads.append(np.ascontiguousarray(piece).copy())
-                else:
-                    grads.append(None)
-                off += s
-            return grads
-        tape.record(out, tuple(parts), rule)
     return out
 
 

@@ -166,20 +166,23 @@ def sync_replicas(param_sets) -> None:
 
 
 def _group_loss_node(tape, trace, advs):
-    """Group surrogate loss: mean over episodes of -(1/T) sum logpi * A."""
-    episode_nodes = []
-    for ep, node, a in zip(trace.episodes, trace.logprob_nodes, advs):
-        weights = Tensor((-a / F32(ep.message.length)).reshape(-1, 1))
-        episode_nodes.append(T.tsum(tape, T.mul(tape, node, weights)))
-    return T.mean(tape, T.concat(tape, episode_nodes, axis=0))
+    """Speaker surrogate loss of played rounds: the mean over their groups
+    of each group's mean over episodes of -(1/T) sum logpi * A.
+
+    ``advs`` holds one advantage vector per episode of ``trace``. Groups
+    are equal in size, so that is the mean over all episodes, taken as
+    one weighted sum over the (B, T) log-prob block.
+    """
+    n = len(trace.episodes)
+    weights = np.zeros(trace.logprobs.shape, F32)
+    for row, (ep, a) in enumerate(zip(trace.episodes, advs)):
+        weights[row, :a.size] = -a / F32(ep.message.length) / F32(n)
+    return T.tsum(tape, T.mul(tape, trace.logprobs, Tensor(weights)))
 
 
-def _listener_loss_node(tape, traces):
-    nodes = []
-    for trace in traces:
-        nodes.extend(trace.logp_target_nodes)
-    stacked = T.concat(tape, nodes, axis=0)
-    return T.mul(tape, T.mean(tape, stacked), Tensor([-1.0]))
+def _listener_loss_node(tape, trace):
+    """Mean over episodes of minus the listener's log-prob at the target."""
+    return T.mul(tape, T.mean(tape, trace.logp_target), Tensor([-1.0]))
 
 
 def train_step(replicas, listener: ListenerModel, dataset,
@@ -187,10 +190,10 @@ def train_step(replicas, listener: ListenerModel, dataset,
                speaker_opts, listener_opt, rngs) -> LossReport:
     """One optimization step across all replicas.
 
-    Each replica plays its own rounds and optimizes the mean of its
-    group losses; the listener optimizes the mean loss over every
-    episode of the step. Parameters are untouched if any loss or
-    gradient comes out non-finite.
+    Each replica plays its ``targets_per_replica`` rounds as one block
+    and optimizes the mean of its group losses; the listener optimizes
+    the mean loss over every episode of the step. Parameters are
+    untouched if any loss or gradient comes out non-finite.
     """
     n_rep = len(replicas)
     lam = game_cfg.lam
@@ -202,21 +205,17 @@ def train_step(replicas, listener: ListenerModel, dataset,
     rewards, indicators, adv_vars = [], [], []
     for w, rep in enumerate(replicas):
         tape = Tape()
-        traces = []
-        for _ in range(settings.targets_per_replica):
-            traces.append(_play_round_traced(
-                rep, listener, dataset, game_cfg, rngs[w],
-                settings.temperature, tape))
+        trace = _play_round_traced(rep, listener, dataset, game_cfg, rngs[w],
+                                   settings.temperature, tape,
+                                   settings.targets_per_replica)
         group_advs = [
-            group_advantages(tr.episodes, game_cfg.gamma,
-                             settings.baseline_mode,
+            group_advantages(group, game_cfg.gamma, settings.baseline_mode,
                              settings.standardize_advantages)
-            for tr in traces
+            for group in trace.groups()
         ]
-        group_nodes = [_group_loss_node(tape, tr, advs)
-                       for tr, advs in zip(traces, group_advs)]
-        spk_node = T.mean(tape, T.concat(tape, group_nodes, axis=0))
-        lst_node = _listener_loss_node(tape, traces)
+        spk_node = _group_loss_node(tape, trace,
+                                    [a for advs in group_advs for a in advs])
+        lst_node = _listener_loss_node(tape, trace)
         if lam > 0:
             total = T.add(tape, spk_node,
                           T.mul(tape, lst_node, Tensor([lam / n_rep])))
@@ -227,12 +226,11 @@ def train_step(replicas, listener: ListenerModel, dataset,
         if not (np.isfinite(spk_values[-1]) and np.isfinite(lst_values[-1])):
             _abort(replicas, listener)
         backward(tape, total)
-        for tr, advs in zip(traces, group_advs):
-            for ep in tr.episodes:
-                rewards.append(ep.reward)
-                indicators.append(ep.indicator)
-            if game_cfg.generations >= 2:
-                adv_vars.append(advantage_variance(advs))
+        for ep in trace.episodes:
+            rewards.append(ep.reward)
+            indicators.append(ep.indicator)
+        if game_cfg.generations >= 2:
+            adv_vars.extend(advantage_variance(advs) for advs in group_advs)
 
     spk_norms = [grad_global_norm(rep.params) for rep in replicas]
     lst_norm = grad_global_norm(listener.params)

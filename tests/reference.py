@@ -3,12 +3,13 @@ and numpy reference for the listener's scores and the trainer's losses.
 
 The observation encoder, the speaker decoder, the listener's message
 GRU and its candidate embedding are built here from individual tape
-ops, one node per operation and one observation at a time. The
-kernels must reproduce these forward values bitwise, and their
-gradients to float32 round-off; the tests compare the two. The batched
-candidate embedding is the exception: its matmuls over all K rows sum
-in another order than K one-row products, so it is held to a stated
-tolerance instead.
+ops, one node per operation and one observation or message at a time
+(``softmax``, ``concat`` and ``gru_cell`` are generic ops that only these
+oracles use). On one-row blocks the kernels must reproduce these forward
+values bitwise, and their gradients to float32 round-off; the tests
+compare the two. Blocks of several rows (K candidates, or B messages)
+are held to a stated tolerance instead, because their matmuls over all
+rows sum in another order than one-row products.
 
 ``listener_probs``, ``speaker_loss`` and ``listener_loss`` compute the
 candidate probabilities and the two training losses in plain numpy
@@ -16,9 +17,10 @@ candidate probabilities and the two training losses in plain numpy
 ``ListenerModel.log_probs`` and the trainer's loss nodes to them within
 a stated tolerance.
 
-``evaluate_agents`` is the evaluation loop that assembled each round by
-hand before evaluation played through ``game.play_round``; the package's
-``evaluate_agents`` must return the same report bitwise.
+``evaluate_agents`` is the evaluation loop that assembles and decodes
+each round by hand, one message at a time; the package's
+``evaluate_agents``, which decodes every round's message as one block,
+must return the same report.
 
 ``gradcheck`` holds tape gradients to central finite differences, and
 ``generate_dataset`` is the one-split world the tests train and score
@@ -54,6 +56,41 @@ def softmax(tape, a: Tensor) -> Tensor:
             G = g.reshape(s.shape)
             return (((G - (G * s).sum(axis=1, keepdims=True)) * s),)
         tape.record(out, (a,), rule)
+    return out
+
+
+def concat(tape, parts, axis: int = 0) -> Tensor:
+    """Concatenate tensors of equal rank along axis 0 or 1."""
+    parts = list(parts)
+    if not parts:
+        raise ShapeError("concat: no inputs")
+    nd = parts[0].ndim
+    if axis not in (0, 1) or axis >= nd:
+        raise ShapeError(f"concat: bad axis {axis} for rank {nd}")
+    for p in parts[1:]:
+        if p.ndim != nd:
+            raise ShapeError(f"concat: rank mismatch {parts[0].shape} vs {p.shape}")
+        other = 1 - axis
+        if nd == 2 and p.shape[other] != parts[0].shape[other]:
+            raise ShapeError(f"concat: shape mismatch {parts[0].shape} vs {p.shape}")
+    out_nd = np.concatenate([p.nd() for p in parts], axis=axis)
+    req = any(p.requires_grad for p in parts)
+    out = _emit(tape, out_nd, req)
+    if req and tape is not None:
+        sizes = [p.shape[axis] for p in parts]
+        def rule(g):
+            G = g.reshape(out.shape)
+            grads = []
+            off = 0
+            for p, s in zip(parts, sizes):
+                if p.requires_grad:
+                    piece = G[off:off + s] if axis == 0 else G[:, off:off + s]
+                    grads.append(np.ascontiguousarray(piece).copy())
+                else:
+                    grads.append(None)
+                off += s
+            return grads
+        tape.record(out, tuple(parts), rule)
     return out
 
 
@@ -144,7 +181,7 @@ def embed_images(listener, observations: np.ndarray, tape=None,
         pooled = T.mean(tape, patches, axis=0)
         rows.append(T.add(tape, T.matmul(tape, pooled, p["img.w"]),
                           p["img.b"]))
-    return T.concat(tape, rows, axis=0)
+    return concat(tape, rows, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +206,7 @@ def step(speaker, tok: int, hidden: list, patches: Tensor, keys: Tensor,
     p = speaker.params
     emb = T.embedding(tape, p["emb"], [tok])
     ctx, alpha = attend(speaker, hidden[-1], patches, keys, tape)
-    x = T.concat(tape, [emb, ctx], axis=1)
+    x = concat(tape, [emb, ctx], axis=1)
     new_hidden = []
     for layer in range(speaker.cfg.n_layers):
         g = f"gru{layer}"
@@ -213,20 +250,29 @@ def decode(speaker, patches, keys, h0, tape, *, tokens=None, t_max=0,
         prev = tok
         if sampling and tok == EOS:
             break
-    node = T.concat(tape, step_nodes, axis=0)
+    node = concat(tape, step_nodes, axis=0)
     return out_tokens, np.array(lps, F32), node
 
 
-def _start(speaker, obs, tape):
+def start(speaker, obs, tape):
+    """Patches, attention keys and decoder start states of one
+    observation: (P, d_e), (P, att_dim) and one (1, d_e) per layer."""
+    p = speaker.params
     patches = encode(speaker, obs, tape)
-    keys = speaker.attention_keys(patches, tape)
-    return patches, keys, speaker.initial_hidden(patches, tape)
+    keys = T.matmul(tape, patches, p["attn.we"])
+    pooled = T.mean(tape, patches, axis=0)
+    h0 = [T.tanh(tape, T.add(tape, T.matmul(tape, pooled, p[f"init{l}.w"]),
+                             p[f"init{l}.b"]))
+          for l in range(speaker.cfg.n_layers)]
+    return patches, keys, h0
 
 
 def sample(speaker, obs: np.ndarray, t_max: int, temperature: float,
            n_samples: int, rng, tape=None):
-    """``SpeakerPolicy.sample`` built from individual ops."""
-    patches, keys, h0 = _start(speaker, obs, tape)
+    """``SpeakerPolicy.sample`` of one observation, one message at a
+    time, built from individual ops; returns one (T, 1) node per
+    message."""
+    patches, keys, h0 = start(speaker, obs, tape)
     samples, nodes = [], []
     for _ in range(n_samples):
         tokens, lps, node = decode(speaker, patches, keys, h0, tape,
@@ -238,8 +284,9 @@ def sample(speaker, obs: np.ndarray, t_max: int, temperature: float,
 
 
 def logprobs(speaker, obs: np.ndarray, tokens, tape=None):
-    """``SpeakerPolicy.logprobs`` built from individual ops."""
-    patches, keys, h0 = _start(speaker, obs, tape)
+    """``SpeakerPolicy.logprobs`` of one message, built from individual
+    ops; returns its (T, 1) node."""
+    patches, keys, h0 = start(speaker, obs, tape)
     _, lps, node = decode(speaker, patches, keys, h0, tape,
                           tokens=list(tokens))
     return lps, node
@@ -258,6 +305,18 @@ def gru_sequence(embs: Tensor, h0: np.ndarray, wz: Tensor, bz: Tensor,
         x = T.embedding(tape, embs, [t])
         h = gru_cell(tape, x, h, wz, bz, wr, br, wh, bh)
     return h
+
+
+def embed_message(listener, tokens, tape=None) -> Tensor:
+    """``ListenerModel.embed_message`` of one message: (1, d_o)."""
+    p = listener.params
+    embs = T.embedding(tape, p["emb"], list(tokens))
+    h = gru_sequence(embs, np.zeros((1, listener.cfg.d_o), F32), p["gru.wz"],
+                     p["gru.bz"], p["gru.wr"], p["gru.br"], p["gru.wh"],
+                     p["gru.bh"], tape)
+    mid = T.tanh(tape, T.add(tape, T.matmul(tape, h, p["proj.l1.w"]),
+                             p["proj.l1.b"]))
+    return T.add(tape, T.matmul(tape, mid, p["proj.l2.w"]), p["proj.l2.b"])
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +358,8 @@ def listener_loss(episode) -> float:
 def evaluate_agents(speaker, listener, dataset, k: int, n_rounds: int = 200,
                     t_max: int = 12, seed: int = 0) -> EvalReport:
     """Greedy evaluation rounds, each drawn, decoded, embedded and scored
-    inline."""
+    inline, one message at a time with the op-by-op decoder and message
+    GRU."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A1]))
     episodes = []
     bleus, coverages, lengths = [], [], []
@@ -307,10 +367,12 @@ def evaluate_agents(speaker, listener, dataset, k: int, n_rounds: int = 200,
         batch = sample_game_batch(dataset, k, rng)
         obs = dataset.model_inputs()[batch.scene_indices]
         target_idx = int(batch.scene_indices[batch.target_pos])
-        (message,), _ = speaker.sample(obs[batch.target_pos], t_max, 0.0, 1,
-                                       None, None)
+        (message,), _ = sample(speaker, obs[batch.target_pos], t_max, 0.0,
+                               1, None)
         v_imgs = listener.embed_images(obs, None, encoder=speaker)
-        logp = listener.log_probs(message.tokens, v_imgs)
+        v_m = embed_message(listener, message.tokens)
+        logp = listener.log_probs(T.reshape(None, v_m, (1, 1, v_m.size)),
+                                  T.reshape(None, v_imgs, (1,) + v_imgs.shape))
         episodes.append(make_episode(batch.target_pos, message,
                                      np.exp(logp.data)))
         content = _strip_eos(message.tokens)

@@ -7,7 +7,7 @@ import reference
 from reference import generate_dataset
 
 from lewisgame import tensor as T
-from lewisgame._decode import gru_sequence
+from lewisgame._decode import _draw, gru_sequence
 from lewisgame.agents import (ListenerModel, ModelConfig, SpeakerPolicy,
                               _raster_patches, model_config_from_params)
 from lewisgame.tensor import Tape, Tensor, backward
@@ -58,23 +58,111 @@ def test_sampling_deterministic_given_seed(world):
 
 
 def test_rescoring_reproduces_sampled_logprobs_bitwise(world):
+    # a sampled block rescored teacher-forced as a block of the same shape
     ds, _, speaker, _ = world
-    rng = np.random.default_rng(5)
-    samples, _ = speaker.sample(ds.model_inputs()[2], 12, 1.0, 5, rng)
-    for s in samples:
-        lps, _ = speaker.logprobs(ds.model_inputs()[2], s.tokens)
-        assert lps.tobytes() == s.logprobs.tobytes()
+    obs = ds.model_inputs()[2:5]
+    samples, node = speaker.sample(obs, 12, 1.0, 5,
+                                   np.random.default_rng(5))
+    lps, rescored = speaker.logprobs(np.repeat(obs, 5, axis=0),
+                                     [s.tokens for s in samples])
+    assert len({s.length for s in samples}) > 1
+    for s, lp in zip(samples, lps):
+        assert lp.tobytes() == s.logprobs.tobytes()
+    assert rescored.shape == node.shape
+    assert rescored.data.tobytes() == node.data.tobytes()
+    for s, row in zip(samples, node.nd()):
+        assert not row[s.length:].any()
+    # alone, a message is a block of another shape: equal to round-off
+    (alone,), _ = speaker.logprobs(obs[1], [samples[7].tokens])
+    assert np.abs(alone - samples[7].logprobs).max() <= BLOCK_LOGPROB_ATOL
 
 
 def test_fused_and_generic_paths_agree_bitwise(world):
+    # a one-row block draws with rng.choice's rule, as the op-by-op
+    # decoder does, and runs the same numpy calls
     ds, _, speaker, _ = world
-    obs = ds.model_inputs()[4]
-    f1, _ = speaker.sample(obs, 10, 1.0, 3, np.random.default_rng(1))
-    f2, _ = reference.sample(speaker, obs, 10, 1.0, 3,
-                             np.random.default_rng(1))
-    assert [m.tokens for m in f1] == [m.tokens for m in f2]
-    for a, b in zip(f1, f2):
-        assert a.logprobs.tobytes() == b.logprobs.tobytes()
+    for i, seed in ((4, 1), (5, 2), (6, 3), (7, 4)):
+        obs = ds.model_inputs()[i]
+        (f1,), _ = speaker.sample(obs, 10, 1.0, 1,
+                                  np.random.default_rng(seed))
+        (f2,), _ = reference.sample(speaker, obs, 10, 1.0, 1,
+                                    np.random.default_rng(seed))
+        assert f1.tokens == f2.tokens
+        assert f1.logprobs.tobytes() == f2.logprobs.tobytes()
+
+
+def test_draw_one_row_matches_rng_choice():
+    rng = np.random.default_rng(0)
+    for seed in range(500):
+        logits = rng.normal(0, 2, (1, 23)).astype(np.float32)
+        temperature = (0.5, 1.0, 1.7)[seed % 3]
+        xs = logits.ravel().astype(np.float64) / temperature
+        xs -= xs.max()
+        prob = np.exp(xs)
+        prob /= prob.sum()
+        want = np.random.default_rng(seed).choice(23, p=prob)
+        got = _draw(logits, temperature, np.random.default_rng(seed))
+        assert got.tolist() == [want]
+
+
+def test_draw_takes_one_uniform_per_row_in_row_order():
+    rng = np.random.default_rng(1)
+    logits = rng.normal(0, 2, (6, 11)).astype(np.float32)
+    block = _draw(logits, 1.0, np.random.default_rng(9))
+    stream = np.random.default_rng(9)
+    rows = [_draw(row[None], 1.0, stream)[0] for row in logits]
+    assert block.tolist() == rows
+    assert _draw(logits, 0.0, None).tolist() == np.argmax(logits, 1).tolist()
+
+
+# Largest differences between a row of a block and the op-by-op oracle
+# run on that message alone (float32 round-off: matmuls over B rows sum
+# in another order), measured over 8-row blocks of lengths 1 to 12 like
+# the ones below, at d_e = d_o of 32 (1 and 2 layers), 64 and 128, three
+# seeds each. Decoder: log-probs 4.8e-7 absolute, gradients 1.5e-6 of a
+# parameter's largest gradient (attn.wh at d_e=128). Message GRU:
+# summaries 1.1e-7 absolute, gradients 6.4e-7 relative. The bounds leave
+# at least 3x headroom.
+BLOCK_LOGPROB_ATOL = 2e-6
+BLOCK_GRAD_RTOL = 5e-6
+
+
+def _block_messages(ds, speaker, t_max):
+    """Eight rows over different observations, lengths 1 to ``t_max``."""
+    rng = np.random.default_rng(7)
+    lengths = [1, t_max, 3, 1, 7, t_max, 2, 5]
+    messages = [[int(t) for t in rng.integers(4, speaker.cfg.vocab_size, n)]
+                for n in lengths]
+    return ds.model_inputs()[10:18], messages
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_decode_block_matches_per_message_reference(world, n_layers):
+    ds, cfg, _, _ = world
+    speaker = SpeakerPolicy.create(
+        ModelConfig(**{**cfg.__dict__, "n_layers": n_layers}), 23)
+    obs, messages = _block_messages(ds, speaker, 12)
+    weights = np.random.default_rng(4).normal(0, 1, (len(messages), 12))
+    speaker.params.zero_grads()
+    tape = Tape()
+    lps, node = speaker.logprobs(obs, messages, tape)
+    assert node.shape == (len(messages), 12)
+    backward(tape, T.tsum(tape, T.mul(tape, node, Tensor(weights))))
+    block = _grads(speaker.params)
+    speaker.params.zero_grads()
+    for row, (o, m) in enumerate(zip(obs, messages)):
+        tape = Tape()
+        want, ref = reference.logprobs(speaker, o, m, tape)
+        assert lps[row].shape == want.shape
+        assert np.abs(lps[row] - want).max() <= BLOCK_LOGPROB_ATOL
+        assert not node.nd()[row, len(m):].any()
+        w = Tensor(weights[row, :len(m)].reshape(-1, 1))
+        backward(tape, T.tsum(tape, T.mul(tape, ref, w)))
+    per_message = _grads(speaker.params)
+    assert block.keys() == per_message.keys()
+    for name, g in per_message.items():
+        assert (np.abs(block[name] - g).max()
+                <= BLOCK_GRAD_RTOL * np.abs(g).max()), name
 
 
 def _grads(params) -> dict:
@@ -93,7 +181,8 @@ def test_fused_and_generic_gradients_agree(world):
     obs = ds.model_inputs()[6]
     msg, _ = speaker.sample(obs, 8, 1.0, 1, np.random.default_rng(3))
     grads = {}
-    for path, logprobs in (("fused", speaker.logprobs),
+    fused = lambda o, m, tape: speaker.logprobs(o[None], [m], tape)
+    for path, logprobs in (("fused", fused),
                            ("generic", partial(reference.logprobs, speaker))):
         speaker.params.zero_grads()
         tape = Tape()
@@ -227,7 +316,8 @@ def test_gru_sequence_matches_reference_bitwise(world):
         embs = T.embedding(None, emb, tokens)
         for h0 in (np.zeros((1, d_o), np.float32),
                    rng.normal(0, 1, (1, d_o)).astype(np.float32)):
-            fused = gru_sequence(embs, h0, *_listener_gru(listener), None)
+            fused = gru_sequence(embs, [len(tokens)], h0,
+                                 *_listener_gru(listener), None)
             generic = reference.gru_sequence(embs, h0,
                                              *_listener_gru(listener), None)
             assert fused.shape == generic.shape
@@ -240,8 +330,8 @@ def test_gru_sequence_gradients_match_reference(world):
     weights = Tensor(np.random.default_rng(1).normal(
         0, 1, (1, listener.cfg.d_o)))
     grads = {}
-    for path, run in (("fused", gru_sequence),
-                      ("generic", reference.gru_sequence)):
+    fused = lambda embs, *args: gru_sequence(embs, [6], *args)
+    for path, run in (("fused", fused), ("generic", reference.gru_sequence)):
         listener.params.zero_grads()
         tape = Tape()
         embs = T.embedding(tape, listener.params["emb"], [7, 7, 3, 9, 2, 5])
@@ -251,13 +341,38 @@ def test_gru_sequence_gradients_match_reference(world):
     _assert_grads_close(grads["fused"], grads["generic"])
 
 
+def test_embed_message_block_matches_per_message_reference(world):
+    # mixed lengths, so padded steps must neither move a row's state nor
+    # take gradient
+    ds, _, _, listener = world
+    _, messages = _block_messages(ds, listener, 12)
+    weights = np.random.default_rng(2).normal(
+        0, 1, (len(messages), listener.cfg.d_o))
+    listener.params.zero_grads()
+    tape = Tape()
+    block = listener.embed_message(messages, tape)
+    backward(tape, T.tsum(tape, T.mul(tape, block, Tensor(weights))))
+    block_grads = _grads(listener.params)
+    listener.params.zero_grads()
+    for row, m in enumerate(messages):
+        tape = Tape()
+        want = reference.embed_message(listener, m, tape)
+        assert (np.abs(block.nd()[row] - want.data).max()
+                <= BLOCK_LOGPROB_ATOL)
+        backward(tape, T.tsum(tape, T.mul(tape, want,
+                                          Tensor(weights[row:row + 1]))))
+    per_message = _grads(listener.params)
+    assert block_grads.keys() == per_message.keys()
+    for name, g in per_message.items():
+        assert (np.abs(block_grads[name] - g).max()
+                <= BLOCK_GRAD_RTOL * np.abs(g).max()), name
+
+
 def test_per_step_distribution_normalized(world):
     # exp of log-probs over the whole vocab sums to 1 at each step
     ds, cfg, speaker, _ = world
     obs = ds.model_inputs()[0]
-    patches = speaker.encode(obs, None)
-    keys = speaker.attention_keys(patches, None)
-    hidden = speaker.initial_hidden(patches, None)
+    patches, keys, hidden = reference.start(speaker, obs, None)
     logits, hidden, alpha = reference.step(speaker, 0, hidden, patches, keys,
                                            None)
     logp = T.log_softmax(None, logits)
@@ -268,9 +383,7 @@ def test_per_step_distribution_normalized(world):
 def test_attention_weights_normalized_every_step(world):
     ds, cfg, speaker, _ = world
     obs = ds.model_inputs()[9]
-    patches = speaker.encode(obs, None)
-    keys = speaker.attention_keys(patches, None)
-    hidden = speaker.initial_hidden(patches, None)
+    patches, keys, hidden = reference.start(speaker, obs, None)
     tok = 0
     for _ in range(6):
         logits, hidden, alpha = reference.step(speaker, tok, hidden, patches,
@@ -283,7 +396,7 @@ def test_listener_embed_identical_obs_bitwise(world):
     ds, _, speaker, listener = world
     obs = ds.model_inputs()[:4].copy()
     obs[2] = obs[0]
-    v_m = listener.embed_message([5, 6, 1])
+    v_m = listener.embed_message([[5, 6, 1]])
     v_imgs = listener.embed_images(obs, encoder=speaker)
     rows = v_imgs.nd()
     assert rows[0].tobytes() == rows[2].tobytes()
@@ -303,6 +416,8 @@ def test_listener_embed_rejects_empty_message(world):
     ds, _, speaker, listener = world
     with pytest.raises(ValueError, match="non-empty"):
         listener.embed_message([])
+    with pytest.raises(ValueError, match="non-empty"):
+        listener.embed_message([[4, 1], []])
 
 
 def test_listener_probs_uniform_when_identical():
@@ -347,14 +462,39 @@ def test_log_probs_matches_reference_listener_probs():
         obs = ds.model_inputs()[rng.choice(len(ds), 64, replace=False)]
         tokens = [int(t) for t in rng.integers(4, len(ds.vocab), size=6)]
         v_imgs = listener.embed_images(obs)
-        logp = listener.log_probs(tokens, v_imgs)
+        v_m = listener.embed_message([tokens])
+        logp = listener.log_probs(_per_round(v_m, 1), _per_round(v_imgs, 1))
         got = np.exp(logp.data)
-        ref = reference.listener_probs(listener.embed_message(tokens).data,
-                                       v_imgs.nd())
+        ref = reference.listener_probs(v_m.data, v_imgs.nd())
         assert logp.shape == (1, 64)
         assert np.max(np.abs(got - ref) / ref) <= 1e-6
-        taped = listener.log_probs(tokens, v_imgs, Tape())
+        taped = listener.log_probs(_per_round(v_m, 1), _per_round(v_imgs, 1),
+                                   Tape())
         assert taped.data.tobytes() == logp.data.tobytes()
+
+
+def _per_round(rows, n):
+    """(n·m, d) rows as an (n, m, d) tensor: m rows for each of n rounds."""
+    return T.reshape(None, rows, (n, rows.shape[0] // n, rows.shape[1]))
+
+
+def test_log_probs_scores_each_round_against_its_own_candidates(world):
+    # three rounds of two messages and four candidates each, against
+    # every (message, round) pair scored alone
+    ds, _, speaker, listener = world
+    rng = np.random.default_rng(6)
+    messages = [[int(t) for t in rng.integers(4, 20, n)]
+                for n in (3, 1, 5, 2, 4, 6)]
+    v_m = listener.embed_message(messages)
+    v_imgs = listener.embed_images(ds.model_inputs()[:12], encoder=speaker)
+    logp = listener.log_probs(_per_round(v_m, 3), _per_round(v_imgs, 3))
+    assert logp.shape == (6, 4)
+    for row in range(6):
+        rnd = row // 2
+        alone = reference.listener_probs(v_m.nd()[row],
+                                         v_imgs.nd()[4 * rnd:4 * rnd + 4])
+        got = np.exp(logp.nd()[row])
+        assert np.max(np.abs(got - alone) / alone) <= 1e-6
 
 
 def test_listener_accepts_any_k(world):
@@ -362,7 +502,9 @@ def test_listener_accepts_any_k(world):
     for k in (2, 5, 17, 33):
         obs = ds.model_inputs()[:k]
         v_imgs = listener.embed_images(obs, encoder=speaker)
-        logp = listener.log_probs([4, 2, 1], v_imgs)
+        logp = listener.log_probs(
+            _per_round(listener.embed_message([[4, 2, 1]]), 1),
+            _per_round(v_imgs, 1))
         assert logp.shape == (1, k)
         assert abs(np.exp(logp.data).sum() - 1.0) < 1e-6
 

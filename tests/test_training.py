@@ -134,20 +134,26 @@ def test_group_baseline_variance_not_above_none():
 def test_group_loss_node_matches_reference(baseline_mode, standardize):
     # the taped surrogate training backpropagates, against the float64
     # numpy loss, on messages of different lengths
+    # (one group, in a block padded with 1.0 past each message's end)
     rng = np.random.default_rng(4)
     group = [_episode(float(rng.random()), -rng.random(n))
              for n in (1, 3, 4, 7, 12)]
-    nodes = [Tensor(ep.message.logprobs.reshape(-1, 1), True)
-             for ep in group]
+    block = np.ones((len(group), 12), np.float32)
+    for row, ep in enumerate(group):
+        block[row, :ep.message.length] = ep.message.logprobs
+    node = Tensor(block, True)
     advs = group_advantages(group, 0.95, baseline_mode, standardize)
     tape = Tape()
-    loss = _group_loss_node(tape, RoundTrace(group, nodes, []), advs)
+    loss = _group_loss_node(tape, RoundTrace(group, len(group), node, None),
+                            advs)
     expected = speaker_loss(group, 0.95, baseline_mode, standardize)
     assert abs(loss.item() - expected) <= 1e-6 * max(1.0, abs(expected))
     backward(tape, loss)
-    for ep, node, a in zip(group, nodes, advs):
+    grad = node.grad.reshape(block.shape)
+    for row, (ep, a) in enumerate(zip(group, advs)):
         want = -a.astype(np.float64) / (ep.message.length * len(group))
-        assert np.allclose(node.grad, want, rtol=1e-6, atol=1e-9)
+        assert np.allclose(grad[row, :a.size], want, rtol=1e-6, atol=1e-9)
+        assert not grad[row, a.size:].any()
 
 
 def _played_rounds(trainer_setup, seed, n_rounds):
@@ -155,25 +161,53 @@ def _played_rounds(trainer_setup, seed, n_rounds):
     tr = Trainer(ds, gcfg, mcfg, TrainSettings(seed=seed, replicas=1))
     rng = np.random.default_rng(seed)
     tape = Tape()
-    traces = [_play_round_traced(tr.speaker, tr.listener, ds, gcfg, rng,
-                                 1.0, tape) for _ in range(n_rounds)]
-    return tape, traces
+    trace = _play_round_traced(tr.speaker, tr.listener, ds, gcfg, rng,
+                               1.0, tape, n_rounds)
+    return tape, trace
 
 
 def test_group_loss_node_matches_reference_on_played_round(trainer_setup):
-    tape, (trace,) = _played_rounds(trainer_setup, 10, 1)
-    advs = group_advantages(trace.episodes, 0.95)
+    # the block loss is the mean of the per-group reference losses
+    tape, trace = _played_rounds(trainer_setup, 10, 3)
+    groups = trace.groups()
+    assert len(groups) == 3
+    advs = [a for group in groups for a in group_advantages(group, 0.95)]
     loss = _group_loss_node(tape, trace, advs)
-    expected = speaker_loss(trace.episodes, 0.95)
+    expected = np.mean([speaker_loss(group, 0.95) for group in groups])
     assert abs(loss.item() - expected) <= 1e-6 * max(1.0, abs(expected))
 
 
 def test_listener_loss_node_matches_reference(trainer_setup):
-    tape, traces = _played_rounds(trainer_setup, 11, 2)
-    loss = _listener_loss_node(tape, traces)
-    expected = np.mean([listener_loss(ep) for tr in traces
-                        for ep in tr.episodes])
+    tape, trace = _played_rounds(trainer_setup, 11, 2)
+    loss = _listener_loss_node(tape, trace)
+    expected = np.mean([listener_loss(ep) for ep in trace.episodes])
+    assert len(trace.episodes) == 2 * trainer_setup[2].generations
     assert abs(loss.item() - expected) <= 1e-6 * expected
+
+
+def test_replica_tape_nodes_independent_of_g_and_targets(trainer_setup,
+                                                         monkeypatch):
+    # per-message or per-round loops would record nodes in proportion to
+    # G or to targets_per_replica
+    ds, mcfg, gcfg = trainer_setup
+    recorded = []
+
+    def counting(tape, loss):
+        recorded.append(len(tape))
+        backward(tape, loss)
+
+    monkeypatch.setattr(training, "backward", counting)
+    counts = {}
+    for g in (2, 5):
+        for targets in (1, 3):
+            recorded.clear()
+            game = GameConfig(k=gcfg.k, generations=g, t_max=gcfg.t_max)
+            settings = TrainSettings(seed=13, replicas=2,
+                                     targets_per_replica=targets)
+            Trainer(ds, game, mcfg, settings).step_once()
+            counts[g, targets] = tuple(recorded)
+    assert len(set(counts.values())) == 1, counts
+    assert len(counts[2, 1]) == 2 and counts[2, 1][0] > 0
 
 
 def test_advantage_variance_reports_the_trained_advantages(trainer_setup,
@@ -191,10 +225,12 @@ def test_advantage_variance_reports_the_trained_advantages(trainer_setup,
     report = Trainer(ds, gcfg, mcfg, settings).step_once()
     expected = []
     for tr in traces:
-        advs = group_advantages(tr.episodes, gcfg.gamma, standardize=True)
-        sums = np.array([a.sum(dtype=np.float64) for a in advs])
-        expected.append((sums ** 2).sum() / (len(sums) - 1))
-    assert len(traces) == 4
+        for group in tr.groups():
+            advs = group_advantages(group, gcfg.gamma, standardize=True)
+            sums = np.array([a.sum(dtype=np.float64) for a in advs])
+            expected.append((sums ** 2).sum() / (len(sums) - 1))
+    assert len(traces) == 2  # one block of two rounds per replica
+    assert len(expected) == 4
     assert report.advantage_variance == float(np.mean(expected))
 
 
