@@ -6,8 +6,7 @@ from .config import ConfigError, RunConfig, load_config, parse_config
 from .evaluate import (EvalReport, ablation_sweep, attribute_coverage, bleu,
                        ema, evaluate_agents, supervised_pretrain,
                        sweep_summary)
-from .game import (GameConfig, GameEpisode, play_rounds, rewards_to_go,
-                   solve_rate)
+from .game import GameConfig, RoundTrace, play_rounds, solve_rate
 from .optim import Adam, Sgd, clip_global_norm, grad_global_norm, make_optimizer
 from .params import (FormatError, ParameterSet, UnsupportedVersionError,
                      load_checkpoint, save_checkpoint)

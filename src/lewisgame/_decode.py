@@ -122,8 +122,8 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
     them. Teacher-forced when ``tokens`` (B token sequences) is given,
     sampling otherwise: each step draws one uniform per live row from
     ``rng`` (see ``_draw``), and a row ends after its <eos> or at
-    ``t_max``. Returns (token lists, per-row log-prob arrays, (B, T) tape
-    node of the chosen tokens' log-probs, zero past each row's end).
+    ``t_max``. Returns (token lists, (B, T) tape node of the chosen
+    tokens' log-probs, zero past each row's end).
     Steps past a row's end are computed but masked out of its log-probs
     and its gradients.
     """
@@ -197,11 +197,10 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
     lp_arr = np.where(mask, np.stack(lp_cols, axis=1), F32(0))
     tok_arr = np.stack(tok_cols, axis=1)
     out_tokens = [tok_arr[b, :n].tolist() for b, n in enumerate(lengths)]
-    out_lps = [lp_arr[b, :n].copy() for b, n in enumerate(lengths)]
     out = Tensor._wrap(lp_arr.ravel(), (B, T_len), True)
     if tape is None:
         out.requires_grad = False
-        return out_tokens, out_lps, out
+        return out_tokens, out
 
     inputs = [patches, keys, p["emb"], p["attn.wh"], p["attn.v"],
               p["head.w"], p["head.b"]]
@@ -268,7 +267,7 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
         return grads
 
     tape.record(out, tuple(inputs), rule)
-    return out_tokens, out_lps, out
+    return out_tokens, out
 
 
 # ---------------------------------------------------------------------------

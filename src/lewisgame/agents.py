@@ -66,15 +66,14 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class MessageSample:
-    """A decoded message: token ids and their per-step log-probabilities.
+    """The token ids of one decoded message, one row of a decoded block.
 
     Tokens start after the implicit <bos>, end at <eos> (included when
-    emitted) or at the length cap. Log-probabilities are evaluated on
-    the temperature-free distribution.
+    emitted) or at the length cap. Their log-probabilities are the row's
+    entries of the block's (B, T) node, zero past ``length``.
     """
 
     tokens: tuple
-    logprobs: np.ndarray
 
     @property
     def length(self) -> int:
@@ -215,25 +214,24 @@ class SpeakerPolicy:
         if temperature < 0:
             raise ValueError("temperature must be >= 0")
         rows = np.repeat(obs.reshape(-1, self.cfg.obs_dim), n_samples, axis=0)
-        tokens, lps, node = self._decode(rows, tape, t_max=t_max,
-                                         temperature=temperature, rng=rng)
-        return [MessageSample(tuple(t), lp) for t, lp in zip(tokens, lps)], node
+        tokens, node = self._decode(rows, tape, t_max=t_max,
+                                    temperature=temperature, rng=rng)
+        return [MessageSample(tuple(t)) for t in tokens], node
 
     def logprobs(self, obs: np.ndarray, messages, tape=None):
         """Teacher-forced per-step log-probabilities of fixed messages.
 
         ``obs`` is an (N, obs_dim) stack and ``messages`` holds one token
-        sequence per row, decoded as one block. Returns (per-message
-        log-prob arrays, the block's (N, T) node, zero past each
-        message's end).
+        sequence per row, decoded as one block. Returns the block's
+        (N, T) node, zero past each message's end.
         """
         messages = [list(m) for m in messages]
         if not messages or not all(messages):
             raise ValueError("logprobs: every message must contain at "
                              "least one token")
-        _, lps, node = self._decode(obs.reshape(-1, self.cfg.obs_dim), tape,
-                                    tokens=messages)
-        return lps, node
+        _, node = self._decode(obs.reshape(-1, self.cfg.obs_dim), tape,
+                               tokens=messages)
+        return node
 
 
 class ListenerModel:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .agents import ModelConfig
 from .game import GameConfig
-from .training import TrainSettings
+from .training import TrainSettings, check_at_least
 from .world import Dataset, WorldSpec, generate_splits
 
 
@@ -48,6 +48,9 @@ class WorldSection:
     test_scenes: int = 0
     seed: int = 7
 
+    def __post_init__(self):
+        check_at_least(self, n_scenes=1, val_scenes=0, test_scenes=0, seed=0)
+
 
 @dataclass
 class ModelSection:
@@ -58,6 +61,9 @@ class ModelSection:
     d_att: int = 0
     listener_stop_gradient: bool = False
 
+    def __post_init__(self):
+        check_at_least(self, d_e=1, d_o=1, n_layers=1, n_patches=1, d_att=0)
+
 
 @dataclass
 class EvalSection:
@@ -65,8 +71,7 @@ class EvalSection:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise ValueError("rounds must be at least 1")
+        check_at_least(self, rounds=1, seed=0)
 
 
 @dataclass

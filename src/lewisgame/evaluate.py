@@ -150,13 +150,12 @@ def evaluate_agents(speaker: SpeakerPolicy, listener: ListenerModel,
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A1]))
     batches = [sample_game_batch(dataset, k, rng) for _ in range(n_rounds)]
-    episodes = play_rounds(speaker, listener, dataset.model_inputs(),
-                           batches, 1, t_max, None,
-                           temperature=0.0).episodes
+    trace = play_rounds(speaker, listener, dataset.model_inputs(), batches,
+                        1, t_max, None, temperature=0.0)
     bleus, coverages, lengths = [], [], []
-    for batch, episode in zip(batches, episodes):
+    for batch, message in zip(batches, trace.messages):
         target = int(batch.scene_indices[batch.target_pos])
-        content = _strip_eos(episode.message.tokens)
+        content = _strip_eos(message.tokens)
         lengths.append(len(content))
         bleus.append(bleu(content, dataset.captions[target], 4) if content
                      else [0.0, 0.0, 0.0, 0.0])
@@ -169,8 +168,8 @@ def evaluate_agents(speaker: SpeakerPolicy, listener: ListenerModel,
         bleu3=float(bleus[:, 2].mean()),
         bleu4=float(bleus[:, 3].mean()),
         coverage=float(np.mean(coverages)),
-        top1=solve_rate(episodes, 1),
-        top10=solve_rate(episodes, min(10, k)),
+        top1=solve_rate(trace.probs, trace.targets, 1),
+        top10=solve_rate(trace.probs, trace.targets, min(10, k)),
         mean_length=float(np.mean(lengths)),
         n_rounds=n_rounds,
         k=k,
@@ -207,7 +206,7 @@ def supervised_pretrain(speaker: SpeakerPolicy, dataset: Dataset, steps: int,
         for i in idx:
             caps = dataset.captions[int(i)]
             messages.append(list(caps[int(rng.integers(len(caps)))]) + [EOS])
-        _, node = speaker.logprobs(dataset.model_inputs()[idx], messages, tape)
+        node = speaker.logprobs(dataset.model_inputs()[idx], messages, tape)
         # the block is zero past each caption's end: its sum is the
         # captions' total log-likelihood
         n_tokens = sum(len(m) for m in messages)

@@ -1,20 +1,22 @@
-"""Round assembly, shaped rewards, discounted credit, and solve judging.
+"""Round assembly, shaped rewards and solve judging, over blocks of rounds.
 
 One round: draw a target plus K-1 distractors, let the Speaker describe
 the target G times, and score each message by the probability the
 Listener assigns to the true candidate. That shaped reward is ``exp`` of
 the listener's log-probability of the target, the same taped
 log-softmax its loss backpropagates through; the 0/1 indicator (argmax
-hit) is kept alongside it.
+hit) is read alongside it.
 
 ``play_rounds`` plays rounds once their candidates are drawn, for
 training (sampled, taped) and evaluation (one greedy message per round,
 untaped) alike. Every message of the rounds it plays is decoded as one
 block and embedded by the listener as one block, so the tape holds the
-same nodes whatever the number of rounds and of messages per round.
-Rewards are spread backward over message tokens as discounted
-rewards-to-go by ``training.group_advantages``, the one place that
-discounts.
+same nodes whatever the number of rounds and of messages per round. It
+returns a ``RoundTrace``, the one record of the played block: one row
+per message, with its target, the listener's probabilities and its
+log-probs as arrays and tape nodes over the block. Rewards are spread
+backward over message tokens by ``training.group_advantages``, the one
+place that discounts, and ``solve_rate`` ranks every row at once.
 
 Reference captions are never read here; the game is fully unsupervised.
 """
@@ -26,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .agents import ListenerModel, MessageSample, SpeakerPolicy
-from .tensor import F32, Tensor
+from .agents import ListenerModel, SpeakerPolicy
+from .tensor import Tensor
 from .world import Dataset, sample_game_batch
 
 
@@ -49,7 +51,7 @@ class GameConfig:
             raise ValueError("K must be at least 2")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ValueError("lambda must be non-negative")
         if self.generations < 1:
             raise ValueError("generations must be at least 1")
@@ -57,58 +59,36 @@ class GameConfig:
             raise ValueError("t_max must be at least 1")
 
 
-@dataclass(frozen=True)
-class GameEpisode:
-    """One message played against one candidate set."""
-
-    target: int
-    message: MessageSample
-    probs: np.ndarray
-    reward: float
-    indicator: int
-
-
 @dataclass
 class RoundTrace:
-    """Played rounds: their episodes, round-major (each round's G
-    generations in a row), and the tape handles the trainer consumes."""
+    """Played rounds as one block record: B rows, round-major (each
+    round's G generations in a row), and the tape handles the trainer
+    consumes. Row b is message ``messages[b]`` played against its round's
+    candidates; its reward is ``probs[b, targets[b]]``."""
 
-    episodes: list
+    messages: list       # B MessageSamples
+    targets: np.ndarray  # (B,) target positions among the K candidates
+    probs: np.ndarray    # (B, K) listener probabilities
     generations: int
     logprobs: Tensor     # (B, T) chosen-token log-probs, 0 past each end
     logp_target: Tensor  # (B, 1) listener log-probs at the targets; None
     #                      when played without a tape
 
-    def groups(self) -> list:
-        """The episodes of each round, in order."""
-        g = self.generations
-        return [self.episodes[i:i + g]
-                for i in range(0, len(self.episodes), g)]
+    @property
+    def rewards(self) -> np.ndarray:
+        """(B,) shared rewards, the targets' probabilities, in float64."""
+        return self.probs[np.arange(self.targets.size),
+                          self.targets].astype(np.float64)
 
+    @property
+    def indicators(self) -> np.ndarray:
+        """(B,) whether the listener's argmax is the target."""
+        return np.argmax(self.probs, axis=1) == self.targets
 
-def rewards_to_go(reward: float, length: int, gamma: float) -> np.ndarray:
-    """Discounted credit per step: out[t-1] = gamma^(T-t) * R.
-
-    Built by backward multiplication so out[t] == gamma * out[t+1]
-    holds exactly in float32 and the final entry equals R.
-    """
-    if length < 1:
-        raise ValueError("rewards_to_go: length must be >= 1")
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError("rewards_to_go: gamma must lie in [0, 1)")
-    out = np.empty(length, F32)
-    out[length - 1] = F32(reward)
-    g = F32(gamma)
-    for t in range(length - 2, -1, -1):
-        out[t] = g * out[t + 1]
-    return out
-
-
-def make_episode(target: int, message: MessageSample,
-                 probs: np.ndarray) -> GameEpisode:
-    return GameEpisode(target=target, message=message, probs=probs,
-                       reward=float(probs[target]),
-                       indicator=int(int(np.argmax(probs)) == target))
+    @property
+    def lengths(self) -> np.ndarray:
+        """(B,) message lengths in tokens."""
+        return np.array([m.length for m in self.messages])
 
 
 def _score(speaker: SpeakerPolicy, listener: ListenerModel,
@@ -128,7 +108,8 @@ def _score(speaker: SpeakerPolicy, listener: ListenerModel,
 def play_rounds(speaker: SpeakerPolicy, listener: ListenerModel,
                 inputs: np.ndarray, batches, generations: int, t_max: int,
                 rng, temperature: float = 1.0, tape=None) -> RoundTrace:
-    """Play drawn rounds: ``generations`` episodes per round.
+    """Play drawn rounds: ``generations`` messages per round, one row of
+    the returned ``RoundTrace`` each.
 
     ``inputs`` holds every scene's model input, one per row, and each
     ``GameBatch`` of ``batches`` names a round's K candidate rows and its
@@ -139,11 +120,12 @@ def play_rounds(speaker: SpeakerPolicy, listener: ListenerModel,
     anyway; untaped, round by round, so that memory does not grow with
     K × rounds. Temperature 0 decodes greedily and needs no ``rng``.
     """
-    targets = [b.scene_indices[b.target_pos] for b in batches]
-    samples, logprobs = speaker.sample(inputs[targets], t_max, temperature,
-                                       generations, rng, tape)
-    v_msgs = listener.embed_message([s.tokens for s in samples], tape)
     g = generations
+    targets = np.repeat([b.target_pos for b in batches], g)
+    samples, logprobs = speaker.sample(
+        inputs[[b.scene_indices[b.target_pos] for b in batches]], t_max,
+        temperature, g, rng, tape)
+    v_msgs = listener.embed_message([s.tokens for s in samples], tape)
     if tape is None:
         logp = np.concatenate([
             _score(speaker, listener, inputs, [b],
@@ -153,12 +135,9 @@ def play_rounds(speaker: SpeakerPolicy, listener: ListenerModel,
     else:
         node = _score(speaker, listener, inputs, batches, v_msgs, tape)
         logp = node.nd()
-        logp_target = T.gather_cols(
-            tape, node, np.repeat([b.target_pos for b in batches], g))
-    episodes = [make_episode(batches[i // g].target_pos, sample,
-                             np.exp(logp[i]))
-                for i, sample in enumerate(samples)]
-    return RoundTrace(episodes, g, logprobs, logp_target)
+        logp_target = T.gather_cols(tape, node, targets)
+    return RoundTrace(samples, targets, np.exp(logp), g, logprobs,
+                      logp_target)
 
 
 def _play_round_traced(speaker: SpeakerPolicy, listener: ListenerModel,
@@ -173,19 +152,15 @@ def _play_round_traced(speaker: SpeakerPolicy, listener: ListenerModel,
                        tape)
 
 
-def solve_rate(episodes, top_n: int) -> float:
-    """Fraction of episodes whose target ranks in the listener's top N.
+def solve_rate(probs: np.ndarray, targets: np.ndarray, top_n: int) -> float:
+    """Fraction of rows of (B, K) ``probs`` whose target ranks in the top N.
 
     Ties rank toward the lower index, so results are deterministic.
     """
-    if not episodes:
-        return 0.0
-    solved = 0
-    for ep in episodes:
-        p = ep.probs
-        if top_n > p.size:
-            raise ValueError(f"top_n={top_n} exceeds K={p.size}")
-        pk = p[ep.target]
-        rank = 1 + int((p > pk).sum()) + int((p[:ep.target] == pk).sum())
-        solved += rank <= top_n
-    return solved / len(episodes)
+    n, k = probs.shape
+    if top_n > k:
+        raise ValueError(f"top_n={top_n} exceeds K={k}")
+    pk = probs[np.arange(n), targets][:, None]
+    rank = (1 + (probs > pk).sum(axis=1)
+            + ((probs == pk) & (np.arange(k) < targets[:, None])).sum(axis=1))
+    return int((rank <= top_n).sum()) / n

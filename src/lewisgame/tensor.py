@@ -339,7 +339,8 @@ def tanh(tape, a: Tensor) -> Tensor:
 
 
 def _rows(a: Tensor) -> np.ndarray:
-    return a.nd() if a.ndim == 2 else a.data.reshape(1, -1)
+    """The tensor as rows along its last axis, whatever its rank."""
+    return a.data.reshape(-1, a.shape[-1])
 
 
 def log_softmax(tape, a: Tensor) -> Tensor:

@@ -6,7 +6,10 @@ group's mean reward (the group-relative baseline of GRPO), or 0 for the
 plain REINFORCE ablation. Advantages are constants; no gradient flows
 through them. The listener objective is the negative log of the
 probability it assigns to the true candidate, which equals categorical
-cross-entropy against the one-hot target.
+cross-entropy against the one-hot target. Both are read off a
+replica's played block (``game.RoundTrace``): the speaker's as one
+(B, T) advantage block weighting the (B, T) log-prob block, the
+listener's from the (B, 1) target log-probs.
 
 A step runs W speaker replicas over disjoint sub-batches (in-process,
 sequential, so results are bitwise reproducible), accumulates listener
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import tensor as T
 from .agents import ListenerModel, ModelConfig, SpeakerPolicy
-from .game import GameConfig, _play_round_traced, rewards_to_go
+from .game import GameConfig, RoundTrace, _play_round_traced
 from .optim import (OPTIMIZER_KINDS, clip_global_norm, grad_global_norm,
                     make_optimizer)
 from .params import ParameterSet
@@ -38,6 +41,14 @@ class NumericalFailureError(RuntimeError):
 
 
 BASELINE_MODES = ("group", "none")
+
+
+def check_at_least(settings, **lows) -> None:
+    """Raise ValueError naming the first key of ``settings`` below its
+    low bound in ``lows``."""
+    for key, low in lows.items():
+        if getattr(settings, key) < low:
+            raise ValueError(f"{key} must be at least {low}")
 
 
 @dataclass
@@ -70,13 +81,12 @@ class TrainSettings:
                 raise ValueError(f"unknown optimizer kind: {kind!r}")
         if self.baseline_mode not in BASELINE_MODES:
             raise ValueError(f"unknown baseline mode: {self.baseline_mode!r}")
-        if self.replicas < 1:
-            raise ValueError("replicas must be at least 1")
-        if self.targets_per_replica < 1:
-            raise ValueError("targets_per_replica must be at least 1")
-        if self.clip_norm <= 0:
+        check_at_least(self, replicas=1, targets_per_replica=1, seed=0,
+                       sync_period=0, eval_interval=0)
+        # written so that NaN fails them
+        if not self.clip_norm > 0:
             raise ValueError("clip_norm must be positive")
-        if self.temperature < 0:
+        if not self.temperature >= 0:
             raise ValueError("temperature must be >= 0")
 
 
@@ -105,43 +115,53 @@ class LossReport:
         return out
 
 
-def group_advantages(episodes, gamma: float, baseline_mode: str = "group",
-                     standardize: bool = False) -> list[np.ndarray]:
-    """Per-step advantage vectors for one group of episodes.
+def group_advantages(trace: RoundTrace, gamma: float,
+                     baseline_mode: str = "group",
+                     standardize: bool = False) -> np.ndarray:
+    """(B, T) per-token advantages of a played block, 0 past each row's end.
 
-    Every mode discounts with ``gamma``, over each episode's tokens.
-    ``group``: subtract the group's mean reward, then discount.
-    ``none``: raw rewards-to-go (no baseline).
+    A row's credit is discounted back from its last token by the float32
+    recurrence out[t] = gamma * out[t+1]. ``group``: the credit is the
+    reward minus its round's mean reward, over the round's reward std
+    when ``standardize``. ``none``: the raw reward (no baseline).
     """
-    if baseline_mode == "none":
-        return [rewards_to_go(ep.reward, ep.message.length, gamma)
-                for ep in episodes]
-    if baseline_mode != "group":
+    if baseline_mode not in BASELINE_MODES:
         raise ValueError(f"unknown baseline mode: {baseline_mode!r}")
-    if len(episodes) == 1:
+    rewards, lengths = trace.rewards, trace.lengths
+    group = baseline_mode == "group"
+    if group and trace.generations == 1:
         warnings.warn("group baseline with G=1 yields zero advantages",
                       RuntimeWarning, stacklevel=2)
-    rewards = np.array([ep.reward for ep in episodes], np.float64)
-    centered = rewards - rewards.mean()
-    if standardize:
-        centered = centered / (rewards.std() + 1e-8)
-    return [rewards_to_go(1.0, ep.message.length, gamma) * F32(c)
-            for ep, c in zip(episodes, centered)]
+    g = F32(gamma)
+    steps = [np.ones(rewards.size, F32) if group else rewards.astype(F32)]
+    for _ in range(1, trace.logprobs.shape[1]):
+        steps.append(g * steps[-1])
+    # before[b, t]: tokens after token t in row b, negative past its end
+    before = lengths[:, None] - 1 - np.arange(len(steps))
+    adv = np.take_along_axis(np.stack(steps, axis=1),
+                             np.maximum(before, 0), axis=1)
+    if group:
+        by_round = rewards.reshape(-1, trace.generations)
+        centered = by_round - by_round.mean(axis=1, keepdims=True)
+        if standardize:
+            centered = centered / (by_round.std(axis=1, keepdims=True) + 1e-8)
+        adv = adv * centered.astype(F32).reshape(-1, 1)
+    return np.where(before >= 0, adv, F32(0))
 
 
-def advantage_variance(advs) -> float:
-    """Spread of per-episode summed advantages within one group.
+def advantage_variance(advs: np.ndarray, generations: int) -> np.ndarray:
+    """Spread of summed advantages within each group of a (B, T) block
+    from ``group_advantages``, one value per group.
 
-    ``advs`` holds one group's per-step advantage vectors, as
-    ``group_advantages`` returns them. Advantages are zero-mean by
-    design, so the second moment is taken about zero with the usual n-1
+    Advantages are zero-mean by design, so the second moment of the
+    rows' float64 sums is taken about zero with the usual n-1
     denominator; this is what shrinks when a baseline removes the
     common reward level.
     """
-    if len(advs) < 2:
-        raise ValueError("advantage variance needs at least 2 episodes")
-    sums = np.array([a.sum(dtype=np.float64) for a in advs])
-    return float((sums ** 2).sum() / (len(sums) - 1))
+    if generations < 2:
+        raise ValueError("advantage variance needs at least 2 generations")
+    sums = advs.sum(axis=1, dtype=np.float64).reshape(-1, generations)
+    return (sums ** 2).sum(axis=1) / (generations - 1)
 
 
 def sync_replicas(param_sets) -> None:
@@ -165,23 +185,23 @@ def sync_replicas(param_sets) -> None:
             ps[name].data = mean.copy()
 
 
-def _group_loss_node(tape, trace, advs):
+def _group_loss_node(tape, trace: RoundTrace, advs: np.ndarray):
     """Speaker surrogate loss of played rounds: the mean over their groups
-    of each group's mean over episodes of -(1/T) sum logpi * A.
+    of each group's mean over messages of -(1/T) sum logpi * A.
 
-    ``advs`` holds one advantage vector per episode of ``trace``. Groups
-    are equal in size, so that is the mean over all episodes, taken as
-    one weighted sum over the (B, T) log-prob block.
+    ``advs`` is the block's (B, T) advantages. Groups are equal in size,
+    so that is the mean over all B rows, taken as one weighted sum over
+    the (B, T) log-prob block.
     """
-    n = len(trace.episodes)
-    weights = np.zeros(trace.logprobs.shape, F32)
-    for row, (ep, a) in enumerate(zip(trace.episodes, advs)):
-        weights[row, :a.size] = -a / F32(ep.message.length) / F32(n)
+    lengths = trace.lengths
+    mask = np.arange(advs.shape[1]) < lengths[:, None]
+    weights = np.where(mask, -advs / lengths[:, None].astype(F32)
+                       / F32(lengths.size), F32(0))
     return T.tsum(tape, T.mul(tape, trace.logprobs, Tensor(weights)))
 
 
 def _listener_loss_node(tape, trace):
-    """Mean over episodes of minus the listener's log-prob at the target."""
+    """Mean over rows of minus the listener's log-prob at the target."""
     return T.mul(tape, T.mean(tape, trace.logp_target), Tensor([-1.0]))
 
 
@@ -192,7 +212,7 @@ def train_step(replicas, listener: ListenerModel, dataset,
 
     Each replica plays its ``targets_per_replica`` rounds as one block
     and optimizes the mean of its group losses; the listener optimizes
-    the mean loss over every episode of the step. Parameters are
+    the mean loss over every message of the step. Parameters are
     untouched if any loss or gradient comes out non-finite.
     """
     n_rep = len(replicas)
@@ -208,13 +228,10 @@ def train_step(replicas, listener: ListenerModel, dataset,
         trace = _play_round_traced(rep, listener, dataset, game_cfg, rngs[w],
                                    settings.temperature, tape,
                                    settings.targets_per_replica)
-        group_advs = [
-            group_advantages(group, game_cfg.gamma, settings.baseline_mode,
-                             settings.standardize_advantages)
-            for group in trace.groups()
-        ]
-        spk_node = _group_loss_node(tape, trace,
-                                    [a for advs in group_advs for a in advs])
+        advs = group_advantages(trace, game_cfg.gamma,
+                                settings.baseline_mode,
+                                settings.standardize_advantages)
+        spk_node = _group_loss_node(tape, trace, advs)
         lst_node = _listener_loss_node(tape, trace)
         if lam > 0:
             total = T.add(tape, spk_node,
@@ -226,11 +243,10 @@ def train_step(replicas, listener: ListenerModel, dataset,
         if not (np.isfinite(spk_values[-1]) and np.isfinite(lst_values[-1])):
             _abort(replicas, listener)
         backward(tape, total)
-        for ep in trace.episodes:
-            rewards.append(ep.reward)
-            indicators.append(ep.indicator)
+        rewards.append(trace.rewards)
+        indicators.append(trace.indicators)
         if game_cfg.generations >= 2:
-            adv_vars.extend(advantage_variance(advs) for advs in group_advs)
+            adv_vars.append(advantage_variance(advs, game_cfg.generations))
 
     spk_norms = [grad_global_norm(rep.params) for rep in replicas]
     lst_norm = grad_global_norm(listener.params)
@@ -250,9 +266,10 @@ def train_step(replicas, listener: ListenerModel, dataset,
         speaker_loss=speaker_mean,
         listener_loss=listener_mean,
         joint_loss=speaker_mean + lam * listener_mean,
-        mean_reward=float(np.mean(rewards)),
-        mean_indicator=float(np.mean(indicators)),
-        advantage_variance=float(np.mean(adv_vars)) if adv_vars else 0.0,
+        mean_reward=float(np.mean(np.concatenate(rewards))),
+        mean_indicator=float(np.mean(np.concatenate(indicators))),
+        advantage_variance=(float(np.mean(np.concatenate(adv_vars)))
+                            if adv_vars else 0.0),
         grad_norm_speaker=float(np.mean(spk_norms)),
         grad_norm_listener=lst_norm,
         clip_scale_speaker=float(np.mean(spk_scales)),

@@ -120,8 +120,8 @@ class WorldSpec:
     def __post_init__(self):
         if not (1 <= self.min_objects <= self.max_objects <= 3):
             raise ValueError("object counts must satisfy 1 <= min <= max <= 3")
-        if self.grid < 2:
-            raise ValueError("grid must be at least 2")
+        if not 2 <= self.grid <= 255:  # LGW1 stores it in one byte
+            raise ValueError("grid must lie in [2, 255]")
         if self.raster and self.raster_size % self.grid:
             raise ValueError("raster_size must be a multiple of grid")
         # noise is serialized as f32; canonicalize so round-trips compare equal

@@ -17,6 +17,13 @@ candidate probabilities and the two training losses in plain numpy
 ``ListenerModel.log_probs`` and the trainer's loss nodes to them within
 a stated tolerance.
 
+``Episode`` is one played message as a record of its own, and
+``rewards_to_go``, ``group_advantages``, ``advantage_variance`` and
+``solve_rate`` do the trainer's and the evaluation's bookkeeping one
+episode or group at a time. The package does it as arrays over a
+played block (``game.RoundTrace``), which must match these bitwise;
+``episodes`` and ``round_trace`` convert between the two forms.
+
 ``evaluate_agents`` is the evaluation loop that assembles and decodes
 each round by hand, one message at a time; the package's
 ``evaluate_agents``, which decodes every round's message as one block,
@@ -29,16 +36,18 @@ on. Nothing in ``src/`` imports this module.
 
 from __future__ import annotations
 
+import warnings
+from dataclasses import dataclass
+
 import numpy as np
 
 from lewisgame import tensor as T
 from lewisgame.agents import MessageSample, _raster_patches
 from lewisgame.evaluate import (EvalReport, _strip_eos, attribute_coverage,
                                 bleu)
-from lewisgame.game import make_episode, solve_rate
+from lewisgame.game import RoundTrace
 from lewisgame.tensor import (F32, ShapeError, Tape, Tensor, _emit, _rows,
                               backward)
-from lewisgame.training import group_advantages
 from lewisgame.world import (BOS, EOS, Dataset, WorldSpec, generate_splits,
                              sample_game_batch)
 
@@ -221,14 +230,14 @@ def decode(speaker, patches, keys, h0, tape, *, tokens=None, t_max=0,
            temperature=1.0, rng=None):
     """Teacher-forced when ``tokens`` is given, sampling otherwise.
 
-    Returns (tokens, per-step log-probs, (T,1) tape node), as
-    ``decode_message`` does.
+    Returns (tokens, (T, 1) tape node of the chosen tokens' log-probs),
+    as ``decode_message`` returns a block's.
     """
     sampling = tokens is None
     steps = t_max if sampling else len(tokens)
     hidden = list(h0)
     prev = BOS
-    out_tokens, lps, step_nodes = [], [], []
+    out_tokens, step_nodes = [], []
     for t in range(steps):
         logits, hidden, _ = step(speaker, prev, hidden, patches, keys, tape)
         logp = T.log_softmax(tape, logits)
@@ -245,13 +254,11 @@ def decode(speaker, patches, keys, h0, tape, *, tokens=None, t_max=0,
             tok = int(tokens[t])
         node = T.gather_cols(tape, logp, [tok])
         out_tokens.append(tok)
-        lps.append(float(node.data[0]))
         step_nodes.append(node)
         prev = tok
         if sampling and tok == EOS:
             break
-    node = concat(tape, step_nodes, axis=0)
-    return out_tokens, np.array(lps, F32), node
+    return out_tokens, concat(tape, step_nodes, axis=0)
 
 
 def start(speaker, obs, tape):
@@ -275,10 +282,9 @@ def sample(speaker, obs: np.ndarray, t_max: int, temperature: float,
     patches, keys, h0 = start(speaker, obs, tape)
     samples, nodes = [], []
     for _ in range(n_samples):
-        tokens, lps, node = decode(speaker, patches, keys, h0, tape,
-                                   t_max=t_max, temperature=temperature,
-                                   rng=rng)
-        samples.append(MessageSample(tuple(tokens), lps))
+        tokens, node = decode(speaker, patches, keys, h0, tape,
+                              t_max=t_max, temperature=temperature, rng=rng)
+        samples.append(MessageSample(tuple(tokens)))
         nodes.append(node)
     return samples, nodes
 
@@ -287,9 +293,7 @@ def logprobs(speaker, obs: np.ndarray, tokens, tape=None):
     """``SpeakerPolicy.logprobs`` of one message, built from individual
     ops; returns its (T, 1) node."""
     patches, keys, h0 = start(speaker, obs, tape)
-    _, lps, node = decode(speaker, patches, keys, h0, tape,
-                          tokens=list(tokens))
-    return lps, node
+    return decode(speaker, patches, keys, h0, tape, tokens=list(tokens))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +324,117 @@ def embed_message(listener, tokens, tape=None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# per-episode bookkeeping (oracles for game.RoundTrace, game.solve_rate,
+# training.group_advantages and training.advantage_variance)
+
+
+@dataclass(frozen=True)
+class Episode:
+    """One message played against one candidate set."""
+
+    target: int
+    logprobs: np.ndarray  # (length,) chosen-token log-probs
+    probs: np.ndarray     # (K,) listener probabilities
+
+    @property
+    def length(self) -> int:
+        return self.logprobs.size
+
+    @property
+    def reward(self) -> float:
+        return float(self.probs[self.target])
+
+    @property
+    def indicator(self) -> int:
+        return int(int(np.argmax(self.probs)) == self.target)
+
+
+def episodes(trace: RoundTrace) -> list:
+    """The rows of a played block, one ``Episode`` each."""
+    lps = trace.logprobs.nd()
+    return [Episode(int(t), lps[row, :m.length].copy(), p)
+            for row, (m, t, p) in enumerate(zip(trace.messages,
+                                                trace.targets, trace.probs))]
+
+
+def round_trace(episodes, generations: int, width: int = 0,
+                pad: float = 0.0) -> RoundTrace:
+    """A block of ``episodes``, round-major, with no listener node. Its
+    (B, width) log-prob block (the longest message wide by default)
+    holds ``pad`` past each row's end and requires gradients."""
+    width = width or max(ep.length for ep in episodes)
+    block = np.full((len(episodes), width), pad, F32)
+    for row, ep in enumerate(episodes):
+        block[row, :ep.length] = ep.logprobs
+    return RoundTrace([MessageSample((5,) * ep.length) for ep in episodes],
+                      np.array([ep.target for ep in episodes]),
+                      np.stack([ep.probs for ep in episodes]), generations,
+                      Tensor(block, True), None)
+
+
+def rewards_to_go(reward: float, length: int, gamma: float) -> np.ndarray:
+    """Discounted credit per step: out[t-1] = gamma^(T-t) * R.
+
+    Built by backward multiplication so out[t] == gamma * out[t+1]
+    holds exactly in float32 and the final entry equals R.
+    """
+    if length < 1:
+        raise ValueError("rewards_to_go: length must be >= 1")
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError("rewards_to_go: gamma must lie in [0, 1)")
+    out = np.empty(length, F32)
+    out[length - 1] = F32(reward)
+    g = F32(gamma)
+    for t in range(length - 2, -1, -1):
+        out[t] = g * out[t + 1]
+    return out
+
+
+def group_advantages(episodes, gamma: float, baseline_mode: str = "group",
+                     standardize: bool = False) -> list:
+    """Per-step advantage vectors for one group of episodes.
+
+    ``group``: subtract the group's mean reward, then discount.
+    ``none``: raw rewards-to-go (no baseline).
+    """
+    if baseline_mode == "none":
+        return [rewards_to_go(ep.reward, ep.length, gamma)
+                for ep in episodes]
+    if len(episodes) == 1:
+        warnings.warn("group baseline with G=1 yields zero advantages",
+                      RuntimeWarning, stacklevel=2)
+    rewards = np.array([ep.reward for ep in episodes], np.float64)
+    centered = rewards - rewards.mean()
+    if standardize:
+        centered = centered / (rewards.std() + 1e-8)
+    return [rewards_to_go(1.0, ep.length, gamma) * F32(c)
+            for ep, c in zip(episodes, centered)]
+
+
+def advantage_variance(advs) -> float:
+    """Second moment about zero, n-1 denominator, of one group's summed
+    advantage vectors."""
+    sums = np.array([a.sum(dtype=np.float64) for a in advs])
+    return float((sums ** 2).sum() / (len(sums) - 1))
+
+
+def solve_rate(episodes, top_n: int) -> float:
+    """Fraction of episodes whose target ranks in the listener's top N;
+    ties rank toward the lower index."""
+    if not episodes:
+        return 0.0
+    solved = 0
+    for ep in episodes:
+        p = ep.probs
+        if top_n > p.size:
+            raise ValueError(f"top_n={top_n} exceeds K={p.size}")
+        pk = p[ep.target]
+        rank = 1 + int((p > pk).sum()) + int((p[:ep.target] == pk).sum())
+        solved += rank <= top_n
+    return solved / len(episodes)
+
+
+# ---------------------------------------------------------------------------
 # listener scores and training losses (oracles for ListenerModel.log_probs,
 # training._group_loss_node and training._listener_loss_node)
 
@@ -340,8 +455,8 @@ def speaker_loss(episodes, gamma: float, baseline_mode: str = "group",
     advs = group_advantages(episodes, gamma, baseline_mode, standardize)
     total = 0.0
     for ep, a in zip(episodes, advs):
-        lp = ep.message.logprobs.astype(np.float64)
-        total += -(lp * a.astype(np.float64)).sum() / ep.message.length
+        lp = ep.logprobs.astype(np.float64)
+        total += -(lp * a.astype(np.float64)).sum() / ep.length
     return total / len(episodes)
 
 
@@ -367,14 +482,14 @@ def evaluate_agents(speaker, listener, dataset, k: int, n_rounds: int = 200,
         batch = sample_game_batch(dataset, k, rng)
         obs = dataset.model_inputs()[batch.scene_indices]
         target_idx = int(batch.scene_indices[batch.target_pos])
-        (message,), _ = sample(speaker, obs[batch.target_pos], t_max, 0.0,
-                               1, None)
+        (message,), (node,) = sample(speaker, obs[batch.target_pos], t_max,
+                                     0.0, 1, None)
         v_imgs = listener.embed_images(obs, None, encoder=speaker)
         v_m = embed_message(listener, message.tokens)
         logp = listener.log_probs(T.reshape(None, v_m, (1, 1, v_m.size)),
                                   T.reshape(None, v_imgs, (1,) + v_imgs.shape))
-        episodes.append(make_episode(batch.target_pos, message,
-                                     np.exp(logp.data)))
+        episodes.append(Episode(batch.target_pos, node.data.copy(),
+                                np.exp(logp.data)))
         content = _strip_eos(message.tokens)
         lengths.append(len(content))
         if content:

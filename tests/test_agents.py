@@ -28,12 +28,14 @@ def world():
 def test_sample_contract(world):
     ds, cfg, speaker, _ = world
     rng = np.random.default_rng(0)
-    samples, nodes = speaker.sample(ds.model_inputs()[0], 12, 1.0, 5, rng)
+    samples, node = speaker.sample(ds.model_inputs()[0], 12, 1.0, 5, rng)
     assert len(samples) == 5
-    for s in samples:
+    assert node.shape == (5, max(s.length for s in samples))
+    assert (node.nd() <= 0).all()
+    for s, row in zip(samples, node.nd()):
         assert 1 <= s.length <= 12
         assert all(0 <= t < cfg.vocab_size for t in s.tokens)
-        assert (s.logprobs <= 0).all()
+        assert not row[s.length:].any()
         if EOS in s.tokens:
             assert s.tokens.index(EOS) == s.length - 1
     # generally distinct at temperature 1
@@ -42,10 +44,10 @@ def test_sample_contract(world):
 
 def test_greedy_is_deterministic(world):
     ds, _, speaker, _ = world
-    (a,), _ = speaker.sample(ds.model_inputs()[3], 12, 0.0, 1, None)
-    (b,), _ = speaker.sample(ds.model_inputs()[3], 12, 0.0, 1, None)
+    (a,), a_node = speaker.sample(ds.model_inputs()[3], 12, 0.0, 1, None)
+    (b,), b_node = speaker.sample(ds.model_inputs()[3], 12, 0.0, 1, None)
     assert a.tokens == b.tokens
-    assert a.logprobs.tobytes() == b.logprobs.tobytes()
+    assert a_node.data.tobytes() == b_node.data.tobytes()
 
 
 def test_sampling_deterministic_given_seed(world):
@@ -63,18 +65,18 @@ def test_rescoring_reproduces_sampled_logprobs_bitwise(world):
     obs = ds.model_inputs()[2:5]
     samples, node = speaker.sample(obs, 12, 1.0, 5,
                                    np.random.default_rng(5))
-    lps, rescored = speaker.logprobs(np.repeat(obs, 5, axis=0),
-                                     [s.tokens for s in samples])
+    rescored = speaker.logprobs(np.repeat(obs, 5, axis=0),
+                                [s.tokens for s in samples])
     assert len({s.length for s in samples}) > 1
-    for s, lp in zip(samples, lps):
-        assert lp.tobytes() == s.logprobs.tobytes()
     assert rescored.shape == node.shape
     assert rescored.data.tobytes() == node.data.tobytes()
     for s, row in zip(samples, node.nd()):
         assert not row[s.length:].any()
     # alone, a message is a block of another shape: equal to round-off
-    (alone,), _ = speaker.logprobs(obs[1], [samples[7].tokens])
-    assert np.abs(alone - samples[7].logprobs).max() <= BLOCK_LOGPROB_ATOL
+    alone = speaker.logprobs(obs[1], [samples[7].tokens])
+    assert alone.shape == (1, samples[7].length)
+    assert (np.abs(alone.data - node.nd()[7, :samples[7].length]).max()
+            <= BLOCK_LOGPROB_ATOL)
 
 
 def test_fused_and_generic_paths_agree_bitwise(world):
@@ -83,12 +85,12 @@ def test_fused_and_generic_paths_agree_bitwise(world):
     ds, _, speaker, _ = world
     for i, seed in ((4, 1), (5, 2), (6, 3), (7, 4)):
         obs = ds.model_inputs()[i]
-        (f1,), _ = speaker.sample(obs, 10, 1.0, 1,
-                                  np.random.default_rng(seed))
-        (f2,), _ = reference.sample(speaker, obs, 10, 1.0, 1,
-                                    np.random.default_rng(seed))
+        (f1,), n1 = speaker.sample(obs, 10, 1.0, 1,
+                                   np.random.default_rng(seed))
+        (f2,), (n2,) = reference.sample(speaker, obs, 10, 1.0, 1,
+                                        np.random.default_rng(seed))
         assert f1.tokens == f2.tokens
-        assert f1.logprobs.tobytes() == f2.logprobs.tobytes()
+        assert n1.data.tobytes() == n2.data.tobytes()
 
 
 def test_draw_one_row_matches_rng_choice():
@@ -145,16 +147,17 @@ def test_decode_block_matches_per_message_reference(world, n_layers):
     weights = np.random.default_rng(4).normal(0, 1, (len(messages), 12))
     speaker.params.zero_grads()
     tape = Tape()
-    lps, node = speaker.logprobs(obs, messages, tape)
+    node = speaker.logprobs(obs, messages, tape)
     assert node.shape == (len(messages), 12)
     backward(tape, T.tsum(tape, T.mul(tape, node, Tensor(weights))))
     block = _grads(speaker.params)
     speaker.params.zero_grads()
     for row, (o, m) in enumerate(zip(obs, messages)):
         tape = Tape()
-        want, ref = reference.logprobs(speaker, o, m, tape)
-        assert lps[row].shape == want.shape
-        assert np.abs(lps[row] - want).max() <= BLOCK_LOGPROB_ATOL
+        ref = reference.logprobs(speaker, o, m, tape)
+        assert ref.shape == (len(m), 1)
+        assert (np.abs(node.nd()[row, :len(m)] - ref.data).max()
+                <= BLOCK_LOGPROB_ATOL)
         assert not node.nd()[row, len(m):].any()
         w = Tensor(weights[row, :len(m)].reshape(-1, 1))
         backward(tape, T.tsum(tape, T.mul(tape, ref, w)))
@@ -186,7 +189,7 @@ def test_fused_and_generic_gradients_agree(world):
                            ("generic", partial(reference.logprobs, speaker))):
         speaker.params.zero_grads()
         tape = Tape()
-        _, node = logprobs(obs, msg[0].tokens, tape)
+        node = logprobs(obs, msg[0].tokens, tape)
         backward(tape, T.mean(tape, node))
         grads[path] = _grads(speaker.params)
     _assert_grads_close(grads["fused"], grads["generic"])

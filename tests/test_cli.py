@@ -223,6 +223,16 @@ def test_bad_config_value_exits_1(eval_files, tmp_path, command, section,
     assert os.listdir(tmp_path) == ["bad.ini"]
 
 
+def test_gen_world_negative_scene_count_exits_1_before_writing(tmp_path):
+    config = _write_config(tmp_path / "bad.ini", {"world": {"n_scenes": -3}})
+    proc = _run_cli("gen-world", "--config", config,
+                    "--out", str(tmp_path / "world.lgw"))
+    assert proc.returncode == 1
+    assert "config error: [world] n_scenes must be at least 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert os.listdir(tmp_path) == ["bad.ini"]
+
+
 def test_config_default_section_exits_1(eval_files, tmp_path):
     # configparser would read its keys into every section: this one
     # would set train.seed

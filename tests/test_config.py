@@ -2,11 +2,12 @@
 that hand its sections to the trainer."""
 
 import os
+import re
 from dataclasses import fields
 
 import pytest
 
-from lewisgame.config import RunConfig, parse_config
+from lewisgame.config import ConfigError, RunConfig, parse_config
 from lewisgame.evaluate import ablation_sweep
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
@@ -76,3 +77,33 @@ def test_sweep_records_an_invalid_k_as_a_failed_cell():
     assert (cells[1]["k"], cells[1]["seed"]) == (4, 5)
     assert "report" in cells[1]
     assert (cfg.game.k, cfg.train.seed) == (64, 2024)
+
+
+OUT_OF_RANGE = [
+    ("world", "n_scenes", "-3", "n_scenes must be at least 1"),
+    ("world", "val_scenes", "-5", "val_scenes must be at least 0"),
+    ("world", "test_scenes", "-1", "test_scenes must be at least 0"),
+    ("world", "seed", "-1", "seed must be at least 0"),
+    ("world", "grid", "300", "grid must lie in [2, 255]"),
+    ("model", "d_e", "0", "d_e must be at least 1"),
+    ("model", "d_o", "0", "d_o must be at least 1"),
+    ("model", "n_layers", "0", "n_layers must be at least 1"),
+    ("model", "n_patches", "0", "n_patches must be at least 1"),
+    ("model", "d_att", "-4", "d_att must be at least 0"),
+    ("game", "lam", "nan", "lambda must be non-negative"),
+    ("train", "seed", "-1", "seed must be at least 0"),
+    ("train", "temperature", "nan", "temperature must be >= 0"),
+    ("train", "clip_norm", "nan", "clip_norm must be positive"),
+    ("train", "sync_period", "-1", "sync_period must be at least 0"),
+    ("train", "eval_interval", "-1", "eval_interval must be at least 0"),
+    ("eval", "seed", "-1", "seed must be at least 0"),
+]
+
+
+@pytest.mark.parametrize("section, key, value, message", OUT_OF_RANGE,
+                         ids=[f"{s}-{k}" for s, k, _, _ in OUT_OF_RANGE])
+def test_parse_config_rejects_out_of_range_values(section, key, value,
+                                                  message):
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"[{section}] {message}")):
+        parse_config(f"[{section}]\n{key} = {value}\n")

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from reference import generate_dataset
+import reference
+from reference import generate_dataset, rewards_to_go
 
 from lewisgame.agents import ListenerModel, ModelConfig, SpeakerPolicy
-from lewisgame.game import (GameConfig, GameEpisode, _play_round_traced,
-                            make_episode, rewards_to_go, solve_rate)
+from lewisgame.game import GameConfig, _play_round_traced, solve_rate
 from lewisgame.world import WorldSpec
 
 
@@ -42,6 +42,8 @@ def test_game_config_validation():
         GameConfig(gamma=1.0)
     with pytest.raises(ValueError):
         GameConfig(lam=-0.1)
+    with pytest.raises(ValueError):
+        GameConfig(lam=float("nan"))
     with pytest.raises(ValueError):
         GameConfig(generations=0)
 
@@ -81,45 +83,45 @@ def test_rewards_to_go_telescoping_exact():
     assert out[-1] == np.float32(0.9)
 
 
-def _episodes(speaker, listener, ds, cfg, rng):
-    """Draw a round from ``ds`` and play it through ``play_round``."""
-    return _play_round_traced(speaker, listener, ds, cfg, rng).episodes
+def _trace(speaker, listener, ds, cfg, rng):
+    """Draw a round from ``ds`` and play it through ``play_rounds``."""
+    return _play_round_traced(speaker, listener, ds, cfg, rng)
 
 
 def test_play_round_structure(setup):
     ds, speaker, listener = setup
     cfg = GameConfig(k=4, generations=3, t_max=8)
     rng = np.random.default_rng(0)
-    episodes = _episodes(speaker, listener, ds, cfg, rng)
-    assert len(episodes) == 3
-    target = episodes[0].target
-    for ep in episodes:
-        assert ep.target == target            # shared target
-        assert ep.probs.shape == (4,)
-        assert abs(ep.probs.sum() - 1.0) < 1e-6
-        assert 0.0 <= ep.reward <= 1.0
-        assert ep.reward == ep.probs[target]
-        assert ep.indicator == int(np.argmax(ep.probs) == target)
-        assert 1 <= ep.message.length <= cfg.t_max
+    trace = _trace(speaker, listener, ds, cfg, rng)
+    assert len(trace.messages) == 3
+    assert trace.targets.tolist() == [trace.targets[0]] * 3  # shared target
+    assert trace.probs.shape == (3, 4)
+    assert np.abs(trace.probs.sum(axis=1) - 1.0).max() < 1e-6
+    rewards = trace.rewards
+    assert ((0.0 <= rewards) & (rewards <= 1.0)).all()
+    assert (rewards == trace.probs[np.arange(3), trace.targets]).all()
+    assert (trace.indicators
+            == (np.argmax(trace.probs, axis=1) == trace.targets)).all()
+    assert trace.lengths.tolist() == [m.length for m in trace.messages]
+    assert ((1 <= trace.lengths) & (trace.lengths <= cfg.t_max)).all()
 
 
 def test_play_round_reproducible(setup):
     ds, speaker, listener = setup
     cfg = GameConfig(k=4, generations=2, t_max=8)
-    a = _episodes(speaker, listener, ds, cfg, np.random.default_rng(7))
-    b = _episodes(speaker, listener, ds, cfg, np.random.default_rng(7))
-    for x, y in zip(a, b):
-        assert x.message.tokens == y.message.tokens
-        assert x.probs.tobytes() == y.probs.tobytes()
+    a = _trace(speaker, listener, ds, cfg, np.random.default_rng(7))
+    b = _trace(speaker, listener, ds, cfg, np.random.default_rng(7))
+    assert ([m.tokens for m in a.messages]
+            == [m.tokens for m in b.messages])
+    assert a.probs.tobytes() == b.probs.tobytes()
 
 
 def test_play_round_rewards_differ_across_messages(setup):
     ds, speaker, listener = setup
     cfg = GameConfig(k=8, generations=5, t_max=8)
-    episodes = _episodes(speaker, listener, ds, cfg,
-                         np.random.default_rng(3))
-    rewards = {round(ep.reward, 8) for ep in episodes}
-    tokens = {ep.message.tokens for ep in episodes}
+    trace = _trace(speaker, listener, ds, cfg, np.random.default_rng(3))
+    rewards = {round(r, 8) for r in trace.rewards}
+    tokens = {m.tokens for m in trace.messages}
     if len(tokens) > 1:          # generic case at random init
         assert len(rewards) > 1
 
@@ -131,39 +133,54 @@ def test_play_round_never_reads_captions(setup):
         observations=ds.observations, captions=None, rasters=ds.rasters,
         vocab=ds.vocab)
     cfg = GameConfig(k=4, generations=2, t_max=6)
-    episodes = _episodes(speaker, listener, poisoned, cfg,
-                         np.random.default_rng(1))
-    assert len(episodes) == 2
+    trace = _trace(speaker, listener, poisoned, cfg, np.random.default_rng(1))
+    assert len(trace.messages) == 2
 
 
-def _episode_with(probs, target, length=3):
-    from lewisgame.agents import MessageSample
-    msg = MessageSample(tuple([5] * length), np.zeros(length, np.float32))
-    return make_episode(target, msg, np.asarray(probs, np.float32))
+def _rows(*pairs):
+    """(probs, targets) of one row per (probs, target) pair."""
+    return (np.stack([np.asarray(p, np.float32) for p, _ in pairs]),
+            np.array([t for _, t in pairs]))
 
 
 def test_solve_rate_uniform_top10():
-    eps = [_episode_with(np.full(10, 0.1), t) for t in range(10)]
-    assert solve_rate(eps, 10) == 1.0
+    assert solve_rate(*_rows(*[(np.full(10, 0.1), t) for t in range(10)]),
+                      10) == 1.0
 
 
 def test_solve_rate_onehot_top1():
     p = np.zeros(6, np.float32)
     p[4] = 1.0
-    assert solve_rate([_episode_with(p, 4)], 1) == 1.0
-    assert solve_rate([_episode_with(p, 2)], 1) == 0.0
+    assert solve_rate(*_rows((p, 4)), 1) == 1.0
+    assert solve_rate(*_rows((p, 2)), 1) == 0.0
 
 
 def test_solve_rate_tie_breaks_toward_lower_index():
     p = np.array([0.25, 0.25, 0.25, 0.25], np.float32)
-    assert solve_rate([_episode_with(p, 0)], 1) == 1.0
-    assert solve_rate([_episode_with(p, 1)], 1) == 0.0
-    assert solve_rate([_episode_with(p, 1)], 2) == 1.0
+    assert solve_rate(*_rows((p, 0)), 1) == 1.0
+    assert solve_rate(*_rows((p, 1)), 1) == 0.0
+    assert solve_rate(*_rows((p, 1)), 2) == 1.0
 
 
 def test_solve_rate_topn_bounds():
     with pytest.raises(ValueError):
-        solve_rate([_episode_with(np.full(4, 0.25), 0)], 5)
+        solve_rate(*_rows((np.full(4, 0.25), 0)), 5)
+
+
+@pytest.mark.parametrize("k", [2, 5, 16])
+def test_solve_rate_matches_per_episode_oracle(k):
+    # probabilities on a coarse grid, so that most rows hold ties, some
+    # of them at the target
+    rng = np.random.default_rng(k)
+    probs = rng.integers(0, 4, (300, k)).astype(np.float32) / 8
+    targets = rng.integers(0, k, 300)
+    ties = (probs == probs[np.arange(300), targets][:, None]).sum(axis=1)
+    assert (ties > 1).sum() >= 50   # rows where another entry ties the target
+    eps = [reference.Episode(int(t), np.zeros(1, np.float32), p)
+           for p, t in zip(probs, targets)]
+    for top_n in range(1, k + 1):
+        assert (solve_rate(probs, targets, top_n)
+                == reference.solve_rate(eps, top_n)), top_n
 
 
 def test_indicator_mc_unbiased():

@@ -41,6 +41,19 @@ def test_log_softmax_matches_log_of_softmax():
     assert np.allclose(ls.data, np.log(s.data), atol=1e-5)
 
 
+def test_log_softmax_normalises_each_row_at_any_rank():
+    out = T.log_softmax(None, Tensor(np.zeros((2, 2, 3), np.float32)))
+    assert out.shape == (2, 2, 3)
+    assert np.allclose(np.exp(out.nd()).sum(axis=-1), 1.0, atol=1e-6)
+    # a rank-3 input is its rows' rank-2 log-softmax, bit for bit; rank 1
+    # is a single row
+    x = np.random.default_rng(2).normal(0, 2, (3, 4, 5)).astype(np.float32)
+    flat = T.log_softmax(None, Tensor(x.reshape(12, 5)))
+    assert T.log_softmax(None, Tensor(x)).data.tobytes() == flat.data.tobytes()
+    assert (T.log_softmax(None, Tensor(x[0, 0])).data.tobytes()
+            == T.log_softmax(None, Tensor(x[:1, 0])).data.tobytes())
+
+
 def test_matmul_identity():
     a = Tensor(np.arange(12, dtype=np.float32).reshape(3, 4))
     eye = Tensor(np.eye(3, dtype=np.float32))
@@ -211,6 +224,8 @@ OP_CASES = {
         t, reference.softmax(t, p["p0"]), p["p1"])), [(3, 5), (3, 5)]),
     "log_softmax": (lambda p, t: T.tsum(t, T.mul(
         t, T.log_softmax(t, p["p0"]), p["p1"])), [(3, 5), (3, 5)]),
+    "log_softmax_rank3": (lambda p, t: T.tsum(t, T.mul(
+        t, T.log_softmax(t, p["p0"]), p["p1"])), [(2, 3, 4), (2, 3, 4)]),
     "gru_cell": (lambda p, t: T.tsum(t, reference.gru_cell(
         t, p["p0"], p["p1"], p["p2"], p["p3"], p["p4"], p["p5"], p["p6"],
         p["p7"])),

@@ -4,13 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from reference import generate_dataset, listener_loss, speaker_loss
+import reference
+from reference import (Episode, episodes, generate_dataset, listener_loss,
+                       round_trace, speaker_loss)
 
 from lewisgame import training
-from lewisgame.agents import MessageSample, ModelConfig
-from lewisgame.game import (GameConfig, RoundTrace, _play_round_traced,
-                            make_episode, rewards_to_go)
-from lewisgame.tensor import Tape, Tensor, backward
+from lewisgame.agents import ModelConfig
+from lewisgame.game import GameConfig, _play_round_traced
+from lewisgame.tensor import Tape, backward
 from lewisgame.training import (NumericalFailureError, Trainer, TrainSettings,
                                 _group_loss_node, _listener_loss_node,
                                 advantage_variance, group_advantages,
@@ -19,11 +20,15 @@ from lewisgame.world import WorldSpec
 
 
 def _episode(reward, logprobs, target=0, k=4):
-    lp = np.asarray(logprobs, np.float32)
-    msg = MessageSample(tuple([5] * lp.size), lp)
     probs = np.full(k, (1.0 - reward) / (k - 1), np.float32)
     probs[target] = reward
-    return make_episode(target, msg, probs)
+    return Episode(target, np.asarray(logprobs, np.float32), probs)
+
+
+def _advs(group, gamma, baseline_mode="group", standardize=False):
+    """One group's advantage block, from the package."""
+    return group_advantages(round_trace(group, len(group)), gamma,
+                            baseline_mode, standardize)
 
 
 def test_speaker_loss_zero_when_rewards_equal():
@@ -48,8 +53,10 @@ def test_speaker_loss_group_g1_warns():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         loss = speaker_loss([_episode(0.5, [-1.0])], 0.95)
+        block = _advs([_episode(0.5, [-1.0])], 0.95)
     assert loss == 0.0
-    assert any("G=1" in str(w.message) for w in caught)
+    assert not block.any()
+    assert sum("G=1" in str(w.message) for w in caught) == 2
 
 
 def test_speaker_loss_shift_invariant_in_rewards():
@@ -71,13 +78,49 @@ def test_group_advantages_discounts_with_its_gamma(baseline_mode):
     gamma = 0.6
     group = [_episode(r, [-1.0] * n) for r, n in ((0.7, 4), (0.2, 1),
                                                   (0.45, 7))]
-    advs = group_advantages(group, gamma, baseline_mode)
+    advs = _advs(group, gamma, baseline_mode)
+    assert advs.dtype == np.float32 and advs.shape == (3, 7)
     for ep, a in zip(group, advs):
-        rtg = rewards_to_go(ep.reward, ep.message.length, gamma)
-        assert a.dtype == np.float32
-        assert a.tobytes() == rtg.tobytes()
+        rtg = reference.rewards_to_go(ep.reward, ep.length, gamma)
+        assert a[:ep.length].tobytes() == rtg.tobytes()
+        assert not a[ep.length:].any()
     assert (advs[0].tobytes()
-            != group_advantages(group, 0.95, baseline_mode)[0].tobytes())
+            != _advs(group, 0.95, baseline_mode)[0].tobytes())
+
+
+def _random_block(rng, n_rounds, generations, t_max):
+    """Episodes of ``n_rounds`` rounds of ``generations``, round-major,
+    with random rewards and lengths that include 1 and ``t_max``."""
+    lengths = rng.integers(1, t_max + 1, n_rounds * generations)
+    lengths[:2] = 1, t_max
+    rng.shuffle(lengths)
+    return [_episode(float(rng.random()), -rng.random(n),
+                     target=int(rng.integers(8)), k=8)
+            for n in lengths]
+
+
+@pytest.mark.parametrize("generations", [2, 5])
+@pytest.mark.parametrize("standardize", [False, True])
+@pytest.mark.parametrize("baseline_mode", ["group", "none"])
+def test_group_advantages_block_matches_per_episode_oracle(
+        baseline_mode, standardize, generations):
+    rng = np.random.default_rng(generations)
+    eps = _random_block(rng, 3, generations, 12)
+    # wider than the longest message, as a block of another row would be
+    trace = round_trace(eps, generations, width=14, pad=1.0)
+    block = group_advantages(trace, 0.95, baseline_mode, standardize)
+    assert block.dtype == np.float32 and block.shape == (len(eps), 14)
+    for i in range(0, len(eps), generations):
+        group = eps[i:i + generations]
+        want = reference.group_advantages(group, 0.95, baseline_mode,
+                                          standardize)
+        for row, (ep, a) in enumerate(zip(group, want), start=i):
+            assert block[row, :ep.length].tobytes() == a.tobytes()
+            assert (block[row, ep.length:].tobytes()
+                    == bytes(4 * (14 - ep.length)))   # +0.0 past the end
+        if generations >= 2:
+            assert (advantage_variance(block, generations)[i // generations]
+                    == reference.advantage_variance(want))
 
 
 def test_listener_loss_values():
@@ -93,8 +136,7 @@ def test_listener_loss_equals_cross_entropy():
         k = int(rng.integers(2, 12))
         p = rng.dirichlet(np.ones(k)).astype(np.float32)
         target = int(rng.integers(k))
-        msg = MessageSample((5,), np.zeros(1, np.float32))
-        ep = make_episode(target, msg, p)
+        ep = Episode(target, np.zeros(1, np.float32), p)
         onehot = np.zeros(k)
         onehot[target] = 1.0
         with np.errstate(divide="ignore"):
@@ -104,7 +146,7 @@ def test_listener_loss_equals_cross_entropy():
 
 def test_advantage_variance_zero_for_identical_rewards():
     group = [_episode(0.4, [-1.0, -2.0]) for _ in range(5)]
-    assert advantage_variance(group_advantages(group, 0.95)) == 0.0
+    assert advantage_variance(_advs(group, 0.95), 5).tolist() == [0.0]
 
 
 def test_advantage_variance_two_episode_closed_form():
@@ -112,8 +154,8 @@ def test_advantage_variance_two_episode_closed_form():
     group = [_episode(1.0, [-1.0] * T), _episode(0.0, [-1.0] * T)]
     s = sum(gamma ** (T - t) for t in range(1, T + 1))
     expected = 2 * (0.5 * s) ** 2 / (2 - 1)
-    advs = group_advantages(group, gamma)
-    assert abs(advantage_variance(advs) - expected) < 1e-5
+    (got,) = advantage_variance(_advs(group, gamma), 2)
+    assert abs(got - expected) < 1e-5
 
 
 def test_group_baseline_variance_not_above_none():
@@ -122,8 +164,8 @@ def test_group_baseline_variance_not_above_none():
     for _ in range(300):
         rewards = rng.random(5)
         group = [_episode(r, [-1.0, -0.5]) for r in rewards]
-        vg = advantage_variance(group_advantages(group, 0.95, "group"))
-        vn = advantage_variance(group_advantages(group, 0.95, "none"))
+        (vg,) = advantage_variance(_advs(group, 0.95, "group"), 5)
+        (vn,) = advantage_variance(_advs(group, 0.95, "none"), 5)
         assert vg <= vn + 1e-9
         wins += vg < vn
     assert wins == 300  # strict when mean reward is nonzero
@@ -138,21 +180,18 @@ def test_group_loss_node_matches_reference(baseline_mode, standardize):
     rng = np.random.default_rng(4)
     group = [_episode(float(rng.random()), -rng.random(n))
              for n in (1, 3, 4, 7, 12)]
-    block = np.ones((len(group), 12), np.float32)
-    for row, ep in enumerate(group):
-        block[row, :ep.message.length] = ep.message.logprobs
-    node = Tensor(block, True)
-    advs = group_advantages(group, 0.95, baseline_mode, standardize)
+    trace = round_trace(group, len(group), pad=1.0)
+    advs = group_advantages(trace, 0.95, baseline_mode, standardize)
     tape = Tape()
-    loss = _group_loss_node(tape, RoundTrace(group, len(group), node, None),
-                            advs)
+    loss = _group_loss_node(tape, trace, advs)
     expected = speaker_loss(group, 0.95, baseline_mode, standardize)
     assert abs(loss.item() - expected) <= 1e-6 * max(1.0, abs(expected))
     backward(tape, loss)
-    grad = node.grad.reshape(block.shape)
-    for row, (ep, a) in enumerate(zip(group, advs)):
-        want = -a.astype(np.float64) / (ep.message.length * len(group))
-        assert np.allclose(grad[row, :a.size], want, rtol=1e-6, atol=1e-9)
+    grad = trace.logprobs.grad.reshape(trace.logprobs.shape)
+    want = reference.group_advantages(group, 0.95, baseline_mode, standardize)
+    for row, (ep, a) in enumerate(zip(group, want)):
+        w = -a.astype(np.float64) / (ep.length * len(group))
+        assert np.allclose(grad[row, :a.size], w, rtol=1e-6, atol=1e-9)
         assert not grad[row, a.size:].any()
 
 
@@ -166,13 +205,18 @@ def _played_rounds(trainer_setup, seed, n_rounds):
     return tape, trace
 
 
+def _groups(trace):
+    """A played block's episodes, one list per round."""
+    eps, g = episodes(trace), trace.generations
+    return [eps[i:i + g] for i in range(0, len(eps), g)]
+
+
 def test_group_loss_node_matches_reference_on_played_round(trainer_setup):
     # the block loss is the mean of the per-group reference losses
     tape, trace = _played_rounds(trainer_setup, 10, 3)
-    groups = trace.groups()
+    groups = _groups(trace)
     assert len(groups) == 3
-    advs = [a for group in groups for a in group_advantages(group, 0.95)]
-    loss = _group_loss_node(tape, trace, advs)
+    loss = _group_loss_node(tape, trace, group_advantages(trace, 0.95))
     expected = np.mean([speaker_loss(group, 0.95) for group in groups])
     assert abs(loss.item() - expected) <= 1e-6 * max(1.0, abs(expected))
 
@@ -180,8 +224,9 @@ def test_group_loss_node_matches_reference_on_played_round(trainer_setup):
 def test_listener_loss_node_matches_reference(trainer_setup):
     tape, trace = _played_rounds(trainer_setup, 11, 2)
     loss = _listener_loss_node(tape, trace)
-    expected = np.mean([listener_loss(ep) for ep in trace.episodes])
-    assert len(trace.episodes) == 2 * trainer_setup[2].generations
+    eps = episodes(trace)
+    expected = np.mean([listener_loss(ep) for ep in eps])
+    assert len(eps) == 2 * trainer_setup[2].generations
     assert abs(loss.item() - expected) <= 1e-6 * expected
 
 
@@ -223,12 +268,10 @@ def test_advantage_variance_reports_the_trained_advantages(trainer_setup,
     settings = TrainSettings(seed=12, replicas=2, targets_per_replica=2,
                              standardize_advantages=True)
     report = Trainer(ds, gcfg, mcfg, settings).step_once()
-    expected = []
-    for tr in traces:
-        for group in tr.groups():
-            advs = group_advantages(group, gcfg.gamma, standardize=True)
-            sums = np.array([a.sum(dtype=np.float64) for a in advs])
-            expected.append((sums ** 2).sum() / (len(sums) - 1))
+    expected = [
+        reference.advantage_variance(reference.group_advantages(
+            group, gcfg.gamma, standardize=True))
+        for tr in traces for group in _groups(tr)]
     assert len(traces) == 2  # one block of two rounds per replica
     assert len(expected) == 4
     assert report.advantage_variance == float(np.mean(expected))
