@@ -14,9 +14,9 @@ from .tensor import ShapeError, Tape, Tensor, backward
 from .training import (LossReport, NumericalFailureError, Trainer,
                        TrainSettings, advantage_variance, sync_replicas,
                        train_step)
-from .world import (CapacityError, Dataset, GameBatch, ObjectSpec,
-                    SamplingError, Scene, Vocabulary, WorldSpec,
-                    build_captions, generate_splits, load_dataset,
-                    render_raster, sample_game_batch, save_dataset)
+from .world import (CapacityError, Dataset, ObjectSpec, SamplingError, Scene,
+                    Vocabulary, WorldSpec, build_captions, generate_splits,
+                    load_dataset, render_raster, sample_game_batch,
+                    save_dataset)
 
 __version__ = "0.1.0"

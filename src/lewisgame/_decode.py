@@ -1,10 +1,11 @@
 """Hand-fused forward/backward kernels: the model's only code path.
 
 Each kernel records one tape node per block: the observation encoder
-one per batch of observations (a round's K candidates share one), the
-speaker decoder one per block of B messages and the listener's message
-GRU one per block of B padded messages, instead of ~16 generic ops per
-token and message; that is what keeps training fast on a small CPU.
+one per batch of observations (a played block's distinct candidates
+share one), the speaker decoder one per block of B messages and the
+listener's message GRU one per block of B padded messages, instead of
+~16 generic ops per token and message; that is what keeps training fast
+on a small CPU.
 ``tests/reference.py`` builds the same computations from individual
 tape ops, one observation or message at a time, and is the oracle. A
 one-row block runs the same numpy calls in the same order, so its
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import F32, Tensor
+from .tensor import F32, Tensor, _transposed
 
 ZERO = F32(0)
 ONE = F32(1)
@@ -49,12 +50,6 @@ def _gru_forward(x, h, Wz, bz, Wr, br, Wh, bh):
     V = np.concatenate([r * h, x], axis=1)
     c = np.tanh(V @ Wh + bh)
     return (ONE - z) * h + z * c, (U, z, r, V, c, h)
-
-
-def _transposed(*weights):
-    """Contiguous transposes: a few rows times a contiguous W.T run
-    several times faster than times the strided view ``W.T``."""
-    return [np.ascontiguousarray(w.T) for w in weights]
 
 
 def _gru_backward(g, cache, WzT, WrT, WhT, dh_extra=None):

@@ -281,7 +281,7 @@ class ListenerModel:
 
     def embed_images(self, observations: np.ndarray, tape=None,
                      encoder=None) -> Tensor:
-        """(K, d_o) embeddings of K candidate observations, one per row.
+        """(N, d_o) embeddings of N candidate observations, one per row.
 
         All candidates go through the shared encoder in one node; each
         candidate's patches are then mean-pooled and projected, again one

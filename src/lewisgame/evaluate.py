@@ -61,10 +61,10 @@ def bleu(candidate, references, max_n: int = 4) -> list[float]:
         if total == 0:
             precisions.append(BLEU_EPS)
             continue
-        clipped = 0
-        for gram, cnt in counts.items():
-            best = max(_ngram_counts(ref, n)[gram] for ref in references)
-            clipped += min(cnt, best)
+        best = Counter()  # each n-gram's largest count in any reference
+        for ref in references:
+            best |= _ngram_counts(ref, n)
+        clipped = sum((counts & best).values())
         precisions.append(clipped / total if clipped else BLEU_EPS)
     scores = []
     for n in range(1, max_n + 1):
@@ -144,17 +144,18 @@ def evaluate_agents(speaker: SpeakerPolicy, listener: ListenerModel,
     Every round's K candidates are drawn first; the rounds are then
     played through ``game.play_rounds``, as training plays them, with one
     message per round decoded at temperature 0 (argmax), no tape and no
-    rng, all ``n_rounds`` messages as one block. Deterministic given
+    rng, all ``n_rounds`` messages as one block and each distinct
+    candidate scene embedded once. Deterministic given
     (parameters, dataset, seed, n_rounds): distractor draws come from a
     fresh seeded stream.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A1]))
-    batches = [sample_game_batch(dataset, k, rng) for _ in range(n_rounds)]
-    trace = play_rounds(speaker, listener, dataset.model_inputs(), batches,
-                        1, t_max, None, temperature=0.0)
+    scenes, targets = sample_game_batch(dataset, k, n_rounds, rng)
+    trace = play_rounds(speaker, listener, dataset.model_inputs(), scenes,
+                        targets, 1, t_max, None, temperature=0.0)
     bleus, coverages, lengths = [], [], []
-    for batch, message in zip(batches, trace.messages):
-        target = int(batch.scene_indices[batch.target_pos])
+    for target, message in zip(scenes[np.arange(n_rounds), targets],
+                               trace.messages):
         content = _strip_eos(message.tokens)
         lengths.append(len(content))
         bleus.append(bleu(content, dataset.captions[target], 4) if content

@@ -9,8 +9,9 @@ hit) is read alongside it.
 
 ``play_rounds`` plays rounds once their candidates are drawn, for
 training (sampled, taped) and evaluation (one greedy message per round,
-untaped) alike. Every message of the rounds it plays is decoded as one
-block and embedded by the listener as one block, so the tape holds the
+untaped) through one path. Every message of the rounds it plays is
+decoded as one block and embedded by the listener as one block, and
+each distinct candidate scene is embedded once, so the tape holds the
 same nodes whatever the number of rounds and of messages per round. It
 returns a ``RoundTrace``, the one record of the played block: one row
 per message, with its target, the listener's probabilities and its
@@ -91,53 +92,39 @@ class RoundTrace:
         return np.array([m.length for m in self.messages])
 
 
-def _score(speaker: SpeakerPolicy, listener: ListenerModel,
-           inputs: np.ndarray, batches, v_msgs: Tensor, tape) -> Tensor:
-    """(n·G, K) listener log-probs of the n rounds in ``batches``, given
-    their messages' (n·G, d_o) summaries, round-major."""
-    n, k = len(batches), batches[0].scene_indices.size
-    v_imgs = listener.embed_images(
-        inputs[np.concatenate([b.scene_indices for b in batches])], tape,
-        encoder=speaker)
-    d = v_imgs.shape[1]
-    return listener.log_probs(
-        T.reshape(tape, v_msgs, (n, v_msgs.shape[0] // n, d)),
-        T.reshape(tape, v_imgs, (n, k, d)), tape)
-
-
 def play_rounds(speaker: SpeakerPolicy, listener: ListenerModel,
-                inputs: np.ndarray, batches, generations: int, t_max: int,
-                rng, temperature: float = 1.0, tape=None) -> RoundTrace:
+                inputs: np.ndarray, scenes: np.ndarray, targets: np.ndarray,
+                generations: int, t_max: int, rng, temperature: float = 1.0,
+                tape=None) -> RoundTrace:
     """Play drawn rounds: ``generations`` messages per round, one row of
     the returned ``RoundTrace`` each.
 
-    ``inputs`` holds every scene's model input, one per row, and each
-    ``GameBatch`` of ``batches`` names a round's K candidate rows and its
-    target. One ``SpeakerPolicy.sample`` call describes every round's
-    target ``generations`` times, and one ``embed_message`` call embeds
-    all those messages. Taped, every round's candidates are embedded and
-    scored as one block, since the tape keeps all their activations
-    anyway; untaped, round by round, so that memory does not grow with
-    K × rounds. Temperature 0 decodes greedily and needs no ``rng``.
+    ``inputs`` holds every scene's model input, one per row; round n's K
+    candidates are rows ``scenes[n]`` and its target is candidate
+    ``targets[n]``. One ``SpeakerPolicy.sample`` call describes every
+    round's target ``generations`` times, and one ``embed_message`` call
+    embeds all those messages. Each distinct candidate scene is embedded
+    once and gathered into its rounds' slots, so memory is bounded by the
+    scenes drawn, not by K × rounds; on a tape the gather sums the
+    gradients of a scene that several rounds share. Temperature 0 decodes
+    greedily and needs no ``rng``.
     """
-    g = generations
-    targets = np.repeat([b.target_pos for b in batches], g)
+    n, k = scenes.shape
     samples, logprobs = speaker.sample(
-        inputs[[b.scene_indices[b.target_pos] for b in batches]], t_max,
-        temperature, g, rng, tape)
+        inputs[scenes[np.arange(n), targets]], t_max, temperature,
+        generations, rng, tape)
     v_msgs = listener.embed_message([s.tokens for s in samples], tape)
-    if tape is None:
-        logp = np.concatenate([
-            _score(speaker, listener, inputs, [b],
-                   Tensor(v_msgs.nd()[i * g:(i + 1) * g]), None).nd()
-            for i, b in enumerate(batches)])
-        logp_target = None
-    else:
-        node = _score(speaker, listener, inputs, batches, v_msgs, tape)
-        logp = node.nd()
-        logp_target = T.gather_cols(tape, node, targets)
-    return RoundTrace(samples, targets, np.exp(logp), g, logprobs,
-                      logp_target)
+    distinct, slots = np.unique(scenes.ravel(), return_inverse=True)
+    v_imgs = T.embedding(tape, listener.embed_images(
+        inputs[distinct], tape, encoder=speaker), slots)
+    d = v_imgs.shape[1]
+    node = listener.log_probs(
+        T.reshape(tape, v_msgs, (n, generations, d)),
+        T.reshape(tape, v_imgs, (n, k, d)), tape)
+    targets = np.repeat(targets, generations)
+    logp_target = None if tape is None else T.gather_cols(tape, node, targets)
+    return RoundTrace(samples, targets, np.exp(node.nd()), generations,
+                      logprobs, logp_target)
 
 
 def _play_round_traced(speaker: SpeakerPolicy, listener: ListenerModel,
@@ -145,11 +132,10 @@ def _play_round_traced(speaker: SpeakerPolicy, listener: ListenerModel,
                        temperature: float = 1.0, tape=None,
                        n_rounds: int = 1) -> RoundTrace:
     """Draw ``n_rounds`` training rounds' candidates, then play them."""
-    batches = [sample_game_batch(dataset, config.k, rng)
-               for _ in range(n_rounds)]
-    return play_rounds(speaker, listener, dataset.model_inputs(), batches,
-                       config.generations, config.t_max, rng, temperature,
-                       tape)
+    scenes, targets = sample_game_batch(dataset, config.k, n_rounds, rng)
+    return play_rounds(speaker, listener, dataset.model_inputs(), scenes,
+                       targets, config.generations, config.t_max, rng,
+                       temperature, tape)
 
 
 def solve_rate(probs: np.ndarray, targets: np.ndarray, top_n: int) -> float:

@@ -134,6 +134,12 @@ def _emit(tape, data_nd: np.ndarray, req: bool) -> Tensor:
     return Tensor._wrap(flat, data_nd.shape, req)
 
 
+def _transposed(*weights):
+    """Contiguous transposes: a few rows times a contiguous W.T run
+    several times faster than times the strided view ``W.T``."""
+    return [np.ascontiguousarray(w.T) for w in weights]
+
+
 def matmul(tape, a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two rank-2 tensors."""
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -147,7 +153,7 @@ def matmul(tape, a: Tensor, b: Tensor) -> Tensor:
         def rule(g):
             G = g.reshape(out.shape)
             return (
-                (G @ B.T) if a.requires_grad else None,
+                (G @ _transposed(B)[0]) if a.requires_grad else None,
                 (A.T @ G) if b.requires_grad else None,
             )
         tape.record(out, (a, b), rule)

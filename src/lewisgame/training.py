@@ -81,9 +81,12 @@ class TrainSettings:
                 raise ValueError(f"unknown optimizer kind: {kind!r}")
         if self.baseline_mode not in BASELINE_MODES:
             raise ValueError(f"unknown baseline mode: {self.baseline_mode!r}")
-        check_at_least(self, replicas=1, targets_per_replica=1, seed=0,
-                       sync_period=0, eval_interval=0)
+        check_at_least(self, steps=0, replicas=1, targets_per_replica=1,
+                       seed=0, sync_period=0, eval_interval=0)
         # written so that NaN fails them
+        for key in ("lr_speaker", "lr_listener"):
+            if not 0 <= getattr(self, key) < np.inf:
+                raise ValueError(f"{key} must be finite and non-negative")
         if not self.clip_norm > 0:
             raise ValueError("clip_norm must be positive")
         if not self.temperature >= 0:

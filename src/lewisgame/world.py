@@ -122,8 +122,13 @@ class WorldSpec:
             raise ValueError("object counts must satisfy 1 <= min <= max <= 3")
         if not 2 <= self.grid <= 255:  # LGW1 stores it in one byte
             raise ValueError("grid must lie in [2, 255]")
-        if self.raster and self.raster_size % self.grid:
-            raise ValueError("raster_size must be a multiple of grid")
+        if self.raster:
+            # LGW1 stores raster_size as a u16
+            if not self.grid <= self.raster_size <= 65535:
+                raise ValueError(
+                    f"raster_size must lie in [{self.grid}, 65535]")
+            if self.raster_size % self.grid:
+                raise ValueError("raster_size must be a multiple of grid")
         # noise is serialized as f32; canonicalize so round-trips compare equal
         object.__setattr__(self, "noise", float(F32(self.noise)))
 
@@ -369,14 +374,6 @@ def generate_splits(seed: int, spec: WorldSpec, n_train: int, n_val: int = 0,
     return out
 
 
-@dataclass(frozen=True)
-class GameBatch:
-    """One sampled round: target position plus K distinct scene indices."""
-
-    target_pos: int
-    scene_indices: np.ndarray
-
-
 def check_candidate_count(dataset: Dataset, k: int) -> None:
     """Raise ``SamplingError`` unless K distinct scenes can be drawn from
     ``dataset`` for a round."""
@@ -387,12 +384,17 @@ def check_candidate_count(dataset: Dataset, k: int) -> None:
             f"K={k} exceeds dataset size {len(dataset)}")
 
 
-def sample_game_batch(dataset: Dataset, k: int, rng) -> GameBatch:
-    """Uniformly draw K distinct scenes and a uniform target position."""
+def sample_game_batch(dataset: Dataset, k: int, n: int,
+                      rng) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``n`` rounds, each K distinct uniform scenes and a uniform
+    target position. Returns (n, K) scene indices and (n,) targets."""
     check_candidate_count(dataset, k)
-    idx = rng.choice(len(dataset), size=k, replace=False)
-    target = int(rng.integers(k))
-    return GameBatch(target_pos=target, scene_indices=idx)
+    scenes = np.empty((n, k), np.intp)
+    targets = np.empty(n, np.intp)
+    for i in range(n):
+        scenes[i] = rng.choice(len(dataset), size=k, replace=False)
+        targets[i] = rng.integers(k)
+    return scenes, targets
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,12 @@ episode or group at a time. The package does it as arrays over a
 played block (``game.RoundTrace``), which must match these bitwise;
 ``episodes`` and ``round_trace`` convert between the two forms.
 
-``evaluate_agents`` is the evaluation loop that assembles and decodes
-each round by hand, one message at a time; the package's
-``evaluate_agents``, which decodes every round's message as one block,
-must return the same report.
+``bleu`` clips one candidate n-gram at a time; the package's ``bleu``
+clips whole count tables and must return the same scores.
+``evaluate_agents`` is the evaluation loop that draws, decodes, embeds
+and scores each round by hand, one message at a time, with that oracle
+``bleu``; the package's ``evaluate_agents``, which plays every round as
+one block, must return the same report.
 
 ``gradcheck`` holds tape gradients to central finite differences, and
 ``generate_dataset`` is the one-split world the tests train and score
@@ -36,6 +38,7 @@ on. Nothing in ``src/`` imports this module.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -43,8 +46,8 @@ import numpy as np
 
 from lewisgame import tensor as T
 from lewisgame.agents import MessageSample, _raster_patches
-from lewisgame.evaluate import (EvalReport, _strip_eos, attribute_coverage,
-                                bleu)
+from lewisgame.evaluate import (BLEU_EPS, EvalReport, _closest_ref_len,
+                                _ngram_counts, _strip_eos, attribute_coverage)
 from lewisgame.game import RoundTrace
 from lewisgame.tensor import (F32, ShapeError, Tape, Tensor, _emit, _rows,
                               backward)
@@ -467,6 +470,34 @@ def listener_loss(episode) -> float:
 
 
 # ---------------------------------------------------------------------------
+# BLEU (oracle for evaluate.bleu)
+
+
+def bleu(candidate, references, max_n: int = 4) -> list[float]:
+    """BLEU-1..max_n, clipping each candidate n-gram in turn by its
+    largest count in any one reference."""
+    candidate = list(candidate)
+    references = [list(r) for r in references]
+    c = len(candidate)
+    r = _closest_ref_len(c, references)
+    bp = 1.0 if c >= r else math.exp(1.0 - r / c)
+    precisions = []
+    for n in range(1, max_n + 1):
+        counts = _ngram_counts(candidate, n)
+        total = sum(counts.values())
+        if total == 0:
+            precisions.append(BLEU_EPS)
+            continue
+        clipped = 0
+        for gram, cnt in counts.items():
+            best = max(_ngram_counts(ref, n)[gram] for ref in references)
+            clipped += min(cnt, best)
+        precisions.append(clipped / total if clipped else BLEU_EPS)
+    return [bp * math.exp(sum(math.log(p) for p in precisions[:n]) / n)
+            for n in range(1, max_n + 1)]
+
+
+# ---------------------------------------------------------------------------
 # evaluation rounds (oracle for evaluate.evaluate_agents)
 
 
@@ -479,16 +510,16 @@ def evaluate_agents(speaker, listener, dataset, k: int, n_rounds: int = 200,
     episodes = []
     bleus, coverages, lengths = [], [], []
     for _ in range(n_rounds):
-        batch = sample_game_batch(dataset, k, rng)
-        obs = dataset.model_inputs()[batch.scene_indices]
-        target_idx = int(batch.scene_indices[batch.target_pos])
-        (message,), (node,) = sample(speaker, obs[batch.target_pos], t_max,
-                                     0.0, 1, None)
+        (scenes,), (target,) = sample_game_batch(dataset, k, 1, rng)
+        obs = dataset.model_inputs()[scenes]
+        target_idx = int(scenes[target])
+        (message,), (node,) = sample(speaker, obs[target], t_max, 0.0, 1,
+                                     None)
         v_imgs = listener.embed_images(obs, None, encoder=speaker)
         v_m = embed_message(listener, message.tokens)
         logp = listener.log_probs(T.reshape(None, v_m, (1, 1, v_m.size)),
                                   T.reshape(None, v_imgs, (1,) + v_imgs.shape))
-        episodes.append(Episode(batch.target_pos, node.data.copy(),
+        episodes.append(Episode(int(target), node.data.copy(),
                                 np.exp(logp.data)))
         content = _strip_eos(message.tokens)
         lengths.append(len(content))

@@ -205,9 +205,16 @@ def _train_config(path, dataset, run, **overrides):
      "[train] temperature must be >= 0"),
     ("eval", "eval", {"rounds": 0}, "[eval] rounds must be at least 1"),
     ("sweep", "eval", {"rounds": 0}, "[eval] rounds must be at least 1"),
+    ("train", "train", {"steps": -5}, "[train] steps must be at least 0"),
+    ("train", "train", {"lr_speaker": "nan"},
+     "[train] lr_speaker must be finite and non-negative"),
+    ("gen-world", "world", {"raster": "true", "raster_size": 0},
+     "[world] raster_size must lie in [4, 65535]"),
 ], ids=["game-k", "world-objects", "train-optimizer", "train-baseline",
         "train-baseline-literal", "train-replicas", "train-targets", "train-clip-norm",
-        "train-temperature", "eval-rounds-eval", "eval-rounds-sweep"])
+        "train-temperature", "eval-rounds-eval", "eval-rounds-sweep",
+        "train-steps-negative", "train-lr-speaker-nan",
+        "world-raster-size-zero"])
 def test_bad_config_value_exits_1(eval_files, tmp_path, command, section,
                                   keys, message):
     config = _train_config(tmp_path / "bad.ini", eval_files / "world.lgw",

@@ -92,6 +92,10 @@ OUT_OF_RANGE = [
     ("model", "d_att", "-4", "d_att must be at least 0"),
     ("game", "lam", "nan", "lambda must be non-negative"),
     ("train", "seed", "-1", "seed must be at least 0"),
+    ("train", "steps", "-5", "steps must be at least 0"),
+    ("train", "lr_speaker", "nan", "lr_speaker must be finite and non-negative"),
+    ("train", "lr_listener", "-0.001",
+     "lr_listener must be finite and non-negative"),
     ("train", "temperature", "nan", "temperature must be >= 0"),
     ("train", "clip_norm", "nan", "clip_norm must be positive"),
     ("train", "sync_period", "-1", "sync_period must be at least 0"),
@@ -107,3 +111,19 @@ def test_parse_config_rejects_out_of_range_values(section, key, value,
     with pytest.raises(ConfigError,
                        match=re.escape(f"[{section}] {message}")):
         parse_config(f"[{section}]\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("key", ["lr_speaker", "lr_listener"])
+def test_parse_config_rejects_infinite_learning_rates(key):
+    with pytest.raises(ConfigError, match=re.escape(
+            f"[train] {key} must be finite and non-negative")):
+        parse_config(f"[train]\n{key} = inf\n")
+
+
+@pytest.mark.parametrize("size", ["0", "2", "65536"])
+def test_parse_config_bounds_the_raster_size(size):
+    # grid 4; LGW1 stores raster_size as a u16
+    with pytest.raises(ConfigError, match=re.escape(
+            "[world] raster_size must lie in [4, 65535]")):
+        parse_config(f"[world]\nraster = true\nraster_size = {size}\n")
+    parse_config(f"[world]\nraster_size = {size}\n")  # unread without raster

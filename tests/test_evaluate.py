@@ -4,14 +4,16 @@ import math
 import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import reference
+from lewisgame.agents import ListenerModel, ModelConfig, SpeakerPolicy
 from lewisgame.cli import main
 from lewisgame.config import RunConfig
 from lewisgame.evaluate import ablation_sweep, bleu, evaluate_agents
 from lewisgame.training import Trainer
-from lewisgame.world import generate_splits
+from lewisgame.world import WorldSpec, generate_splits
 
 EPS = 1e-9  # the pinned BLEU smoothing for a zero n-gram precision
 
@@ -55,6 +57,38 @@ def test_bleu_fixture(path):
     candidate, references = _read_bleu_case(path)
     expected = BLEU_EXPECTED[os.path.basename(path)]
     assert bleu(candidate, references, 4) == pytest.approx(expected, rel=1e-9)
+
+
+def test_bleu_matches_per_gram_oracle():
+    # short messages over a few words, so n-grams repeat and clip often
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        candidate = rng.integers(5, size=rng.integers(1, 9)).tolist()
+        references = [rng.integers(5, size=rng.integers(1, 9)).tolist()
+                      for _ in range(rng.integers(1, 4))]
+        assert (bleu(candidate, references, 4)
+                == reference.bleu(candidate, references, 4))
+
+
+def test_evaluate_agents_embeds_each_scene_at_most_once(monkeypatch):
+    # 200 rounds of K=8 name 1,600 candidates; one block of 12 scenes
+    # holds every distinct one
+    spec = WorldSpec()
+    ds = reference.generate_dataset(3, 12, spec)
+    cfg = ModelConfig(vocab_size=len(ds.vocab), obs_dim=spec.input_dim,
+                      d_e=8, d_o=8, n_layers=1)
+    speaker = SpeakerPolicy.create(cfg, 1)
+    listener = ListenerModel.create(cfg, 2, encoder=speaker)
+    rows = []
+
+    def counting(self, observations, *args, **kwargs):
+        rows.append(len(observations))
+        return embed_images(self, observations, *args, **kwargs)
+
+    embed_images = ListenerModel.embed_images
+    monkeypatch.setattr(ListenerModel, "embed_images", counting)
+    evaluate_agents(speaker, listener, ds, 8, n_rounds=200, t_max=4)
+    assert rows and sum(rows) <= len(ds)
 
 
 def _tiny_config() -> RunConfig:

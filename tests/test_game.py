@@ -4,9 +4,14 @@ import pytest
 import reference
 from reference import generate_dataset, rewards_to_go
 
+from test_agents import BLOCK_GRAD_RTOL, BLOCK_LOGPROB_ATOL, _grads
+
+from lewisgame import tensor as T
 from lewisgame.agents import ListenerModel, ModelConfig, SpeakerPolicy
-from lewisgame.game import GameConfig, _play_round_traced, solve_rate
-from lewisgame.world import WorldSpec
+from lewisgame.game import (GameConfig, _play_round_traced, play_rounds,
+                            solve_rate)
+from lewisgame.tensor import Tape, Tensor, backward
+from lewisgame.world import WorldSpec, sample_game_batch
 
 
 def indicator_reward_mc(probs: np.ndarray, target: int, n_samples: int,
@@ -135,6 +140,64 @@ def test_play_round_never_reads_captions(setup):
     cfg = GameConfig(k=4, generations=2, t_max=6)
     trace = _trace(speaker, listener, poisoned, cfg, np.random.default_rng(1))
     assert len(trace.messages) == 2
+
+
+def test_play_rounds_with_shared_scenes_matches_per_round_reference(setup):
+    # 3 rounds of K=4 from 6 scenes: several rounds hold the same scene,
+    # whose one embedding row must collect every round's gradient
+    _, speaker, listener = setup
+    ds = generate_dataset(5, 6, WorldSpec())
+    inputs = ds.model_inputs()
+    rng = np.random.default_rng(2)
+    scenes, targets = sample_game_batch(ds, 4, 3, rng)
+    assert np.unique(scenes).size < scenes.size
+    g = 2
+    weights = rng.normal(0, 1, (3 * g, 6))
+    params = (speaker.params, listener.params)
+    for p in params:
+        p.zero_grads()
+    tape = Tape()
+    trace = play_rounds(speaker, listener, inputs, scenes, targets, g, 6,
+                        rng, 1.0, tape)
+    width = trace.logprobs.shape[1]
+    backward(tape, T.add(tape, T.tsum(tape, T.mul(
+        tape, trace.logprobs, Tensor(weights[:, :width]))),
+        T.tsum(tape, trace.logp_target)))
+    block = [_grads(p) for p in params]
+    for p in params:
+        p.zero_grads()
+    for i in range(3):
+        tape = Tape()
+        v_imgs = reference.embed_images(listener, inputs[scenes[i]], tape,
+                                        encoder=speaker)
+        terms = []
+        for b in range(i * g, (i + 1) * g):
+            tokens = trace.messages[b].tokens
+            lp = reference.logprobs(speaker, inputs[scenes[i, targets[i]]],
+                                    tokens, tape)
+            terms.append(T.tsum(tape, T.mul(tape, lp, Tensor(
+                weights[b, :len(tokens)].reshape(-1, 1)))))
+            v_m = reference.embed_message(listener, tokens, tape)
+            logp = listener.log_probs(
+                T.reshape(tape, v_m, (1, 1, v_m.size)),
+                T.reshape(tape, v_imgs, (1,) + v_imgs.shape), tape)
+            assert (np.abs(np.exp(logp.data) - trace.probs[b]).max()
+                    <= BLOCK_LOGPROB_ATOL)
+            terms.append(T.gather_cols(tape, logp, [targets[i]]))
+        loss = terms[0]
+        for term in terms[1:]:
+            loss = T.add(tape, loss, term)
+        backward(tape, loss)
+    per_round = [_grads(p) for p in params]
+    # img.b moves every candidate's score by the same amount, which the
+    # softmax cancels: both of its gradients are round-off around zero
+    assert max(np.abs(grads.pop("img.b")).max()
+               for grads in (block[1], per_round[1])) <= 1e-6
+    for got, want in zip(block, per_round):
+        assert got.keys() == want.keys()
+        for name, grad in want.items():
+            assert (np.abs(got[name] - grad).max()
+                    <= BLOCK_GRAD_RTOL * np.abs(grad).max()), name
 
 
 def _rows(*pairs):

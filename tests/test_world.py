@@ -126,38 +126,45 @@ def test_raster_deterministic():
 def test_sample_game_batch_contract():
     ds = generate_dataset(31, 50, WorldSpec())
     rng = np.random.default_rng(0)
-    for _ in range(200):
-        batch = sample_game_batch(ds, 8, rng)
-        assert len(set(batch.scene_indices.tolist())) == 8
-        assert 0 <= batch.target_pos < 8
+    scenes, targets = sample_game_batch(ds, 8, 200, rng)
+    assert scenes.shape == (200, 8) and targets.shape == (200,)
+    for row, target in zip(scenes, targets):
+        assert len(set(row.tolist())) == 8
+        assert 0 <= target < 8
+
+
+def test_sample_game_batch_draws_as_one_round_at_a_time():
+    # a block draws exactly the per-round choice-then-integers stream
+    ds = generate_dataset(31, 50, WorldSpec())
+    scenes, targets = sample_game_batch(ds, 8, 30, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    for row, target in zip(scenes, targets):
+        assert row.tolist() == rng.choice(50, size=8, replace=False).tolist()
+        assert target == rng.integers(8)
 
 
 def test_sample_game_batch_k2_exhaustive():
     ds = generate_dataset(31, 2, WorldSpec())
     rng = np.random.default_rng(1)
-    seen_targets = set()
-    for _ in range(50):
-        batch = sample_game_batch(ds, 2, rng)
-        assert set(batch.scene_indices.tolist()) == {0, 1}
-        seen_targets.add(batch.target_pos)
-    assert seen_targets == {0, 1}
+    scenes, targets = sample_game_batch(ds, 2, 50, rng)
+    assert all(set(row.tolist()) == {0, 1} for row in scenes)
+    assert set(targets.tolist()) == {0, 1}
 
 
 def test_sample_game_batch_target_uniform():
     ds = generate_dataset(31, 50, WorldSpec())
     rng = np.random.default_rng(7)
-    hits = sum(sample_game_batch(ds, 4, rng).target_pos == 0
-               for _ in range(10_000))
-    assert abs(hits / 10_000 - 0.25) < 0.02
+    _, targets = sample_game_batch(ds, 4, 10_000, rng)
+    assert abs((targets == 0).mean() - 0.25) < 0.02
 
 
 def test_sample_game_batch_errors():
     ds = generate_dataset(31, 5, WorldSpec())
     rng = np.random.default_rng(0)
     with pytest.raises(SamplingError):
-        sample_game_batch(ds, 6, rng)
+        sample_game_batch(ds, 6, 1, rng)
     with pytest.raises(SamplingError):
-        sample_game_batch(ds, 1, rng)
+        sample_game_batch(ds, 1, 1, rng)
 
 
 def test_dataset_file_roundtrip(tmp_path):
