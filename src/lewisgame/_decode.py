@@ -1,26 +1,26 @@
-"""Hand-fused forward/backward kernels: the model's only code path.
+"""Hand-fused forward/backward kernels for the model's two recurrences.
 
-Each kernel records one tape node per block: the observation encoder
-one per batch of observations (a played block's distinct candidates
-share one), the speaker decoder one per block of B messages and the
-listener's message GRU one per block of B padded messages, instead of
-~16 generic ops per token and message; that is what keeps training fast
-on a small CPU.
-``tests/reference.py`` builds the same computations from individual
-tape ops, one observation or message at a time, and is the oracle. A
-one-row block runs the same numpy calls in the same order, so its
-forward values match the oracle bitwise; in a block of several rows
-each matmul sums over all rows at once, in another order, so rows match
-it within float32 round-off, as do gradients. Backward passes are
-ordinary backprop-through-time with the weight-gradient outer products
-batched over steps and rows.
+The speaker decoder records one tape node per block of B messages and
+the listener's message GRU one per block of B padded messages, where
+their op-by-op form would record ~16 generic ops per token and message;
+that is what keeps training fast on a small CPU. Every other layer, the
+observation encoder included, is built from the generic ops of
+``tensor``.
+``tests/reference.py`` builds both recurrences from individual tape
+ops, one message at a time, and is the oracle. A one-row block runs the
+same numpy calls in the same order, so its forward values match the
+oracle bitwise; in a block of several rows each matmul sums over all
+rows at once, in another order, so rows match it within float32
+round-off, as do gradients. Backward passes are ordinary
+backprop-through-time with the weight-gradient outer products batched
+over steps and rows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import F32, Tensor, _transposed
+from .tensor import F32, Tensor, _log_softmax_rows, _transposed
 
 ZERO = F32(0)
 ONE = F32(1)
@@ -35,12 +35,6 @@ def _softmax_rows(x):
     shifted = x - x.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def _log_softmax_rows(x):
-    shifted = x - x.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return shifted - lse
 
 
 def _gru_forward(x, h, Wz, bz, Wr, br, Wh, bh):
@@ -313,33 +307,4 @@ def gru_sequence(embs: Tensor, lengths, h0: np.ndarray, wz: Tensor,
         return [dE] + _gru_weight_grads(gru_rows)
 
     tape.record(out, (embs, wz, bz, wr, br, wh, bh), rule)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# observation encoder: linear-tanh-linear, one node per batch
-
-
-def encode_observation(obs_rows: np.ndarray, w1: Tensor, b1: Tensor,
-                       w2: Tensor, b2: Tensor, out_shape, tape) -> Tensor:
-    """Fused two-layer MLP over every row of ``obs_rows`` (constant
-    input), which may hold any number of observations' rows; the
-    row-major result is laid out as ``out_shape``."""
-    X = obs_rows
-    W1, W2 = w1.nd(), w2.nd()
-    pre = X @ W1 + b1.data
-    hid = np.tanh(pre)
-    out_nd = hid @ W2 + b2.data
-    out = Tensor._wrap(out_nd.ravel().copy(), tuple(out_shape), True)
-    if tape is None:
-        out.requires_grad = False
-        return out
-
-    def rule(g):
-        G = g.reshape(hid.shape[0], -1)
-        dhid = (G @ W2.T) * (ONE - hid * hid)
-        return (None, X.T @ dhid, dhid.sum(axis=0, dtype=F32),
-                hid.T @ G, G.sum(axis=0, dtype=F32))
-
-    tape.record(out, (Tensor(obs_rows), w1, b1, w2, b2), rule)
     return out

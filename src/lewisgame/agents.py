@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from ._decode import decode_message, encode_observation, gru_sequence
+from ._decode import decode_message, gru_sequence
 from .params import ParameterSet
-from .tensor import F32, Tensor
+from .tensor import F32, ShapeError, Tensor
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,15 @@ def _add_gru(params, rng, name, d_in, d_h):
         params.add(f"{name}.b{gate}", Tensor(np.zeros(d_h, F32), True))
 
 
+def _mlp(tape, x: Tensor, params: ParameterSet, name: str) -> Tensor:
+    """Linear, tanh, linear over the rows of ``x``, with the weights
+    ``{name}.l1.*`` and ``{name}.l2.*`` of ``params``."""
+    mid = T.tanh(tape, T.add(tape, T.matmul(tape, x, params[f"{name}.l1.w"]),
+                             params[f"{name}.l1.b"]))
+    return T.add(tape, T.matmul(tape, mid, params[f"{name}.l2.w"]),
+                 params[f"{name}.l2.b"])
+
+
 def _raster_patches(obs: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     """Grid cells of one or more flat rasters as patch rows.
 
@@ -113,9 +122,9 @@ def _raster_patches(obs: np.ndarray, cfg: ModelConfig) -> np.ndarray:
 class SpeakerPolicy:
     """Observation encoder plus attentional recurrent token decoder.
 
-    The encoder and the decoder are the kernels of ``_decode``, which
-    record one tape node per encoded batch of observations and one per
-    decoded block of messages.
+    The encoder is an ``_mlp`` over each observation's patch rows, built
+    from generic tape ops; the decoder is the kernel of ``_decode``,
+    which records one tape node per decoded block of messages.
     """
 
     def __init__(self, cfg: ModelConfig, params: ParameterSet):
@@ -150,19 +159,26 @@ class SpeakerPolicy:
 
     # -- forward pieces ----------------------------------------------------
 
+    def _stack(self, obs: np.ndarray) -> np.ndarray:
+        """``obs`` as an (N, obs_dim) stack; other widths are refused."""
+        if obs.shape[-1:] != (self.cfg.obs_dim,):
+            raise ShapeError(f"observations {obs.shape} do not end in "
+                             f"obs_dim {self.cfg.obs_dim}")
+        return obs.reshape(-1, self.cfg.obs_dim)
+
     def encode(self, obs: np.ndarray, tape) -> Tensor:
-        """Observations to patch vectors in one tape node.
+        """Observations to patch vectors, all rows through one ``_mlp``.
 
         One (obs_dim,) observation gives a (patches, d_e) tensor; a
         (N, obs_dim) stack gives (N, patches, d_e).
         """
-        p, cfg = self.params, self.cfg
-        rows = (_raster_patches(obs, cfg) if cfg.raster
-                else obs.reshape(-1, cfg.obs_dim))
-        return encode_observation(rows, p["enc.l1.w"], p["enc.l1.b"],
-                                  p["enc.l2.w"], p["enc.l2.b"],
-                                  obs.shape[:-1] + (cfg.patch_count, cfg.d_e),
-                                  tape)
+        cfg = self.cfg
+        rows = self._stack(obs)
+        if cfg.raster:
+            rows = _raster_patches(rows, cfg)
+        flat = _mlp(tape, Tensor(rows), self.params, "enc")
+        return T.reshape(tape, flat,
+                         obs.shape[:-1] + (cfg.patch_count, cfg.d_e))
 
     def attention_keys(self, patches: Tensor, tape) -> Tensor:
         """(N, P, att_dim) attention keys of (N, P, d_e) patches."""
@@ -213,7 +229,7 @@ class SpeakerPolicy:
         """
         if temperature < 0:
             raise ValueError("temperature must be >= 0")
-        rows = np.repeat(obs.reshape(-1, self.cfg.obs_dim), n_samples, axis=0)
+        rows = np.repeat(self._stack(obs), n_samples, axis=0)
         tokens, node = self._decode(rows, tape, t_max=t_max,
                                     temperature=temperature, rng=rng)
         return [MessageSample(tuple(t)) for t in tokens], node
@@ -229,17 +245,17 @@ class SpeakerPolicy:
         if not messages or not all(messages):
             raise ValueError("logprobs: every message must contain at "
                              "least one token")
-        _, node = self._decode(obs.reshape(-1, self.cfg.obs_dim), tape,
-                               tokens=messages)
+        _, node = self._decode(self._stack(obs), tape, tokens=messages)
         return node
 
 
 class ListenerModel:
     """Message encoder, projection MLP, and shared image encoder head.
 
-    Candidates are embedded as one batch (``embed_images``) and messages
-    as one padded block (``embed_message``), so the tape holds the same
-    few nodes for them whatever their number.
+    Candidates are embedded as one batch of generic ops
+    (``embed_images``) and messages as one padded GRU block
+    (``embed_message``), so the tape holds the same few nodes for them
+    whatever their number.
     """
 
     def __init__(self, cfg: ModelConfig, params: ParameterSet, encoder=None):
@@ -275,17 +291,15 @@ class ListenerModel:
                          np.zeros((len(lengths), self.cfg.d_o), F32),
                          p["gru.wz"], p["gru.bz"], p["gru.wr"], p["gru.br"],
                          p["gru.wh"], p["gru.bh"], tape)
-        mid = T.tanh(tape, T.add(tape, T.matmul(tape, h, p["proj.l1.w"]),
-                                 p["proj.l1.b"]))
-        return T.add(tape, T.matmul(tape, mid, p["proj.l2.w"]), p["proj.l2.b"])
+        return _mlp(tape, h, p, "proj")
 
     def embed_images(self, observations: np.ndarray, tape=None,
                      encoder=None) -> Tensor:
         """(N, d_o) embeddings of N candidate observations, one per row.
 
-        All candidates go through the shared encoder in one node; each
-        candidate's patches are then mean-pooled and projected, again one
-        node per op for the whole set.
+        All candidates go through the shared encoder as one batch, one
+        node per op for the whole set; each candidate's patches are then
+        mean-pooled and projected the same way.
         """
         enc = encoder or self.encoder
         if enc is None:

@@ -125,10 +125,15 @@ def _agents_from_checkpoint(state: ParameterSet, dataset):
     speaker_params = state.subset("speaker.")
     listener_params = state.subset("listener.")
     if not len(speaker_params) or not len(listener_params):
-        raise FormatError("checkpoint lacks speaker./listener. entries", 0)
+        raise FormatError("checkpoint lacks speaker./listener. entries")
     cfg = model_config_from_params(
         speaker_params, listener_params, raster=dataset.spec.raster,
         raster_size=dataset.spec.raster_size, raster_grid=dataset.spec.grid)
+    width = speaker_params["enc.l1.w"].shape[0]
+    expected = cfg.patch_dim if cfg.raster else dataset.spec.input_dim
+    if width != expected:
+        raise FormatError(f"checkpoint encodes patches of width {width}, "
+                          f"but the dataset's are {expected} wide")
     speaker = SpeakerPolicy(cfg, speaker_params)
     listener = ListenerModel(cfg, listener_params, encoder=speaker)
     return speaker, listener
@@ -239,23 +244,27 @@ def cmd_plotdata(args) -> int:
     return EXIT_OK
 
 
-def _int_list(text: str) -> list[int]:
-    """argparse type for a comma-separated list of integers."""
-    try:
-        return [int(x) for x in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}") from None
+def _checked(convert, ok, rule: str):
+    """argparse type: the text through ``convert``, refused unless ``ok``
+    holds for the value (written so that NaN fails it)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+    return parse
 
 
-def _alpha(text: str) -> float:
-    """argparse type for an EMA factor in (0, 1]."""
-    try:
-        if 0.0 < float(text) <= 1.0:
-            return float(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text!r}")
+_int_list = _checked(lambda text: [int(x) for x in text.split(",")],
+                     lambda _: True, "expected comma-separated integers")
+_alpha = _checked(float, lambda a: 0 < a <= 1, "must lie in (0, 1]")
+_step_count = _checked(int, lambda n: n >= 0, "must be an integer >= 0")
+# the rule [train] applies to its learning rates
+_learning_rate = _checked(float, lambda lr: 0 <= lr < float("inf"),
+                          "must be finite and non-negative")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="supervised warm start on reference captions")
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--lr", type=float, default=0.05)
+    p.add_argument("--steps", type=_step_count, default=500)
+    p.add_argument("--lr", type=_learning_rate, default=0.05)
     p.set_defaults(fn=cmd_pretrain)
 
     p = sub.add_parser("plotdata", help="emit tab-separated metric columns")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from copy import deepcopy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -117,13 +117,12 @@ class EvalReport:
     mean_length: float
     n_rounds: int
     k: int
-    extra: dict = field(default_factory=dict)
 
     def row(self, run_id: str = "eval", step: int = -1, seed: int = -1) -> dict:
         return {
             "run_id": run_id, "step": step, "k": self.k, "seed": seed,
             **{name: getattr(self, name) for name in EVAL_METRICS},
-            "n_rounds": self.n_rounds, **self.extra,
+            "n_rounds": self.n_rounds,
         }
 
 

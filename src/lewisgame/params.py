@@ -20,10 +20,12 @@ CHECKPOINT_MAGIC = b"LGC1"
 
 
 class FormatError(ValueError):
-    """A serialized file is corrupt; ``offset`` is the failing byte."""
+    """A serialized file is corrupt, or does not fit where it is loaded;
+    ``offset`` is the failing byte, None when no one byte is at fault."""
 
-    def __init__(self, message: str, offset: int = 0):
-        super().__init__(f"{message} (at byte {offset})")
+    def __init__(self, message: str, offset: int | None = None):
+        super().__init__(message if offset is None
+                         else f"{message} (at byte {offset})")
         self.offset = offset
 
 

@@ -349,12 +349,15 @@ def _rows(a: Tensor) -> np.ndarray:
     return a.data.reshape(-1, a.shape[-1])
 
 
+def _log_softmax_rows(X: np.ndarray) -> np.ndarray:
+    """Log-softmax of each row of a rank-2 array."""
+    shifted = X - X.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
 def log_softmax(tape, a: Tensor) -> Tensor:
     """Log-softmax along the last axis."""
-    X = _rows(a)
-    shifted = X - X.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    out_nd = shifted - lse
+    out_nd = _log_softmax_rows(_rows(a))
     req = a.requires_grad
     out = _emit(tape, out_nd.reshape(a.shape), req)
     if req and tape is not None:

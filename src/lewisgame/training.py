@@ -31,7 +31,7 @@ from .agents import ListenerModel, ModelConfig, SpeakerPolicy
 from .game import GameConfig, RoundTrace, _play_round_traced
 from .optim import (OPTIMIZER_KINDS, clip_global_norm, grad_global_norm,
                     make_optimizer)
-from .params import ParameterSet
+from .params import FormatError, ParameterSet
 from .tensor import F32, Tape, Tensor, backward
 from .world import check_candidate_count
 
@@ -385,13 +385,15 @@ class Trainer:
         return state
 
     def load_state(self, state: ParameterSet) -> None:
+        """Restore a ``pack_state`` checkpoint; one whose entries or
+        shapes do not fit this trainer's model raises ``FormatError``."""
         def fill(params, loaded, what):
             if loaded.names() != params.names():
-                raise ValueError(f"checkpoint does not match {what} layout")
+                raise FormatError(f"checkpoint does not match {what} layout")
             for name, t in params.items():
                 src = loaded[name]
                 if src.shape != t.shape:
-                    raise ValueError(
+                    raise FormatError(
                         f"checkpoint shape mismatch for {what}.{name}")
                 t.data = src.data.copy()
         fill(self.replicas[0].params, state.subset("speaker."), "speaker")

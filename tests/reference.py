@@ -159,11 +159,14 @@ def gru_cell(tape, x: Tensor, h: Tensor, wz: Tensor, bz: Tensor,
 
 
 # ---------------------------------------------------------------------------
-# observation encoder (oracle for _decode.encode_observation)
+# observation encoder (oracle for SpeakerPolicy.encode)
 
 
 def encode(speaker, obs: np.ndarray, tape) -> Tensor:
-    """Observation to a (patches x d_e) set of vectors."""
+    """Observation to a (patches x d_e) set of vectors, one observation
+    at a time. ``SpeakerPolicy.encode`` runs the same ops over a whole
+    stack, so the pair agrees by construction; the finite-difference
+    checks in ``tests/test_agents.py`` are the independent ones."""
     cfg, p = speaker.cfg, speaker.params
     rows = _raster_patches(obs, cfg) if cfg.raster else obs.reshape(1, -1)
     x = Tensor(rows)

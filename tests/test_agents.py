@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 import reference
-from reference import generate_dataset
+from reference import generate_dataset, gradcheck
 
 from lewisgame import tensor as T
 from lewisgame._decode import _draw, gru_sequence
 from lewisgame.agents import (ListenerModel, ModelConfig, SpeakerPolicy,
                               _raster_patches, model_config_from_params)
-from lewisgame.tensor import Tape, Tensor, backward
+from lewisgame.tensor import ShapeError, Tape, Tensor, backward
 from lewisgame.world import EOS, WorldSpec
 
 
@@ -231,6 +231,48 @@ def test_encode_observation_gradients_match_reference(encoder_world):
         backward(tape, T.tsum(tape, T.mul(tape, out, weights)))
         grads[path] = _grads(speaker.params)
     _assert_grads_close(grads["fused"], grads["generic"])
+
+
+def _weighted_sum(node, seed):
+    # a random weighting, so that no two output cells get the same gradient
+    weights = Tensor(np.random.default_rng(seed).normal(0, 1, node.shape))
+    return lambda tape, out: T.tsum(tape, T.mul(tape, out, weights))
+
+
+def test_encode_gradients_match_finite_differences(encoder_world):
+    # independent of the op sequence the encoder is built from
+    ds, speaker = encoder_world
+    obs = ds.model_inputs()[:2]
+    loss = _weighted_sum(speaker.encode(obs, None), 1)
+    err = gradcheck(lambda ps, tape: loss(tape, speaker.encode(obs, tape)),
+                    speaker.params.subset("enc.", strip=False),
+                    eps=1e-2, n_coords=6)
+    assert err < 1e-3, f"gradcheck error {err}"
+
+
+def test_listener_projection_gradients_match_finite_differences(world):
+    ds, _, speaker, listener = world
+    messages = [s.tokens for s in speaker.sample(
+        ds.model_inputs()[:3], 6, 1.0, 1, np.random.default_rng(4))[0]]
+    loss = _weighted_sum(listener.embed_message(messages), 2)
+    err = gradcheck(
+        lambda ps, tape: loss(tape, listener.embed_message(messages, tape)),
+        listener.params.subset("proj.", strip=False), eps=1e-2, n_coords=6)
+    assert err < 1e-3, f"gradcheck error {err}"
+
+
+def test_speaker_refuses_observations_of_another_width(world):
+    ds, cfg, speaker, _ = world
+    wide = np.tile(ds.model_inputs()[:2], 3)  # three observations per row
+    assert wide.shape[1] == 3 * cfg.obs_dim
+    rng = np.random.default_rng(0)
+    calls = [lambda: speaker.encode(wide, None),
+             lambda: speaker.encode(wide[0], None),
+             lambda: speaker.sample(wide[0], 4, 1.0, 2, rng),
+             lambda: speaker.logprobs(wide, [[3, 4], [5]])]
+    for call in calls:
+        with pytest.raises(ShapeError, match=f"obs_dim {cfg.obs_dim}"):
+            call()
 
 
 def _old_raster_patches(flat_obs, cfg):

@@ -25,6 +25,20 @@ def _run_cli(*args):
                           timeout=120)
 
 
+def _save_agents(vocab_size, obs_dim, path):
+    """Write a checkpoint of untrained agents for observations
+    ``obs_dim`` wide to ``path``; return their speaker."""
+    cfg = ModelConfig(vocab_size=vocab_size, obs_dim=obs_dim,
+                      d_e=8, d_o=8, n_layers=1)
+    speaker = SpeakerPolicy.create(cfg, 1)
+    listener = ListenerModel.create(cfg, 2, encoder=speaker)
+    state = ParameterSet()
+    state.merged("speaker.", speaker.params)
+    state.merged("listener.", listener.params)
+    save_checkpoint(state, str(path))
+    return speaker
+
+
 @pytest.fixture(scope="module")
 def eval_files(tmp_path_factory):
     """A 12-scene dataset, a checkpoint of untrained agents for it, and
@@ -33,14 +47,7 @@ def eval_files(tmp_path_factory):
     spec = WorldSpec()
     ds = generate_dataset(3, 12, spec)
     save_dataset(ds, str(root / "world.lgw"))
-    cfg = ModelConfig(vocab_size=len(ds.vocab), obs_dim=spec.input_dim,
-                      d_e=8, d_o=8, n_layers=1)
-    speaker = SpeakerPolicy.create(cfg, 1)
-    listener = ListenerModel.create(cfg, 2, encoder=speaker)
-    state = ParameterSet()
-    state.merged("speaker.", speaker.params)
-    state.merged("listener.", listener.params)
-    save_checkpoint(state, str(root / "agents.lgc"))
+    speaker = _save_agents(len(ds.vocab), spec.input_dim, root / "agents.lgc")
     save_checkpoint(speaker.params, str(root / "bare.lgc"))
     return root
 
@@ -97,6 +104,23 @@ def test_eval_checkpoint_without_agents_exits_2(eval_files, tmp_path):
     assert proc.returncode == 2
     assert "speaker./listener." in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_eval_checkpoint_of_another_input_width_exits_2(eval_files,
+                                                       tmp_path):
+    # agents for 1-object scenes (21 wide) on the 3-object dataset (63)
+    dataset = load_dataset(str(eval_files / "world.lgw"))
+    narrow = WorldSpec(max_objects=1).input_dim
+    _save_agents(len(dataset.vocab), narrow, tmp_path / "narrow.lgc")
+    config = _write_config(tmp_path / "eval.ini",
+                           {"game": {"k": 4}, "eval": {"rounds": 2}})
+    proc = _run_eval(eval_files, config, "--out", str(tmp_path / "out"),
+                     checkpoint=tmp_path / "narrow.lgc")
+    assert proc.returncode == 2
+    assert proc.stderr == (f"data error: checkpoint encodes patches of "
+                           f"width {narrow}, but the dataset's are "
+                           f"{dataset.spec.input_dim} wide\n")
+    assert sorted(os.listdir(tmp_path)) == ["eval.ini", "narrow.lgc"]
 
 
 def test_eval_decodes_under_the_run_configs_t_max(eval_files, tmp_path):
@@ -280,14 +304,28 @@ def test_train_k_larger_than_dataset_exits_2_before_writing(eval_files,
     ("sweep", "--seeds", "5,y", "expected comma-separated integers"),
     ("plotdata", "--alpha", "0", "must lie in (0, 1]"),
     ("plotdata", "--fields", "run_id", "field 'run_id' is not numeric"),
-], ids=["sweep-k-list", "sweep-seeds", "plotdata-alpha", "plotdata-fields"])
-def test_bad_argument_exits_1(tmp_path, command, flag, value, message):
+    ("pretrain", "--steps", "-3", "must be an integer >= 0, got '-3'"),
+    ("pretrain", "--lr", "nan", "must be finite and non-negative, got 'nan'"),
+    ("pretrain", "--lr", "-0.1", "must be finite and non-negative"),
+], ids=["sweep-k-list", "sweep-seeds", "plotdata-alpha", "plotdata-fields",
+        "pretrain-steps-negative", "pretrain-lr-nan",
+        "pretrain-lr-negative"])
+def test_bad_argument_exits_1(eval_files, tmp_path_factory, tmp_path,
+                              command, flag, value, message):
     metrics = tmp_path / "m.jsonl"
     metrics.write_text(json.dumps({"run_id": "r", "step": 0,
                                    "joint_loss": 0.5}) + "\n",
                        encoding="utf-8")
     extra = ["--metrics", str(metrics)] if command == "plotdata" else []
-    proc = _run_cli(command, flag, value, *extra)
+    if command == "pretrain":
+        # a config that pretrains in a moment, so that only the flag under
+        # test can make the call fail
+        elsewhere = tmp_path_factory.mktemp("pretrain")
+        config = _train_config(elsewhere / "run.ini",
+                               eval_files / "world.lgw", elsewhere)
+        extra = ["--config", config, "--out", str(tmp_path / "out.lgc"),
+                 "--steps", "2"]
+    proc = _run_cli(command, *extra, flag, value)
     assert proc.returncode == 1
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -316,6 +354,19 @@ def test_train_with_missing_dataset_exits_2(tmp_path):
     assert proc.returncode == 2
     assert "data error:" in proc.stderr and "missing.lgw" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_train_resume_from_checkpoint_of_other_model_sizes_exits_2(
+        eval_files, tmp_path):
+    # agents.lgc holds d_e = 8 agents; this run's model has d_e = 16
+    config = _train_config(tmp_path / "run.ini", eval_files / "world.lgw",
+                           tmp_path, model={"d_e": 16})
+    proc = _run_cli("train", "--config", config, "--resume",
+                    str(eval_files / "agents.lgc"))
+    assert proc.returncode == 2
+    assert proc.stderr == ("data error: checkpoint shape mismatch for "
+                           "speaker.attn.v\n")
+    assert os.listdir(tmp_path) == ["run.ini"]
 
 
 def test_train_resume_from_nan_weight_exits_3(eval_files, tmp_path):
