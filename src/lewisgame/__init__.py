@@ -7,7 +7,7 @@ from .evaluate import (EvalReport, ablation_sweep, attribute_coverage, bleu,
                        ema, evaluate_agents, supervised_pretrain,
                        sweep_summary)
 from .game import GameConfig, RoundTrace, play_rounds, solve_rate
-from .optim import Adam, Sgd, clip_global_norm, grad_global_norm, make_optimizer
+from .optim import Adam, Sgd, clip_global_norm, grad_global_norm
 from .params import (FormatError, ParameterSet, UnsupportedVersionError,
                      load_checkpoint, save_checkpoint)
 from .tensor import ShapeError, Tape, Tensor, backward

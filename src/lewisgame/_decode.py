@@ -106,7 +106,7 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
     """Run the decoder over a block of B messages, one per row.
 
     Row b attends over its own ``patches[b]`` (B, P, d_e) with its own
-    ``keys[b]`` (B, P, att_dim), and starts from row b of each layer's
+    ``keys[b]`` (B, P, d_e), and starts from row b of each layer's
     (B, d_e) tensor in ``init_hidden``; gradients flow back into all of
     them. Teacher-forced when ``tokens`` (B token sequences) is given,
     sampling otherwise: each step draws one uniform per live row from

@@ -5,8 +5,8 @@ and decodes a token sequence with a stacked gated-recurrent cell using
 additive attention over those patches. The Listener summarizes a
 message with its own recurrent encoder, projects the summary into the
 image-embedding space with a two-layer MLP, and scores candidates by
-inner product. By default the Listener reuses the Speaker's observation
-encoder; a stop-gradient flag detaches that path.
+inner product. The Listener reuses the Speaker's observation encoder,
+and its loss gradient flows back into that encoder.
 
 Messages are decoded, rescored and embedded in blocks, one message per
 row. Forward passes are pure functions of (parameters, inputs, rng
@@ -34,7 +34,7 @@ from .tensor import F32, ShapeError, Tensor
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Dimensions and switches shared by both agents."""
+    """Dimensions shared by both agents; attention is ``d_e`` wide."""
 
     vocab_size: int
     obs_dim: int
@@ -42,15 +42,9 @@ class ModelConfig:
     d_o: int = 128
     n_layers: int = 2
     n_patches: int = 4
-    d_att: int = 0          # 0 means "same as d_e"
     raster: bool = False
     raster_size: int = 16
     raster_grid: int = 4
-    listener_stop_gradient: bool = False
-
-    @property
-    def att_dim(self) -> int:
-        return self.d_att or self.d_e
 
     @property
     def patch_dim(self) -> int:
@@ -148,9 +142,9 @@ class SpeakerPolicy:
             _add_gru(p, rng, f"gru{layer}", d_in, cfg.d_e)
             _add_linear(p, rng, f"init{layer}", cfg.d_e, cfg.d_e)
             d_in = cfg.d_e
-        p.add("attn.we", Tensor(_glorot(rng, cfg.d_e, cfg.att_dim), True))
-        p.add("attn.wh", Tensor(_glorot(rng, cfg.d_e, cfg.att_dim), True))
-        p.add("attn.v", Tensor(_glorot(rng, cfg.att_dim, 1), True))
+        p.add("attn.we", Tensor(_glorot(rng, cfg.d_e, cfg.d_e), True))
+        p.add("attn.wh", Tensor(_glorot(rng, cfg.d_e, cfg.d_e), True))
+        p.add("attn.v", Tensor(_glorot(rng, cfg.d_e, 1), True))
         _add_linear(p, rng, "head", cfg.d_e, cfg.vocab_size)
         return cls(cfg, p)
 
@@ -181,11 +175,11 @@ class SpeakerPolicy:
                          obs.shape[:-1] + (cfg.patch_count, cfg.d_e))
 
     def attention_keys(self, patches: Tensor, tape) -> Tensor:
-        """(N, P, att_dim) attention keys of (N, P, d_e) patches."""
+        """(N, P, d_e) attention keys of (N, P, d_e) patches."""
         n, n_patches, d_e = patches.shape
         flat = T.reshape(tape, patches, (n * n_patches, d_e))
         keys = T.matmul(tape, flat, self.params["attn.we"])
-        return T.reshape(tape, keys, (n, n_patches, self.cfg.att_dim))
+        return T.reshape(tape, keys, (n, n_patches, d_e))
 
     def initial_hidden(self, patches: Tensor, tape) -> list[Tensor]:
         """Decoder start states, (N, d_e) per layer, each row conditioned
@@ -305,11 +299,7 @@ class ListenerModel:
         if enc is None:
             raise ValueError("listener has no bound image encoder")
         p = self.params
-        if self.cfg.listener_stop_gradient:
-            patches = enc.encode(observations, None).detached()
-        else:
-            patches = enc.encode(observations, tape)
-        pooled = T.mean(tape, patches, axis=1)
+        pooled = T.mean(tape, enc.encode(observations, tape), axis=1)
         return T.add(tape, T.matmul(tape, pooled, p["img.w"]), p["img.b"])
 
     def log_probs(self, v_msgs: Tensor, v_imgs: Tensor,
@@ -345,10 +335,7 @@ def model_config_from_params(speaker_params: ParameterSet,
     out_dim = speaker_params["enc.l2.w"].shape[1]
     if raster:
         return ModelConfig(vocab_size=vocab, obs_dim=raster_size ** 2 * 3,
-                           d_e=d_e, d_o=d_o, n_layers=n_layers,
-                           d_att=speaker_params["attn.we"].shape[1],
-                           raster=True, raster_size=raster_size,
-                           raster_grid=raster_grid)
+                           d_e=d_e, d_o=d_o, n_layers=n_layers, raster=True,
+                           raster_size=raster_size, raster_grid=raster_grid)
     return ModelConfig(vocab_size=vocab, obs_dim=in_dim, d_e=d_e, d_o=d_o,
-                       n_layers=n_layers, n_patches=out_dim // d_e,
-                       d_att=speaker_params["attn.we"].shape[1])
+                       n_layers=n_layers, n_patches=out_dim // d_e)

@@ -14,6 +14,7 @@ import json
 import os
 import signal
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,8 +22,8 @@ from .agents import ListenerModel, SpeakerPolicy, model_config_from_params
 from .config import ConfigError, RunConfig, load_config
 from .evaluate import (EVAL_METRICS, ablation_sweep, ema, evaluate_agents,
                        supervised_pretrain, sweep_summary)
-from .params import (FormatError, ParameterSet, load_checkpoint,
-                     save_checkpoint, write_atomic)
+from .params import (FormatError, ParameterSet, check_layout,
+                     load_checkpoint, save_checkpoint, write_atomic)
 from .training import NumericalFailureError, Trainer
 from .world import CapacityError, SamplingError, load_dataset, save_dataset
 
@@ -122,18 +123,24 @@ def cmd_train(args) -> int:
 
 
 def _agents_from_checkpoint(state: ParameterSet, dataset):
+    """The checkpoint's agents, for ``dataset``'s observations and
+    vocabulary. Entries that do not fit agents of those and of the other
+    sizes the entries imply raise ``FormatError``, as on a resume."""
     speaker_params = state.subset("speaker.")
     listener_params = state.subset("listener.")
-    if not len(speaker_params) or not len(listener_params):
-        raise FormatError("checkpoint lacks speaker./listener. entries")
-    cfg = model_config_from_params(
-        speaker_params, listener_params, raster=dataset.spec.raster,
-        raster_size=dataset.spec.raster_size, raster_grid=dataset.spec.grid)
-    width = speaker_params["enc.l1.w"].shape[0]
-    expected = cfg.patch_dim if cfg.raster else dataset.spec.input_dim
-    if width != expected:
-        raise FormatError(f"checkpoint encodes patches of width {width}, "
-                          f"but the dataset's are {expected} wide")
+    spec = dataset.spec
+    try:
+        cfg = replace(model_config_from_params(
+            speaker_params, listener_params, raster=spec.raster,
+            raster_size=spec.raster_size, raster_grid=spec.grid),
+            obs_dim=spec.input_dim, vocab_size=len(dataset.vocab))
+    except KeyError as exc:
+        raise FormatError(f"checkpoint lacks speaker./listener. entry "
+                          f"{exc}") from None
+    check_layout(SpeakerPolicy.create(cfg, 0).params, speaker_params,
+                 "speaker")
+    check_layout(ListenerModel.create(cfg, 0).params, listener_params,
+                 "listener")
     speaker = SpeakerPolicy(cfg, speaker_params)
     listener = ListenerModel(cfg, listener_params, encoder=speaker)
     return speaker, listener

@@ -58,11 +58,9 @@ class ModelSection:
     d_o: int = 128
     n_layers: int = 2
     n_patches: int = 4
-    d_att: int = 0
-    listener_stop_gradient: bool = False
 
     def __post_init__(self):
-        check_at_least(self, d_e=1, d_o=1, n_layers=1, n_patches=1, d_att=0)
+        check_at_least(self, d_e=1, d_o=1, n_layers=1, n_patches=1)
 
 
 @dataclass
@@ -115,10 +113,8 @@ class RunConfig:
         w = self.world
         return ModelConfig(vocab_size=vocab_size, obs_dim=obs_dim,
                            d_e=m.d_e, d_o=m.d_o, n_layers=m.n_layers,
-                           n_patches=m.n_patches, d_att=m.d_att,
-                           raster=w.raster, raster_size=w.raster_size,
-                           raster_grid=w.grid,
-                           listener_stop_gradient=m.listener_stop_gradient)
+                           n_patches=m.n_patches, raster=w.raster,
+                           raster_size=w.raster_size, raster_grid=w.grid)
 
     def train_settings(self) -> TrainSettings:
         return replace(self.train)

@@ -26,7 +26,7 @@ from . import tensor as T
 from .agents import ListenerModel, SpeakerPolicy
 from .config import RunConfig
 from .game import play_rounds, solve_rate
-from .optim import clip_global_norm, make_optimizer
+from .optim import Sgd, clip_global_norm
 from .tensor import Tape, Tensor, backward
 from .training import Trainer
 from .world import EOS, Dataset, sample_game_batch
@@ -196,7 +196,7 @@ def supervised_pretrain(speaker: SpeakerPolicy, dataset: Dataset, steps: int,
     leaves it untouched.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5D]))
-    opt = make_optimizer("sgd", lr)
+    opt = Sgd(lr)
     for _ in range(steps):
         speaker.params.zero_grads()
         tape = Tape()

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .params import ParameterSet
+from .params import FormatError, ParameterSet, is_count
 from .tensor import F32
 
 # slack keeps a second clip call from rescaling by one ulp
@@ -41,9 +41,7 @@ def clip_global_norm(params: ParameterSet, max_norm: float) -> float:
 
 
 class Sgd:
-    """Vanilla stochastic gradient descent."""
-
-    kind = "sgd"
+    """Vanilla stochastic gradient descent; it keeps no state."""
 
     def __init__(self, lr: float):
         self.lr = float(lr)
@@ -54,20 +52,12 @@ class Sgd:
             if t.grad is not None:
                 t.data -= lr * t.grad
 
-    def state_arrays(self) -> dict:
-        return {}
-
-    def load_state_arrays(self, arrays: dict) -> None:
-        pass
-
 
 class Adam:
     """Adam with bias-corrected first/second moments.
 
     Moment buffers appear lazily per parameter name, starting at zero.
     """
-
-    kind = "adam"
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
@@ -108,28 +98,26 @@ class Adam:
             out[f"v.{name}"] = self._v[name]
         return out
 
-    def load_state_arrays(self, arrays: dict) -> None:
-        self._m.clear()
-        self._v.clear()
-        self.t = 0
+    def load_state_arrays(self, arrays: dict, params: ParameterSet) -> None:
+        """Restore ``state_arrays`` output kept for ``params``.
+
+        All of ``arrays`` is checked before any of it is taken: an
+        unknown key, a step count that is not a whole number >= 0, or
+        moments that are not one m and one v of a parameter's size raise
+        ``FormatError`` and leave the optimizer as it was.
+        """
         for key, arr in arrays.items():
+            kind, _, name = key.partition(".")
             if key == "t":
-                self.t = int(arr[0])
-            elif key.startswith("m."):
-                self._m[key[2:]] = arr.astype(F32, copy=True)
-            elif key.startswith("v."):
-                self._v[key[2:]] = arr.astype(F32, copy=True)
+                ok = is_count(arr)
             else:
-                raise ValueError(f"unknown optimizer state key: {key!r}")
-
-
-OPTIMIZER_KINDS = ("sgd", "adam")
-
-
-def make_optimizer(kind: str, lr: float):
-    """Build an optimizer by name (one of ``OPTIMIZER_KINDS``)."""
-    if kind == "sgd":
-        return Sgd(lr)
-    if kind == "adam":
-        return Adam(lr)
-    raise ValueError(f"unknown optimizer kind: {kind!r}")
+                ok = (kind in ("m", "v") and name in params
+                      and arr.shape == (params[name].size,)
+                      and f"{'v' if kind == 'm' else 'm'}.{name}" in arrays)
+            if not ok:
+                raise FormatError(f"bad optimizer state entry {key!r}")
+        self.t = int(arrays["t"][0]) if "t" in arrays else 0
+        self._m = {k[2:]: a.astype(F32, copy=True)
+                   for k, a in arrays.items() if k.startswith("m.")}
+        self._v = {k[2:]: a.astype(F32, copy=True)
+                   for k, a in arrays.items() if k.startswith("v.")}

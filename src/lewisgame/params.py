@@ -99,6 +99,24 @@ class ParameterSet:
         return self
 
 
+def check_layout(params: ParameterSet, loaded: ParameterSet,
+                 what: str) -> None:
+    """Raise ``FormatError`` unless ``loaded`` holds exactly the names of
+    ``params``, each at its shape; ``what`` names the part in the error."""
+    if loaded.names() != params.names():
+        raise FormatError(f"checkpoint does not match {what} layout")
+    for name, t in params.items():
+        if loaded[name].shape != t.shape:
+            raise FormatError(f"checkpoint shape mismatch for {what}.{name}: "
+                              f"{loaded[name].shape}, not {t.shape}")
+
+
+def is_count(arr: np.ndarray) -> bool:
+    """Whether ``arr`` holds one whole number >= 0, as the step counts a
+    checkpoint stores do; NaN and infinities are not."""
+    return arr.shape == (1,) and 0 <= arr[0] < np.inf and arr[0] % 1 == 0
+
+
 def save_checkpoint(params: ParameterSet, path: str) -> None:
     """Write ``params`` atomically in the LGC1 format."""
     chunks = [CHECKPOINT_MAGIC, struct.pack("<I", len(params))]

@@ -66,10 +66,6 @@ class Tensor:
             raise ShapeError(f"item: tensor has shape {self.shape}, not scalar")
         return float(self.data[0])
 
-    def detached(self) -> "Tensor":
-        """Constant copy with no tape linkage and no gradient."""
-        return Tensor._wrap(self.data.copy(), self.shape, False)
-
     def copy(self) -> "Tensor":
         return Tensor._wrap(self.data.copy(), self.shape, self.requires_grad)
 

@@ -2,8 +2,8 @@
 
 The speaker objective is a REINFORCE-style surrogate over each group of
 G generations: per-token credit gamma^(T-t) * (R - b), where b is the
-group's mean reward (the group-relative baseline of GRPO), or 0 for the
-plain REINFORCE ablation. Advantages are constants; no gradient flows
+group's mean reward (the group-relative baseline of GRPO), optionally
+over the group's reward std. Advantages are constants; no gradient flows
 through them. The listener objective is the negative log of the
 probability it assigns to the true candidate, which equals categorical
 cross-entropy against the one-hot target. Both are read off a
@@ -29,18 +29,14 @@ import numpy as np
 from . import tensor as T
 from .agents import ListenerModel, ModelConfig, SpeakerPolicy
 from .game import GameConfig, RoundTrace, _play_round_traced
-from .optim import (OPTIMIZER_KINDS, clip_global_norm, grad_global_norm,
-                    make_optimizer)
-from .params import FormatError, ParameterSet
+from .optim import Adam, Sgd, clip_global_norm, grad_global_norm
+from .params import FormatError, ParameterSet, check_layout, is_count
 from .tensor import F32, Tape, Tensor, backward
 from .world import check_candidate_count
 
 
 class NumericalFailureError(RuntimeError):
     """A training step produced non-finite losses or gradients."""
-
-
-BASELINE_MODES = ("group", "none")
 
 
 def check_at_least(settings, **lows) -> None:
@@ -57,7 +53,9 @@ class TrainSettings:
 
     This is the ``[train]`` section of a run config. ``steps`` (run
     length) and ``eval_interval`` (steps between checkpoints) are read by
-    the command line; the trainer itself reads the rest.
+    the command line; the trainer itself reads the rest. The speakers
+    always learn by SGD at ``lr_speaker`` and the listener by Adam at
+    ``lr_listener``, on group-relative advantages.
     """
 
     steps: int = 5000
@@ -67,20 +65,12 @@ class TrainSettings:
     targets_per_replica: int = 1
     lr_speaker: float = 0.1
     lr_listener: float = 1e-3
-    optimizer_speaker: str = "sgd"
-    optimizer_listener: str = "adam"
-    baseline_mode: str = "group"
     standardize_advantages: bool = False
     temperature: float = 1.0
     clip_norm: float = 1.0
     eval_interval: int = 500
 
     def __post_init__(self):
-        for kind in (self.optimizer_speaker, self.optimizer_listener):
-            if kind not in OPTIMIZER_KINDS:
-                raise ValueError(f"unknown optimizer kind: {kind!r}")
-        if self.baseline_mode not in BASELINE_MODES:
-            raise ValueError(f"unknown baseline mode: {self.baseline_mode!r}")
         check_at_least(self, steps=0, replicas=1, targets_per_replica=1,
                        seed=0, sync_period=0, eval_interval=0)
         # written so that NaN fails them
@@ -119,36 +109,30 @@ class LossReport:
 
 
 def group_advantages(trace: RoundTrace, gamma: float,
-                     baseline_mode: str = "group",
                      standardize: bool = False) -> np.ndarray:
     """(B, T) per-token advantages of a played block, 0 past each row's end.
 
-    A row's credit is discounted back from its last token by the float32
-    recurrence out[t] = gamma * out[t+1]. ``group``: the credit is the
-    reward minus its round's mean reward, over the round's reward std
-    when ``standardize``. ``none``: the raw reward (no baseline).
+    A row's credit is its reward minus its round's mean reward, over the
+    round's reward std when ``standardize``, discounted back from its
+    last token by the float32 recurrence out[t] = gamma * out[t+1].
     """
-    if baseline_mode not in BASELINE_MODES:
-        raise ValueError(f"unknown baseline mode: {baseline_mode!r}")
     rewards, lengths = trace.rewards, trace.lengths
-    group = baseline_mode == "group"
-    if group and trace.generations == 1:
+    if trace.generations == 1:
         warnings.warn("group baseline with G=1 yields zero advantages",
                       RuntimeWarning, stacklevel=2)
     g = F32(gamma)
-    steps = [np.ones(rewards.size, F32) if group else rewards.astype(F32)]
+    steps = [np.ones(rewards.size, F32)]
     for _ in range(1, trace.logprobs.shape[1]):
         steps.append(g * steps[-1])
     # before[b, t]: tokens after token t in row b, negative past its end
     before = lengths[:, None] - 1 - np.arange(len(steps))
     adv = np.take_along_axis(np.stack(steps, axis=1),
                              np.maximum(before, 0), axis=1)
-    if group:
-        by_round = rewards.reshape(-1, trace.generations)
-        centered = by_round - by_round.mean(axis=1, keepdims=True)
-        if standardize:
-            centered = centered / (by_round.std(axis=1, keepdims=True) + 1e-8)
-        adv = adv * centered.astype(F32).reshape(-1, 1)
+    by_round = rewards.reshape(-1, trace.generations)
+    centered = by_round - by_round.mean(axis=1, keepdims=True)
+    if standardize:
+        centered = centered / (by_round.std(axis=1, keepdims=True) + 1e-8)
+    adv = adv * centered.astype(F32).reshape(-1, 1)
     return np.where(before >= 0, adv, F32(0))
 
 
@@ -210,7 +194,7 @@ def _listener_loss_node(tape, trace):
 
 def train_step(replicas, listener: ListenerModel, dataset,
                game_cfg: GameConfig, settings: TrainSettings,
-               speaker_opts, listener_opt, rngs) -> LossReport:
+               speaker_opt, listener_opt, rngs) -> LossReport:
     """One optimization step across all replicas.
 
     Each replica plays its ``targets_per_replica`` rounds as one block
@@ -232,7 +216,6 @@ def train_step(replicas, listener: ListenerModel, dataset,
                                    settings.temperature, tape,
                                    settings.targets_per_replica)
         advs = group_advantages(trace, game_cfg.gamma,
-                                settings.baseline_mode,
                                 settings.standardize_advantages)
         spk_node = _group_loss_node(tape, trace, advs)
         lst_node = _listener_loss_node(tape, trace)
@@ -259,8 +242,8 @@ def train_step(replicas, listener: ListenerModel, dataset,
     spk_scales = [clip_global_norm(rep.params, settings.clip_norm)
                   for rep in replicas]
     lst_scale = clip_global_norm(listener.params, settings.clip_norm)
-    for opt, rep in zip(speaker_opts, replicas):
-        opt.step(rep.params)
+    for rep in replicas:
+        speaker_opt.step(rep.params)
     listener_opt.step(listener.params)
 
     speaker_mean = float(np.mean(spk_values))
@@ -309,12 +292,8 @@ class Trainer:
         self.replicas = [base.copy() for _ in range(settings.replicas)]
         self.listener = ListenerModel.create(model_cfg, settings.seed,
                                              encoder=self.replicas[0])
-        self.speaker_opts = [
-            make_optimizer(settings.optimizer_speaker, settings.lr_speaker)
-            for _ in self.replicas
-        ]
-        self.listener_opt = make_optimizer(settings.optimizer_listener,
-                                           settings.lr_listener)
+        self.speaker_opt = Sgd(settings.lr_speaker)
+        self.listener_opt = Adam(settings.lr_listener)
         self.step_index = 0
 
     @property
@@ -331,7 +310,7 @@ class Trainer:
 
     def step_once(self) -> LossReport:
         report = train_step(self.replicas, self.listener, self.dataset,
-                            self.game_cfg, self.settings, self.speaker_opts,
+                            self.game_cfg, self.settings, self.speaker_opt,
                             self.listener_opt, self._step_rngs())
         report.step = self.step_index
         self.step_index += 1
@@ -378,41 +357,40 @@ class Trainer:
         state.merged("listener.", self.listener.params)
         for key, arr in self.listener_opt.state_arrays().items():
             state.add(f"optim.listener.{key}", Tensor(arr))
-        for w, opt in enumerate(self.speaker_opts):
-            for key, arr in opt.state_arrays().items():
-                state.add(f"optim.speaker{w}.{key}", Tensor(arr))
         state.add("meta.step", Tensor([float(self.step_index)]))
         return state
 
     def load_state(self, state: ParameterSet) -> None:
-        """Restore a ``pack_state`` checkpoint; one whose entries or
-        shapes do not fit this trainer's model raises ``FormatError``."""
-        def fill(params, loaded, what):
-            if loaded.names() != params.names():
-                raise FormatError(f"checkpoint does not match {what} layout")
-            for name, t in params.items():
-                src = loaded[name]
-                if src.shape != t.shape:
-                    raise FormatError(
-                        f"checkpoint shape mismatch for {what}.{name}")
-                t.data = src.data.copy()
-        fill(self.replicas[0].params, state.subset("speaker."), "speaker")
+        """Restore a ``pack_state`` checkpoint.
+
+        A checkpoint without ``replica{w}.`` entries starts every replica
+        from its speaker. Every entry is checked before any is taken: one
+        whose name or shape does not fit this trainer, or that it does
+        not read, raises ``FormatError`` and leaves the trainer as it was.
+        """
+        parts = [(self.replicas[0].params, "speaker.", "speaker")]
         for w, rep in enumerate(self.replicas[1:], start=1):
-            prefix = f"replica{w}."
-            sub = state.subset(prefix)
-            if len(sub):
-                fill(rep.params, sub, f"replica{w}")
-            else:
-                fill(rep.params, state.subset("speaker."), f"replica{w}")
-        fill(self.listener.params, state.subset("listener."), "listener")
-        opt_state = {name: t.data for name, t
-                     in state.subset("optim.listener.").items()}
-        if opt_state:
-            self.listener_opt.load_state_arrays(opt_state)
-        for w, opt in enumerate(self.speaker_opts):
-            sub = {name: t.data for name, t
-                   in state.subset(f"optim.speaker{w}.").items()}
-            if sub:
-                opt.load_state_arrays(sub)
-        if "meta.step" in state:
-            self.step_index = int(state["meta.step"].data[0])
+            own = len(state.subset(f"replica{w}."))
+            parts.append((rep.params, f"replica{w}." if own else "speaker.",
+                          f"replica{w}"))
+        parts.append((self.listener.params, "listener.", "listener"))
+        for params, prefix, what in parts:
+            check_layout(params, state.subset(prefix), what)
+        read = tuple(prefix for _, prefix, _ in parts) + ("optim.listener.",)
+        for name in state.names():
+            if not name.startswith(read) and name != "meta.step":
+                raise FormatError(f"checkpoint entry {name!r} is not read "
+                                  f"by this trainer")
+        step = (state["meta.step"].data if "meta.step" in state
+                else np.array([self.step_index], F32))
+        if not is_count(step):
+            raise FormatError("checkpoint meta.step is not a whole number "
+                              ">= 0")
+        self.listener_opt.load_state_arrays(
+            {name: t.data for name, t
+             in state.subset("optim.listener.").items()},
+            self.listener.params)
+        for params, prefix, _ in parts:
+            for name, t in params.items():
+                t.data = state[prefix + name].data.copy()
+        self.step_index = int(step[0])

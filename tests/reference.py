@@ -189,10 +189,7 @@ def embed_images(listener, observations: np.ndarray, tape=None,
     p = listener.params
     rows = []
     for obs in observations:
-        if listener.cfg.listener_stop_gradient:
-            patches = encode(enc, obs, None).detached()
-        else:
-            patches = encode(enc, obs, tape)
+        patches = encode(enc, obs, tape)
         pooled = T.mean(tape, patches, axis=0)
         rows.append(T.add(tape, T.matmul(tape, pooled, p["img.w"]),
                           p["img.b"]))
@@ -207,7 +204,7 @@ def attend(speaker, query: Tensor, patches: Tensor, keys: Tensor, tape):
     """Additive attention of ``query`` over the patches: (context, weights)."""
     p = speaker.params
     q = T.reshape(tape, T.matmul(tape, query, p["attn.wh"]),
-                  (speaker.cfg.att_dim,))
+                  (speaker.cfg.d_e,))
     e = T.tanh(tape, T.add(tape, keys, q))
     scores = T.reshape(tape, T.matmul(tape, e, p["attn.v"]),
                        (1, keys.shape[0]))
@@ -269,7 +266,7 @@ def decode(speaker, patches, keys, h0, tape, *, tokens=None, t_max=0,
 
 def start(speaker, obs, tape):
     """Patches, attention keys and decoder start states of one
-    observation: (P, d_e), (P, att_dim) and one (1, d_e) per layer."""
+    observation: (P, d_e), (P, d_e) and one (1, d_e) per layer."""
     p = speaker.params
     patches = encode(speaker, obs, tape)
     keys = T.matmul(tape, patches, p["attn.we"])
@@ -396,16 +393,11 @@ def rewards_to_go(reward: float, length: int, gamma: float) -> np.ndarray:
     return out
 
 
-def group_advantages(episodes, gamma: float, baseline_mode: str = "group",
+def group_advantages(episodes, gamma: float,
                      standardize: bool = False) -> list:
-    """Per-step advantage vectors for one group of episodes.
-
-    ``group``: subtract the group's mean reward, then discount.
-    ``none``: raw rewards-to-go (no baseline).
-    """
-    if baseline_mode == "none":
-        return [rewards_to_go(ep.reward, ep.length, gamma)
-                for ep in episodes]
+    """Per-step advantage vectors for one group of episodes: subtract
+    the group's mean reward (over its std when ``standardize``), then
+    discount."""
     if len(episodes) == 1:
         warnings.warn("group baseline with G=1 yields zero advantages",
                       RuntimeWarning, stacklevel=2)
@@ -455,10 +447,9 @@ def listener_probs(v_m: np.ndarray, v_imgs: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def speaker_loss(episodes, gamma: float, baseline_mode: str = "group",
-                 standardize: bool = False) -> float:
+def speaker_loss(episodes, gamma: float, standardize: bool = False) -> float:
     """Group surrogate loss: mean over episodes of -(1/T) sum logpi * A."""
-    advs = group_advantages(episodes, gamma, baseline_mode, standardize)
+    advs = group_advantages(episodes, gamma, standardize)
     total = 0.0
     for ep, a in zip(episodes, advs):
         lp = ep.logprobs.astype(np.float64)

@@ -12,6 +12,7 @@ from lewisgame.agents import ListenerModel, ModelConfig, SpeakerPolicy
 from lewisgame.cli import _agents_from_checkpoint, main
 from lewisgame.evaluate import evaluate_agents
 from lewisgame.params import ParameterSet, load_checkpoint, save_checkpoint
+from lewisgame.tensor import Tensor
 from lewisgame.world import WorldSpec, load_dataset, save_dataset
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -50,6 +51,17 @@ def eval_files(tmp_path_factory):
     speaker = _save_agents(len(ds.vocab), spec.input_dim, root / "agents.lgc")
     save_checkpoint(speaker.params, str(root / "bare.lgc"))
     return root
+
+
+def _edited(state, name, data):
+    """A copy of checkpoint ``state`` whose entry ``name`` holds ``data``
+    (added when ``state`` has no such entry)."""
+    out = ParameterSet()
+    for key, t in state.items():
+        if key != name:
+            out.add(key, t)
+    out.add(name, Tensor(data))
+    return out
 
 
 def _write_config(path, sections):
@@ -117,10 +129,43 @@ def test_eval_checkpoint_of_another_input_width_exits_2(eval_files,
     proc = _run_eval(eval_files, config, "--out", str(tmp_path / "out"),
                      checkpoint=tmp_path / "narrow.lgc")
     assert proc.returncode == 2
-    assert proc.stderr == (f"data error: checkpoint encodes patches of "
-                           f"width {narrow}, but the dataset's are "
-                           f"{dataset.spec.input_dim} wide\n")
+    assert proc.stderr == (f"data error: checkpoint shape mismatch for "
+                           f"speaker.enc.l1.w: ({narrow}, 8), not "
+                           f"({dataset.spec.input_dim}, 8)\n")
     assert sorted(os.listdir(tmp_path)) == ["eval.ini", "narrow.lgc"]
+
+
+def test_eval_checkpoint_of_another_vocabulary_exits_2(eval_files, tmp_path):
+    # the vocabulary is fixed: tokens past its end have no words to score
+    dataset = load_dataset(str(eval_files / "world.lgw"))
+    n = len(dataset.vocab)
+    _save_agents(n + 2, dataset.spec.input_dim, tmp_path / "wide.lgc")
+    config = _write_config(tmp_path / "eval.ini", {"game": {"k": 4}})
+    proc = _run_eval(eval_files, config, "--out", str(tmp_path / "out"),
+                     checkpoint=tmp_path / "wide.lgc")
+    assert proc.returncode == 2
+    assert proc.stderr == (f"data error: checkpoint shape mismatch for "
+                           f"speaker.emb: ({n + 2}, 8), not ({n}, 8)\n")
+    assert sorted(os.listdir(tmp_path)) == ["eval.ini", "wide.lgc"]
+
+
+@pytest.mark.parametrize("name", ["listener.gru.wz", "speaker.head.w",
+                                  "speaker.attn.we"])
+def test_eval_checkpoint_with_a_misshapen_entry_exits_2(eval_files,
+                                                        tmp_path, name):
+    # one entry a column short; the agents' other entries all fit
+    state = load_checkpoint(str(eval_files / "agents.lgc"))
+    save_checkpoint(_edited(state, name, state[name].nd()[..., :-1]),
+                    str(tmp_path / "bad.lgc"))
+    config = _write_config(tmp_path / "eval.ini", {"game": {"k": 4}})
+    proc = _run_eval(eval_files, config, "--out", str(tmp_path / "out"),
+                     checkpoint=tmp_path / "bad.lgc")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(
+        f"data error: checkpoint shape mismatch for {name}: ")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+    assert sorted(os.listdir(tmp_path)) == ["bad.lgc", "eval.ini"]
 
 
 def test_eval_decodes_under_the_run_configs_t_max(eval_files, tmp_path):
@@ -215,12 +260,6 @@ def _train_config(path, dataset, run, **overrides):
     ("train", "game", {"k": 1}, "[game] K must be at least 2"),
     ("gen-world", "world", {"min_objects": 3, "max_objects": 1},
      "[world] object counts"),
-    ("train", "train", {"optimizer_speaker": "bogus"},
-     "[train] unknown optimizer kind: 'bogus'"),
-    ("train", "train", {"baseline_mode": "bogus"},
-     "[train] unknown baseline mode: 'bogus'"),
-    ("train", "train", {"baseline_mode": "literal"},
-     "[train] unknown baseline mode: 'literal'"),
     ("train", "train", {"replicas": 0}, "[train] replicas must be at least 1"),
     ("train", "train", {"targets_per_replica": 0},
      "[train] targets_per_replica must be at least 1"),
@@ -234,8 +273,8 @@ def _train_config(path, dataset, run, **overrides):
      "[train] lr_speaker must be finite and non-negative"),
     ("gen-world", "world", {"raster": "true", "raster_size": 0},
      "[world] raster_size must lie in [4, 65535]"),
-], ids=["game-k", "world-objects", "train-optimizer", "train-baseline",
-        "train-baseline-literal", "train-replicas", "train-targets", "train-clip-norm",
+], ids=["game-k", "world-objects", "train-replicas", "train-targets",
+        "train-clip-norm",
         "train-temperature", "eval-rounds-eval", "eval-rounds-sweep",
         "train-steps-negative", "train-lr-speaker-nan",
         "world-raster-size-zero"])
@@ -252,6 +291,26 @@ def test_bad_config_value_exits_1(eval_files, tmp_path, command, section,
     assert f"config error: {message}" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert os.listdir(tmp_path) == ["bad.ini"]
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("train", "baseline_mode", "none"),
+    ("train", "optimizer_speaker", "adam"),
+    ("train", "optimizer_listener", "sgd"),
+    ("model", "d_att", "12"),
+    ("model", "listener_stop_gradient", "true"),
+], ids=["baseline_mode", "optimizer_speaker", "optimizer_listener", "d_att",
+        "listener_stop_gradient"])
+def test_removed_config_key_exits_1(eval_files, tmp_path, section, key,
+                                    value):
+    # the training recipe is fixed in code: these switches no longer exist
+    config = _train_config(tmp_path / "old.ini", eval_files / "world.lgw",
+                           tmp_path, **{section: {key: value}})
+    proc = _run_cli("train", "--config", config)
+    assert proc.returncode == 1
+    assert proc.stderr == (f"config error: unknown key {key!r} in section "
+                           f"[{section}]\n")
+    assert os.listdir(tmp_path) == ["old.ini"]
 
 
 def test_gen_world_negative_scene_count_exits_1_before_writing(tmp_path):
@@ -365,8 +424,46 @@ def test_train_resume_from_checkpoint_of_other_model_sizes_exits_2(
                     str(eval_files / "agents.lgc"))
     assert proc.returncode == 2
     assert proc.stderr == ("data error: checkpoint shape mismatch for "
-                           "speaker.attn.v\n")
+                           "speaker.attn.v: (8, 1), not (16, 1)\n")
     assert os.listdir(tmp_path) == ["run.ini"]
+
+
+@pytest.fixture(scope="module")
+def trained_state(eval_files, tmp_path_factory):
+    """The checkpoint of a one-step toy run: it holds the listener's Adam
+    moments and a step count."""
+    run = tmp_path_factory.mktemp("trained")
+    config = _train_config(run / "run.ini", eval_files / "world.lgw", run)
+    assert _run_cli("train", "--config", config).returncode == 0
+    return load_checkpoint(str(run / "ckpt" / "latest.lgc"))
+
+
+@pytest.mark.parametrize("name, data, message", [
+    ("optim.listener.w.img.w", lambda s: [0.0],
+     "bad optimizer state entry 'w.img.w'"),
+    ("optim.listener.m.img.w", lambda s: s["optim.listener.m.img.w"].data[1:],
+     "bad optimizer state entry 'm.img.w'"),
+    ("meta.step", lambda s: [np.nan], "meta.step is not a whole number"),
+    ("meta.step", lambda s: [-1.0], "meta.step is not a whole number"),
+    ("replica1.emb", lambda s: s["speaker.emb"].nd(),
+     "entry 'replica1.emb' is not read by this trainer"),
+    ("optim.speaker0.t", lambda s: [1.0],
+     "entry 'optim.speaker0.t' is not read by this trainer"),
+], ids=["optim-unknown-key", "adam-moment-size", "step-nan", "step-negative",
+        "replica-beyond-count", "speaker-optimizer-state"])
+def test_train_resume_from_malformed_checkpoint_exits_2(
+        eval_files, trained_state, tmp_path, name, data, message):
+    save_checkpoint(_edited(trained_state, name, data(trained_state)),
+                    str(tmp_path / "bad.lgc"))
+    config = _train_config(tmp_path / "run.ini", eval_files / "world.lgw",
+                           tmp_path, train={"steps": 2})
+    proc = _run_cli("train", "--config", config, "--resume",
+                    str(tmp_path / "bad.lgc"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("data error: ")
+    assert message in proc.stderr and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+    assert sorted(os.listdir(tmp_path)) == ["bad.lgc", "run.ini"]
 
 
 def test_train_resume_from_nan_weight_exits_3(eval_files, tmp_path):

@@ -99,11 +99,10 @@ def _tiny_config() -> RunConfig:
                         val_scenes=16, seed=3)
     cfg.game = replace(cfg.game, k=8, gamma=0.9, lam=0.5, generations=2,
                        t_max=5)
-    cfg.model = replace(cfg.model, d_e=16, d_o=8, n_layers=1, n_patches=2,
-                        d_att=12)
+    cfg.model = replace(cfg.model, d_e=16, d_o=8, n_layers=1, n_patches=2)
     cfg.train = replace(cfg.train, steps=2, seed=1, replicas=2,
                         sync_period=1, targets_per_replica=2, lr_speaker=0.05,
-                        lr_listener=0.01, optimizer_speaker="adam",
+                        lr_listener=0.01, standardize_advantages=True,
                         temperature=0.8, clip_norm=0.5)
     cfg.eval = replace(cfg.eval, rounds=6)
     return cfg

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from lewisgame.optim import (Adam, Sgd, clip_global_norm, grad_global_norm,
-                             make_optimizer)
-from lewisgame.params import ParameterSet
+from lewisgame.optim import Adam, Sgd, clip_global_norm, grad_global_norm
+from lewisgame.params import FormatError, ParameterSet
 from lewisgame.tensor import Tensor
 
 
@@ -60,7 +59,7 @@ def test_adam_state_roundtrip():
     opt.step(ps)
     clone = Adam(0.05)
     clone.load_state_arrays({k: v.copy() for k, v in
-                             opt.state_arrays().items()})
+                             opt.state_arrays().items()}, ps)
     assert clone.t == 2
     ps2 = _params(w=(ps["w"].data.copy(), [0.2]))
     opt.step(ps)
@@ -107,6 +106,23 @@ def test_clip_empty_grads_scale_one():
     assert clip_global_norm(ps, 1.0) == 1.0
 
 
-def test_make_optimizer_rejects_unknown():
-    with pytest.raises(ValueError, match="unknown optimizer"):
-        make_optimizer("lion", 0.1)
+@pytest.mark.parametrize("key, value", [
+    ("x.w", [0.0]), ("m.u", [0.0]), ("m.w", [0.0, 0.0]), ("v.w", None),
+    ("t", [np.nan]), ("t", [-1.0]), ("t", [0.5]),
+], ids=["unknown-kind", "unknown-parameter", "moment-size", "unpaired-moment",
+        "step-nan", "step-negative", "step-fraction"])
+def test_adam_refuses_bad_state_and_keeps_its_own(key, value):
+    ps = _params(w=([0.5], [0.2]))
+    opt = Adam(0.05)
+    opt.step(ps)
+    before = {k: v.copy() for k, v in opt.state_arrays().items()}
+    arrays = dict(before)
+    if value is None:
+        del arrays[key]
+    else:
+        arrays[key] = np.asarray(value, np.float32)
+    with pytest.raises(FormatError, match="optimizer state entry"):
+        opt.load_state_arrays(arrays, ps)
+    after = opt.state_arrays()
+    assert after.keys() == before.keys()
+    assert all(after[k].tobytes() == before[k].tobytes() for k in before)
