@@ -14,13 +14,27 @@ rows at once, in another order, so rows match it within float32
 round-off, as do gradients. Backward passes are ordinary
 backprop-through-time with the weight-gradient outer products batched
 over steps and rows.
+
+A taped forward writes the rows its backward needs (each GRU layer's
+[h, x] and [r·h, x] inputs, and the decoder's attention activations)
+straight into step-major buffers preallocated for all its steps, and
+the backward writes each step's gate gradients (and the decoder's
+logit, attention and input gradients) into buffers of the same layout;
+the batched products then read reshaped views of them, with no
+per-step lists to concatenate. Step t goes to slot steps-1-t of a
+forward buffer and T_len-1-t of a backward one, so the rows run last
+step first, the order the backward visits them. When sampling ends
+before ``t_max`` steps, the valid rows are the last T_len slots of the
+forward buffers. An untaped call (evaluation, greedy decoding)
+allocates none of these buffers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import F32, Tensor, _log_softmax_rows, _transposed
+from .tensor import (F32, Tensor, _log_softmax_rows, _scatter_rows,
+                     _transposed)
 
 ZERO = F32(0)
 ONE = F32(1)
@@ -37,40 +51,50 @@ def _softmax_rows(x):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _gru_forward(x, h, Wz, bz, Wr, br, Wh, bh):
-    U = np.concatenate([h, x], axis=1)
+def _gru_forward(x, h, Wz, bz, Wr, br, Wh, bh, U=None, V=None):
+    """One GRU step: the new state and the (z, r, c, h) its backward
+    reads. The [h, x] and [r·h, x] rows the weight gradients need are
+    written into ``U`` and ``V`` when given (a taped step's slots of the
+    step-major buffers), else into fresh arrays that are dropped."""
+    U = np.concatenate([h, x], axis=1, out=U)
     z = _sigmoid(U @ Wz + bz)
     r = _sigmoid(U @ Wr + br)
-    V = np.concatenate([r * h, x], axis=1)
+    V = np.concatenate([r * h, x], axis=1, out=V)
     c = np.tanh(V @ Wh + bh)
-    return (ONE - z) * h + z * c, (U, z, r, V, c, h)
+    return (ONE - z) * h + z * c, (z, r, c, h)
 
 
-def _gru_backward(g, cache, WzT, WrT, WhT, dh_extra=None):
-    """Returns (dx, dh_prev, dz, dr, dc) for one step, given the weights'
-    ``_transposed`` copies; weight grads are assembled later from the
-    stashed U/V rows and these gate grads."""
-    U, z, r, V, c, h = cache
+def _gru_backward(g, cache, WzT, WrT, WhT, dz, dr, dc, dx=None,
+                  dh_extra=None):
+    """One step back, given the weights' ``_transposed`` copies: writes
+    the step's gate gradients into ``dz``, ``dr`` and ``dc`` (its slots of
+    the step-major buffers the weight gradients are read from) and its
+    input gradient into ``dx`` when given; returns (dx, dh_prev)."""
+    z, r, c, h = cache
     G = g if dh_extra is None else g + dh_extra
     dh_ = h.shape[1]
-    dz = G * (c - h) * z * (ONE - z)
-    dc = G * z * (ONE - c * c)
+    np.multiply(G * (c - h) * z, ONE - z, out=dz)
+    np.multiply(G * z, ONE - c * c, out=dc)
     dH = G * (ONE - z)
     dV = dc @ WhT
     drh = dV[:, :dh_]
-    dX = dV[:, dh_:].copy()
-    dr = drh * h * r * (ONE - r)
+    np.multiply(drh * h * r, ONE - r, out=dr)
     dH = dH + drh * r
     dU = dz @ WzT + dr @ WrT
     dH = dH + dU[:, :dh_]
-    dX += dU[:, dh_:]
-    return dX, dH, dz, dr, dc
+    return np.add(dV[:, dh_:], dU[:, dh_:], out=dx), dH
 
 
-def _gru_weight_grads(rows):
-    """A GRU's six weight and bias gradients, batched over the steps'
-    (U, V, dz, dr, dc) rows from ``_gru_forward`` and ``_gru_backward``."""
-    U, V, DZ, DR, DC = (np.concatenate(col, axis=0) for col in zip(*rows))
+def _step_rows(buf):
+    """A step-major buffer's (steps·B, width) rows, as a view."""
+    return buf.reshape(-1, buf.shape[-1])
+
+
+def _gru_weight_grads(U, V, DZ, DR, DC):
+    """A GRU's six weight and bias gradients from step-major buffers of
+    its stashed (U, V) rows and gate gradients (dz, dr, dc), batched over
+    steps and rows."""
+    U, V, DZ, DR, DC = map(_step_rows, (U, V, DZ, DR, DC))
     return [U.T @ DZ, DZ.sum(axis=0, dtype=F32),
             U.T @ DR, DR.sum(axis=0, dtype=F32),
             V.T @ DC, DC.sum(axis=0, dtype=F32)]
@@ -147,18 +171,26 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
     hidden = [h.nd() for h in init_hidden]
     prev = np.full(B, BOS, np.intp)
 
+    # the step-major buffers of the module docstring, taped only
+    taped = tape is not None
+    if taped:
+        E_buf = np.empty((steps,) + K.shape, F32)
+        U_buf = [np.empty((steps, B, w[0].shape[0]), F32) for w in gw]
+        V_buf = [np.empty_like(U) for U in U_buf]
     prev_cols, tok_cols, lp_cols = [], [], []
     stash = []
     for t in range(steps):
+        s = steps - 1 - t
         hq = hidden[L - 1]
-        e = np.tanh(K + (hq @ Wq)[:, None, :])
+        e = np.tanh(K + (hq @ Wq)[:, None, :],
+                    out=E_buf[s] if taped else None)
         alpha = _softmax_rows((e @ v)[:, :, 0])
         ctx = (alpha[:, None, :] @ Pt)[:, 0, :]
         x = np.concatenate([emb[prev], ctx], axis=1)
         caches = []
         for l in range(L):
-            Wz, bz, Wr, br, Wh, bh = gw[l]
-            x, cache = _gru_forward(x, hidden[l], Wz, bz, Wr, br, Wh, bh)
+            UV = (U_buf[l][s], V_buf[l][s]) if taped else ()
+            x, cache = _gru_forward(x, hidden[l], *gw[l], *UV)
             caches.append(cache)
             hidden[l] = x
         logits = x @ Wo + bo
@@ -171,8 +203,8 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
         prev_cols.append(prev)
         tok_cols.append(tok)
         lp_cols.append(lsm[rows, tok])
-        if tape is not None:
-            stash.append((hq, e, alpha, caches, x, lsm))
+        if taped:
+            stash.append((alpha, caches, x, lsm))
         prev = tok
         if sampling:
             ended = live & (tok == EOS)
@@ -187,7 +219,7 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
     tok_arr = np.stack(tok_cols, axis=1)
     out_tokens = [tok_arr[b, :n].tolist() for b, n in enumerate(lengths)]
     out = Tensor._wrap(lp_arr.ravel(), (B, T_len), True)
-    if tape is None:
+    if not taped:
         out.requires_grad = False
         return out_tokens, out
 
@@ -205,53 +237,48 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
         dPt = np.zeros_like(Pt)
         dK = np.zeros_like(K)
         carry = [np.zeros((B, cfg.d_e), F32) for _ in range(L)]
-        h_tops, dlog_rows, hq_rows, dq_rows = [], [], [], []
-        e_rows, ds_rows, demb_rows = [], [], []
-        gru_rows = [[] for _ in range(L)]
+        # Step t's rows go to slot T_len-1-t here, and sit at that index
+        # of the forward buffers' valid part [steps-T_len:] too.
+        first = steps - T_len
+        E = E_buf[first:]
+        DL = np.empty((T_len, B, Wo.shape[1]), F32)
+        DS = np.empty((T_len,) + K.shape[:2], F32)
+        DQ = np.empty((T_len, B, cfg.d_e), F32)
+        DX = np.empty((T_len, B, 2 * cfg.d_e), F32)  # layer 0's [emb, ctx]
+        gates = [np.empty((3, T_len, B, cfg.d_e), F32) for _ in range(L)]
         for t in range(T_len - 1, -1, -1):
-            hq, e, alpha, caches, h_top, lsm = stash[t]
+            s = T_len - 1 - t
+            alpha, caches, _, lsm = stash[t]
             go = gmat[:, t:t + 1]
-            dlogits = -go * np.exp(lsm)
+            dlogits = np.multiply(-go, np.exp(lsm), out=DL[s])
             dlogits[rows, tok_cols[t]] += go[:, 0]
-            h_tops.append(h_top)
-            dlog_rows.append(dlogits)
             dx = dlogits @ WoT + carry[L - 1]
             for l in range(L - 1, -1, -1):
-                cache = caches[l]
                 extra = carry[l] if l < L - 1 else None
-                dX, dH, dz, dr, dc = _gru_backward(dx, cache, *gwT[l],
-                                                   dh_extra=extra)
-                gru_rows[l].append((cache[0], cache[3], dz, dr, dc))
-                carry[l] = dH
-                dx = dX
-            demb_rows.append(dx[:, :cfg.d_e])
+                dx, carry[l] = _gru_backward(
+                    dx, caches[l], *gwT[l], *gates[l][:, s],
+                    dx=DX[s] if l == 0 else None, dh_extra=extra)
             dctx = dx[:, cfg.d_e:]
             dalpha = (Pt @ dctx[:, :, None])[:, :, 0]
             dPt += alpha[:, :, None] * dctx[:, None, :]
-            dsrow = alpha * (dalpha - (dalpha * alpha).sum(axis=1,
-                                                           keepdims=True))
-            e_rows.append(e.reshape(-1, e.shape[2]))
-            ds_rows.append(dsrow.reshape(-1, 1))
-            dpre = dsrow[:, :, None] * v[:, 0] * (ONE - e * e)
+            dsrow = np.multiply(alpha, dalpha - (dalpha * alpha).sum(
+                axis=1, keepdims=True), out=DS[s])
+            dpre = dsrow[:, :, None] * v[:, 0] * (ONE - E[s] * E[s])
             dK += dpre
-            dq = dpre.sum(axis=1)
-            hq_rows.append(hq)
-            dq_rows.append(dq)
+            dq = dpre.sum(axis=1, out=DQ[s])
             carry[L - 1] = carry[L - 1] + dq @ WqT
 
-        demb = np.zeros(p["emb"].shape, F32)
-        np.add.at(demb, np.concatenate(prev_cols[::-1]),
-                  np.concatenate(demb_rows, axis=0))
-        HQ = np.concatenate(hq_rows, axis=0)
-        DQ = np.concatenate(dq_rows, axis=0)
-        HT = np.concatenate(h_tops, axis=0)
-        DL = np.concatenate(dlog_rows, axis=0)
-        E = np.concatenate(e_rows, axis=0)
-        DS = np.concatenate(ds_rows, axis=0)
-        grads = [dPt, dK, demb, HQ.T @ DQ, E.T @ DS, HT.T @ DL,
-                 DL.sum(axis=0, dtype=F32)]
+        demb = _scatter_rows(p["emb"].shape, np.concatenate(prev_cols[::-1]),
+                             _step_rows(DX[..., :cfg.d_e]))
+        HQ = _step_rows(U_buf[L - 1][first:, :, :cfg.d_e])
+        HT = np.concatenate([stash[t][2] for t in range(T_len - 1, -1, -1)])
+        DLr = _step_rows(DL)
+        grads = [dPt, dK, demb, HQ.T @ _step_rows(DQ),
+                 _step_rows(E).T @ DS.reshape(-1, 1), HT.T @ DLr,
+                 DLr.sum(axis=0, dtype=F32)]
         for l in range(L):
-            grads.extend(_gru_weight_grads(gru_rows[l]))
+            grads.extend(_gru_weight_grads(U_buf[l][first:], V_buf[l][first:],
+                                           *gates[l]))
         grads.extend(carry)  # d loss / d initial hidden, per layer
         return grads
 
@@ -281,30 +308,36 @@ def gru_sequence(embs: Tensor, lengths, h0: np.ndarray, wz: Tensor,
     bzd, brd, bhd = bz.data, br.data, bh.data
     T_len = E.shape[1]
     live = [(t < lengths)[:, None] for t in range(T_len)]
+    # the step-major buffers of the module docstring, taped only
+    taped = tape is not None
+    if taped:
+        U_buf = np.empty((T_len, B, Wz.shape[0]), F32)
+        V_buf = np.empty_like(U_buf)
     h = h0
     caches = []
     for t in range(T_len):
-        h_new, cache = _gru_forward(E[:, t], h, Wz, bzd, Wr, brd, Wh, bhd)
+        UV = (U_buf[T_len - 1 - t], V_buf[T_len - 1 - t]) if taped else ()
+        h_new, cache = _gru_forward(E[:, t], h, Wz, bzd, Wr, brd, Wh, bhd,
+                                    *UV)
         h = np.where(live[t], h_new, h)
-        if tape is not None:
+        if taped:
             caches.append(cache)
     out = Tensor._wrap(h.ravel().copy(), h.shape, True)
-    if tape is None:
+    if not taped:
         out.requires_grad = False
         return out
 
     def rule(g):
         dh = g.reshape(B, -1)
         WT = _transposed(Wz, Wr, Wh)
-        dx_rows, gru_rows = [], []
+        gates = np.empty((3, T_len, B, dh.shape[1]), F32)
+        dE = np.empty_like(E)
         for t in range(T_len - 1, -1, -1):
-            dX, dH, dz, dr, dc = _gru_backward(np.where(live[t], dh, ZERO),
-                                               caches[t], *WT)
+            dH = _gru_backward(np.where(live[t], dh, ZERO), caches[t], *WT,
+                               *gates[:, T_len - 1 - t], dx=dE[:, t])[1]
             dh = np.where(live[t], dH, dh)
-            dx_rows.append(dX)
-            gru_rows.append((caches[t][0], caches[t][3], dz, dr, dc))
-        dE = np.stack(dx_rows[::-1], axis=1).reshape(B * T_len, -1)
-        return [dE] + _gru_weight_grads(gru_rows)
+        return ([dE.reshape(B * T_len, -1)]
+                + _gru_weight_grads(U_buf, V_buf, *gates))
 
     tape.record(out, (embs, wz, bz, wr, br, wh, bh), rule)
     return out

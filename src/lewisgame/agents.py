@@ -28,7 +28,7 @@ import numpy as np
 
 from . import tensor as T
 from ._decode import decode_message, gru_sequence
-from .params import ParameterSet
+from .params import FormatError, ParameterSet
 from .tensor import F32, ShapeError, Tensor
 
 
@@ -326,7 +326,19 @@ def model_config_from_params(speaker_params: ParameterSet,
                              listener_params: ParameterSet,
                              raster: bool = False, raster_size: int = 16,
                              raster_grid: int = 4) -> ModelConfig:
-    """Reconstruct dimensions from checkpointed parameter shapes."""
+    """Reconstruct dimensions from checkpointed parameter shapes.
+
+    Raises ``FormatError`` if an entry the sizes are read from is not a
+    matrix, and ``KeyError`` if one is missing.
+    """
+    for prefix, params, name in (("speaker", speaker_params, "emb"),
+                                 ("speaker", speaker_params, "enc.l1.w"),
+                                 ("speaker", speaker_params, "enc.l2.w"),
+                                 ("listener", listener_params, "img.w")):
+        shape = params[name].shape
+        if len(shape) != 2:
+            raise FormatError(f"checkpoint entry {prefix}.{name} has shape "
+                              f"{shape}, not rank 2")
     vocab, d_e = speaker_params["emb"].shape
     d_o = listener_params["img.w"].shape[1]
     n_layers = len({n.split(".")[0] for n in speaker_params.names()

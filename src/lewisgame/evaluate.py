@@ -18,7 +18,7 @@ import math
 from collections import Counter
 from copy import deepcopy
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -43,10 +43,25 @@ def _closest_ref_len(c: int, references) -> int:
                key=lambda rl: (abs(rl - c), rl))
 
 
+@lru_cache(maxsize=1024)
+def _reference_maxima(references: tuple, max_n: int) -> tuple:
+    """For n = 1..max_n, each n-gram's largest count in any of
+    ``references`` (a tuple of token tuples). Cached, since evaluation
+    scores every round against its target scene's few captions; the
+    tables are shared between calls, so callers only read them."""
+    tables = []
+    for n in range(1, max_n + 1):
+        best = Counter()
+        for ref in references:
+            best |= _ngram_counts(ref, n)
+        tables.append(best)
+    return tuple(tables)
+
+
 def bleu(candidate, references, max_n: int = 4) -> list[float]:
     """BLEU-1..max_n of one candidate against one or more references."""
     candidate = list(candidate)
-    references = [list(r) for r in references]
+    references = tuple(tuple(r) for r in references)
     if not candidate:
         raise ValueError("bleu: candidate must be non-empty")
     if not references:
@@ -54,6 +69,7 @@ def bleu(candidate, references, max_n: int = 4) -> list[float]:
     c = len(candidate)
     r = _closest_ref_len(c, references)
     bp = 1.0 if c >= r else math.exp(1.0 - r / c)
+    maxima = _reference_maxima(references, max_n)
     precisions = []
     for n in range(1, max_n + 1):
         counts = _ngram_counts(candidate, n)
@@ -61,10 +77,7 @@ def bleu(candidate, references, max_n: int = 4) -> list[float]:
         if total == 0:
             precisions.append(BLEU_EPS)
             continue
-        best = Counter()  # each n-gram's largest count in any reference
-        for ref in references:
-            best |= _ngram_counts(ref, n)
-        clipped = sum((counts & best).values())
+        clipped = sum((counts & maxima[n - 1]).values())
         precisions.append(clipped / total if clipped else BLEU_EPS)
     scores = []
     for n in range(1, max_n + 1):

@@ -265,6 +265,26 @@ def tsum(tape, a: Tensor) -> Tensor:
     return out
 
 
+def _scatter_rows(shape, idx, rows: np.ndarray) -> np.ndarray:
+    """A zero array of ``shape`` with each row ``rows[i]`` added into row
+    ``idx[i]``: the gradient of gathering rows by ``idx``.
+
+    Computed as one product, a one-hot (shape[0], len(idx)) float32
+    matrix times ``rows``, which costs less than ``numpy.add.at`` for the
+    tables here (a vocabulary, or a block's distinct scenes). BLAS sums
+    in its own order: within one block of its inner dimension that is
+    index order, as ``numpy.add.at`` sums, so results match it bitwise
+    for short index lists (up to about 384 indices at 128 columns with
+    OpenBLAS 0.3.31's SkylakeX kernels on 2 cores), and beyond that
+    differ from it by float32 round-off. A non-finite entry of ``rows``
+    makes its whole column of the result NaN, since 0 · inf is NaN.
+    """
+    n = len(idx)
+    onehot = np.zeros((shape[0], n), F32)
+    onehot[idx, np.arange(n)] = F32(1)
+    return onehot @ rows.reshape(n, shape[1])
+
+
 def embedding(tape, table: Tensor, ids) -> Tensor:
     """Gather rows of a rank-2 tensor by integer index."""
     if table.ndim != 2:
@@ -282,9 +302,7 @@ def embedding(tape, table: Tensor, ids) -> Tensor:
     out = _emit(tape, out_nd, req)
     if req and tape is not None:
         def rule(g):
-            gt = np.zeros(table.shape, F32)
-            np.add.at(gt, idx, g.reshape(out.shape))
-            return (gt,)
+            return (_scatter_rows(table.shape, idx, g.reshape(out.shape)),)
         tape.record(out, (table,), rule)
     return out
 

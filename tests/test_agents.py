@@ -79,6 +79,37 @@ def test_rescoring_reproduces_sampled_logprobs_bitwise(world):
             <= BLOCK_LOGPROB_ATOL)
 
 
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_early_ended_sample_gradients_match_rescoring_bitwise(world,
+                                                              n_layers):
+    # every row ends before t_max, so the sampling loop breaks early and
+    # its backward reads the tail of buffers sized for t_max steps
+    ds, cfg, _, _ = world
+    speaker = SpeakerPolicy.create(
+        ModelConfig(**{**cfg.__dict__, "n_layers": n_layers}), 29)
+    speaker.params["head.b"].data[EOS] += 1.5  # ends every row
+    obs = ds.model_inputs()[20:23]
+    t_max = 40
+    grads = {}
+    for path in ("sampled", "rescored"):
+        speaker.params.zero_grads()
+        tape = Tape()
+        if path == "sampled":
+            samples, node = speaker.sample(obs, t_max, 1.0, 4,
+                                           np.random.default_rng(8), tape)
+        else:
+            node = speaker.logprobs(np.repeat(obs, 4, axis=0),
+                                    [s.tokens for s in samples], tape)
+        weights = np.random.default_rng(6).normal(0, 1, node.shape)
+        backward(tape, T.tsum(tape, T.mul(tape, node, Tensor(weights))))
+        grads[path] = _grads(speaker.params)
+    assert 1 < node.shape[1] < t_max
+    assert len({s.length for s in samples}) > 1
+    assert grads["sampled"].keys() == grads["rescored"].keys()
+    for name, g in grads["rescored"].items():
+        assert grads["sampled"][name].tobytes() == g.tobytes(), name
+
+
 def test_fused_and_generic_paths_agree_bitwise(world):
     # a one-row block draws with rng.choice's rule, as the op-by-op
     # decoder does, and runs the same numpy calls

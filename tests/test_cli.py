@@ -168,6 +168,26 @@ def test_eval_checkpoint_with_a_misshapen_entry_exits_2(eval_files,
     assert sorted(os.listdir(tmp_path)) == ["bad.lgc", "eval.ini"]
 
 
+@pytest.mark.parametrize("name, rank", [
+    ("speaker.emb", 1), ("speaker.emb", 3), ("speaker.enc.l1.w", 1),
+    ("speaker.enc.l2.w", 1), ("listener.img.w", 1)])
+def test_eval_checkpoint_with_an_entry_of_another_rank_exits_2(
+        eval_files, tmp_path, name, rank):
+    # the entries the agents' sizes are read from, as a vector or a cube
+    state = load_checkpoint(str(eval_files / "agents.lgc"))
+    data = state[name].nd()
+    data = data.ravel() if rank == 1 else data[..., None]
+    save_checkpoint(_edited(state, name, data), str(tmp_path / "bad.lgc"))
+    config = _write_config(tmp_path / "eval.ini", {"game": {"k": 4}})
+    proc = _run_eval(eval_files, config, "--out", str(tmp_path / "out"),
+                     checkpoint=tmp_path / "bad.lgc")
+    assert proc.returncode == 2
+    assert proc.stderr == (f"data error: checkpoint entry {name} has shape "
+                           f"{data.shape}, not rank 2\n")
+    assert proc.stdout == ""
+    assert sorted(os.listdir(tmp_path)) == ["bad.lgc", "eval.ini"]
+
+
 def test_eval_decodes_under_the_run_configs_t_max(eval_files, tmp_path):
     # train and evaluate under one config with t_max = 4; at the default
     # t_max of 12 the same agents report a mean length of 9.6

@@ -83,6 +83,48 @@ def test_embedding_out_of_bounds():
         T.embedding(None, table, [3])
 
 
+def _embedding_grad(n_rows, idx, g):
+    """The table gradient ``embedding``'s rule gives for output grad ``g``."""
+    table = Tensor(np.zeros((n_rows, g.shape[1]), F32), requires_grad=True)
+    tape = Tape()
+    out = T.embedding(tape, table, idx)
+    backward(tape, T.tsum(tape, T.mul(tape, out, Tensor(g))))
+    return table.grad.reshape(table.shape)
+
+
+def _add_at(n_rows, idx, g):
+    want = np.zeros((n_rows, g.shape[1]), F32)
+    np.add.at(want, idx, g)
+    return want
+
+
+def test_embedding_backward_matches_add_at_bitwise_on_short_index_lists():
+    # 100 indices, within one block of BLAS's inner dimension: the product
+    # adds each table row's gradients in index order, as np.add.at does
+    rng = np.random.default_rng(0)
+    idx = rng.integers(1, 9, 100)  # repeats; rows 0 and 9 never hit
+    g = rng.normal(0, 1, (100, 128)).astype(F32)
+    got = _embedding_grad(10, idx, g)
+    assert got.tobytes() == _add_at(10, idx, g).tobytes()
+    assert not got[[0, 9]].any()
+
+
+def test_embedding_backward_matches_add_at_on_long_index_lists():
+    # 1000 indices at d=128 span several BLAS blocks, which sum in another
+    # order: each row may differ from np.add.at by the two sums' worst
+    # float32 round-off, 2·γ_n·Σ|g| over the n rows summed into it
+    rng = np.random.default_rng(1)
+    idx = rng.integers(0, 20, 1000) * 2  # odd rows never hit
+    g = rng.normal(0, 1, (1000, 128)).astype(F32)
+    got = _embedding_grad(40, idx, g)
+    want = _add_at(40, idx, g)
+    n = np.bincount(idx, minlength=40)[:, None]
+    u = np.finfo(F32).eps / 2
+    bound = 2 * (n * u / (1 - n * u)) * _add_at(40, idx, np.abs(g))
+    assert (np.abs(got - want) <= bound).all()
+    assert not got[1::2].any()
+
+
 def test_backward_sum_gives_ones():
     x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
     tape = Tape()
