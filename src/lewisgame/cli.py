@@ -269,6 +269,7 @@ _int_list = _checked(lambda text: [int(x) for x in text.split(",")],
                      lambda _: True, "expected comma-separated integers")
 _alpha = _checked(float, lambda a: 0 < a <= 1, "must lie in (0, 1]")
 _step_count = _checked(int, lambda n: n >= 0, "must be an integer >= 0")
+_worker_count = _checked(int, lambda n: n >= 1, "must be an integer >= 1")
 # the rule [train] applies to its learning rates
 _learning_rate = _checked(float, lambda lr: 0 <= lr < float("inf"),
                           "must be finite and non-negative")
@@ -308,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run config: [train] steps per cell, [eval] rounds")
     p.add_argument("--k-list", type=_int_list, default="4,8,16,32,64")
     p.add_argument("--seeds", type=_int_list, default="2024,2025,2026")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_sweep)
 
@@ -355,10 +356,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FormatError, CapacityError, SamplingError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
+    except (FormatError, CapacityError, SamplingError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -4,11 +4,12 @@ Every hyperparameter of a run lives here, grouped in sections, and no
 subcommand shadows one with a flag: ``lewisgame eval`` reads ``[eval]``
 and the K and ``t_max`` of ``[game]``. The ``[game]`` and ``[train]``
 sections are the runtime types themselves, ``GameConfig`` and
-``TrainSettings``, so each of their keys and defaults is declared once,
-there. Sections are mutable, so the adapters (``world_spec``,
-``game_config``, ``train_settings``) hand out values built or copied
-through the runtime types' own checks, and a section mutated after
-parsing is validated again when it is used.
+``TrainSettings``, and ``[world]`` is a ``WorldSpec`` that adds the
+scene counts and seed of its splits, so each of their keys and defaults
+is declared once, there. Sections are mutable, so the adapters
+(``world_spec``, ``game_config``, ``train_settings``) hand out values
+built or copied through the runtime types' own checks, and a section
+mutated after parsing is validated again when it is used.
 
 Parsing is strict: an unknown section or key, a value that fails type
 conversion, or a value a section's own checks reject, is a hard error
@@ -36,19 +37,16 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class WorldSection:
-    grid: int = 4
-    min_objects: int = 1
-    max_objects: int = 3
-    noise: float = 0.05
-    raster: bool = False
-    raster_size: int = 16
+class WorldSection(WorldSpec):
+    """The world's ``WorldSpec``, and the scenes its splits draw."""
+
     n_scenes: int = 600
     val_scenes: int = 128
     test_scenes: int = 0
     seed: int = 7
 
     def __post_init__(self):
+        super().__post_init__()
         check_at_least(self, n_scenes=1, val_scenes=0, test_scenes=0, seed=0)
 
 
@@ -93,10 +91,8 @@ class RunConfig:
     # -- adapters into the module-level config types -------------------------
 
     def world_spec(self) -> WorldSpec:
-        w = self.world
-        return WorldSpec(grid=w.grid, min_objects=w.min_objects,
-                         max_objects=w.max_objects, noise=w.noise,
-                         raster=w.raster, raster_size=w.raster_size)
+        return WorldSpec(**{f.name: getattr(self.world, f.name)
+                            for f in fields(WorldSpec)})
 
     def world_splits(self) -> dict[str, Dataset]:
         """The train, val and test datasets of ``[world]``; a val or test
@@ -184,10 +180,6 @@ def parse_config(text: str) -> RunConfig:
             setattr(cfg, section_name, replace(default, **values))
         except ValueError as exc:
             raise ConfigError(f"[{section_name}] {exc}") from None
-    try:
-        cfg.world_spec()
-    except ValueError as exc:
-        raise ConfigError(f"[world] {exc}") from None
     return cfg
 
 

@@ -266,7 +266,9 @@ def ablation_sweep(cfg: RunConfig, k_list, seeds,
     the val split. The evaluation is seeded by the cell's own seed, not
     by ``eval.seed``, so the cells of one K draw different rounds. Cell
     failures are recorded, not raised, so one bad cell cannot sink a
-    sweep. Returns one dict per cell with either a report or an error.
+    sweep. ``workers`` above 1 runs the cells in a process pool of at
+    most one process per cell. Returns one dict per cell with either a
+    report or an error.
     """
     cells = []
     for k in k_list:
@@ -277,8 +279,10 @@ def ablation_sweep(cfg: RunConfig, k_list, seeds,
             cells.append(cell)
     if workers <= 1:
         return [_cell_outcome(c, partial(_sweep_cell, c)) for c in cells]
+    # imported here: it loads multiprocessing, about 2 MB of resident
+    # memory that a process which never sweeps does not need
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
         futures = [pool.submit(_sweep_cell, c) for c in cells]
         return [_cell_outcome(c, f.result) for c, f in zip(cells, futures)]
 

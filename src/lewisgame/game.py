@@ -106,8 +106,10 @@ def play_rounds(speaker: SpeakerPolicy, listener: ListenerModel,
     embeds all those messages. Each distinct candidate scene is embedded
     once and gathered into its rounds' slots, so memory is bounded by the
     scenes drawn, not by K × rounds; on a tape the gather sums the
-    gradients of a scene that several rounds share. Temperature 0 decodes
-    greedily and needs no ``rng``.
+    gradients of a scene that several rounds share. On a tape, row b's
+    target log-prob is gathered the same way: the listener's (B, K)
+    log-probs as B·K one-wide rows, of which ``T.embedding`` takes row
+    b·K + target. Temperature 0 decodes greedily and needs no ``rng``.
     """
     n, k = scenes.shape
     samples, logprobs = speaker.sample(
@@ -122,7 +124,9 @@ def play_rounds(speaker: SpeakerPolicy, listener: ListenerModel,
         T.reshape(tape, v_msgs, (n, generations, d)),
         T.reshape(tape, v_imgs, (n, k, d)), tape)
     targets = np.repeat(targets, generations)
-    logp_target = None if tape is None else T.gather_cols(tape, node, targets)
+    logp_target = None if tape is None else T.embedding(
+        tape, T.reshape(tape, node, (node.size, 1)),
+        np.arange(targets.size) * k + targets)
     return RoundTrace(samples, targets, np.exp(node.nd()), generations,
                       logprobs, logp_target)
 

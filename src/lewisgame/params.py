@@ -192,7 +192,13 @@ def load_checkpoint(path: str) -> ParameterSet:
     count = r.u32()
     out = ParameterSet()
     for _ in range(count):
-        name = r.take(r.u16()).decode("utf-8")
+        start = r.off
+        try:
+            name = r.take(r.u16()).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("entry name is not UTF-8", start) from None
+        if name in out:
+            raise FormatError(f"repeated entry {name!r}", start)
         rank = r.u8()
         shape = tuple(r.u32() for _ in range(rank))
         n = 1

@@ -307,30 +307,6 @@ def embedding(tape, table: Tensor, ids) -> Tensor:
     return out
 
 
-def gather_cols(tape, a: Tensor, cols) -> Tensor:
-    """Pick one column per row: out[i, 0] = a[i, cols[i]]."""
-    if a.ndim != 2:
-        raise ShapeError(f"gather_cols: need rank 2, got {a.shape}")
-    idx = np.asarray(cols, dtype=np.intp)
-    m, n = a.shape
-    if idx.shape != (m,):
-        raise ShapeError(f"gather_cols: need {m} column indices, got shape {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        bad = idx[(idx < 0) | (idx >= n)][0]
-        raise IndexError(f"gather_cols: index {bad} out of range [0, {n})")
-    rows = np.arange(m)
-    out_nd = a.nd()[rows, idx].reshape(m, 1)
-    req = a.requires_grad
-    out = _emit(tape, out_nd, req)
-    if req and tape is not None:
-        def rule(g):
-            ga = np.zeros(a.shape, F32)
-            ga[rows, idx] = g
-            return (ga,)
-        tape.record(out, (a,), rule)
-    return out
-
-
 def reshape(tape, a: Tensor, shape) -> Tensor:
     """Reinterpret the flat buffer at a new shape (copies, no views)."""
     shape = tuple(int(s) for s in shape)

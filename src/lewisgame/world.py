@@ -106,7 +106,7 @@ class Scene:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass
 class WorldSpec:
     """Shape-world parameters; capacity and observation size derive from it."""
 
@@ -130,7 +130,7 @@ class WorldSpec:
             if self.raster_size % self.grid:
                 raise ValueError("raster_size must be a multiple of grid")
         # noise is serialized as f32; canonicalize so round-trips compare equal
-        object.__setattr__(self, "noise", float(F32(self.noise)))
+        self.noise = float(F32(self.noise))
 
     @property
     def block_dim(self) -> int:
@@ -451,22 +451,29 @@ def load_dataset(path: str) -> Dataset:
         raise FormatError("bad split tag", r.off - 1)
     n_scenes = r.u32()
     obs_dim = r.u32()
-    spec = WorldSpec(grid=grid, min_objects=min_obj, max_objects=max_obj,
-                     noise=noise, raster=bool(raster_flag),
-                     raster_size=raster_size)
+    try:
+        spec = WorldSpec(grid=grid, min_objects=min_obj, max_objects=max_obj,
+                         noise=noise, raster=bool(raster_flag),
+                         raster_size=raster_size)
+    except ValueError as exc:
+        raise FormatError(f"bad world header: {exc}", 6) from None
     if spec.obs_dim != obs_dim:
         raise FormatError(
             f"observation dim {obs_dim} does not match spec {spec.obs_dim}",
             r.off - 4)
     scenes, obs_rows, raster_rows, captions = [], [], [], []
     for _ in range(n_scenes):
+        start = r.off
         sid = r.u64()
         count = r.u8()
         objs = []
         for _ in range(count):
             sh, co, si, row, col = struct.unpack("<BBBBB", r.take(5))
             objs.append(ObjectSpec(sh, co, si, row, col))
-        scene = Scene.from_objects(objs, grid)
+        try:
+            scene = Scene.from_objects(objs, grid)
+        except ValueError as exc:
+            raise FormatError(f"scene {sid}: {exc}", start) from None
         if scene.scene_id != sid:
             raise FormatError(f"scene id mismatch for {sid}", r.off)
         scenes.append(scene)

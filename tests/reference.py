@@ -255,7 +255,8 @@ def decode(speaker, patches, keys, h0, tape, *, tokens=None, t_max=0,
                 tok = int(rng.choice(speaker.cfg.vocab_size, p=prob))
         else:
             tok = int(tokens[t])
-        node = T.gather_cols(tape, logp, [tok])
+        node = T.embedding(tape, T.reshape(tape, logp, (logp.size, 1)),
+                           [tok])
         out_tokens.append(tok)
         step_nodes.append(node)
         prev = tok

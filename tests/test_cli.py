@@ -1,7 +1,9 @@
 import json
 import os
+import struct
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from lewisgame.cli import _agents_from_checkpoint, main
 from lewisgame.evaluate import evaluate_agents
 from lewisgame.params import ParameterSet, load_checkpoint, save_checkpoint
 from lewisgame.tensor import Tensor
-from lewisgame.world import WorldSpec, load_dataset, save_dataset
+from lewisgame.world import Scene, WorldSpec, load_dataset, save_dataset
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -186,6 +188,82 @@ def test_eval_checkpoint_with_an_entry_of_another_rank_exits_2(
                            f"{data.shape}, not rank 2\n")
     assert proc.stdout == ""
     assert sorted(os.listdir(tmp_path)) == ["bad.lgc", "eval.ini"]
+
+
+def _lgc1(*names):
+    """LGC1 bytes of one one-float entry per raw name in ``names``; each
+    entry takes 7 bytes plus its name."""
+    chunks = [b"LGC1", struct.pack("<I", len(names))]
+    for name in names:
+        chunks += [struct.pack("<H", len(name)), name,
+                   struct.pack("<BIf", 1, 1, 0.0)]
+    return b"".join(chunks)
+
+
+@pytest.mark.parametrize("command", ["eval", "train-resume"])
+@pytest.mark.parametrize("blob, message", [
+    (_lgc1(b"x", b"x"), "repeated entry 'x' (at byte 20)"),
+    (_lgc1(b"speaker.\xff"), "entry name is not UTF-8 (at byte 8)"),
+], ids=["repeated-name", "name-not-utf8"])
+def test_checkpoint_with_a_bad_entry_name_exits_2(eval_files, tmp_path,
+                                                  command, blob, message):
+    (tmp_path / "bad.lgc").write_bytes(blob)
+    config = _train_config(tmp_path / "run.ini", eval_files / "world.lgw",
+                           tmp_path)
+    if command == "eval":
+        proc = _run_eval(eval_files, config, checkpoint=tmp_path / "bad.lgc")
+    else:
+        proc = _run_cli("train", "--config", config, "--resume",
+                        str(tmp_path / "bad.lgc"))
+    assert proc.returncode == 2
+    assert proc.stderr == f"data error: {message}\n"
+    assert proc.stdout == ""
+    assert sorted(os.listdir(tmp_path)) == ["bad.lgc", "run.ini"]
+
+
+def _header_refused(dataset):
+    dataset.spec.min_objects, dataset.spec.max_objects = 3, 1
+    return "bad world header: object counts must satisfy 1 <= min <= max <= 3"
+
+
+def _objects_in_one_cell(dataset):
+    i = next(i for i, s in enumerate(dataset.scenes) if len(s.objects) > 1)
+    first, second = dataset.scenes[i].objects[:2]
+    dataset.scenes[i] = Scene(
+        (first, replace(second, row=first.row, col=first.col)),
+        dataset.scenes[i].scene_id)
+    return (f"scene {dataset.scenes[i].scene_id}: scene objects must "
+            f"occupy distinct cells")
+
+
+@pytest.mark.parametrize("corrupt", [_header_refused, _objects_in_one_cell],
+                         ids=["header-refused", "objects-in-one-cell"])
+def test_eval_dataset_the_world_refuses_exits_2(eval_files, tmp_path,
+                                                corrupt):
+    dataset = load_dataset(str(eval_files / "world.lgw"))
+    message = corrupt(dataset)
+    save_dataset(dataset, str(tmp_path / "bad.lgw"))
+    config = _write_config(tmp_path / "eval.ini", {"game": {"k": 4}})
+    proc = _run_cli("eval", "--config", config, "--checkpoint",
+                    str(eval_files / "agents.lgc"),
+                    "--dataset", str(tmp_path / "bad.lgw"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"data error: {message} (at byte ")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("command, flag", [("eval", "--dataset"),
+                                           ("plotdata", "--metrics")])
+def test_path_that_is_a_directory_exits_2(eval_files, tmp_path, command,
+                                          flag):
+    extra = (["--checkpoint", str(eval_files / "agents.lgc")]
+             if command == "eval" else [])
+    proc = _run_cli(command, *extra, flag, str(tmp_path))
+    assert proc.returncode == 2
+    assert proc.stderr == (f"data error: [Errno 21] Is a directory: "
+                           f"{str(tmp_path)!r}\n")
+    assert proc.stdout == ""
 
 
 def test_eval_decodes_under_the_run_configs_t_max(eval_files, tmp_path):
@@ -381,14 +459,15 @@ def test_train_k_larger_than_dataset_exits_2_before_writing(eval_files,
 @pytest.mark.parametrize("command, flag, value, message", [
     ("sweep", "--k-list", "4,x", "expected comma-separated integers"),
     ("sweep", "--seeds", "5,y", "expected comma-separated integers"),
+    ("sweep", "--workers", "0", "must be an integer >= 1, got '0'"),
     ("plotdata", "--alpha", "0", "must lie in (0, 1]"),
     ("plotdata", "--fields", "run_id", "field 'run_id' is not numeric"),
     ("pretrain", "--steps", "-3", "must be an integer >= 0, got '-3'"),
     ("pretrain", "--lr", "nan", "must be finite and non-negative, got 'nan'"),
     ("pretrain", "--lr", "-0.1", "must be finite and non-negative"),
-], ids=["sweep-k-list", "sweep-seeds", "plotdata-alpha", "plotdata-fields",
-        "pretrain-steps-negative", "pretrain-lr-nan",
-        "pretrain-lr-negative"])
+], ids=["sweep-k-list", "sweep-seeds", "sweep-workers-zero",
+        "plotdata-alpha", "plotdata-fields", "pretrain-steps-negative",
+        "pretrain-lr-nan", "pretrain-lr-negative"])
 def test_bad_argument_exits_1(eval_files, tmp_path_factory, tmp_path,
                               command, flag, value, message):
     metrics = tmp_path / "m.jsonl"

@@ -11,6 +11,7 @@ import pytest
 
 from lewisgame.config import ConfigError, RunConfig, parse_config
 from lewisgame.evaluate import ablation_sweep
+from lewisgame.world import WorldSpec
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
                       "default_config.ini")
@@ -71,6 +72,18 @@ def test_adapters_return_validated_copies():
     cfg.train.replicas = 0
     with pytest.raises(ValueError, match="replicas must be at least 1"):
         cfg.train_settings()
+
+
+def test_world_section_is_a_world_spec_plus_its_draws():
+    cfg = RunConfig()
+    names = [f.name for f in fields(cfg.world)]
+    assert names == [f.name for f in fields(WorldSpec)] + [
+        "n_scenes", "val_scenes", "test_scenes", "seed"]
+    spec = cfg.world_spec()
+    assert type(spec) is WorldSpec and spec == WorldSpec()
+    cfg.world.max_objects = 4
+    with pytest.raises(ValueError, match="object counts"):
+        cfg.world_spec()
 
 
 def test_sweep_records_an_invalid_k_as_a_failed_cell():

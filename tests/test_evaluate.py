@@ -1,7 +1,9 @@
+import concurrent.futures
 import glob
 import json
 import math
 import os
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -151,6 +153,34 @@ def test_sweep_workers_give_the_same_cells():
                                                      (32, 5), (32, 6)]
     assert all("report" in c for c in serial[:2])
     assert all("error" in c for c in serial[2:])
+
+
+def test_sweep_pool_has_at_most_one_worker_per_cell(monkeypatch):
+    # a stand-in pool that runs each cell in this process, so a huge
+    # worker count starts no process at all
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InlinePool)
+    cfg = _tiny_config()
+    pooled = ablation_sweep(cfg, [4], [5, 6], workers=10**6)
+    assert asked == [2]
+    assert pooled == ablation_sweep(cfg, [4], [5, 6], workers=1)
 
 
 @pytest.mark.parametrize("raster", [False, True], ids=["plain", "raster"])

@@ -183,7 +183,8 @@ def test_play_rounds_with_shared_scenes_matches_per_round_reference(setup):
                 T.reshape(tape, v_imgs, (1,) + v_imgs.shape), tape)
             assert (np.abs(np.exp(logp.data) - trace.probs[b]).max()
                     <= BLOCK_LOGPROB_ATOL)
-            terms.append(T.gather_cols(tape, logp, [targets[i]]))
+            terms.append(T.embedding(
+                tape, T.reshape(tape, logp, (logp.size, 1)), [targets[i]]))
         loss = terms[0]
         for term in terms[1:]:
             loss = T.add(tape, loss, term)
