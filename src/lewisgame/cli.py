@@ -125,9 +125,14 @@ def cmd_train(args) -> int:
 def _agents_from_checkpoint(state: ParameterSet, dataset):
     """The checkpoint's agents, for ``dataset``'s observations and
     vocabulary. Entries that do not fit agents of those and of the other
-    sizes the entries imply raise ``FormatError``, as on a resume."""
+    sizes the entries imply raise ``FormatError``, as on a resume, and so
+    does an agent entry that is not finite."""
     speaker_params = state.subset("speaker.")
     listener_params = state.subset("listener.")
+    for name, t in state.items():
+        if name.startswith(("speaker.", "listener.")) and \
+                not np.isfinite(t.data).all():
+            raise FormatError(f"checkpoint entry {name} is not finite")
     spec = dataset.spec
     try:
         cfg = replace(model_config_from_params(

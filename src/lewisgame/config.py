@@ -48,6 +48,8 @@ class WorldSection(WorldSpec):
     def __post_init__(self):
         super().__post_init__()
         check_at_least(self, n_scenes=1, val_scenes=0, test_scenes=0, seed=0)
+        if self.seed >= 2 ** 64:  # LGW1 stores it as a u64
+            raise ValueError("seed must be below 2**64")
 
 
 @dataclass

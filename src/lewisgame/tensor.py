@@ -123,11 +123,8 @@ def backward(tape: Tape, loss: Tensor) -> None:
 # ops
 
 
-def _emit(tape, data_nd: np.ndarray, req: bool) -> Tensor:
-    flat = data_nd.ravel()
-    if not flat.flags.owndata and flat.base is not None and flat.base.base is not None:
-        flat = flat.copy()
-    return Tensor._wrap(flat, data_nd.shape, req)
+def _emit(data_nd: np.ndarray, req: bool) -> Tensor:
+    return Tensor._wrap(data_nd.ravel(), data_nd.shape, req)
 
 
 def _transposed(*weights):
@@ -144,7 +141,7 @@ def matmul(tape, a: Tensor, b: Tensor) -> Tensor:
     B = b.data.reshape(b.shape)
     out_nd = A @ B
     req = a.requires_grad or b.requires_grad
-    out = _emit(tape, out_nd, req)
+    out = _emit(out_nd, req)
     if req and tape is not None:
         def rule(g):
             G = g.reshape(out.shape)
@@ -165,7 +162,7 @@ def inner(tape, a: Tensor, b: Tensor) -> Tensor:
     A, B = a.nd(), b.nd()
     out_nd = A @ B.transpose(0, 2, 1)
     req = a.requires_grad or b.requires_grad
-    out = _emit(tape, out_nd, req)
+    out = _emit(out_nd, req)
     if req and tape is not None:
         def rule(g):
             G = g.reshape(out.shape)
@@ -200,7 +197,7 @@ def add(tape, a: Tensor, b: Tensor) -> Tensor:
     mode = _binary_mode(a, b, "add")
     out_nd = a.nd() + (b.data if mode != "same" else b.nd())
     req = a.requires_grad or b.requires_grad
-    out = _emit(tape, out_nd, req)
+    out = _emit(out_nd, req)
     if req and tape is not None:
         def rule(g):
             return (
@@ -217,7 +214,7 @@ def mul(tape, a: Tensor, b: Tensor) -> Tensor:
     B = b.data if mode != "same" else b.nd()
     out_nd = a.nd() * B
     req = a.requires_grad or b.requires_grad
-    out = _emit(tape, out_nd, req)
+    out = _emit(out_nd, req)
     if req and tape is not None:
         A = a.nd()
         def rule(g):
@@ -243,7 +240,7 @@ def mean(tape, a: Tensor, axis=None) -> Tensor:
     else:
         raise ShapeError(f"mean: unsupported axis {axis} for shape {a.shape}")
     req = a.requires_grad
-    out = _emit(tape, out_nd, req)
+    out = _emit(out_nd, req)
     if req and tape is not None:
         def rule(g):
             if axis is None:
@@ -257,7 +254,7 @@ def mean(tape, a: Tensor, axis=None) -> Tensor:
 
 def tsum(tape, a: Tensor) -> Tensor:
     """Sum of all elements, as a scalar tensor."""
-    out = _emit(tape, a.data.sum(dtype=F32).reshape(1), a.requires_grad)
+    out = _emit(a.data.sum(dtype=F32).reshape(1), a.requires_grad)
     if a.requires_grad and tape is not None:
         def rule(g):
             return (np.full(a.size, g[0], F32),)
@@ -299,7 +296,7 @@ def embedding(tape, table: Tensor, ids) -> Tensor:
     T = table.data.reshape(table.shape)
     out_nd = T[idx]
     req = table.requires_grad
-    out = _emit(tape, out_nd, req)
+    out = _emit(out_nd, req)
     if req and tape is not None:
         def rule(g):
             return (_scatter_rows(table.shape, idx, g.reshape(out.shape)),)
@@ -326,7 +323,7 @@ def reshape(tape, a: Tensor, shape) -> Tensor:
 def tanh(tape, a: Tensor) -> Tensor:
     out_nd = np.tanh(a.nd())
     req = a.requires_grad
-    out = _emit(tape, out_nd, req)
+    out = _emit(out_nd, req)
     if req and tape is not None:
         def rule(g):
             return (g * (F32(1) - out_nd.ravel() * out_nd.ravel()),)
@@ -349,7 +346,7 @@ def log_softmax(tape, a: Tensor) -> Tensor:
     """Log-softmax along the last axis."""
     out_nd = _log_softmax_rows(_rows(a))
     req = a.requires_grad
-    out = _emit(tape, out_nd.reshape(a.shape), req)
+    out = _emit(out_nd.reshape(a.shape), req)
     if req and tape is not None:
         def rule(g):
             G = g.reshape(out_nd.shape)

@@ -12,16 +12,17 @@ replica's played block (``game.RoundTrace``): the speaker's as one
 listener's from the (B, 1) target log-probs.
 
 A step runs W speaker replicas over disjoint sub-batches (in-process,
-sequential, so results are bitwise reproducible), accumulates listener
-gradients across replicas, clips each agent's gradient norm, applies
+sequential, so results are bitwise reproducible), backpropagates each
+replica's speaker + (lambda / W) * listener loss, so listener gradients
+accumulate across replicas, clips each agent's gradient norm, applies
 SGD to speakers and Adam to the listener, and periodically averages the
-replica weights.
+replica weights. Every config takes this one path: at lambda = 0 the
+listener's gradient is 0, and a group of one has zero advantages.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -114,21 +115,15 @@ def group_advantages(trace: RoundTrace, gamma: float,
 
     A row's credit is its reward minus its round's mean reward, over the
     round's reward std when ``standardize``, discounted back from its
-    last token by the float32 recurrence out[t] = gamma * out[t+1].
+    last token by the float32 recurrence out[t] = gamma * out[t+1]. A
+    round of one generation is its own baseline, so its advantages are 0.
     """
-    rewards, lengths = trace.rewards, trace.lengths
-    if trace.generations == 1:
-        warnings.warn("group baseline with G=1 yields zero advantages",
-                      RuntimeWarning, stacklevel=2)
-    g = F32(gamma)
-    steps = [np.ones(rewards.size, F32)]
-    for _ in range(1, trace.logprobs.shape[1]):
-        steps.append(g * steps[-1])
+    powers = np.full(trace.logprobs.shape[1], gamma, F32)
+    powers[0] = 1
     # before[b, t]: tokens after token t in row b, negative past its end
-    before = lengths[:, None] - 1 - np.arange(len(steps))
-    adv = np.take_along_axis(np.stack(steps, axis=1),
-                             np.maximum(before, 0), axis=1)
-    by_round = rewards.reshape(-1, trace.generations)
+    before = trace.lengths[:, None] - 1 - np.arange(powers.size)
+    adv = np.cumprod(powers)[np.maximum(before, 0)]
+    by_round = trace.rewards.reshape(-1, trace.generations)
     centered = by_round - by_round.mean(axis=1, keepdims=True)
     if standardize:
         centered = centered / (by_round.std(axis=1, keepdims=True) + 1e-8)
@@ -143,31 +138,23 @@ def advantage_variance(advs: np.ndarray, generations: int) -> np.ndarray:
     Advantages are zero-mean by design, so the second moment of the
     rows' float64 sums is taken about zero with the usual n-1
     denominator; this is what shrinks when a baseline removes the
-    common reward level.
+    common reward level. A group of one (denominator 1) gives 0.
     """
-    if generations < 2:
-        raise ValueError("advantage variance needs at least 2 generations")
     sums = advs.sum(axis=1, dtype=np.float64).reshape(-1, generations)
-    return (sums ** 2).sum(axis=1) / (generations - 1)
+    return (sums ** 2).sum(axis=1) / max(generations - 1, 1)
 
 
 def sync_replicas(param_sets) -> None:
-    """Replace every parameter by its elementwise mean across replicas."""
+    """Replace every parameter by its elementwise mean across replicas.
+
+    The sets are the replicas of one ``SpeakerPolicy.create``, so they
+    hold the same names at the same shapes; nothing here checks that.
+    """
     if len(param_sets) <= 1:
         return
-    first = param_sets[0]
-    for other in param_sets[1:]:
-        if other.names() != first.names():
-            raise T.ShapeError("sync_replicas: replica parameter names differ")
-        for name, t in first.items():
-            if other[name].shape != t.shape:
-                raise T.ShapeError(
-                    f"sync_replicas: shape mismatch for {name!r}: "
-                    f"{t.shape} vs {other[name].shape}")
-    for name in first.names():
-        stack = np.stack([ps[name].data.astype(np.float64)
-                          for ps in param_sets])
-        mean = stack.mean(axis=0).astype(F32)
+    for name in param_sets[0].names():
+        mean = np.mean([ps[name].data.astype(np.float64)
+                        for ps in param_sets], axis=0).astype(F32)
         for ps in param_sets:
             ps[name].data = mean.copy()
 
@@ -176,14 +163,13 @@ def _group_loss_node(tape, trace: RoundTrace, advs: np.ndarray):
     """Speaker surrogate loss of played rounds: the mean over their groups
     of each group's mean over messages of -(1/T) sum logpi * A.
 
-    ``advs`` is the block's (B, T) advantages. Groups are equal in size,
-    so that is the mean over all B rows, taken as one weighted sum over
-    the (B, T) log-prob block.
+    ``advs`` is the block's (B, T) advantages from ``group_advantages``,
+    0 past each row's end, so they need no mask here. Groups are equal
+    in size, so that is the mean over all B rows, taken as one weighted
+    sum over the (B, T) log-prob block.
     """
     lengths = trace.lengths
-    mask = np.arange(advs.shape[1]) < lengths[:, None]
-    weights = np.where(mask, -advs / lengths[:, None].astype(F32)
-                       / F32(lengths.size), F32(0))
+    weights = -advs / lengths[:, None].astype(F32) / F32(lengths.size)
     return T.tsum(tape, T.mul(tape, trace.logprobs, Tensor(weights)))
 
 
@@ -219,11 +205,8 @@ def train_step(replicas, listener: ListenerModel, dataset,
                                 settings.standardize_advantages)
         spk_node = _group_loss_node(tape, trace, advs)
         lst_node = _listener_loss_node(tape, trace)
-        if lam > 0:
-            total = T.add(tape, spk_node,
-                          T.mul(tape, lst_node, Tensor([lam / n_rep])))
-        else:
-            total = spk_node
+        total = T.add(tape, spk_node,
+                      T.mul(tape, lst_node, Tensor([lam / n_rep])))
         spk_values.append(spk_node.item())
         lst_values.append(lst_node.item())
         if not (np.isfinite(spk_values[-1]) and np.isfinite(lst_values[-1])):
@@ -231,8 +214,7 @@ def train_step(replicas, listener: ListenerModel, dataset,
         backward(tape, total)
         rewards.append(trace.rewards)
         indicators.append(trace.indicators)
-        if game_cfg.generations >= 2:
-            adv_vars.append(advantage_variance(advs, game_cfg.generations))
+        adv_vars.append(advantage_variance(advs, game_cfg.generations))
 
     spk_norms = [grad_global_norm(rep.params) for rep in replicas]
     lst_norm = grad_global_norm(listener.params)
@@ -254,8 +236,7 @@ def train_step(replicas, listener: ListenerModel, dataset,
         joint_loss=speaker_mean + lam * listener_mean,
         mean_reward=float(np.mean(np.concatenate(rewards))),
         mean_indicator=float(np.mean(np.concatenate(indicators))),
-        advantage_variance=(float(np.mean(np.concatenate(adv_vars)))
-                            if adv_vars else 0.0),
+        advantage_variance=float(np.mean(np.concatenate(adv_vars))),
         grad_norm_speaker=float(np.mean(spk_norms)),
         grad_norm_listener=lst_norm,
         clip_scale_speaker=float(np.mean(spk_scales)),
@@ -327,8 +308,8 @@ class Trainer:
         reports = []
         if checkpoint_dir:
             os.makedirs(checkpoint_dir, exist_ok=True)
-            save_checkpoint(self.pack_state(),
-                            os.path.join(checkpoint_dir, "latest.lgc"))
+            latest = os.path.join(checkpoint_dir, "latest.lgc")
+            save_checkpoint(self.pack_state(), latest)
         for _ in range(n_steps):
             if stop_flag is not None and stop_flag():
                 break
@@ -340,11 +321,9 @@ class Trainer:
                 on_report(report)
             if checkpoint_dir and checkpoint_every and \
                     self.step_index % checkpoint_every == 0:
-                save_checkpoint(self.pack_state(),
-                                os.path.join(checkpoint_dir, "latest.lgc"))
+                save_checkpoint(self.pack_state(), latest)
         if checkpoint_dir:
-            save_checkpoint(self.pack_state(),
-                            os.path.join(checkpoint_dir, "latest.lgc"))
+            save_checkpoint(self.pack_state(), latest)
         return reports
 
     # -- checkpointable state ------------------------------------------------

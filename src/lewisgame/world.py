@@ -93,6 +93,10 @@ class Scene:
         cells = {(o.row, o.col) for o in objs}
         if len(cells) != len(objs):
             raise ValueError("scene objects must occupy distinct cells")
+        for o in objs:
+            if not (o.shape < len(SHAPES) and o.color < len(COLORS)
+                    and o.size < len(SIZES) and max(o.row, o.col) < grid):
+                raise ValueError(f"object {o} is out of range")
         base = grid * grid * _N_ATTR + 1
         sid = 0
         for i, o in enumerate(objs):

@@ -39,7 +39,6 @@ on. Nothing in ``src/`` imports this module.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +61,7 @@ def softmax(tape, a: Tensor) -> Tensor:
     e = np.exp(shifted)
     s = e / e.sum(axis=1, keepdims=True)
     req = a.requires_grad
-    out = _emit(tape, s.reshape(a.shape), req)
+    out = _emit(s.reshape(a.shape), req)
     if req and tape is not None:
         def rule(g):
             G = g.reshape(s.shape)
@@ -87,7 +86,7 @@ def concat(tape, parts, axis: int = 0) -> Tensor:
             raise ShapeError(f"concat: shape mismatch {parts[0].shape} vs {p.shape}")
     out_nd = np.concatenate([p.nd() for p in parts], axis=axis)
     req = any(p.requires_grad for p in parts)
-    out = _emit(tape, out_nd, req)
+    out = _emit(out_nd, req)
     if req and tape is not None:
         sizes = [p.shape[axis] for p in parts]
         def rule(g):
@@ -133,7 +132,7 @@ def gru_cell(tape, x: Tensor, h: Tensor, wz: Tensor, bz: Tensor,
     out_nd = (F32(1) - z) * H + z * c
     inputs = (x, h, wz, bz, wr, br, wh, bh)
     req = any(t.requires_grad for t in inputs)
-    out = _emit(tape, out_nd, req)
+    out = _emit(out_nd, req)
     if req and tape is not None:
         def rule(g):
             G = g.reshape(m, dh)
@@ -398,10 +397,7 @@ def group_advantages(episodes, gamma: float,
                      standardize: bool = False) -> list:
     """Per-step advantage vectors for one group of episodes: subtract
     the group's mean reward (over its std when ``standardize``), then
-    discount."""
-    if len(episodes) == 1:
-        warnings.warn("group baseline with G=1 yields zero advantages",
-                      RuntimeWarning, stacklevel=2)
+    discount. A group of one is its own baseline: its advantages are 0."""
     rewards = np.array([ep.reward for ep in episodes], np.float64)
     centered = rewards - rewards.mean()
     if standardize:
@@ -411,10 +407,10 @@ def group_advantages(episodes, gamma: float,
 
 
 def advantage_variance(advs) -> float:
-    """Second moment about zero, n-1 denominator, of one group's summed
-    advantage vectors."""
+    """Second moment about zero, n-1 denominator (1 for a group of one),
+    of one group's summed advantage vectors."""
     sums = np.array([a.sum(dtype=np.float64) for a in advs])
-    return float((sums ** 2).sum() / (len(sums) - 1))
+    return float((sums ** 2).sum() / max(len(sums) - 1, 1))
 
 
 def solve_rate(episodes, top_n: int) -> float:

@@ -15,7 +15,8 @@ from lewisgame.cli import _agents_from_checkpoint, main
 from lewisgame.evaluate import evaluate_agents
 from lewisgame.params import ParameterSet, load_checkpoint, save_checkpoint
 from lewisgame.tensor import Tensor
-from lewisgame.world import Scene, WorldSpec, load_dataset, save_dataset
+from lewisgame.world import (_N_ATTR, Scene, WorldSpec, load_dataset,
+                             save_dataset)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -190,6 +191,26 @@ def test_eval_checkpoint_with_an_entry_of_another_rank_exits_2(
     assert sorted(os.listdir(tmp_path)) == ["bad.lgc", "eval.ini"]
 
 
+@pytest.mark.parametrize("name, value", [("listener.img.w", np.nan),
+                                         ("speaker.head.w", np.inf)])
+def test_eval_checkpoint_with_a_non_finite_entry_exits_2(eval_files,
+                                                         tmp_path, name,
+                                                         value):
+    # a NaN listener row would rank first and score top-1 1.0
+    state = load_checkpoint(str(eval_files / "agents.lgc"))
+    data = state[name].nd().copy()
+    data[0, 0] = value
+    save_checkpoint(_edited(state, name, data), str(tmp_path / "bad.lgc"))
+    config = _write_config(tmp_path / "eval.ini", {"game": {"k": 4}})
+    proc = _run_eval(eval_files, config, "--out", str(tmp_path / "out"),
+                     checkpoint=tmp_path / "bad.lgc")
+    assert proc.returncode == 2
+    assert proc.stderr == (f"data error: checkpoint entry {name} is not "
+                           f"finite\n")
+    assert proc.stdout == ""
+    assert sorted(os.listdir(tmp_path)) == ["bad.lgc", "eval.ini"]
+
+
 def _lgc1(*names):
     """LGC1 bytes of one one-float entry per raw name in ``names``; each
     entry takes 7 bytes plus its name."""
@@ -236,8 +257,31 @@ def _objects_in_one_cell(dataset):
             f"occupy distinct cells")
 
 
-@pytest.mark.parametrize("corrupt", [_header_refused, _objects_in_one_cell],
-                         ids=["header-refused", "objects-in-one-cell"])
+def _object_past_its_range(**change):
+    """A corruption that sets ``change`` on a scene's last object (last in
+    cell order, so a larger row or column keeps it last) and recomputes
+    the scene's id, so only the object's range is wrong."""
+    def corrupt(dataset):
+        i = next(i for i, s in enumerate(dataset.scenes) if len(s.objects) > 1)
+        objs = dataset.scenes[i].objects
+        objs = objs[:-1] + (replace(objs[-1], **change),)
+        base = dataset.spec.grid ** 2 * _N_ATTR + 1
+        sid = sum((o.code(dataset.spec.grid) + 1) * base ** n
+                  for n, o in enumerate(objs))
+        dataset.scenes[i] = Scene(objs, sid)
+        return f"scene {sid}: object {objs[-1]} is out of range"
+    return corrupt
+
+
+OUT_OF_RANGE_OBJECTS = [{"shape": 9}, {"color": 6}, {"size": 2}, {"row": 4},
+                        {"col": 7}]
+
+
+@pytest.mark.parametrize("corrupt", [
+    _header_refused, _objects_in_one_cell,
+    *(_object_past_its_range(**c) for c in OUT_OF_RANGE_OBJECTS)],
+    ids=["header-refused", "objects-in-one-cell",
+         *(f"{k}-{v}" for c in OUT_OF_RANGE_OBJECTS for k, v in c.items())])
 def test_eval_dataset_the_world_refuses_exits_2(eval_files, tmp_path,
                                                 corrupt):
     dataset = load_dataset(str(eval_files / "world.lgw"))
@@ -371,11 +415,13 @@ def _train_config(path, dataset, run, **overrides):
      "[train] lr_speaker must be finite and non-negative"),
     ("gen-world", "world", {"raster": "true", "raster_size": 0},
      "[world] raster_size must lie in [4, 65535]"),
+    ("gen-world", "world", {"seed": 2 ** 64},
+     "[world] seed must be below 2**64"),
 ], ids=["game-k", "world-objects", "train-replicas", "train-targets",
         "train-clip-norm",
         "train-temperature", "eval-rounds-eval", "eval-rounds-sweep",
         "train-steps-negative", "train-lr-speaker-nan",
-        "world-raster-size-zero"])
+        "world-raster-size-zero", "world-seed-past-u64"])
 def test_bad_config_value_exits_1(eval_files, tmp_path, command, section,
                                   keys, message):
     config = _train_config(tmp_path / "bad.ini", eval_files / "world.lgw",

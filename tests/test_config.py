@@ -100,6 +100,7 @@ OUT_OF_RANGE = [
     ("world", "val_scenes", "-5", "val_scenes must be at least 0"),
     ("world", "test_scenes", "-1", "test_scenes must be at least 0"),
     ("world", "seed", "-1", "seed must be at least 0"),
+    ("world", "seed", "18446744073709551616", "seed must be below 2**64"),
     ("world", "grid", "300", "grid must lie in [2, 255]"),
     ("model", "d_e", "0", "d_e must be at least 1"),
     ("model", "d_o", "0", "d_o must be at least 1"),
@@ -119,8 +120,10 @@ OUT_OF_RANGE = [
 ]
 
 
-@pytest.mark.parametrize("section, key, value, message", OUT_OF_RANGE,
-                         ids=[f"{s}-{k}" for s, k, _, _ in OUT_OF_RANGE])
+@pytest.mark.parametrize(
+    "section, key, value, message", OUT_OF_RANGE,
+    ids=[f"{s}-{k}" + ("-2**64" if v == str(2 ** 64) else "")
+         for s, k, v, _ in OUT_OF_RANGE])
 def test_parse_config_rejects_out_of_range_values(section, key, value,
                                                   message):
     with pytest.raises(ConfigError,

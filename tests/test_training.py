@@ -50,14 +50,17 @@ def test_speaker_loss_hand_value():
     assert abs(expected - (-0.27725887)) < 1e-6
 
 
-def test_speaker_loss_group_g1_warns():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        loss = speaker_loss([_episode(0.5, [-1.0])], 0.95)
-        block = _advs([_episode(0.5, [-1.0])], 0.95)
-    assert loss == 0.0
-    assert not block.any()
-    assert sum("G=1" in str(w.message) for w in caught) == 2
+def test_group_of_one_has_zero_advantages_and_variance():
+    group = [_episode(0.5, [-1.0, -2.0])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for standardize in (False, True):
+            block = _advs(group, 0.95, standardize)
+            assert block.shape == (1, 2) and not block.any()
+            assert advantage_variance(block, 1).tolist() == [0.0]
+            want = reference.group_advantages(group, 0.95, standardize)
+            assert reference.advantage_variance(want) == 0.0
+            assert speaker_loss(group, 0.95, standardize) == 0.0
 
 
 def test_speaker_loss_shift_invariant_in_rewards():
@@ -99,7 +102,7 @@ def _random_block(rng, n_rounds, generations, t_max):
             for n in lengths]
 
 
-@pytest.mark.parametrize("generations", [2, 5])
+@pytest.mark.parametrize("generations", [1, 2, 5])
 @pytest.mark.parametrize("standardize", [False, True])
 def test_group_advantages_block_matches_per_episode_oracle(standardize,
                                                            generations):
@@ -116,9 +119,8 @@ def test_group_advantages_block_matches_per_episode_oracle(standardize,
             assert block[row, :ep.length].tobytes() == a.tobytes()
             assert (block[row, ep.length:].tobytes()
                     == bytes(4 * (14 - ep.length)))   # +0.0 past the end
-        if generations >= 2:
-            assert (advantage_variance(block, generations)[i // generations]
-                    == reference.advantage_variance(want))
+        assert (advantage_variance(block, generations)[i // generations]
+                == reference.advantage_variance(want))
 
 
 def test_listener_loss_values():
@@ -291,17 +293,6 @@ def test_sync_replicas_single_is_noop():
         assert t.data.tobytes() == before[n].tobytes()
 
 
-def test_sync_replicas_shape_mismatch_errors():
-    from lewisgame.params import ParameterSet
-    from lewisgame.tensor import ShapeError, Tensor
-    a = ParameterSet()
-    a.add("w", Tensor(np.zeros(3, np.float32), True))
-    b = ParameterSet()
-    b.add("w", Tensor(np.zeros(4, np.float32), True))
-    with pytest.raises(ShapeError):
-        sync_replicas([a, b])
-
-
 @pytest.fixture(scope="module")
 def trainer_setup():
     spec = WorldSpec()
@@ -334,6 +325,33 @@ def test_train_step_lambda_zero_freezes_listener(trainer_setup):
         tr.step_once()
     for n, t in tr.listener.params.items():
         assert t.data.tobytes() == before[n].tobytes()
+
+
+def test_lambda_zero_groups_of_one_take_the_general_path(trainer_setup,
+                                                        tmp_path):
+    # lambda = 0 and G = 1 run the same step as every other config: zero
+    # advantages, a zero-weighted listener loss, and a bitwise resume
+    from lewisgame.params import load_checkpoint, save_checkpoint
+    ds, mcfg, _ = trainer_setup
+    gcfg = GameConfig(k=6, lam=0.0, generations=1, t_max=6)
+    settings = TrainSettings(seed=14, replicas=2)
+    full = Trainer(ds, gcfg, mcfg, settings)
+    before = {n: t.data.copy() for n, t in full.listener.params.items()}
+    reports = [full.step_once() for _ in range(3)]
+    assert all(r.speaker_loss == 0.0 and r.advantage_variance == 0.0
+               for r in reports)
+    for n, t in full.listener.params.items():
+        assert t.data.tobytes() == before[n].tobytes()
+
+    first = Trainer(ds, gcfg, mcfg, settings)
+    first.step_once()
+    path = str(tmp_path / "mid.lgc")
+    save_checkpoint(first.pack_state(), path)
+    second = Trainer(ds, gcfg, mcfg, settings)
+    second.load_state(load_checkpoint(path))
+    resumed = [second.step_once() for _ in range(2)]
+    assert [r.row("x") for r in resumed] == [r.row("x") for r in reports[1:]]
+    assert full.pack_state().equal(second.pack_state())
 
 
 def test_train_step_zero_lr_bitwise_frozen(trainer_setup):
