@@ -143,9 +143,9 @@ def _agents_from_checkpoint(state: ParameterSet, dataset):
         raise FormatError(f"checkpoint lacks speaker./listener. entry "
                           f"{exc}") from None
     check_layout(SpeakerPolicy.create(cfg, 0).params, speaker_params,
-                 "speaker")
+                 "speaker.")
     check_layout(ListenerModel.create(cfg, 0).params, listener_params,
-                 "listener")
+                 "listener.")
     speaker = SpeakerPolicy(cfg, speaker_params)
     listener = ListenerModel(cfg, listener_params, encoder=speaker)
     return speaker, listener

@@ -1,11 +1,14 @@
 """Caption and game metrics, plus the sweep and warm-start harnesses.
 
-BLEU here is the corpus-style formula: clipped n-gram precision,
-geometric mean over orders 1..n, and a brevity penalty exp(1 - r/c)
-when the candidate is shorter than the closest reference. Zero
-precisions are replaced by epsilon = 1e-9; short messages over a tiny
-vocabulary hit zero higher-order counts constantly, so the smoothing
-choice is pinned rather than left to a library default.
+BLEU here is sentence-level: each round's message is scored against its
+target's captions by clipped n-gram precision, geometric mean over
+orders 1..n, and a brevity penalty exp(1 - r/c) when the candidate is
+shorter than the closest reference. ``bleu1``-``bleu4`` are the means
+of those scores over rounds, not corpus BLEU, which pools n-gram counts
+and lengths before dividing. Zero precisions are replaced by epsilon =
+1e-9; short messages over a tiny vocabulary hit zero higher-order counts
+constantly, so the smoothing choice is pinned rather than left to a
+library default.
 
 Attribute coverage (fraction of the target scene's attribute words that
 appear in the message) is the primary emergence signal at this scale;

@@ -54,20 +54,18 @@ class Sgd:
 
 
 class Adam:
-    """Adam with bias-corrected first/second moments.
+    """Adam (Kingma & Ba, 2015) with bias-corrected moments. Every
+    parameter of ``params`` holds zeroed moments from construction on, so
+    each ``step`` needs a gradient for every parameter and
+    ``state_arrays`` always holds the same keys."""
 
-    Moment buffers appear lazily per parameter name, starting at zero.
-    """
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, lr: float, params: ParameterSet):
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._m = {name: np.zeros(t.size, F32) for name, t in params.items()}
+        self._v = {name: np.zeros(t.size, F32) for name, t in params.items()}
 
     def step(self, params: ParameterSet) -> None:
         self.t += 1
@@ -77,14 +75,7 @@ class Adam:
         c2 = F32(1.0 - self.beta2 ** self.t)
         lr, eps = F32(self.lr), F32(self.eps)
         for name, t in params.items():
-            g = t.grad
-            if g is None:
-                continue
-            if name not in self._m:
-                self._m[name] = np.zeros(t.size, F32)
-                self._v[name] = np.zeros(t.size, F32)
-            m = self._m[name]
-            v = self._v[name]
+            g, m, v = t.grad, self._m[name], self._v[name]
             m *= b1
             m += (one - b1) * g
             v *= b2
@@ -92,32 +83,24 @@ class Adam:
             t.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
     def state_arrays(self) -> dict:
-        out = {"t": np.array([self.t], F32)}
-        for name in self._m:
-            out[f"m.{name}"] = self._m[name]
-            out[f"v.{name}"] = self._v[name]
-        return out
+        return {"t": np.array([self.t], F32),
+                **{f"m.{name}": m for name, m in self._m.items()},
+                **{f"v.{name}": v for name, v in self._v.items()}}
 
-    def load_state_arrays(self, arrays: dict, params: ParameterSet) -> None:
-        """Restore ``state_arrays`` output kept for ``params``.
-
-        All of ``arrays`` is checked before any of it is taken: an
-        unknown key, a step count that is not a whole number >= 0, or
-        moments that are not one m and one v of a parameter's size raise
-        ``FormatError`` and leave the optimizer as it was.
-        """
-        for key, arr in arrays.items():
-            kind, _, name = key.partition(".")
-            if key == "t":
-                ok = is_count(arr)
-            else:
-                ok = (kind in ("m", "v") and name in params
-                      and arr.shape == (params[name].size,)
-                      and f"{'v' if kind == 'm' else 'm'}.{name}" in arrays)
-            if not ok:
+    def load_state_arrays(self, arrays: dict) -> None:
+        """Restore ``state_arrays`` output. All of ``arrays`` is checked
+        before any of it is taken: unless it holds exactly the keys of
+        ``state_arrays``, each moment at its parameter's size and ``t`` a
+        whole number >= 0, ``FormatError`` names the first entry at fault
+        and the optimizer is left as it was."""
+        own = self.state_arrays()
+        for key in sorted(own.keys() | arrays.keys()):
+            if not (key in own and key in arrays
+                    and arrays[key].shape == own[key].shape
+                    and (key != "t" or is_count(arrays[key]))):
                 raise FormatError(f"bad optimizer state entry {key!r}")
-        self.t = int(arrays["t"][0]) if "t" in arrays else 0
-        self._m = {k[2:]: a.astype(F32, copy=True)
-                   for k, a in arrays.items() if k.startswith("m.")}
-        self._v = {k[2:]: a.astype(F32, copy=True)
-                   for k, a in arrays.items() if k.startswith("v.")}
+        self.t = int(arrays["t"][0])
+        self._m = {name: arrays[f"m.{name}"].astype(F32, copy=True)
+                   for name in self._m}
+        self._v = {name: arrays[f"v.{name}"].astype(F32, copy=True)
+                   for name in self._v}

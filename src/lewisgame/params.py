@@ -100,14 +100,17 @@ class ParameterSet:
 
 
 def check_layout(params: ParameterSet, loaded: ParameterSet,
-                 what: str) -> None:
+                 prefix: str) -> None:
     """Raise ``FormatError`` unless ``loaded`` holds exactly the names of
-    ``params``, each at its shape; ``what`` names the part in the error."""
-    if loaded.names() != params.names():
-        raise FormatError(f"checkpoint does not match {what} layout")
+    ``params``, each at its shape. The error names the first missing or
+    unexpected entry, else the first misshapen one, ``prefix`` first."""
+    odd = sorted(set(params.names()) ^ set(loaded.names()))
+    if odd:
+        which = "missing" if odd[0] in params else "unexpected"
+        raise FormatError(f"{which} checkpoint entry {prefix + odd[0]!r}")
     for name, t in params.items():
         if loaded[name].shape != t.shape:
-            raise FormatError(f"checkpoint shape mismatch for {what}.{name}: "
+            raise FormatError(f"checkpoint shape mismatch for {prefix}{name}: "
                               f"{loaded[name].shape}, not {t.shape}")
 
 

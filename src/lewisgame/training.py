@@ -258,23 +258,31 @@ class Trainer:
     Every per-step rng stream is derived from (run seed, worker id,
     step index), so resuming from a checkpoint continues the exact
     sequence an uninterrupted run would have produced. A K that the
-    dataset cannot supply raises ``SamplingError`` here, before any
-    step runs or any file is written.
+    dataset cannot supply raises ``SamplingError``, and a model whose
+    input layout does not fit the dataset's observations ``FormatError``,
+    here, before any step runs or any file is written.
     """
 
     def __init__(self, dataset, game_cfg: GameConfig, model_cfg: ModelConfig,
                  settings: TrainSettings):
         check_candidate_count(dataset, game_cfg.k)
+        spec = dataset.spec
+        want = (spec.input_dim, spec.raster, spec.raster_size, spec.grid)
+        have = (model_cfg.obs_dim, model_cfg.raster, model_cfg.raster_size,
+                model_cfg.raster_grid)
+        if have[:2] != want[:2] or spec.raster and have != want:
+            raise FormatError(
+                f"dataset observations (width, raster, raster_size, grid) "
+                f"{want} do not fit the model's {have}")
         self.dataset = dataset
         self.game_cfg = game_cfg
-        self.model_cfg = model_cfg
         self.settings = settings
         base = SpeakerPolicy.create(model_cfg, settings.seed)
         self.replicas = [base.copy() for _ in range(settings.replicas)]
         self.listener = ListenerModel.create(model_cfg, settings.seed,
                                              encoder=self.replicas[0])
         self.speaker_opt = Sgd(settings.lr_speaker)
-        self.listener_opt = Adam(settings.lr_listener)
+        self.listener_opt = Adam(settings.lr_listener, self.listener.params)
         self.step_index = 0
 
     @property
@@ -328,48 +336,34 @@ class Trainer:
 
     # -- checkpointable state ------------------------------------------------
 
+    def _parts(self) -> list:
+        """(prefix, params) of each agent part of the checkpoint layout."""
+        parts = [(f"replica{w}." if w else "speaker.", rep.params)
+                 for w, rep in enumerate(self.replicas)]
+        return parts + [("listener.", self.listener.params)]
+
     def pack_state(self) -> ParameterSet:
         state = ParameterSet()
-        state.merged("speaker.", self.replicas[0].params)
-        for w, rep in enumerate(self.replicas[1:], start=1):
-            state.merged(f"replica{w}.", rep.params)
-        state.merged("listener.", self.listener.params)
+        for prefix, params in self._parts():
+            state.merged(prefix, params)
         for key, arr in self.listener_opt.state_arrays().items():
             state.add(f"optim.listener.{key}", Tensor(arr))
         state.add("meta.step", Tensor([float(self.step_index)]))
         return state
 
     def load_state(self, state: ParameterSet) -> None:
-        """Restore a ``pack_state`` checkpoint.
-
-        A checkpoint without ``replica{w}.`` entries starts every replica
-        from its speaker. Every entry is checked before any is taken: one
-        whose name or shape does not fit this trainer, or that it does
-        not read, raises ``FormatError`` and leaves the trainer as it was.
-        """
-        parts = [(self.replicas[0].params, "speaker.", "speaker")]
-        for w, rep in enumerate(self.replicas[1:], start=1):
-            own = len(state.subset(f"replica{w}."))
-            parts.append((rep.params, f"replica{w}." if own else "speaker.",
-                          f"replica{w}"))
-        parts.append((self.listener.params, "listener.", "listener"))
-        for params, prefix, what in parts:
-            check_layout(params, state.subset(prefix), what)
-        read = tuple(prefix for _, prefix, _ in parts) + ("optim.listener.",)
-        for name in state.names():
-            if not name.startswith(read) and name != "meta.step":
-                raise FormatError(f"checkpoint entry {name!r} is not read "
-                                  f"by this trainer")
-        step = (state["meta.step"].data if "meta.step" in state
-                else np.array([self.step_index], F32))
-        if not is_count(step):
-            raise FormatError("checkpoint meta.step is not a whole number "
-                              ">= 0")
+        """Restore a checkpoint of exactly this trainer's ``pack_state``
+        layout. Every entry is checked before any is taken: a missing,
+        unexpected or misshapen entry, or a step count that is not a whole
+        number >= 0, raises ``FormatError`` naming it and leaves the
+        trainer as it was."""
+        check_layout(self.pack_state(), state, "")
+        if not is_count(state["meta.step"].data):
+            raise FormatError("meta.step is not a whole number >= 0")
         self.listener_opt.load_state_arrays(
             {name: t.data for name, t
-             in state.subset("optim.listener.").items()},
-            self.listener.params)
-        for params, prefix, _ in parts:
+             in state.subset("optim.listener.").items()})
+        for prefix, params in self._parts():
             for name, t in params.items():
                 t.data = state[prefix + name].data.copy()
-        self.step_index = int(step[0])
+        self.step_index = int(state["meta.step"].data[0])

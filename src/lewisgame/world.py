@@ -465,11 +465,15 @@ def load_dataset(path: str) -> Dataset:
         raise FormatError(
             f"observation dim {obs_dim} does not match spec {spec.obs_dim}",
             r.off - 4)
+    vocab = Vocabulary()
     scenes, obs_rows, raster_rows, captions = [], [], [], []
     for _ in range(n_scenes):
         start = r.off
         sid = r.u64()
         count = r.u8()
+        if not min_obj <= count <= max_obj:
+            raise FormatError(f"scene {sid} holds {count} objects, outside "
+                              f"[{min_obj}, {max_obj}]", start)
         objs = []
         for _ in range(count):
             sh, co, si, row, col = struct.unpack("<BBBBB", r.take(5))
@@ -490,6 +494,12 @@ def load_dataset(path: str) -> Dataset:
         for _ in range(r.u8()):
             ln = r.u8()
             caps.append(list(struct.unpack(f"<{ln}H", r.take(2 * ln))))
+        if not caps:
+            raise FormatError(f"scene {sid} has no captions", start)
+        top = max(max(cap, default=0) for cap in caps)
+        if top >= len(vocab):
+            raise FormatError(f"scene {sid}: caption token {top} is past the "
+                              f"{len(vocab)}-word vocabulary", start)
         captions.append(caps)
     if r.off != len(blob):
         raise FormatError(f"{len(blob) - r.off} trailing bytes", r.off)
@@ -497,4 +507,4 @@ def load_dataset(path: str) -> Dataset:
     rasters = np.stack(raster_rows) if raster_rows else None
     return Dataset(spec=spec, seed=seed, split=split, scenes=scenes,
                    observations=obs, captions=captions, rasters=rasters,
-                   vocab=Vocabulary())
+                   vocab=vocab)

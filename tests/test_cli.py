@@ -58,12 +58,14 @@ def eval_files(tmp_path_factory):
 
 def _edited(state, name, data):
     """A copy of checkpoint ``state`` whose entry ``name`` holds ``data``
-    (added when ``state`` has no such entry)."""
+    (added when ``state`` has no such entry, left out when ``data`` is
+    None)."""
     out = ParameterSet()
     for key, t in state.items():
         if key != name:
             out.add(key, t)
-    out.add(name, Tensor(data))
+    if data is not None:
+        out.add(name, Tensor(data))
     return out
 
 
@@ -277,24 +279,75 @@ OUT_OF_RANGE_OBJECTS = [{"shape": 9}, {"color": 6}, {"size": 2}, {"row": 4},
                         {"col": 7}]
 
 
-@pytest.mark.parametrize("corrupt", [
-    _header_refused, _objects_in_one_cell,
-    *(_object_past_its_range(**c) for c in OUT_OF_RANGE_OBJECTS)],
-    ids=["header-refused", "objects-in-one-cell",
-         *(f"{k}-{v}" for c in OUT_OF_RANGE_OBJECTS for k, v in c.items())])
-def test_eval_dataset_the_world_refuses_exits_2(eval_files, tmp_path,
-                                                corrupt):
+def _no_objects(dataset):
+    dataset.scenes[2] = Scene((), 0)
+    return "scene 0 holds 0 objects, outside [1, 3]"
+
+
+def _more_objects_than_the_header_allows(dataset):
+    # scenes before the first 3-object one hold at most 2, so that scene
+    # is the first one a header of max_objects = 2 refuses
+    dataset.spec.max_objects = 2
+    dataset.observations = dataset.observations[:, :dataset.spec.obs_dim]
+    sid = next(s.scene_id for s in dataset.scenes if len(s.objects) == 3)
+    return f"scene {sid} holds 3 objects, outside [1, 2]"
+
+
+def _no_captions(dataset):
+    dataset.captions = [[] for _ in dataset.scenes]
+    return f"scene {dataset.scenes[0].scene_id} has no captions"
+
+
+def _caption_past_the_vocabulary(dataset):
+    n = len(dataset.vocab)
+    dataset.captions[1] = [dataset.captions[1][0] + [n]]
+    return (f"scene {dataset.scenes[1].scene_id}: caption token {n} is past "
+            f"the {n}-word vocabulary")
+
+
+CAPTION_CORRUPTIONS = [_no_captions, _caption_past_the_vocabulary]
+CAPTION_IDS = ["no-captions", "caption-past-the-vocabulary"]
+
+
+def _run_on_corrupted_world(eval_files, tmp_path, corrupt, command):
+    """Run ``command`` on the eval world corrupted by ``corrupt``; assert
+    that it exits 2 with one data error at the byte of the scene that
+    ``corrupt`` names, and writes nothing."""
     dataset = load_dataset(str(eval_files / "world.lgw"))
     message = corrupt(dataset)
     save_dataset(dataset, str(tmp_path / "bad.lgw"))
-    config = _write_config(tmp_path / "eval.ini", {"game": {"k": 4}})
-    proc = _run_cli("eval", "--config", config, "--checkpoint",
-                    str(eval_files / "agents.lgc"),
-                    "--dataset", str(tmp_path / "bad.lgw"))
+    config = _train_config(tmp_path / "run.ini", tmp_path / "bad.lgw",
+                           tmp_path)
+    if command == "eval":
+        proc = _run_cli("eval", "--config", config, "--checkpoint",
+                        str(eval_files / "agents.lgc"),
+                        "--dataset", str(tmp_path / "bad.lgw"))
+    else:
+        proc = _run_cli("pretrain", "--config", config, "--out",
+                        str(tmp_path / "pre.lgc"), "--steps", "2")
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"data error: {message} (at byte ")
     assert proc.stderr.count("\n") == 1
     assert proc.stdout == ""
+    assert sorted(os.listdir(tmp_path)) == ["bad.lgw", "run.ini"]
+
+
+@pytest.mark.parametrize("corrupt", [
+    _header_refused, _objects_in_one_cell,
+    *(_object_past_its_range(**c) for c in OUT_OF_RANGE_OBJECTS),
+    _no_objects, _more_objects_than_the_header_allows, *CAPTION_CORRUPTIONS],
+    ids=["header-refused", "objects-in-one-cell",
+         *(f"{k}-{v}" for c in OUT_OF_RANGE_OBJECTS for k, v in c.items()),
+         "no-objects", "more-objects-than-the-header-allows", *CAPTION_IDS])
+def test_eval_dataset_the_world_refuses_exits_2(eval_files, tmp_path,
+                                                corrupt):
+    _run_on_corrupted_world(eval_files, tmp_path, corrupt, "eval")
+
+
+@pytest.mark.parametrize("corrupt", CAPTION_CORRUPTIONS, ids=CAPTION_IDS)
+def test_pretrain_dataset_the_world_refuses_exits_2(eval_files, tmp_path,
+                                                    corrupt):
+    _run_on_corrupted_world(eval_files, tmp_path, corrupt, "pretrain")
 
 
 @pytest.mark.parametrize("command, flag", [("eval", "--dataset"),
@@ -491,6 +544,54 @@ def test_config_values_are_read_literally(eval_files, tmp_path):
     assert len(metrics.read_text(encoding="utf-8").splitlines()) == 1
 
 
+@pytest.mark.parametrize("raster", [False, True],
+                         ids=["raster-world-flat-model",
+                              "flat-world-raster-model"])
+def test_train_model_that_does_not_read_the_world_exits_2_before_writing(
+        eval_files, tmp_path, raster):
+    # [world] raster sets the model's input layout; the world file sets
+    # the observations it has to read
+    world = tmp_path / "world.lgw"
+    if raster:
+        world = eval_files / "world.lgw"
+    else:
+        save_dataset(generate_dataset(3, 12, WorldSpec(raster=True,
+                                                       raster_size=8)),
+                     str(world))
+    config = _train_config(tmp_path / "run.ini", world, tmp_path,
+                           world={"raster": raster, "raster_size": 8})
+    listed = sorted(os.listdir(tmp_path))
+    proc = _run_cli("train", "--config", config)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("data error: dataset observations ")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+    assert sorted(os.listdir(tmp_path)) == listed
+
+
+def test_train_resumes_from_a_pretrained_speaker(eval_files, tmp_path):
+    # the warm start: pretrain writes a full trainer checkpoint at step 0
+    # that train --resume takes and trains on to [train] steps
+    config = _train_config(tmp_path / "run.ini", eval_files / "world.lgw",
+                           tmp_path, train={"steps": 3, "replicas": 2})
+    proc = _run_cli("pretrain", "--config", config, "--out",
+                    str(tmp_path / "pre.lgc"), "--steps", "2")
+    assert proc.returncode == 0, proc.stderr
+    proc = _run_cli("train", "--config", config, "--resume",
+                    str(tmp_path / "pre.lgc"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("trained to step 3 ")
+    rows = (tmp_path / "m.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(row)["step"] for row in rows] == [0, 1, 2]
+    pre = load_checkpoint(str(tmp_path / "pre.lgc"))
+    assert pre["meta.step"].data[0] == 0
+    assert (pre["replica1.emb"].data.tobytes()
+            == pre["speaker.emb"].data.tobytes())
+    state = load_checkpoint(str(tmp_path / "ckpt" / "latest.lgc"))
+    assert state.names() == pre.names()
+    assert state["meta.step"].data[0] == 3
+
+
 def test_train_k_larger_than_dataset_exits_2_before_writing(eval_files,
                                                            tmp_path):
     config = _train_config(tmp_path / "run.ini", eval_files / "world.lgw",
@@ -561,16 +662,18 @@ def test_train_with_missing_dataset_exits_2(tmp_path):
 
 
 def test_train_resume_from_checkpoint_of_other_model_sizes_exits_2(
-        eval_files, tmp_path):
-    # agents.lgc holds d_e = 8 agents; this run's model has d_e = 16
+        eval_files, trained_state, tmp_path):
+    # trained_state is a run of d_e = 8 agents; this run's model has
+    # d_e = 16
+    save_checkpoint(trained_state, str(tmp_path / "small.lgc"))
     config = _train_config(tmp_path / "run.ini", eval_files / "world.lgw",
                            tmp_path, model={"d_e": 16})
     proc = _run_cli("train", "--config", config, "--resume",
-                    str(eval_files / "agents.lgc"))
+                    str(tmp_path / "small.lgc"))
     assert proc.returncode == 2
     assert proc.stderr == ("data error: checkpoint shape mismatch for "
-                           "speaker.attn.v: (8, 1), not (16, 1)\n")
-    assert os.listdir(tmp_path) == ["run.ini"]
+                           "listener.emb: (24, 8), not (24, 16)\n")
+    assert sorted(os.listdir(tmp_path)) == ["run.ini", "small.lgc"]
 
 
 @pytest.fixture(scope="module")
@@ -583,25 +686,13 @@ def trained_state(eval_files, tmp_path_factory):
     return load_checkpoint(str(run / "ckpt" / "latest.lgc"))
 
 
-@pytest.mark.parametrize("name, data, message", [
-    ("optim.listener.w.img.w", lambda s: [0.0],
-     "bad optimizer state entry 'w.img.w'"),
-    ("optim.listener.m.img.w", lambda s: s["optim.listener.m.img.w"].data[1:],
-     "bad optimizer state entry 'm.img.w'"),
-    ("meta.step", lambda s: [np.nan], "meta.step is not a whole number"),
-    ("meta.step", lambda s: [-1.0], "meta.step is not a whole number"),
-    ("replica1.emb", lambda s: s["speaker.emb"].nd(),
-     "entry 'replica1.emb' is not read by this trainer"),
-    ("optim.speaker0.t", lambda s: [1.0],
-     "entry 'optim.speaker0.t' is not read by this trainer"),
-], ids=["optim-unknown-key", "adam-moment-size", "step-nan", "step-negative",
-        "replica-beyond-count", "speaker-optimizer-state"])
-def test_train_resume_from_malformed_checkpoint_exits_2(
-        eval_files, trained_state, tmp_path, name, data, message):
-    save_checkpoint(_edited(trained_state, name, data(trained_state)),
-                    str(tmp_path / "bad.lgc"))
+def _resume_refused(eval_files, state, tmp_path, message, **train):
+    """Assert that a toy run resuming from ``state`` under the ``[train]``
+    keys ``train`` exits 2 with one data error containing ``message``,
+    writing nothing."""
+    save_checkpoint(state, str(tmp_path / "bad.lgc"))
     config = _train_config(tmp_path / "run.ini", eval_files / "world.lgw",
-                           tmp_path, train={"steps": 2})
+                           tmp_path, train={"steps": 2, **train})
     proc = _run_cli("train", "--config", config, "--resume",
                     str(tmp_path / "bad.lgc"))
     assert proc.returncode == 2
@@ -609,6 +700,37 @@ def test_train_resume_from_malformed_checkpoint_exits_2(
     assert message in proc.stderr and proc.stderr.count("\n") == 1
     assert proc.stdout == ""
     assert sorted(os.listdir(tmp_path)) == ["bad.lgc", "run.ini"]
+
+
+@pytest.mark.parametrize("name, data, message", [
+    ("optim.listener.w.img.w", lambda s: [0.0],
+     "unexpected checkpoint entry 'optim.listener.w.img.w'"),
+    ("optim.listener.m.img.w", lambda s: s["optim.listener.m.img.w"].data[1:],
+     "checkpoint shape mismatch for optim.listener.m.img.w"),
+    ("optim.listener.t", lambda s: [0.5], "bad optimizer state entry 't'"),
+    ("meta.step", lambda s: [np.nan], "meta.step is not a whole number"),
+    ("meta.step", lambda s: [-1.0], "meta.step is not a whole number"),
+    ("meta.step", lambda s: None, "missing checkpoint entry 'meta.step'"),
+    ("replica1.emb", lambda s: s["speaker.emb"].nd(),
+     "unexpected checkpoint entry 'replica1.emb'"),
+    ("optim.speaker0.t", lambda s: [1.0],
+     "unexpected checkpoint entry 'optim.speaker0.t'"),
+], ids=["optim-unknown-key", "adam-moment-size", "adam-step-fraction",
+        "step-nan", "step-negative", "step-missing", "replica-beyond-count",
+        "speaker-optimizer-state"])
+def test_train_resume_from_malformed_checkpoint_exits_2(
+        eval_files, trained_state, tmp_path, name, data, message):
+    _resume_refused(eval_files, _edited(trained_state, name,
+                                        data(trained_state)),
+                    tmp_path, message)
+
+
+def test_train_resume_with_more_replicas_than_the_checkpoint_exits_2(
+        eval_files, trained_state, tmp_path):
+    # a replicas = 1 checkpoint holds no replica1. entries for the second
+    # replica to start from
+    _resume_refused(eval_files, trained_state, tmp_path,
+                    "missing checkpoint entry 'replica1.", replicas=2)
 
 
 def test_train_resume_from_nan_weight_exits_3(eval_files, tmp_path):

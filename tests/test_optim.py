@@ -39,27 +39,29 @@ def test_sgd_zero_lr_bitwise_noop():
 def test_adam_first_step_unit_update():
     # bias correction at t=1 makes the step -lr * g/(|g| + eps)
     ps = _params(w=([0.0], [1.0]))
-    Adam(0.1).step(ps)
+    Adam(0.1, ps).step(ps)
     assert abs(float(ps["w"].data[0]) + 0.1 / (1 + 1e-8)) < 1e-6
 
 
-def test_adam_state_lazily_initialized():
-    ps = _params(a=([0.0], [1.0]), b=([0.0], None))
-    opt = Adam(0.01)
-    opt.step(ps)  # b has no grad: no state, no update
-    assert float(ps["b"].data[0]) == 0.0
-    state = opt.state_arrays()
-    assert "m.a" in state and "m.b" not in state
+def test_fresh_adam_holds_zero_moments_for_every_parameter():
+    ps = _params(a=([0.5], [1.0]), b=([0.0, 1.0, 2.0], None))
+    state = Adam(0.01, ps).state_arrays()
+    assert sorted(state) == ["m.a", "m.b", "t", "v.a", "v.b"]
+    assert state["t"].tolist() == [0.0]
+    for name, size in (("a", 1), ("b", 3)):
+        for kind in "mv":
+            arr = state[f"{kind}.{name}"]
+            assert arr.dtype == np.float32 and arr.tolist() == [0.0] * size
 
 
 def test_adam_state_roundtrip():
     ps = _params(w=([0.5], [0.2]))
-    opt = Adam(0.05)
+    opt = Adam(0.05, ps)
     opt.step(ps)
     opt.step(ps)
-    clone = Adam(0.05)
+    clone = Adam(0.05, ps)
     clone.load_state_arrays({k: v.copy() for k, v in
-                             opt.state_arrays().items()}, ps)
+                             opt.state_arrays().items()})
     assert clone.t == 2
     ps2 = _params(w=(ps["w"].data.copy(), [0.2]))
     opt.step(ps)
@@ -109,11 +111,13 @@ def test_clip_empty_grads_scale_one():
 @pytest.mark.parametrize("key, value", [
     ("x.w", [0.0]), ("m.u", [0.0]), ("m.w", [0.0, 0.0]), ("v.w", None),
     ("t", [np.nan]), ("t", [-1.0]), ("t", [0.5]),
+    ("t", None), ("t", [1.0, 1.0]),
 ], ids=["unknown-kind", "unknown-parameter", "moment-size", "unpaired-moment",
-        "step-nan", "step-negative", "step-fraction"])
+        "step-nan", "step-negative", "step-fraction", "step-missing",
+        "step-not-one-number"])
 def test_adam_refuses_bad_state_and_keeps_its_own(key, value):
     ps = _params(w=([0.5], [0.2]))
-    opt = Adam(0.05)
+    opt = Adam(0.05, ps)
     opt.step(ps)
     before = {k: v.copy() for k, v in opt.state_arrays().items()}
     arrays = dict(before)
@@ -122,7 +126,7 @@ def test_adam_refuses_bad_state_and_keeps_its_own(key, value):
     else:
         arrays[key] = np.asarray(value, np.float32)
     with pytest.raises(FormatError, match="optimizer state entry"):
-        opt.load_state_arrays(arrays, ps)
+        opt.load_state_arrays(arrays)
     after = opt.state_arrays()
     assert after.keys() == before.keys()
     assert all(after[k].tobytes() == before[k].tobytes() for k in before)

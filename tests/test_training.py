@@ -422,6 +422,28 @@ def test_trainer_resume_bitwise_continuation(trainer_setup, tmp_path):
     assert full.pack_state().equal(second.pack_state())
 
 
+def test_resume_from_the_step_0_checkpoint_is_bitwise(trainer_setup,
+                                                      tmp_path):
+    # run's first latest.lgc, written before step 1, already holds the
+    # listener's zeroed Adam moments, so it resumes like any other
+    from lewisgame.params import load_checkpoint
+    ds, mcfg, gcfg = trainer_setup
+    settings = TrainSettings(seed=16, replicas=2)
+    Trainer(ds, gcfg, mcfg, settings).run(0, checkpoint_dir=str(tmp_path))
+    state = load_checkpoint(str(tmp_path / "latest.lgc"))
+    optim = state.subset("optim.listener.")
+    assert len(optim) == 1 + 2 * len(state.subset("listener."))
+    assert all(not t.data.any() for _, t in optim.items())
+
+    full = Trainer(ds, gcfg, mcfg, settings)
+    straight = full.run(3)
+    second = Trainer(ds, gcfg, mcfg, settings)
+    second.load_state(state)
+    resumed = second.run(3)
+    assert [r.row("x") for r in resumed] == [r.row("x") for r in straight]
+    assert full.pack_state().equal(second.pack_state())
+
+
 def test_train_step_aborts_on_nonfinite(trainer_setup):
     ds, mcfg, gcfg = trainer_setup
     tr = Trainer(ds, gcfg, mcfg, TrainSettings(seed=9, replicas=2))
