@@ -210,4 +210,6 @@ def load_checkpoint(path: str) -> ParameterSet:
         data = r.f32_array(n).copy()
         t = Tensor._wrap(data, shape if shape else (1,), True)
         out.add(name, t)
+    if r.off != len(blob):
+        raise FormatError(f"{len(blob) - r.off} trailing bytes", r.off)
     return out

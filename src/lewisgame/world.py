@@ -5,6 +5,15 @@ gets a fixed-length attribute-vector observation (optionally a tiny
 raster), plus templated reference captions used only for evaluation and
 supervised warm starts. All randomness is keyed by explicit seeds;
 regenerating with the same seed and spec is bitwise identical.
+
+World file layout (all integers little-endian): magic ``LGW1``, u16
+version 2, then u8 grid, u8 min objects, u8 max objects, u8 raster flag,
+u16 raster size, f32 noise, u64 seed, u8 split code (0 train, 1 val,
+2 test) and u32 scene count, 29 bytes in all. Each scene follows as a
+u64 id, a u8 object count, and per object (in cell order) five u8:
+shape, color, size, row, col. Observations, rasters and captions are
+functions of the header and the scenes, so the file does not hold them:
+loading rebuilds them through the code that generated the split.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ SPECIALS = ("<bos>", "<eos>", "<pad>", "<unk>")
 BOS, EOS, PAD, UNK = 0, 1, 2, 3
 
 DATASET_MAGIC = b"LGW1"
-DATASET_VERSION = 1
+DATASET_VERSION = 2
 
 _N_ATTR = len(SHAPES) * len(COLORS) * len(SIZES)  # 60 attribute combos
 _SPLIT_CODES = {"train": 0, "val": 1, "test": 2}
@@ -133,8 +142,15 @@ class WorldSpec:
                     f"raster_size must lie in [{self.grid}, 65535]")
             if self.raster_size % self.grid:
                 raise ValueError("raster_size must be a multiple of grid")
-        # noise is serialized as f32; canonicalize so round-trips compare equal
-        self.noise = float(F32(self.noise))
+        # noise is serialized as f32; canonicalize so round-trips compare
+        # equal, and check after, so a value past the f32 range is refused
+        with np.errstate(over="ignore"):
+            self.noise = float(F32(self.noise))
+        if not 0 <= self.noise < math.inf:
+            raise ValueError("noise must be finite and non-negative")
+        if (self.grid ** 2 * _N_ATTR + 1) ** self.max_objects > 2 ** 64:
+            raise ValueError(f"grid {self.grid} gives {self.max_objects}-object "
+                             f"scene ids past LGW1's u64")
 
     @property
     def block_dim(self) -> int:
@@ -207,20 +223,23 @@ def draw_scenes(seed: int, n: int, spec: WorldSpec) -> list[Scene]:
     return out
 
 
-def observation_vector(scene: Scene, spec: WorldSpec, rng) -> np.ndarray:
-    """One-hot attribute blocks per object slot, zero padded, plus noise."""
-    vec = np.zeros(spec.obs_dim, F32)
+def observation_vectors(scenes, spec: WorldSpec, rng) -> np.ndarray:
+    """(N, obs_dim) rows of one-hot attribute blocks per object slot, zero
+    padded, plus noise drawn row after row."""
+    starts = tuple(itertools.accumulate(
+        (0, len(SHAPES), len(COLORS), len(SIZES), spec.grid)))
     bd = spec.block_dim
-    for i, o in enumerate(scene.objects):
-        off = i * bd
-        vec[off + o.shape] = 1
-        vec[off + len(SHAPES) + o.color] = 1
-        vec[off + len(SHAPES) + len(COLORS) + o.size] = 1
-        vec[off + len(SHAPES) + len(COLORS) + len(SIZES) + o.row] = 1
-        vec[off + len(SHAPES) + len(COLORS) + len(SIZES) + spec.grid + o.col] = 1
+    rows, cols = [], []
+    for n, scene in enumerate(scenes):
+        for i, o in enumerate(scene.objects):
+            rows += [n] * len(starts)
+            cols += [i * bd + start + value for start, value
+                     in zip(starts, (o.shape, o.color, o.size, o.row, o.col))]
+    obs = np.zeros((len(scenes), spec.obs_dim), F32)
+    obs[rows, cols] = 1
     if spec.noise > 0:
-        vec += rng.normal(0.0, spec.noise, size=vec.size).astype(F32)
-    return vec
+        obs += rng.normal(0.0, spec.noise, size=obs.shape).astype(F32)
+    return obs
 
 
 # glyph masks on a 4x4 cell; small variants sit in the 2x2 center
@@ -346,10 +365,13 @@ class Dataset:
         )
 
 
-def _build_dataset(scenes, spec, seed, split, obs_rng) -> Dataset:
+def _build_dataset(scenes, spec, seed, split) -> Dataset:
+    """The ``split`` dataset of ``scenes``: its observation noise is keyed
+    by ``seed`` and the split, so it is the same on every build."""
+    obs_rng = np.random.default_rng(
+        np.random.SeedSequence([int(seed), 0x0B5, _SPLIT_CODES[split]]))
     vocab = Vocabulary()
-    obs = np.stack([observation_vector(s, spec, obs_rng) for s in scenes]) \
-        if scenes else np.zeros((0, spec.obs_dim), F32)
+    obs = observation_vectors(scenes, spec, obs_rng)
     rasters = None
     if spec.raster:
         rasters = np.stack([render_raster(s, spec) for s in scenes]) \
@@ -370,10 +392,7 @@ def generate_splits(seed: int, spec: WorldSpec, n_train: int, n_val: int = 0,
     for split, n in (("train", n_train), ("val", n_val), ("test", n_test)):
         if n == 0 and split != "train":
             continue
-        obs_rng = np.random.default_rng(
-            np.random.SeedSequence([int(seed), 0x0B5, _SPLIT_CODES[split]]))
-        out[split] = _build_dataset(scenes[start:start + n], spec, seed,
-                                    split, obs_rng)
+        out[split] = _build_dataset(scenes[start:start + n], spec, seed, split)
         start += n
     return out
 
@@ -409,29 +428,16 @@ def save_dataset(dataset: Dataset, path: str) -> None:
     spec = dataset.spec
     chunks = [
         DATASET_MAGIC,
-        struct.pack("<H", DATASET_VERSION),
-        struct.pack("<BBBBH", spec.grid, spec.min_objects, spec.max_objects,
-                    1 if spec.raster else 0, spec.raster_size),
-        struct.pack("<f", spec.noise),
-        struct.pack("<Q", dataset.seed),
-        struct.pack("<B", _SPLIT_CODES[dataset.split]),
-        struct.pack("<I", len(dataset)),
-        struct.pack("<I", spec.obs_dim),
+        struct.pack("<HBBBBHfQBI", DATASET_VERSION, spec.grid,
+                    spec.min_objects, spec.max_objects, spec.raster,
+                    spec.raster_size, spec.noise, dataset.seed,
+                    _SPLIT_CODES[dataset.split], len(dataset)),
     ]
-    for i, scene in enumerate(dataset.scenes):
-        chunks.append(struct.pack("<Q", scene.scene_id))
-        chunks.append(struct.pack("<B", len(scene.objects)))
+    for scene in dataset.scenes:
+        chunks.append(struct.pack("<QB", scene.scene_id, len(scene.objects)))
         for o in scene.objects:
-            chunks.append(struct.pack("<BBBBB", o.shape, o.color, o.size,
+            chunks.append(struct.pack("<5B", o.shape, o.color, o.size,
                                       o.row, o.col))
-        chunks.append(dataset.observations[i].astype("<f4").tobytes())
-        if spec.raster:
-            chunks.append(dataset.rasters[i].astype("<f4").tobytes())
-        caps = dataset.captions[i]
-        chunks.append(struct.pack("<B", len(caps)))
-        for cap in caps:
-            chunks.append(struct.pack("<B", len(cap)))
-            chunks.append(struct.pack(f"<{len(cap)}H", *cap))
     write_atomic(path, chunks)
 
 
@@ -454,19 +460,13 @@ def load_dataset(path: str) -> Dataset:
     if split is None:
         raise FormatError("bad split tag", r.off - 1)
     n_scenes = r.u32()
-    obs_dim = r.u32()
     try:
         spec = WorldSpec(grid=grid, min_objects=min_obj, max_objects=max_obj,
                          noise=noise, raster=bool(raster_flag),
                          raster_size=raster_size)
     except ValueError as exc:
         raise FormatError(f"bad world header: {exc}", 6) from None
-    if spec.obs_dim != obs_dim:
-        raise FormatError(
-            f"observation dim {obs_dim} does not match spec {spec.obs_dim}",
-            r.off - 4)
-    vocab = Vocabulary()
-    scenes, obs_rows, raster_rows, captions = [], [], [], []
+    scenes, seen = [], set()
     for _ in range(n_scenes):
         start = r.off
         sid = r.u64()
@@ -474,37 +474,17 @@ def load_dataset(path: str) -> Dataset:
         if not min_obj <= count <= max_obj:
             raise FormatError(f"scene {sid} holds {count} objects, outside "
                               f"[{min_obj}, {max_obj}]", start)
-        objs = []
-        for _ in range(count):
-            sh, co, si, row, col = struct.unpack("<BBBBB", r.take(5))
-            objs.append(ObjectSpec(sh, co, si, row, col))
+        objs = [ObjectSpec(*r.take(5)) for _ in range(count)]
         try:
             scene = Scene.from_objects(objs, grid)
         except ValueError as exc:
             raise FormatError(f"scene {sid}: {exc}", start) from None
         if scene.scene_id != sid:
             raise FormatError(f"scene id mismatch for {sid}", r.off)
+        if sid in seen:
+            raise FormatError(f"repeated scene {sid}", start)
+        seen.add(sid)
         scenes.append(scene)
-        obs_rows.append(r.f32_array(obs_dim).copy())
-        if spec.raster:
-            raster_rows.append(
-                r.f32_array(raster_size * raster_size * 3)
-                .copy().reshape(raster_size, raster_size, 3))
-        caps = []
-        for _ in range(r.u8()):
-            ln = r.u8()
-            caps.append(list(struct.unpack(f"<{ln}H", r.take(2 * ln))))
-        if not caps:
-            raise FormatError(f"scene {sid} has no captions", start)
-        top = max(max(cap, default=0) for cap in caps)
-        if top >= len(vocab):
-            raise FormatError(f"scene {sid}: caption token {top} is past the "
-                              f"{len(vocab)}-word vocabulary", start)
-        captions.append(caps)
     if r.off != len(blob):
         raise FormatError(f"{len(blob) - r.off} trailing bytes", r.off)
-    obs = np.stack(obs_rows) if obs_rows else np.zeros((0, obs_dim), F32)
-    rasters = np.stack(raster_rows) if raster_rows else None
-    return Dataset(spec=spec, seed=seed, split=split, scenes=scenes,
-                   observations=obs, captions=captions, rasters=rasters,
-                   vocab=vocab)
+    return _build_dataset(scenes, spec, seed, split)

@@ -227,7 +227,8 @@ def _lgc1(*names):
 @pytest.mark.parametrize("blob, message", [
     (_lgc1(b"x", b"x"), "repeated entry 'x' (at byte 20)"),
     (_lgc1(b"speaker.\xff"), "entry name is not UTF-8 (at byte 8)"),
-], ids=["repeated-name", "name-not-utf8"])
+    (_lgc1(b"x") + b"!", "1 trailing bytes (at byte 20)"),
+], ids=["repeated-name", "name-not-utf8", "trailing-bytes"])
 def test_checkpoint_with_a_bad_entry_name_exits_2(eval_files, tmp_path,
                                                   command, blob, message):
     (tmp_path / "bad.lgc").write_bytes(blob)
@@ -288,25 +289,13 @@ def _more_objects_than_the_header_allows(dataset):
     # scenes before the first 3-object one hold at most 2, so that scene
     # is the first one a header of max_objects = 2 refuses
     dataset.spec.max_objects = 2
-    dataset.observations = dataset.observations[:, :dataset.spec.obs_dim]
     sid = next(s.scene_id for s in dataset.scenes if len(s.objects) == 3)
     return f"scene {sid} holds 3 objects, outside [1, 2]"
 
 
-def _no_captions(dataset):
-    dataset.captions = [[] for _ in dataset.scenes]
-    return f"scene {dataset.scenes[0].scene_id} has no captions"
-
-
-def _caption_past_the_vocabulary(dataset):
-    n = len(dataset.vocab)
-    dataset.captions[1] = [dataset.captions[1][0] + [n]]
-    return (f"scene {dataset.scenes[1].scene_id}: caption token {n} is past "
-            f"the {n}-word vocabulary")
-
-
-CAPTION_CORRUPTIONS = [_no_captions, _caption_past_the_vocabulary]
-CAPTION_IDS = ["no-captions", "caption-past-the-vocabulary"]
+def _repeated_scene(dataset):
+    dataset.scenes[1] = dataset.scenes[0]
+    return f"repeated scene {dataset.scenes[0].scene_id}"
 
 
 def _run_on_corrupted_world(eval_files, tmp_path, corrupt, command):
@@ -335,16 +324,17 @@ def _run_on_corrupted_world(eval_files, tmp_path, corrupt, command):
 @pytest.mark.parametrize("corrupt", [
     _header_refused, _objects_in_one_cell,
     *(_object_past_its_range(**c) for c in OUT_OF_RANGE_OBJECTS),
-    _no_objects, _more_objects_than_the_header_allows, *CAPTION_CORRUPTIONS],
+    _no_objects, _more_objects_than_the_header_allows, _repeated_scene],
     ids=["header-refused", "objects-in-one-cell",
          *(f"{k}-{v}" for c in OUT_OF_RANGE_OBJECTS for k, v in c.items()),
-         "no-objects", "more-objects-than-the-header-allows", *CAPTION_IDS])
+         "no-objects", "more-objects-than-the-header-allows",
+         "repeated-scene"])
 def test_eval_dataset_the_world_refuses_exits_2(eval_files, tmp_path,
                                                 corrupt):
     _run_on_corrupted_world(eval_files, tmp_path, corrupt, "eval")
 
 
-@pytest.mark.parametrize("corrupt", CAPTION_CORRUPTIONS, ids=CAPTION_IDS)
+@pytest.mark.parametrize("corrupt", [_repeated_scene], ids=["repeated-scene"])
 def test_pretrain_dataset_the_world_refuses_exits_2(eval_files, tmp_path,
                                                     corrupt):
     _run_on_corrupted_world(eval_files, tmp_path, corrupt, "pretrain")
@@ -470,11 +460,16 @@ def _train_config(path, dataset, run, **overrides):
      "[world] raster_size must lie in [4, 65535]"),
     ("gen-world", "world", {"seed": 2 ** 64},
      "[world] seed must be below 2**64"),
+    ("gen-world", "world", {"noise": "nan"},
+     "[world] noise must be finite and non-negative"),
+    ("gen-world", "world", {"grid": 255},
+     "[world] grid 255 gives 3-object scene ids past LGW1's u64"),
 ], ids=["game-k", "world-objects", "train-replicas", "train-targets",
         "train-clip-norm",
         "train-temperature", "eval-rounds-eval", "eval-rounds-sweep",
         "train-steps-negative", "train-lr-speaker-nan",
-        "world-raster-size-zero", "world-seed-past-u64"])
+        "world-raster-size-zero", "world-seed-past-u64", "world-noise-nan",
+        "world-grid-past-u64-ids"])
 def test_bad_config_value_exits_1(eval_files, tmp_path, command, section,
                                   keys, message):
     config = _train_config(tmp_path / "bad.ini", eval_files / "world.lgw",

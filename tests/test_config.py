@@ -102,6 +102,11 @@ OUT_OF_RANGE = [
     ("world", "seed", "-1", "seed must be at least 0"),
     ("world", "seed", "18446744073709551616", "seed must be below 2**64"),
     ("world", "grid", "300", "grid must lie in [2, 255]"),
+    ("world", "grid", "210", "grid 210 gives 3-object scene ids past LGW1's "
+     "u64"),
+    ("world", "noise", "nan", "noise must be finite and non-negative"),
+    ("world", "noise", "-0.5", "noise must be finite and non-negative"),
+    ("world", "noise", "1e39", "noise must be finite and non-negative"),
     ("model", "d_e", "0", "d_e must be at least 1"),
     ("model", "d_o", "0", "d_o must be at least 1"),
     ("model", "n_layers", "0", "n_layers must be at least 1"),
@@ -118,11 +123,17 @@ OUT_OF_RANGE = [
     ("train", "eval_interval", "-1", "eval_interval must be at least 0"),
     ("eval", "seed", "-1", "seed must be at least 0"),
 ]
+# suffixes that tell apart the rows of one key
+OUT_OF_RANGE_ID_SUFFIX = {("seed", str(2 ** 64)): "-2**64",
+                          ("grid", "210"): "-past-u64-ids",
+                          ("noise", "nan"): "-nan",
+                          ("noise", "-0.5"): "-negative",
+                          ("noise", "1e39"): "-past-f32"}
 
 
 @pytest.mark.parametrize(
     "section, key, value, message", OUT_OF_RANGE,
-    ids=[f"{s}-{k}" + ("-2**64" if v == str(2 ** 64) else "")
+    ids=[f"{s}-{k}" + OUT_OF_RANGE_ID_SUFFIX.get((k, v), "")
          for s, k, v, _ in OUT_OF_RANGE])
 def test_parse_config_rejects_out_of_range_values(section, key, value,
                                                   message):

@@ -168,12 +168,30 @@ def test_sample_game_batch_errors():
 
 
 def test_dataset_file_roundtrip(tmp_path):
+    # each split's observation noise is keyed by its split code, so every
+    # split has to come back from the file bit for bit
     for spec in (WorldSpec(), WorldSpec(raster=True, min_objects=1,
                                         max_objects=2)):
-        ds = generate_dataset(17, 25, spec)
-        path = str(tmp_path / "w.lgw")
-        save_dataset(ds, path)
-        assert load_dataset(path) == ds
+        splits = generate_splits(17, spec, 25, 10, 5)
+        assert sorted(splits) == ["test", "train", "val"]
+        for ds in splits.values():
+            path = str(tmp_path / "w.lgw")
+            save_dataset(ds, path)
+            assert load_dataset(path) == ds
+
+
+def test_world_file_holds_only_header_and_scenes(tmp_path):
+    ds = generate_dataset(17, 25, WorldSpec(raster=True))
+    path = str(tmp_path / "w.lgw")
+    save_dataset(ds, path)
+    blob = open(path, "rb").read()
+    assert len(blob) == 29 + sum(9 + 5 * len(s.objects) for s in ds.scenes)
+    # observations, rasters and captions are rebuilt on load, not stored
+    ds.observations = ds.observations + 1
+    ds.rasters = ds.rasters * 0
+    ds.captions = [[] for _ in ds.scenes]
+    save_dataset(ds, path)
+    assert open(path, "rb").read() == blob
 
 
 def test_dataset_file_bytes_deterministic(tmp_path):
@@ -194,13 +212,15 @@ def test_dataset_truncation_reports_offset(tmp_path):
         load_dataset(path)
 
 
-def test_dataset_version_mismatch(tmp_path):
+@pytest.mark.parametrize("version", [1, 99])
+def test_dataset_version_mismatch(tmp_path, version):
     ds = generate_dataset(17, 5, WorldSpec())
     path = str(tmp_path / "w.lgw")
     save_dataset(ds, path)
     blob = bytearray(open(path, "rb").read())
-    blob[4] = 99  # version u16 low byte
+    blob[4] = version  # version u16 low byte
     open(path, "wb").write(bytes(blob))
-    with pytest.raises(UnsupportedVersionError):
+    with pytest.raises(UnsupportedVersionError,
+                       match=f"unsupported dataset version {version} "):
         load_dataset(path)
 
