@@ -29,7 +29,7 @@ from . import tensor as T
 from .agents import ListenerModel, SpeakerPolicy
 from .config import RunConfig
 from .game import play_rounds, solve_rate
-from .optim import Sgd, clip_global_norm
+from .optim import Sgd, clip_global_norm, grad_global_norm
 from .tensor import Tape, Tensor, backward
 from .training import Trainer
 from .world import EOS, Dataset, sample_game_batch
@@ -157,17 +157,19 @@ def evaluate_agents(speaker: SpeakerPolicy, listener: ListenerModel,
     """Play evaluation rounds and aggregate caption/game metrics.
 
     Every round's K candidates are drawn first; the rounds are then
-    played through ``game.play_rounds``, as training plays them, with one
-    message per round decoded at temperature 0 (argmax), no tape and no
-    rng, all ``n_rounds`` messages as one block and each distinct
+    played through ``game.play_rounds``, as training plays them, as a
+    single block of ``speaker``: one message per round decoded at
+    temperature 0 (argmax), no tape and no rng, all ``n_rounds``
+    messages embedded by the listener as one block and each distinct
     candidate scene embedded once. Deterministic given
     (parameters, dataset, seed, n_rounds): distractor draws come from a
     fresh seeded stream.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A1]))
     scenes, targets = sample_game_batch(dataset, k, n_rounds, rng)
-    trace = play_rounds(speaker, listener, dataset.model_inputs(), scenes,
-                        targets, 1, t_max, None, temperature=0.0)
+    (trace,) = play_rounds([(speaker, scenes, targets, None)], listener,
+                           dataset.model_inputs(), 1, t_max,
+                           temperature=0.0)
     bleus, coverages, lengths = [], [], []
     for target, message in zip(scenes[np.arange(n_rounds), targets],
                                trace.messages):
@@ -228,7 +230,8 @@ def supervised_pretrain(speaker: SpeakerPolicy, dataset: Dataset, steps: int,
         n_tokens = sum(len(m) for m in messages)
         loss = T.mul(tape, T.tsum(tape, node), Tensor([-1.0 / n_tokens]))
         backward(tape, loss)
-        clip_global_norm(speaker.params, clip_norm)
+        clip_global_norm(speaker.params, clip_norm,
+                         grad_global_norm(speaker.params))
         opt.step(speaker.params)
     speaker.params.zero_grads()
     return speaker

@@ -9,11 +9,12 @@ hit) is read alongside it.
 
 ``play_rounds`` plays rounds once their candidates are drawn, for
 training (sampled, taped) and evaluation (one greedy message per round,
-untaped) through one path. Every message of the rounds it plays is
-decoded as one block and embedded by the listener as one block, and
-each distinct candidate scene is embedded once, so the tape holds the
-same nodes whatever the number of rounds and of messages per round. It
-returns a ``RoundTrace``, the one record of the played block: one row
+untaped) through one path. It plays one block of rounds per speaker:
+each speaker decodes its block's messages as one block, the listener
+embeds the messages of every block as one block, and each block embeds
+its distinct candidate scenes once, so the tape holds the same nodes
+whatever the number of rounds and of messages per round. It returns one
+``RoundTrace`` per block, the one record of that played block: one row
 per message, with its target, the listener's probabilities and its
 log-probs as arrays and tape nodes over the block. Rewards are spread
 backward over message tokens by ``training.group_advantages``, the one
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .agents import ListenerModel, SpeakerPolicy
+from .agents import ListenerModel
 from .tensor import Tensor
 from .world import Dataset, sample_game_batch
 
@@ -92,54 +93,65 @@ class RoundTrace:
         return np.array([m.length for m in self.messages])
 
 
-def play_rounds(speaker: SpeakerPolicy, listener: ListenerModel,
-                inputs: np.ndarray, scenes: np.ndarray, targets: np.ndarray,
-                generations: int, t_max: int, rng, temperature: float = 1.0,
-                tape=None) -> RoundTrace:
-    """Play drawn rounds: ``generations`` messages per round, one row of
-    the returned ``RoundTrace`` each.
+def play_rounds(blocks, listener: ListenerModel, inputs: np.ndarray,
+                generations: int, t_max: int, temperature: float = 1.0,
+                tape=None) -> list[RoundTrace]:
+    """Play drawn rounds: ``generations`` messages per round, one
+    ``RoundTrace`` per block and one row of it per message.
 
-    ``inputs`` holds every scene's model input, one per row; round n's K
-    candidates are rows ``scenes[n]`` and its target is candidate
-    ``targets[n]``. One ``SpeakerPolicy.sample`` call describes every
-    round's target ``generations`` times, and one ``embed_message`` call
-    embeds all those messages. Each distinct candidate scene is embedded
-    once and gathered into its rounds' slots, so memory is bounded by the
-    scenes drawn, not by K × rounds; on a tape the gather sums the
-    gradients of a scene that several rounds share. On a tape, row b's
-    target log-prob is gathered the same way: the listener's (B, K)
-    log-probs as B·K one-wide rows, of which ``T.embedding`` takes row
-    b·K + target. Temperature 0 decodes greedily and needs no ``rng``.
+    ``blocks`` holds one ``(speaker, scenes, targets, rng)`` per speaker.
+    ``inputs`` holds every scene's model input, one per row; a block's
+    round n has the K candidates ``scenes[n]`` and the target
+    ``targets[n]``. Each block's speaker describes its rounds' targets
+    ``generations`` times in one ``SpeakerPolicy.sample`` call with the
+    block's rng, and one ``embed_message`` call embeds the messages of
+    every block. Each block embeds its distinct candidate scenes once,
+    with its own speaker's encoder, and gathers them into its rounds'
+    slots, so memory is bounded by the scenes drawn, not by K × rounds;
+    on a tape the gather sums the gradients of a scene that several
+    rounds share. A block gathers its own rows of the message summaries
+    the same way, and on a tape its row b's target log-prob too: the
+    listener's (B, K) log-probs as B·K one-wide rows, of which
+    ``T.embedding`` takes row b·K + target. Temperature 0 decodes
+    greedily and needs no rng.
     """
-    n, k = scenes.shape
-    samples, logprobs = speaker.sample(
-        inputs[scenes[np.arange(n), targets]], t_max, temperature,
-        generations, rng, tape)
-    v_msgs = listener.embed_message([s.tokens for s in samples], tape)
-    distinct, slots = np.unique(scenes.ravel(), return_inverse=True)
-    v_imgs = T.embedding(tape, listener.embed_images(
-        inputs[distinct], tape, encoder=speaker), slots)
-    d = v_imgs.shape[1]
-    node = listener.log_probs(
-        T.reshape(tape, v_msgs, (n, generations, d)),
-        T.reshape(tape, v_imgs, (n, k, d)), tape)
-    targets = np.repeat(targets, generations)
-    logp_target = None if tape is None else T.embedding(
-        tape, T.reshape(tape, node, (node.size, 1)),
-        np.arange(targets.size) * k + targets)
-    return RoundTrace(samples, targets, np.exp(node.nd()), generations,
-                      logprobs, logp_target)
+    sampled = [speaker.sample(inputs[scenes[np.arange(targets.size), targets]],
+                              t_max, temperature, generations, rng, tape)
+               for speaker, scenes, targets, rng in blocks]
+    v_msgs = listener.embed_message(
+        [s.tokens for samples, _ in sampled for s in samples], tape)
+    traces, start = [], 0
+    for (speaker, scenes, targets, _), (samples, logprobs) in zip(blocks,
+                                                                  sampled):
+        n, k = scenes.shape
+        rows = np.arange(start, start + len(samples))
+        start += len(samples)
+        distinct, slots = np.unique(scenes.ravel(), return_inverse=True)
+        v_imgs = T.embedding(tape, listener.embed_images(
+            inputs[distinct], tape, encoder=speaker), slots)
+        d = v_imgs.shape[1]
+        node = listener.log_probs(
+            T.reshape(tape, T.embedding(tape, v_msgs, rows),
+                      (n, generations, d)),
+            T.reshape(tape, v_imgs, (n, k, d)), tape)
+        row_targets = np.repeat(targets, generations)
+        logp_target = None if tape is None else T.embedding(
+            tape, T.reshape(tape, node, (node.size, 1)),
+            np.arange(row_targets.size) * k + row_targets)
+        traces.append(RoundTrace(samples, row_targets, np.exp(node.nd()),
+                                 generations, logprobs, logp_target))
+    return traces
 
 
-def _play_round_traced(speaker: SpeakerPolicy, listener: ListenerModel,
-                       dataset: Dataset, config: GameConfig, rng,
-                       temperature: float = 1.0, tape=None,
-                       n_rounds: int = 1) -> RoundTrace:
-    """Draw ``n_rounds`` training rounds' candidates, then play them."""
-    scenes, targets = sample_game_batch(dataset, config.k, n_rounds, rng)
-    return play_rounds(speaker, listener, dataset.model_inputs(), scenes,
-                       targets, config.generations, config.t_max, rng,
-                       temperature, tape)
+def _play_round_traced(speakers, listener: ListenerModel, dataset: Dataset,
+                       config: GameConfig, rngs, temperature: float = 1.0,
+                       tape=None, n_rounds: int = 1) -> list[RoundTrace]:
+    """Draw ``n_rounds`` training rounds' candidates for each speaker, from
+    its own rng of ``rngs``, then play them: one block per speaker."""
+    blocks = [(speaker, *sample_game_batch(dataset, config.k, n_rounds, rng),
+               rng) for speaker, rng in zip(speakers, rngs)]
+    return play_rounds(blocks, listener, dataset.model_inputs(),
+                       config.generations, config.t_max, temperature, tape)
 
 
 def solve_rate(probs: np.ndarray, targets: np.ndarray, top_n: int) -> float:

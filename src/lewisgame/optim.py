@@ -22,15 +22,17 @@ def grad_global_norm(params: ParameterSet) -> float:
     return math.sqrt(total)
 
 
-def clip_global_norm(params: ParameterSet, max_norm: float) -> float:
+def clip_global_norm(params: ParameterSet, max_norm: float,
+                     norm: float) -> float:
     """Scale all grads so their joint L2 norm is at most ``max_norm``.
 
-    Returns the scale applied (1.0 when no clipping was needed). The
-    comparison carries a tiny slack so clipping is idempotent.
+    ``norm`` is that joint norm as ``grad_global_norm`` computes it, so a
+    caller that has already taken it need not take it again. Returns the
+    scale applied (1.0 when no clipping was needed). The comparison
+    carries a tiny slack so clipping is idempotent.
     """
     if max_norm <= 0:
         raise ValueError("clip_global_norm: max_norm must be positive")
-    norm = grad_global_norm(params)
     if norm <= max_norm * (1.0 + _CLIP_SLACK):
         return 1.0
     scale = F32(max_norm / norm)

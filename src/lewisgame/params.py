@@ -133,16 +133,18 @@ def save_checkpoint(params: ParameterSet, path: str) -> None:
         chunks.append(nb)
         chunks.append(struct.pack("<B", t.ndim))
         chunks.append(struct.pack(f"<{t.ndim}I", *t.shape))
-        chunks.append(t.data.astype("<f4", copy=False).tobytes())
+        chunks.append(np.ascontiguousarray(t.data, "<f4"))
     write_atomic(path, chunks)
 
 
 def write_atomic(path: str, chunks) -> None:
-    """Write the concatenated byte ``chunks`` to ``path`` through a temp
-    file plus rename, so readers see the old file or the whole new one."""
+    """Write ``chunks`` (bytes, or contiguous arrays written as their raw
+    buffers), one after another, to ``path`` through a temp file plus
+    rename, so readers see the old file or the whole new one. Nothing is
+    copied to join them."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(b"".join(chunks))
+        fh.writelines(chunks)
     os.replace(tmp, path)
 
 

@@ -12,12 +12,15 @@ replica's played block (``game.RoundTrace``): the speaker's as one
 listener's from the (B, 1) target log-probs.
 
 A step runs W speaker replicas over disjoint sub-batches (in-process,
-sequential, so results are bitwise reproducible), backpropagates each
-replica's speaker + (lambda / W) * listener loss, so listener gradients
-accumulate across replicas, clips each agent's gradient norm, applies
-SGD to speakers and Adam to the listener, and periodically averages the
-replica weights. Every config takes this one path: at lambda = 0 the
-listener's gradient is 0, and a group of one has zero advantages.
+sequential, so results are bitwise reproducible). Each replica decodes
+its own block, and the listener embeds every block's messages as one
+block. The step is recorded on one tape: the sum over replicas of each
+replica's speaker + (lambda / W) * listener loss is backpropagated once,
+so the listener's gradient holds every replica's share. The step then
+clips each agent's gradient norm, applies SGD to speakers and Adam to
+the listener, and periodically averages the replica weights. Every
+config takes this one path: at lambda = 0 the listener's gradient is 0,
+and a group of one has zero advantages.
 """
 
 from __future__ import annotations
@@ -184,9 +187,11 @@ def train_step(replicas, listener: ListenerModel, dataset,
     """One optimization step across all replicas.
 
     Each replica plays its ``targets_per_replica`` rounds as one block
-    and optimizes the mean of its group losses; the listener optimizes
-    the mean loss over every message of the step. Parameters are
-    untouched if any loss or gradient comes out non-finite.
+    and optimizes the mean of its group losses; the listener scores the
+    messages of every block in one block and optimizes the mean loss
+    over every message of the step. The step is one tape and one
+    ``backward``. Parameters are untouched if any loss or gradient comes
+    out non-finite.
     """
     n_rep = len(replicas)
     lam = game_cfg.lam
@@ -194,36 +199,36 @@ def train_step(replicas, listener: ListenerModel, dataset,
         rep.params.zero_grads()
     listener.params.zero_grads()
 
-    spk_values, lst_values = [], []
-    rewards, indicators, adv_vars = [], [], []
-    for w, rep in enumerate(replicas):
-        tape = Tape()
-        trace = _play_round_traced(rep, listener, dataset, game_cfg, rngs[w],
-                                   settings.temperature, tape,
-                                   settings.targets_per_replica)
+    tape = Tape()
+    traces = _play_round_traced(replicas, listener, dataset, game_cfg, rngs,
+                                settings.temperature, tape,
+                                settings.targets_per_replica)
+    spk_values, lst_values, adv_vars = [], [], []
+    total = None
+    for trace in traces:
         advs = group_advantages(trace, game_cfg.gamma,
                                 settings.standardize_advantages)
         spk_node = _group_loss_node(tape, trace, advs)
         lst_node = _listener_loss_node(tape, trace)
-        total = T.add(tape, spk_node,
-                      T.mul(tape, lst_node, Tensor([lam / n_rep])))
         spk_values.append(spk_node.item())
         lst_values.append(lst_node.item())
-        if not (np.isfinite(spk_values[-1]) and np.isfinite(lst_values[-1])):
-            _abort(replicas, listener)
-        backward(tape, total)
-        rewards.append(trace.rewards)
-        indicators.append(trace.indicators)
         adv_vars.append(advantage_variance(advs, game_cfg.generations))
+        loss = T.add(tape, spk_node,
+                     T.mul(tape, lst_node, Tensor([lam / n_rep])))
+        total = loss if total is None else T.add(tape, total, loss)
+    if not np.isfinite(spk_values + lst_values).all():
+        _abort(replicas, listener)
+    backward(tape, total)
 
     spk_norms = [grad_global_norm(rep.params) for rep in replicas]
     lst_norm = grad_global_norm(listener.params)
-    if not (np.isfinite(lst_norm) and all(np.isfinite(n) for n in spk_norms)):
+    if not np.isfinite(spk_norms + [lst_norm]).all():
         _abort(replicas, listener)
 
-    spk_scales = [clip_global_norm(rep.params, settings.clip_norm)
-                  for rep in replicas]
-    lst_scale = clip_global_norm(listener.params, settings.clip_norm)
+    spk_scales = [clip_global_norm(rep.params, settings.clip_norm, norm)
+                  for rep, norm in zip(replicas, spk_norms)]
+    lst_scale = clip_global_norm(listener.params, settings.clip_norm,
+                                 lst_norm)
     for rep in replicas:
         speaker_opt.step(rep.params)
     listener_opt.step(listener.params)
@@ -234,8 +239,10 @@ def train_step(replicas, listener: ListenerModel, dataset,
         speaker_loss=speaker_mean,
         listener_loss=listener_mean,
         joint_loss=speaker_mean + lam * listener_mean,
-        mean_reward=float(np.mean(np.concatenate(rewards))),
-        mean_indicator=float(np.mean(np.concatenate(indicators))),
+        mean_reward=float(np.mean(np.concatenate(
+            [tr.rewards for tr in traces]))),
+        mean_indicator=float(np.mean(np.concatenate(
+            [tr.indicators for tr in traces]))),
         advantage_variance=float(np.mean(np.concatenate(adv_vars))),
         grad_norm_speaker=float(np.mean(spk_norms)),
         grad_norm_listener=lst_norm,

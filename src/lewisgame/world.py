@@ -43,6 +43,9 @@ DATASET_VERSION = 2
 _N_ATTR = len(SHAPES) * len(COLORS) * len(SIZES)  # 60 attribute combos
 _SPLIT_CODES = {"train": 0, "val": 1, "test": 2}
 _SPLIT_NAMES = {v: k for k, v in _SPLIT_CODES.items()}
+# byte offset in an LGW1 file of each header field a WorldSpec checks
+_HEADER_OFFSETS = {"grid": 6, "min_objects": 7, "max_objects": 8,
+                   "raster_size": 10, "noise": 12}
 
 
 class CapacityError(ValueError):
@@ -51,6 +54,14 @@ class CapacityError(ValueError):
 
 class SamplingError(ValueError):
     """A game batch request the dataset cannot satisfy."""
+
+
+class SpecError(ValueError):
+    """A ``WorldSpec`` value it refuses; ``field`` names the field at fault."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
 
 
 class Vocabulary:
@@ -132,25 +143,29 @@ class WorldSpec:
 
     def __post_init__(self):
         if not (1 <= self.min_objects <= self.max_objects <= 3):
-            raise ValueError("object counts must satisfy 1 <= min <= max <= 3")
+            raise SpecError(
+                "max_objects" if self.max_objects > 3 else "min_objects",
+                "object counts must satisfy 1 <= min <= max <= 3")
         if not 2 <= self.grid <= 255:  # LGW1 stores it in one byte
-            raise ValueError("grid must lie in [2, 255]")
+            raise SpecError("grid", "grid must lie in [2, 255]")
         if self.raster:
             # LGW1 stores raster_size as a u16
             if not self.grid <= self.raster_size <= 65535:
-                raise ValueError(
-                    f"raster_size must lie in [{self.grid}, 65535]")
+                raise SpecError("raster_size", "raster_size must lie in "
+                                f"[{self.grid}, 65535]")
             if self.raster_size % self.grid:
-                raise ValueError("raster_size must be a multiple of grid")
+                raise SpecError("raster_size",
+                                "raster_size must be a multiple of grid")
         # noise is serialized as f32; canonicalize so round-trips compare
         # equal, and check after, so a value past the f32 range is refused
         with np.errstate(over="ignore"):
             self.noise = float(F32(self.noise))
         if not 0 <= self.noise < math.inf:
-            raise ValueError("noise must be finite and non-negative")
+            raise SpecError("noise", "noise must be finite and non-negative")
         if (self.grid ** 2 * _N_ATTR + 1) ** self.max_objects > 2 ** 64:
-            raise ValueError(f"grid {self.grid} gives {self.max_objects}-object "
-                             f"scene ids past LGW1's u64")
+            raise SpecError("grid", f"grid {self.grid} gives "
+                            f"{self.max_objects}-object scene ids past "
+                            f"LGW1's u64")
 
     @property
     def block_dim(self) -> int:
@@ -438,7 +453,8 @@ def save_dataset(dataset: Dataset, path: str) -> None:
         for o in scene.objects:
             chunks.append(struct.pack("<5B", o.shape, o.color, o.size,
                                       o.row, o.col))
-    write_atomic(path, chunks)
+    # one join costs less than a write per chunk of a few bytes
+    write_atomic(path, [b"".join(chunks)])
 
 
 def load_dataset(path: str) -> Dataset:
@@ -464,8 +480,9 @@ def load_dataset(path: str) -> Dataset:
         spec = WorldSpec(grid=grid, min_objects=min_obj, max_objects=max_obj,
                          noise=noise, raster=bool(raster_flag),
                          raster_size=raster_size)
-    except ValueError as exc:
-        raise FormatError(f"bad world header: {exc}", 6) from None
+    except SpecError as exc:
+        raise FormatError(f"bad world header: {exc}",
+                          _HEADER_OFFSETS[exc.field]) from None
     scenes, seen = [], set()
     for _ in range(n_scenes):
         start = r.off

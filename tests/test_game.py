@@ -6,6 +6,7 @@ from reference import generate_dataset, rewards_to_go
 
 from test_agents import BLOCK_GRAD_RTOL, BLOCK_LOGPROB_ATOL, _grads
 
+from lewisgame import game
 from lewisgame import tensor as T
 from lewisgame.agents import ListenerModel, ModelConfig, SpeakerPolicy
 from lewisgame.game import (GameConfig, _play_round_traced, play_rounds,
@@ -90,7 +91,8 @@ def test_rewards_to_go_telescoping_exact():
 
 def _trace(speaker, listener, ds, cfg, rng):
     """Draw a round from ``ds`` and play it through ``play_rounds``."""
-    return _play_round_traced(speaker, listener, ds, cfg, rng)
+    (trace,) = _play_round_traced([speaker], listener, ds, cfg, [rng])
+    return trace
 
 
 def test_play_round_structure(setup):
@@ -157,8 +159,8 @@ def test_play_rounds_with_shared_scenes_matches_per_round_reference(setup):
     for p in params:
         p.zero_grads()
     tape = Tape()
-    trace = play_rounds(speaker, listener, inputs, scenes, targets, g, 6,
-                        rng, 1.0, tape)
+    (trace,) = play_rounds([(speaker, scenes, targets, rng)], listener,
+                           inputs, g, 6, 1.0, tape)
     width = trace.logprobs.shape[1]
     backward(tape, T.add(tape, T.tsum(tape, T.mul(
         tape, trace.logprobs, Tensor(weights[:, :width]))),
@@ -195,6 +197,74 @@ def test_play_rounds_with_shared_scenes_matches_per_round_reference(setup):
     assert max(np.abs(grads.pop("img.b")).max()
                for grads in (block[1], per_round[1])) <= 1e-6
     for got, want in zip(block, per_round):
+        assert got.keys() == want.keys()
+        for name, grad in want.items():
+            assert (np.abs(got[name] - grad).max()
+                    <= BLOCK_GRAD_RTOL * np.abs(grad).max()), name
+
+
+def test_one_listener_block_matches_each_speaker_block_alone(setup,
+                                                            monkeypatch):
+    # three speakers' blocks, their messages scored in one listener block
+    # on one tape with one backward, against each block played alone on a
+    # tape of its own with the same rng: the draws, tokens and speaker
+    # log-probs match bitwise, the listener's values and every gradient
+    # within float32 round-off
+    ds, _, listener = setup
+    cfg = GameConfig(k=4, generations=3, t_max=6)
+    speakers = [SpeakerPolicy.create(listener.cfg, seed) for seed in (3, 4, 5)]
+    draws = []
+
+    def recording(*args):
+        draws.append(sample_game_batch(*args))
+        return draws[-1]
+
+    monkeypatch.setattr(game, "sample_game_batch", recording)
+    weights = np.random.default_rng(8).normal(
+        0, 1, (2 * cfg.generations, cfg.t_max))
+    params = [s.params for s in speakers] + [listener.params]
+
+    def play(players, seeds):
+        tape = Tape()
+        traces = _play_round_traced(
+            players, listener, ds, cfg,
+            [np.random.default_rng(s) for s in seeds], 1.0, tape, 2)
+        loss = None
+        for trace in traces:
+            width = trace.logprobs.shape[1]
+            term = T.add(tape, T.tsum(tape, T.mul(
+                tape, trace.logprobs, Tensor(weights[:, :width]))),
+                T.tsum(tape, trace.logp_target))
+            loss = term if loss is None else T.add(tape, loss, term)
+        backward(tape, loss)
+        return traces
+
+    for p in params:
+        p.zero_grads()
+    joint = play(speakers, (0, 1, 2))
+    joint_draws, joint_grads = draws[:], [_grads(p) for p in params]
+    draws.clear()
+    for p in params:
+        p.zero_grads()
+    alone = [play([s], (seed,))[0] for seed, s in enumerate(speakers)]
+    alone_grads = [_grads(p) for p in params]
+
+    assert len(joint) == len(alone) == len(joint_draws) == len(draws) == 3
+    for (scenes, targets), (want_scenes, want_targets) in zip(joint_draws,
+                                                              draws):
+        assert scenes.tobytes() == want_scenes.tobytes()
+        assert targets.tobytes() == want_targets.tobytes()
+    for got, want in zip(joint, alone):
+        assert ([m.tokens for m in got.messages]
+                == [m.tokens for m in want.messages])
+        assert got.targets.tolist() == want.targets.tolist()
+        assert got.logprobs.data.tobytes() == want.logprobs.data.tobytes()
+        assert np.abs(got.probs - want.probs).max() <= BLOCK_LOGPROB_ATOL
+    # img.b moves every candidate's score by the same amount, which the
+    # softmax cancels: both of its gradients are round-off around zero
+    assert max(np.abs(grads.pop("img.b")).max()
+               for grads in (joint_grads[-1], alone_grads[-1])) <= 1e-6
+    for got, want in zip(joint_grads, alone_grads):
         assert got.keys() == want.keys()
         for name, grad in want.items():
             assert (np.abs(got[name] - grad).max()

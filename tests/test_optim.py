@@ -69,16 +69,20 @@ def test_adam_state_roundtrip():
     assert ps["w"].data.tobytes() == ps2["w"].data.tobytes()
 
 
+def _clip(ps, max_norm):
+    return clip_global_norm(ps, max_norm, grad_global_norm(ps))
+
+
 def test_clip_noop_below_max():
     ps = _params(w=([0.3, 0.4], [0.3, 0.4]))  # norm 0.5
-    scale = clip_global_norm(ps, 1.0)
+    scale = _clip(ps, 1.0)
     assert scale == 1.0
     assert np.allclose(ps["w"].grad, [0.3, 0.4])
 
 
 def test_clip_scales_to_max():
     ps = _params(w=([0.0, 0.0], [3.0, 4.0]))  # norm 5
-    scale = clip_global_norm(ps, 1.0)
+    scale = _clip(ps, 1.0)
     assert abs(scale - 0.2) < 1e-6
     assert np.allclose(ps["w"].grad, [0.6, 0.8], atol=1e-6)
 
@@ -88,7 +92,7 @@ def test_clip_postcondition_norm_bounded():
     for seed in range(20):
         g = rng.normal(0, 3, 17).astype(np.float32)
         ps = _params(w=(np.zeros(17, np.float32), g))
-        clip_global_norm(ps, 1.0)
+        _clip(ps, 1.0)
         assert grad_global_norm(ps) <= 1.0 + 1e-6
 
 
@@ -96,16 +100,26 @@ def test_clip_idempotent():
     rng = np.random.default_rng(1)
     g = rng.normal(0, 5, 33).astype(np.float32)
     ps = _params(w=(np.zeros(33, np.float32), g))
-    clip_global_norm(ps, 1.0)
+    _clip(ps, 1.0)
     once = ps["w"].grad.tobytes()
-    scale2 = clip_global_norm(ps, 1.0)
+    scale2 = _clip(ps, 1.0)
     assert scale2 == 1.0
     assert ps["w"].grad.tobytes() == once
 
 
 def test_clip_empty_grads_scale_one():
     ps = _params(w=([1.0], None))
-    assert clip_global_norm(ps, 1.0) == 1.0
+    assert _clip(ps, 1.0) == 1.0
+
+
+def test_clip_scales_by_the_norm_it_is_given():
+    # the caller's norm is taken as is, not recomputed from the grads
+    ps = _params(w=([0.0, 0.0], [0.3, 0.4]))  # norm 0.5
+    assert clip_global_norm(ps, 1.0, 0.5) == 1.0
+    scale = clip_global_norm(ps, 1.0, 4.0)
+    assert scale == np.float32(0.25)
+    assert ps["w"].grad.tolist() == (np.float32([0.3, 0.4])
+                                     * np.float32(0.25)).tolist()
 
 
 @pytest.mark.parametrize("key, value", [

@@ -186,8 +186,8 @@ def _played_rounds(trainer_setup, seed, n_rounds):
     tr = Trainer(ds, gcfg, mcfg, TrainSettings(seed=seed, replicas=1))
     rng = np.random.default_rng(seed)
     tape = Tape()
-    trace = _play_round_traced(tr.speaker, tr.listener, ds, gcfg, rng,
-                               1.0, tape, n_rounds)
+    (trace,) = _play_round_traced([tr.speaker], tr.listener, ds, gcfg,
+                                  [rng], 1.0, tape, n_rounds)
     return tape, trace
 
 
@@ -219,7 +219,8 @@ def test_listener_loss_node_matches_reference(trainer_setup):
 def test_replica_tape_nodes_independent_of_g_and_targets(trainer_setup,
                                                          monkeypatch):
     # per-message or per-round loops would record nodes in proportion to
-    # G or to targets_per_replica
+    # G or to targets_per_replica; every replica's block goes on the one
+    # tape of the step, which takes one backward
     ds, mcfg, gcfg = trainer_setup
     recorded = []
 
@@ -238,7 +239,7 @@ def test_replica_tape_nodes_independent_of_g_and_targets(trainer_setup,
             Trainer(ds, game, mcfg, settings).step_once()
             counts[g, targets] = tuple(recorded)
     assert len(set(counts.values())) == 1, counts
-    assert len(counts[2, 1]) == 2 and counts[2, 1][0] > 0
+    assert len(counts[2, 1]) == 1 and counts[2, 1][0] > 0
 
 
 def test_advantage_variance_reports_the_trained_advantages(trainer_setup,
@@ -247,8 +248,9 @@ def test_advantage_variance_reports_the_trained_advantages(trainer_setup,
     traces = []
 
     def recording(*args, **kwargs):
-        traces.append(_play_round_traced(*args, **kwargs))
-        return traces[-1]
+        played = _play_round_traced(*args, **kwargs)
+        traces.extend(played)
+        return played
 
     monkeypatch.setattr(training, "_play_round_traced", recording)
     settings = TrainSettings(seed=12, replicas=2, targets_per_replica=2,

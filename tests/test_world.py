@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -224,3 +227,38 @@ def test_dataset_version_mismatch(tmp_path, version):
                        match=f"unsupported dataset version {version} "):
         load_dataset(path)
 
+
+
+# (byte patched, bytes written there, byte of the field at fault, message)
+HEADER_FAULTS = [
+    (6, b"\x01", 6, "grid must lie in [2, 255]"),
+    (6, b"\xd2", 6, "grid 210 gives 3-object scene ids past LGW1's u64"),
+    (7, b"\x00", 7, "object counts must satisfy 1 <= min <= max <= 3"),
+    (8, b"\x04", 8, "object counts must satisfy 1 <= min <= max <= 3"),
+    # raster flag on, raster_size 6 on a grid of 4
+    (9, b"\x01" + struct.pack("<H", 6), 10,
+     "raster_size must be a multiple of grid"),
+    (12, struct.pack("<f", math.nan), 12,
+     "noise must be finite and non-negative"),
+    (12, struct.pack("<f", -0.5), 12,
+     "noise must be finite and non-negative"),
+    (24, b"\x03", 24, "bad split tag"),
+]
+
+
+@pytest.mark.parametrize("at, patch, offset, message", HEADER_FAULTS,
+                         ids=["grid", "grid-past-u64-ids", "min-objects",
+                              "max-objects", "raster-size", "noise-nan",
+                              "noise-negative", "split"])
+def test_bad_header_field_reports_its_own_offset(tmp_path, at, patch, offset,
+                                                 message):
+    ds = generate_dataset(17, 5, WorldSpec())
+    path = str(tmp_path / "w.lgw")
+    save_dataset(ds, path)
+    blob = bytearray(open(path, "rb").read())
+    blob[at:at + len(patch)] = patch
+    open(path, "wb").write(bytes(blob))
+    with pytest.raises(FormatError) as err:
+        load_dataset(path)
+    assert err.value.offset == offset
+    assert str(err.value).endswith(f"{message} (at byte {offset})")
