@@ -136,18 +136,13 @@ def _convert(raw: str, target_type, where: str):
     raw = raw.strip()
     try:
         if target_type is bool:
-            low = raw.lower()
-            if low in ("true", "yes", "1", "on"):
-                return True
-            if low in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         if target_type is int:
             return int(raw)
         if target_type is float:
             return float(raw)
         return raw
-    except ValueError:
+    except (KeyError, ValueError):
         raise ConfigError(
             f"bad value {raw!r} for {where}: expected {target_type.__name__}"
         ) from None

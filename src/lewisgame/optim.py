@@ -6,8 +6,8 @@ import math
 
 import numpy as np
 
-from .params import FormatError, ParameterSet, is_count
-from .tensor import F32
+from .params import ParameterSet
+from .tensor import F32, Tensor
 
 # slack keeps a second clip call from rescaling by one ulp
 _CLIP_SLACK = 1e-6
@@ -56,18 +56,22 @@ class Sgd:
 
 
 class Adam:
-    """Adam (Kingma & Ba, 2015) with bias-corrected moments. Every
-    parameter of ``params`` holds zeroed moments from construction on, so
-    each ``step`` needs a gradient for every parameter and
-    ``state_arrays`` always holds the same keys."""
+    """Adam (Kingma & Ba, 2015) with bias-corrected moments.
+
+    ``m`` and ``v`` hold one flat zeroed float32 moment per parameter of
+    ``params`` from construction on, so each ``step`` needs a gradient
+    for every parameter. ``step`` updates the moments in place; a trainer
+    checkpoints them, and the step count ``t``, as parts of its state."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, lr: float, params: ParameterSet):
         self.lr = float(lr)
         self.t = 0
-        self._m = {name: np.zeros(t.size, F32) for name, t in params.items()}
-        self._v = {name: np.zeros(t.size, F32) for name, t in params.items()}
+        self.m, self.v = ParameterSet(), ParameterSet()
+        for name, t in params.items():
+            self.m.add(name, Tensor(np.zeros(t.size, F32)))
+            self.v.add(name, Tensor(np.zeros(t.size, F32)))
 
     def step(self, params: ParameterSet) -> None:
         self.t += 1
@@ -77,32 +81,9 @@ class Adam:
         c2 = F32(1.0 - self.beta2 ** self.t)
         lr, eps = F32(self.lr), F32(self.eps)
         for name, t in params.items():
-            g, m, v = t.grad, self._m[name], self._v[name]
+            g, m, v = t.grad, self.m[name].data, self.v[name].data
             m *= b1
             m += (one - b1) * g
             v *= b2
             v += (one - b2) * g * g
             t.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-
-    def state_arrays(self) -> dict:
-        return {"t": np.array([self.t], F32),
-                **{f"m.{name}": m for name, m in self._m.items()},
-                **{f"v.{name}": v for name, v in self._v.items()}}
-
-    def load_state_arrays(self, arrays: dict) -> None:
-        """Restore ``state_arrays`` output. All of ``arrays`` is checked
-        before any of it is taken: unless it holds exactly the keys of
-        ``state_arrays``, each moment at its parameter's size and ``t`` a
-        whole number >= 0, ``FormatError`` names the first entry at fault
-        and the optimizer is left as it was."""
-        own = self.state_arrays()
-        for key in sorted(own.keys() | arrays.keys()):
-            if not (key in own and key in arrays
-                    and arrays[key].shape == own[key].shape
-                    and (key != "t" or is_count(arrays[key]))):
-                raise FormatError(f"bad optimizer state entry {key!r}")
-        self.t = int(arrays["t"][0])
-        self._m = {name: arrays[f"m.{name}"].astype(F32, copy=True)
-                   for name in self._m}
-        self._v = {name: arrays[f"v.{name}"].astype(F32, copy=True)
-                   for name in self._v}

@@ -344,17 +344,20 @@ class Trainer:
     # -- checkpointable state ------------------------------------------------
 
     def _parts(self) -> list:
-        """(prefix, params) of each agent part of the checkpoint layout."""
+        """(prefix, params) of each part of the checkpoint layout: the
+        agents' weights, then the listener's Adam moments. Beside them a
+        checkpoint holds only two step counts: Adam's and the trainer's."""
         parts = [(f"replica{w}." if w else "speaker.", rep.params)
                  for w, rep in enumerate(self.replicas)]
-        return parts + [("listener.", self.listener.params)]
+        return parts + [("listener.", self.listener.params),
+                        ("optim.listener.m.", self.listener_opt.m),
+                        ("optim.listener.v.", self.listener_opt.v)]
 
     def pack_state(self) -> ParameterSet:
         state = ParameterSet()
         for prefix, params in self._parts():
             state.merged(prefix, params)
-        for key, arr in self.listener_opt.state_arrays().items():
-            state.add(f"optim.listener.{key}", Tensor(arr))
+        state.add("optim.listener.t", Tensor([float(self.listener_opt.t)]))
         state.add("meta.step", Tensor([float(self.step_index)]))
         return state
 
@@ -363,14 +366,15 @@ class Trainer:
         layout. Every entry is checked before any is taken: a missing,
         unexpected or misshapen entry, or a step count that is not a whole
         number >= 0, raises ``FormatError`` naming it and leaves the
-        trainer as it was."""
+        trainer as it was. Then every part is copied in and both step
+        counts are set."""
         check_layout(self.pack_state(), state, "")
-        if not is_count(state["meta.step"].data):
-            raise FormatError("meta.step is not a whole number >= 0")
-        self.listener_opt.load_state_arrays(
-            {name: t.data for name, t
-             in state.subset("optim.listener.").items()})
+        counts = ("optim.listener.t", "meta.step")
+        for key in counts:
+            if not is_count(state[key].data):
+                raise FormatError(f"{key} is not a whole number >= 0")
         for prefix, params in self._parts():
             for name, t in params.items():
                 t.data = state[prefix + name].data.copy()
-        self.step_index = int(state["meta.step"].data[0])
+        self.listener_opt.t, self.step_index = (
+            int(state[key].data[0]) for key in counts)

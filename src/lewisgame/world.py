@@ -470,6 +470,8 @@ def load_dataset(path: str) -> Dataset:
             f"unsupported dataset version {version}", 4)
     grid, min_obj, max_obj, raster_flag, raster_size = struct.unpack(
         "<BBBBH", r.take(6))
+    if raster_flag > 1:
+        raise FormatError(f"raster flag must be 0 or 1, not {raster_flag}", 9)
     noise = r.f32()
     seed = r.u64()
     split = _SPLIT_NAMES.get(r.u8())

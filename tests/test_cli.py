@@ -702,7 +702,8 @@ def _resume_refused(eval_files, state, tmp_path, message, **train):
      "unexpected checkpoint entry 'optim.listener.w.img.w'"),
     ("optim.listener.m.img.w", lambda s: s["optim.listener.m.img.w"].data[1:],
      "checkpoint shape mismatch for optim.listener.m.img.w"),
-    ("optim.listener.t", lambda s: [0.5], "bad optimizer state entry 't'"),
+    ("optim.listener.t", lambda s: [0.5],
+     "optim.listener.t is not a whole number >= 0"),
     ("meta.step", lambda s: [np.nan], "meta.step is not a whole number"),
     ("meta.step", lambda s: [-1.0], "meta.step is not a whole number"),
     ("meta.step", lambda s: None, "missing checkpoint entry 'meta.step'"),

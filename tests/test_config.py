@@ -158,6 +158,21 @@ def test_parse_config_bounds_the_raster_size(size):
     parse_config(f"[world]\nraster_size = {size}\n")  # unread without raster
 
 
+@pytest.mark.parametrize("word, value", [
+    ("true", True), ("Yes", True), ("1", True), ("ON", True),
+    ("false", False), ("No", False), ("0", False), ("off", False)])
+def test_parse_config_reads_the_eight_boolean_words(word, value):
+    cfg = parse_config(f"[train]\nstandardize_advantages = {word}\n")
+    assert cfg.train.standardize_advantages is value
+
+
+def test_parse_config_refuses_any_other_boolean_word():
+    with pytest.raises(ConfigError, match=re.escape(
+            "bad value 'y' for [train] standardize_advantages: "
+            "expected bool")):
+        parse_config("[train]\nstandardize_advantages = y\n")
+
+
 class _AttributeReads(ast.NodeVisitor):
     """Names of the attributes a module reads, outside ``__post_init__``
     bodies: a section checking its own value does not use it."""

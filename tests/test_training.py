@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -459,19 +460,56 @@ def test_train_step_aborts_on_nonfinite(trainer_setup):
         assert t.grad is None
 
 
-def test_refused_checkpoint_leaves_the_trainer_as_it_was(trainer_setup):
-    # the speaker's entries come first and fit; the listener's img.w does
-    # not, so a loader that copies as it checks would take the speaker's
+# (entry, its new value or None to drop it, the refusal's message): a
+# misshapen listener weight, then every way the listener's Adam moments
+# and step count can be wrong
+REFUSED_ENTRIES = [
+    ("listener.img.w", lambda s: s["listener.img.w"].nd()[:-1],
+     "checkpoint shape mismatch for listener.img.w"),
+    ("optim.listener.x.w", lambda s: [0.0],
+     "unexpected checkpoint entry 'optim.listener.x.w'"),
+    ("optim.listener.m.u", lambda s: [0.0],
+     "unexpected checkpoint entry 'optim.listener.m.u'"),
+    ("optim.listener.m.img.w", lambda s: s["optim.listener.m.img.w"].data[1:],
+     "checkpoint shape mismatch for optim.listener.m.img.w"),
+    ("optim.listener.v.img.w", lambda s: None,
+     "missing checkpoint entry 'optim.listener.v.img.w'"),
+    ("optim.listener.t", lambda s: [np.nan],
+     "optim.listener.t is not a whole number >= 0"),
+    ("optim.listener.t", lambda s: [-1.0],
+     "optim.listener.t is not a whole number >= 0"),
+    ("optim.listener.t", lambda s: [0.5],
+     "optim.listener.t is not a whole number >= 0"),
+    ("optim.listener.t", lambda s: None,
+     "missing checkpoint entry 'optim.listener.t'"),
+    ("optim.listener.t", lambda s: [1.0, 1.0],
+     "checkpoint shape mismatch for optim.listener.t"),
+]
+
+
+@pytest.mark.parametrize("entry, value, message", REFUSED_ENTRIES, ids=[
+    "listener-shape", "unknown-kind", "unknown-parameter", "moment-size",
+    "unpaired-moment", "step-nan", "step-negative", "step-fraction",
+    "step-missing", "step-not-one-number"])
+def test_refused_checkpoint_leaves_the_trainer_as_it_was(trainer_setup, entry,
+                                                         value, message):
+    # the speaker's entries come first and fit, so a loader that copies
+    # as it checks would take the speaker's; the source has stepped, so
+    # its Adam moments and step count differ from the target's too
     ds, mcfg, gcfg = trainer_setup
     source = Trainer(ds, gcfg, mcfg, TrainSettings(seed=1, replicas=1))
     source.step_once()
     target = Trainer(ds, gcfg, mcfg, TrainSettings(seed=2, replicas=1))
+    packed = source.pack_state()
+    data = value(packed)
     state = ParameterSet()
-    for name, t in source.pack_state().items():
-        state.add(name, Tensor(t.nd()[:-1]) if name == "listener.img.w"
-                  else t)
+    for name, t in packed.items():
+        if name != entry:
+            state.add(name, t)
+    if data is not None:
+        state.add(entry, Tensor(data))
     before = {name: t.data.copy() for name, t in target.pack_state().items()}
-    with pytest.raises(FormatError, match="shape mismatch for listener.img.w"):
+    with pytest.raises(FormatError, match=re.escape(message)):
         target.load_state(state)
     after = target.pack_state()
     assert after.names() == sorted(before)
@@ -479,3 +517,4 @@ def test_refused_checkpoint_leaves_the_trainer_as_it_was(trainer_setup):
                for name, t in after.items())
     assert (target.speaker.params["emb"].data.tobytes()
             != source.speaker.params["emb"].data.tobytes())
+    assert target.listener_opt.t == 0 and target.step_index == 0

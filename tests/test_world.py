@@ -180,7 +180,12 @@ def test_dataset_file_roundtrip(tmp_path):
         for ds in splits.values():
             path = str(tmp_path / "w.lgw")
             save_dataset(ds, path)
-            assert load_dataset(path) == ds
+            blob = open(path, "rb").read()
+            loaded = load_dataset(path)
+            assert loaded == ds
+            # and saving what was loaded writes the same bytes again
+            save_dataset(loaded, path)
+            assert open(path, "rb").read() == blob
 
 
 def test_world_file_holds_only_header_and_scenes(tmp_path):
@@ -235,6 +240,7 @@ HEADER_FAULTS = [
     (6, b"\xd2", 6, "grid 210 gives 3-object scene ids past LGW1's u64"),
     (7, b"\x00", 7, "object counts must satisfy 1 <= min <= max <= 3"),
     (8, b"\x04", 8, "object counts must satisfy 1 <= min <= max <= 3"),
+    (9, b"\x07", 9, "raster flag must be 0 or 1, not 7"),
     # raster flag on, raster_size 6 on a grid of 4
     (9, b"\x01" + struct.pack("<H", 6), 10,
      "raster_size must be a multiple of grid"),
@@ -248,8 +254,8 @@ HEADER_FAULTS = [
 
 @pytest.mark.parametrize("at, patch, offset, message", HEADER_FAULTS,
                          ids=["grid", "grid-past-u64-ids", "min-objects",
-                              "max-objects", "raster-size", "noise-nan",
-                              "noise-negative", "split"])
+                              "max-objects", "raster-flag", "raster-size",
+                              "noise-nan", "noise-negative", "split"])
 def test_bad_header_field_reports_its_own_offset(tmp_path, at, patch, offset,
                                                  message):
     ds = generate_dataset(17, 5, WorldSpec())
