@@ -24,7 +24,7 @@ from .evaluate import (EVAL_METRICS, ablation_sweep, ema, evaluate_agents,
                        supervised_pretrain, sweep_summary)
 from .params import (FormatError, ParameterSet, check_layout,
                      load_checkpoint, save_checkpoint, write_atomic)
-from .training import NumericalFailureError, Trainer
+from .training import NumericalFailureError
 from .world import CapacityError, SamplingError, load_dataset, save_dataset
 
 EXIT_OK = 0
@@ -56,12 +56,6 @@ def cmd_gen_world(args) -> int:
     return EXIT_OK
 
 
-def _make_trainer(cfg: RunConfig, dataset) -> Trainer:
-    model_cfg = cfg.model_config(len(dataset.vocab), dataset.spec.input_dim)
-    return Trainer(dataset, cfg.game_config(), model_cfg,
-                   cfg.train_settings())
-
-
 def _logged_from(line: bytes, run_id: str, step: int) -> bool:
     """Whether ``line`` is a metrics row of ``run_id`` at or past ``step``."""
     try:
@@ -88,7 +82,7 @@ def _drop_rows_from(path: str, run_id: str, step: int) -> None:
 def cmd_train(args) -> int:
     cfg = _load_cfg(args.config)
     dataset = load_dataset(cfg.paths.dataset)
-    trainer = _make_trainer(cfg, dataset)
+    trainer = cfg.trainer(dataset)
     if args.resume:
         trainer.load_state(load_checkpoint(args.resume))
     remaining = cfg.train.steps - trainer.step_index
@@ -125,14 +119,10 @@ def cmd_train(args) -> int:
 def _agents_from_checkpoint(state: ParameterSet, dataset):
     """The checkpoint's agents, for ``dataset``'s observations and
     vocabulary. Entries that do not fit agents of those and of the other
-    sizes the entries imply raise ``FormatError``, as on a resume, and so
-    does an agent entry that is not finite."""
+    sizes the entries imply, or that are not finite, raise ``FormatError``
+    through ``check_layout``, as on a resume."""
     speaker_params = state.subset("speaker.")
     listener_params = state.subset("listener.")
-    for name, t in state.items():
-        if name.startswith(("speaker.", "listener.")) and \
-                not np.isfinite(t.data).all():
-            raise FormatError(f"checkpoint entry {name} is not finite")
     spec = dataset.spec
     try:
         cfg = replace(model_config_from_params(
@@ -198,7 +188,7 @@ def cmd_sweep(args) -> int:
 def cmd_pretrain(args) -> int:
     cfg = _load_cfg(args.config)
     dataset = load_dataset(cfg.paths.dataset)
-    trainer = _make_trainer(cfg, dataset)
+    trainer = cfg.trainer(dataset)
     supervised_pretrain(trainer.speaker, dataset, steps=args.steps,
                         lr=args.lr, seed=cfg.train.seed,
                         clip_norm=cfg.train.clip_norm)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .agents import ModelConfig
 from .game import GameConfig
-from .training import TrainSettings, check_at_least
+from .training import Trainer, TrainSettings, check_at_least
 from .world import Dataset, WorldSpec, generate_splits
 
 
@@ -116,6 +116,13 @@ class RunConfig:
 
     def train_settings(self) -> TrainSettings:
         return replace(self.train)
+
+    def trainer(self, dataset: Dataset) -> Trainer:
+        """A fresh trainer of this run's agents on ``dataset``."""
+        return Trainer(dataset, self.game_config(),
+                       self.model_config(len(dataset.vocab),
+                                         dataset.spec.input_dim),
+                       self.train_settings())
 
     def to_text(self) -> str:
         out = io.StringIO()

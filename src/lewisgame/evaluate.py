@@ -31,7 +31,6 @@ from .config import RunConfig
 from .game import play_rounds, solve_rate
 from .optim import Sgd, clip_global_norm, grad_global_norm
 from .tensor import Tape, Tensor, backward
-from .training import Trainer
 from .world import EOS, Dataset, sample_game_batch
 
 BLEU_EPS = 1e-9
@@ -244,15 +243,13 @@ def supervised_pretrain(speaker: SpeakerPolicy, dataset: Dataset, steps: int,
 def _sweep_cell(cfg: RunConfig) -> dict:
     splits = cfg.world_splits()
     train = splits["train"]
-    game_cfg = cfg.game_config()
-    model_cfg = cfg.model_config(len(train.vocab), train.spec.input_dim)
-    trainer = Trainer(train, game_cfg, model_cfg, cfg.train_settings())
+    trainer = cfg.trainer(train)
     trainer.run(cfg.train.steps)
     report = evaluate_agents(trainer.speaker, trainer.listener,
-                             splits.get("val", train), k=game_cfg.k,
-                             n_rounds=cfg.eval.rounds, t_max=game_cfg.t_max,
+                             splits.get("val", train), k=cfg.game.k,
+                             n_rounds=cfg.eval.rounds, t_max=cfg.game.t_max,
                              seed=cfg.train.seed)
-    return {"k": game_cfg.k, "seed": cfg.train.seed, "report": report}
+    return {"k": cfg.game.k, "seed": cfg.train.seed, "report": report}
 
 
 def _cell_outcome(cell: RunConfig, result) -> dict:

@@ -102,8 +102,9 @@ class ParameterSet:
 def check_layout(params: ParameterSet, loaded: ParameterSet,
                  prefix: str) -> None:
     """Raise ``FormatError`` unless ``loaded`` holds exactly the names of
-    ``params``, each at its shape. The error names the first missing or
-    unexpected entry, else the first misshapen one, ``prefix`` first."""
+    ``params``, each at its shape and finite. The error names the first
+    missing or unexpected entry, else the first misshapen or non-finite
+    one, ``prefix`` first: a resume and an eval refuse the same entries."""
     odd = sorted(set(params.names()) ^ set(loaded.names()))
     if odd:
         which = "missing" if odd[0] in params else "unexpected"
@@ -112,6 +113,8 @@ def check_layout(params: ParameterSet, loaded: ParameterSet,
         if loaded[name].shape != t.shape:
             raise FormatError(f"checkpoint shape mismatch for {prefix}{name}: "
                               f"{loaded[name].shape}, not {t.shape}")
+        if not np.isfinite(loaded[name].data).all():
+            raise FormatError(f"checkpoint entry {prefix}{name} is not finite")
 
 
 def is_count(arr: np.ndarray) -> bool:

@@ -321,10 +321,17 @@ class Trainer:
         from .params import save_checkpoint
         import os
         reports = []
+
+        def checkpoint():
+            # rows first, so a resume finds every earlier step logged
+            if metrics_fh is not None:
+                metrics_fh.flush()
+            save_checkpoint(self.pack_state(), latest)
+
         if checkpoint_dir:
             os.makedirs(checkpoint_dir, exist_ok=True)
             latest = os.path.join(checkpoint_dir, "latest.lgc")
-            save_checkpoint(self.pack_state(), latest)
+            checkpoint()
         for _ in range(n_steps):
             if stop_flag is not None and stop_flag():
                 break
@@ -336,9 +343,9 @@ class Trainer:
                 on_report(report)
             if checkpoint_dir and checkpoint_every and \
                     self.step_index % checkpoint_every == 0:
-                save_checkpoint(self.pack_state(), latest)
+                checkpoint()
         if checkpoint_dir:
-            save_checkpoint(self.pack_state(), latest)
+            checkpoint()
         return reports
 
     # -- checkpointable state ------------------------------------------------
@@ -364,10 +371,10 @@ class Trainer:
     def load_state(self, state: ParameterSet) -> None:
         """Restore a checkpoint of exactly this trainer's ``pack_state``
         layout. Every entry is checked before any is taken: a missing,
-        unexpected or misshapen entry, or a step count that is not a whole
-        number >= 0, raises ``FormatError`` naming it and leaves the
-        trainer as it was. Then every part is copied in and both step
-        counts are set."""
+        unexpected, misshapen or non-finite entry, or a step count that is
+        not a whole number >= 0, raises ``FormatError`` naming it and
+        leaves the trainer as it was. Then every part is copied in and
+        both step counts are set."""
         check_layout(self.pack_state(), state, "")
         counts = ("optim.listener.t", "meta.step")
         for key in counts:

@@ -13,7 +13,8 @@ u16 raster size, f32 noise, u64 seed, u8 split code (0 train, 1 val,
 u64 id, a u8 object count, and per object (in cell order) five u8:
 shape, color, size, row, col. Observations, rasters and captions are
 functions of the header and the scenes, so the file does not hold them:
-loading rebuilds them through the code that generated the split.
+loading rebuilds them through ``Dataset``'s constructor, as generating
+the split built them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,6 +80,9 @@ class Vocabulary:
 
     def decode(self, ids) -> list[str]:
         return [self.tokens[i] for i in ids]
+
+
+VOCAB = Vocabulary()
 
 
 @dataclass(frozen=True)
@@ -338,16 +342,27 @@ def build_captions(scene: Scene, vocab: Vocabulary) -> list[list[int]]:
 
 @dataclass
 class Dataset:
-    """Immutable-after-construction collection of scenes for one split."""
+    """One split: the four fields an LGW1 file stores, all that ``==``
+    compares. The constructor builds ``observations`` (noise keyed by
+    ``seed`` and the split), ``rasters`` (None but in a raster world) and
+    ``captions`` in ``vocab``, the vocabulary every dataset shares."""
 
     spec: WorldSpec
     seed: int
     split: str
     scenes: list
-    observations: np.ndarray
-    captions: list
-    rasters: np.ndarray | None = None
-    vocab: Vocabulary = field(default_factory=Vocabulary)
+    vocab = VOCAB  # a class attribute, not a field
+
+    def __post_init__(self):
+        self.scenes = list(self.scenes)
+        spec, size = self.spec, self.spec.raster_size
+        obs_rng = np.random.default_rng(np.random.SeedSequence(
+            [int(self.seed), 0x0B5, _SPLIT_CODES[self.split]]))
+        self.observations = observation_vectors(self.scenes, spec, obs_rng)
+        self.rasters = np.array(
+            [render_raster(s, spec) for s in self.scenes], F32
+        ).reshape(-1, size, size, 3) if spec.raster else None
+        self.captions = [build_captions(s, self.vocab) for s in self.scenes]
 
     def __len__(self) -> int:
         return len(self.scenes)
@@ -361,41 +376,6 @@ class Dataset:
             return self.rasters.reshape(len(self), -1)
         return self.observations
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        same_raster = (
-            (self.rasters is None and other.rasters is None)
-            or (self.rasters is not None and other.rasters is not None
-                and self.rasters.tobytes() == other.rasters.tobytes())
-        )
-        return (
-            self.spec == other.spec
-            and self.seed == other.seed
-            and self.split == other.split
-            and self.scenes == other.scenes
-            and self.observations.tobytes() == other.observations.tobytes()
-            and self.captions == other.captions
-            and same_raster
-        )
-
-
-def _build_dataset(scenes, spec, seed, split) -> Dataset:
-    """The ``split`` dataset of ``scenes``: its observation noise is keyed
-    by ``seed`` and the split, so it is the same on every build."""
-    obs_rng = np.random.default_rng(
-        np.random.SeedSequence([int(seed), 0x0B5, _SPLIT_CODES[split]]))
-    vocab = Vocabulary()
-    obs = observation_vectors(scenes, spec, obs_rng)
-    rasters = None
-    if spec.raster:
-        rasters = np.stack([render_raster(s, spec) for s in scenes]) \
-            if scenes else np.zeros((0, spec.raster_size, spec.raster_size, 3), F32)
-    captions = [build_captions(s, vocab) for s in scenes]
-    return Dataset(spec=spec, seed=seed, split=split, scenes=list(scenes),
-                   observations=obs, captions=captions, rasters=rasters,
-                   vocab=vocab)
-
 
 def generate_splits(seed: int, spec: WorldSpec, n_train: int, n_val: int = 0,
                     n_test: int = 0) -> dict[str, Dataset]:
@@ -407,7 +387,7 @@ def generate_splits(seed: int, spec: WorldSpec, n_train: int, n_val: int = 0,
     for split, n in (("train", n_train), ("val", n_val), ("test", n_test)):
         if n == 0 and split != "train":
             continue
-        out[split] = _build_dataset(scenes[start:start + n], spec, seed, split)
+        out[split] = Dataset(spec, seed, split, scenes[start:start + n])
         start += n
     return out
 
@@ -506,4 +486,4 @@ def load_dataset(path: str) -> Dataset:
         scenes.append(scene)
     if r.off != len(blob):
         raise FormatError(f"{len(blob) - r.off} trailing bytes", r.off)
-    return _build_dataset(scenes, spec, seed, split)
+    return Dataset(spec, seed, split, scenes)

@@ -135,10 +135,8 @@ def test_play_round_rewards_differ_across_messages(setup):
 
 def test_play_round_never_reads_captions(setup):
     ds, speaker, listener = setup
-    poisoned = type(ds)(
-        spec=ds.spec, seed=ds.seed, split=ds.split, scenes=ds.scenes,
-        observations=ds.observations, captions=None, rasters=ds.rasters,
-        vocab=ds.vocab)
+    poisoned = type(ds)(ds.spec, ds.seed, ds.split, ds.scenes)
+    poisoned.captions = None
     cfg = GameConfig(k=4, generations=2, t_max=6)
     trace = _trace(speaker, listener, poisoned, cfg, np.random.default_rng(1))
     assert len(trace.messages) == 2

@@ -447,6 +447,29 @@ def test_resume_from_the_step_0_checkpoint_is_bitwise(trainer_setup,
     assert full.pack_state().equal(second.pack_state())
 
 
+def test_metrics_rows_reach_disk_before_each_checkpoint(trainer_setup,
+                                                       tmp_path, monkeypatch):
+    # a resumed run continues the log that is on disk, so the row of
+    # every step before a checkpoint must be there when it is written,
+    # however large the log's write buffer
+    from lewisgame import params
+    ds, mcfg, gcfg = trainer_setup
+    metrics = tmp_path / "metrics.jsonl"
+    save, seen = params.save_checkpoint, []
+
+    def counting(state, path):
+        seen.append((int(state["meta.step"].data[0]),
+                     len(metrics.read_bytes().splitlines())))
+        save(state, path)
+
+    monkeypatch.setattr(params, "save_checkpoint", counting)
+    trainer = Trainer(ds, gcfg, mcfg, TrainSettings(seed=3, replicas=1))
+    with open(metrics, "w", encoding="utf-8", buffering=1 << 20) as fh:
+        trainer.run(5, metrics_fh=fh, checkpoint_dir=str(tmp_path / "ckpt"),
+                    checkpoint_every=2)
+    assert seen == [(step, step) for step in (0, 2, 4, 5)]
+
+
 def test_train_step_aborts_on_nonfinite(trainer_setup):
     ds, mcfg, gcfg = trainer_setup
     tr = Trainer(ds, gcfg, mcfg, TrainSettings(seed=9, replicas=2))
@@ -475,7 +498,7 @@ REFUSED_ENTRIES = [
     ("optim.listener.v.img.w", lambda s: None,
      "missing checkpoint entry 'optim.listener.v.img.w'"),
     ("optim.listener.t", lambda s: [np.nan],
-     "optim.listener.t is not a whole number >= 0"),
+     "checkpoint entry optim.listener.t is not finite"),
     ("optim.listener.t", lambda s: [-1.0],
      "optim.listener.t is not a whole number >= 0"),
     ("optim.listener.t", lambda s: [0.5],

@@ -7,10 +7,18 @@ import pytest
 from reference import generate_dataset
 
 from lewisgame.params import FormatError, UnsupportedVersionError
-from lewisgame.world import (BOS, EOS, PAD, UNK, CapacityError, ObjectSpec,
-                             SamplingError, Scene, Vocabulary, WorldSpec,
-                             build_captions, generate_splits, load_dataset,
-                             render_raster, sample_game_batch, save_dataset)
+from lewisgame.world import (BOS, EOS, PAD, UNK, CapacityError, Dataset,
+                             ObjectSpec, SamplingError, Scene, Vocabulary,
+                             WorldSpec, build_captions, generate_splits,
+                             load_dataset, render_raster, sample_game_batch,
+                             save_dataset)
+
+
+def _derived(ds):
+    """The arrays a Dataset's constructor builds from its four fields,
+    as bytes, so two datasets' can be compared bit for bit."""
+    rasters = None if ds.rasters is None else ds.rasters.tobytes()
+    return ds.observations.tobytes(), rasters, ds.captions
 
 
 def test_vocab_specials_reserved_and_small():
@@ -38,7 +46,7 @@ def test_generate_dataset_deterministic():
     spec = WorldSpec()
     a = generate_dataset(11, 40, spec)
     b = generate_dataset(11, 40, spec)
-    assert a == b
+    assert a == b and _derived(a) == _derived(b)
     c = generate_dataset(12, 40, spec)
     assert c != a
 
@@ -182,10 +190,22 @@ def test_dataset_file_roundtrip(tmp_path):
             save_dataset(ds, path)
             blob = open(path, "rb").read()
             loaded = load_dataset(path)
-            assert loaded == ds
+            assert loaded == ds and _derived(loaded) == _derived(ds)
             # and saving what was loaded writes the same bytes again
             save_dataset(loaded, path)
             assert open(path, "rb").read() == blob
+    # a Dataset is its four fields: rebuilt from them, the raster train
+    # split comes back arrays and all, and a change to any one of the
+    # seed, the split or a scene makes another dataset
+    train = splits["train"]
+    rebuilt = Dataset(train.spec, train.seed, train.split, train.scenes)
+    assert rebuilt == train and _derived(rebuilt) == _derived(train)
+    assert rebuilt.rasters is not None
+    other_scene = [splits["val"].scenes[0]] + train.scenes[1:]
+    for seed, split, scenes in ((train.seed + 1, "train", train.scenes),
+                                (train.seed, "val", train.scenes),
+                                (train.seed, "train", other_scene)):
+        assert Dataset(train.spec, seed, split, scenes) != train
 
 
 def test_world_file_holds_only_header_and_scenes(tmp_path):
