@@ -2,9 +2,10 @@
 
 Subcommands: gen-world, train, eval, sweep, pretrain, plotdata.
 Exit codes: 0 ok, 1 usage or config error, 2 data or format error,
-3 numerical failure during training. Hyperparameters come only from the
-run config: --config, else the LEWISGAME_CONFIG environment variable,
-else the defaults; ``eval`` reads ``[eval]`` and ``[game]`` k and t_max.
+3 numerical failure during training or pretraining. Hyperparameters
+come only from the run config: --config, else the LEWISGAME_CONFIG
+environment variable, else the defaults; ``eval`` reads ``[eval]`` and
+``[game]`` k and t_max.
 """
 
 from __future__ import annotations
@@ -351,6 +352,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except NumericalFailureError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (FormatError, CapacityError, SamplingError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

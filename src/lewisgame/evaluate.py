@@ -29,8 +29,9 @@ from . import tensor as T
 from .agents import ListenerModel, SpeakerPolicy
 from .config import RunConfig
 from .game import play_rounds, solve_rate
-from .optim import Sgd, clip_global_norm, grad_global_norm
+from .optim import Sgd
 from .tensor import Tape, Tensor, backward
+from .training import update
 from .world import EOS, Dataset, sample_game_batch
 
 BLEU_EPS = 1e-9
@@ -208,9 +209,10 @@ def supervised_pretrain(speaker: SpeakerPolicy, dataset: Dataset, steps: int,
 
     This is the only place reference captions feed a gradient; the game
     loop itself never reads them. Each step fits ``PRETRAIN_BATCH``
-    scenes with SGD at ``lr`` and clips the gradient norm at
+    scenes with SGD at ``lr`` through ``training.update``, clipped at
     ``clip_norm``. Returns the same speaker, updated in place; steps=0
-    leaves it untouched.
+    leaves it untouched. A non-finite step raises
+    ``NumericalFailureError`` and leaves the speaker as it stood.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5D]))
     opt = Sgd(lr)
@@ -229,9 +231,7 @@ def supervised_pretrain(speaker: SpeakerPolicy, dataset: Dataset, steps: int,
         n_tokens = sum(len(m) for m in messages)
         loss = T.mul(tape, T.tsum(tape, node), Tensor([-1.0 / n_tokens]))
         backward(tape, loss)
-        clip_global_norm(speaker.params, clip_norm,
-                         grad_global_norm(speaker.params))
-        opt.step(speaker.params)
+        update([(speaker.params, opt)], clip_norm, [loss.item()])
     speaker.params.zero_grads()
     return speaker
 

@@ -4,8 +4,8 @@ One round: draw a target plus K-1 distractors, let the Speaker describe
 the target G times, and score each message by the probability the
 Listener assigns to the true candidate. That shaped reward is ``exp`` of
 the listener's log-probability of the target, the same taped
-log-softmax its loss backpropagates through; the 0/1 indicator (argmax
-hit) is read alongside it.
+log-softmax its loss backpropagates through; ``solve_rate`` at top 1
+reads the 0/1 indicator (argmax hit) alongside it.
 
 ``play_rounds`` plays rounds once their candidates are drawn, for
 training (sampled, taped) and evaluation (one greedy message per round,
@@ -53,8 +53,8 @@ class GameConfig:
             raise ValueError("K must be at least 2")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
-        if not self.lam >= 0:
-            raise ValueError("lambda must be non-negative")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("lambda must be finite and non-negative")
         if self.generations < 1:
             raise ValueError("generations must be at least 1")
         if self.t_max < 1:
@@ -81,11 +81,6 @@ class RoundTrace:
         """(B,) shared rewards, the targets' probabilities, in float64."""
         return self.probs[np.arange(self.targets.size),
                           self.targets].astype(np.float64)
-
-    @property
-    def indicators(self) -> np.ndarray:
-        """(B,) whether the listener's argmax is the target."""
-        return np.argmax(self.probs, axis=1) == self.targets
 
     @property
     def lengths(self) -> np.ndarray:

@@ -16,9 +16,10 @@ sequential, so results are bitwise reproducible). Each replica decodes
 its own block, and the listener embeds every block's messages as one
 block. The step is recorded on one tape: the sum over replicas of each
 replica's speaker + (lambda / W) * listener loss is backpropagated once,
-so the listener's gradient holds every replica's share. The step then
-clips each agent's gradient norm, applies SGD to speakers and Adam to
-the listener, and periodically averages the replica weights. Every
+so the listener's gradient holds every replica's share. Every agent,
+the warm start's speaker too, steps through ``update``: it refuses a
+non-finite step, clips each gradient norm, and applies SGD to speakers
+and Adam to the listener. Replica weights are averaged periodically. Every
 config takes this one path: at lambda = 0 the listener's gradient is 0,
 and a group of one has zero advantages.
 """
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import tensor as T
 from .agents import ListenerModel, ModelConfig, SpeakerPolicy
-from .game import GameConfig, RoundTrace, _play_round_traced
+from .game import GameConfig, RoundTrace, _play_round_traced, solve_rate
 from .optim import Adam, Sgd, clip_global_norm, grad_global_norm
 from .params import FormatError, ParameterSet, check_layout, is_count
 from .tensor import F32, Tape, Tensor, backward
@@ -181,6 +182,26 @@ def _listener_loss_node(tape, trace):
     return T.mul(tape, T.mean(tape, trace.logp_target), Tensor([-1.0]))
 
 
+def update(learners, clip_norm: float, losses) -> tuple[list, list]:
+    """Clip every gradient of ``learners``, ``(ParameterSet, optimizer)``
+    pairs with populated gradients, at ``clip_norm``, then step every
+    optimizer, in list order; or, if any of ``losses`` or any learner's
+    global gradient norm is not finite, zero every gradient and raise
+    ``NumericalFailureError``, leaving weights and optimizer state as
+    they were. Returns the gradient norms and the clip scales."""
+    norms = [grad_global_norm(params) for params, _ in learners]
+    if not np.isfinite(list(losses) + norms).all():
+        for params, _ in learners:
+            params.zero_grads()
+        raise NumericalFailureError(
+            "non-finite loss or gradient; parameters left at pre-step values")
+    scales = [clip_global_norm(params, clip_norm, norm)
+              for (params, _), norm in zip(learners, norms)]
+    for params, opt in learners:
+        opt.step(params)
+    return norms, scales
+
+
 def train_step(replicas, listener: ListenerModel, dataset,
                game_cfg: GameConfig, settings: TrainSettings,
                speaker_opt, listener_opt, rngs) -> LossReport:
@@ -190,14 +211,14 @@ def train_step(replicas, listener: ListenerModel, dataset,
     and optimizes the mean of its group losses; the listener scores the
     messages of every block in one block and optimizes the mean loss
     over every message of the step. The step is one tape and one
-    ``backward``. Parameters are untouched if any loss or gradient comes
-    out non-finite.
+    ``backward``, then one ``update`` of every replica and the listener.
     """
     n_rep = len(replicas)
     lam = game_cfg.lam
-    for rep in replicas:
-        rep.params.zero_grads()
-    listener.params.zero_grads()
+    learners = [(rep.params, speaker_opt) for rep in replicas]
+    learners.append((listener.params, listener_opt))
+    for params, _ in learners:
+        params.zero_grads()
 
     tape = Tape()
     traces = _play_round_traced(replicas, listener, dataset, game_cfg, rngs,
@@ -216,22 +237,9 @@ def train_step(replicas, listener: ListenerModel, dataset,
         loss = T.add(tape, spk_node,
                      T.mul(tape, lst_node, Tensor([lam / n_rep])))
         total = loss if total is None else T.add(tape, total, loss)
-    if not np.isfinite(spk_values + lst_values).all():
-        _abort(replicas, listener)
     backward(tape, total)
-
-    spk_norms = [grad_global_norm(rep.params) for rep in replicas]
-    lst_norm = grad_global_norm(listener.params)
-    if not np.isfinite(spk_norms + [lst_norm]).all():
-        _abort(replicas, listener)
-
-    spk_scales = [clip_global_norm(rep.params, settings.clip_norm, norm)
-                  for rep, norm in zip(replicas, spk_norms)]
-    lst_scale = clip_global_norm(listener.params, settings.clip_norm,
-                                 lst_norm)
-    for rep in replicas:
-        speaker_opt.step(rep.params)
-    listener_opt.step(listener.params)
+    norms, scales = update(learners, settings.clip_norm,
+                           spk_values + lst_values)
 
     speaker_mean = float(np.mean(spk_values))
     listener_mean = float(np.mean(lst_values))
@@ -241,22 +249,15 @@ def train_step(replicas, listener: ListenerModel, dataset,
         joint_loss=speaker_mean + lam * listener_mean,
         mean_reward=float(np.mean(np.concatenate(
             [tr.rewards for tr in traces]))),
-        mean_indicator=float(np.mean(np.concatenate(
-            [tr.indicators for tr in traces]))),
+        mean_indicator=solve_rate(
+            np.concatenate([tr.probs for tr in traces]),
+            np.concatenate([tr.targets for tr in traces]), 1),
         advantage_variance=float(np.mean(np.concatenate(adv_vars))),
-        grad_norm_speaker=float(np.mean(spk_norms)),
-        grad_norm_listener=lst_norm,
-        clip_scale_speaker=float(np.mean(spk_scales)),
-        clip_scale_listener=lst_scale,
+        grad_norm_speaker=float(np.mean(norms[:-1])),
+        grad_norm_listener=norms[-1],
+        clip_scale_speaker=float(np.mean(scales[:-1])),
+        clip_scale_listener=scales[-1],
     )
-
-
-def _abort(replicas, listener):
-    for rep in replicas:
-        rep.params.zero_grads()
-    listener.params.zero_grads()
-    raise NumericalFailureError(
-        "non-finite loss or gradient; parameters left at pre-step values")
 
 
 class Trainer:

@@ -647,6 +647,42 @@ def test_pretrain_clips_at_the_configs_clip_norm(eval_files, tmp_path):
     assert not checkpoints[0].equal(checkpoints[1])
 
 
+def test_diverging_train_exits_3_and_its_resume_fails_alike(eval_files,
+                                                           tmp_path):
+    # the first step at this rate leaves finite but huge speaker weights,
+    # so the second step's loss is not finite: exit 3, with step 1's
+    # checkpoint and log row on disk, and a resume from them fails the
+    # same way without touching either
+    config = _train_config(tmp_path / "run.ini", eval_files / "world.lgw",
+                           tmp_path, train={"steps": 5, "lr_speaker": 3e38})
+    ckpt, log = tmp_path / "ckpt" / "latest.lgc", tmp_path / "m.jsonl"
+    outputs = []
+    for resume in ([], ["--resume", str(ckpt)]):
+        proc = _run_cli("train", "--config", config, *resume)
+        assert proc.returncode == 3
+        assert "numerical failure at step 1: non-finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        outputs.append((ckpt.read_bytes(), log.read_bytes()))
+    assert outputs[0] == outputs[1]
+    state = load_checkpoint(str(ckpt))
+    assert state["meta.step"].data[0] == 1
+    assert all(np.isfinite(t.data).all() for _, t in state.items())
+    assert [json.loads(row)["step"] for row in
+            log.read_text(encoding="utf-8").splitlines()] == [0]
+
+
+def test_diverging_pretrain_exits_3_and_writes_nothing(eval_files, tmp_path):
+    config = _train_config(tmp_path / "run.ini", eval_files / "world.lgw",
+                           tmp_path)
+    proc = _run_cli("pretrain", "--config", config, "--out",
+                    str(tmp_path / "bad.lgc"), "--steps", "20", "--lr", "3e38")
+    assert proc.returncode == 3
+    assert "numerical failure: non-finite loss or gradient" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert os.listdir(tmp_path) == ["run.ini"]
+
+
 def test_train_with_missing_dataset_exits_2(tmp_path):
     config = _train_config(tmp_path / "run.ini", tmp_path / "missing.lgw",
                            tmp_path)

@@ -111,7 +111,8 @@ OUT_OF_RANGE = [
     ("model", "d_o", "0", "d_o must be at least 1"),
     ("model", "n_layers", "0", "n_layers must be at least 1"),
     ("model", "n_patches", "0", "n_patches must be at least 1"),
-    ("game", "lam", "nan", "lambda must be non-negative"),
+    ("game", "lam", "nan", "lambda must be finite and non-negative"),
+    ("game", "lam", "inf", "lambda must be finite and non-negative"),
     ("train", "seed", "-1", "seed must be at least 0"),
     ("train", "steps", "-5", "steps must be at least 0"),
     ("train", "lr_speaker", "nan", "lr_speaker must be finite and non-negative"),
@@ -128,7 +129,8 @@ OUT_OF_RANGE_ID_SUFFIX = {("seed", str(2 ** 64)): "-2**64",
                           ("grid", "210"): "-past-u64-ids",
                           ("noise", "nan"): "-nan",
                           ("noise", "-0.5"): "-negative",
-                          ("noise", "1e39"): "-past-f32"}
+                          ("noise", "1e39"): "-past-f32",
+                          ("lam", "inf"): "-inf"}
 
 
 @pytest.mark.parametrize(

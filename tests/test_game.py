@@ -107,8 +107,8 @@ def test_play_round_structure(setup):
     rewards = trace.rewards
     assert ((0.0 <= rewards) & (rewards <= 1.0)).all()
     assert (rewards == trace.probs[np.arange(3), trace.targets]).all()
-    assert (trace.indicators
-            == (np.argmax(trace.probs, axis=1) == trace.targets)).all()
+    assert (solve_rate(trace.probs, trace.targets, 1)
+            == np.mean(np.argmax(trace.probs, axis=1) == trace.targets))
     assert trace.lengths.tolist() == [m.length for m in trace.messages]
     assert ((1 <= trace.lengths) & (trace.lengths <= cfg.t_max)).all()
 

@@ -10,7 +10,8 @@ from reference import (Episode, episodes, generate_dataset, listener_loss,
                        round_trace, speaker_loss)
 
 from lewisgame import training
-from lewisgame.agents import ModelConfig
+from lewisgame.agents import ModelConfig, SpeakerPolicy
+from lewisgame.evaluate import supervised_pretrain
 from lewisgame.game import GameConfig, _play_round_traced
 from lewisgame.params import FormatError, ParameterSet
 from lewisgame.tensor import Tape, Tensor, backward
@@ -471,15 +472,34 @@ def test_metrics_rows_reach_disk_before_each_checkpoint(trainer_setup,
 
 
 def test_train_step_aborts_on_nonfinite(trainer_setup):
+    # after one good step Adam's moments and count are live; a step whose
+    # loss is not finite then changes no weight, moment, count or step
     ds, mcfg, gcfg = trainer_setup
     tr = Trainer(ds, gcfg, mcfg, TrainSettings(seed=9, replicas=2))
+    tr.step_once()
     tr.listener.params["img.w"].data[:] = np.inf
-    spk_before = {n: t.data.copy() for n, t in tr.speaker.params.items()}
+    # the state shares the agents' and moments' arrays, so copy its bytes
+    before = {n: t.data.tobytes() for n, t in tr.pack_state().items()}
     with pytest.raises(NumericalFailureError):
         tr.step_once()
-    for n, t in tr.speaker.params.items():
-        assert t.data.tobytes() == spk_before[n].tobytes()
-    for _, t in tr.speaker.params.items():
+    after = {n: t.data.tobytes() for n, t in tr.pack_state().items()}
+    assert after == before
+    assert tr.step_index == 1 and tr.listener_opt.t == 1
+    for params in [rep.params for rep in tr.replicas] + [tr.listener.params]:
+        assert all(t.grad is None for _, t in params.items())
+
+
+def test_supervised_pretrain_aborts_on_nonfinite(trainer_setup):
+    # the warm start steps through the same update: a diverging step
+    # raises instead of writing non-finite weights
+    ds, mcfg, _ = trainer_setup
+    speaker = SpeakerPolicy.create(mcfg, 1)
+    with pytest.raises(NumericalFailureError), \
+            np.errstate(over="ignore", invalid="ignore"):
+        supervised_pretrain(speaker, ds, steps=20, lr=3e38, seed=0,
+                            clip_norm=1.0)
+    for _, t in speaker.params.items():
+        assert np.isfinite(t.data).all()
         assert t.grad is None
 
 
