@@ -6,27 +6,43 @@ their op-by-op form would record ~16 generic ops per token and message;
 that is what keeps training fast on a small CPU. Every other layer, the
 observation encoder included, is built from the generic ops of
 ``tensor``.
-``tests/reference.py`` builds both recurrences from individual tape
-ops, one message at a time, and is the oracle. A one-row block runs the
-same numpy calls in the same order, so its forward values match the
-oracle bitwise; in a block of several rows each matmul sums over all
-rows at once, in another order, so rows match it within float32
-round-off, as do gradients. Backward passes are ordinary
-backprop-through-time with the weight-gradient outer products batched
-over steps and rows.
 
-A taped forward writes the rows its backward needs (each GRU layer's
-[h, x] and [r·h, x] inputs, and the decoder's attention activations)
-straight into step-major buffers preallocated for all its steps, and
-the backward writes each step's gate gradients (and the decoder's
-logit, attention and input gradients) into buffers of the same layout;
-the batched products then read reshaped views of them, with no
-per-step lists to concatenate. Step t goes to slot steps-1-t of a
-forward buffer and T_len-1-t of a backward one, so the rows run last
-step first, the order the backward visits them. When sampling ends
-before ``t_max`` steps, the valid rows are the last T_len slots of the
-forward buffers. An untaped call (evaluation, greedy decoding)
-allocates none of these buffers.
+A GRU's weights stack the rows that multiply its state h on those that
+multiply its input x, so [h, x]·W = h·W_h + x·W_x (the GRU as Cho et
+al. 2014 write it). Where x is known before the step loop, its side is
+built once per block: the listener projects all B·T embedded tokens in
+one product, x·W_x + b, and the decoder's first layer, whose x is
+[previous token, attention context], builds the (V, 3·d) vocabulary
+table emb·W_tok + b and the (B, P, 3·d) patch projection
+patches·W_ctx. Each step then adds its rows of these (for the decoder,
+table[token] + alpha·projection, so the context is never formed) to the
+products of h with the state rows of W_z and W_r and of r·h with those
+of W_h. The decoder's higher layers read the layer below's new state
+and keep the concatenated [h, x]·W form. In the backward, the step
+loop runs only the state side and leaves each step's gate gradients
+[dz | dr | dc], which are also those of x·W_x + b, in a buffer; every
+input-side gradient (table, projection, patches, embeddings, W_x,
+biases) and every weight gradient is then one product over the
+buffers, batched over steps and rows.
+
+``tests/reference.py`` builds both recurrences from individual tape
+ops, one message at a time, in the same split form. A one-row block
+makes the same products in the same order, so its forward values match
+the oracle bitwise and its gradients to float32 round-off; in a block
+of several rows each matmul sums over all rows at once, in another
+order, so rows match the oracle within float32 round-off, as do
+gradients. Sampling and teacher forcing read the same table and
+projection, so a sampled block rescored teacher-forced as a block of
+the same shape reproduces its log-probabilities and gradients bitwise.
+
+A taped forward writes the rows its backward needs (each layer's h or
+[h, x] and r·h or [r·h, x], and the decoder's attention activations and
+weights) straight into buffers preallocated for all its steps. The
+decoder's are step-major, step t at slot steps-1-t, so rows run last
+step first, the order the backward visits them; when sampling ends
+before ``t_max`` steps, the valid rows are their last T_len slots. The
+listener's are row-major like its input. An untaped call (evaluation,
+greedy decoding) allocates none of these buffers.
 """
 
 from __future__ import annotations
@@ -45,17 +61,28 @@ def _sigmoid(x):
     return HALF * (np.tanh(HALF * x) + ONE)
 
 
-def _softmax_rows(x):
+def _softmax_rows(x, out=None):
     shifted = x - x.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return np.divide(e, e.sum(axis=1, keepdims=True), out=out)
+
+
+def _split_weights(wz, bz, wr, br, wh, bh):
+    """A GRU's weights by row block: the state rows of W_z, W_r and W_h,
+    the input rows of [W_z | W_r | W_h], and [b_z | b_r | b_h]."""
+    Wz, Wr, Wh = wz.nd(), wr.nd(), wh.nd()
+    d = Wz.shape[1]
+    return (Wz[:d], Wr[:d], Wh[:d],
+            np.concatenate([Wz[d:], Wr[d:], Wh[d:]], axis=1),
+            np.concatenate([bz.data, br.data, bh.data]))
 
 
 def _gru_forward(x, h, Wz, bz, Wr, br, Wh, bh, U=None, V=None):
-    """One GRU step: the new state and the (z, r, c, h) its backward
-    reads. The [h, x] and [r·h, x] rows the weight gradients need are
-    written into ``U`` and ``V`` when given (a taped step's slots of the
-    step-major buffers), else into fresh arrays that are dropped."""
+    """One GRU step on the concatenated [h, x]: the new state and the
+    (z, r, c, h) its backward reads. The [h, x] and [r·h, x] rows the
+    weight gradients need are written into ``U`` and ``V`` when given (a
+    taped step's slots of its buffers), else into fresh arrays that are
+    dropped."""
     U = np.concatenate([h, x], axis=1, out=U)
     z = _sigmoid(U @ Wz + bz)
     r = _sigmoid(U @ Wr + br)
@@ -64,40 +91,65 @@ def _gru_forward(x, h, Wz, bz, Wr, br, Wh, bh, U=None, V=None):
     return (ONE - z) * h + z * c, (z, r, c, h)
 
 
-def _gru_backward(g, cache, WzT, WrT, WhT, dz, dr, dc, dx=None,
-                  dh_extra=None):
-    """One step back, given the weights' ``_transposed`` copies: writes
-    the step's gate gradients into ``dz``, ``dr`` and ``dc`` (its slots of
-    the step-major buffers the weight gradients are read from) and its
-    input gradient into ``dx`` when given; returns (dx, dh_prev)."""
+def _gru_split_forward(xs, h, Wz, Wr, Wh, U=None, V=None):
+    """One GRU step given its input side ``xs``, the (B, 3·d) rows of
+    x·W_x + b for the z, r and candidate gates, and the state rows of
+    its weights; returns what ``_gru_forward`` does. h and r·h are
+    written into ``U`` and ``V`` when given."""
+    d = h.shape[1]
+    if U is not None:
+        U[...] = h
+    z = _sigmoid(h @ Wz + xs[:, :d])
+    r = _sigmoid(h @ Wr + xs[:, d:2 * d])
+    V = np.multiply(r, h, out=V)
+    c = np.tanh(V @ Wh + xs[:, 2 * d:])
+    return (ONE - z) * h + z * c, (z, r, c, h)
+
+
+def _gru_backward(g, cache, WzrT, WhT, gates, dh_extra=None):
+    """One step back through either form of step, given the
+    ``_transposed_gates`` of its weights (their state rows for the split
+    form). Writes the step's gate gradients [dz | dr | dc] into
+    ``gates``, its (B, 3·d) slot of a buffer the weight and input-side
+    gradients are read from, and returns (dx, dh_prev); dx, the gradient
+    of the concatenated form's x, is empty for the split form."""
     z, r, c, h = cache
     G = g if dh_extra is None else g + dh_extra
-    dh_ = h.shape[1]
-    np.multiply(G * (c - h) * z, ONE - z, out=dz)
-    np.multiply(G * z, ONE - c * c, out=dc)
-    dH = G * (ONE - z)
-    dV = dc @ WhT
-    drh = dV[:, :dh_]
-    np.multiply(drh * h * r, ONE - r, out=dr)
-    dH = dH + drh * r
-    dU = dz @ WzT + dr @ WrT
-    dH = dH + dU[:, :dh_]
-    return np.add(dV[:, dh_:], dU[:, dh_:], out=dx), dH
+    d = h.shape[1]
+    np.multiply(G * (c - h) * z, ONE - z, out=gates[:, :d])
+    np.multiply(G * z, ONE - c * c, out=gates[:, 2 * d:])
+    dV = gates[:, 2 * d:] @ WhT
+    drh = dV[:, :d]
+    np.multiply(drh * h * r, ONE - r, out=gates[:, d:2 * d])
+    dU = gates[:, :2 * d] @ WzrT
+    dH = G * (ONE - z) + drh * r + dU[:, :d]
+    return dV[:, d:] + dU[:, d:], dH
+
+
+def _transposed_gates(Wz, Wr, Wh):
+    """Contiguous transposes of [W_z | W_r] and of W_h."""
+    return _transposed(np.concatenate([Wz, Wr], axis=1), Wh)
 
 
 def _step_rows(buf):
-    """A step-major buffer's (steps·B, width) rows, as a view."""
+    """A buffer's (steps·B, width) rows, as a view."""
     return buf.reshape(-1, buf.shape[-1])
 
 
-def _gru_weight_grads(U, V, DZ, DR, DC):
-    """A GRU's six weight and bias gradients from step-major buffers of
-    its stashed (U, V) rows and gate gradients (dz, dr, dc), batched over
-    steps and rows."""
-    U, V, DZ, DR, DC = map(_step_rows, (U, V, DZ, DR, DC))
-    return [U.T @ DZ, DZ.sum(axis=0, dtype=F32),
-            U.T @ DR, DR.sum(axis=0, dtype=F32),
-            V.T @ DC, DC.sum(axis=0, dtype=F32)]
+def _gru_weight_grads(U, V, G, dWx=None):
+    """A GRU's six weight and bias gradients from buffers of its stashed
+    (U, V) rows and gate gradients [dz | dr | dc], batched over steps and
+    rows. For the split form U holds h and V r·h, and ``dWx``, the
+    gradient of the input rows of [W_z | W_r | W_h], goes under each
+    weight's state rows."""
+    U, V, G = map(_step_rows, (U, V, G))
+    d = G.shape[1] // 3
+    dW = np.concatenate([U.T @ G[:, :2 * d], V.T @ G[:, 2 * d:]], axis=1)
+    if dWx is not None:
+        dW = np.concatenate([dW, dWx])
+    db = G.sum(axis=0, dtype=F32)
+    return [part[..., k * d:(k + 1) * d] for k in range(3)
+            for part in (dW, db)]
 
 
 # ---------------------------------------------------------------------------
@@ -143,18 +195,24 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
     p = policy.params
     cfg = policy.cfg
     L = cfg.n_layers
+    d = cfg.d_e
     emb = p["emb"].nd()
     Wq = p["attn.wh"].nd()
     v = p["attn.v"].nd()
     Wo = p["head.w"].nd()
     bo = p["head.b"].data
+    *W0, Wx, b0 = _split_weights(
+        *(p[f"gru0.{n}"] for n in ("wz", "bz", "wr", "br", "wh", "bh")))
     gw = [(p[f"gru{l}.wz"].nd(), p[f"gru{l}.bz"].data,
            p[f"gru{l}.wr"].nd(), p[f"gru{l}.br"].data,
-           p[f"gru{l}.wh"].nd(), p[f"gru{l}.bh"].data) for l in range(L)]
+           p[f"gru{l}.wh"].nd(), p[f"gru{l}.bh"].data) for l in range(1, L)]
     Pt = patches.nd()
     K = keys.nd()
-    B = Pt.shape[0]
+    B, P = Pt.shape[:2]
     rows = np.arange(B)
+    # layer 0's input side: x·W_x + b = table[token] + alpha·proj
+    table = emb @ Wx[:d] + b0
+    proj = (Pt.reshape(B * P, d) @ Wx[d:]).reshape(B, P, 3 * d)
 
     from .world import BOS, EOS
     sampling = tokens is None
@@ -175,7 +233,9 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
     taped = tape is not None
     if taped:
         E_buf = np.empty((steps,) + K.shape, F32)
-        U_buf = [np.empty((steps, B, w[0].shape[0]), F32) for w in gw]
+        A_buf = np.empty((steps, B, P), F32)
+        U_buf = [np.empty((steps, B, d if l == 0 else 2 * d), F32)
+                 for l in range(L)]
         V_buf = [np.empty_like(U) for U in U_buf]
     prev_cols, tok_cols, lp_cols = [], [], []
     stash = []
@@ -184,13 +244,16 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
         hq = hidden[L - 1]
         e = np.tanh(K + (hq @ Wq)[:, None, :],
                     out=E_buf[s] if taped else None)
-        alpha = _softmax_rows((e @ v)[:, :, 0])
-        ctx = (alpha[:, None, :] @ Pt)[:, 0, :]
-        x = np.concatenate([emb[prev], ctx], axis=1)
+        alpha = _softmax_rows((e @ v)[:, :, 0],
+                              out=A_buf[s] if taped else None)
+        x = table[prev] + (alpha[:, None, :] @ proj)[:, 0, :]
         caches = []
         for l in range(L):
             UV = (U_buf[l][s], V_buf[l][s]) if taped else ()
-            x, cache = _gru_forward(x, hidden[l], *gw[l], *UV)
+            if l == 0:
+                x, cache = _gru_split_forward(x, hidden[0], *W0, *UV)
+            else:
+                x, cache = _gru_forward(x, hidden[l], *gw[l - 1], *UV)
             caches.append(cache)
             hidden[l] = x
         logits = x @ Wo + bo
@@ -204,7 +267,7 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
         tok_cols.append(tok)
         lp_cols.append(lsm[rows, tok])
         if taped:
-            stash.append((alpha, caches, x, lsm))
+            stash.append((caches, x, lsm))
         prev = tok
         if sampling:
             ended = live & (tok == EOS)
@@ -232,35 +295,33 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
 
     def rule(g):
         gmat = g.reshape(B, T_len) * mask
-        WoT, WqT = _transposed(Wo, Wq)
-        gwT = [_transposed(Wz, Wr, Wh) for Wz, _, Wr, _, Wh, _ in gw]
-        dPt = np.zeros_like(Pt)
+        WoT, WqT, WxT = _transposed(Wo, Wq, Wx)
+        WT = [_transposed_gates(*W0)]
+        WT.extend(_transposed_gates(Wz, Wr, Wh) for Wz, _, Wr, _, Wh, _ in gw)
         dK = np.zeros_like(K)
-        carry = [np.zeros((B, cfg.d_e), F32) for _ in range(L)]
+        carry = [np.zeros((B, d), F32) for _ in range(L)]
         # Step t's rows go to slot T_len-1-t here, and sit at that index
         # of the forward buffers' valid part [steps-T_len:] too.
         first = steps - T_len
-        E = E_buf[first:]
+        E, A = E_buf[first:], A_buf[first:]
         DL = np.empty((T_len, B, Wo.shape[1]), F32)
-        DS = np.empty((T_len,) + K.shape[:2], F32)
-        DQ = np.empty((T_len, B, cfg.d_e), F32)
-        DX = np.empty((T_len, B, 2 * cfg.d_e), F32)  # layer 0's [emb, ctx]
-        gates = [np.empty((3, T_len, B, cfg.d_e), F32) for _ in range(L)]
+        DS = np.empty((T_len, B, P), F32)
+        DQ = np.empty((T_len, B, d), F32)
+        gates = np.empty((L, T_len, B, 3 * d), F32)
         for t in range(T_len - 1, -1, -1):
             s = T_len - 1 - t
-            alpha, caches, _, lsm = stash[t]
+            caches, _, lsm = stash[t]
             go = gmat[:, t:t + 1]
             dlogits = np.multiply(-go, np.exp(lsm), out=DL[s])
             dlogits[rows, tok_cols[t]] += go[:, 0]
             dx = dlogits @ WoT + carry[L - 1]
             for l in range(L - 1, -1, -1):
                 extra = carry[l] if l < L - 1 else None
-                dx, carry[l] = _gru_backward(
-                    dx, caches[l], *gwT[l], *gates[l][:, s],
-                    dx=DX[s] if l == 0 else None, dh_extra=extra)
-            dctx = dx[:, cfg.d_e:]
-            dalpha = (Pt @ dctx[:, :, None])[:, :, 0]
-            dPt += alpha[:, :, None] * dctx[:, None, :]
+                dx, carry[l] = _gru_backward(dx, caches[l], *WT[l],
+                                             gates[l, s], dh_extra=extra)
+            # layer 0's gate gradients are those of its input side
+            dalpha = (proj @ gates[0, s][:, :, None])[:, :, 0]
+            alpha = A[s]
             dsrow = np.multiply(alpha, dalpha - (dalpha * alpha).sum(
                 axis=1, keepdims=True), out=DS[s])
             dpre = dsrow[:, :, None] * v[:, 0] * (ONE - E[s] * E[s])
@@ -268,17 +329,23 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
             dq = dpre.sum(axis=1, out=DQ[s])
             carry[L - 1] = carry[L - 1] + dq @ WqT
 
-        demb = _scatter_rows(p["emb"].shape, np.concatenate(prev_cols[::-1]),
-                             _step_rows(DX[..., :cfg.d_e]))
-        HQ = _step_rows(U_buf[L - 1][first:, :, :cfg.d_e])
-        HT = np.concatenate([stash[t][2] for t in range(T_len - 1, -1, -1)])
+        dtable = _scatter_rows(table.shape, np.concatenate(prev_cols[::-1]),
+                               _step_rows(gates[0]))
+        dproj = (A.transpose(1, 2, 0) @ gates[0].transpose(1, 0, 2)
+                 ).reshape(B * P, 3 * d)
+        dWx = np.concatenate([emb.T @ dtable, Pt.reshape(B * P, d).T @ dproj])
+        HQ = _step_rows(U_buf[L - 1][first:, :, :d])
+        HT = np.concatenate([stash[t][1] for t in range(T_len - 1, -1, -1)])
         DLr = _step_rows(DL)
-        grads = [dPt, dK, demb, HQ.T @ _step_rows(DQ),
+        grads = [(dproj @ WxT[:, d:]).reshape(Pt.shape), dK,
+                 dtable @ WxT[:, :d], HQ.T @ _step_rows(DQ),
                  _step_rows(E).T @ DS.reshape(-1, 1), HT.T @ DLr,
                  DLr.sum(axis=0, dtype=F32)]
-        for l in range(L):
+        grads.extend(_gru_weight_grads(U_buf[0][first:], V_buf[0][first:],
+                                       gates[0], dWx))
+        for l in range(1, L):
             grads.extend(_gru_weight_grads(U_buf[l][first:], V_buf[l][first:],
-                                           *gates[l]))
+                                           gates[l]))
         grads.extend(carry)  # d loss / d initial hidden, per layer
         return grads
 
@@ -303,22 +370,24 @@ def gru_sequence(embs: Tensor, lengths, h0: np.ndarray, wz: Tensor,
     """
     lengths = np.asarray(lengths)
     B = lengths.size
-    E = embs.nd().reshape(B, -1, embs.shape[1])
-    Wz, Wr, Wh = wz.nd(), wr.nd(), wh.nd()
-    bzd, brd, bhd = bz.data, br.data, bh.data
-    T_len = E.shape[1]
+    d = h0.shape[1]
+    *W, Wx, b = _split_weights(wz, bz, wr, br, wh, bh)
+    E = embs.nd()
+    T_len = E.shape[0] // B
+    XS = E @ Wx
+    XS += b  # in place: a second block-sized temporary costs more
+    XS = XS.reshape(B, T_len, 3 * d)
     live = [(t < lengths)[:, None] for t in range(T_len)]
-    # the step-major buffers of the module docstring, taped only
+    # the row-major buffers of the module docstring, taped only
     taped = tape is not None
     if taped:
-        U_buf = np.empty((T_len, B, Wz.shape[0]), F32)
+        U_buf = np.empty((B, T_len, d), F32)
         V_buf = np.empty_like(U_buf)
     h = h0
     caches = []
     for t in range(T_len):
-        UV = (U_buf[T_len - 1 - t], V_buf[T_len - 1 - t]) if taped else ()
-        h_new, cache = _gru_forward(E[:, t], h, Wz, bzd, Wr, brd, Wh, bhd,
-                                    *UV)
+        UV = (U_buf[:, t], V_buf[:, t]) if taped else ()
+        h_new, cache = _gru_split_forward(XS[:, t], h, *W, *UV)
         h = np.where(live[t], h_new, h)
         if taped:
             caches.append(cache)
@@ -329,15 +398,15 @@ def gru_sequence(embs: Tensor, lengths, h0: np.ndarray, wz: Tensor,
 
     def rule(g):
         dh = g.reshape(B, -1)
-        WT = _transposed(Wz, Wr, Wh)
-        gates = np.empty((3, T_len, B, dh.shape[1]), F32)
-        dE = np.empty_like(E)
+        WT = _transposed_gates(*W)
+        gates = np.empty((B, T_len, 3 * d), F32)
         for t in range(T_len - 1, -1, -1):
             dH = _gru_backward(np.where(live[t], dh, ZERO), caches[t], *WT,
-                               *gates[:, T_len - 1 - t], dx=dE[:, t])[1]
+                               gates[:, t])[1]
             dh = np.where(live[t], dH, dh)
-        return ([dE.reshape(B * T_len, -1)]
-                + _gru_weight_grads(U_buf, V_buf, *gates))
+        DX = _step_rows(gates)
+        return ([DX @ _transposed(Wx)[0]]
+                + _gru_weight_grads(U_buf, V_buf, gates, E.T @ DX))
 
     tape.record(out, (embs, wz, bz, wr, br, wh, bh), rule)
     return out

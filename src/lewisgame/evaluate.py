@@ -202,6 +202,7 @@ def evaluate_agents(speaker: SpeakerPolicy, listener: ListenerModel,
 PRETRAIN_BATCH = 8
 
 
+@np.errstate(all="ignore")  # as training.train_step
 def supervised_pretrain(speaker: SpeakerPolicy, dataset: Dataset, steps: int,
                         lr: float, seed: int,
                         clip_norm: float) -> SpeakerPolicy:

@@ -202,6 +202,9 @@ def update(learners, clip_norm: float, losses) -> tuple[list, list]:
     return norms, scales
 
 
+# A diverging step overflows on its way to ``update``, which refuses it:
+# numpy's warnings would only precede that one error.
+@np.errstate(all="ignore")
 def train_step(replicas, listener: ListenerModel, dataset,
                game_cfg: GameConfig, settings: TrainSettings,
                speaker_opt, listener_opt, rngs) -> LossReport:

@@ -4,12 +4,23 @@ and numpy reference for the listener's scores and the trainer's losses.
 The observation encoder, the speaker decoder, the listener's message
 GRU and its candidate embedding are built here from individual tape
 ops, one node per operation and one observation or message at a time
-(``softmax``, ``concat`` and ``gru_cell`` are generic ops that only these
-oracles use). On one-row blocks the kernels must reproduce these forward
-values bitwise, and their gradients to float32 round-off; the tests
-compare the two. Blocks of several rows (K candidates, or B messages)
-are held to a stated tolerance instead, because their matmuls over all
-rows sum in another order than one-row products.
+(``softmax``, ``concat``, ``gru_cell`` and ``gru_cell_split`` are
+generic ops that only these oracles use). On one-row blocks the kernels
+must reproduce these forward values bitwise, and their gradients to
+float32 round-off; the tests compare the two. Blocks of several rows (K
+candidates, or B messages) are held to a stated tolerance instead,
+because their matmuls over all rows sum in another order than one-row
+products.
+
+The decoder's first layer and the listener's GRU take the kernels'
+split form, so that a one-row block makes exactly their products: per
+message, the input side x·W_x + b is built once from the weights'
+``input_rows`` (for the decoder, a vocabulary table and a patch
+projection; for the listener, every token's row in one product), and
+each step runs ``gru_cell_split`` on it with the weights' ``state_rows``.
+The decoder's higher layers use ``gru_cell``, the textbook cell on the
+concatenated [h, x]; a test holds the two cells equal to float32
+round-off, so the split form computes the same function.
 
 ``listener_probs``, ``speaker_loss`` and ``listener_loss`` compute the
 candidate probabilities and the two training losses in plain numpy
@@ -157,6 +168,68 @@ def gru_cell(tape, x: Tensor, h: Tensor, wz: Tensor, bz: Tensor,
     return out
 
 
+def gru_cell_split(tape, xs: Tensor, h: Tensor, wz: Tensor, wr: Tensor,
+                   wh: Tensor) -> Tensor:
+    """One step of ``gru_cell`` given its input side.
+
+    ``xs`` (m, 3·d_h) holds x·W_x + b for the update, reset and
+    candidate gates; ``wz``, ``wr`` and ``wh`` are the (d_h, d_h) state
+    rows of the three weights (see ``state_rows``). Computes
+    z = sigmoid(h·W_z + xs[:, :d_h]), r likewise from the next d_h
+    columns, and c = tanh((r·h)·W_h + xs[:, 2·d_h:]).
+    """
+    if xs.ndim != 2 or h.ndim != 2 or xs.shape[0] != h.shape[0]:
+        raise ShapeError(f"gru_cell_split: bad shapes xs={xs.shape} "
+                         f"h={h.shape}")
+    m, dh = h.shape
+    if xs.shape != (m, 3 * dh):
+        raise ShapeError(f"gru_cell_split: xs must be {(m, 3 * dh)}, got "
+                         f"{xs.shape}")
+    for name, w in (("wz", wz), ("wr", wr), ("wh", wh)):
+        if w.shape != (dh, dh):
+            raise ShapeError(f"gru_cell_split: {name} must be {(dh, dh)}, "
+                             f"got {w.shape}")
+    XS, H = xs.nd(), h.nd()
+    Wz, Wr, Wh = wz.nd(), wr.nd(), wh.nd()
+    z = F32(0.5) * (np.tanh(F32(0.5) * (H @ Wz + XS[:, :dh])) + F32(1))
+    r = F32(0.5) * (np.tanh(F32(0.5) * (H @ Wr + XS[:, dh:2 * dh]))
+                    + F32(1))
+    V = r * H
+    c = np.tanh(V @ Wh + XS[:, 2 * dh:])
+    out_nd = (F32(1) - z) * H + z * c
+    inputs = (xs, h, wz, wr, wh)
+    req = any(t.requires_grad for t in inputs)
+    out = _emit(out_nd, req)
+    if req and tape is not None:
+        def rule(g):
+            G = g.reshape(m, dh)
+            dz = G * (c - H) * z * (F32(1) - z)
+            dc = G * z * (F32(1) - c * c)
+            drh = dc @ Wh.T
+            dr = drh * H * r * (F32(1) - r)
+            dH = G * (F32(1) - z) + drh * r + dz @ Wz.T + dr @ Wr.T
+            return (np.concatenate([dz, dr, dc], axis=1), dH, H.T @ dz,
+                    H.T @ dr, V.T @ dc)
+        tape.record(out, inputs, rule)
+    return out
+
+
+def state_rows(tape, wz: Tensor, wr: Tensor, wh: Tensor) -> tuple:
+    """The rows of a GRU's three weights that multiply its state, their
+    first d_h, as three (d_h, d_h) tensors."""
+    rows = list(range(wz.shape[1]))
+    return tuple(T.embedding(tape, w, rows) for w in (wz, wr, wh))
+
+
+def input_rows(tape, wz: Tensor, wr: Tensor, wh: Tensor, lo: int,
+               hi: int) -> Tensor:
+    """Rows lo to hi-1 of a GRU's three weights side by side, (hi - lo,
+    3·d_h): the weights of the inputs those rows multiply."""
+    rows = list(range(lo, hi))
+    return concat(tape, [T.embedding(tape, w, rows) for w in (wz, wr, wh)],
+                  axis=1)
+
+
 # ---------------------------------------------------------------------------
 # observation encoder (oracle for SpeakerPolicy.encode)
 
@@ -199,27 +272,45 @@ def embed_images(listener, observations: np.ndarray, tape=None,
 # speaker decoder (oracle for _decode.decode_message)
 
 
-def attend(speaker, query: Tensor, patches: Tensor, keys: Tensor, tape):
-    """Additive attention of ``query`` over the patches: (context, weights)."""
+def first_layer(speaker, patches: Tensor, tape):
+    """What the decoder's first layer builds once per message: the
+    (V, 3·d_e) vocabulary table emb·W_tok + b, the (P, 3·d_e) patch
+    projection patches·W_ctx, and its weights' ``state_rows``."""
+    p = speaker.params
+    d = speaker.cfg.d_e
+    w = [p[f"gru0.w{g}"] for g in "zrh"]
+    bias = concat(tape, [p[f"gru0.b{g}"] for g in "zrh"])
+    table = T.add(tape, T.matmul(tape, p["emb"],
+                                 input_rows(tape, *w, d, 2 * d)), bias)
+    proj = T.matmul(tape, patches, input_rows(tape, *w, 2 * d, 3 * d))
+    return (table, proj) + state_rows(tape, *w)
+
+
+def attend(speaker, query: Tensor, keys: Tensor, tape) -> Tensor:
+    """Additive attention weights of ``query`` over the patches' keys,
+    (1, P)."""
     p = speaker.params
     q = T.reshape(tape, T.matmul(tape, query, p["attn.wh"]),
                   (speaker.cfg.d_e,))
     e = T.tanh(tape, T.add(tape, keys, q))
     scores = T.reshape(tape, T.matmul(tape, e, p["attn.v"]),
                        (1, keys.shape[0]))
-    alpha = softmax(tape, scores)
-    return T.matmul(tape, alpha, patches), alpha
+    return softmax(tape, scores)
 
 
-def step(speaker, tok: int, hidden: list, patches: Tensor, keys: Tensor,
-         tape):
-    """One decoder step after token ``tok``: (logits, new hidden, weights)."""
+def step(speaker, tok: int, hidden: list, keys: Tensor, layer0, tape):
+    """One decoder step after token ``tok``, given ``first_layer``'s
+    results: (logits, new hidden, weights). The first layer's input side
+    is table[tok] + weights·proj; the attention context weights·patches
+    is never formed."""
     p = speaker.params
-    emb = T.embedding(tape, p["emb"], [tok])
-    ctx, alpha = attend(speaker, hidden[-1], patches, keys, tape)
-    x = concat(tape, [emb, ctx], axis=1)
-    new_hidden = []
-    for layer in range(speaker.cfg.n_layers):
+    table, proj, *w_state = layer0
+    alpha = attend(speaker, hidden[-1], keys, tape)
+    xs = T.add(tape, T.embedding(tape, table, [tok]),
+               T.matmul(tape, alpha, proj))
+    x = gru_cell_split(tape, xs, hidden[0], *w_state)
+    new_hidden = [x]
+    for layer in range(1, speaker.cfg.n_layers):
         g = f"gru{layer}"
         x = gru_cell(tape, x, hidden[layer], p[f"{g}.wz"], p[f"{g}.bz"],
                      p[f"{g}.wr"], p[f"{g}.br"], p[f"{g}.wh"], p[f"{g}.bh"])
@@ -237,11 +328,12 @@ def decode(speaker, patches, keys, h0, tape, *, tokens=None, t_max=0,
     """
     sampling = tokens is None
     steps = t_max if sampling else len(tokens)
+    layer0 = first_layer(speaker, patches, tape)
     hidden = list(h0)
     prev = BOS
     out_tokens, step_nodes = [], []
     for t in range(steps):
-        logits, hidden, _ = step(speaker, prev, hidden, patches, keys, tape)
+        logits, hidden, _ = step(speaker, prev, hidden, keys, layer0, tape)
         logp = T.log_softmax(tape, logits)
         if sampling:
             if temperature == 0:
@@ -306,11 +398,17 @@ def logprobs(speaker, obs: np.ndarray, tokens, tape=None):
 def gru_sequence(embs: Tensor, h0: np.ndarray, wz: Tensor, bz: Tensor,
                  wr: Tensor, br: Tensor, wh: Tensor, bh: Tensor,
                  tape) -> Tensor:
-    """Final hidden state of a GRU run over the rows of ``embs``."""
+    """Final hidden state of a GRU run over the rows of ``embs``: the
+    input side of every row in one product, then one ``gru_cell_split``
+    per row."""
+    d = h0.shape[1]
+    xs = T.add(tape, T.matmul(tape, embs, input_rows(tape, wz, wr, wh, d,
+                                                     wz.shape[0])),
+               concat(tape, [bz, br, bh]))
+    w_state = state_rows(tape, wz, wr, wh)
     h = Tensor(h0)
     for t in range(embs.shape[0]):
-        x = T.embedding(tape, embs, [t])
-        h = gru_cell(tape, x, h, wz, bz, wr, br, wh, bh)
+        h = gru_cell_split(tape, T.embedding(tape, xs, [t]), h, *w_state)
     return h
 
 

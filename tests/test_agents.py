@@ -10,6 +10,7 @@ from lewisgame import tensor as T
 from lewisgame._decode import _draw, gru_sequence
 from lewisgame.agents import (ListenerModel, ModelConfig, SpeakerPolicy,
                               _raster_patches, model_config_from_params)
+from lewisgame.params import ParameterSet
 from lewisgame.tensor import ShapeError, Tape, Tensor, backward
 from lewisgame.world import EOS, WorldSpec
 
@@ -152,10 +153,10 @@ def test_draw_takes_one_uniform_per_row_in_row_order():
 # run on that message alone (float32 round-off: matmuls over B rows sum
 # in another order), measured over 8-row blocks of lengths 1 to 12 like
 # the ones below, at d_e = d_o of 32 (1 and 2 layers), 64 and 128, three
-# seeds each. Decoder: log-probs 4.8e-7 absolute, gradients 1.5e-6 of a
-# parameter's largest gradient (attn.wh at d_e=128). Message GRU:
-# summaries 1.1e-7 absolute, gradients 6.4e-7 relative. The bounds leave
-# at least 3x headroom.
+# seeds each. Decoder, on the plain and the raster world: log-probs
+# 2.4e-7 absolute, gradients 1.6e-6 of a parameter's largest gradient.
+# Message GRU: summaries 1.8e-7 absolute, gradients 8.7e-7 relative. The
+# bounds leave at least 3x headroom.
 BLOCK_LOGPROB_ATOL = 2e-6
 BLOCK_GRAD_RTOL = 5e-6
 
@@ -169,9 +170,25 @@ def _block_messages(ds, speaker, t_max):
     return ds.model_inputs()[10:18], messages
 
 
-@pytest.mark.parametrize("n_layers", [1, 2])
-def test_decode_block_matches_per_message_reference(world, n_layers):
-    ds, cfg, _, _ = world
+@pytest.fixture(scope="module")
+def raster_world():
+    # P = grid² = 16 patches per observation feed the first layer's patch
+    # projection, where the plain world has 3
+    spec = WorldSpec(raster=True)
+    ds = generate_dataset(7, 18, spec)
+    cfg = ModelConfig(vocab_size=len(ds.vocab), obs_dim=spec.input_dim,
+                      d_e=32, d_o=24, raster=True,
+                      raster_size=spec.raster_size, raster_grid=spec.grid)
+    return ds, cfg
+
+
+@pytest.mark.parametrize("n_layers, raster", [
+    pytest.param(1, False, id="1"), pytest.param(2, False, id="2"),
+    pytest.param(2, True, id="raster")])
+def test_decode_block_matches_per_message_reference(world, n_layers, raster,
+                                                    request):
+    ds, cfg = (request.getfixturevalue("raster_world") if raster
+               else world[:2])
     speaker = SpeakerPolicy.create(
         ModelConfig(**{**cfg.__dict__, "n_layers": n_layers}), 23)
     obs, messages = _block_messages(ds, speaker, 12)
@@ -197,6 +214,58 @@ def test_decode_block_matches_per_message_reference(world, n_layers):
     for name, g in per_message.items():
         assert (np.abs(block[name] - g).max()
                 <= BLOCK_GRAD_RTOL * np.abs(g).max()), name
+
+
+# Largest differences between the split-form cell and the concatenated
+# one, for the cases below built as below with seeds 0 to 19: outputs
+# 4.9e-7 absolute, gradients 8.3e-7 of an input's largest gradient. The
+# bounds leave at least 4x headroom.
+SPLIT_CELL_ATOL = 2e-6
+SPLIT_CELL_GRAD_RTOL = 5e-6
+
+
+@pytest.mark.parametrize("d_x, d_h", [(32, 24), (64, 32)])
+def test_split_form_gru_cell_matches_concat_form(d_x, d_h):
+    # the oracles' split form, x·W_x + b and the state rows apart, against
+    # the textbook cell on [h, x]·W: the listener's GRU (d_e in, d_o
+    # state) and the decoder's first layer ([token, context] in) at the
+    # test world's widths. Rewriting the oracles with the kernels must
+    # not change the function both compute.
+    rng = np.random.default_rng(0)
+    ps = ParameterSet()
+    for gate in "zrh":
+        ps.add(f"w{gate}", Tensor(rng.normal(0, 0.2, (d_h + d_x, d_h)), True))
+        ps.add(f"b{gate}", Tensor(rng.normal(0, 0.2, d_h), True))
+    ps.add("x", Tensor(rng.normal(0, 1, (5, d_x)), True))
+    ps.add("h", Tensor(rng.normal(0, 0.5, (5, d_h)), True))
+    wz, bz, wr, br, wh, bh = (ps[n] for n in ("wz", "bz", "wr", "br", "wh",
+                                              "bh"))
+
+    def concat_form(tape):
+        return reference.gru_cell(tape, ps["x"], ps["h"], wz, bz, wr, br, wh,
+                                  bh)
+
+    def split_form(tape):
+        w_x = reference.input_rows(tape, wz, wr, wh, d_h, d_h + d_x)
+        xs = T.add(tape, T.matmul(tape, ps["x"], w_x),
+                   reference.concat(tape, [bz, br, bh]))
+        return reference.gru_cell_split(
+            tape, xs, ps["h"], *reference.state_rows(tape, wz, wr, wh))
+
+    weights = Tensor(rng.normal(0, 1, (5, d_h)))
+    out, grads = {}, {}
+    for form, cell in (("concat", concat_form), ("split", split_form)):
+        ps.zero_grads()
+        tape = Tape()
+        y = cell(tape)
+        backward(tape, T.tsum(tape, T.mul(tape, y, weights)))
+        out[form] = y.nd().copy()
+        grads[form] = _grads(ps)
+    assert np.abs(out["split"] - out["concat"]).max() <= SPLIT_CELL_ATOL
+    assert grads["split"].keys() == grads["concat"].keys() == set(ps.names())
+    for name, g in grads["concat"].items():
+        assert (np.abs(grads["split"][name] - g).max()
+                <= SPLIT_CELL_GRAD_RTOL * np.abs(g).max()), name
 
 
 def _grads(params) -> dict:
@@ -446,7 +515,8 @@ def test_per_step_distribution_normalized(world):
     ds, cfg, speaker, _ = world
     obs = ds.model_inputs()[0]
     patches, keys, hidden = reference.start(speaker, obs, None)
-    logits, hidden, alpha = reference.step(speaker, 0, hidden, patches, keys,
+    layer0 = reference.first_layer(speaker, patches, None)
+    logits, hidden, alpha = reference.step(speaker, 0, hidden, keys, layer0,
                                            None)
     logp = T.log_softmax(None, logits)
     assert abs(np.exp(logp.data).sum() - 1.0) < 1e-5
@@ -457,10 +527,11 @@ def test_attention_weights_normalized_every_step(world):
     ds, cfg, speaker, _ = world
     obs = ds.model_inputs()[9]
     patches, keys, hidden = reference.start(speaker, obs, None)
+    layer0 = reference.first_layer(speaker, patches, None)
     tok = 0
     for _ in range(6):
-        logits, hidden, alpha = reference.step(speaker, tok, hidden, patches,
-                                               keys, None)
+        logits, hidden, alpha = reference.step(speaker, tok, hidden, keys,
+                                               layer0, None)
         assert abs(alpha.data.sum() - 1.0) < 1e-6
         tok = int(np.argmax(logits.data))
 

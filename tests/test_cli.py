@@ -660,8 +660,9 @@ def test_diverging_train_exits_3_and_its_resume_fails_alike(eval_files,
     for resume in ([], ["--resume", str(ckpt)]):
         proc = _run_cli("train", "--config", config, *resume)
         assert proc.returncode == 3
-        assert "numerical failure at step 1: non-finite" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("numerical failure at step 1: "
+                                      "non-finite")
+        assert proc.stderr.count("\n") == 1  # no numpy warnings
         outputs.append((ckpt.read_bytes(), log.read_bytes()))
     assert outputs[0] == outputs[1]
     state = load_checkpoint(str(ckpt))
@@ -677,8 +678,8 @@ def test_diverging_pretrain_exits_3_and_writes_nothing(eval_files, tmp_path):
     proc = _run_cli("pretrain", "--config", config, "--out",
                     str(tmp_path / "bad.lgc"), "--steps", "20", "--lr", "3e38")
     assert proc.returncode == 3
-    assert "numerical failure: non-finite loss or gradient" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ("numerical failure: non-finite loss or gradient; "
+                           "parameters left at pre-step values\n")
     assert proc.stdout == ""
     assert os.listdir(tmp_path) == ["run.ini"]
 

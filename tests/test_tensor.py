@@ -271,6 +271,9 @@ OP_CASES = {
         t, p["p0"], p["p1"], p["p2"], p["p3"], p["p4"], p["p5"], p["p6"],
         p["p7"])),
         [(2, 3), (2, 4), (7, 4), (4,), (7, 4), (4,), (7, 4), (4,)]),
+    "gru_cell_split": (lambda p, t: T.tsum(t, reference.gru_cell_split(
+        t, p["p0"], p["p1"], p["p2"], p["p3"], p["p4"])),
+        [(2, 12), (2, 4), (4, 4), (4, 4), (4, 4)]),
 }
 
 
