@@ -9,21 +9,42 @@ observation encoder included, is built from the generic ops of
 
 A GRU's weights stack the rows that multiply its state h on those that
 multiply its input x, so [h, x]·W = h·W_h + x·W_x (the GRU as Cho et
-al. 2014 write it). Where x is known before the step loop, its side is
-built once per block: the listener projects all B·T embedded tokens in
-one product, x·W_x + b, and the decoder's first layer, whose x is
-[previous token, attention context], builds the (V, 3·d) vocabulary
-table emb·W_tok + b and the (B, P, 3·d) patch projection
-patches·W_ctx. Each step then adds its rows of these (for the decoder,
-table[token] + alpha·projection, so the context is never formed) to the
-products of h with the state rows of W_z and W_r and of r·h with those
-of W_h. The decoder's higher layers read the layer below's new state
-and keep the concatenated [h, x]·W form. In the backward, the step
-loop runs only the state side and leaves each step's gate gradients
-[dz | dr | dc], which are also those of x·W_x + b, in a buffer; every
-input-side gradient (table, projection, patches, embeddings, W_x,
-biases) and every weight gradient is then one product over the
-buffers, batched over steps and rows.
+al. 2014 write it). A step makes one product h·[W_z | W_r] (in the
+concatenated form [h, x]·[W_z | W_r] + b) and one sigmoid for both
+gates, and its new state is h + z·(c − h). Where x is known before the
+step loop, its side is built once per block: the listener projects all
+B·T embedded tokens in one product, x·W_x + b, and the decoder's first
+layer, whose x is [previous token, attention context], builds the
+(V, 3·d) vocabulary table emb·W_tok + b and the (B, P, 3·d) patch
+projection patches·W_ctx, so that a step adds table[token] +
+alpha·projection and the context is never formed. The decoder's higher
+layers keep the concatenated form.
+
+A taped forward fills buffers preallocated for all its steps: per GRU
+layer its h (or [h, x]), r·h (or [r·h, x]), z|r and c, and for the
+decoder the attention activations and weights, the log-softmax and the
+top layer's state. All are step-major, so a step's slot is contiguous:
+the decoder's hold step t at slot steps-1-t, the order the backward
+visits them (when sampling ends early, the valid rows are the last
+T_len slots), and the listener's run in step order like its input
+rows. An untaped call allocates none of them. A
+listener row past its length gets z = 0, which holds its state and
+passes its gradient through unchanged, so no loop masks.
+
+Before its step loop, a backward computes in one pass each over all
+steps the factors (c−h)·z·(1−z) and z·(1−c²), in place over z and c,
+which nothing reads again (a rule runs once), then h·r·(1−r) and 1−z;
+the decoder also every step's dlogits and their product with W_oᵀ, and
+attention's v·(1−e²). The loop keeps only the recurrent chain and
+leaves each step's [dz | dr | dc], also the gradient of x·W_x + b, in a
+buffer. After it, every input-side gradient is one product over the
+buffers, dK one sum, and each weight gradient is written once, row
+block by row block, into its own array. A product that uses a weight
+once per call takes the strided W.T, which BLAS reads as a transposed
+operand: at these shapes that was no slower than the product with a
+contiguous copy, which alone costs up to 60 µs for a 256×384 W_x. The
+loop's products, at a few rows once per step, use contiguous
+transposes: up to 5× faster.
 
 ``tests/reference.py`` builds both recurrences from individual tape
 ops, one message at a time, in the same split form. A one-row block
@@ -34,31 +55,23 @@ order, so rows match the oracle within float32 round-off, as do
 gradients. Sampling and teacher forcing read the same table and
 projection, so a sampled block rescored teacher-forced as a block of
 the same shape reproduces its log-probabilities and gradients bitwise.
-
-A taped forward writes the rows its backward needs (each layer's h or
-[h, x] and r·h or [r·h, x], and the decoder's attention activations and
-weights) straight into buffers preallocated for all its steps. The
-decoder's are step-major, step t at slot steps-1-t, so rows run last
-step first, the order the backward visits them; when sampling ends
-before ``t_max`` steps, the valid rows are their last T_len slots. The
-listener's are row-major like its input. An untaped call (evaluation,
-greedy decoding) allocates none of these buffers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import (F32, Tensor, _log_softmax_rows, _scatter_rows,
-                     _transposed)
+from .tensor import F32, Tensor, _log_softmax_rows, _scatter_rows
 
-ZERO = F32(0)
 ONE = F32(1)
 HALF = F32(0.5)
+GRU = ("wz", "bz", "wr", "br", "wh", "bh")  # a GRU's parameters, in order
 
 
 def _sigmoid(x):
-    return HALF * (np.tanh(HALF * x) + ONE)
+    """The logistic function, in place."""
+    np.tanh(np.multiply(x, HALF, out=x), out=x)
+    return np.multiply(np.add(x, ONE, out=x), HALF, out=x)
 
 
 def _softmax_rows(x, out=None):
@@ -68,67 +81,82 @@ def _softmax_rows(x, out=None):
 
 
 def _split_weights(wz, bz, wr, br, wh, bh):
-    """A GRU's weights by row block: the state rows of W_z, W_r and W_h,
-    the input rows of [W_z | W_r | W_h], and [b_z | b_r | b_h]."""
+    """A GRU's weights by row block: the state rows of [W_z | W_r] and of
+    W_h, the input rows of [W_z | W_r | W_h], and [b_z | b_r | b_h]."""
     Wz, Wr, Wh = wz.nd(), wr.nd(), wh.nd()
     d = Wz.shape[1]
-    return (Wz[:d], Wr[:d], Wh[:d],
+    return (np.concatenate([Wz[:d], Wr[:d]], axis=1), Wh[:d],
             np.concatenate([Wz[d:], Wr[d:], Wh[d:]], axis=1),
             np.concatenate([bz.data, br.data, bh.data]))
 
 
-def _gru_forward(x, h, Wz, bz, Wr, br, Wh, bh, U=None, V=None):
-    """One GRU step on the concatenated [h, x]: the new state and the
-    (z, r, c, h) its backward reads. The [h, x] and [r·h, x] rows the
-    weight gradients need are written into ``U`` and ``V`` when given (a
-    taped step's slots of its buffers), else into fresh arrays that are
-    dropped."""
+def _gru_forward(x, h, Wzr, Wh, bzr, bh, U=None, V=None, ZR=None, C=None):
+    """One GRU step on the concatenated [h, x]: its gates z|r and its
+    candidate c. [h, x], [r·h, x], z|r and c go into ``U``, ``V``, ``ZR``
+    and ``C`` when given (a taped step's slots of its buffers)."""
+    d = h.shape[1]
     U = np.concatenate([h, x], axis=1, out=U)
-    z = _sigmoid(U @ Wz + bz)
-    r = _sigmoid(U @ Wr + br)
-    V = np.concatenate([r * h, x], axis=1, out=V)
-    c = np.tanh(V @ Wh + bh)
-    return (ONE - z) * h + z * c, (z, r, c, h)
+    zr = np.matmul(U, Wzr, out=ZR)
+    zr = _sigmoid(np.add(zr, bzr, out=zr))
+    V = np.concatenate([zr[:, d:] * h, x], axis=1, out=V)
+    c = np.matmul(V, Wh, out=C)
+    c = np.add(c, bh, out=c)
+    return zr, np.tanh(c, out=c)
 
 
-def _gru_split_forward(xs, h, Wz, Wr, Wh, U=None, V=None):
-    """One GRU step given its input side ``xs``, the (B, 3·d) rows of
-    x·W_x + b for the z, r and candidate gates, and the state rows of
-    its weights; returns what ``_gru_forward`` does. h and r·h are
-    written into ``U`` and ``V`` when given."""
+def _gru_split_forward(xs, h, Wzr, Wh, U=None, V=None, ZR=None, C=None):
+    """``_gru_forward`` given the step's input side ``xs``, the (B, 3·d)
+    rows of x·W_x + b, and the state rows of the weights; U gets h and
+    V r·h."""
     d = h.shape[1]
     if U is not None:
         U[...] = h
-    z = _sigmoid(h @ Wz + xs[:, :d])
-    r = _sigmoid(h @ Wr + xs[:, d:2 * d])
-    V = np.multiply(r, h, out=V)
-    c = np.tanh(V @ Wh + xs[:, 2 * d:])
-    return (ONE - z) * h + z * c, (z, r, c, h)
+    zr = np.matmul(h, Wzr, out=ZR)
+    zr = _sigmoid(np.add(zr, xs[:, :2 * d], out=zr))
+    c = np.matmul(np.multiply(zr[:, d:], h, out=V), Wh, out=C)
+    c = np.add(c, xs[:, 2 * d:], out=c)
+    return zr, np.tanh(c, out=c)
 
 
-def _gru_backward(g, cache, WzrT, WhT, gates, dh_extra=None):
-    """One step back through either form of step, given the
-    ``_transposed_gates`` of its weights (their state rows for the split
-    form). Writes the step's gate gradients [dz | dr | dc] into
-    ``gates``, its (B, 3·d) slot of a buffer the weight and input-side
-    gradients are read from, and returns (dx, dh_prev); dx, the gradient
-    of the concatenated form's x, is empty for the split form."""
-    z, r, c, h = cache
-    G = g if dh_extra is None else g + dh_extra
-    d = h.shape[1]
-    np.multiply(G * (c - h) * z, ONE - z, out=gates[:, :d])
-    np.multiply(G * z, ONE - c * c, out=gates[:, 2 * d:])
+def _gate_factors(U, ZR, C):
+    """A GRU's gate-gradient factors over all steps of its buffers:
+    (c−h)·z·(1−z) over z, z·(1−c²) over c, h·r·(1−r), 1−z and r."""
+    d = C.shape[-1]
+    H, Z, R = U[..., :d], ZR[..., :d], ZR[..., d:]
+    omz = ONE - Z
+    ch = C - H
+    np.subtract(ONE, np.multiply(C, C, out=C), out=C)
+    C *= Z
+    Z *= ch
+    Z *= omz
+    return Z, C, H * R * (ONE - R), omz, R
+
+
+def _gru_backward(G, factors, WzrT, WhT, gates):
+    """One step back, given the gradient ``G`` of its new state, its
+    slots of ``_gate_factors`` and the transposes of [W_z | W_r] and W_h
+    (their state rows for the split form). Writes [dz | dr | dc] into
+    ``gates`` and returns (dx, dh_prev); dx, the gradient of the
+    concatenated form's x, is empty for the split form."""
+    fz, fc, fr, omz, r = factors
+    d = G.shape[1]
+    np.multiply(G, fz, out=gates[:, :d])
+    np.multiply(G, fc, out=gates[:, 2 * d:])
     dV = gates[:, 2 * d:] @ WhT
     drh = dV[:, :d]
-    np.multiply(drh * h * r, ONE - r, out=gates[:, d:2 * d])
+    np.multiply(drh, fr, out=gates[:, d:2 * d])
     dU = gates[:, :2 * d] @ WzrT
-    dH = G * (ONE - z) + drh * r + dU[:, :d]
-    return dV[:, d:] + dU[:, d:], dH
+    dh = G * omz
+    dh += np.multiply(drh, r, out=drh)
+    dh += dU[:, :d]
+    dx = dU[:, d:]
+    dx += dV[:, d:]
+    return dx, dh
 
 
-def _transposed_gates(Wz, Wr, Wh):
-    """Contiguous transposes of [W_z | W_r] and of W_h."""
-    return _transposed(np.concatenate([Wz, Wr], axis=1), Wh)
+def _transposed_gates(Wzr, Wh):
+    """Contiguous transposes of [W_z | W_r] and W_h."""
+    return np.ascontiguousarray(Wzr.T), np.ascontiguousarray(Wh.T)
 
 
 def _step_rows(buf):
@@ -136,20 +164,26 @@ def _step_rows(buf):
     return buf.reshape(-1, buf.shape[-1])
 
 
-def _gru_weight_grads(U, V, G, dWx=None):
-    """A GRU's six weight and bias gradients from buffers of its stashed
-    (U, V) rows and gate gradients [dz | dr | dc], batched over steps and
-    rows. For the split form U holds h and V r·h, and ``dWx``, the
-    gradient of the input rows of [W_z | W_r | W_h], goes under each
-    weight's state rows."""
+def _gru_weight_grads(U, V, G, *inputs):
+    """A GRU's six weight and bias gradients, batched over steps and
+    rows, from buffers of its U and V rows and gate gradients G. Each
+    weight's is one array, written row block by row block: Uᵀ·dz, Uᵀ·dr
+    or Vᵀ·dc, then for the split form Xᵀ·D for each (input, gradient of
+    its side x·W_x + b) pair (X, D) of ``inputs``."""
     U, V, G = map(_step_rows, (U, V, G))
     d = G.shape[1] // 3
-    dW = np.concatenate([U.T @ G[:, :2 * d], V.T @ G[:, 2 * d:]], axis=1)
-    if dWx is not None:
-        dW = np.concatenate([dW, dWx])
     db = G.sum(axis=0, dtype=F32)
-    return [part[..., k * d:(k + 1) * d] for k in range(3)
-            for part in (dW, db)]
+    grads = []
+    for k, S in enumerate((U, U, V)):
+        cols = slice(k * d, (k + 1) * d)
+        blocks = ((S, G),) + inputs
+        dW = np.empty((sum(X.shape[1] for X, _ in blocks), d), F32)
+        lo = 0
+        for X, D in blocks:
+            lo += X.shape[1]
+            np.matmul(X.T, D[:, cols], out=dW[lo - X.shape[1]:lo])
+        grads += [dW, db[cols]]
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +208,8 @@ def _draw(logits, temperature: float, rng) -> np.ndarray:
     cdf /= cdf[:, -1:]
     u = rng.random(len(cdf))
     return (cdf <= u[:, None]).sum(axis=1)
+
+
 
 
 def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
@@ -201,11 +237,12 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
     v = p["attn.v"].nd()
     Wo = p["head.w"].nd()
     bo = p["head.b"].data
-    *W0, Wx, b0 = _split_weights(
-        *(p[f"gru0.{n}"] for n in ("wz", "bz", "wr", "br", "wh", "bh")))
-    gw = [(p[f"gru{l}.wz"].nd(), p[f"gru{l}.bz"].data,
-           p[f"gru{l}.wr"].nd(), p[f"gru{l}.br"].data,
-           p[f"gru{l}.wh"].nd(), p[f"gru{l}.bh"].data) for l in range(1, L)]
+    *W0, Wx, b0 = _split_weights(*(p[f"gru0.{n}"] for n in GRU))
+    # per layer [W_z | W_r] and W_h, then the concatenated form's biases
+    W = [W0] + [(np.concatenate([p[f"gru{l}.wz"].nd(), p[f"gru{l}.wr"].nd()],
+                                axis=1), p[f"gru{l}.wh"].nd(),
+                 np.concatenate([p[f"gru{l}.bz"].data, p[f"gru{l}.br"].data]),
+                 p[f"gru{l}.bh"].data) for l in range(1, L)]
     Pt = patches.nd()
     K = keys.nd()
     B, P = Pt.shape[:2]
@@ -234,11 +271,11 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
     if taped:
         E_buf = np.empty((steps,) + K.shape, F32)
         A_buf = np.empty((steps, B, P), F32)
-        U_buf = [np.empty((steps, B, d if l == 0 else 2 * d), F32)
-                 for l in range(L)]
-        V_buf = [np.empty_like(U) for U in U_buf]
+        LSM_buf = np.empty((steps, B, Wo.shape[1]), F32)
+        O_buf = np.empty((steps, B, d), F32)
+        gru_bufs = [[np.empty((steps, B, w), F32) for w in (u, u, 2 * d, d)]
+                    for u in [d] + [2 * d] * (L - 1)]
     prev_cols, tok_cols, lp_cols = [], [], []
-    stash = []
     for t in range(steps):
         s = steps - 1 - t
         hq = hidden[L - 1]
@@ -247,17 +284,13 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
         alpha = _softmax_rows((e @ v)[:, :, 0],
                               out=A_buf[s] if taped else None)
         x = table[prev] + (alpha[:, None, :] @ proj)[:, 0, :]
-        caches = []
-        for l in range(L):
-            UV = (U_buf[l][s], V_buf[l][s]) if taped else ()
-            if l == 0:
-                x, cache = _gru_split_forward(x, hidden[0], *W0, *UV)
-            else:
-                x, cache = _gru_forward(x, hidden[l], *gw[l - 1], *UV)
-            caches.append(cache)
-            hidden[l] = x
+        for l, h in enumerate(hidden):
+            slots = [buf[s] for buf in gru_bufs[l]] if taped else ()
+            zr, c = (_gru_forward if l else _gru_split_forward)(
+                x, h, *W[l], *slots)
+            x = hidden[l] = h + zr[:, :d] * (c - h)
         logits = x @ Wo + bo
-        lsm = _log_softmax_rows(logits)
+        lsm = _log_softmax_rows(logits, out=LSM_buf[s] if taped else None)
         if sampling:
             tok = np.full(B, EOS, np.intp)
             tok[live] = _draw(logits[live], temperature, rng)
@@ -267,7 +300,7 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
         tok_cols.append(tok)
         lp_cols.append(lsm[rows, tok])
         if taped:
-            stash.append((caches, x, lsm))
+            O_buf[s] = x
         prev = tok
         if sampling:
             ended = live & (tok == EOS)
@@ -286,66 +319,60 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
         out.requires_grad = False
         return out_tokens, out
 
-    inputs = [patches, keys, p["emb"], p["attn.wh"], p["attn.v"],
-              p["head.w"], p["head.b"]]
-    for l in range(L):
-        inputs.extend(p[f"gru{l}.{n}"] for n in
-                      ("wz", "bz", "wr", "br", "wh", "bh"))
-    inputs.extend(init_hidden)
+    inputs = [patches, keys] + [p[n] for n in (
+        "emb", "attn.wh", "attn.v", "head.w", "head.b",
+        *(f"gru{l}.{n}" for l in range(L) for n in GRU))] + list(init_hidden)
 
     def rule(g):
-        gmat = g.reshape(B, T_len) * mask
-        WoT, WqT, WxT = _transposed(Wo, Wq, Wx)
-        WT = [_transposed_gates(*W0)]
-        WT.extend(_transposed_gates(Wz, Wr, Wh) for Wz, _, Wr, _, Wh, _ in gw)
-        dK = np.zeros_like(K)
-        carry = [np.zeros((B, d), F32) for _ in range(L)]
         # Step t's rows go to slot T_len-1-t here, and sit at that index
         # of the forward buffers' valid part [steps-T_len:] too.
         first = steps - T_len
         E, A = E_buf[first:], A_buf[first:]
-        DL = np.empty((T_len, B, Wo.shape[1]), F32)
+        go = (g.reshape(B, T_len) * mask).T[::-1, :, None]
+        DL = np.exp(LSM_buf[first:])
+        DL *= -go
+        DL[np.arange(T_len)[:, None], rows, np.stack(tok_cols[::-1])] += go[
+            :, :, 0]
+        DLr = _step_rows(DL)
+        DH = (DLr @ Wo.T).reshape(T_len, B, d)
+        VE = v[:, 0] * (ONE - E * E)
+        bufs = [[buf[first:] for buf in layer] for layer in gru_bufs]
+        factors = [_gate_factors(U, ZR, C) for U, _, ZR, C in bufs]
+        WT = [_transposed_gates(*w[:2]) for w in W]
+        WqT = np.ascontiguousarray(Wq.T)
+        carry = [np.zeros((B, d), F32) for _ in range(L)]
         DS = np.empty((T_len, B, P), F32)
         DQ = np.empty((T_len, B, d), F32)
         gates = np.empty((L, T_len, B, 3 * d), F32)
-        for t in range(T_len - 1, -1, -1):
-            s = T_len - 1 - t
-            caches, _, lsm = stash[t]
-            go = gmat[:, t:t + 1]
-            dlogits = np.multiply(-go, np.exp(lsm), out=DL[s])
-            dlogits[rows, tok_cols[t]] += go[:, 0]
-            dx = dlogits @ WoT + carry[L - 1]
+        for s in range(T_len):
+            dx = DH[s] + carry[L - 1]
             for l in range(L - 1, -1, -1):
-                extra = carry[l] if l < L - 1 else None
-                dx, carry[l] = _gru_backward(dx, caches[l], *WT[l],
-                                             gates[l, s], dh_extra=extra)
+                G = dx if l == L - 1 else dx + carry[l]
+                dx, carry[l] = _gru_backward(G, [f[s] for f in factors[l]],
+                                             *WT[l], gates[l, s])
             # layer 0's gate gradients are those of its input side
             dalpha = (proj @ gates[0, s][:, :, None])[:, :, 0]
             alpha = A[s]
             dsrow = np.multiply(alpha, dalpha - (dalpha * alpha).sum(
                 axis=1, keepdims=True), out=DS[s])
-            dpre = dsrow[:, :, None] * v[:, 0] * (ONE - E[s] * E[s])
-            dK += dpre
-            dq = dpre.sum(axis=1, out=DQ[s])
-            carry[L - 1] = carry[L - 1] + dq @ WqT
+            dpre = np.multiply(VE[s], dsrow[:, :, None], out=VE[s])
+            carry[L - 1] = carry[L - 1] + dpre.sum(axis=1, out=DQ[s]) @ WqT
 
         dtable = _scatter_rows(table.shape, np.concatenate(prev_cols[::-1]),
                                _step_rows(gates[0]))
         dproj = (A.transpose(1, 2, 0) @ gates[0].transpose(1, 0, 2)
                  ).reshape(B * P, 3 * d)
-        dWx = np.concatenate([emb.T @ dtable, Pt.reshape(B * P, d).T @ dproj])
-        HQ = _step_rows(U_buf[L - 1][first:, :, :d])
-        HT = np.concatenate([stash[t][1] for t in range(T_len - 1, -1, -1)])
-        DLr = _step_rows(DL)
-        grads = [(dproj @ WxT[:, d:]).reshape(Pt.shape), dK,
-                 dtable @ WxT[:, :d], HQ.T @ _step_rows(DQ),
-                 _step_rows(E).T @ DS.reshape(-1, 1), HT.T @ DLr,
+        HQ = _step_rows(bufs[L - 1][0][..., :d])
+        grads = [(dproj @ Wx[d:].T).reshape(Pt.shape), VE.sum(axis=0),
+                 dtable @ Wx[:d].T, HQ.T @ _step_rows(DQ),
+                 _step_rows(E).T @ DS.reshape(-1, 1),
+                 _step_rows(O_buf[first:]).T @ DLr,
                  DLr.sum(axis=0, dtype=F32)]
-        grads.extend(_gru_weight_grads(U_buf[0][first:], V_buf[0][first:],
-                                       gates[0], dWx))
+        grads.extend(_gru_weight_grads(bufs[0][0], bufs[0][1], gates[0],
+                                       (emb, dtable),
+                                       (Pt.reshape(B * P, d), dproj)))
         for l in range(1, L):
-            grads.extend(_gru_weight_grads(U_buf[l][first:], V_buf[l][first:],
-                                           gates[l]))
+            grads.extend(_gru_weight_grads(bufs[l][0], bufs[l][1], gates[l]))
         grads.extend(carry)  # d loss / d initial hidden, per layer
         return grads
 
@@ -362,8 +389,9 @@ def gru_sequence(embs: Tensor, lengths, h0: np.ndarray, wz: Tensor,
                  tape) -> Tensor:
     """Final hidden states of a GRU run over a block of B padded sequences.
 
-    ``embs`` holds B sequences of T rows each, row-major as (B·T, d_in),
-    and ``h0`` their (B, d_h) start states. Sequence b runs for
+    ``embs`` holds T steps of B rows each, step-major as (T·B, d_in): row
+    t·B + b is step t of sequence b. ``h0`` holds the (B, d_h) start
+    states. Sequence b runs for
     ``lengths[b]`` steps and its state is held after that, so row b of
     the (B, d_h) result is its state at its own length; padding rows get
     no gradient.
@@ -376,21 +404,16 @@ def gru_sequence(embs: Tensor, lengths, h0: np.ndarray, wz: Tensor,
     T_len = E.shape[0] // B
     XS = E @ Wx
     XS += b  # in place: a second block-sized temporary costs more
-    XS = XS.reshape(B, T_len, 3 * d)
-    live = [(t < lengths)[:, None] for t in range(T_len)]
-    # the row-major buffers of the module docstring, taped only
+    XS = XS.reshape(T_len, B, 3 * d)
+    # the step-major buffers of the module docstring, taped only
     taped = tape is not None
-    if taped:
-        U_buf = np.empty((B, T_len, d), F32)
-        V_buf = np.empty_like(U_buf)
+    bufs = ([np.empty((T_len, B, w), F32) for w in (d, d, 2 * d, d)]
+            if taped else [])
     h = h0
-    caches = []
     for t in range(T_len):
-        UV = (U_buf[:, t], V_buf[:, t]) if taped else ()
-        h_new, cache = _gru_split_forward(XS[:, t], h, *W, *UV)
-        h = np.where(live[t], h_new, h)
-        if taped:
-            caches.append(cache)
+        zr, c = _gru_split_forward(XS[t], h, *W, *(buf[t] for buf in bufs))
+        zr[:, :d] *= (t < lengths)[:, None]  # z = 0 holds a finished row
+        h = h + zr[:, :d] * (c - h)
     out = Tensor._wrap(h.ravel().copy(), h.shape, True)
     if not taped:
         out.requires_grad = False
@@ -398,15 +421,15 @@ def gru_sequence(embs: Tensor, lengths, h0: np.ndarray, wz: Tensor,
 
     def rule(g):
         dh = g.reshape(B, -1)
+        U, V, ZR, C = bufs
+        factors = _gate_factors(U, ZR, C)
         WT = _transposed_gates(*W)
-        gates = np.empty((B, T_len, 3 * d), F32)
+        gates = np.empty((T_len, B, 3 * d), F32)
         for t in range(T_len - 1, -1, -1):
-            dH = _gru_backward(np.where(live[t], dh, ZERO), caches[t], *WT,
-                               gates[:, t])[1]
-            dh = np.where(live[t], dH, dh)
+            dh = _gru_backward(dh, [f[t] for f in factors], *WT,
+                               gates[t])[1]
         DX = _step_rows(gates)
-        return ([DX @ _transposed(Wx)[0]]
-                + _gru_weight_grads(U_buf, V_buf, gates, E.T @ DX))
+        return [DX @ Wx.T] + _gru_weight_grads(U, V, gates, (E, DX))
 
     tape.record(out, (embs, wz, bz, wr, br, wh, bh), rule)
     return out

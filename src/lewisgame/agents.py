@@ -233,12 +233,15 @@ class SpeakerPolicy:
 
         ``obs`` is an (N, obs_dim) stack and ``messages`` holds one token
         sequence per row, decoded as one block. Returns the block's
-        (N, T) node, zero past each message's end.
+        (N, T) node, zero past each message's end. A token id outside
+        the vocabulary raises ``IndexError``.
         """
         messages = [list(m) for m in messages]
         if not messages or not all(messages):
             raise ValueError("logprobs: every message must contain at "
                              "least one token")
+        T.check_index("logprobs", np.concatenate(messages),
+                      self.cfg.vocab_size)
         _, node = self._decode(self._stack(obs), tape, tokens=messages)
         return node
 
@@ -276,9 +279,10 @@ class ListenerModel:
         lengths = [len(m) for m in messages]
         if not lengths or min(lengths) == 0:
             raise ValueError("embed_message: messages must be non-empty")
-        ids = np.zeros((len(lengths), max(lengths)), np.intp)  # 0 pads
+        # step-major, as gru_sequence reads them; 0 pads
+        ids = np.zeros((max(lengths), len(lengths)), np.intp)
         for b, m in enumerate(messages):
-            ids[b, :len(m)] = m
+            ids[:len(m), b] = m
         p = self.params
         embs = T.embedding(tape, p["emb"], ids.ravel())
         h = gru_sequence(embs, lengths,

@@ -165,6 +165,9 @@ def evaluate_agents(speaker: SpeakerPolicy, listener: ListenerModel,
     (parameters, dataset, seed, n_rounds): distractor draws come from a
     fresh seeded stream.
     """
+    if n_rounds < 1:
+        raise ValueError(f"evaluate_agents: n_rounds must be >= 1, got "
+                         f"{n_rounds}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A1]))
     scenes, targets = sample_game_batch(dataset, k, n_rounds, rng)
     (trace,) = play_rounds([(speaker, scenes, targets, None)], listener,

@@ -127,12 +127,6 @@ def _emit(data_nd: np.ndarray, req: bool) -> Tensor:
     return Tensor._wrap(data_nd.ravel(), data_nd.shape, req)
 
 
-def _transposed(*weights):
-    """Contiguous transposes: a few rows times a contiguous W.T run
-    several times faster than times the strided view ``W.T``."""
-    return [np.ascontiguousarray(w.T) for w in weights]
-
-
 def matmul(tape, a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two rank-2 tensors."""
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -146,7 +140,7 @@ def matmul(tape, a: Tensor, b: Tensor) -> Tensor:
         def rule(g):
             G = g.reshape(out.shape)
             return (
-                (G @ _transposed(B)[0]) if a.requires_grad else None,
+                (G @ B.T) if a.requires_grad else None,
                 (A.T @ G) if b.requires_grad else None,
             )
         tape.record(out, (a, b), rule)
@@ -282,6 +276,13 @@ def _scatter_rows(shape, idx, rows: np.ndarray) -> np.ndarray:
     return onehot @ rows.reshape(n, shape[1])
 
 
+def check_index(name: str, idx: np.ndarray, n: int) -> None:
+    """Refuse an integer array holding an index outside [0, n)."""
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        bad = idx[(idx < 0) | (idx >= n)][0]
+        raise IndexError(f"{name}: index {bad} out of range [0, {n})")
+
+
 def embedding(tape, table: Tensor, ids) -> Tensor:
     """Gather rows of a rank-2 tensor by integer index."""
     if table.ndim != 2:
@@ -289,10 +290,7 @@ def embedding(tape, table: Tensor, ids) -> Tensor:
     idx = np.asarray(ids, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError(f"embedding: indices must be 1-D, got shape {idx.shape}")
-    n = table.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        bad = idx[(idx < 0) | (idx >= n)][0]
-        raise IndexError(f"embedding: index {bad} out of range [0, {n})")
+    check_index("embedding", idx, table.shape[0])
     T = table.data.reshape(table.shape)
     out_nd = T[idx]
     req = table.requires_grad
@@ -336,10 +334,11 @@ def _rows(a: Tensor) -> np.ndarray:
     return a.data.reshape(-1, a.shape[-1])
 
 
-def _log_softmax_rows(X: np.ndarray) -> np.ndarray:
-    """Log-softmax of each row of a rank-2 array."""
+def _log_softmax_rows(X: np.ndarray, out=None) -> np.ndarray:
+    """Log-softmax of each row of a rank-2 array, into ``out`` if given."""
     shifted = X - X.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return np.subtract(shifted, np.log(np.exp(shifted).sum(
+        axis=1, keepdims=True)), out=out)
 
 
 def log_softmax(tape, a: Tensor) -> Tensor:

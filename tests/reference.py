@@ -116,12 +116,21 @@ def concat(tape, parts, axis: int = 0) -> Tensor:
     return out
 
 
+def _gates(pre: np.ndarray) -> tuple:
+    """z and r from the pre-activations of both gates side by side, one
+    sigmoid over the pair."""
+    zr = F32(0.5) * (np.tanh(F32(0.5) * pre) + F32(1))
+    d = zr.shape[1] // 2
+    return zr[:, :d], zr[:, d:]
+
+
 def gru_cell(tape, x: Tensor, h: Tensor, wz: Tensor, bz: Tensor,
              wr: Tensor, br: Tensor, wh: Tensor, bh: Tensor) -> Tensor:
     """One step of a gated recurrent cell.
 
-    Gate inputs are the concatenation [h, x]; the candidate uses
-    [r * h, x]. All weight matrices are (d_h + d_x, d_h).
+    Gate inputs are the concatenation [h, x], multiplied by [W_z | W_r]
+    in one product; the candidate c uses [r * h, x], and the new state
+    is h + z·(c − h). All weight matrices are (d_h + d_x, d_h).
     """
     if x.ndim != 2 or h.ndim != 2 or x.shape[0] != h.shape[0]:
         raise ShapeError(f"gru_cell: bad state shapes x={x.shape} h={h.shape}")
@@ -136,11 +145,11 @@ def gru_cell(tape, x: Tensor, h: Tensor, wz: Tensor, bz: Tensor,
     X, H = x.nd(), h.nd()
     Wz, Wr, Wh = wz.nd(), wr.nd(), wh.nd()
     U = np.concatenate([H, X], axis=1)
-    z = F32(0.5) * (np.tanh(F32(0.5) * (U @ Wz + bz.data)) + F32(1))
-    r = F32(0.5) * (np.tanh(F32(0.5) * (U @ Wr + br.data)) + F32(1))
+    z, r = _gates(U @ np.concatenate([Wz, Wr], axis=1)
+                  + np.concatenate([bz.data, br.data]))
     V = np.concatenate([r * H, X], axis=1)
     c = np.tanh(V @ Wh + bh.data)
-    out_nd = (F32(1) - z) * H + z * c
+    out_nd = H + z * (c - H)
     inputs = (x, h, wz, bz, wr, br, wh, bh)
     req = any(t.requires_grad for t in inputs)
     out = _emit(out_nd, req)
@@ -175,8 +184,8 @@ def gru_cell_split(tape, xs: Tensor, h: Tensor, wz: Tensor, wr: Tensor,
     ``xs`` (m, 3·d_h) holds x·W_x + b for the update, reset and
     candidate gates; ``wz``, ``wr`` and ``wh`` are the (d_h, d_h) state
     rows of the three weights (see ``state_rows``). Computes
-    z = sigmoid(h·W_z + xs[:, :d_h]), r likewise from the next d_h
-    columns, and c = tanh((r·h)·W_h + xs[:, 2·d_h:]).
+    [z | r] = sigmoid(h·[W_z | W_r] + xs[:, :2·d_h]) in one product,
+    c = tanh((r·h)·W_h + xs[:, 2·d_h:]), and h + z·(c − h).
     """
     if xs.ndim != 2 or h.ndim != 2 or xs.shape[0] != h.shape[0]:
         raise ShapeError(f"gru_cell_split: bad shapes xs={xs.shape} "
@@ -191,12 +200,10 @@ def gru_cell_split(tape, xs: Tensor, h: Tensor, wz: Tensor, wr: Tensor,
                              f"got {w.shape}")
     XS, H = xs.nd(), h.nd()
     Wz, Wr, Wh = wz.nd(), wr.nd(), wh.nd()
-    z = F32(0.5) * (np.tanh(F32(0.5) * (H @ Wz + XS[:, :dh])) + F32(1))
-    r = F32(0.5) * (np.tanh(F32(0.5) * (H @ Wr + XS[:, dh:2 * dh]))
-                    + F32(1))
+    z, r = _gates(H @ np.concatenate([Wz, Wr], axis=1) + XS[:, :2 * dh])
     V = r * H
     c = np.tanh(V @ Wh + XS[:, 2 * dh:])
-    out_nd = (F32(1) - z) * H + z * c
+    out_nd = H + z * (c - H)
     inputs = (xs, h, wz, wr, wh)
     req = any(t.requires_grad for t in inputs)
     out = _emit(out_nd, req)

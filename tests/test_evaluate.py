@@ -93,6 +93,19 @@ def test_evaluate_agents_embeds_each_scene_at_most_once(monkeypatch):
     assert rows and sum(rows) <= len(ds)
 
 
+@pytest.mark.parametrize("n_rounds", [0, -3])
+def test_evaluate_agents_refuses_fewer_than_one_round(n_rounds):
+    spec = WorldSpec()
+    ds = reference.generate_dataset(3, 12, spec)
+    cfg = ModelConfig(vocab_size=len(ds.vocab), obs_dim=spec.input_dim,
+                      d_e=8, d_o=8, n_layers=1)
+    speaker = SpeakerPolicy.create(cfg, 1)
+    listener = ListenerModel.create(cfg, 2, encoder=speaker)
+    with pytest.raises(ValueError, match=f"n_rounds must be >= 1, got "
+                                         f"{n_rounds}"):
+        evaluate_agents(speaker, listener, ds, 8, n_rounds=n_rounds)
+
+
 def _tiny_config() -> RunConfig:
     # non-default values throughout, so a cell that drops a setting on
     # the way from the config to the trainer shows up as a different report
