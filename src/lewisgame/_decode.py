@@ -20,16 +20,20 @@ projection patches·W_ctx, so that a step adds table[token] +
 alpha·projection and the context is never formed. The decoder's higher
 layers keep the concatenated form.
 
-A taped forward fills buffers preallocated for all its steps: per GRU
-layer its h (or [h, x]), r·h (or [r·h, x]), z|r and c, and for the
-decoder the attention activations and weights, the log-softmax and the
-top layer's state. All are step-major, so a step's slot is contiguous:
-the decoder's hold step t at slot steps-1-t, the order the backward
-visits them (when sampling ends early, the valid rows are the last
-T_len slots), and the listener's run in step order like its input
-rows. An untaped call allocates none of them. A
-listener row past its length gets z = 0, which holds its state and
-passes its gradient through unchanged, so no loop masks.
+A forward step loop keeps only the recurrence: the decoder's runs
+attention, the GRU layers, the head product and, when sampling, the
+draw the next step reads; the listener's runs its GRU. The decoder puts
+each step's top state, logits and token into per-call buffers, and
+after its loop makes one log-softmax and one gather of the chosen
+tokens; a sampled row ends at its first <eos>. A listener row past its length gets z = 0 from a (T, B, 1) mask,
+which holds its state and passes its gradient through unchanged. A
+taped step also fills buffers for all steps: per GRU layer its h (or
+[h, x]), r·h (or [r·h, x]), z|r and c, and attention's activations and
+weights. All are step-major: the decoder's hold step t at slot
+steps-1-t, the order the backward visits them (when sampling ends
+early, the valid rows are the last T_len slots), and the listener's run
+in step order like its input rows. An untaped step fills none and
+builds its new state in place over c as (c − h)·z + h, bitwise equal.
 
 Before its step loop, a backward computes in one pass each over all
 steps the factors (c−h)·z·(1−z) and z·(1−c²), in place over z and c,
@@ -41,10 +45,8 @@ buffer. After it, every input-side gradient is one product over the
 buffers, dK one sum, and each weight gradient is written once, row
 block by row block, into its own array. A product that uses a weight
 once per call takes the strided W.T, which BLAS reads as a transposed
-operand: at these shapes that was no slower than the product with a
-contiguous copy, which alone costs up to 60 µs for a 256×384 W_x. The
-loop's products, at a few rows once per step, use contiguous
-transposes: up to 5× faster.
+operand (a contiguous copy alone costs up to 60 µs for a 256×384 W_x);
+the loop's few-row products use contiguous transposes, up to 5× faster.
 
 ``tests/reference.py`` builds both recurrences from individual tape
 ops, one message at a time, in the same split form. A one-row block
@@ -53,8 +55,9 @@ the oracle bitwise and its gradients to float32 round-off; in a block
 of several rows each matmul sums over all rows at once, in another
 order, so rows match the oracle within float32 round-off, as do
 gradients. Sampling and teacher forcing read the same table and
-projection, so a sampled block rescored teacher-forced as a block of
-the same shape reproduces its log-probabilities and gradients bitwise.
+projection and make one head product per step, so a sampled block
+rescored teacher-forced as a block of the same shape reproduces its
+log-probabilities and gradients bitwise.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor import F32, Tensor, _log_softmax_rows, _scatter_rows
+from .world import BOS, EOS
 
 ONE = F32(1)
 HALF = F32(0.5)
@@ -190,26 +194,36 @@ def _gru_weight_grads(U, V, G, *inputs):
 # speaker decoder: attention + stacked GRU + head, one tape node per block
 
 
-def _draw(logits, temperature: float, rng) -> np.ndarray:
-    """One token per row of ``logits``: the argmax at temperature 0, else
-    a draw from softmax(logits / temperature).
+def _draw(logits, temperature: float, rng, live) -> np.ndarray:
+    """One token per row of ``logits``: <eos> if the row is not ``live``,
+    else its argmax at temperature 0 or a draw from softmax(logits / T).
 
-    A draw takes one uniform per row from ``rng`` and returns the number
-    of that row's CDF entries at or below it, which is the inverse-CDF
-    rule ``rng.choice(V, p=...)`` applies to one row.
+    A draw takes one uniform per live row from ``rng`` and returns the
+    number of that row's CDF entries at or below it, which is the
+    inverse-CDF rule ``rng.choice(V, p=...)`` applies to one row.
     """
     if temperature == 0:
-        return np.argmax(logits, axis=1)
-    xs = logits.astype(np.float64) / temperature
+        return np.where(live, np.argmax(logits, axis=1), EOS)
+    xs = logits[live].astype(np.float64)
+    xs /= temperature
     xs -= xs.max(axis=1, keepdims=True)
     prob = np.exp(xs)
     prob /= prob.sum(axis=1, keepdims=True)
     cdf = np.cumsum(prob, axis=1)
     cdf /= cdf[:, -1:]
     u = rng.random(len(cdf))
-    return (cdf <= u[:, None]).sum(axis=1)
+    tok = np.full(live.size, EOS, np.intp)
+    tok[live] = (cdf <= u[:, None]).sum(axis=1)
+    return tok
 
 
+def _blend(h, z, c, taped, out=None):
+    """A GRU's new state h + z·(c − h); untaped, in place over c."""
+    if taped:
+        return np.add(h, z * (c - h), out=out)
+    c -= h
+    c *= z
+    return np.add(c, h, out=c if out is None else out)
 
 
 def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
@@ -246,36 +260,33 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
     Pt = patches.nd()
     K = keys.nd()
     B, P = Pt.shape[:2]
-    rows = np.arange(B)
     # layer 0's input side: x·W_x + b = table[token] + alpha·proj
     table = emb @ Wx[:d] + b0
     proj = (Pt.reshape(B * P, d) @ Wx[d:]).reshape(B, P, 3 * d)
 
-    from .world import BOS, EOS
     sampling = tokens is None
     if sampling:
-        lengths = np.full(B, t_max)
         live = np.ones(B, bool)
         steps = t_max
     else:
         lengths = np.array([len(seq) for seq in tokens])
         steps = int(lengths.max())
-        forced = np.full((B, steps), EOS, np.intp)
+        forced = np.full((steps, B), EOS, np.intp)
         for b, seq in enumerate(tokens):
-            forced[b, :len(seq)] = seq
+            forced[:len(seq), b] = seq
     hidden = [h.nd() for h in init_hidden]
     prev = np.full(B, BOS, np.intp)
 
-    # the step-major buffers of the module docstring, taped only
+    # the step-major buffers of the module docstring
+    TOK = np.empty((steps, B), np.intp)
+    LSM = np.empty((steps, B, Wo.shape[1]), F32)  # logits, then log-softmax
+    O = np.empty((steps, B, d), F32)
     taped = tape is not None
     if taped:
         E_buf = np.empty((steps,) + K.shape, F32)
         A_buf = np.empty((steps, B, P), F32)
-        LSM_buf = np.empty((steps, B, Wo.shape[1]), F32)
-        O_buf = np.empty((steps, B, d), F32)
         gru_bufs = [[np.empty((steps, B, w), F32) for w in (u, u, 2 * d, d)]
                     for u in [d] + [2 * d] * (L - 1)]
-    prev_cols, tok_cols, lp_cols = [], [], []
     for t in range(steps):
         s = steps - 1 - t
         hq = hidden[L - 1]
@@ -288,31 +299,30 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
             slots = [buf[s] for buf in gru_bufs[l]] if taped else ()
             zr, c = (_gru_forward if l else _gru_split_forward)(
                 x, h, *W[l], *slots)
-            x = hidden[l] = h + zr[:, :d] * (c - h)
-        logits = x @ Wo + bo
-        lsm = _log_softmax_rows(logits, out=LSM_buf[s] if taped else None)
+            x = hidden[l] = _blend(h, zr[:, :d], c, taped,
+                                   O[s] if l == L - 1 else None)
+        logits = np.add(np.matmul(x, Wo, out=LSM[s]), bo, out=LSM[s])
         if sampling:
-            tok = np.full(B, EOS, np.intp)
-            tok[live] = _draw(logits[live], temperature, rng)
+            prev = _draw(logits, temperature, rng, live)
+            live &= prev != EOS
         else:
-            tok = forced[:, t]
-        prev_cols.append(prev)
-        tok_cols.append(tok)
-        lp_cols.append(lsm[rows, tok])
-        if taped:
-            O_buf[s] = x
-        prev = tok
-        if sampling:
-            ended = live & (tok == EOS)
-            lengths[ended] = t + 1
-            live &= ~ended
-            if not live.any():
-                break
+            prev = forced[t]
+        TOK[s] = prev
+        if sampling and not live.any():
+            break
 
-    T_len = len(tok_cols)
+    # step t's rows sit at index T_len-1-t of each valid part [first:]
+    T_len = t + 1
+    first = steps - T_len
+    TOK, LSM, O = TOK[first:], LSM[first:], O[first:]
+    _log_softmax_rows(_step_rows(LSM), out=_step_rows(LSM))
+    lp = np.take_along_axis(LSM, TOK[:, :, None], axis=2)[::-1, :, 0].T
+    tok_arr = TOK[::-1].T
+    if sampling:  # a row ends at its first <eos>, else at t_max
+        ended = tok_arr == EOS
+        lengths = np.where(ended.any(1), ended.argmax(1) + 1, T_len)
     mask = np.arange(T_len)[None, :] < lengths[:, None]
-    lp_arr = np.where(mask, np.stack(lp_cols, axis=1), F32(0))
-    tok_arr = np.stack(tok_cols, axis=1)
+    lp_arr = np.where(mask, lp, F32(0))
     out_tokens = [tok_arr[b, :n].tolist() for b, n in enumerate(lengths)]
     out = Tensor._wrap(lp_arr.ravel(), (B, T_len), True)
     if not taped:
@@ -324,15 +334,11 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
         *(f"gru{l}.{n}" for l in range(L) for n in GRU))] + list(init_hidden)
 
     def rule(g):
-        # Step t's rows go to slot T_len-1-t here, and sit at that index
-        # of the forward buffers' valid part [steps-T_len:] too.
-        first = steps - T_len
         E, A = E_buf[first:], A_buf[first:]
         go = (g.reshape(B, T_len) * mask).T[::-1, :, None]
-        DL = np.exp(LSM_buf[first:])
+        DL = np.exp(LSM)
         DL *= -go
-        DL[np.arange(T_len)[:, None], rows, np.stack(tok_cols[::-1])] += go[
-            :, :, 0]
+        DL[np.arange(T_len)[:, None], np.arange(B), TOK] += go[:, :, 0]
         DLr = _step_rows(DL)
         DH = (DLr @ Wo.T).reshape(T_len, B, d)
         VE = v[:, 0] * (ONE - E * E)
@@ -358,15 +364,16 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
             dpre = np.multiply(VE[s], dsrow[:, :, None], out=VE[s])
             carry[L - 1] = carry[L - 1] + dpre.sum(axis=1, out=DQ[s]) @ WqT
 
-        dtable = _scatter_rows(table.shape, np.concatenate(prev_cols[::-1]),
-                               _step_rows(gates[0]))
+        # each step's previous token: the next slot's, <bos> at the last
+        prev_ids = np.concatenate([TOK[1:].ravel(), np.full(B, BOS)])
+        dtable = _scatter_rows(table.shape, prev_ids, _step_rows(gates[0]))
         dproj = (A.transpose(1, 2, 0) @ gates[0].transpose(1, 0, 2)
                  ).reshape(B * P, 3 * d)
         HQ = _step_rows(bufs[L - 1][0][..., :d])
         grads = [(dproj @ Wx[d:].T).reshape(Pt.shape), VE.sum(axis=0),
                  dtable @ Wx[:d].T, HQ.T @ _step_rows(DQ),
                  _step_rows(E).T @ DS.reshape(-1, 1),
-                 _step_rows(O_buf[first:]).T @ DLr,
+                 _step_rows(O).T @ DLr,
                  DLr.sum(axis=0, dtype=F32)]
         grads.extend(_gru_weight_grads(bufs[0][0], bufs[0][1], gates[0],
                                        (emb, dtable),
@@ -409,11 +416,12 @@ def gru_sequence(embs: Tensor, lengths, h0: np.ndarray, wz: Tensor,
     taped = tape is not None
     bufs = ([np.empty((T_len, B, w), F32) for w in (d, d, 2 * d, d)]
             if taped else [])
+    alive = (np.arange(T_len)[:, None] < lengths)[:, :, None].astype(F32)
     h = h0
     for t in range(T_len):
         zr, c = _gru_split_forward(XS[t], h, *W, *(buf[t] for buf in bufs))
-        zr[:, :d] *= (t < lengths)[:, None]  # z = 0 holds a finished row
-        h = h + zr[:, :d] * (c - h)
+        zr[:, :d] *= alive[t]  # z = 0 holds a finished row
+        h = _blend(h, zr[:, :d], c, taped)
     out = Tensor._wrap(h.ravel().copy(), h.shape, True)
     if not taped:
         out.requires_grad = False

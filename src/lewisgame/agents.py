@@ -223,6 +223,8 @@ class SpeakerPolicy:
         """
         if temperature < 0:
             raise ValueError("temperature must be >= 0")
+        if t_max < 1:
+            raise ValueError(f"t_max must be >= 1, got {t_max}")
         rows = np.repeat(self._stack(obs), n_samples, axis=0)
         tokens, node = self._decode(rows, tape, t_max=t_max,
                                     temperature=temperature, rng=rng)
@@ -269,7 +271,8 @@ class ListenerModel:
         _add_gru(p, rng, "gru", cfg.d_e, cfg.d_o)
         _add_linear(p, rng, "proj.l1", cfg.d_o, 2 * cfg.d_o)
         _add_linear(p, rng, "proj.l2", 2 * cfg.d_o, cfg.d_o)
-        _add_linear(p, rng, "img", cfg.d_e, cfg.d_o)
+        # no bias: the softmax cancels v_m·b, the same in all K scores
+        p.add("img.w", Tensor(_glorot(rng, cfg.d_e, cfg.d_o), True))
         return cls(cfg, p, encoder)
 
     def embed_message(self, messages, tape=None) -> Tensor:
@@ -302,28 +305,23 @@ class ListenerModel:
         enc = encoder or self.encoder
         if enc is None:
             raise ValueError("listener has no bound image encoder")
-        p = self.params
         pooled = T.mean(tape, enc.encode(observations, tape), axis=1)
-        return T.add(tape, T.matmul(tape, pooled, p["img.w"]), p["img.b"])
+        return T.matmul(tape, pooled, self.params["img.w"])
 
-    def log_probs(self, v_msgs: Tensor, v_imgs: Tensor,
+    def log_probs(self, v_msgs: Tensor, v_imgs: Tensor, cols,
                   tape=None) -> Tensor:
-        """(N·G, K) log-probabilities of each round's candidates given
-        each of its messages.
+        """(N, K) log-probabilities of each message's K candidates.
 
-        ``v_msgs`` (N, G, d_o) holds G message summaries (from
-        ``embed_message``) for each of N rounds, and ``v_imgs`` (N, K,
-        d_o) each round's candidate embeddings (from ``embed_images``).
-        Scores are inner products between a message summary and its
-        round's candidates; row n·G + g is the log-softmax of round n's
-        scores for its message g. That is both the listener's loss term
-        and, through ``exp``, the shared reward and the evaluation
-        ranking.
+        ``v_msgs`` (N, d_o) holds N message summaries (from
+        ``embed_message``), ``v_imgs`` (M, d_o) M distinct candidates'
+        embeddings (from ``embed_images``), and row n of ``cols`` (N, K)
+        message n's K distinct candidates among them. Each message is
+        scored once against all M by inner product; row n is the
+        log-softmax of its K scores, the listener's loss term and,
+        through ``exp``, the shared reward and the evaluation ranking.
         """
-        n, g, _ = v_msgs.shape
         scores = T.inner(tape, v_msgs, v_imgs)
-        return T.log_softmax(
-            tape, T.reshape(tape, scores, (n * g, v_imgs.shape[1])))
+        return T.log_softmax(tape, T.take_cols(tape, scores, cols))
 
 
 def model_config_from_params(speaker_params: ParameterSet,

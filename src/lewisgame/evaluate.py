@@ -38,7 +38,7 @@ BLEU_EPS = 1e-9
 
 
 def _ngram_counts(tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
 def _closest_ref_len(c: int, references) -> int:
@@ -48,10 +48,10 @@ def _closest_ref_len(c: int, references) -> int:
 
 @lru_cache(maxsize=1024)
 def _reference_maxima(references: tuple, max_n: int) -> tuple:
-    """For n = 1..max_n, each n-gram's largest count in any of
-    ``references`` (a tuple of token tuples). Cached, since evaluation
-    scores every round against its target scene's few captions; the
-    tables are shared between calls, so callers only read them."""
+    """For n = 1..max_n, a dict of each n-gram's largest count in any of
+    ``references`` (a tuple of token tuples), which clips by lookup.
+    Cached, since evaluation scores every round against its target
+    scene's few captions; callers share the tables and only read them."""
     tables = []
     for n in range(1, max_n + 1):
         best = Counter()
@@ -75,12 +75,12 @@ def bleu(candidate, references, max_n: int = 4) -> list[float]:
     maxima = _reference_maxima(references, max_n)
     precisions = []
     for n in range(1, max_n + 1):
-        counts = _ngram_counts(candidate, n)
-        total = sum(counts.values())
-        if total == 0:
+        total = c - n + 1
+        if total <= 0:
             precisions.append(BLEU_EPS)
             continue
-        clipped = sum((counts & maxima[n - 1]).values())
+        clipped = sum(min(k, maxima[n - 1].get(gram, 0))
+                      for gram, k in _ngram_counts(candidate, n).items())
         precisions.append(clipped / total if clipped else BLEU_EPS)
     scores = []
     for n in range(1, max_n + 1):

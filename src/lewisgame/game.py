@@ -100,14 +100,13 @@ def play_rounds(blocks, listener: ListenerModel, inputs: np.ndarray,
     ``targets[n]``. Each block's speaker describes its rounds' targets
     ``generations`` times in one ``SpeakerPolicy.sample`` call with the
     block's rng, and one ``embed_message`` call embeds the messages of
-    every block. Each block embeds its distinct candidate scenes once,
-    with its own speaker's encoder, and gathers them into its rounds'
-    slots, so memory is bounded by the scenes drawn, not by K × rounds;
-    on a tape the gather sums the gradients of a scene that several
-    rounds share. A block gathers its own rows of the message summaries
-    the same way, and on a tape its row b's target log-prob too: the
-    listener's (B, K) log-probs as B·K one-wide rows, of which
-    ``T.embedding`` takes row b·K + target. Temperature 0 decodes
+    every block. Each block embeds its M distinct candidate scenes once,
+    with its own speaker's encoder, scores each of its messages against
+    all M in one inner product and takes each row's K columns, so memory
+    is bounded by the scenes drawn, not by K × rounds; on a tape a scene
+    that several rounds share sums their gradients. A block takes its own
+    rows of the message summaries by ``T.embedding``, and on a tape its
+    row b's target log-prob by ``T.take_cols``. Temperature 0 decodes
     greedily and needs no rng.
     """
     sampled = [speaker.sample(inputs[scenes[np.arange(targets.size), targets]],
@@ -118,21 +117,16 @@ def play_rounds(blocks, listener: ListenerModel, inputs: np.ndarray,
     traces, start = [], 0
     for (speaker, scenes, targets, _), (samples, logprobs) in zip(blocks,
                                                                   sampled):
-        n, k = scenes.shape
         rows = np.arange(start, start + len(samples))
         start += len(samples)
         distinct, slots = np.unique(scenes.ravel(), return_inverse=True)
-        v_imgs = T.embedding(tape, listener.embed_images(
-            inputs[distinct], tape, encoder=speaker), slots)
-        d = v_imgs.shape[1]
         node = listener.log_probs(
-            T.reshape(tape, T.embedding(tape, v_msgs, rows),
-                      (n, generations, d)),
-            T.reshape(tape, v_imgs, (n, k, d)), tape)
+            T.embedding(tape, v_msgs, rows),
+            listener.embed_images(inputs[distinct], tape, encoder=speaker),
+            np.repeat(slots.reshape(scenes.shape), generations, axis=0), tape)
         row_targets = np.repeat(targets, generations)
-        logp_target = None if tape is None else T.embedding(
-            tape, T.reshape(tape, node, (node.size, 1)),
-            np.arange(row_targets.size) * k + row_targets)
+        logp_target = None if tape is None else T.take_cols(
+            tape, node, row_targets[:, None])
         traces.append(RoundTrace(samples, row_targets, np.exp(node.nd()),
                                  generations, logprobs, logp_target))
     return traces

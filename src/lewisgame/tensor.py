@@ -148,13 +148,12 @@ def matmul(tape, a: Tensor, b: Tensor) -> Tensor:
 
 
 def inner(tape, a: Tensor, b: Tensor) -> Tensor:
-    """Inner products of rows, batched: a (n, m, d) and b (n, k, d) give
-    (n, m, k) with out[i, j, l] = a[i, j] . b[i, l]."""
-    if (a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0]
-            or a.shape[2] != b.shape[2]):
+    """Inner products of every row of a (m, d) with every row of b (k, d):
+    (m, k) with out[i, j] = a[i] . b[j]."""
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"inner: incompatible shapes {a.shape} and {b.shape}")
     A, B = a.nd(), b.nd()
-    out_nd = A @ B.transpose(0, 2, 1)
+    out_nd = A @ B.T
     req = a.requires_grad or b.requires_grad
     out = _emit(out_nd, req)
     if req and tape is not None:
@@ -162,7 +161,7 @@ def inner(tape, a: Tensor, b: Tensor) -> Tensor:
             G = g.reshape(out.shape)
             return (
                 (G @ B) if a.requires_grad else None,
-                (G.transpose(0, 2, 1) @ A) if b.requires_grad else None,
+                (G.T @ A) if b.requires_grad else None,
             )
         tape.record(out, (a, b), rule)
     return out
@@ -262,7 +261,7 @@ def _scatter_rows(shape, idx, rows: np.ndarray) -> np.ndarray:
 
     Computed as one product, a one-hot (shape[0], len(idx)) float32
     matrix times ``rows``, which costs less than ``numpy.add.at`` for the
-    tables here (a vocabulary, or a block's distinct scenes). BLAS sums
+    tables here (a vocabulary, or a step's message summaries). BLAS sums
     in its own order: within one block of its inner dimension that is
     index order, as ``numpy.add.at`` sums, so results match it bitwise
     for short index lists (up to about 384 indices at 128 columns with
@@ -299,6 +298,26 @@ def embedding(tape, table: Tensor, ids) -> Tensor:
         def rule(g):
             return (_scatter_rows(table.shape, idx, g.reshape(out.shape)),)
         tape.record(out, (table,), rule)
+    return out
+
+
+def take_cols(tape, a: Tensor, cols) -> Tensor:
+    """Row i's columns ``cols[i]`` of a rank-2 tensor: (n, m) and integer
+    (n, k) give (n, k). The backward writes into zeros, so a row that
+    repeats a column, whose gradients would have to add, is refused."""
+    idx = np.asarray(cols, dtype=np.intp)
+    if a.ndim != 2 or idx.ndim != 2 or idx.shape[0] != a.shape[0]:
+        raise ShapeError(f"take_cols: columns {idx.shape} for {a.shape}")
+    check_index("take_cols", idx, a.shape[1])
+    if (np.diff(np.sort(idx, axis=1), axis=1) == 0).any():
+        raise ValueError("take_cols: a row repeats a column")
+    out = _emit(np.take_along_axis(a.nd(), idx, 1), a.requires_grad)
+    if a.requires_grad and tape is not None:
+        def rule(g):
+            G = np.zeros(a.shape, F32)
+            np.put_along_axis(G, idx, g.reshape(idx.shape), 1)
+            return (G,)
+        tape.record(out, (a,), rule)
     return out
 
 

@@ -149,7 +149,8 @@ def advantage_variance(advs: np.ndarray, generations: int) -> np.ndarray:
 
 
 def sync_replicas(param_sets) -> None:
-    """Replace every parameter by its elementwise mean across replicas.
+    """Overwrite every parameter in place with its elementwise mean
+    across replicas, summed in float64 in replica order as ``np.mean``.
 
     The sets are the replicas of one ``SpeakerPolicy.create``, so they
     hold the same names at the same shapes; nothing here checks that.
@@ -157,10 +158,12 @@ def sync_replicas(param_sets) -> None:
     if len(param_sets) <= 1:
         return
     for name in param_sets[0].names():
-        mean = np.mean([ps[name].data.astype(np.float64)
-                        for ps in param_sets], axis=0).astype(F32)
+        total = param_sets[0][name].data.astype(np.float64)
+        for ps in param_sets[1:]:
+            total += ps[name].data
+        mean = (total / len(param_sets)).astype(F32)
         for ps in param_sets:
-            ps[name].data = mean.copy()
+            np.copyto(ps[name].data, mean)
 
 
 def _group_loss_node(tape, trace: RoundTrace, advs: np.ndarray):

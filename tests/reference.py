@@ -270,8 +270,7 @@ def embed_images(listener, observations: np.ndarray, tape=None,
     for obs in observations:
         patches = encode(enc, obs, tape)
         pooled = T.mean(tape, patches, axis=0)
-        rows.append(T.add(tape, T.matmul(tape, pooled, p["img.w"]),
-                          p["img.b"]))
+        rows.append(T.matmul(tape, pooled, p["img.w"]))
     return concat(tape, rows, axis=0)
 
 
@@ -613,8 +612,7 @@ def evaluate_agents(speaker, listener, dataset, k: int, n_rounds: int = 200,
                                      None)
         v_imgs = listener.embed_images(obs, None, encoder=speaker)
         v_m = embed_message(listener, message.tokens)
-        logp = listener.log_probs(T.reshape(None, v_m, (1, 1, v_m.size)),
-                                  T.reshape(None, v_imgs, (1,) + v_imgs.shape))
+        logp = listener.log_probs(v_m, v_imgs, np.arange(k)[None, :])
         episodes.append(Episode(int(target), node.data.copy(),
                                 np.exp(logp.data)))
         content = _strip_eos(message.tokens)

@@ -51,6 +51,13 @@ def test_greedy_is_deterministic(world):
     assert a_node.data.tobytes() == b_node.data.tobytes()
 
 
+@pytest.mark.parametrize("t_max", [0, -1])
+def test_sample_refuses_fewer_than_one_step(world, t_max):
+    ds, _, speaker, _ = world
+    with pytest.raises(ValueError, match=f"t_max must be >= 1, got {t_max}"):
+        speaker.sample(ds.model_inputs()[3], t_max, 0.0, 1, None)
+
+
 def test_sampling_deterministic_given_seed(world):
     ds, _, speaker, _ = world
     s1, _ = speaker.sample(ds.model_inputs()[1], 12, 1.0, 3,
@@ -138,6 +145,35 @@ def test_logprobs_refuses_token_ids_outside_the_vocabulary(world):
     assert speaker.logprobs(obs, [[5, 6], [3, V - 1]]).shape == (2, 2)
 
 
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_untaped_forward_passes_match_taped_bitwise(world, n_layers):
+    # untaped, the kernels keep no buffers and update their states in
+    # place; they must compute what the taped kernels record, bit for bit
+    ds, cfg, _, _ = world
+    cfg = ModelConfig(**{**cfg.__dict__, "n_layers": n_layers})
+    speaker = SpeakerPolicy.create(cfg, 11)
+    listener = ListenerModel.create(cfg, 13, encoder=speaker)
+    obs = ds.model_inputs()[:6]
+
+    def same(a, b):
+        assert a.shape == b.shape and a.data.tobytes() == b.data.tobytes()
+
+    for temperature in (1.0, 0.0):
+        (s0, n0), (s1, n1) = (
+            speaker.sample(obs, 8, temperature, 3,
+                           np.random.default_rng(5), tape)
+            for tape in (None, Tape()))
+        assert [m.tokens for m in s0] == [m.tokens for m in s1]
+        same(n0, n1)
+    rng = np.random.default_rng(2)
+    messages = [rng.integers(4, len(ds.vocab), n).tolist()
+                for n in (3, 1, 7, 5, 2, 6)]
+    same(speaker.logprobs(obs, messages),
+         speaker.logprobs(obs, messages, Tape()))
+    same(listener.embed_message(messages),
+         listener.embed_message(messages, Tape()))
+
+
 def test_draw_one_row_matches_rng_choice():
     rng = np.random.default_rng(0)
     for seed in range(500):
@@ -148,18 +184,23 @@ def test_draw_one_row_matches_rng_choice():
         prob = np.exp(xs)
         prob /= prob.sum()
         want = np.random.default_rng(seed).choice(23, p=prob)
-        got = _draw(logits, temperature, np.random.default_rng(seed))
+        got = _draw(logits, temperature, np.random.default_rng(seed),
+                    np.ones(1, bool))
         assert got.tolist() == [want]
 
 
 def test_draw_takes_one_uniform_per_row_in_row_order():
+    # rows that are not live get <eos> and take no uniform
     rng = np.random.default_rng(1)
     logits = rng.normal(0, 2, (6, 11)).astype(np.float32)
-    block = _draw(logits, 1.0, np.random.default_rng(9))
+    live = np.array([True, False, True, True, False, True])
+    block = _draw(logits, 1.0, np.random.default_rng(9), live)
     stream = np.random.default_rng(9)
-    rows = [_draw(row[None], 1.0, stream)[0] for row in logits]
+    rows = [_draw(row[None], 1.0, stream, np.ones(1, bool))[0] if on
+            else EOS for row, on in zip(logits, live)]
     assert block.tolist() == rows
-    assert _draw(logits, 0.0, None).tolist() == np.argmax(logits, 1).tolist()
+    greedy = np.where(live, np.argmax(logits, 1), EOS)
+    assert _draw(logits, 0.0, None, live).tolist() == greedy.tolist()
 
 
 # Largest differences between a row of a block and the op-by-op oracle
@@ -620,36 +661,32 @@ def test_log_probs_matches_reference_listener_probs():
         tokens = [int(t) for t in rng.integers(4, len(ds.vocab), size=6)]
         v_imgs = listener.embed_images(obs)
         v_m = listener.embed_message([tokens])
-        logp = listener.log_probs(_per_round(v_m, 1), _per_round(v_imgs, 1))
+        cols = np.arange(64)[None, :]
+        logp = listener.log_probs(v_m, v_imgs, cols)
         got = np.exp(logp.data)
         ref = reference.listener_probs(v_m.data, v_imgs.nd())
         assert logp.shape == (1, 64)
         assert np.max(np.abs(got - ref) / ref) <= 1e-6
-        taped = listener.log_probs(_per_round(v_m, 1), _per_round(v_imgs, 1),
-                                   Tape())
+        taped = listener.log_probs(v_m, v_imgs, cols, Tape())
         assert taped.data.tobytes() == logp.data.tobytes()
 
 
-def _per_round(rows, n):
-    """(n·m, d) rows as an (n, m, d) tensor: m rows for each of n rounds."""
-    return T.reshape(None, rows, (n, rows.shape[0] // n, rows.shape[1]))
-
-
 def test_log_probs_scores_each_round_against_its_own_candidates(world):
-    # three rounds of two messages and four candidates each, against
-    # every (message, round) pair scored alone
+    # three rounds of two messages and four candidates each, drawn from
+    # seven distinct scenes in shuffled slots, against every (message,
+    # round) pair scored alone
     ds, _, speaker, listener = world
     rng = np.random.default_rng(6)
     messages = [[int(t) for t in rng.integers(4, 20, n)]
                 for n in (3, 1, 5, 2, 4, 6)]
     v_m = listener.embed_message(messages)
-    v_imgs = listener.embed_images(ds.model_inputs()[:12], encoder=speaker)
-    logp = listener.log_probs(_per_round(v_m, 3), _per_round(v_imgs, 3))
+    v_imgs = listener.embed_images(ds.model_inputs()[:7], encoder=speaker)
+    slots = np.array([[3, 0, 6, 1], [2, 5, 0, 4], [6, 4, 1, 3]])
+    logp = listener.log_probs(v_m, v_imgs, np.repeat(slots, 2, axis=0))
     assert logp.shape == (6, 4)
     for row in range(6):
-        rnd = row // 2
         alone = reference.listener_probs(v_m.nd()[row],
-                                         v_imgs.nd()[4 * rnd:4 * rnd + 4])
+                                         v_imgs.nd()[slots[row // 2]])
         got = np.exp(logp.nd()[row])
         assert np.max(np.abs(got - alone) / alone) <= 1e-6
 
@@ -659,9 +696,8 @@ def test_listener_accepts_any_k(world):
     for k in (2, 5, 17, 33):
         obs = ds.model_inputs()[:k]
         v_imgs = listener.embed_images(obs, encoder=speaker)
-        logp = listener.log_probs(
-            _per_round(listener.embed_message([[4, 2, 1]]), 1),
-            _per_round(v_imgs, 1))
+        logp = listener.log_probs(listener.embed_message([[4, 2, 1]]),
+                                  v_imgs, np.arange(k)[None, :])
         assert logp.shape == (1, k)
         assert abs(np.exp(logp.data).sum() - 1.0) < 1e-6
 

@@ -759,6 +759,31 @@ def test_train_resume_from_malformed_checkpoint_exits_2(
                     tmp_path, message)
 
 
+def _with_image_bias(state):
+    """``state`` as a checkpoint from before the listener's image head
+    lost its bias: ``listener.img.b`` and its two Adam moments added."""
+    d_o = state["listener.img.w"].shape[1]
+    for name in ("listener.img.b", "optim.listener.m.img.b",
+                 "optim.listener.v.img.b"):
+        state = _edited(state, name, np.zeros(d_o, np.float32))
+    return state
+
+
+def test_checkpoint_with_an_image_bias_is_refused(eval_files, trained_state,
+                                                  tmp_path):
+    # the bias was deleted from the layout: resume and eval refuse an
+    # older checkpoint that still holds it, and write nothing
+    old = _with_image_bias(trained_state)
+    message = "unexpected checkpoint entry 'listener.img.b'"
+    _resume_refused(eval_files, old, tmp_path, message)
+    config = _write_config(tmp_path / "eval.ini", {"game": {"k": 4}})
+    proc = _run_eval(eval_files, config, "--out", str(tmp_path / "out"),
+                     checkpoint=tmp_path / "bad.lgc")
+    assert proc.returncode == 2
+    assert proc.stderr == f"data error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_resume_with_more_replicas_than_the_checkpoint_exits_2(
         eval_files, trained_state, tmp_path):
     # a replicas = 1 checkpoint holds no replica1. entries for the second

@@ -70,6 +70,14 @@ def test_bleu_matches_per_gram_oracle():
                       for _ in range(rng.integers(1, 4))]
         assert (bleu(candidate, references, 4)
                 == reference.bleu(candidate, references, 4))
+    # shorter than 4 tokens; a word repeated more often than any
+    # reference holds it; a repeated bigram
+    for candidate, references in (
+            ([3, 1], [[3, 1, 2, 4], [1, 3]]),
+            ([2, 2, 2, 2, 1], [[2, 1, 2], [1, 2, 4, 4]]),
+            ([1, 2, 1, 2, 1, 2], [[1, 2, 3, 1, 2], [2, 1, 2]])):
+        assert (bleu(candidate, references, 4)
+                == reference.bleu(candidate, references, 4))
 
 
 def test_evaluate_agents_embeds_each_scene_at_most_once(monkeypatch):

@@ -67,14 +67,40 @@ def test_matmul_shape_error_names_op():
 
 
 def test_inner_value_and_shape_error():
-    a = Tensor(np.arange(12, dtype=np.float32).reshape(2, 2, 3))
-    b = Tensor(np.arange(18, dtype=np.float32).reshape(2, 3, 3))
+    a = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
+    b = Tensor(np.arange(12, dtype=np.float32).reshape(4, 3))
     out = T.inner(None, a, b)
-    want = np.einsum("imd,ikd->imk", a.nd(), b.nd())
-    assert out.shape == (2, 2, 3)
+    want = np.einsum("md,kd->mk", a.nd(), b.nd())
+    assert out.shape == (2, 4)
     assert out.nd().tolist() == want.tolist()
     with pytest.raises(ShapeError, match="inner"):
-        T.inner(None, a, Tensor(np.zeros((2, 3, 2), np.float32)))
+        T.inner(None, a, Tensor(np.zeros((4, 2), np.float32)))
+
+
+def test_take_cols_backward_matches_one_hot_reference():
+    # each row's columns are distinct and in any order; the gradient of
+    # the take is the one-hot matrix of each row's columns times g
+    rng = np.random.default_rng(0)
+    a = Tensor(rng.normal(0, 1, (5, 9)).astype(np.float32), True)
+    cols = np.stack([rng.permutation(9)[:4] for _ in range(5)])
+    g = rng.normal(0, 1, (5, 4)).astype(np.float32)
+    tape = Tape()
+    out = T.take_cols(tape, a, cols)
+    assert out.nd().tolist() == np.take_along_axis(a.nd(), cols, 1).tolist()
+    backward(tape, T.tsum(tape, T.mul(tape, out, Tensor(g))))
+    onehot = np.arange(9) == cols[:, :, None]  # (5, 4, 9)
+    want = (g[:, :, None] * onehot).sum(axis=1)
+    assert a.grad.reshape(5, 9).tolist() == want.tolist()
+
+
+def test_take_cols_refuses_repeated_columns_and_bad_shapes():
+    a = Tensor(np.zeros((2, 5), np.float32))
+    with pytest.raises(ValueError, match="repeats a column"):
+        T.take_cols(None, a, [[0, 1], [3, 3]])
+    with pytest.raises(IndexError, match="take_cols"):
+        T.take_cols(None, a, [[0, 5], [1, 2]])
+    with pytest.raises(ShapeError, match="take_cols"):
+        T.take_cols(None, a, [[0, 1]])
 
 
 def test_embedding_out_of_bounds():
@@ -254,7 +280,9 @@ OP_CASES = {
     "mean_axis1": (lambda p, t: T.tsum(t, T.tanh(t, T.mul(
         t, T.mean(t, p["p0"], axis=1), p["p1"]))), [(3, 4, 2), (3, 2)]),
     "inner": (lambda p, t: T.tsum(t, T.tanh(t, T.inner(t, p["p0"], p["p1"]))),
-              [(2, 3, 4), (2, 5, 4)]),
+              [(3, 4), (5, 4)]),
+    "take_cols": (lambda p, t: T.tsum(t, T.tanh(t, T.take_cols(
+        t, p["p0"], [[2, 0], [1, 3], [3, 2]]))), [(3, 4)]),
     "tsum": (lambda p, t: T.tsum(t, T.mul(t, p["p0"], p["p0"])), [(5,)]),
     "embedding": (lambda p, t: T.tsum(t, T.tanh(
         t, T.embedding(t, p["p0"], [0, 2, 2]))), [(4, 3)]),

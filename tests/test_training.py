@@ -276,12 +276,25 @@ def test_sync_replicas_means_and_equalizes():
     reps = [SpeakerPolicy.create(cfg, 1) for _ in range(3)]
     for i, rep in enumerate(reps):
         rep.params["head.b"].data[:] = float(i)  # values 0, 1, 2
+    rng = np.random.default_rng(3)
+    for rep in reps[1:]:
+        for name, t in rep.params.items():
+            if name != "head.b":
+                t.data += rng.normal(0, 0.1, t.size).astype(np.float32)
+    arrays = [[t.data for _, t in r.params.items()] for r in reps]
+    want = {name: np.mean([r.params[name].data.astype(np.float64)
+                           for r in reps], axis=0).astype(np.float32)
+            for name in reps[0].params.names()}
     sync_replicas([r.params for r in reps])
     for rep in reps:
         assert np.allclose(rep.params["head.b"].data, 1.0)
-    for name in reps[0].params.names():
-        ref = reps[0].params[name].data.tobytes()
-        assert all(r.params[name].data.tobytes() == ref for r in reps)
+    for rep, before in zip(reps, arrays):
+        # averaged in place: every tensor keeps its array
+        assert all(t.data is a
+                   for (_, t), a in zip(rep.params.items(), before))
+    for name, mean in want.items():
+        assert all(r.params[name].data.tobytes() == mean.tobytes()
+                   for r in reps)
 
 
 def test_sync_replicas_single_is_noop():
