@@ -22,10 +22,10 @@ import numpy as np
 from .agents import ListenerModel, SpeakerPolicy, model_config_from_params
 from .config import ConfigError, RunConfig, load_config
 from .evaluate import (EVAL_METRICS, ablation_sweep, ema, evaluate_agents,
-                       supervised_pretrain, sweep_summary)
+                       sweep_summary)
 from .params import (FormatError, ParameterSet, check_layout,
                      load_checkpoint, save_checkpoint, write_atomic)
-from .training import NumericalFailureError
+from .training import NumericalFailureError, supervised_pretrain
 from .world import CapacityError, SamplingError, load_dataset, save_dataset
 
 EXIT_OK = 0
@@ -179,8 +179,9 @@ def cmd_sweep(args) -> int:
         with open(args.out, "a", encoding="utf-8") as fh:
             for c in cells:
                 if "report" in c:
-                    fh.write(json.dumps(c["report"].row(
-                        run_id="sweep", seed=c["seed"])) + "\n")
+                    fh.write(json.dumps({**c["report"].row(
+                        run_id="sweep", seed=c["seed"]),
+                        "train_reward": c["train_reward"]}) + "\n")
                 else:
                     fh.write(json.dumps(c) + "\n")
     return EXIT_OK

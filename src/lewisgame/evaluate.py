@@ -1,4 +1,4 @@
-"""Caption and game metrics, plus the sweep and warm-start harnesses.
+"""Caption and game metrics, plus the sweep harness.
 
 BLEU here is sentence-level: each round's message is scored against its
 target's captions by clipped n-gram precision, geometric mean over
@@ -25,13 +25,9 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from . import tensor as T
 from .agents import ListenerModel, SpeakerPolicy
 from .config import RunConfig
 from .game import play_rounds, solve_rate
-from .optim import Sgd
-from .tensor import Tape, Tensor, backward
-from .training import update
 from .world import EOS, Dataset, sample_game_batch
 
 BLEU_EPS = 1e-9
@@ -198,49 +194,6 @@ def evaluate_agents(speaker: SpeakerPolicy, listener: ListenerModel,
 
 
 # ---------------------------------------------------------------------------
-# supervised warm start
-
-
-# scenes per supervised warm-start step (fewer if the dataset is smaller)
-PRETRAIN_BATCH = 8
-
-
-@np.errstate(all="ignore")  # as training.train_step
-def supervised_pretrain(speaker: SpeakerPolicy, dataset: Dataset, steps: int,
-                        lr: float, seed: int,
-                        clip_norm: float) -> SpeakerPolicy:
-    """Teacher-forced cross-entropy training on reference captions.
-
-    This is the only place reference captions feed a gradient; the game
-    loop itself never reads them. Each step fits ``PRETRAIN_BATCH``
-    scenes with SGD at ``lr`` through ``training.update``, clipped at
-    ``clip_norm``. Returns the same speaker, updated in place; steps=0
-    leaves it untouched. A non-finite step raises
-    ``NumericalFailureError`` and leaves the speaker as it stood.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5D]))
-    opt = Sgd(lr)
-    for _ in range(steps):
-        speaker.params.zero_grads()
-        tape = Tape()
-        idx = rng.choice(len(dataset),
-                         size=min(PRETRAIN_BATCH, len(dataset)), replace=False)
-        messages = []
-        for i in idx:
-            caps = dataset.captions[int(i)]
-            messages.append(list(caps[int(rng.integers(len(caps)))]) + [EOS])
-        node = speaker.logprobs(dataset.model_inputs()[idx], messages, tape)
-        # the block is zero past each caption's end: its sum is the
-        # captions' total log-likelihood
-        n_tokens = sum(len(m) for m in messages)
-        loss = T.mul(tape, T.tsum(tape, node), Tensor([-1.0 / n_tokens]))
-        backward(tape, loss)
-        update([(speaker.params, opt)], clip_norm, [loss.item()])
-    speaker.params.zero_grads()
-    return speaker
-
-
-# ---------------------------------------------------------------------------
 # ablation sweep
 
 
@@ -248,12 +201,14 @@ def _sweep_cell(cfg: RunConfig) -> dict:
     splits = cfg.world_splits()
     train = splits["train"]
     trainer = cfg.trainer(train)
-    trainer.run(cfg.train.steps)
+    reports = trainer.run(cfg.train.steps)
     report = evaluate_agents(trainer.speaker, trainer.listener,
                              splits.get("val", train), k=cfg.game.k,
                              n_rounds=cfg.eval.rounds, t_max=cfg.game.t_max,
-                             seed=cfg.train.seed)
-    return {"k": cfg.game.k, "seed": cfg.train.seed, "report": report}
+                             seed=cfg.eval.seed)
+    tail = [r.mean_reward for r in reports[len(reports) * 4 // 5:]]
+    return {"k": cfg.game.k, "seed": cfg.train.seed, "report": report,
+            "train_reward": float(np.mean(tail)) if tail else None}
 
 
 def _cell_outcome(cell: RunConfig, result) -> dict:
@@ -270,12 +225,11 @@ def ablation_sweep(cfg: RunConfig, k_list, seeds,
     A cell is a copy of ``cfg`` with ``game.k`` and ``train.seed`` set. Its
     world is the train and val splits of ``cfg.world``; it trains for
     ``train.steps`` steps and is evaluated for ``eval.rounds`` rounds on
-    the val split. The evaluation is seeded by the cell's own seed, not
-    by ``eval.seed``, so the cells of one K draw different rounds. Cell
-    failures are recorded, not raised, so one bad cell cannot sink a
-    sweep. ``workers`` above 1 runs the cells in a process pool of at
-    most one process per cell. Returns one dict per cell with either a
-    report or an error.
+    the val split, seeded by ``eval.seed``. Cell failures are recorded,
+    not raised, so one bad cell cannot sink a sweep. ``workers`` above 1
+    runs the cells in a process pool of at most one process per cell.
+    Returns one dict per cell: an error, or a report and ``train_reward``,
+    the mean ``mean_reward`` over its last fifth of steps (None if no steps).
     """
     cells = []
     for k in k_list:

@@ -16,9 +16,9 @@ its distinct candidate scenes once, so the tape holds the same nodes
 whatever the number of rounds and of messages per round. It returns one
 ``RoundTrace`` per block, the one record of that played block: one row
 per message, with its target, the listener's probabilities and its
-log-probs as arrays and tape nodes over the block. Rewards are spread
-backward over message tokens by ``training.group_advantages``, the one
-place that discounts, and ``solve_rate`` ranks every row at once.
+log-probs as arrays and tape nodes over the block. Each row's reward
+is one advantage for all its tokens (``training.group_advantages``),
+and ``solve_rate`` ranks every row at once.
 
 Reference captions are never read here; the game is fully unsupervised.
 """
@@ -37,13 +37,12 @@ from .world import Dataset, sample_game_batch
 
 @dataclass
 class GameConfig:
-    """Round shape: candidate count, discount, loss weight, generations.
+    """Round shape: candidate count, loss weight, generations, length.
 
     This is the ``[game]`` section of a run config.
     """
 
     k: int = 64
-    gamma: float = 0.95
     lam: float = 1.0
     generations: int = 5
     t_max: int = 12
@@ -51,8 +50,6 @@ class GameConfig:
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("K must be at least 2")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must lie in [0, 1)")
         if not 0 <= self.lam < np.inf:
             raise ValueError("lambda must be finite and non-negative")
         if self.generations < 1:

@@ -220,13 +220,10 @@ def mul(tape, a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def mean(tape, a: Tensor, axis=None) -> Tensor:
-    """Mean over all elements (axis=None, scalar out), over the rows of a
-    rank-2 tensor (axis=0, one row out), or over the middle axis of a
-    rank-3 tensor (axis=1, (n, m, d) -> (n, d))."""
-    if axis is None:
-        out_nd = a.data.mean(dtype=F32).reshape(1)
-    elif axis == 0 and a.ndim == 2:
+def mean(tape, a: Tensor, axis: int) -> Tensor:
+    """Mean over the rows of a rank-2 tensor (axis=0, one row out), or
+    over the middle axis of a rank-3 tensor (axis=1, (n, m, d) -> (n, d))."""
+    if axis == 0 and a.ndim == 2:
         out_nd = a.nd().mean(axis=0, dtype=F32, keepdims=True)
     elif axis == 1 and a.ndim == 3:
         out_nd = a.nd().mean(axis=1, dtype=F32)
@@ -236,8 +233,6 @@ def mean(tape, a: Tensor, axis=None) -> Tensor:
     out = _emit(out_nd, req)
     if req and tape is not None:
         def rule(g):
-            if axis is None:
-                return (np.full(a.size, g[0] / F32(a.size), F32),)
             n = a.shape[axis]
             kept = a.shape[:axis] + (1,) + a.shape[axis + 1:]
             return (np.broadcast_to(g.reshape(kept) / F32(n), a.shape).ravel(),)

@@ -1,15 +1,16 @@
-"""Joint policy-gradient training for the signaling game.
+"""Joint policy-gradient training for the signaling game, and the
+supervised warm start.
 
-The speaker objective is a REINFORCE-style surrogate over each group of
-G generations: per-token credit gamma^(T-t) * (R - b), where b is the
-group's mean reward (the group-relative baseline of GRPO), optionally
-over the group's reward std. Advantages are constants; no gradient flows
-through them. The listener objective is the negative log of the
-probability it assigns to the true candidate, which equals categorical
-cross-entropy against the one-hot target. Both are read off a
-replica's played block (``game.RoundTrace``): the speaker's as one
-(B, T) advantage block weighting the (B, T) log-prob block, the
-listener's from the (B, 1) target log-probs.
+Every loss is one ``sequence_loss``: a log-prob node times a float32
+weight array, summed. The speaker's is GRPO's outcome surrogate over
+each group of G generations: each token of a row of the replica's
+(B, T) played block (``game.RoundTrace``) weighs -A / (length * B),
+with A = R - b, b the group's mean reward (the group-relative
+baseline), optionally over the group's reward std. Advantages are
+constants; no gradient flows through them. The listener's weighs its
+(B, 1) target log-probs by -1 / B, the cross-entropy against the
+one-hot target. The warm start's weighs the teacher-forced log-probs
+of reference captions by -1 / (tokens in the batch).
 
 A step runs W speaker replicas over disjoint sub-batches (in-process,
 sequential, so results are bitwise reproducible). Each replica decodes
@@ -37,7 +38,7 @@ from .game import GameConfig, RoundTrace, _play_round_traced, solve_rate
 from .optim import Adam, Sgd, clip_global_norm, grad_global_norm
 from .params import FormatError, ParameterSet, check_layout, is_count
 from .tensor import F32, Tape, Tensor, backward
-from .world import check_candidate_count
+from .world import EOS, Dataset, check_candidate_count
 
 
 class NumericalFailureError(RuntimeError):
@@ -113,39 +114,33 @@ class LossReport:
         return out
 
 
-def group_advantages(trace: RoundTrace, gamma: float,
+def group_advantages(trace: RoundTrace,
                      standardize: bool = False) -> np.ndarray:
-    """(B, T) per-token advantages of a played block, 0 past each row's end.
+    """(B,) float32 outcome advantages of a played block, one per row.
 
-    A row's credit is its reward minus its round's mean reward, over the
-    round's reward std when ``standardize``, discounted back from its
-    last token by the float32 recurrence out[t] = gamma * out[t+1]. A
-    round of one generation is its own baseline, so its advantages are 0.
+    A row's advantage is its reward minus its round's mean reward, over
+    the round's reward std when ``standardize``; every token of the row
+    carries it. A round of one generation is its own baseline, so its
+    advantage is 0.
     """
-    powers = np.full(trace.logprobs.shape[1], gamma, F32)
-    powers[0] = 1
-    # before[b, t]: tokens after token t in row b, negative past its end
-    before = trace.lengths[:, None] - 1 - np.arange(powers.size)
-    adv = np.cumprod(powers)[np.maximum(before, 0)]
     by_round = trace.rewards.reshape(-1, trace.generations)
     centered = by_round - by_round.mean(axis=1, keepdims=True)
     if standardize:
         centered = centered / (by_round.std(axis=1, keepdims=True) + 1e-8)
-    adv = adv * centered.astype(F32).reshape(-1, 1)
-    return np.where(before >= 0, adv, F32(0))
+    return centered.astype(F32).ravel()
 
 
 def advantage_variance(advs: np.ndarray, generations: int) -> np.ndarray:
-    """Spread of summed advantages within each group of a (B, T) block
-    from ``group_advantages``, one value per group.
+    """Spread of the (B,) advantages from ``group_advantages`` within each
+    group, one value per group.
 
-    Advantages are zero-mean by design, so the second moment of the
-    rows' float64 sums is taken about zero with the usual n-1
-    denominator; this is what shrinks when a baseline removes the
-    common reward level. A group of one (denominator 1) gives 0.
+    Advantages are zero-mean by design, so their float64 second moment
+    is taken about zero with the usual n-1 denominator; this is what
+    shrinks when a baseline removes the common reward level. A group of
+    one (denominator 1) gives 0.
     """
-    sums = advs.sum(axis=1, dtype=np.float64).reshape(-1, generations)
-    return (sums ** 2).sum(axis=1) / max(generations - 1, 1)
+    by_group = advs.astype(np.float64).reshape(-1, generations)
+    return (by_group ** 2).sum(axis=1) / max(generations - 1, 1)
 
 
 def sync_replicas(param_sets) -> None:
@@ -166,23 +161,11 @@ def sync_replicas(param_sets) -> None:
             np.copyto(ps[name].data, mean)
 
 
-def _group_loss_node(tape, trace: RoundTrace, advs: np.ndarray):
-    """Speaker surrogate loss of played rounds: the mean over their groups
-    of each group's mean over messages of -(1/T) sum logpi * A.
-
-    ``advs`` is the block's (B, T) advantages from ``group_advantages``,
-    0 past each row's end, so they need no mask here. Groups are equal
-    in size, so that is the mean over all B rows, taken as one weighted
-    sum over the (B, T) log-prob block.
-    """
-    lengths = trace.lengths
-    weights = -advs / lengths[:, None].astype(F32) / F32(lengths.size)
-    return T.tsum(tape, T.mul(tape, trace.logprobs, Tensor(weights)))
-
-
-def _listener_loss_node(tape, trace):
-    """Mean over rows of minus the listener's log-prob at the target."""
-    return T.mul(tape, T.mean(tape, trace.logp_target), Tensor([-1.0]))
+def sequence_loss(tape, logprobs: Tensor, weights) -> Tensor:
+    """Scalar sum of the log-prob node ``logprobs`` times ``weights``, a
+    float32 array that broadcasts to its shape. Every loss is built here."""
+    weights = np.broadcast_to(np.asarray(weights, F32), logprobs.shape)
+    return T.tsum(tape, T.mul(tape, logprobs, Tensor(weights)))
 
 
 def update(learners, clip_norm: float, losses) -> tuple[list, list]:
@@ -203,6 +186,42 @@ def update(learners, clip_norm: float, losses) -> tuple[list, list]:
     for params, opt in learners:
         opt.step(params)
     return norms, scales
+
+
+# scenes per supervised warm-start step (fewer if the dataset is smaller)
+PRETRAIN_BATCH = 8
+
+
+@np.errstate(all="ignore")  # as train_step
+def supervised_pretrain(speaker: SpeakerPolicy, dataset: Dataset, steps: int,
+                        lr: float, seed: int,
+                        clip_norm: float) -> SpeakerPolicy:
+    """Teacher-forced cross-entropy training on reference captions.
+
+    This is the only place reference captions feed a gradient; the game
+    loop itself never reads them. Each step fits ``PRETRAIN_BATCH``
+    scenes with SGD at ``lr`` through ``update``, clipped at
+    ``clip_norm``. Returns the same speaker, updated in place; steps=0
+    leaves it untouched. A non-finite step raises
+    ``NumericalFailureError`` and leaves the speaker as it stood.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5D]))
+    opt = Sgd(lr)
+    for _ in range(steps):
+        speaker.params.zero_grads()
+        tape = Tape()
+        idx = rng.choice(len(dataset),
+                         size=min(PRETRAIN_BATCH, len(dataset)), replace=False)
+        caps = [dataset.captions[int(i)] for i in idx]
+        messages = [list(c[int(rng.integers(len(c)))]) + [EOS] for c in caps]
+        node = speaker.logprobs(dataset.model_inputs()[idx], messages, tape)
+        # 0 past each caption's end: the loss is the batch's mean token NLL
+        n_tokens = sum(len(m) for m in messages)
+        loss = sequence_loss(tape, node, F32(-1 / n_tokens))
+        backward(tape, loss)
+        update([(speaker.params, opt)], clip_norm, [loss.item()])
+    speaker.params.zero_grads()
+    return speaker
 
 
 # A diverging step overflows on its way to ``update``, which refuses it:
@@ -233,10 +252,15 @@ def train_step(replicas, listener: ListenerModel, dataset,
     spk_values, lst_values, adv_vars = [], [], []
     total = None
     for trace in traces:
-        advs = group_advantages(trace, game_cfg.gamma,
-                                settings.standardize_advantages)
-        spk_node = _group_loss_node(tape, trace, advs)
-        lst_node = _listener_loss_node(tape, trace)
+        advs = group_advantages(trace, settings.standardize_advantages)
+        lengths = trace.lengths
+        # each row's tokens share -A / (length * B); 0 past its end
+        per_row = -advs / lengths.astype(F32) / F32(lengths.size)
+        live = np.arange(trace.logprobs.shape[1]) < lengths[:, None]
+        spk_node = sequence_loss(tape, trace.logprobs,
+                                 np.where(live, per_row[:, None], F32(0)))
+        lst_node = sequence_loss(tape, trace.logp_target,
+                                 F32(-1 / lengths.size))
         spk_values.append(spk_node.item())
         lst_values.append(lst_node.item())
         adv_vars.append(advantage_variance(advs, game_cfg.generations))

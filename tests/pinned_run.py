@@ -1,4 +1,5 @@
-"""The pinned run: generate a world, train 50 default steps, evaluate.
+"""The pinned run: generate a world, train 50 default steps, evaluate,
+and warm-start a speaker for 20 steps.
 
 Runs, in a fresh temporary directory and with fixed relative paths (so
 that ``run_id`` and every hash compare across commits):
@@ -10,13 +11,16 @@ that ``run_id`` and every hash compare across commits):
 3. ``lewisgame eval --config run.ini`` of ``ckpt/latest.lgc`` on
    ``world.lgw``, so K, ``t_max``, the round count and the eval seed
    come from the same config (its defaults)
+4. ``lewisgame pretrain --config run.ini --out pre.lgc --steps 20``:
+   the supervised warm start on ``world.lgw``'s captions
 
 and prints the sha256 of the world file, the metrics JSONL,
 ``latest.lgc`` and the eval stdout, one per line, and a fifth line: the
 sha256 of the metrics rows with ``run_id`` dropped, each row as
 canonical JSON (sorted keys, no spaces) on its own line. ``run_id``
 hashes the config text, so a change that only adds or removes config
-keys moves the JSONL hash but leaves the fifth line alone.
+keys moves the JSONL hash but leaves the fifth line alone. The sixth
+line is the sha256 of ``pre.lgc``.
 
 It takes no options; ``PYTHONPATH`` chooses the package it runs. Two
 runs of one commit must print the same lines (bitwise reproducibility),
@@ -92,6 +96,8 @@ def main() -> int:
                               "--checkpoint",
                               os.path.join("ckpt", "latest.lgc"),
                               "--dataset", "world.lgw")
+        _lewisgame(root, "pretrain", "--config", "run.ini",
+                   "--out", "pre.lgc", "--steps", "20")
         print(f"world.lgw {_file_sha256(os.path.join(root, 'world.lgw'))}")
         print(f"metrics.jsonl "
               f"{_file_sha256(os.path.join(root, 'metrics.jsonl'))}")
@@ -100,6 +106,7 @@ def main() -> int:
         print(f"eval.stdout {_sha256(eval_out)}")
         print(f"metrics.rows-without-run_id "
               f"{_rows_sha256(os.path.join(root, 'metrics.jsonl'))}")
+        print(f"pre.lgc {_file_sha256(os.path.join(root, 'pre.lgc'))}")
     return 0
 
 

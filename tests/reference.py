@@ -29,11 +29,11 @@ candidate probabilities and the two training losses in plain numpy
 a stated tolerance.
 
 ``Episode`` is one played message as a record of its own, and
-``rewards_to_go``, ``group_advantages``, ``advantage_variance`` and
-``solve_rate`` do the trainer's and the evaluation's bookkeeping one
-episode or group at a time. The package does it as arrays over a
-played block (``game.RoundTrace``), which must match these bitwise;
-``episodes`` and ``round_trace`` convert between the two forms.
+``group_advantages``, ``advantage_variance`` and ``solve_rate`` do the
+trainer's and the evaluation's bookkeeping one episode or group at a
+time. The package does it as arrays over a played block
+(``game.RoundTrace``), which must match these bitwise; ``episodes`` and
+``round_trace`` convert between the two forms.
 
 ``bleu`` clips one candidate n-gram at a time; the package's ``bleu``
 clips whole count tables and must return the same scores.
@@ -479,42 +479,23 @@ def round_trace(episodes, generations: int, width: int = 0,
                       Tensor(block, True), None)
 
 
-def rewards_to_go(reward: float, length: int, gamma: float) -> np.ndarray:
-    """Discounted credit per step: out[t-1] = gamma^(T-t) * R.
-
-    Built by backward multiplication so out[t] == gamma * out[t+1]
-    holds exactly in float32 and the final entry equals R.
-    """
-    if length < 1:
-        raise ValueError("rewards_to_go: length must be >= 1")
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError("rewards_to_go: gamma must lie in [0, 1)")
-    out = np.empty(length, F32)
-    out[length - 1] = F32(reward)
-    g = F32(gamma)
-    for t in range(length - 2, -1, -1):
-        out[t] = g * out[t + 1]
-    return out
-
-
-def group_advantages(episodes, gamma: float,
-                     standardize: bool = False) -> list:
-    """Per-step advantage vectors for one group of episodes: subtract
-    the group's mean reward (over its std when ``standardize``), then
-    discount. A group of one is its own baseline: its advantages are 0."""
+def group_advantages(episodes, standardize: bool = False) -> list:
+    """One float32 advantage per episode of one group: its reward minus
+    the group's mean reward (over its std when ``standardize``), for
+    every token of the episode. A group of one is its own baseline: its
+    advantage is 0."""
     rewards = np.array([ep.reward for ep in episodes], np.float64)
     centered = rewards - rewards.mean()
     if standardize:
         centered = centered / (rewards.std() + 1e-8)
-    return [rewards_to_go(1.0, ep.length, gamma) * F32(c)
-            for ep, c in zip(episodes, centered)]
+    return [F32(c) for c in centered]
 
 
 def advantage_variance(advs) -> float:
     """Second moment about zero, n-1 denominator (1 for a group of one),
-    of one group's summed advantage vectors."""
-    sums = np.array([a.sum(dtype=np.float64) for a in advs])
-    return float((sums ** 2).sum() / max(len(sums) - 1, 1))
+    of one group's advantages."""
+    values = np.array(advs, np.float64)
+    return float((values ** 2).sum() / max(len(values) - 1, 1))
 
 
 def solve_rate(episodes, top_n: int) -> float:
@@ -534,8 +515,8 @@ def solve_rate(episodes, top_n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# listener scores and training losses (oracles for ListenerModel.log_probs,
-# training._group_loss_node and training._listener_loss_node)
+# listener scores and training losses (oracles for ListenerModel.log_probs
+# and the losses training.train_step builds with training.sequence_loss)
 
 
 def listener_probs(v_m: np.ndarray, v_imgs: np.ndarray) -> np.ndarray:
@@ -548,13 +529,13 @@ def listener_probs(v_m: np.ndarray, v_imgs: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def speaker_loss(episodes, gamma: float, standardize: bool = False) -> float:
-    """Group surrogate loss: mean over episodes of -(1/T) sum logpi * A."""
-    advs = group_advantages(episodes, gamma, standardize)
+def speaker_loss(episodes, standardize: bool = False) -> float:
+    """Group surrogate loss: mean over episodes of -(A/T) sum logpi."""
+    advs = group_advantages(episodes, standardize)
     total = 0.0
     for ep, a in zip(episodes, advs):
         lp = ep.logprobs.astype(np.float64)
-        total += -(lp * a.astype(np.float64)).sum() / ep.length
+        total += -float(a) * lp.sum() / ep.length
     return total / len(episodes)
 
 

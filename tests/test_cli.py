@@ -491,8 +491,9 @@ def test_bad_config_value_exits_1(eval_files, tmp_path, command, section,
     ("train", "optimizer_listener", "sgd"),
     ("model", "d_att", "12"),
     ("model", "listener_stop_gradient", "true"),
+    ("game", "gamma", "0.95"),
 ], ids=["baseline_mode", "optimizer_speaker", "optimizer_listener", "d_att",
-        "listener_stop_gradient"])
+        "listener_stop_gradient", "gamma"])
 def test_removed_config_key_exits_1(eval_files, tmp_path, section, key,
                                     value):
     # the training recipe is fixed in code: these switches no longer exist

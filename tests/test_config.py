@@ -23,7 +23,7 @@ def _non_default() -> RunConfig:
     # every section changed, and every value type (int, float, bool, str)
     cfg = RunConfig()
     cfg.world.grid, cfg.world.noise, cfg.world.raster = 8, 0.125, True
-    cfg.game.k, cfg.game.gamma = 8, 0.5
+    cfg.game.k, cfg.game.lam = 8, 0.5
     cfg.model.d_e, cfg.model.n_patches = 12, 3
     cfg.train.steps, cfg.train.lr_listener = 7, 3e-4
     cfg.train.standardize_advantages = True
@@ -142,6 +142,13 @@ def test_parse_config_rejects_out_of_range_values(section, key, value,
     with pytest.raises(ConfigError,
                        match=re.escape(f"[{section}] {message}")):
         parse_config(f"[{section}]\n{key} = {value}\n")
+
+
+def test_parse_config_refuses_the_deleted_discount():
+    # every token of a message carries its advantage: there is no gamma
+    with pytest.raises(ConfigError, match=re.escape(
+            "unknown key 'gamma' in section [game]")):
+        parse_config("[game]\ngamma = 0.95\n")
 
 
 @pytest.mark.parametrize("key", ["lr_speaker", "lr_listener"])

@@ -120,14 +120,13 @@ def _tiny_config() -> RunConfig:
     cfg = RunConfig()
     cfg.world = replace(cfg.world, min_objects=1, max_objects=2, n_scenes=40,
                         val_scenes=16, seed=3)
-    cfg.game = replace(cfg.game, k=8, gamma=0.9, lam=0.5, generations=2,
-                       t_max=5)
+    cfg.game = replace(cfg.game, k=8, lam=0.5, generations=2, t_max=5)
     cfg.model = replace(cfg.model, d_e=16, d_o=8, n_layers=1, n_patches=2)
     cfg.train = replace(cfg.train, steps=2, seed=1, replicas=2,
                         sync_period=1, targets_per_replica=2, lr_speaker=0.05,
                         lr_listener=0.01, standardize_advantages=True,
                         temperature=0.8, clip_norm=0.5)
-    cfg.eval = replace(cfg.eval, rounds=6)
+    cfg.eval = replace(cfg.eval, rounds=6, seed=9)
     return cfg
 
 
@@ -142,15 +141,17 @@ def _direct_run(cfg: RunConfig, k: int, seed: int):
                       cfg.model_config(len(train.vocab),
                                        train.spec.input_dim),
                       cfg.train_settings())
-    trainer.run(cfg.train.steps)
+    reports = trainer.run(cfg.train.steps)
     return evaluate_agents(trainer.speaker, trainer.listener, splits["val"],
                            k=k, n_rounds=cfg.eval.rounds, t_max=cfg.game.t_max,
-                           seed=seed)
+                           seed=cfg.eval.seed), reports
 
 
 def test_sweep_cell_equals_direct_run(tmp_path, capsys):
-    # each cell trains for the config's [train] steps = 2
+    # each cell trains for the config's [train] steps, evaluates at its
+    # [eval] seed and reports the mean reward over its last fifth of steps
     cfg = _tiny_config()
+    cfg.train = replace(cfg.train, steps=6)
     config_path = tmp_path / "run.ini"
     config_path.write_text(cfg.to_text(), encoding="utf-8")
     out = tmp_path / "sweep.jsonl"
@@ -158,9 +159,19 @@ def test_sweep_cell_equals_direct_run(tmp_path, capsys):
                  "--seeds", "5", "--out", str(out)])
     assert code == 0
     rows = [json.loads(line) for line in out.read_text().splitlines()]
-    expected = _direct_run(cfg, k=4, seed=5)
-    assert rows == [expected.row(run_id="sweep", seed=5)]
+    expected, reports = _direct_run(cfg, k=4, seed=5)
+    # steps 5 and 6 of 6
+    train_reward = np.mean([r.mean_reward for r in reports[4:]])
+    assert rows == [{**expected.row(run_id="sweep", seed=5),
+                     "train_reward": train_reward}]
     assert "K=4: coverage" in capsys.readouterr().out
+
+
+def test_sweep_cell_of_zero_steps_has_no_train_reward():
+    cfg = _tiny_config()
+    cfg.train = replace(cfg.train, steps=0)
+    (cell,) = ablation_sweep(cfg, [4], [5])
+    assert cell["train_reward"] is None and cell["report"].n_rounds == 6
 
 
 def test_sweep_workers_give_the_same_cells():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import reference
-from reference import generate_dataset, rewards_to_go
+from reference import generate_dataset
 
 from test_agents import BLOCK_GRAD_RTOL, BLOCK_LOGPROB_ATOL, _grads
 
@@ -41,52 +41,15 @@ def setup():
 
 
 def test_game_config_validation():
-    GameConfig(k=2, gamma=0.0, lam=0.0, generations=1, t_max=1)
+    GameConfig(k=2, lam=0.0, generations=1, t_max=1)
     with pytest.raises(ValueError):
         GameConfig(k=1)
-    with pytest.raises(ValueError):
-        GameConfig(gamma=1.0)
     with pytest.raises(ValueError):
         GameConfig(lam=-0.1)
     with pytest.raises(ValueError):
         GameConfig(lam=float("nan"))
     with pytest.raises(ValueError):
         GameConfig(generations=0)
-
-
-def test_rewards_to_go_direct_value():
-    out = rewards_to_go(0.8, 3, 0.95)
-    assert np.allclose(out, [0.722, 0.76, 0.8], atol=1e-6)
-
-
-def test_rewards_to_go_gamma_zero():
-    out = rewards_to_go(0.5, 4, 0.0)
-    assert out.tolist() == [0.0, 0.0, 0.0, 0.5]
-
-
-def test_rewards_to_go_single_step():
-    assert rewards_to_go(0.3, 1, 0.95).tolist() == [np.float32(0.3)]
-
-
-def test_rewards_to_go_matches_loop_oracle_exactly():
-    # independent recurrence: r[T] = R, r[t] = gamma * r[t+1]
-    for gamma in (0.0, 0.5, 0.95):
-        for T in range(1, 33):
-            R = np.float32(0.773)
-            got = rewards_to_go(float(R), T, gamma)
-            oracle = np.empty(T, np.float32)
-            oracle[T - 1] = R
-            for t in range(T - 2, -1, -1):
-                oracle[t] = np.float32(gamma) * oracle[t + 1]
-            assert got.tobytes() == oracle.tobytes(), (gamma, T)
-
-
-def test_rewards_to_go_telescoping_exact():
-    out = rewards_to_go(0.9, 12, 0.95)
-    g = np.float32(0.95)
-    for t in range(11):
-        assert out[t] == g * out[t + 1]
-    assert out[-1] == np.float32(0.9)
 
 
 def _trace(speaker, listener, ds, cfg, rng):

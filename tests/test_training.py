@@ -11,15 +11,14 @@ from reference import (Episode, episodes, generate_dataset, listener_loss,
 
 from lewisgame import training
 from lewisgame.agents import ModelConfig, SpeakerPolicy
-from lewisgame.evaluate import supervised_pretrain
 from lewisgame.game import GameConfig, _play_round_traced
 from lewisgame.params import FormatError, ParameterSet
 from lewisgame.tensor import Tape, Tensor, backward
 from lewisgame.training import (NumericalFailureError, Trainer, TrainSettings,
-                                _group_loss_node, _listener_loss_node,
                                 advantage_variance, group_advantages,
+                                sequence_loss, supervised_pretrain,
                                 sync_replicas, train_step)
-from lewisgame.world import WorldSpec
+from lewisgame.world import EOS, WorldSpec
 
 
 def _episode(reward, logprobs, target=0, k=4):
@@ -28,27 +27,26 @@ def _episode(reward, logprobs, target=0, k=4):
     return Episode(target, np.asarray(logprobs, np.float32), probs)
 
 
-def _advs(group, gamma, standardize=False):
-    """One group's advantage block, from the package."""
-    return group_advantages(round_trace(group, len(group)), gamma,
-                            standardize)
+def _advs(group, standardize=False):
+    """One group's advantages, from the package."""
+    return group_advantages(round_trace(group, len(group)), standardize)
 
 
 def test_speaker_loss_zero_when_rewards_equal():
     group = [_episode(0.5, [-1.0, -2.0]) for _ in range(4)]
-    assert abs(speaker_loss(group, 0.95)) < 1e-7
+    assert abs(speaker_loss(group)) < 1e-7
 
 
 def test_speaker_loss_symmetric_cancellation():
     group = [_episode(0.9, [math.log(0.5)]), _episode(0.1, [math.log(0.5)])]
-    assert abs(speaker_loss(group, 0.95)) < 1e-7
+    assert abs(speaker_loss(group)) < 1e-7
 
 
 def test_speaker_loss_hand_value():
     # G=2, T=1, rewards (0.9, 0.1), logpi (ln 0.8, ln 0.2)
     group = [_episode(0.9, [math.log(0.8)]), _episode(0.1, [math.log(0.2)])]
     expected = -0.5 * (0.4 * math.log(0.8) - 0.4 * math.log(0.2))
-    assert abs(speaker_loss(group, 0.95) - expected) < 1e-6
+    assert abs(speaker_loss(group) - expected) < 1e-6
     assert abs(expected - (-0.27725887)) < 1e-6
 
 
@@ -57,12 +55,12 @@ def test_group_of_one_has_zero_advantages_and_variance():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for standardize in (False, True):
-            block = _advs(group, 0.95, standardize)
-            assert block.shape == (1, 2) and not block.any()
-            assert advantage_variance(block, 1).tolist() == [0.0]
-            want = reference.group_advantages(group, 0.95, standardize)
+            advs = _advs(group, standardize)
+            assert advs.shape == (1,) and not advs.any()
+            assert advantage_variance(advs, 1).tolist() == [0.0]
+            want = reference.group_advantages(group, standardize)
             assert reference.advantage_variance(want) == 0.0
-            assert speaker_loss(group, 0.95, standardize) == 0.0
+            assert speaker_loss(group, standardize) == 0.0
 
 
 def test_speaker_loss_shift_invariant_in_rewards():
@@ -72,25 +70,23 @@ def test_speaker_loss_shift_invariant_in_rewards():
     # shifting every reward by a constant leaves group advantages unchanged
     shifted = [_episode(r + 0.2, lp)
                for r, lp in zip([0.1, 0.3, 0.5, 0.2, 0.4], lps)]
-    a = speaker_loss(base, 0.95)
-    b = speaker_loss(shifted, 0.95)
+    a = speaker_loss(base)
+    b = speaker_loss(shifted)
     assert abs(a - b) < 1e-6
 
 
-def test_group_advantages_discounts_with_its_gamma():
-    # episodes carry no discount of their own: the gamma handed to
-    # group_advantages is the one applied to each centred reward
-    gamma = 0.6
+def test_group_advantages_are_each_rows_centred_reward():
+    # one advantage per row, whatever its length: no token of a message
+    # is weighted apart from the others
     group = [_episode(r, [-1.0] * n) for r, n in ((0.7, 4), (0.2, 1),
                                                   (0.45, 7))]
-    advs = _advs(group, gamma)
-    assert advs.dtype == np.float32 and advs.shape == (3, 7)
+    advs = _advs(group)
+    assert advs.dtype == np.float32 and advs.shape == (3,)
     rewards = np.array([ep.reward for ep in group])
-    for ep, a, c in zip(group, advs, rewards - rewards.mean()):
-        rtg = reference.rewards_to_go(1.0, ep.length, gamma)
-        assert a[:ep.length].tobytes() == (rtg * np.float32(c)).tobytes()
-        assert not a[ep.length:].any()
-    assert advs[0].tobytes() != _advs(group, 0.95)[0].tobytes()
+    assert advs.tobytes() == (rewards - rewards.mean()).astype(
+        np.float32).tobytes()
+    same_length = [_episode(ep.reward, [-1.0] * 3) for ep in group]
+    assert _advs(same_length).tobytes() == advs.tobytes()
 
 
 def _random_block(rng, n_rounds, generations, t_max):
@@ -112,16 +108,14 @@ def test_group_advantages_block_matches_per_episode_oracle(standardize,
     eps = _random_block(rng, 3, generations, 12)
     # wider than the longest message, as a block of another row would be
     trace = round_trace(eps, generations, width=14, pad=1.0)
-    block = group_advantages(trace, 0.95, standardize)
-    assert block.dtype == np.float32 and block.shape == (len(eps), 14)
+    advs = group_advantages(trace, standardize)
+    assert advs.dtype == np.float32 and advs.shape == (len(eps),)
     for i in range(0, len(eps), generations):
         group = eps[i:i + generations]
-        want = reference.group_advantages(group, 0.95, standardize)
-        for row, (ep, a) in enumerate(zip(group, want), start=i):
-            assert block[row, :ep.length].tobytes() == a.tobytes()
-            assert (block[row, ep.length:].tobytes()
-                    == bytes(4 * (14 - ep.length)))   # +0.0 past the end
-        assert (advantage_variance(block, generations)[i // generations]
+        want = reference.group_advantages(group, standardize)
+        assert advs[i:i + generations].tobytes() == np.array(
+            want, np.float32).tobytes()
+        assert (advantage_variance(advs, generations)[i // generations]
                 == reference.advantage_variance(want))
 
 
@@ -148,16 +142,24 @@ def test_listener_loss_equals_cross_entropy():
 
 def test_advantage_variance_zero_for_identical_rewards():
     group = [_episode(0.4, [-1.0, -2.0]) for _ in range(5)]
-    assert advantage_variance(_advs(group, 0.95), 5).tolist() == [0.0]
+    assert advantage_variance(_advs(group), 5).tolist() == [0.0]
 
 
 def test_advantage_variance_two_episode_closed_form():
-    gamma, T = 0.5, 3
-    group = [_episode(1.0, [-1.0] * T), _episode(0.0, [-1.0] * T)]
-    s = sum(gamma ** (T - t) for t in range(1, T + 1))
-    expected = 2 * (0.5 * s) ** 2 / (2 - 1)
-    (got,) = advantage_variance(_advs(group, gamma), 2)
-    assert abs(got - expected) < 1e-5
+    # rewards 1 and 0 centre to +-0.5 on messages of any length, so the
+    # spread is 2 * 0.25 / (2 - 1)
+    group = [_episode(1.0, [-1.0] * 3), _episode(0.0, [-1.0] * 9)]
+    (got,) = advantage_variance(_advs(group), 2)
+    assert got == 0.5
+
+
+def _speaker_weights(trace, advs):
+    """(B, T) weights of the speaker's ``sequence_loss``: -A / (length * B)
+    on each row's tokens, 0 past its end."""
+    lengths = trace.lengths
+    live = np.arange(trace.logprobs.shape[1]) < lengths[:, None]
+    return np.where(live, -advs[:, None] / (lengths[:, None] * lengths.size),
+                    0).astype(np.float32)
 
 
 @pytest.mark.parametrize("standardize", [False, True])
@@ -169,18 +171,19 @@ def test_group_loss_node_matches_reference(standardize):
     group = [_episode(float(rng.random()), -rng.random(n))
              for n in (1, 3, 4, 7, 12)]
     trace = round_trace(group, len(group), pad=1.0)
-    advs = group_advantages(trace, 0.95, standardize)
+    advs = group_advantages(trace, standardize)
     tape = Tape()
-    loss = _group_loss_node(tape, trace, advs)
-    expected = speaker_loss(group, 0.95, standardize)
+    loss = sequence_loss(tape, trace.logprobs, _speaker_weights(trace, advs))
+    assert len(tape) == 2
+    expected = speaker_loss(group, standardize)
     assert abs(loss.item() - expected) <= 1e-6 * max(1.0, abs(expected))
     backward(tape, loss)
     grad = trace.logprobs.grad.reshape(trace.logprobs.shape)
-    want = reference.group_advantages(group, 0.95, standardize)
+    want = reference.group_advantages(group, standardize)
     for row, (ep, a) in enumerate(zip(group, want)):
-        w = -a.astype(np.float64) / (ep.length * len(group))
-        assert np.allclose(grad[row, :a.size], w, rtol=1e-6, atol=1e-9)
-        assert not grad[row, a.size:].any()
+        w = -float(a) / (ep.length * len(group))
+        assert np.allclose(grad[row, :ep.length], w, rtol=1e-6, atol=1e-9)
+        assert not grad[row, ep.length:].any()
 
 
 def _played_rounds(trainer_setup, seed, n_rounds):
@@ -204,15 +207,16 @@ def test_group_loss_node_matches_reference_on_played_round(trainer_setup):
     tape, trace = _played_rounds(trainer_setup, 10, 3)
     groups = _groups(trace)
     assert len(groups) == 3
-    loss = _group_loss_node(tape, trace, group_advantages(trace, 0.95))
-    expected = np.mean([speaker_loss(group, 0.95) for group in groups])
+    loss = sequence_loss(tape, trace.logprobs,
+                         _speaker_weights(trace, group_advantages(trace)))
+    expected = np.mean([speaker_loss(group) for group in groups])
     assert abs(loss.item() - expected) <= 1e-6 * max(1.0, abs(expected))
 
 
 def test_listener_loss_node_matches_reference(trainer_setup):
     tape, trace = _played_rounds(trainer_setup, 11, 2)
-    loss = _listener_loss_node(tape, trace)
     eps = episodes(trace)
+    loss = sequence_loss(tape, trace.logp_target, np.float32(-1 / len(eps)))
     expected = np.mean([listener_loss(ep) for ep in eps])
     assert len(eps) == 2 * trainer_setup[2].generations
     assert abs(loss.item() - expected) <= 1e-6 * expected
@@ -244,8 +248,8 @@ def test_replica_tape_nodes_independent_of_g_and_targets(trainer_setup,
     assert len(counts[2, 1]) == 1 and counts[2, 1][0] > 0
 
 
-def test_advantage_variance_reports_the_trained_advantages(trainer_setup,
-                                                          monkeypatch):
+def _recorded_step(trainer_setup, monkeypatch, settings):
+    """One trainer step's report and the blocks it played."""
     ds, mcfg, gcfg = trainer_setup
     traces = []
 
@@ -255,16 +259,40 @@ def test_advantage_variance_reports_the_trained_advantages(trainer_setup,
         return played
 
     monkeypatch.setattr(training, "_play_round_traced", recording)
+    return Trainer(ds, gcfg, mcfg, settings).step_once(), traces
+
+
+def test_advantage_variance_reports_the_trained_advantages(trainer_setup,
+                                                          monkeypatch):
     settings = TrainSettings(seed=12, replicas=2, targets_per_replica=2,
                              standardize_advantages=True)
-    report = Trainer(ds, gcfg, mcfg, settings).step_once()
+    report, traces = _recorded_step(trainer_setup, monkeypatch, settings)
     expected = [
         reference.advantage_variance(reference.group_advantages(
-            group, gcfg.gamma, standardize=True))
+            group, standardize=True))
         for tr in traces for group in _groups(tr)]
     assert len(traces) == 2  # one block of two rounds per replica
     assert len(expected) == 4
     assert report.advantage_variance == float(np.mean(expected))
+
+
+@pytest.mark.parametrize("standardize", [False, True])
+def test_train_step_losses_match_reference_on_its_rounds(trainer_setup,
+                                                         monkeypatch,
+                                                         standardize):
+    # the weights train_step hands sequence_loss, against the float64
+    # oracles of the rounds it played: every replica's groups are equal
+    # in size, so each reported loss is a mean over all of them
+    settings = TrainSettings(seed=15, replicas=2, targets_per_replica=2,
+                             standardize_advantages=standardize)
+    report, traces = _recorded_step(trainer_setup, monkeypatch, settings)
+    groups = [group for tr in traces for group in _groups(tr)]
+    want = np.mean([speaker_loss(group, standardize) for group in groups])
+    # float32 advantages of nearly equal rewards: 6e-6 relative measured
+    assert abs(report.speaker_loss - want) <= 2e-5 * abs(want)
+    want = np.mean([listener_loss(ep) for tr in traces
+                    for ep in episodes(tr)])
+    assert abs(report.listener_loss - want) <= 1e-6 * want
 
 
 def test_sync_replicas_means_and_equalizes():
@@ -335,7 +363,7 @@ def test_train_step_report_identities(trainer_setup):
 
 def test_train_step_lambda_zero_freezes_listener(trainer_setup):
     ds, mcfg, _ = trainer_setup
-    gcfg = GameConfig(k=6, gamma=0.95, lam=0.0, generations=3, t_max=6)
+    gcfg = GameConfig(k=6, lam=0.0, generations=3, t_max=6)
     tr = Trainer(ds, gcfg, mcfg, TrainSettings(seed=4, replicas=2))
     before = {n: t.data.copy() for n, t in tr.listener.params.items()}
     for _ in range(3):
@@ -500,6 +528,34 @@ def test_train_step_aborts_on_nonfinite(trainer_setup):
     assert tr.step_index == 1 and tr.listener_opt.t == 1
     for params in [rep.params for rep in tr.replicas] + [tr.listener.params]:
         assert all(t.grad is None for _, t in params.items())
+
+
+def test_sequence_loss_over_captions_is_their_mean_token_nll(trainer_setup):
+    # the warm start's loss: SpeakerPolicy.logprobs of reference captions
+    # weighted -1 / (tokens in the batch) is their mean token NLL, and
+    # per-caption weights -1 / (B * length) give the mean over captions
+    # of each caption's mean token NLL, against the op-by-op decoder in
+    # float64. Each log-prob is within 2e-6 of the oracle's (the block
+    # tolerance of tests/test_agents.py), so either mean is too; they
+    # read within 2e-7 of it.
+    ds, mcfg, _ = trainer_setup
+    speaker = SpeakerPolicy.create(mcfg, 3)
+    idx = np.array([0, 7, 19, 42])
+    messages = [list(ds.captions[i][0]) + [EOS] for i in idx]
+    obs = ds.model_inputs()[idx]
+    nll = [-reference.logprobs(speaker, o, m).data.astype(np.float64)
+           for o, m in zip(obs, messages)]
+    lengths = np.array([len(m) for m in messages])
+    assert len(set(lengths)) > 1
+    node = speaker.logprobs(obs, messages)
+    per_caption = np.where(np.arange(lengths.max()) < lengths[:, None],
+                           -1 / (lengths[:, None] * idx.size), 0)
+    for weights, want in (
+            (np.float32(-1 / lengths.sum()),
+             sum(x.sum() for x in nll) / lengths.sum()),
+            (per_caption, np.mean([x.mean() for x in nll]))):
+        got = sequence_loss(None, node, weights).item()
+        assert abs(got - want) <= 2e-6
 
 
 def test_supervised_pretrain_aborts_on_nonfinite(trainer_setup):
