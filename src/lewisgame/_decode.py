@@ -12,28 +12,33 @@ multiply its input x, so [h, x]·W = h·W_h + x·W_x (the GRU as Cho et
 al. 2014 write it). A step makes one product h·[W_z | W_r] (in the
 concatenated form [h, x]·[W_z | W_r] + b) and one sigmoid for both
 gates, and its new state is h + z·(c − h). Where x is known before the
-step loop, its side is built once per block: the listener projects all
-B·T embedded tokens in one product, x·W_x + b, and the decoder's first
-layer, whose x is [previous token, attention context], builds the
-(V, 3·d) vocabulary table emb·W_tok + b and the (B, P, 3·d) patch
-projection patches·W_ctx, so that a step adds table[token] +
-alpha·projection and the context is never formed. The decoder's higher
-layers keep the concatenated form.
+step loop, its side is built once per call, from the (V, 3·d)
+vocabulary table emb·W_tok + b: the listener's x is a token, so a step
+reads table[token]. The decoder's first layer reads [previous token,
+attention context]; it also builds the (N, P, 3·d) patch projection
+patches·W_ctx, so that a step adds table[token] + alpha·projection and
+the context is never formed. The decoder's higher layers keep the
+concatenated form. The decoder takes its N observations' patches, keys
+and start states once and a (B,) index of each message's observation,
+so an observation's G samples share one encoding; its backward sums
+each observation's rows, and both backwards scatter the table's row
+gradients into a (V, 3·d) gradient before one product with W_tokᵀ.
 
 A forward step loop keeps only the recurrence: the decoder's runs
 attention, the GRU layers, the head product and, when sampling, the
 draw the next step reads; the listener's runs its GRU. The decoder puts
 each step's top state, logits and token into per-call buffers, and
 after its loop makes one log-softmax and one gather of the chosen
-tokens; a sampled row ends at its first <eos>. A listener row past its length gets z = 0 from a (T, B, 1) mask,
-which holds its state and passes its gradient through unchanged. A
-taped step also fills buffers for all steps: per GRU layer its h (or
-[h, x]), r·h (or [r·h, x]), z|r and c, and attention's activations and
-weights. All are step-major: the decoder's hold step t at slot
-steps-1-t, the order the backward visits them (when sampling ends
-early, the valid rows are the last T_len slots), and the listener's run
-in step order like its input rows. An untaped step fills none and
-builds its new state in place over c as (c − h)·z + h, bitwise equal.
+tokens; a sampled row ends at its first <eos>. A listener row past its
+length gets z = 0 from a (T, B, 1) mask, which holds its state and
+passes its gradient through unchanged. A taped step also fills buffers
+for all steps: per GRU layer its h (or [h, x]), r·h (or [r·h, x]), z|r
+and c, and attention's activations and weights. All are step-major: the
+decoder's hold step t at slot steps-1-t, the order the backward visits
+them (when sampling ends early, the valid rows are the last T_len
+slots), and the listener's run in step order like its (T, B) token ids.
+An untaped step fills none and builds its new state in place over c as
+(c − h)·z + h, bitwise equal.
 
 Before its step loop, a backward computes in one pass each over all
 steps the factors (c−h)·z·(1−z) and z·(1−c²), in place over z and c,
@@ -226,18 +231,20 @@ def _blend(h, z, c, taped, out=None):
     return np.add(c, h, out=c if out is None else out)
 
 
-def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
-                   *, tokens=None, t_max: int = 0, temperature: float = 1.0,
-                   rng=None):
+def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, rows,
+                   tape, *, tokens=None, t_max: int = 0,
+                   temperature: float = 1.0, rng=None):
     """Run the decoder over a block of B messages, one per row.
 
-    Row b attends over its own ``patches[b]`` (B, P, d_e) with its own
-    ``keys[b]`` (B, P, d_e), and starts from row b of each layer's
-    (B, d_e) tensor in ``init_hidden``; gradients flow back into all of
-    them. Teacher-forced when ``tokens`` (B token sequences) is given,
-    sampling otherwise: each step draws one uniform per live row from
-    ``rng`` (see ``_draw``), and a row ends after its <eos> or at
-    ``t_max``. Returns (token lists, (B, T) tape node of the chosen
+    ``patches`` and ``keys`` (N, P, d_e) and each layer's (N, d_e) start
+    state in ``init_hidden`` describe N observations, and ``rows`` (B,)
+    names each message's: row b attends over ``patches[rows[b]]`` with
+    ``keys[rows[b]]`` and starts from row ``rows[b]`` of each start
+    state. Gradients flow back into all of them, each observation's the
+    sum over its rows. Teacher-forced when ``tokens`` (B token sequences)
+    is given, sampling otherwise: each step draws one uniform per live
+    row from ``rng`` (see ``_draw``), and a row ends after its <eos> or
+    at ``t_max``. Returns (token lists, (B, T) tape node of the chosen
     tokens' log-probs, zero past each row's end).
     Steps past a row's end are computed but masked out of its log-probs
     and its gradients.
@@ -258,11 +265,12 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
                  np.concatenate([p[f"gru{l}.bz"].data, p[f"gru{l}.br"].data]),
                  p[f"gru{l}.bh"].data) for l in range(1, L)]
     Pt = patches.nd()
-    K = keys.nd()
-    B, P = Pt.shape[:2]
+    N, P = Pt.shape[:2]
+    B = rows.size
+    K = keys.nd()[rows]
     # layer 0's input side: x·W_x + b = table[token] + alpha·proj
     table = emb @ Wx[:d] + b0
-    proj = (Pt.reshape(B * P, d) @ Wx[d:]).reshape(B, P, 3 * d)
+    proj = (Pt.reshape(N * P, d) @ Wx[d:]).reshape(N, P, 3 * d)[rows]
 
     sampling = tokens is None
     if sampling:
@@ -274,7 +282,7 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
         forced = np.full((steps, B), EOS, np.intp)
         for b, seq in enumerate(tokens):
             forced[:len(seq), b] = seq
-    hidden = [h.nd() for h in init_hidden]
+    hidden = [h.nd()[rows] for h in init_hidden]
     prev = np.full(B, BOS, np.intp)
 
     # the step-major buffers of the module docstring
@@ -333,6 +341,9 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
         "emb", "attn.wh", "attn.v", "head.w", "head.b",
         *(f"gru{l}.{n}" for l in range(L) for n in GRU))] + list(init_hidden)
 
+    def per_obs(G):  # per-row gradients (B, ...) summed per observation
+        return _scatter_rows((N, G[0].size), rows, G).reshape(N, *G.shape[1:])
+
     def rule(g):
         E, A = E_buf[first:], A_buf[first:]
         go = (g.reshape(B, T_len) * mask).T[::-1, :, None]
@@ -367,20 +378,19 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
         # each step's previous token: the next slot's, <bos> at the last
         prev_ids = np.concatenate([TOK[1:].ravel(), np.full(B, BOS)])
         dtable = _scatter_rows(table.shape, prev_ids, _step_rows(gates[0]))
-        dproj = (A.transpose(1, 2, 0) @ gates[0].transpose(1, 0, 2)
-                 ).reshape(B * P, 3 * d)
+        dproj = per_obs(A.transpose(1, 2, 0) @ gates[0].transpose(1, 0, 2)
+                        ).reshape(N * P, 3 * d)
         HQ = _step_rows(bufs[L - 1][0][..., :d])
-        grads = [(dproj @ Wx[d:].T).reshape(Pt.shape), VE.sum(axis=0),
-                 dtable @ Wx[:d].T, HQ.T @ _step_rows(DQ),
-                 _step_rows(E).T @ DS.reshape(-1, 1),
-                 _step_rows(O).T @ DLr,
-                 DLr.sum(axis=0, dtype=F32)]
+        grads = [(dproj @ Wx[d:].T).reshape(Pt.shape),
+                 per_obs(VE.sum(axis=0)), dtable @ Wx[:d].T,
+                 HQ.T @ _step_rows(DQ), _step_rows(E).T @ DS.reshape(-1, 1),
+                 _step_rows(O).T @ DLr, DLr.sum(axis=0, dtype=F32)]
         grads.extend(_gru_weight_grads(bufs[0][0], bufs[0][1], gates[0],
                                        (emb, dtable),
-                                       (Pt.reshape(B * P, d), dproj)))
+                                       (Pt.reshape(N * P, d), dproj)))
         for l in range(1, L):
             grads.extend(_gru_weight_grads(bufs[l][0], bufs[l][1], gates[l]))
-        grads.extend(carry)  # d loss / d initial hidden, per layer
+        grads.extend(map(per_obs, carry))  # d loss / d start states
         return grads
 
     tape.record(out, tuple(inputs), rule)
@@ -391,27 +401,25 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, tape,
 # listener message encoder: plain GRU chain over an embedding matrix
 
 
-def gru_sequence(embs: Tensor, lengths, h0: np.ndarray, wz: Tensor,
+def gru_sequence(emb: Tensor, ids, lengths, h0: np.ndarray, wz: Tensor,
                  bz: Tensor, wr: Tensor, br: Tensor, wh: Tensor, bh: Tensor,
                  tape) -> Tensor:
-    """Final hidden states of a GRU run over a block of B padded sequences.
+    """Final hidden states of a GRU run over a block of B padded token
+    sequences.
 
-    ``embs`` holds T steps of B rows each, step-major as (T·B, d_in): row
-    t·B + b is step t of sequence b. ``h0`` holds the (B, d_h) start
-    states. Sequence b runs for
+    ``ids`` holds their tokens step-major, (T, B): ``ids[t, b]`` is step
+    t of sequence b, a row of the (V, d_in) embedding table ``emb``.
+    ``h0`` holds the (B, d_h) start states. Sequence b runs for
     ``lengths[b]`` steps and its state is held after that, so row b of
-    the (B, d_h) result is its state at its own length; padding rows get
-    no gradient.
+    the (B, d_h) result is its state at its own length; padding steps
+    give no gradient.
     """
-    lengths = np.asarray(lengths)
-    B = lengths.size
+    T_len, B = ids.shape
     d = h0.shape[1]
     *W, Wx, b = _split_weights(wz, bz, wr, br, wh, bh)
-    E = embs.nd()
-    T_len = E.shape[0] // B
-    XS = E @ Wx
-    XS += b  # in place: a second block-sized temporary costs more
-    XS = XS.reshape(T_len, B, 3 * d)
+    E = emb.nd()
+    table = E @ Wx + b
+    XS = table[ids]
     # the step-major buffers of the module docstring, taped only
     taped = tape is not None
     bufs = ([np.empty((T_len, B, w), F32) for w in (d, d, 2 * d, d)]
@@ -436,8 +444,8 @@ def gru_sequence(embs: Tensor, lengths, h0: np.ndarray, wz: Tensor,
         for t in range(T_len - 1, -1, -1):
             dh = _gru_backward(dh, [f[t] for f in factors], *WT,
                                gates[t])[1]
-        DX = _step_rows(gates)
-        return [DX @ Wx.T] + _gru_weight_grads(U, V, gates, (E, DX))
+        dtable = _scatter_rows(table.shape, ids.ravel(), _step_rows(gates))
+        return [dtable @ Wx.T] + _gru_weight_grads(U, V, gates, (E, dtable))
 
-    tape.record(out, (embs, wz, bz, wr, br, wh, bh), rule)
+    tape.record(out, (emb, wz, bz, wr, br, wh, bh), rule)
     return out

@@ -9,7 +9,10 @@ inner product. The Listener reuses the Speaker's observation encoder,
 and its loss gradient flows back into that encoder.
 
 Messages are decoded, rescored and embedded in blocks, one message per
-row. Forward passes are pure functions of (parameters, inputs, rng
+row. The speaker encodes each run of equal consecutive observation rows
+once, so the G samples of an observation share its encoding, and the
+listener's GRU reads its input side from a vocabulary table built once
+per block. Forward passes are pure functions of (parameters, inputs, rng
 state, block shape). Greedy decoding (temperature 0) is fully
 deterministic; sampled decoding is deterministic given the rng.
 Teacher-forced rescoring of a sampled block, as a block of the same
@@ -201,11 +204,15 @@ class SpeakerPolicy:
     # -- decoding ----------------------------------------------------------
 
     def _decode(self, obs: np.ndarray, tape, **kwargs):
-        """Encode an (N, obs_dim) stack and decode one message per row."""
-        patches = self.encode(obs, tape)
+        """Decode one message per row of an (N, obs_dim) stack, encoding
+        each run of equal consecutive rows once (``sample``'s n_samples
+        copies of an observation are one run)."""
+        first = np.concatenate(([True], (obs[1:] != obs[:-1]).any(axis=1)))
+        patches = self.encode(obs[first], tape)
         keys = self.attention_keys(patches, tape)
         h0 = self.initial_hidden(patches, tape)
-        return decode_message(self, patches, keys, h0, tape, **kwargs)
+        return decode_message(self, patches, keys, h0, np.cumsum(first) - 1,
+                              tape, **kwargs)
 
     def sample(self, obs: np.ndarray, t_max: int, temperature: float,
                n_samples: int, rng, tape=None):
@@ -216,7 +223,9 @@ class SpeakerPolicy:
         observation-major (the first observation's n_samples, then the
         next one's), and the block's (N·n_samples, T) tensor of the chosen
         tokens' log-probs, zero past each message's end (untaped when
-        ``tape`` is None). Sampling draws from softmax(logits /
+        ``tape`` is None). Each observation is encoded once for its
+        n_samples messages, and its encoder takes the sum of their
+        gradients. Sampling draws from softmax(logits /
         temperature); temperature 0 means greedy. Recorded
         log-probabilities always come from the temperature-free
         log-softmax.
@@ -234,9 +243,10 @@ class SpeakerPolicy:
         """Teacher-forced per-step log-probabilities of fixed messages.
 
         ``obs`` is an (N, obs_dim) stack and ``messages`` holds one token
-        sequence per row, decoded as one block. Returns the block's
-        (N, T) node, zero past each message's end. A token id outside
-        the vocabulary raises ``IndexError``.
+        sequence per row, decoded as one block, equal consecutive rows
+        encoded once as in ``sample``. Returns the block's (N, T) node,
+        zero past each message's end. A token id outside the vocabulary
+        raises ``IndexError``.
         """
         messages = [list(m) for m in messages]
         if not messages or not all(messages):
@@ -278,7 +288,8 @@ class ListenerModel:
     def embed_message(self, messages, tape=None) -> Tensor:
         """(B, d_o) summary vectors of B messages, from each one's final
         recurrent state; the messages run through the GRU as one padded
-        block."""
+        block of token ids. A token id outside the vocabulary raises
+        ``IndexError`` before anything is recorded."""
         lengths = [len(m) for m in messages]
         if not lengths or min(lengths) == 0:
             raise ValueError("embed_message: messages must be non-empty")
@@ -286,9 +297,9 @@ class ListenerModel:
         ids = np.zeros((max(lengths), len(lengths)), np.intp)
         for b, m in enumerate(messages):
             ids[:len(m), b] = m
+        T.check_index("embed_message", ids, self.cfg.vocab_size)
         p = self.params
-        embs = T.embedding(tape, p["emb"], ids.ravel())
-        h = gru_sequence(embs, lengths,
+        h = gru_sequence(p["emb"], ids, lengths,
                          np.zeros((len(lengths), self.cfg.d_o), F32),
                          p["gru.wz"], p["gru.bz"], p["gru.wr"], p["gru.br"],
                          p["gru.wh"], p["gru.bh"], tape)

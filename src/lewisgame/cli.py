@@ -166,10 +166,10 @@ def cmd_sweep(args) -> int:
     cells = ablation_sweep(cfg, args.k_list, args.seeds, workers=args.workers)
     summary = sweep_summary(cells)
     for k, metrics in summary.items():
-        cov = metrics["coverage"]
-        b1 = metrics["bleu1"]
-        print(f"K={k}: coverage {cov['mean']:.3f}±{cov['std']:.3f} "
-              f"bleu1 {b1['mean']:.3f}±{b1['std']:.3f}")
+        print(f"K={k}: " + " ".join(
+            f"{name} {metrics[name]['mean']:.3f}±{metrics[name]['std']:.3f}"
+            for name in ("coverage", "bleu1", "top1", "train_reward")
+            if name in metrics))
     failures = [c for c in cells if "error" in c]
     for c in failures:
         print(f"K={c['k']} seed={c['seed']} failed: {c['error']}",

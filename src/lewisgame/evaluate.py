@@ -249,17 +249,20 @@ def ablation_sweep(cfg: RunConfig, k_list, seeds,
 
 
 def sweep_summary(cells) -> dict:
-    """Mean and std of each metric per K, skipping failed cells."""
+    """Mean and std per K of each metric and of ``train_reward``,
+    skipping failed cells, and cells without a train reward for it; a K
+    with no train reward has no ``train_reward`` entry."""
     by_k: dict[int, list] = {}
     for cell in cells:
         if "report" in cell:
-            by_k.setdefault(cell["k"], []).append(cell["report"])
+            by_k.setdefault(cell["k"], []).append(cell)
     out = {}
-    for k, reports in sorted(by_k.items()):
-        metrics = {}
-        for name in EVAL_METRICS:
-            vals = np.array([getattr(r, name) for r in reports])
-            metrics[name] = {"mean": float(vals.mean()),
-                             "std": float(vals.std())}
-        out[k] = metrics
+    for k, done in sorted(by_k.items()):
+        columns = {name: [getattr(c["report"], name) for c in done]
+                   for name in EVAL_METRICS}
+        columns["train_reward"] = [c["train_reward"] for c in done
+                                   if c["train_reward"] is not None]
+        out[k] = {name: {"mean": float(np.mean(vals)),
+                         "std": float(np.std(vals))}
+                  for name, vals in columns.items() if vals}
     return out

@@ -139,9 +139,12 @@ def matmul(tape, a: Tensor, b: Tensor) -> Tensor:
     if req and tape is not None:
         def rule(g):
             G = g.reshape(out.shape)
+            # np.matmul multiplies a one-row A's (k, 1) transpose without
+            # BLAS, 5-10x slower than np.dot, which gives the same bits
             return (
                 (G @ B.T) if a.requires_grad else None,
-                (A.T @ G) if b.requires_grad else None,
+                (np.dot(A.T, G) if len(A) == 1 else A.T @ G)
+                if b.requires_grad else None,
             )
         tape.record(out, (a, b), rule)
     return out

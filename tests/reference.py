@@ -15,9 +15,10 @@ products.
 The decoder's first layer and the listener's GRU take the kernels'
 split form, so that a one-row block makes exactly their products: per
 message, the input side x·W_x + b is built once from the weights'
-``input_rows`` (for the decoder, a vocabulary table and a patch
-projection; for the listener, every token's row in one product), and
-each step runs ``gru_cell_split`` on it with the weights' ``state_rows``.
+``input_rows`` (for both, a vocabulary table emb·W_x + b; for the
+decoder also a patch projection), and each step runs
+``gru_cell_split`` on its token's row of it with the weights'
+``state_rows``.
 The decoder's higher layers use ``gru_cell``, the textbook cell on the
 concatenated [h, x]; a test holds the two cells equal to float32
 round-off, so the split form computes the same function.
@@ -401,28 +402,29 @@ def logprobs(speaker, obs: np.ndarray, tokens, tape=None):
 # listener message GRU (oracle for _decode.gru_sequence)
 
 
-def gru_sequence(embs: Tensor, h0: np.ndarray, wz: Tensor, bz: Tensor,
-                 wr: Tensor, br: Tensor, wh: Tensor, bh: Tensor,
+def gru_sequence(emb: Tensor, tokens, h0: np.ndarray, wz: Tensor,
+                 bz: Tensor, wr: Tensor, br: Tensor, wh: Tensor, bh: Tensor,
                  tape) -> Tensor:
-    """Final hidden state of a GRU run over the rows of ``embs``: the
-    input side of every row in one product, then one ``gru_cell_split``
-    per row."""
+    """Final hidden state of a GRU run over one token sequence: the
+    (V, 3·d_h) vocabulary table emb·W_x + b once, then one
+    ``gru_cell_split`` per token on its row of the table."""
     d = h0.shape[1]
-    xs = T.add(tape, T.matmul(tape, embs, input_rows(tape, wz, wr, wh, d,
-                                                     wz.shape[0])),
-               concat(tape, [bz, br, bh]))
+    table = T.add(tape, T.matmul(tape, emb, input_rows(tape, wz, wr, wh, d,
+                                                       wz.shape[0])),
+                  concat(tape, [bz, br, bh]))
     w_state = state_rows(tape, wz, wr, wh)
     h = Tensor(h0)
-    for t in range(embs.shape[0]):
-        h = gru_cell_split(tape, T.embedding(tape, xs, [t]), h, *w_state)
+    for tok in tokens:
+        h = gru_cell_split(tape, T.embedding(tape, table, [tok]), h,
+                           *w_state)
     return h
 
 
 def embed_message(listener, tokens, tape=None) -> Tensor:
     """``ListenerModel.embed_message`` of one message: (1, d_o)."""
     p = listener.params
-    embs = T.embedding(tape, p["emb"], list(tokens))
-    h = gru_sequence(embs, np.zeros((1, listener.cfg.d_o), F32), p["gru.wz"],
+    h = gru_sequence(p["emb"], list(tokens),
+                     np.zeros((1, listener.cfg.d_o), F32), p["gru.wz"],
                      p["gru.bz"], p["gru.wr"], p["gru.br"], p["gru.wh"],
                      p["gru.bh"], tape)
     mid = T.tanh(tape, T.add(tape, T.matmul(tape, h, p["proj.l1.w"]),

@@ -145,6 +145,42 @@ def test_logprobs_refuses_token_ids_outside_the_vocabulary(world):
     assert speaker.logprobs(obs, [[5, 6], [3, V - 1]]).shape == (2, 2)
 
 
+def test_embed_message_refuses_token_ids_outside_the_vocabulary(world):
+    # refused before the kernel's table gather, where a negative id would
+    # wrap, and before anything is recorded
+    _, cfg, _, listener = world
+    V = cfg.vocab_size
+    for bad in (4 - V, -1, V, V + 3):
+        tape = Tape()
+        with pytest.raises(IndexError, match=rf"^embed_message: index {bad} "
+                                             rf"out of range \[0, {V}\)$"):
+            listener.embed_message([[5, 6], [3, bad]], tape)
+        assert len(tape) == 0
+    assert listener.embed_message([[5, 6], [3, V - 1]]).shape == (2, cfg.d_o)
+
+
+def test_sample_encodes_each_observation_once(world, monkeypatch):
+    # an observation's G samples share its encoding: the encoder's first
+    # product has one row per observation, whatever G is, and so the
+    # tape holds the same nodes at G = 1 and G = 5
+    ds, cfg, speaker, _ = world
+    obs = ds.model_inputs()[:4]
+    products = []
+    matmul = T.matmul
+    monkeypatch.setattr(T, "matmul", lambda tape, a, b: products.append(
+        (a.shape, b)) or matmul(tape, a, b))
+    counts = []
+    for g in (1, 5):
+        products.clear()
+        tape = Tape()
+        _, node = speaker.sample(obs, 6, 1.0, g, np.random.default_rng(3),
+                                 tape)
+        assert node.shape[0] == 4 * g
+        assert products[0] == ((4, cfg.obs_dim), speaker.params["enc.l1.w"])
+        counts.append(len(tape))
+    assert counts[0] == counts[1]
+
+
 @pytest.mark.parametrize("n_layers", [1, 2])
 def test_untaped_forward_passes_match_taped_bitwise(world, n_layers):
     # untaped, the kernels keep no buffers and update their states in
@@ -209,8 +245,10 @@ def test_draw_takes_one_uniform_per_row_in_row_order():
 # the ones below, at d_e = d_o of 32 (1, 2 and 3 layers), 64 and 128,
 # three seeds each. Decoder, on the plain and the raster world: log-probs
 # 2.4e-7 absolute, gradients 1.7e-6 of a parameter's largest gradient.
-# Message GRU: summaries 1.8e-7 absolute, gradients 8.7e-7 relative. The
-# bounds leave at least 2.9x headroom.
+# Message GRU: summaries 1.8e-7 absolute, gradients 8.7e-7 relative.
+# Sampled 3 x 5 blocks, whose observations sum their five rows'
+# gradients (d_e 32 and 64, 1 to 3 layers, three seeds): log-probs
+# 4.8e-7, gradients 2.0e-6. The bounds leave at least 2.5x headroom.
 BLOCK_LOGPROB_ATOL = 2e-6
 BLOCK_GRAD_RTOL = 5e-6
 
@@ -264,6 +302,38 @@ def test_decode_block_matches_per_message_reference(world, n_layers, raster,
         w = Tensor(weights[row, :len(m)].reshape(-1, 1))
         backward(tape, T.tsum(tape, T.mul(tape, ref, w)))
     per_message = _grads(speaker.params)
+    assert block.keys() == per_message.keys()
+    for name, g in per_message.items():
+        assert (np.abs(block[name] - g).max()
+                <= BLOCK_GRAD_RTOL * np.abs(g).max()), name
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_sampled_block_gradients_match_per_message_reference(world, n_layers):
+    # each observation's G samples share one encoding, so its encoder
+    # rows, attention keys and start states take the sum of its messages'
+    # gradients, which the oracle adds up one message at a time
+    ds, cfg, _, _ = world
+    speaker = SpeakerPolicy.create(
+        ModelConfig(**{**cfg.__dict__, "n_layers": n_layers}), 23)
+    obs = ds.model_inputs()[10:13]
+    speaker.params.zero_grads()
+    tape = Tape()
+    samples, node = speaker.sample(obs, 12, 1.0, 5,
+                                   np.random.default_rng(4), tape)
+    weights = np.random.default_rng(5).normal(0, 1, node.shape)
+    backward(tape, T.tsum(tape, T.mul(tape, node, Tensor(weights))))
+    block = _grads(speaker.params)
+    speaker.params.zero_grads()
+    for row, s in enumerate(samples):
+        tape = Tape()
+        ref = reference.logprobs(speaker, obs[row // 5], s.tokens, tape)
+        assert (np.abs(node.nd()[row, :s.length] - ref.data).max()
+                <= BLOCK_LOGPROB_ATOL)
+        w = Tensor(weights[row, :s.length].reshape(-1, 1))
+        backward(tape, T.tsum(tape, T.mul(tape, ref, w)))
+    per_message = _grads(speaker.params)
+    assert len({s.length for s in samples}) > 1
     assert block.keys() == per_message.keys()
     for name, g in per_message.items():
         assert (np.abs(block[name] - g).max()
@@ -509,12 +579,12 @@ def test_gru_sequence_matches_reference_bitwise(world):
     d_o = listener.cfg.d_o
     rng = np.random.default_rng(2)
     for tokens in ([5], [4, 2, 1], [7, 7, 3, 9, 2, 5]):
-        embs = T.embedding(None, emb, tokens)
         for h0 in (np.zeros((1, d_o), np.float32),
                    rng.normal(0, 1, (1, d_o)).astype(np.float32)):
-            fused = gru_sequence(embs, [len(tokens)], h0,
+            fused = gru_sequence(emb, np.array(tokens)[:, None],
+                                 [len(tokens)], h0,
                                  *_listener_gru(listener), None)
-            generic = reference.gru_sequence(embs, h0,
+            generic = reference.gru_sequence(emb, tokens, h0,
                                              *_listener_gru(listener), None)
             assert fused.shape == generic.shape
             assert fused.data.tobytes() == generic.data.tobytes()
@@ -522,16 +592,18 @@ def test_gru_sequence_matches_reference_bitwise(world):
 
 def test_gru_sequence_gradients_match_reference(world):
     _, _, _, listener = world
+    tokens = [7, 7, 3, 9, 2, 5]
     h0 = np.zeros((1, listener.cfg.d_o), np.float32)
     weights = Tensor(np.random.default_rng(1).normal(
         0, 1, (1, listener.cfg.d_o)))
     grads = {}
-    fused = lambda embs, *args: gru_sequence(embs, [6], *args)
+    fused = lambda emb, toks, *args: gru_sequence(
+        emb, np.array(toks)[:, None], [len(toks)], *args)
     for path, run in (("fused", fused), ("generic", reference.gru_sequence)):
         listener.params.zero_grads()
         tape = Tape()
-        embs = T.embedding(tape, listener.params["emb"], [7, 7, 3, 9, 2, 5])
-        h = run(embs, h0, *_listener_gru(listener), tape)
+        h = run(listener.params["emb"], tokens, h0, *_listener_gru(listener),
+                tape)
         backward(tape, T.tsum(tape, T.mul(tape, h, weights)))
         grads[path] = _grads(listener.params)
     _assert_grads_close(grads["fused"], grads["generic"])

@@ -10,9 +10,10 @@ import pytest
 
 from reference import generate_dataset
 
+from lewisgame import cli
 from lewisgame.agents import ListenerModel, ModelConfig, SpeakerPolicy
 from lewisgame.cli import _agents_from_checkpoint, main
-from lewisgame.evaluate import evaluate_agents
+from lewisgame.evaluate import EvalReport, evaluate_agents
 from lewisgame.params import ParameterSet, load_checkpoint, save_checkpoint
 from lewisgame.tensor import Tensor
 from lewisgame.world import (_N_ATTR, Scene, WorldSpec, load_dataset,
@@ -863,3 +864,33 @@ def test_resumed_runs_log_each_step_once(eval_files, tmp_path):
     rows = steps(straight_rows)
     assert [s for _, s in rows] == list(range(6))
     assert steps(resumed[0])[3:] == rows[3:]
+
+
+def test_sweep_prints_the_gate_numbers_per_k(monkeypatch, capsys):
+    # coverage, BLEU-1, held-out top-1 and the training reward, each as
+    # mean ± std over the K's cells; a failed cell and a cell without a
+    # train reward (zero steps) are left out of what they lack
+    def report(coverage, bleu1, top1):
+        return EvalReport(bleu1=bleu1, bleu2=0.0, bleu3=0.0, bleu4=0.0,
+                          coverage=coverage, top1=top1, top10=1.0,
+                          mean_length=3.0, n_rounds=10, k=4)
+
+    cells = [
+        {"k": 4, "seed": 1, "report": report(0.2, 0.1, 0.25),
+         "train_reward": 0.5},
+        {"k": 4, "seed": 2, "report": report(0.4, 0.3, 0.75),
+         "train_reward": 0.25},
+        {"k": 4, "seed": 3, "report": report(0.3, 0.2, 0.5),
+         "train_reward": None},
+        {"k": 4, "seed": 4, "error": "boom"},
+        {"k": 8, "seed": 1, "report": report(0.1, 0.0, 0.125),
+         "train_reward": None},
+    ]
+    monkeypatch.setattr(cli, "ablation_sweep", lambda *args, **kw: cells)
+    assert main(["sweep", "--k-list", "4,8", "--seeds", "1,2,3,4"]) == 0
+    out = capsys.readouterr()
+    assert out.out.splitlines() == [
+        "K=4: coverage 0.300±0.082 bleu1 0.200±0.082 top1 0.500±0.204 "
+        "train_reward 0.375±0.125",
+        "K=8: coverage 0.100±0.000 bleu1 0.000±0.000 top1 0.125±0.000"]
+    assert out.err == "K=4 seed=4 failed: boom\n"

@@ -61,6 +61,19 @@ def test_matmul_identity():
     assert out.data.tolist() == a.data.tolist()
 
 
+def test_matmul_one_row_weight_gradient_is_the_product_bitwise():
+    # a one-row left operand takes another numpy call for the right
+    # operand's gradient; zeros in it must still give +0.0, as A.T @ G does
+    rng = np.random.default_rng(0)
+    a = Tensor(np.array([[0.0, 1.5, -2.0, 0.0]], np.float32), True)
+    b = Tensor(rng.normal(0, 1, (4, 3)).astype(np.float32), True)
+    g = rng.normal(0, 1, (1, 3)).astype(np.float32)
+    tape = Tape()
+    backward(tape, T.tsum(tape, T.mul(tape, T.matmul(tape, a, b),
+                                      Tensor(g))))
+    assert b.grad.tobytes() == (a.nd().T @ g).ravel().tobytes()
+
+
 def test_matmul_shape_error_names_op():
     with pytest.raises(ShapeError, match="matmul"):
         T.matmul(None, Tensor([[1.0, 2.0]]), Tensor([[1.0, 2.0]]))
@@ -268,6 +281,8 @@ def _check_op(build, shapes, seed, eps=1e-3, tol=1e-3, offset=0.0):
 OP_CASES = {
     "matmul": (lambda p, t: T.tsum(t, T.tanh(t, T.matmul(t, p["p0"], p["p1"]))),
                [(3, 4), (4, 2)]),
+    "matmul_one_row": (lambda p, t: T.tsum(t, T.tanh(
+        t, T.matmul(t, p["p0"], p["p1"]))), [(1, 4), (4, 2)]),
     "add": (lambda p, t: T.tsum(t, T.tanh(t, T.add(t, p["p0"], p["p1"]))),
             [(3, 4), (4,)]),
     "mul": (lambda p, t: T.tsum(t, T.mul(t, p["p0"], p["p1"])),
