@@ -7,37 +7,39 @@ that is what keeps training fast on a small CPU. Every other layer, the
 observation encoder included, is built from the generic ops of
 ``tensor``.
 
-A GRU's weights stack the rows that multiply its state h on those that
-multiply its input x, so [h, x]·W = h·W_h + x·W_x (the GRU as Cho et
-al. 2014 write it). A step makes one product h·[W_z | W_r] (in the
-concatenated form [h, x]·[W_z | W_r] + b) and one sigmoid for both
-gates, and its new state is h + z·(c − h). Where x is known before the
-step loop, its side is built once per call, from the (V, 3·d)
-vocabulary table emb·W_tok + b: the listener's x is a token, so a step
-reads table[token]. The decoder's first layer reads [previous token,
-attention context]; it also builds the (N, P, 3·d) patch projection
-patches·W_ctx, so that a step adds table[token] + alpha·projection and
-the context is never formed. The decoder's higher layers keep the
-concatenated form. The decoder takes its N observations' patches, keys
-and start states once and a (B,) index of each message's observation,
-so an observation's G samples share one encoding; its backward sums
-each observation's rows, and both backwards scatter the table's row
-gradients into a (V, 3·d) gradient before one product with W_tokᵀ.
+A GRU (Cho et al. 2014) is stored as the two parameters its kernel
+reads: w = [W_z | W_r | W_h], (d + d_in, 3·d), with the rows that
+multiply its state h over those that multiply its input x, and
+b = [b_z | b_r | b_h]; every split below is a view of them. A step adds
+its input side x·W_x + b to one product h·[W_z | W_r], makes one
+sigmoid for both gates, and its new state is h + z·(c − h). Where x is
+known before the step loop, its side is built once per call, from the
+(V, 3·d) vocabulary table emb·W_tok + b: the listener's x is a token,
+so a step reads table[token]. The decoder's first layer reads [previous
+token, attention context]; it also builds the (N, P, 3·d) patch
+projection patches·W_ctx, so that a step adds table[token] +
+alpha·projection and the context is never formed. A higher layer's x,
+the new state of the layer below, takes one product per step. The
+decoder takes its N observations' patches, keys and start states once
+and a (B,) index of each message's observation, so an observation's G
+samples share one encoding; its backward sums each observation's rows,
+and both backwards scatter the table's row gradients into a (V, 3·d)
+gradient before one product with W_tokᵀ.
 
 A forward step loop keeps only the recurrence: the decoder's runs
 attention, the GRU layers, the head product and, when sampling, the
 draw the next step reads; the listener's runs its GRU. The decoder puts
-each step's top state, logits and token into per-call buffers, and
-after its loop makes one log-softmax and one gather of the chosen
-tokens; a sampled row ends at its first <eos>. A listener row past its
-length gets z = 0 from a (T, B, 1) mask, which holds its state and
-passes its gradient through unchanged. A taped step also fills buffers
-for all steps: per GRU layer its h (or [h, x]), r·h (or [r·h, x]), z|r
-and c, and attention's activations and weights. All are step-major: the
-decoder's hold step t at slot steps-1-t, the order the backward visits
-them (when sampling ends early, the valid rows are the last T_len
-slots), and the listener's run in step order like its (T, B) token ids.
-An untaped step fills none and builds its new state in place over c as
+each layer's new states, the logits and the tokens into per-call
+buffers, and after its loop makes one log-softmax and one gather of the
+chosen tokens; a sampled row ends at its first <eos>. A listener row
+past its length gets z = 0 from a (T, B, 1) mask, which holds its state
+and passes its gradient through unchanged. A taped step also fills
+buffers for all steps: per GRU layer its h, r·h, z|r and c, and
+attention's activations and weights. All are step-major: the decoder's
+hold step t at slot steps-1-t, the order the backward visits them (when
+sampling ends early, the valid rows are the last T_len slots), and the
+listener's run in step order like its (T, B) token ids. An untaped step
+fills none of these and builds its new state in place over c as
 (c − h)·z + h, bitwise equal.
 
 Before its step loop, a backward computes in one pass each over all
@@ -46,9 +48,11 @@ which nothing reads again (a rule runs once), then h·r·(1−r) and 1−z;
 the decoder also every step's dlogits and their product with W_oᵀ, and
 attention's v·(1−e²). The loop keeps only the recurrent chain and
 leaves each step's [dz | dr | dc], also the gradient of x·W_x + b, in a
-buffer. After it, every input-side gradient is one product over the
-buffers, dK one sum, and each weight gradient is written once, row
-block by row block, into its own array. A product that uses a weight
+buffer; a higher layer's step back multiplies by the transpose of its
+whole w, which also yields the gradient of the layer below's state.
+After the loop, every input-side gradient is one product over the
+buffers, dK one sum, and each GRU's weight gradient is written once,
+row block by row block, into one array. A product that uses a weight
 once per call takes the strided W.T, which BLAS reads as a transposed
 operand (a contiguous copy alone costs up to 60 µs for a 256×384 W_x);
 the loop's few-row products use contiguous transposes, up to 5× faster.
@@ -74,7 +78,6 @@ from .world import BOS, EOS
 
 ONE = F32(1)
 HALF = F32(0.5)
-GRU = ("wz", "bz", "wr", "br", "wh", "bh")  # a GRU's parameters, in order
 
 
 def _sigmoid(x):
@@ -89,49 +92,26 @@ def _softmax_rows(x, out=None):
     return np.divide(e, e.sum(axis=1, keepdims=True), out=out)
 
 
-def _split_weights(wz, bz, wr, br, wh, bh):
-    """A GRU's weights by row block: the state rows of [W_z | W_r] and of
-    W_h, the input rows of [W_z | W_r | W_h], and [b_z | b_r | b_h]."""
-    Wz, Wr, Wh = wz.nd(), wr.nd(), wh.nd()
-    d = Wz.shape[1]
-    return (np.concatenate([Wz[:d], Wr[:d]], axis=1), Wh[:d],
-            np.concatenate([Wz[d:], Wr[d:], Wh[d:]], axis=1),
-            np.concatenate([bz.data, br.data, bh.data]))
-
-
-def _gru_forward(x, h, Wzr, Wh, bzr, bh, U=None, V=None, ZR=None, C=None):
-    """One GRU step on the concatenated [h, x]: its gates z|r and its
-    candidate c. [h, x], [r·h, x], z|r and c go into ``U``, ``V``, ``ZR``
-    and ``C`` when given (a taped step's slots of its buffers)."""
+def _gru_split_forward(xs, h, w, H=None, V=None, ZR=None, C=None):
+    """One GRU step given its input side ``xs``, the (B, 3·d) rows of
+    x·W_x + b, and its stored weight ``w``, of which it reads the state
+    rows: its gates z|r and candidate c. h, r·h, z|r and c go into ``H``,
+    ``V``, ``ZR`` and ``C`` when given (a taped step's buffer slots)."""
     d = h.shape[1]
-    U = np.concatenate([h, x], axis=1, out=U)
-    zr = np.matmul(U, Wzr, out=ZR)
-    zr = _sigmoid(np.add(zr, bzr, out=zr))
-    V = np.concatenate([zr[:, d:] * h, x], axis=1, out=V)
-    c = np.matmul(V, Wh, out=C)
-    c = np.add(c, bh, out=c)
-    return zr, np.tanh(c, out=c)
-
-
-def _gru_split_forward(xs, h, Wzr, Wh, U=None, V=None, ZR=None, C=None):
-    """``_gru_forward`` given the step's input side ``xs``, the (B, 3·d)
-    rows of x·W_x + b, and the state rows of the weights; U gets h and
-    V r·h."""
-    d = h.shape[1]
-    if U is not None:
-        U[...] = h
-    zr = np.matmul(h, Wzr, out=ZR)
+    if H is not None:
+        H[...] = h
+    zr = np.matmul(h, w[:d, :2 * d], out=ZR)
     zr = _sigmoid(np.add(zr, xs[:, :2 * d], out=zr))
-    c = np.matmul(np.multiply(zr[:, d:], h, out=V), Wh, out=C)
+    c = np.matmul(np.multiply(zr[:, d:], h, out=V), w[:d, 2 * d:], out=C)
     c = np.add(c, xs[:, 2 * d:], out=c)
     return zr, np.tanh(c, out=c)
 
 
-def _gate_factors(U, ZR, C):
+def _gate_factors(H, ZR, C):
     """A GRU's gate-gradient factors over all steps of its buffers:
     (c−h)·z·(1−z) over z, z·(1−c²) over c, h·r·(1−r), 1−z and r."""
     d = C.shape[-1]
-    H, Z, R = U[..., :d], ZR[..., :d], ZR[..., d:]
+    Z, R = ZR[..., :d], ZR[..., d:]
     omz = ONE - Z
     ch = C - H
     np.subtract(ONE, np.multiply(C, C, out=C), out=C)
@@ -141,20 +121,21 @@ def _gate_factors(U, ZR, C):
     return Z, C, H * R * (ONE - R), omz, R
 
 
-def _gru_backward(G, factors, WzrT, WhT, gates):
+def _gru_backward(G, factors, WT, gates):
     """One step back, given the gradient ``G`` of its new state, its
-    slots of ``_gate_factors`` and the transposes of [W_z | W_r] and W_h
-    (their state rows for the split form). Writes [dz | dr | dc] into
-    ``gates`` and returns (dx, dh_prev); dx, the gradient of the
-    concatenated form's x, is empty for the split form."""
+    slots of ``_gate_factors`` and ``WT``, a contiguous transpose of the
+    GRU's weight or of its state rows, whose row blocks are the
+    transposes of [W_z | W_r] and W_h. Writes [dz | dr | dc] into
+    ``gates`` and returns (dx, dh_prev); dx, the gradient of x, is empty
+    when ``WT`` lacks the input rows."""
     fz, fc, fr, omz, r = factors
     d = G.shape[1]
     np.multiply(G, fz, out=gates[:, :d])
     np.multiply(G, fc, out=gates[:, 2 * d:])
-    dV = gates[:, 2 * d:] @ WhT
+    dV = gates[:, 2 * d:] @ WT[2 * d:]
     drh = dV[:, :d]
     np.multiply(drh, fr, out=gates[:, d:2 * d])
-    dU = gates[:, :2 * d] @ WzrT
+    dU = gates[:, :2 * d] @ WT[:2 * d]
     dh = G * omz
     dh += np.multiply(drh, r, out=drh)
     dh += dU[:, :d]
@@ -163,36 +144,27 @@ def _gru_backward(G, factors, WzrT, WhT, gates):
     return dx, dh
 
 
-def _transposed_gates(Wzr, Wh):
-    """Contiguous transposes of [W_z | W_r] and W_h."""
-    return np.ascontiguousarray(Wzr.T), np.ascontiguousarray(Wh.T)
-
-
 def _step_rows(buf):
     """A buffer's (steps·B, width) rows, as a view."""
     return buf.reshape(-1, buf.shape[-1])
 
 
-def _gru_weight_grads(U, V, G, *inputs):
-    """A GRU's six weight and bias gradients, batched over steps and
-    rows, from buffers of its U and V rows and gate gradients G. Each
-    weight's is one array, written row block by row block: Uᵀ·dz, Uᵀ·dr
-    or Vᵀ·dc, then for the split form Xᵀ·D for each (input, gradient of
-    its side x·W_x + b) pair (X, D) of ``inputs``."""
-    U, V, G = map(_step_rows, (U, V, G))
-    d = G.shape[1] // 3
-    db = G.sum(axis=0, dtype=F32)
-    grads = []
-    for k, S in enumerate((U, U, V)):
-        cols = slice(k * d, (k + 1) * d)
-        blocks = ((S, G),) + inputs
-        dW = np.empty((sum(X.shape[1] for X, _ in blocks), d), F32)
-        lo = 0
-        for X, D in blocks:
-            lo += X.shape[1]
-            np.matmul(X.T, D[:, cols], out=dW[lo - X.shape[1]:lo])
-        grads += [dW, db[cols]]
-    return grads
+def _gru_weight_grads(H, V, G, *inputs):
+    """A GRU's weight and bias gradients, batched over steps and rows,
+    from buffers of its h and r·h rows and gate gradients G. The weight
+    gradient is one array, written row block by row block: Hᵀ·[dz | dr]
+    and Vᵀ·dc side by side in its state rows, then Xᵀ·D for each (input,
+    gradient of its side x·W_x + b) pair (X, D) of ``inputs``."""
+    H, V, G = map(_step_rows, (H, V, G))
+    d = H.shape[1]
+    dW = np.empty((d + sum(X.shape[1] for X, _ in inputs), 3 * d), F32)
+    np.matmul(H.T, G[:, :2 * d], out=dW[:d, :2 * d])
+    np.matmul(V.T, G[:, 2 * d:], out=dW[:d, 2 * d:])
+    lo = d
+    for X, D in inputs:
+        np.matmul(X.T, D, out=dW[lo:lo + X.shape[1]])
+        lo += X.shape[1]
+    return [dW, G.sum(axis=0, dtype=F32)]
 
 
 # ---------------------------------------------------------------------------
@@ -258,19 +230,15 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, rows,
     v = p["attn.v"].nd()
     Wo = p["head.w"].nd()
     bo = p["head.b"].data
-    *W0, Wx, b0 = _split_weights(*(p[f"gru0.{n}"] for n in GRU))
-    # per layer [W_z | W_r] and W_h, then the concatenated form's biases
-    W = [W0] + [(np.concatenate([p[f"gru{l}.wz"].nd(), p[f"gru{l}.wr"].nd()],
-                                axis=1), p[f"gru{l}.wh"].nd(),
-                 np.concatenate([p[f"gru{l}.bz"].data, p[f"gru{l}.br"].data]),
-                 p[f"gru{l}.bh"].data) for l in range(1, L)]
+    w = [p[f"gru{l}.w"].nd() for l in range(L)]
+    bias = [p[f"gru{l}.b"].data for l in range(L)]
     Pt = patches.nd()
     N, P = Pt.shape[:2]
     B = rows.size
     K = keys.nd()[rows]
     # layer 0's input side: x·W_x + b = table[token] + alpha·proj
-    table = emb @ Wx[:d] + b0
-    proj = (Pt.reshape(N * P, d) @ Wx[d:]).reshape(N, P, 3 * d)[rows]
+    table = emb @ w[0][d:2 * d] + bias[0]
+    proj = (Pt.reshape(N * P, d) @ w[0][2 * d:]).reshape(N, P, 3 * d)[rows]
 
     sampling = tokens is None
     if sampling:
@@ -288,13 +256,13 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, rows,
     # the step-major buffers of the module docstring
     TOK = np.empty((steps, B), np.intp)
     LSM = np.empty((steps, B, Wo.shape[1]), F32)  # logits, then log-softmax
-    O = np.empty((steps, B, d), F32)
+    S = np.empty((L, steps, B, d), F32)  # each layer's new states
     taped = tape is not None
     if taped:
         E_buf = np.empty((steps,) + K.shape, F32)
         A_buf = np.empty((steps, B, P), F32)
-        gru_bufs = [[np.empty((steps, B, w), F32) for w in (u, u, 2 * d, d)]
-                    for u in [d] + [2 * d] * (L - 1)]
+        gru_bufs = [[np.empty((steps, B, n), F32) for n in (d, d, 2 * d, d)]
+                    for _ in range(L)]
     for t in range(steps):
         s = steps - 1 - t
         hq = hidden[L - 1]
@@ -302,13 +270,13 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, rows,
                     out=E_buf[s] if taped else None)
         alpha = _softmax_rows((e @ v)[:, :, 0],
                               out=A_buf[s] if taped else None)
-        x = table[prev] + (alpha[:, None, :] @ proj)[:, 0, :]
+        xs = table[prev] + (alpha[:, None, :] @ proj)[:, 0, :]
         for l, h in enumerate(hidden):
+            if l:  # x·W_x + b, x the new state of the layer below
+                xs = x @ w[l][d:] + bias[l]
             slots = [buf[s] for buf in gru_bufs[l]] if taped else ()
-            zr, c = (_gru_forward if l else _gru_split_forward)(
-                x, h, *W[l], *slots)
-            x = hidden[l] = _blend(h, zr[:, :d], c, taped,
-                                   O[s] if l == L - 1 else None)
+            zr, c = _gru_split_forward(xs, h, w[l], *slots)
+            x = hidden[l] = _blend(h, zr[:, :d], c, taped, S[l, s])
         logits = np.add(np.matmul(x, Wo, out=LSM[s]), bo, out=LSM[s])
         if sampling:
             prev = _draw(logits, temperature, rng, live)
@@ -322,7 +290,7 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, rows,
     # step t's rows sit at index T_len-1-t of each valid part [first:]
     T_len = t + 1
     first = steps - T_len
-    TOK, LSM, O = TOK[first:], LSM[first:], O[first:]
+    TOK, LSM, S = TOK[first:], LSM[first:], S[:, first:]
     _log_softmax_rows(_step_rows(LSM), out=_step_rows(LSM))
     lp = np.take_along_axis(LSM, TOK[:, :, None], axis=2)[::-1, :, 0].T
     tok_arr = TOK[::-1].T
@@ -339,7 +307,7 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, rows,
 
     inputs = [patches, keys] + [p[n] for n in (
         "emb", "attn.wh", "attn.v", "head.w", "head.b",
-        *(f"gru{l}.{n}" for l in range(L) for n in GRU))] + list(init_hidden)
+        *(f"gru{l}.{n}" for l in range(L) for n in "wb"))] + list(init_hidden)
 
     def per_obs(G):  # per-row gradients (B, ...) summed per observation
         return _scatter_rows((N, G[0].size), rows, G).reshape(N, *G.shape[1:])
@@ -354,8 +322,11 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, rows,
         DH = (DLr @ Wo.T).reshape(T_len, B, d)
         VE = v[:, 0] * (ONE - E * E)
         bufs = [[buf[first:] for buf in layer] for layer in gru_bufs]
-        factors = [_gate_factors(U, ZR, C) for U, _, ZR, C in bufs]
-        WT = [_transposed_gates(*w[:2]) for w in W]
+        factors = [_gate_factors(H, ZR, C) for H, _, ZR, C in bufs]
+        # a higher layer's transpose keeps its input rows, so that a step
+        # back also gives the gradient of the layer below's new state
+        WT = [np.ascontiguousarray((wl if l else wl[:d]).T)
+              for l, wl in enumerate(w)]
         WqT = np.ascontiguousarray(Wq.T)
         carry = [np.zeros((B, d), F32) for _ in range(L)]
         DS = np.empty((T_len, B, P), F32)
@@ -366,7 +337,7 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, rows,
             for l in range(L - 1, -1, -1):
                 G = dx if l == L - 1 else dx + carry[l]
                 dx, carry[l] = _gru_backward(G, [f[s] for f in factors[l]],
-                                             *WT[l], gates[l, s])
+                                             WT[l], gates[l, s])
             # layer 0's gate gradients are those of its input side
             dalpha = (proj @ gates[0, s][:, :, None])[:, :, 0]
             alpha = A[s]
@@ -380,16 +351,18 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, rows,
         dtable = _scatter_rows(table.shape, prev_ids, _step_rows(gates[0]))
         dproj = per_obs(A.transpose(1, 2, 0) @ gates[0].transpose(1, 0, 2)
                         ).reshape(N * P, 3 * d)
-        HQ = _step_rows(bufs[L - 1][0][..., :d])
-        grads = [(dproj @ Wx[d:].T).reshape(Pt.shape),
-                 per_obs(VE.sum(axis=0)), dtable @ Wx[:d].T,
+        HQ = _step_rows(bufs[L - 1][0])
+        grads = [(dproj @ w[0][2 * d:].T).reshape(Pt.shape),
+                 per_obs(VE.sum(axis=0)), dtable @ w[0][d:2 * d].T,
                  HQ.T @ _step_rows(DQ), _step_rows(E).T @ DS.reshape(-1, 1),
-                 _step_rows(O).T @ DLr, DLr.sum(axis=0, dtype=F32)]
+                 _step_rows(S[L - 1]).T @ DLr, DLr.sum(axis=0, dtype=F32)]
         grads.extend(_gru_weight_grads(bufs[0][0], bufs[0][1], gates[0],
                                        (emb, dtable),
                                        (Pt.reshape(N * P, d), dproj)))
-        for l in range(1, L):
-            grads.extend(_gru_weight_grads(bufs[l][0], bufs[l][1], gates[l]))
+        for l in range(1, L):  # input: the layer below's new states
+            grads.extend(_gru_weight_grads(bufs[l][0], bufs[l][1], gates[l],
+                                           (_step_rows(S[l - 1]),
+                                            _step_rows(gates[l]))))
         grads.extend(map(per_obs, carry))  # d loss / d start states
         return grads
 
@@ -401,9 +374,8 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, rows,
 # listener message encoder: plain GRU chain over an embedding matrix
 
 
-def gru_sequence(emb: Tensor, ids, lengths, h0: np.ndarray, wz: Tensor,
-                 bz: Tensor, wr: Tensor, br: Tensor, wh: Tensor, bh: Tensor,
-                 tape) -> Tensor:
+def gru_sequence(emb: Tensor, ids, lengths, h0: np.ndarray, w: Tensor,
+                 b: Tensor, tape) -> Tensor:
     """Final hidden states of a GRU run over a block of B padded token
     sequences.
 
@@ -416,18 +388,18 @@ def gru_sequence(emb: Tensor, ids, lengths, h0: np.ndarray, wz: Tensor,
     """
     T_len, B = ids.shape
     d = h0.shape[1]
-    *W, Wx, b = _split_weights(wz, bz, wr, br, wh, bh)
+    W = w.nd()
     E = emb.nd()
-    table = E @ Wx + b
+    table = E @ W[d:] + b.data
     XS = table[ids]
     # the step-major buffers of the module docstring, taped only
     taped = tape is not None
-    bufs = ([np.empty((T_len, B, w), F32) for w in (d, d, 2 * d, d)]
+    bufs = ([np.empty((T_len, B, n), F32) for n in (d, d, 2 * d, d)]
             if taped else [])
     alive = (np.arange(T_len)[:, None] < lengths)[:, :, None].astype(F32)
     h = h0
     for t in range(T_len):
-        zr, c = _gru_split_forward(XS[t], h, *W, *(buf[t] for buf in bufs))
+        zr, c = _gru_split_forward(XS[t], h, W, *(buf[t] for buf in bufs))
         zr[:, :d] *= alive[t]  # z = 0 holds a finished row
         h = _blend(h, zr[:, :d], c, taped)
     out = Tensor._wrap(h.ravel().copy(), h.shape, True)
@@ -437,15 +409,14 @@ def gru_sequence(emb: Tensor, ids, lengths, h0: np.ndarray, wz: Tensor,
 
     def rule(g):
         dh = g.reshape(B, -1)
-        U, V, ZR, C = bufs
-        factors = _gate_factors(U, ZR, C)
-        WT = _transposed_gates(*W)
+        H, V, ZR, C = bufs
+        factors = _gate_factors(H, ZR, C)
+        WT = np.ascontiguousarray(W[:d].T)
         gates = np.empty((T_len, B, 3 * d), F32)
         for t in range(T_len - 1, -1, -1):
-            dh = _gru_backward(dh, [f[t] for f in factors], *WT,
-                               gates[t])[1]
+            dh = _gru_backward(dh, [f[t] for f in factors], WT, gates[t])[1]
         dtable = _scatter_rows(table.shape, ids.ravel(), _step_rows(gates))
-        return [dtable @ Wx.T] + _gru_weight_grads(U, V, gates, (E, dtable))
+        return [dtable @ W[d:].T] + _gru_weight_grads(H, V, gates, (E, dtable))
 
-    tape.record(out, (emb, wz, bz, wr, br, wh, bh), rule)
+    tape.record(out, (emb, w, b), rule)
     return out

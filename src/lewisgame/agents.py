@@ -88,10 +88,13 @@ def _add_linear(params, rng, name, fan_in, fan_out):
 
 
 def _add_gru(params, rng, name, d_in, d_h):
-    for gate in ("z", "r", "h"):
-        params.add(f"{name}.w{gate}",
-                   Tensor(_glorot(rng, d_in + d_h, d_h), True))
-        params.add(f"{name}.b{gate}", Tensor(np.zeros(d_h, F32), True))
+    """A GRU as ``_decode`` reads it: ``{name}.w``, [W_z | W_r | W_h] with
+    its d_h state rows over its d_in input rows, and ``{name}.b``, [b_z |
+    b_r | b_h]. Each gate's weight is its own Glorot draw, z first."""
+    w = np.concatenate([_glorot(rng, d_in + d_h, d_h) for _ in "zrh"],
+                       axis=1)
+    params.add(f"{name}.w", Tensor(w, True))
+    params.add(f"{name}.b", Tensor(np.zeros(3 * d_h, F32), True))
 
 
 def _mlp(tape, x: Tensor, params: ParameterSet, name: str) -> Tensor:
@@ -192,7 +195,7 @@ class SpeakerPolicy:
         observation-dependent from the first step, which is what lets
         the retrieval game bootstrap from random weights.
         """
-        pooled = T.mean(tape, patches, axis=1)
+        pooled = T.mean(tape, patches)
         states = []
         for layer in range(self.cfg.n_layers):
             p = self.params
@@ -301,8 +304,7 @@ class ListenerModel:
         p = self.params
         h = gru_sequence(p["emb"], ids, lengths,
                          np.zeros((len(lengths), self.cfg.d_o), F32),
-                         p["gru.wz"], p["gru.bz"], p["gru.wr"], p["gru.br"],
-                         p["gru.wh"], p["gru.bh"], tape)
+                         p["gru.w"], p["gru.b"], tape)
         return _mlp(tape, h, p, "proj")
 
     def embed_images(self, observations: np.ndarray, tape=None,
@@ -316,7 +318,7 @@ class ListenerModel:
         enc = encoder or self.encoder
         if enc is None:
             raise ValueError("listener has no bound image encoder")
-        pooled = T.mean(tape, enc.encode(observations, tape), axis=1)
+        pooled = T.mean(tape, enc.encode(observations, tape))
         return T.matmul(tape, pooled, self.params["img.w"])
 
     def log_probs(self, v_msgs: Tensor, v_imgs: Tensor, cols,

@@ -223,22 +223,18 @@ def mul(tape, a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def mean(tape, a: Tensor, axis: int) -> Tensor:
-    """Mean over the rows of a rank-2 tensor (axis=0, one row out), or
-    over the middle axis of a rank-3 tensor (axis=1, (n, m, d) -> (n, d))."""
-    if axis == 0 and a.ndim == 2:
-        out_nd = a.nd().mean(axis=0, dtype=F32, keepdims=True)
-    elif axis == 1 and a.ndim == 3:
-        out_nd = a.nd().mean(axis=1, dtype=F32)
-    else:
-        raise ShapeError(f"mean: unsupported axis {axis} for shape {a.shape}")
+def mean(tape, a: Tensor) -> Tensor:
+    """Mean over the middle axis of a rank-3 tensor, (n, m, d) -> (n, d)."""
+    if a.ndim != 3:
+        raise ShapeError(f"mean: needs rank 3, got shape {a.shape}")
+    out_nd = a.nd().mean(axis=1, dtype=F32)
     req = a.requires_grad
     out = _emit(out_nd, req)
     if req and tape is not None:
         def rule(g):
-            n = a.shape[axis]
-            kept = a.shape[:axis] + (1,) + a.shape[axis + 1:]
-            return (np.broadcast_to(g.reshape(kept) / F32(n), a.shape).ravel(),)
+            n, m, d = a.shape
+            return (np.broadcast_to(g.reshape(n, 1, d) / F32(m),
+                                    a.shape).ravel(),)
         tape.record(out, (a,), rule)
     return out
 

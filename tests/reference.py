@@ -12,16 +12,18 @@ candidates, or B messages) are held to a stated tolerance instead,
 because their matmuls over all rows sum in another order than one-row
 products.
 
-The decoder's first layer and the listener's GRU take the kernels'
-split form, so that a one-row block makes exactly their products: per
-message, the input side x·W_x + b is built once from the weights'
-``input_rows`` (for both, a vocabulary table emb·W_x + b; for the
-decoder also a patch projection), and each step runs
-``gru_cell_split`` on its token's row of it with the weights'
-``state_rows``.
-The decoder's higher layers use ``gru_cell``, the textbook cell on the
-concatenated [h, x]; a test holds the two cells equal to float32
-round-off, so the split form computes the same function.
+Every GRU reads its stored parameters, w = [W_z | W_r | W_h] with the
+state rows over the input rows and b = [b_z | b_r | b_h], in the
+kernels' split form, so that a one-row block makes exactly their
+products: each step runs ``gru_cell_split`` on its input side x·W_x + b
+with the state rows of w (``state_rows``). For the decoder's first
+layer and the listener's GRU that side is built once per message from
+the input rows of w (``input_rows``): a vocabulary table emb·W_x + b,
+and for the decoder also a patch projection. A higher layer of the
+decoder builds it each step from the new state of the layer below.
+``gru_cell`` is the textbook cell on the concatenated [h, x]; a test
+holds the two cells equal to float32 round-off, so the split form
+computes the same function.
 
 ``listener_probs``, ``speaker_loss`` and ``listener_loss`` compute the
 candidate probabilities and the two training losses in plain numpy
@@ -43,9 +45,10 @@ and scores each round by hand, one message at a time, with that oracle
 ``bleu``; the package's ``evaluate_agents``, which plays every round as
 one block, must return the same report.
 
-``gradcheck`` holds tape gradients to central finite differences, and
+``gradcheck`` holds tape gradients to central finite differences,
 ``generate_dataset`` is the one-split world the tests train and score
-on. Nothing in ``src/`` imports this module.
+on, and ``per_gate`` rewrites a checkpoint in the per-gate GRU layout
+that loading must refuse. Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from lewisgame.agents import MessageSample, _raster_patches
 from lewisgame.evaluate import (BLEU_EPS, EvalReport, _closest_ref_len,
                                 _ngram_counts, _strip_eos, attribute_coverage)
 from lewisgame.game import RoundTrace
+from lewisgame.params import ParameterSet
 from lewisgame.tensor import (F32, ShapeError, Tape, Tensor, _emit, _rows,
                               backward)
 from lewisgame.world import (BOS, EOS, Dataset, WorldSpec, generate_splits,
@@ -125,33 +129,31 @@ def _gates(pre: np.ndarray) -> tuple:
     return zr[:, :d], zr[:, d:]
 
 
-def gru_cell(tape, x: Tensor, h: Tensor, wz: Tensor, bz: Tensor,
-             wr: Tensor, br: Tensor, wh: Tensor, bh: Tensor) -> Tensor:
-    """One step of a gated recurrent cell.
+def gru_cell(tape, x: Tensor, h: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """One step of a gated recurrent cell, the textbook form.
 
-    Gate inputs are the concatenation [h, x], multiplied by [W_z | W_r]
-    in one product; the candidate c uses [r * h, x], and the new state
-    is h + z·(c − h). All weight matrices are (d_h + d_x, d_h).
+    ``w`` (d_h + d_x, 3·d_h) and ``b`` (3·d_h,) are a GRU's stored
+    parameters, [W_z | W_r | W_h] with the state rows first, and [b_z |
+    b_r | b_h]. Gate inputs are the concatenation [h, x], multiplied by
+    [W_z | W_r] in one product; the candidate c uses [r * h, x], and the
+    new state is h + z·(c − h).
     """
     if x.ndim != 2 or h.ndim != 2 or x.shape[0] != h.shape[0]:
         raise ShapeError(f"gru_cell: bad state shapes x={x.shape} h={h.shape}")
     m, dx = x.shape
     dh = h.shape[1]
-    for name, w in (("wz", wz), ("wr", wr), ("wh", wh)):
-        if w.shape != (dh + dx, dh):
-            raise ShapeError(f"gru_cell: {name} must be {(dh + dx, dh)}, got {w.shape}")
-    for name, b in (("bz", bz), ("br", br), ("bh", bh)):
-        if b.shape != (dh,):
-            raise ShapeError(f"gru_cell: {name} must be {(dh,)}, got {b.shape}")
-    X, H = x.nd(), h.nd()
-    Wz, Wr, Wh = wz.nd(), wr.nd(), wh.nd()
+    if w.shape != (dh + dx, 3 * dh):
+        raise ShapeError(f"gru_cell: w must be {(dh + dx, 3 * dh)}, got "
+                         f"{w.shape}")
+    if b.shape != (3 * dh,):
+        raise ShapeError(f"gru_cell: b must be {(3 * dh,)}, got {b.shape}")
+    X, H, W = x.nd(), h.nd(), w.nd()
     U = np.concatenate([H, X], axis=1)
-    z, r = _gates(U @ np.concatenate([Wz, Wr], axis=1)
-                  + np.concatenate([bz.data, br.data]))
+    z, r = _gates(U @ W[:, :2 * dh] + b.data[:2 * dh])
     V = np.concatenate([r * H, X], axis=1)
-    c = np.tanh(V @ Wh + bh.data)
+    c = np.tanh(V @ W[:, 2 * dh:] + b.data[2 * dh:])
     out_nd = H + z * (c - H)
-    inputs = (x, h, wz, bz, wr, br, wh, bh)
+    inputs = (x, h, w, b)
     req = any(t.requires_grad for t in inputs)
     out = _emit(out_nd, req)
     if req and tape is not None:
@@ -160,33 +162,30 @@ def gru_cell(tape, x: Tensor, h: Tensor, wz: Tensor, bz: Tensor,
             dz = G * (c - H) * z * (F32(1) - z)
             dc = G * z * (F32(1) - c * c)
             dH = G * (F32(1) - z)
-            dWh = V.T @ dc
-            dbh = dc.sum(axis=0, dtype=F32)
-            dV = dc @ Wh.T
+            dV = dc @ W[:, 2 * dh:].T
             drh = dV[:, :dh]
             dX = dV[:, dh:].copy()
             dr = drh * H * r * (F32(1) - r)
             dH = dH + drh * r
-            dU = dz @ Wz.T + dr @ Wr.T
-            dWz = U.T @ dz
-            dWr = U.T @ dr
+            dzr = np.concatenate([dz, dr], axis=1)
+            dU = dzr @ W[:, :2 * dh].T
             dH = dH + dU[:, :dh]
             dX += dU[:, dh:]
-            return (dX, dH, dWz, dz.sum(axis=0, dtype=F32), dWr,
-                    dr.sum(axis=0, dtype=F32), dWh, dbh)
+            dW = np.concatenate([U.T @ dzr, V.T @ dc], axis=1)
+            db = np.concatenate([dzr, dc], axis=1).sum(axis=0, dtype=F32)
+            return dX, dH, dW, db
         tape.record(out, inputs, rule)
     return out
 
 
-def gru_cell_split(tape, xs: Tensor, h: Tensor, wz: Tensor, wr: Tensor,
-                   wh: Tensor) -> Tensor:
+def gru_cell_split(tape, xs: Tensor, h: Tensor, w_state: Tensor) -> Tensor:
     """One step of ``gru_cell`` given its input side.
 
     ``xs`` (m, 3·d_h) holds x·W_x + b for the update, reset and
-    candidate gates; ``wz``, ``wr`` and ``wh`` are the (d_h, d_h) state
-    rows of the three weights (see ``state_rows``). Computes
-    [z | r] = sigmoid(h·[W_z | W_r] + xs[:, :2·d_h]) in one product,
-    c = tanh((r·h)·W_h + xs[:, 2·d_h:]), and h + z·(c − h).
+    candidate gates; ``w_state`` (d_h, 3·d_h) holds the state rows of the
+    GRU's weight (see ``state_rows``). Computes [z | r] = sigmoid(h·[W_z
+    | W_r] + xs[:, :2·d_h]) in one product, c = tanh((r·h)·W_h +
+    xs[:, 2·d_h:]), and h + z·(c − h).
     """
     if xs.ndim != 2 or h.ndim != 2 or xs.shape[0] != h.shape[0]:
         raise ShapeError(f"gru_cell_split: bad shapes xs={xs.shape} "
@@ -195,17 +194,15 @@ def gru_cell_split(tape, xs: Tensor, h: Tensor, wz: Tensor, wr: Tensor,
     if xs.shape != (m, 3 * dh):
         raise ShapeError(f"gru_cell_split: xs must be {(m, 3 * dh)}, got "
                          f"{xs.shape}")
-    for name, w in (("wz", wz), ("wr", wr), ("wh", wh)):
-        if w.shape != (dh, dh):
-            raise ShapeError(f"gru_cell_split: {name} must be {(dh, dh)}, "
-                             f"got {w.shape}")
-    XS, H = xs.nd(), h.nd()
-    Wz, Wr, Wh = wz.nd(), wr.nd(), wh.nd()
-    z, r = _gates(H @ np.concatenate([Wz, Wr], axis=1) + XS[:, :2 * dh])
+    if w_state.shape != (dh, 3 * dh):
+        raise ShapeError(f"gru_cell_split: w_state must be {(dh, 3 * dh)}, "
+                         f"got {w_state.shape}")
+    XS, H, W = xs.nd(), h.nd(), w_state.nd()
+    z, r = _gates(H @ W[:, :2 * dh] + XS[:, :2 * dh])
     V = r * H
-    c = np.tanh(V @ Wh + XS[:, 2 * dh:])
+    c = np.tanh(V @ W[:, 2 * dh:] + XS[:, 2 * dh:])
     out_nd = H + z * (c - H)
-    inputs = (xs, h, wz, wr, wh)
+    inputs = (xs, h, w_state)
     req = any(t.requires_grad for t in inputs)
     out = _emit(out_nd, req)
     if req and tape is not None:
@@ -213,29 +210,26 @@ def gru_cell_split(tape, xs: Tensor, h: Tensor, wz: Tensor, wr: Tensor,
             G = g.reshape(m, dh)
             dz = G * (c - H) * z * (F32(1) - z)
             dc = G * z * (F32(1) - c * c)
-            drh = dc @ Wh.T
+            drh = dc @ W[:, 2 * dh:].T
             dr = drh * H * r * (F32(1) - r)
-            dH = G * (F32(1) - z) + drh * r + dz @ Wz.T + dr @ Wr.T
-            return (np.concatenate([dz, dr, dc], axis=1), dH, H.T @ dz,
-                    H.T @ dr, V.T @ dc)
+            dzr = np.concatenate([dz, dr], axis=1)
+            dH = G * (F32(1) - z) + drh * r + dzr @ W[:, :2 * dh].T
+            return (np.concatenate([dzr, dc], axis=1), dH,
+                    np.concatenate([H.T @ dzr, V.T @ dc], axis=1))
         tape.record(out, inputs, rule)
     return out
 
 
-def state_rows(tape, wz: Tensor, wr: Tensor, wh: Tensor) -> tuple:
-    """The rows of a GRU's three weights that multiply its state, their
-    first d_h, as three (d_h, d_h) tensors."""
-    rows = list(range(wz.shape[1]))
-    return tuple(T.embedding(tape, w, rows) for w in (wz, wr, wh))
+def state_rows(tape, w: Tensor) -> Tensor:
+    """The rows of a GRU's stored weight that multiply its state, its
+    first d_h, as a (d_h, 3·d_h) tensor."""
+    return T.embedding(tape, w, list(range(w.shape[1] // 3)))
 
 
-def input_rows(tape, wz: Tensor, wr: Tensor, wh: Tensor, lo: int,
-               hi: int) -> Tensor:
-    """Rows lo to hi-1 of a GRU's three weights side by side, (hi - lo,
-    3·d_h): the weights of the inputs those rows multiply."""
-    rows = list(range(lo, hi))
-    return concat(tape, [T.embedding(tape, w, rows) for w in (wz, wr, wh)],
-                  axis=1)
+def input_rows(tape, w: Tensor, lo: int, hi: int) -> Tensor:
+    """Rows lo to hi-1 of a GRU's stored weight, (hi - lo, 3·d_h): the
+    weights of the inputs those rows multiply."""
+    return T.embedding(tape, w, list(range(lo, hi)))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +264,7 @@ def embed_images(listener, observations: np.ndarray, tape=None,
     rows = []
     for obs in observations:
         patches = encode(enc, obs, tape)
-        pooled = T.mean(tape, patches, axis=0)
+        pooled = T.mean(tape, T.reshape(tape, patches, (1,) + patches.shape))
         rows.append(T.matmul(tape, pooled, p["img.w"]))
     return concat(tape, rows, axis=0)
 
@@ -282,15 +276,14 @@ def embed_images(listener, observations: np.ndarray, tape=None,
 def first_layer(speaker, patches: Tensor, tape):
     """What the decoder's first layer builds once per message: the
     (V, 3·d_e) vocabulary table emb·W_tok + b, the (P, 3·d_e) patch
-    projection patches·W_ctx, and its weights' ``state_rows``."""
+    projection patches·W_ctx, and its weight's ``state_rows``."""
     p = speaker.params
     d = speaker.cfg.d_e
-    w = [p[f"gru0.w{g}"] for g in "zrh"]
-    bias = concat(tape, [p[f"gru0.b{g}"] for g in "zrh"])
-    table = T.add(tape, T.matmul(tape, p["emb"],
-                                 input_rows(tape, *w, d, 2 * d)), bias)
-    proj = T.matmul(tape, patches, input_rows(tape, *w, 2 * d, 3 * d))
-    return (table, proj) + state_rows(tape, *w)
+    w = p["gru0.w"]
+    table = T.add(tape, T.matmul(tape, p["emb"], input_rows(tape, w, d, 2 * d)),
+                  p["gru0.b"])
+    proj = T.matmul(tape, patches, input_rows(tape, w, 2 * d, 3 * d))
+    return table, proj, state_rows(tape, w)
 
 
 def attend(speaker, query: Tensor, keys: Tensor, tape) -> Tensor:
@@ -309,18 +302,21 @@ def step(speaker, tok: int, hidden: list, keys: Tensor, layer0, tape):
     """One decoder step after token ``tok``, given ``first_layer``'s
     results: (logits, new hidden, weights). The first layer's input side
     is table[tok] + weights·proj; the attention context weights·patches
-    is never formed."""
+    is never formed. A higher layer's is x·W_x + b, x the new state of
+    the layer below."""
     p = speaker.params
-    table, proj, *w_state = layer0
+    table, proj, w_state = layer0
     alpha = attend(speaker, hidden[-1], keys, tape)
     xs = T.add(tape, T.embedding(tape, table, [tok]),
                T.matmul(tape, alpha, proj))
-    x = gru_cell_split(tape, xs, hidden[0], *w_state)
+    x = gru_cell_split(tape, xs, hidden[0], w_state)
     new_hidden = [x]
+    d = speaker.cfg.d_e
     for layer in range(1, speaker.cfg.n_layers):
-        g = f"gru{layer}"
-        x = gru_cell(tape, x, hidden[layer], p[f"{g}.wz"], p[f"{g}.bz"],
-                     p[f"{g}.wr"], p[f"{g}.br"], p[f"{g}.wh"], p[f"{g}.bh"])
+        w = p[f"gru{layer}.w"]
+        xs = T.add(tape, T.matmul(tape, x, input_rows(tape, w, d, 2 * d)),
+                   p[f"gru{layer}.b"])
+        x = gru_cell_split(tape, xs, hidden[layer], state_rows(tape, w))
         new_hidden.append(x)
     logits = T.add(tape, T.matmul(tape, x, p["head.w"]), p["head.b"])
     return logits, new_hidden, alpha
@@ -369,7 +365,7 @@ def start(speaker, obs, tape):
     p = speaker.params
     patches = encode(speaker, obs, tape)
     keys = T.matmul(tape, patches, p["attn.we"])
-    pooled = T.mean(tape, patches, axis=0)
+    pooled = T.mean(tape, T.reshape(tape, patches, (1,) + patches.shape))
     h0 = [T.tanh(tape, T.add(tape, T.matmul(tape, pooled, p[f"init{l}.w"]),
                              p[f"init{l}.b"]))
           for l in range(speaker.cfg.n_layers)]
@@ -402,21 +398,17 @@ def logprobs(speaker, obs: np.ndarray, tokens, tape=None):
 # listener message GRU (oracle for _decode.gru_sequence)
 
 
-def gru_sequence(emb: Tensor, tokens, h0: np.ndarray, wz: Tensor,
-                 bz: Tensor, wr: Tensor, br: Tensor, wh: Tensor, bh: Tensor,
+def gru_sequence(emb: Tensor, tokens, h0: np.ndarray, w: Tensor, b: Tensor,
                  tape) -> Tensor:
     """Final hidden state of a GRU run over one token sequence: the
     (V, 3·d_h) vocabulary table emb·W_x + b once, then one
     ``gru_cell_split`` per token on its row of the table."""
-    d = h0.shape[1]
-    table = T.add(tape, T.matmul(tape, emb, input_rows(tape, wz, wr, wh, d,
-                                                       wz.shape[0])),
-                  concat(tape, [bz, br, bh]))
-    w_state = state_rows(tape, wz, wr, wh)
+    table = T.add(tape, T.matmul(tape, emb, input_rows(tape, w, h0.shape[1],
+                                                       w.shape[0])), b)
+    w_state = state_rows(tape, w)
     h = Tensor(h0)
     for tok in tokens:
-        h = gru_cell_split(tape, T.embedding(tape, table, [tok]), h,
-                           *w_state)
+        h = gru_cell_split(tape, T.embedding(tape, table, [tok]), h, w_state)
     return h
 
 
@@ -424,9 +416,8 @@ def embed_message(listener, tokens, tape=None) -> Tensor:
     """``ListenerModel.embed_message`` of one message: (1, d_o)."""
     p = listener.params
     h = gru_sequence(p["emb"], list(tokens),
-                     np.zeros((1, listener.cfg.d_o), F32), p["gru.wz"],
-                     p["gru.bz"], p["gru.wr"], p["gru.br"], p["gru.wh"],
-                     p["gru.bh"], tape)
+                     np.zeros((1, listener.cfg.d_o), F32), p["gru.w"],
+                     p["gru.b"], tape)
     mid = T.tanh(tape, T.add(tape, T.matmul(tape, h, p["proj.l1.w"]),
                              p["proj.l1.b"]))
     return T.add(tape, T.matmul(tape, mid, p["proj.l2.w"]), p["proj.l2.b"])
@@ -633,6 +624,25 @@ def generate_dataset(seed: int, n_scenes: int, spec: WorldSpec) -> Dataset:
 
 # ---------------------------------------------------------------------------
 # gradient checking
+
+
+def per_gate(state: ParameterSet) -> ParameterSet:
+    """Checkpoint ``state`` in the layout from before each GRU was stored
+    as one weight and one bias: every ``gru*.w`` and ``gru*.b`` entry,
+    its optimizer moments included, split into its three gates' entries,
+    ``wz``, ``wr``, ``wh`` and ``bz``, ``br``, ``bh``."""
+    old = ParameterSet()
+    for name, t in state.items():
+        stem, _, kind = name.rpartition(".")
+        if not (stem.rpartition(".")[2].startswith("gru") and kind in ("w", "b")):
+            old.add(name, t)
+            continue
+        width = state[stem + ".b"].size  # 3·d_h, the gates side by side
+        gates = np.split(t.data.reshape(-1, width), 3, axis=1)
+        for gate, part in zip("zrh", gates):
+            old.add(f"{stem}.{kind}{gate}", Tensor(
+                np.ascontiguousarray(part) if t.ndim == 2 else part.ravel()))
+    return old
 
 
 class EvaluationError(RuntimeError):

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import reference
 from reference import generate_dataset
 
 from lewisgame import cli
@@ -155,7 +156,7 @@ def test_eval_checkpoint_of_another_vocabulary_exits_2(eval_files, tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["eval.ini", "wide.lgc"]
 
 
-@pytest.mark.parametrize("name", ["listener.gru.wz", "speaker.head.w",
+@pytest.mark.parametrize("name", ["listener.gru.w", "speaker.head.w",
                                   "speaker.attn.we"])
 def test_eval_checkpoint_with_a_misshapen_entry_exits_2(eval_files,
                                                         tmp_path, name):
@@ -784,6 +785,25 @@ def test_checkpoint_with_an_image_bias_is_refused(eval_files, trained_state,
     assert proc.returncode == 2
     assert proc.stderr == f"data error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_checkpoint_with_per_gate_grus_is_refused(eval_files, trained_state,
+                                                 tmp_path):
+    # each GRU is stored as one weight and one bias: resume and eval
+    # refuse a checkpoint of the older per-gate layout, naming the first
+    # entry it lacks, and write nothing
+    old = reference.per_gate(trained_state)
+    assert "listener.gru.wz" in old.names()
+    _resume_refused(eval_files, old, tmp_path,
+                    "missing checkpoint entry 'listener.gru.b'")
+    config = _write_config(tmp_path / "eval.ini", {"game": {"k": 4}})
+    proc = _run_eval(eval_files, config, "--out", str(tmp_path / "out"),
+                     checkpoint=tmp_path / "bad.lgc")
+    assert proc.returncode == 2
+    assert proc.stderr == ("data error: missing checkpoint entry "
+                           "'speaker.gru0.b'\n")
+    assert proc.stdout == ""
+    assert sorted(os.listdir(tmp_path)) == ["bad.lgc", "eval.ini", "run.ini"]
 
 
 def test_train_resume_with_more_replicas_than_the_checkpoint_exits_2(

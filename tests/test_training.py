@@ -605,6 +605,30 @@ REFUSED_ENTRIES = [
     "step-missing", "step-not-one-number"])
 def test_refused_checkpoint_leaves_the_trainer_as_it_was(trainer_setup, entry,
                                                          value, message):
+    def edit(packed):
+        data = value(packed)
+        state = ParameterSet()
+        for name, t in packed.items():
+            if name != entry:
+                state.add(name, t)
+        if data is not None:
+            state.add(entry, Tensor(data))
+        return state
+
+    _assert_refused_whole(trainer_setup, edit, message)
+
+
+def test_checkpoint_with_per_gate_grus_is_refused(trainer_setup):
+    # each GRU is stored as one weight and one bias; a checkpoint of the
+    # older per-gate layout is refused at the first entry it lacks
+    _assert_refused_whole(trainer_setup, reference.per_gate,
+                          "missing checkpoint entry 'listener.gru.b'")
+
+
+def _assert_refused_whole(trainer_setup, edit, message):
+    """Assert that loading ``edit`` of a stepped trainer's state into a
+    fresh trainer raises ``FormatError`` with ``message`` and changes
+    nothing."""
     # the speaker's entries come first and fit, so a loader that copies
     # as it checks would take the speaker's; the source has stepped, so
     # its Adam moments and step count differ from the target's too
@@ -612,14 +636,7 @@ def test_refused_checkpoint_leaves_the_trainer_as_it_was(trainer_setup, entry,
     source = Trainer(ds, gcfg, mcfg, TrainSettings(seed=1, replicas=1))
     source.step_once()
     target = Trainer(ds, gcfg, mcfg, TrainSettings(seed=2, replicas=1))
-    packed = source.pack_state()
-    data = value(packed)
-    state = ParameterSet()
-    for name, t in packed.items():
-        if name != entry:
-            state.add(name, t)
-    if data is not None:
-        state.add(entry, Tensor(data))
+    state = edit(source.pack_state())
     before = {name: t.data.copy() for name, t in target.pack_state().items()}
     with pytest.raises(FormatError, match=re.escape(message)):
         target.load_state(state)
