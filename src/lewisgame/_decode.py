@@ -39,8 +39,8 @@ attention's activations and weights. All are step-major: the decoder's
 hold step t at slot steps-1-t, the order the backward visits them (when
 sampling ends early, the valid rows are the last T_len slots), and the
 listener's run in step order like its (T, B) token ids. An untaped step
-fills none of these and builds its new state in place over c as
-(c − h)·z + h, bitwise equal.
+fills none of these. Every step builds its new state as (c − h)·z + h,
+bitwise equal to h + z·(c − h), and leaves c intact.
 
 Before its step loop, a backward computes in one pass each over all
 steps the factors (c−h)·z·(1−z) and z·(1−c²), in place over z and c,
@@ -194,13 +194,12 @@ def _draw(logits, temperature: float, rng, live) -> np.ndarray:
     return tok
 
 
-def _blend(h, z, c, taped, out=None):
-    """A GRU's new state h + z·(c − h); untaped, in place over c."""
-    if taped:
-        return np.add(h, z * (c - h), out=out)
-    c -= h
-    c *= z
-    return np.add(c, h, out=c if out is None else out)
+def _blend(h, z, c, out=None):
+    """A GRU's new state h + z·(c − h), into ``out`` if given."""
+    out = np.subtract(c, h, out=out)
+    out *= z
+    out += h
+    return out
 
 
 def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, rows,
@@ -225,17 +224,17 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, rows,
     cfg = policy.cfg
     L = cfg.n_layers
     d = cfg.d_e
-    emb = p["emb"].nd()
-    Wq = p["attn.wh"].nd()
-    v = p["attn.v"].nd()
-    Wo = p["head.w"].nd()
+    emb = p["emb"].data
+    Wq = p["attn.wh"].data
+    v = p["attn.v"].data
+    Wo = p["head.w"].data
     bo = p["head.b"].data
-    w = [p[f"gru{l}.w"].nd() for l in range(L)]
+    w = [p[f"gru{l}.w"].data for l in range(L)]
     bias = [p[f"gru{l}.b"].data for l in range(L)]
-    Pt = patches.nd()
+    Pt = patches.data
     N, P = Pt.shape[:2]
     B = rows.size
-    K = keys.nd()[rows]
+    K = keys.data[rows]
     # layer 0's input side: x·W_x + b = table[token] + alpha·proj
     table = emb @ w[0][d:2 * d] + bias[0]
     proj = (Pt.reshape(N * P, d) @ w[0][2 * d:]).reshape(N, P, 3 * d)[rows]
@@ -250,7 +249,7 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, rows,
         forced = np.full((steps, B), EOS, np.intp)
         for b, seq in enumerate(tokens):
             forced[:len(seq), b] = seq
-    hidden = [h.nd()[rows] for h in init_hidden]
+    hidden = [h.data[rows] for h in init_hidden]
     prev = np.full(B, BOS, np.intp)
 
     # the step-major buffers of the module docstring
@@ -276,7 +275,7 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, rows,
                 xs = x @ w[l][d:] + bias[l]
             slots = [buf[s] for buf in gru_bufs[l]] if taped else ()
             zr, c = _gru_split_forward(xs, h, w[l], *slots)
-            x = hidden[l] = _blend(h, zr[:, :d], c, taped, S[l, s])
+            x = hidden[l] = _blend(h, zr[:, :d], c, S[l, s])
         logits = np.add(np.matmul(x, Wo, out=LSM[s]), bo, out=LSM[s])
         if sampling:
             prev = _draw(logits, temperature, rng, live)
@@ -300,9 +299,8 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, rows,
     mask = np.arange(T_len)[None, :] < lengths[:, None]
     lp_arr = np.where(mask, lp, F32(0))
     out_tokens = [tok_arr[b, :n].tolist() for b, n in enumerate(lengths)]
-    out = Tensor._wrap(lp_arr.ravel(), (B, T_len), True)
+    out = Tensor(lp_arr, taped)
     if not taped:
-        out.requires_grad = False
         return out_tokens, out
 
     inputs = [patches, keys] + [p[n] for n in (
@@ -310,11 +308,11 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, rows,
         *(f"gru{l}.{n}" for l in range(L) for n in "wb"))] + list(init_hidden)
 
     def per_obs(G):  # per-row gradients (B, ...) summed per observation
-        return _scatter_rows((N, G[0].size), rows, G).reshape(N, *G.shape[1:])
+        return _scatter_rows((N, G[0].size), rows, G)
 
     def rule(g):
         E, A = E_buf[first:], A_buf[first:]
-        go = (g.reshape(B, T_len) * mask).T[::-1, :, None]
+        go = (g * mask).T[::-1, :, None]
         DL = np.exp(LSM)
         DL *= -go
         DL[np.arange(T_len)[:, None], np.arange(B), TOK] += go[:, :, 0]
@@ -352,7 +350,7 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, rows,
         dproj = per_obs(A.transpose(1, 2, 0) @ gates[0].transpose(1, 0, 2)
                         ).reshape(N * P, 3 * d)
         HQ = _step_rows(bufs[L - 1][0])
-        grads = [(dproj @ w[0][2 * d:].T).reshape(Pt.shape),
+        grads = [dproj @ w[0][2 * d:].T,
                  per_obs(VE.sum(axis=0)), dtable @ w[0][d:2 * d].T,
                  HQ.T @ _step_rows(DQ), _step_rows(E).T @ DS.reshape(-1, 1),
                  _step_rows(S[L - 1]).T @ DLr, DLr.sum(axis=0, dtype=F32)]
@@ -388,8 +386,8 @@ def gru_sequence(emb: Tensor, ids, lengths, h0: np.ndarray, w: Tensor,
     """
     T_len, B = ids.shape
     d = h0.shape[1]
-    W = w.nd()
-    E = emb.nd()
+    W = w.data
+    E = emb.data
     table = E @ W[d:] + b.data
     XS = table[ids]
     # the step-major buffers of the module docstring, taped only
@@ -401,14 +399,12 @@ def gru_sequence(emb: Tensor, ids, lengths, h0: np.ndarray, w: Tensor,
     for t in range(T_len):
         zr, c = _gru_split_forward(XS[t], h, W, *(buf[t] for buf in bufs))
         zr[:, :d] *= alive[t]  # z = 0 holds a finished row
-        h = _blend(h, zr[:, :d], c, taped)
-    out = Tensor._wrap(h.ravel().copy(), h.shape, True)
+        h = _blend(h, zr[:, :d], c)
+    out = Tensor(h.copy(), taped)
     if not taped:
-        out.requires_grad = False
         return out
 
-    def rule(g):
-        dh = g.reshape(B, -1)
+    def rule(dh):
         H, V, ZR, C = bufs
         factors = _gate_factors(H, ZR, C)
         WT = np.ascontiguousarray(W[:d].T)

@@ -124,7 +124,7 @@ def play_rounds(blocks, listener: ListenerModel, inputs: np.ndarray,
         row_targets = np.repeat(targets, generations)
         logp_target = None if tape is None else T.take_cols(
             tape, node, row_targets[:, None])
-        traces.append(RoundTrace(samples, row_targets, np.exp(node.nd()),
+        traces.append(RoundTrace(samples, row_targets, np.exp(node.data),
                                  generations, logprobs, logp_target))
     return traces
 

@@ -18,7 +18,8 @@ def grad_global_norm(params: ParameterSet) -> float:
     total = 0.0
     for _, t in params.items():
         if t.grad is not None:
-            total += float(np.dot(t.grad, t.grad))
+            g = t.grad.ravel()
+            total += float(np.dot(g, g))
     return math.sqrt(total)
 
 
@@ -58,7 +59,7 @@ class Sgd:
 class Adam:
     """Adam (Kingma & Ba, 2015) with bias-corrected moments.
 
-    ``m`` and ``v`` hold one flat zeroed float32 moment per parameter of
+    ``m`` and ``v`` hold one rank-1 zeroed float32 moment per parameter of
     ``params`` from construction on, so each ``step`` needs a gradient
     for every parameter. ``step`` updates the moments in place; a trainer
     checkpoints them, and the step count ``t``, as parts of its state."""
@@ -81,9 +82,9 @@ class Adam:
         c2 = F32(1.0 - self.beta2 ** self.t)
         lr, eps = F32(self.lr), F32(self.eps)
         for name, t in params.items():
-            g, m, v = t.grad, self.m[name].data, self.v[name].data
+            g, m, v = t.grad.ravel(), self.m[name].data, self.v[name].data
             m *= b1
             m += (one - b1) * g
             v *= b2
             v += (one - b2) * g * g
-            t.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            t.data -= (lr * (m / c1) / (np.sqrt(v / c2) + eps)).reshape(t.shape)

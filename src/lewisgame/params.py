@@ -9,6 +9,7 @@ a crash never leaves a half-written checkpoint behind.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 
@@ -209,12 +210,8 @@ def load_checkpoint(path: str) -> ParameterSet:
             raise FormatError(f"repeated entry {name!r}", start)
         rank = r.u8()
         shape = tuple(r.u32() for _ in range(rank))
-        n = 1
-        for s in shape:
-            n *= s
-        data = r.f32_array(n).copy()
-        t = Tensor._wrap(data, shape if shape else (1,), True)
-        out.add(name, t)
+        data = r.f32_array(math.prod(shape)).reshape(shape)
+        out.add(name, Tensor(data.copy(), True))
     if r.off != len(blob):
         raise FormatError(f"{len(blob) - r.off} trailing bytes", r.off)
     return out

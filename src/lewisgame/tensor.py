@@ -1,17 +1,20 @@
 """Dense float32 tensors with tape-based reverse-mode differentiation.
 
-Data is stored flat in row-major order; shapes are tuples of positive
-ints. Ops validate shapes eagerly, compute with numpy, and (when a Tape
-is supplied and an input requires gradients) record a backward rule on
-the tape. Backward replays the tape in exact reverse order, so two runs
-on identical inputs produce bitwise-equal gradients. Gradients
-accumulate additively until explicitly zeroed.
+A tensor is its numpy array: ``data`` holds the values at the tensor's
+shape, a tuple of positive ints. Ops validate shapes eagerly, compute
+with numpy, and (when a Tape is supplied and an input requires
+gradients) record a backward rule on the tape. Backward replays the
+tape in exact reverse order, so two runs on identical inputs produce
+bitwise-equal gradients. Gradients accumulate additively until
+explicitly zeroed.
 
 Passing ``tape=None`` to any op runs it in inference mode: same numpy
 computation, nothing recorded.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -23,31 +26,25 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    """A dense float32 array with an optional gradient buffer.
+    """A C-contiguous float32 array ``data`` with an optional gradient.
 
-    ``data`` and ``grad`` are flat float32 arrays of equal length;
-    ``shape`` describes the row-major layout. Leaf tensors created with
-    ``requires_grad=True`` receive gradients during backward; constants
-    do not.
+    A scalar is stored at shape (1,); ``shape``, ``size`` and ``ndim``
+    are those of ``data``, and a populated ``grad`` is an array of the
+    same shape. Leaf tensors created with ``requires_grad=True`` receive
+    gradients during backward; constants do not.
     """
 
-    __slots__ = ("shape", "data", "grad", "requires_grad")
+    __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, values, requires_grad: bool = False):
-        arr = np.asarray(values, dtype=F32)
-        self.shape = arr.shape if arr.shape else (1,)
-        self.data = np.ascontiguousarray(arr).ravel()
+        # ascontiguousarray gives a 0-d input shape (1,)
+        self.data = np.ascontiguousarray(values, dtype=F32)
         self.grad = None
         self.requires_grad = requires_grad
 
-    @classmethod
-    def _wrap(cls, flat: np.ndarray, shape: tuple, requires_grad: bool) -> "Tensor":
-        t = cls.__new__(cls)
-        t.shape = shape
-        t.data = flat
-        t.grad = None
-        t.requires_grad = requires_grad
-        return t
+    @property
+    def shape(self) -> tuple:
+        return self.data.shape
 
     @property
     def size(self) -> int:
@@ -55,19 +52,15 @@ class Tensor:
 
     @property
     def ndim(self) -> int:
-        return len(self.shape)
-
-    def nd(self) -> np.ndarray:
-        """Row-major view of the flat buffer at this tensor's shape."""
-        return self.data.reshape(self.shape)
+        return self.data.ndim
 
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item: tensor has shape {self.shape}, not scalar")
-        return float(self.data[0])
+        return self.data.item()
 
     def copy(self) -> "Tensor":
-        return Tensor._wrap(self.data.copy(), self.shape, self.requires_grad)
+        return Tensor(self.data.copy(), self.requires_grad)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -93,7 +86,7 @@ class Tape:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    g = g.ravel()
+    g = g.reshape(t.shape)
     if t.grad is None:
         t.grad = g.astype(F32, copy=False)
     else:
@@ -123,27 +116,20 @@ def backward(tape: Tape, loss: Tensor) -> None:
 # ops
 
 
-def _emit(data_nd: np.ndarray, req: bool) -> Tensor:
-    return Tensor._wrap(data_nd.ravel(), data_nd.shape, req)
-
-
 def matmul(tape, a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two rank-2 tensors."""
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    A = a.data.reshape(a.shape)
-    B = b.data.reshape(b.shape)
-    out_nd = A @ B
+    A, B = a.data, b.data
     req = a.requires_grad or b.requires_grad
-    out = _emit(out_nd, req)
+    out = Tensor(A @ B, req)
     if req and tape is not None:
         def rule(g):
-            G = g.reshape(out.shape)
             # np.matmul multiplies a one-row A's (k, 1) transpose without
             # BLAS, 5-10x slower than np.dot, which gives the same bits
             return (
-                (G @ B.T) if a.requires_grad else None,
-                (np.dot(A.T, G) if len(A) == 1 else A.T @ G)
+                (g @ B.T) if a.requires_grad else None,
+                (np.dot(A.T, g) if len(A) == 1 else A.T @ g)
                 if b.requires_grad else None,
             )
         tape.record(out, (a, b), rule)
@@ -155,69 +141,49 @@ def inner(tape, a: Tensor, b: Tensor) -> Tensor:
     (m, k) with out[i, j] = a[i] . b[j]."""
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"inner: incompatible shapes {a.shape} and {b.shape}")
-    A, B = a.nd(), b.nd()
-    out_nd = A @ B.T
+    A, B = a.data, b.data
     req = a.requires_grad or b.requires_grad
-    out = _emit(out_nd, req)
+    out = Tensor(A @ B.T, req)
     if req and tape is not None:
         def rule(g):
-            G = g.reshape(out.shape)
             return (
-                (G @ B) if a.requires_grad else None,
-                (G.T @ A) if b.requires_grad else None,
+                (g @ B) if a.requires_grad else None,
+                (g.T @ A) if b.requires_grad else None,
             )
         tape.record(out, (a, b), rule)
     return out
 
 
-def _binary_mode(a: Tensor, b: Tensor, name: str) -> str:
-    if a.shape == b.shape:
-        return "same"
-    if b.size == 1:
-        return "scalar"
-    if a.ndim == 2 and b.shape == (a.shape[1],):
-        return "row"
-    raise ShapeError(f"{name}: incompatible shapes {a.shape} and {b.shape}")
-
-
-def _reduce_b(g: np.ndarray, mode: str, shape: tuple) -> np.ndarray:
-    if mode == "same":
-        return g
-    if mode == "scalar":
-        return g.sum(dtype=F32).reshape(1)
-    return g.reshape(shape).sum(axis=0, dtype=F32)
-
-
 def add(tape, a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise a + b; b may be a scalar or a row vector over a's rows."""
-    mode = _binary_mode(a, b, "add")
-    out_nd = a.nd() + (b.data if mode != "same" else b.nd())
+    """Elementwise a + b; b has a's shape or is a row over a's rows."""
+    row = a.ndim == 2 and b.shape == (a.shape[1],)
+    if b.shape != a.shape and not row:
+        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
     req = a.requires_grad or b.requires_grad
-    out = _emit(out_nd, req)
+    out = Tensor(a.data + b.data, req)
     if req and tape is not None:
         def rule(g):
             return (
                 g.copy() if a.requires_grad else None,
-                _reduce_b(g, mode, a.shape) if b.requires_grad else None,
+                (g.sum(axis=0, dtype=F32) if row else g)
+                if b.requires_grad else None,
             )
         tape.record(out, (a, b), rule)
     return out
 
 
 def mul(tape, a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; b may be a scalar or a row vector."""
-    mode = _binary_mode(a, b, "mul")
-    B = b.data if mode != "same" else b.nd()
-    out_nd = a.nd() * B
+    """Elementwise product of two tensors of one shape."""
+    if a.shape != b.shape:
+        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
+    A, B = a.data, b.data
     req = a.requires_grad or b.requires_grad
-    out = _emit(out_nd, req)
+    out = Tensor(A * B, req)
     if req and tape is not None:
-        A = a.nd()
         def rule(g):
-            G = g.reshape(out.shape)
             return (
-                (G * B) if a.requires_grad else None,
-                _reduce_b((G * A).ravel(), mode, a.shape) if b.requires_grad else None,
+                (g * B) if a.requires_grad else None,
+                (g * A) if b.requires_grad else None,
             )
         tape.record(out, (a, b), rule)
     return out
@@ -227,24 +193,22 @@ def mean(tape, a: Tensor) -> Tensor:
     """Mean over the middle axis of a rank-3 tensor, (n, m, d) -> (n, d)."""
     if a.ndim != 3:
         raise ShapeError(f"mean: needs rank 3, got shape {a.shape}")
-    out_nd = a.nd().mean(axis=1, dtype=F32)
     req = a.requires_grad
-    out = _emit(out_nd, req)
+    out = Tensor(a.data.mean(axis=1, dtype=F32), req)
     if req and tape is not None:
         def rule(g):
-            n, m, d = a.shape
-            return (np.broadcast_to(g.reshape(n, 1, d) / F32(m),
-                                    a.shape).ravel(),)
+            m = a.shape[1]
+            return (np.repeat(g[:, None, :] / F32(m), m, axis=1),)
         tape.record(out, (a,), rule)
     return out
 
 
 def tsum(tape, a: Tensor) -> Tensor:
     """Sum of all elements, as a scalar tensor."""
-    out = _emit(a.data.sum(dtype=F32).reshape(1), a.requires_grad)
+    out = Tensor(a.data.sum(dtype=F32), a.requires_grad)
     if a.requires_grad and tape is not None:
         def rule(g):
-            return (np.full(a.size, g[0], F32),)
+            return (np.full(a.shape, g[0], F32),)
         tape.record(out, (a,), rule)
     return out
 
@@ -284,13 +248,11 @@ def embedding(tape, table: Tensor, ids) -> Tensor:
     if idx.ndim != 1:
         raise ShapeError(f"embedding: indices must be 1-D, got shape {idx.shape}")
     check_index("embedding", idx, table.shape[0])
-    T = table.data.reshape(table.shape)
-    out_nd = T[idx]
     req = table.requires_grad
-    out = _emit(out_nd, req)
+    out = Tensor(table.data[idx], req)
     if req and tape is not None:
         def rule(g):
-            return (_scatter_rows(table.shape, idx, g.reshape(out.shape)),)
+            return (_scatter_rows(table.shape, idx, g),)
         tape.record(out, (table,), rule)
     return out
 
@@ -305,25 +267,22 @@ def take_cols(tape, a: Tensor, cols) -> Tensor:
     check_index("take_cols", idx, a.shape[1])
     if (np.diff(np.sort(idx, axis=1), axis=1) == 0).any():
         raise ValueError("take_cols: a row repeats a column")
-    out = _emit(np.take_along_axis(a.nd(), idx, 1), a.requires_grad)
+    out = Tensor(np.take_along_axis(a.data, idx, 1), a.requires_grad)
     if a.requires_grad and tape is not None:
         def rule(g):
             G = np.zeros(a.shape, F32)
-            np.put_along_axis(G, idx, g.reshape(idx.shape), 1)
+            np.put_along_axis(G, idx, g, 1)
             return (G,)
         tape.record(out, (a,), rule)
     return out
 
 
 def reshape(tape, a: Tensor, shape) -> Tensor:
-    """Reinterpret the flat buffer at a new shape (copies, no views)."""
+    """The same values, row-major, at a new shape (copies, no views)."""
     shape = tuple(int(s) for s in shape)
-    n = 1
-    for s in shape:
-        n *= s
-    if n != a.size:
+    if math.prod(shape) != a.size:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
-    out = Tensor._wrap(a.data.copy(), shape, a.requires_grad)
+    out = Tensor(a.data.reshape(shape).copy(), a.requires_grad)
     if a.requires_grad and tape is not None:
         def rule(g):
             return (g.copy(),)
@@ -332,19 +291,14 @@ def reshape(tape, a: Tensor, shape) -> Tensor:
 
 
 def tanh(tape, a: Tensor) -> Tensor:
-    out_nd = np.tanh(a.nd())
+    out_nd = np.tanh(a.data)
     req = a.requires_grad
-    out = _emit(out_nd, req)
+    out = Tensor(out_nd, req)
     if req and tape is not None:
         def rule(g):
-            return (g * (F32(1) - out_nd.ravel() * out_nd.ravel()),)
+            return (g * (F32(1) - out_nd * out_nd),)
         tape.record(out, (a,), rule)
     return out
-
-
-def _rows(a: Tensor) -> np.ndarray:
-    """The tensor as rows along its last axis, whatever its rank."""
-    return a.data.reshape(-1, a.shape[-1])
 
 
 def _log_softmax_rows(X: np.ndarray, out=None) -> np.ndarray:
@@ -355,13 +309,14 @@ def _log_softmax_rows(X: np.ndarray, out=None) -> np.ndarray:
 
 
 def log_softmax(tape, a: Tensor) -> Tensor:
-    """Log-softmax along the last axis."""
-    out_nd = _log_softmax_rows(_rows(a))
+    """Log-softmax of each row of a rank-2 tensor."""
+    if a.ndim != 2:
+        raise ShapeError(f"log_softmax: needs rank 2, got shape {a.shape}")
+    out_nd = _log_softmax_rows(a.data)
     req = a.requires_grad
-    out = _emit(out_nd.reshape(a.shape), req)
+    out = Tensor(out_nd, req)
     if req and tape is not None:
         def rule(g):
-            G = g.reshape(out_nd.shape)
-            return ((G - np.exp(out_nd) * G.sum(axis=1, keepdims=True)),)
+            return (g - np.exp(out_nd) * g.sum(axis=1, keepdims=True),)
         tape.record(out, (a,), rule)
     return out

@@ -64,24 +64,21 @@ from lewisgame.evaluate import (BLEU_EPS, EvalReport, _closest_ref_len,
                                 _ngram_counts, _strip_eos, attribute_coverage)
 from lewisgame.game import RoundTrace
 from lewisgame.params import ParameterSet
-from lewisgame.tensor import (F32, ShapeError, Tape, Tensor, _emit, _rows,
-                              backward)
+from lewisgame.tensor import F32, ShapeError, Tape, Tensor, backward
 from lewisgame.world import (BOS, EOS, Dataset, WorldSpec, generate_splits,
                              sample_game_batch)
 
 
 def softmax(tape, a: Tensor) -> Tensor:
-    """Softmax along the last axis; each output row sums to 1."""
-    X = _rows(a)
-    shifted = X - X.max(axis=1, keepdims=True)
+    """Softmax of each row of a rank-2 tensor; each output row sums to 1."""
+    shifted = a.data - a.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=1, keepdims=True)
     req = a.requires_grad
-    out = _emit(s.reshape(a.shape), req)
+    out = Tensor(s, req)
     if req and tape is not None:
         def rule(g):
-            G = g.reshape(s.shape)
-            return (((G - (G * s).sum(axis=1, keepdims=True)) * s),)
+            return (((g - (g * s).sum(axis=1, keepdims=True)) * s),)
         tape.record(out, (a,), rule)
     return out
 
@@ -100,18 +97,16 @@ def concat(tape, parts, axis: int = 0) -> Tensor:
         other = 1 - axis
         if nd == 2 and p.shape[other] != parts[0].shape[other]:
             raise ShapeError(f"concat: shape mismatch {parts[0].shape} vs {p.shape}")
-    out_nd = np.concatenate([p.nd() for p in parts], axis=axis)
     req = any(p.requires_grad for p in parts)
-    out = _emit(out_nd, req)
+    out = Tensor(np.concatenate([p.data for p in parts], axis=axis), req)
     if req and tape is not None:
         sizes = [p.shape[axis] for p in parts]
         def rule(g):
-            G = g.reshape(out.shape)
             grads = []
             off = 0
             for p, s in zip(parts, sizes):
                 if p.requires_grad:
-                    piece = G[off:off + s] if axis == 0 else G[:, off:off + s]
+                    piece = g[off:off + s] if axis == 0 else g[:, off:off + s]
                     grads.append(np.ascontiguousarray(piece).copy())
                 else:
                     grads.append(None)
@@ -140,25 +135,23 @@ def gru_cell(tape, x: Tensor, h: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """
     if x.ndim != 2 or h.ndim != 2 or x.shape[0] != h.shape[0]:
         raise ShapeError(f"gru_cell: bad state shapes x={x.shape} h={h.shape}")
-    m, dx = x.shape
+    dx = x.shape[1]
     dh = h.shape[1]
     if w.shape != (dh + dx, 3 * dh):
         raise ShapeError(f"gru_cell: w must be {(dh + dx, 3 * dh)}, got "
                          f"{w.shape}")
     if b.shape != (3 * dh,):
         raise ShapeError(f"gru_cell: b must be {(3 * dh,)}, got {b.shape}")
-    X, H, W = x.nd(), h.nd(), w.nd()
+    X, H, W = x.data, h.data, w.data
     U = np.concatenate([H, X], axis=1)
     z, r = _gates(U @ W[:, :2 * dh] + b.data[:2 * dh])
     V = np.concatenate([r * H, X], axis=1)
     c = np.tanh(V @ W[:, 2 * dh:] + b.data[2 * dh:])
-    out_nd = H + z * (c - H)
     inputs = (x, h, w, b)
     req = any(t.requires_grad for t in inputs)
-    out = _emit(out_nd, req)
+    out = Tensor(H + z * (c - H), req)
     if req and tape is not None:
-        def rule(g):
-            G = g.reshape(m, dh)
+        def rule(G):
             dz = G * (c - H) * z * (F32(1) - z)
             dc = G * z * (F32(1) - c * c)
             dH = G * (F32(1) - z)
@@ -197,17 +190,15 @@ def gru_cell_split(tape, xs: Tensor, h: Tensor, w_state: Tensor) -> Tensor:
     if w_state.shape != (dh, 3 * dh):
         raise ShapeError(f"gru_cell_split: w_state must be {(dh, 3 * dh)}, "
                          f"got {w_state.shape}")
-    XS, H, W = xs.nd(), h.nd(), w_state.nd()
+    XS, H, W = xs.data, h.data, w_state.data
     z, r = _gates(H @ W[:, :2 * dh] + XS[:, :2 * dh])
     V = r * H
     c = np.tanh(V @ W[:, 2 * dh:] + XS[:, 2 * dh:])
-    out_nd = H + z * (c - H)
     inputs = (xs, h, w_state)
     req = any(t.requires_grad for t in inputs)
-    out = _emit(out_nd, req)
+    out = Tensor(H + z * (c - H), req)
     if req and tape is not None:
-        def rule(g):
-            G = g.reshape(m, dh)
+        def rule(G):
             dz = G * (c - H) * z * (F32(1) - z)
             dc = G * z * (F32(1) - c * c)
             drh = dc @ W[:, 2 * dh:].T
@@ -342,7 +333,7 @@ def decode(speaker, patches, keys, h0, tape, *, tokens=None, t_max=0,
             if temperature == 0:
                 tok = int(np.argmax(logits.data))
             else:
-                x = logits.data.astype(np.float64) / temperature
+                x = logits.data[0].astype(np.float64) / temperature
                 x -= x.max()
                 prob = np.exp(x)
                 prob /= prob.sum()
@@ -451,7 +442,7 @@ class Episode:
 
 def episodes(trace: RoundTrace) -> list:
     """The rows of a played block, one ``Episode`` each."""
-    lps = trace.logprobs.nd()
+    lps = trace.logprobs.data
     return [Episode(int(t), lps[row, :m.length].copy(), p)
             for row, (m, t, p) in enumerate(zip(trace.messages,
                                                 trace.targets, trace.probs))]
@@ -587,8 +578,8 @@ def evaluate_agents(speaker, listener, dataset, k: int, n_rounds: int = 200,
         v_imgs = listener.embed_images(obs, None, encoder=speaker)
         v_m = embed_message(listener, message.tokens)
         logp = listener.log_probs(v_m, v_imgs, np.arange(k)[None, :])
-        episodes.append(Episode(int(target), node.data.copy(),
-                                np.exp(logp.data)))
+        episodes.append(Episode(int(target), node.data[:, 0].copy(),
+                                np.exp(logp.data[0])))
         content = _strip_eos(message.tokens)
         lengths.append(len(content))
         if content:
@@ -667,7 +658,7 @@ def gradcheck(f, params, eps: float = 1e-3, n_coords: int = 4, seed: int = 0) ->
     params.zero_grads()
     backward(tape, loss)
     analytic = {
-        name: (t.grad.copy() if t.grad is not None else np.zeros(t.size, F32))
+        name: (t.grad.copy() if t.grad is not None else np.zeros(t.shape, F32))
         for name, t in params.items()
     }
     rng = np.random.default_rng(seed)
@@ -675,18 +666,18 @@ def gradcheck(f, params, eps: float = 1e-3, n_coords: int = 4, seed: int = 0) ->
     for name, t in params.items():
         k = min(n_coords, t.size)
         for i in rng.choice(t.size, size=k, replace=False):
-            v0 = t.data[i]
-            t.data[i] = F32(v0 + eps)
-            xp = float(t.data[i])
+            v0 = t.data.flat[i]
+            t.data.flat[i] = F32(v0 + eps)
+            xp = float(t.data.flat[i])
             fp = float(f(params, None).data[0])
-            t.data[i] = F32(v0 - eps)
-            xm = float(t.data[i])
+            t.data.flat[i] = F32(v0 - eps)
+            xm = float(t.data.flat[i])
             fm = float(f(params, None).data[0])
-            t.data[i] = v0
+            t.data.flat[i] = v0
             if not (np.isfinite(fp) and np.isfinite(fm)):
                 raise EvaluationError("gradcheck: non-finite value during perturbation")
             g_fd = (fp - fm) / (xp - xm)
-            g_ad = float(analytic[name][i])
+            g_ad = float(analytic[name].flat[i])
             err = abs(g_ad - g_fd) / max(1.0, abs(g_ad), abs(g_fd))
             worst = max(worst, err)
     return worst

@@ -33,8 +33,8 @@ def test_sample_contract(world):
     samples, node = speaker.sample(ds.model_inputs()[0], 12, 1.0, 5, rng)
     assert len(samples) == 5
     assert node.shape == (5, max(s.length for s in samples))
-    assert (node.nd() <= 0).all()
-    for s, row in zip(samples, node.nd()):
+    assert (node.data <= 0).all()
+    for s, row in zip(samples, node.data):
         assert 1 <= s.length <= 12
         assert all(0 <= t < cfg.vocab_size for t in s.tokens)
         assert not row[s.length:].any()
@@ -79,12 +79,12 @@ def test_rescoring_reproduces_sampled_logprobs_bitwise(world):
     assert len({s.length for s in samples}) > 1
     assert rescored.shape == node.shape
     assert rescored.data.tobytes() == node.data.tobytes()
-    for s, row in zip(samples, node.nd()):
+    for s, row in zip(samples, node.data):
         assert not row[s.length:].any()
     # alone, a message is a block of another shape: equal to round-off
     alone = speaker.logprobs(obs[1], [samples[7].tokens])
     assert alone.shape == (1, samples[7].length)
-    assert (np.abs(alone.data - node.nd()[7, :samples[7].length]).max()
+    assert (np.abs(alone.data - node.data[7, :samples[7].length]).max()
             <= BLOCK_LOGPROB_ATOL)
 
 
@@ -297,9 +297,9 @@ def test_decode_block_matches_per_message_reference(world, n_layers, raster,
         tape = Tape()
         ref = reference.logprobs(speaker, o, m, tape)
         assert ref.shape == (len(m), 1)
-        assert (np.abs(node.nd()[row, :len(m)] - ref.data).max()
+        assert (np.abs(node.data[row, :len(m)] - ref.data[:, 0]).max()
                 <= BLOCK_LOGPROB_ATOL)
-        assert not node.nd()[row, len(m):].any()
+        assert not node.data[row, len(m):].any()
         w = Tensor(weights[row, :len(m)].reshape(-1, 1))
         backward(tape, T.tsum(tape, T.mul(tape, ref, w)))
     per_message = _grads(speaker.params)
@@ -329,7 +329,7 @@ def test_sampled_block_gradients_match_per_message_reference(world, n_layers):
     for row, s in enumerate(samples):
         tape = Tape()
         ref = reference.logprobs(speaker, obs[row // 5], s.tokens, tape)
-        assert (np.abs(node.nd()[row, :s.length] - ref.data).max()
+        assert (np.abs(node.data[row, :s.length] - ref.data[:, 0]).max()
                 <= BLOCK_LOGPROB_ATOL)
         w = Tensor(weights[row, :s.length].reshape(-1, 1))
         backward(tape, T.tsum(tape, T.mul(tape, ref, w)))
@@ -380,7 +380,7 @@ def test_split_form_gru_cell_matches_concat_form(d_x, d_h):
         tape = Tape()
         y = cell(tape)
         backward(tape, T.tsum(tape, T.mul(tape, y, weights)))
-        out[form] = y.nd().copy()
+        out[form] = y.data.copy()
         grads[form] = _grads(ps)
     assert np.abs(out["split"] - out["concat"]).max() <= SPLIT_CELL_ATOL
     assert grads["split"].keys() == grads["concat"].keys() == set(ps.names())
@@ -538,7 +538,7 @@ def test_embed_images_matches_per_candidate_reference(encoder_world):
         tape = Tape()
         v = embed(obs, tape, encoder=speaker)
         backward(tape, T.tsum(tape, T.mul(tape, v, weights)))
-        out[path] = v.nd().copy()
+        out[path] = v.data.copy()
         grads[path] = {**_grads(speaker.params),
                        **{f"listener.{n}": g for n, g in
                           _grads(listener.params).items()}}
@@ -621,7 +621,7 @@ def test_embed_message_block_matches_per_message_reference(world):
     for row, m in enumerate(messages):
         tape = Tape()
         want = reference.embed_message(listener, m, tape)
-        assert (np.abs(block.nd()[row] - want.data).max()
+        assert (np.abs(block.data[row] - want.data).max()
                 <= BLOCK_LOGPROB_ATOL)
         backward(tape, T.tsum(tape, T.mul(tape, want,
                                           Tensor(weights[row:row + 1]))))
@@ -664,7 +664,7 @@ def test_listener_embed_identical_obs_bitwise(world):
     obs[2] = obs[0]
     v_m = listener.embed_message([[5, 6, 1]])
     v_imgs = listener.embed_images(obs, encoder=speaker)
-    rows = v_imgs.nd()
+    rows = v_imgs.data
     assert rows[0].tobytes() == rows[2].tobytes()
     assert np.isfinite(v_m.data).all()
 
@@ -675,7 +675,7 @@ def test_listener_embed_permutation_equivariant(world):
     perm = [3, 1, 4, 0, 2]
     v1 = listener.embed_images(obs, encoder=speaker)
     v2 = listener.embed_images(obs[perm], encoder=speaker)
-    assert v2.nd().tobytes() == v1.nd()[perm].tobytes()
+    assert v2.data.tobytes() == v1.data[perm].tobytes()
 
 
 def test_listener_embed_rejects_empty_message(world):
@@ -732,7 +732,7 @@ def test_log_probs_matches_reference_listener_probs():
         cols = np.arange(64)[None, :]
         logp = listener.log_probs(v_m, v_imgs, cols)
         got = np.exp(logp.data)
-        ref = reference.listener_probs(v_m.data, v_imgs.nd())
+        ref = reference.listener_probs(v_m.data, v_imgs.data)
         assert logp.shape == (1, 64)
         assert np.max(np.abs(got - ref) / ref) <= 1e-6
         taped = listener.log_probs(v_m, v_imgs, cols, Tape())
@@ -753,9 +753,9 @@ def test_log_probs_scores_each_round_against_its_own_candidates(world):
     logp = listener.log_probs(v_m, v_imgs, np.repeat(slots, 2, axis=0))
     assert logp.shape == (6, 4)
     for row in range(6):
-        alone = reference.listener_probs(v_m.nd()[row],
-                                         v_imgs.nd()[slots[row // 2]])
-        got = np.exp(logp.nd()[row])
+        alone = reference.listener_probs(v_m.data[row],
+                                         v_imgs.data[slots[row // 2]])
+        got = np.exp(logp.data[row])
         assert np.max(np.abs(got - alone) / alone) <= 1e-6
 
 

@@ -162,7 +162,7 @@ def test_eval_checkpoint_with_a_misshapen_entry_exits_2(eval_files,
                                                         tmp_path, name):
     # one entry a column short; the agents' other entries all fit
     state = load_checkpoint(str(eval_files / "agents.lgc"))
-    save_checkpoint(_edited(state, name, state[name].nd()[..., :-1]),
+    save_checkpoint(_edited(state, name, state[name].data[..., :-1]),
                     str(tmp_path / "bad.lgc"))
     config = _write_config(tmp_path / "eval.ini", {"game": {"k": 4}})
     proc = _run_eval(eval_files, config, "--out", str(tmp_path / "out"),
@@ -182,7 +182,7 @@ def test_eval_checkpoint_with_an_entry_of_another_rank_exits_2(
         eval_files, tmp_path, name, rank):
     # the entries the agents' sizes are read from, as a vector or a cube
     state = load_checkpoint(str(eval_files / "agents.lgc"))
-    data = state[name].nd()
+    data = state[name].data
     data = data.ravel() if rank == 1 else data[..., None]
     save_checkpoint(_edited(state, name, data), str(tmp_path / "bad.lgc"))
     config = _write_config(tmp_path / "eval.ini", {"game": {"k": 4}})
@@ -202,7 +202,7 @@ def test_eval_checkpoint_with_a_non_finite_entry_exits_2(eval_files,
                                                          value):
     # a NaN listener row would rank first and score top-1 1.0
     state = load_checkpoint(str(eval_files / "agents.lgc"))
-    data = state[name].nd().copy()
+    data = state[name].data.copy()
     data[0, 0] = value
     save_checkpoint(_edited(state, name, data), str(tmp_path / "bad.lgc"))
     config = _write_config(tmp_path / "eval.ini", {"game": {"k": 4}})
@@ -748,7 +748,7 @@ def _resume_refused(eval_files, state, tmp_path, message, **train):
      "checkpoint entry meta.step is not finite"),
     ("meta.step", lambda s: [-1.0], "meta.step is not a whole number"),
     ("meta.step", lambda s: None, "missing checkpoint entry 'meta.step'"),
-    ("replica1.emb", lambda s: s["speaker.emb"].nd(),
+    ("replica1.emb", lambda s: s["speaker.emb"].data,
      "unexpected checkpoint entry 'replica1.emb'"),
     ("optim.speaker0.t", lambda s: [1.0],
      "unexpected checkpoint entry 'optim.speaker0.t'"),
@@ -818,7 +818,7 @@ def test_train_resume_from_nan_weight_exits_2(eval_files, trained_state,
                                              tmp_path):
     # refused before the first step, as eval refuses it: no checkpoint of
     # the NaN weights and no metrics file is written
-    data = trained_state["listener.proj.l2.b"].nd().copy()
+    data = trained_state["listener.proj.l2.b"].data.copy()
     data[0] = np.nan
     _resume_refused(eval_files,
                     _edited(trained_state, "listener.proj.l2.b", data),

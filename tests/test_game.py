@@ -144,8 +144,8 @@ def test_play_rounds_with_shared_scenes_matches_per_round_reference(setup):
             logp = listener.log_probs(v_m, v_imgs, _all_cols(v_imgs), tape)
             assert (np.abs(np.exp(logp.data) - trace.probs[b]).max()
                     <= BLOCK_LOGPROB_ATOL)
-            terms.append(T.embedding(
-                tape, T.reshape(tape, logp, (logp.size, 1)), [targets[i]]))
+            terms.append(T.tsum(tape, T.embedding(
+                tape, T.reshape(tape, logp, (logp.size, 1)), [targets[i]])))
         loss = terms[0]
         for term in terms[1:]:
             loss = T.add(tape, loss, term)

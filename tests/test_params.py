@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -55,29 +57,29 @@ def test_checkpoint_file_bytes_deterministic(tmp_path):
     p1, p2 = str(tmp_path / "a.lgc"), str(tmp_path / "b.lgc")
     save_checkpoint(ps, p1)
     save_checkpoint(ps, p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_truncated_checkpoint_reports_offset(tmp_path):
     ps = _sample_set()
     path = str(tmp_path / "state.lgc")
     save_checkpoint(ps, path)
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[:len(blob) // 2])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[:len(blob) // 2])
     with pytest.raises(FormatError, match="at byte"):
         load_checkpoint(path)
 
 
 def test_bad_magic_is_format_error(tmp_path):
     path = str(tmp_path / "junk.lgc")
-    open(path, "wb").write(b"NOPE" + b"\x00" * 16)
+    Path(path).write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(FormatError):
         load_checkpoint(path)
 
 
 def test_version_mismatch_distinct_error(tmp_path):
     path = str(tmp_path / "future.lgc")
-    open(path, "wb").write(b"LGC9" + b"\x00" * 16)
+    Path(path).write_bytes(b"LGC9" + b"\x00" * 16)
     with pytest.raises(UnsupportedVersionError):
         load_checkpoint(path)
 

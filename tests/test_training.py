@@ -178,7 +178,7 @@ def test_group_loss_node_matches_reference(standardize):
     expected = speaker_loss(group, standardize)
     assert abs(loss.item() - expected) <= 1e-6 * max(1.0, abs(expected))
     backward(tape, loss)
-    grad = trace.logprobs.grad.reshape(trace.logprobs.shape)
+    grad = trace.logprobs.grad
     want = reference.group_advantages(group, standardize)
     for row, (ep, a) in enumerate(zip(group, want)):
         w = -float(a) / (ep.length * len(group))
@@ -308,7 +308,7 @@ def test_sync_replicas_means_and_equalizes():
     for rep in reps[1:]:
         for name, t in rep.params.items():
             if name != "head.b":
-                t.data += rng.normal(0, 0.1, t.size).astype(np.float32)
+                t.data += rng.normal(0, 0.1, t.shape).astype(np.float32)
     arrays = [[t.data for _, t in r.params.items()] for r in reps]
     want = {name: np.mean([r.params[name].data.astype(np.float64)
                            for r in reps], axis=0).astype(np.float32)
@@ -576,7 +576,7 @@ def test_supervised_pretrain_aborts_on_nonfinite(trainer_setup):
 # misshapen listener weight, then every way the listener's Adam moments
 # and step count can be wrong
 REFUSED_ENTRIES = [
-    ("listener.img.w", lambda s: s["listener.img.w"].nd()[:-1],
+    ("listener.img.w", lambda s: s["listener.img.w"].data[:-1],
      "checkpoint shape mismatch for listener.img.w"),
     ("optim.listener.x.w", lambda s: [0.0],
      "unexpected checkpoint entry 'optim.listener.x.w'"),

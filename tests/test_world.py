@@ -1,5 +1,6 @@
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,12 +189,12 @@ def test_dataset_file_roundtrip(tmp_path):
         for ds in splits.values():
             path = str(tmp_path / "w.lgw")
             save_dataset(ds, path)
-            blob = open(path, "rb").read()
+            blob = Path(path).read_bytes()
             loaded = load_dataset(path)
             assert loaded == ds and _derived(loaded) == _derived(ds)
             # and saving what was loaded writes the same bytes again
             save_dataset(loaded, path)
-            assert open(path, "rb").read() == blob
+            assert Path(path).read_bytes() == blob
     # a Dataset is its four fields: rebuilt from them, the raster train
     # split comes back arrays and all, and a change to any one of the
     # seed, the split or a scene makes another dataset
@@ -212,14 +213,14 @@ def test_world_file_holds_only_header_and_scenes(tmp_path):
     ds = generate_dataset(17, 25, WorldSpec(raster=True))
     path = str(tmp_path / "w.lgw")
     save_dataset(ds, path)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     assert len(blob) == 29 + sum(9 + 5 * len(s.objects) for s in ds.scenes)
     # observations, rasters and captions are rebuilt on load, not stored
     ds.observations = ds.observations + 1
     ds.rasters = ds.rasters * 0
     ds.captions = [[] for _ in ds.scenes]
     save_dataset(ds, path)
-    assert open(path, "rb").read() == blob
+    assert Path(path).read_bytes() == blob
 
 
 def test_dataset_file_bytes_deterministic(tmp_path):
@@ -227,15 +228,15 @@ def test_dataset_file_bytes_deterministic(tmp_path):
     p1, p2 = str(tmp_path / "a.lgw"), str(tmp_path / "b.lgw")
     save_dataset(ds, p1)
     save_dataset(ds, p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_dataset_truncation_reports_offset(tmp_path):
     ds = generate_dataset(17, 25, WorldSpec())
     path = str(tmp_path / "w.lgw")
     save_dataset(ds, path)
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[:100])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[:100])
     with pytest.raises(FormatError, match="at byte"):
         load_dataset(path)
 
@@ -245,9 +246,9 @@ def test_dataset_version_mismatch(tmp_path, version):
     ds = generate_dataset(17, 5, WorldSpec())
     path = str(tmp_path / "w.lgw")
     save_dataset(ds, path)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[4] = version  # version u16 low byte
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     with pytest.raises(UnsupportedVersionError,
                        match=f"unsupported dataset version {version} "):
         load_dataset(path)
@@ -281,9 +282,9 @@ def test_bad_header_field_reports_its_own_offset(tmp_path, at, patch, offset,
     ds = generate_dataset(17, 5, WorldSpec())
     path = str(tmp_path / "w.lgw")
     save_dataset(ds, path)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[at:at + len(patch)] = patch
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     with pytest.raises(FormatError) as err:
         load_dataset(path)
     assert err.value.offset == offset
