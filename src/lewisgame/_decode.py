@@ -171,18 +171,17 @@ def _gru_weight_grads(H, V, G, *inputs):
 # speaker decoder: attention + stacked GRU + head, one tape node per block
 
 
-def _draw(logits, temperature: float, rng, live) -> np.ndarray:
+def _draw(logits, rng, live) -> np.ndarray:
     """One token per row of ``logits``: <eos> if the row is not ``live``,
-    else its argmax at temperature 0 or a draw from softmax(logits / T).
+    else its argmax when ``rng`` is None or a draw from softmax(logits).
 
     A draw takes one uniform per live row from ``rng`` and returns the
     number of that row's CDF entries at or below it, which is the
     inverse-CDF rule ``rng.choice(V, p=...)`` applies to one row.
     """
-    if temperature == 0:
+    if rng is None:
         return np.where(live, np.argmax(logits, axis=1), EOS)
     xs = logits[live].astype(np.float64)
-    xs /= temperature
     xs -= xs.max(axis=1, keepdims=True)
     prob = np.exp(xs)
     prob /= prob.sum(axis=1, keepdims=True)
@@ -203,20 +202,19 @@ def _blend(h, z, c, out=None):
 
 
 def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, rows,
-                   tape, *, tokens=None, t_max: int = 0,
-                   temperature: float = 1.0, rng=None):
+                   tape, *, tokens=None, t_max: int = 0, rng=None):
     """Run the decoder over a block of B messages, one per row.
 
-    ``patches`` and ``keys`` (N, P, d_e) and each layer's (N, d_e) start
-    state in ``init_hidden`` describe N observations, and ``rows`` (B,)
-    names each message's: row b attends over ``patches[rows[b]]`` with
-    ``keys[rows[b]]`` and starts from row ``rows[b]`` of each start
-    state. Gradients flow back into all of them, each observation's the
-    sum over its rows. Teacher-forced when ``tokens`` (B token sequences)
-    is given, sampling otherwise: each step draws one uniform per live
-    row from ``rng`` (see ``_draw``), and a row ends after its <eos> or
-    at ``t_max``. Returns (token lists, (B, T) tape node of the chosen
-    tokens' log-probs, zero past each row's end).
+    ``patches`` and ``keys`` (N·P, d_e), P rows per observation, and each
+    layer's (N, d_e) start state in ``init_hidden`` describe N
+    observations; ``rows`` (B,) names each message's, whose P patches and
+    keys row b attends over and whose start states it takes. Gradients
+    flow back into all of them, each observation's the sum over its rows.
+    Teacher-forced when ``tokens`` (B token sequences) is given, sampling
+    otherwise: a step draws one uniform per live row from ``rng``, or
+    takes the argmax if it is None (see ``_draw``); a row ends after its
+    <eos> or at ``t_max``. Returns (token lists, (B, T) tape node of the
+    chosen tokens' log-probs, zero past each row's end).
     Steps past a row's end are computed but masked out of its log-probs
     and its gradients.
     """
@@ -232,12 +230,12 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, rows,
     w = [p[f"gru{l}.w"].data for l in range(L)]
     bias = [p[f"gru{l}.b"].data for l in range(L)]
     Pt = patches.data
-    N, P = Pt.shape[:2]
+    N, P = len(init_hidden[0].data), cfg.patch_count
     B = rows.size
-    K = keys.data[rows]
+    K = keys.data.reshape(N, P, d)[rows]
     # layer 0's input side: x·W_x + b = table[token] + alpha·proj
     table = emb @ w[0][d:2 * d] + bias[0]
-    proj = (Pt.reshape(N * P, d) @ w[0][2 * d:]).reshape(N, P, 3 * d)[rows]
+    proj = (Pt @ w[0][2 * d:]).reshape(N, P, 3 * d)[rows]
 
     sampling = tokens is None
     if sampling:
@@ -278,7 +276,7 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, rows,
             x = hidden[l] = _blend(h, zr[:, :d], c, S[l, s])
         logits = np.add(np.matmul(x, Wo, out=LSM[s]), bo, out=LSM[s])
         if sampling:
-            prev = _draw(logits, temperature, rng, live)
+            prev = _draw(logits, rng, live)
             live &= prev != EOS
         else:
             prev = forced[t]
@@ -355,8 +353,7 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, rows,
                  HQ.T @ _step_rows(DQ), _step_rows(E).T @ DS.reshape(-1, 1),
                  _step_rows(S[L - 1]).T @ DLr, DLr.sum(axis=0, dtype=F32)]
         grads.extend(_gru_weight_grads(bufs[0][0], bufs[0][1], gates[0],
-                                       (emb, dtable),
-                                       (Pt.reshape(N * P, d), dproj)))
+                                       (emb, dtable), (Pt, dproj)))
         for l in range(1, L):  # input: the layer below's new states
             grads.extend(_gru_weight_grads(bufs[l][0], bufs[l][1], gates[l],
                                            (_step_rows(S[l - 1]),
@@ -372,20 +369,19 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, rows,
 # listener message encoder: plain GRU chain over an embedding matrix
 
 
-def gru_sequence(emb: Tensor, ids, lengths, h0: np.ndarray, w: Tensor,
-                 b: Tensor, tape) -> Tensor:
-    """Final hidden states of a GRU run over a block of B padded token
-    sequences.
+def gru_sequence(emb: Tensor, ids, lengths, w: Tensor, b: Tensor,
+                 tape) -> Tensor:
+    """Final hidden states of a GRU run from zero over a block of B padded
+    token sequences.
 
     ``ids`` holds their tokens step-major, (T, B): ``ids[t, b]`` is step
     t of sequence b, a row of the (V, d_in) embedding table ``emb``.
-    ``h0`` holds the (B, d_h) start states. Sequence b runs for
-    ``lengths[b]`` steps and its state is held after that, so row b of
-    the (B, d_h) result is its state at its own length; padding steps
-    give no gradient.
+    Sequence b runs for ``lengths[b]`` steps and its state is held after
+    that, so row b of the (B, d_h) result is its state at its own length;
+    padding steps give no gradient.
     """
     T_len, B = ids.shape
-    d = h0.shape[1]
+    d = w.shape[1] // 3
     W = w.data
     E = emb.data
     table = E @ W[d:] + b.data
@@ -395,7 +391,7 @@ def gru_sequence(emb: Tensor, ids, lengths, h0: np.ndarray, w: Tensor,
     bufs = ([np.empty((T_len, B, n), F32) for n in (d, d, 2 * d, d)]
             if taped else [])
     alive = (np.arange(T_len)[:, None] < lengths)[:, :, None].astype(F32)
-    h = h0
+    h = np.zeros((B, d), F32)
     for t in range(T_len):
         zr, c = _gru_split_forward(XS[t], h, W, *(buf[t] for buf in bufs))
         zr[:, :d] *= alive[t]  # z = 0 holds a finished row

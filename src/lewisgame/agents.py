@@ -13,8 +13,8 @@ row. The speaker encodes each run of equal consecutive observation rows
 once, so the G samples of an observation share its encoding, and the
 listener's GRU reads its input side from a vocabulary table built once
 per block. Forward passes are pure functions of (parameters, inputs, rng
-state, block shape). Greedy decoding (temperature 0) is fully
-deterministic; sampled decoding is deterministic given the rng.
+state, block shape). Greedy decoding (no rng) is fully deterministic;
+sampling from the logits' softmax is deterministic given the rng.
 Teacher-forced rescoring of a sampled block, as a block of the same
 shape, reproduces the recorded log-probabilities bitwise, because both
 execute the identical op sequence. Rescoring its messages in a block of
@@ -169,33 +169,26 @@ class SpeakerPolicy:
     def encode(self, obs: np.ndarray, tape) -> Tensor:
         """Observations to patch vectors, all rows through one ``_mlp``.
 
-        One (obs_dim,) observation gives a (patches, d_e) tensor; a
-        (N, obs_dim) stack gives (N, patches, d_e).
+        One (obs_dim,) observation or an (N, obs_dim) stack gives its
+        (N·P, d_e) rows, P = ``cfg.patch_count`` consecutive per observation.
         """
         cfg = self.cfg
         rows = self._stack(obs)
         if cfg.raster:
-            rows = _raster_patches(rows, cfg)
+            return _mlp(tape, Tensor(_raster_patches(rows, cfg)),
+                        self.params, "enc")
         flat = _mlp(tape, Tensor(rows), self.params, "enc")
-        return T.reshape(tape, flat,
-                         obs.shape[:-1] + (cfg.patch_count, cfg.d_e))
-
-    def attention_keys(self, patches: Tensor, tape) -> Tensor:
-        """(N, P, d_e) attention keys of (N, P, d_e) patches."""
-        n, n_patches, d_e = patches.shape
-        flat = T.reshape(tape, patches, (n * n_patches, d_e))
-        keys = T.matmul(tape, flat, self.params["attn.we"])
-        return T.reshape(tape, keys, (n, n_patches, d_e))
+        return T.reshape(tape, flat, (len(rows) * cfg.n_patches, cfg.d_e))
 
     def initial_hidden(self, patches: Tensor, tape) -> list[Tensor]:
         """Decoder start states, (N, d_e) per layer, each row conditioned
-        on its pooled (N, P, d_e) patches.
+        on its observation's pooled patches, from ``encode``'s rows.
 
         Seeding the recurrent state from the encoder makes messages
         observation-dependent from the first step, which is what lets
         the retrieval game bootstrap from random weights.
         """
-        pooled = T.mean(tape, patches)
+        pooled = T.mean(tape, patches, self.cfg.patch_count)
         states = []
         for layer in range(self.cfg.n_layers):
             p = self.params
@@ -212,13 +205,13 @@ class SpeakerPolicy:
         copies of an observation are one run)."""
         first = np.concatenate(([True], (obs[1:] != obs[:-1]).any(axis=1)))
         patches = self.encode(obs[first], tape)
-        keys = self.attention_keys(patches, tape)
+        keys = T.matmul(tape, patches, self.params["attn.we"])
         h0 = self.initial_hidden(patches, tape)
         return decode_message(self, patches, keys, h0, np.cumsum(first) - 1,
                               tape, **kwargs)
 
-    def sample(self, obs: np.ndarray, t_max: int, temperature: float,
-               n_samples: int, rng, tape=None):
+    def sample(self, obs: np.ndarray, t_max: int, n_samples: int, rng,
+               tape=None):
         """Draw ``n_samples`` messages per observation as one block.
 
         ``obs`` is one (obs_dim,) observation or an (N, obs_dim) stack.
@@ -228,18 +221,13 @@ class SpeakerPolicy:
         tokens' log-probs, zero past each message's end (untaped when
         ``tape`` is None). Each observation is encoded once for its
         n_samples messages, and its encoder takes the sum of their
-        gradients. Sampling draws from softmax(logits /
-        temperature); temperature 0 means greedy. Recorded
-        log-probabilities always come from the temperature-free
-        log-softmax.
+        gradients. Each token is drawn from softmax(logits) with
+        ``rng``, or is the argmax when ``rng`` is None (greedy).
         """
-        if temperature < 0:
-            raise ValueError("temperature must be >= 0")
         if t_max < 1:
             raise ValueError(f"t_max must be >= 1, got {t_max}")
         rows = np.repeat(self._stack(obs), n_samples, axis=0)
-        tokens, node = self._decode(rows, tape, t_max=t_max,
-                                    temperature=temperature, rng=rng)
+        tokens, node = self._decode(rows, tape, t_max=t_max, rng=rng)
         return [MessageSample(tuple(t)) for t in tokens], node
 
     def logprobs(self, obs: np.ndarray, messages, tape=None):
@@ -302,9 +290,8 @@ class ListenerModel:
             ids[:len(m), b] = m
         T.check_index("embed_message", ids, self.cfg.vocab_size)
         p = self.params
-        h = gru_sequence(p["emb"], ids, lengths,
-                         np.zeros((len(lengths), self.cfg.d_o), F32),
-                         p["gru.w"], p["gru.b"], tape)
+        h = gru_sequence(p["emb"], ids, lengths, p["gru.w"], p["gru.b"],
+                         tape)
         return _mlp(tape, h, p, "proj")
 
     def embed_images(self, observations: np.ndarray, tape=None,
@@ -318,7 +305,8 @@ class ListenerModel:
         enc = encoder or self.encoder
         if enc is None:
             raise ValueError("listener has no bound image encoder")
-        pooled = T.mean(tape, enc.encode(observations, tape))
+        pooled = T.mean(tape, enc.encode(observations, tape),
+                        enc.cfg.patch_count)
         return T.matmul(tape, pooled, self.params["img.w"])
 
     def log_probs(self, v_msgs: Tensor, v_imgs: Tensor, cols,

@@ -26,7 +26,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .agents import ListenerModel, SpeakerPolicy
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .game import play_rounds, solve_rate
 from .world import EOS, Dataset, sample_game_batch
 
@@ -154,12 +154,11 @@ def evaluate_agents(speaker: SpeakerPolicy, listener: ListenerModel,
 
     Every round's K candidates are drawn first; the rounds are then
     played through ``game.play_rounds``, as training plays them, as a
-    single block of ``speaker``: one message per round decoded at
-    temperature 0 (argmax), no tape and no rng, all ``n_rounds``
-    messages embedded by the listener as one block and each distinct
-    candidate scene embedded once. Deterministic given
-    (parameters, dataset, seed, n_rounds): distractor draws come from a
-    fresh seeded stream.
+    single block of ``speaker``: one message per round decoded greedily
+    (argmax), no tape and no rng, all ``n_rounds`` messages embedded by
+    the listener as one block and each distinct candidate scene embedded
+    once. Deterministic given (parameters, dataset, seed, n_rounds):
+    distractor draws come from a fresh seeded stream.
     """
     if n_rounds < 1:
         raise ValueError(f"evaluate_agents: n_rounds must be >= 1, got "
@@ -167,8 +166,7 @@ def evaluate_agents(speaker: SpeakerPolicy, listener: ListenerModel,
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A1]))
     scenes, targets = sample_game_batch(dataset, k, n_rounds, rng)
     (trace,) = play_rounds([(speaker, scenes, targets, None)], listener,
-                           dataset.model_inputs(), 1, t_max,
-                           temperature=0.0)
+                           dataset.model_inputs(), 1, t_max)
     bleus, coverages, lengths = [], [], []
     for target, message in zip(scenes[np.arange(n_rounds), targets],
                                trace.messages):
@@ -199,11 +197,10 @@ def evaluate_agents(speaker: SpeakerPolicy, listener: ListenerModel,
 
 def _sweep_cell(cfg: RunConfig) -> dict:
     splits = cfg.world_splits()
-    train = splits["train"]
-    trainer = cfg.trainer(train)
+    trainer = cfg.trainer(splits["train"])
     reports = trainer.run(cfg.train.steps)
     report = evaluate_agents(trainer.speaker, trainer.listener,
-                             splits.get("val", train), k=cfg.game.k,
+                             splits["val"], k=cfg.game.k,
                              n_rounds=cfg.eval.rounds, t_max=cfg.game.t_max,
                              seed=cfg.eval.seed)
     tail = [r.mean_reward for r in reports[len(reports) * 4 // 5:]]
@@ -225,12 +222,17 @@ def ablation_sweep(cfg: RunConfig, k_list, seeds,
     A cell is a copy of ``cfg`` with ``game.k`` and ``train.seed`` set. Its
     world is the train and val splits of ``cfg.world``; it trains for
     ``train.steps`` steps and is evaluated for ``eval.rounds`` rounds on
-    the val split, seeded by ``eval.seed``. Cell failures are recorded,
-    not raised, so one bad cell cannot sink a sweep. ``workers`` above 1
-    runs the cells in a process pool of at most one process per cell.
+    the val split, seeded by ``eval.seed``, so a config with no val
+    scenes raises ``ConfigError`` before any cell runs. Cell failures are
+    recorded, not raised, so one bad cell cannot sink a sweep. ``workers``
+    above 1 runs the cells in a process pool of at most one process per
+    cell.
     Returns one dict per cell: an error, or a report and ``train_reward``,
     the mean ``mean_reward`` over its last fifth of steps (None if no steps).
     """
+    if cfg.world.val_scenes == 0:
+        raise ConfigError("sweep: [world] val_scenes must be at least 1, "
+                          "since each cell is evaluated on the val split")
     cells = []
     for k in k_list:
         for seed in seeds:

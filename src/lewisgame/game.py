@@ -86,8 +86,7 @@ class RoundTrace:
 
 
 def play_rounds(blocks, listener: ListenerModel, inputs: np.ndarray,
-                generations: int, t_max: int, temperature: float = 1.0,
-                tape=None) -> list[RoundTrace]:
+                generations: int, t_max: int, tape=None) -> list[RoundTrace]:
     """Play drawn rounds: ``generations`` messages per round, one
     ``RoundTrace`` per block and one row of it per message.
 
@@ -103,11 +102,11 @@ def play_rounds(blocks, listener: ListenerModel, inputs: np.ndarray,
     is bounded by the scenes drawn, not by K × rounds; on a tape a scene
     that several rounds share sums their gradients. A block takes its own
     rows of the message summaries by ``T.embedding``, and on a tape its
-    row b's target log-prob by ``T.take_cols``. Temperature 0 decodes
-    greedily and needs no rng.
+    row b's target log-prob by ``T.take_cols``. A block whose rng is
+    None decodes greedily.
     """
     sampled = [speaker.sample(inputs[scenes[np.arange(targets.size), targets]],
-                              t_max, temperature, generations, rng, tape)
+                              t_max, generations, rng, tape)
                for speaker, scenes, targets, rng in blocks]
     v_msgs = listener.embed_message(
         [s.tokens for samples, _ in sampled for s in samples], tape)
@@ -130,14 +129,14 @@ def play_rounds(blocks, listener: ListenerModel, inputs: np.ndarray,
 
 
 def _play_round_traced(speakers, listener: ListenerModel, dataset: Dataset,
-                       config: GameConfig, rngs, temperature: float = 1.0,
-                       tape=None, n_rounds: int = 1) -> list[RoundTrace]:
+                       config: GameConfig, rngs, tape=None,
+                       n_rounds: int = 1) -> list[RoundTrace]:
     """Draw ``n_rounds`` training rounds' candidates for each speaker, from
     its own rng of ``rngs``, then play them: one block per speaker."""
     blocks = [(speaker, *sample_game_batch(dataset, config.k, n_rounds, rng),
                rng) for speaker, rng in zip(speakers, rngs)]
     return play_rounds(blocks, listener, dataset.model_inputs(),
-                       config.generations, config.t_max, temperature, tape)
+                       config.generations, config.t_max, tape)
 
 
 def solve_rate(probs: np.ndarray, targets: np.ndarray, top_n: int) -> float:

@@ -85,12 +85,12 @@ class ParameterSet:
                 return False
         return True
 
-    def subset(self, prefix: str, strip: bool = True) -> "ParameterSet":
-        """New set holding entries whose name starts with ``prefix``."""
+    def subset(self, prefix: str) -> "ParameterSet":
+        """New set of the entries under ``prefix``, named without it."""
         out = ParameterSet()
         for name, t in self.items():
             if name.startswith(prefix):
-                out.add(name[len(prefix):] if strip else name, t)
+                out.add(name[len(prefix):], t)
         return out
 
     def merged(self, prefix: str, other: "ParameterSet") -> "ParameterSet":

@@ -189,16 +189,16 @@ def mul(tape, a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def mean(tape, a: Tensor) -> Tensor:
-    """Mean over the middle axis of a rank-3 tensor, (n, m, d) -> (n, d)."""
-    if a.ndim != 3:
-        raise ShapeError(f"mean: needs rank 3, got shape {a.shape}")
+def mean(tape, a: Tensor, m: int) -> Tensor:
+    """Mean of each run of m rows of a rank-2 tensor, (n·m, d) -> (n, d)."""
+    if a.ndim != 2 or a.shape[0] % m:
+        raise ShapeError(f"mean: cannot pool {a.shape} in runs of {m} rows")
     req = a.requires_grad
-    out = Tensor(a.data.mean(axis=1, dtype=F32), req)
+    out = Tensor(a.data.reshape(-1, m, a.shape[1]).mean(axis=1, dtype=F32),
+                 req)
     if req and tape is not None:
         def rule(g):
-            m = a.shape[1]
-            return (np.repeat(g[:, None, :] / F32(m), m, axis=1),)
+            return (np.repeat(g / F32(m), m, axis=0),)
         tape.record(out, (a,), rule)
     return out
 

@@ -72,7 +72,6 @@ class TrainSettings:
     lr_speaker: float = 0.1
     lr_listener: float = 1e-3
     standardize_advantages: bool = False
-    temperature: float = 1.0
     clip_norm: float = 1.0
     eval_interval: int = 500
 
@@ -85,8 +84,6 @@ class TrainSettings:
                 raise ValueError(f"{key} must be finite and non-negative")
         if not self.clip_norm > 0:
             raise ValueError("clip_norm must be positive")
-        if not self.temperature >= 0:
-            raise ValueError("temperature must be >= 0")
 
 
 @dataclass
@@ -247,18 +244,16 @@ def train_step(replicas, listener: ListenerModel, dataset,
 
     tape = Tape()
     traces = _play_round_traced(replicas, listener, dataset, game_cfg, rngs,
-                                settings.temperature, tape,
-                                settings.targets_per_replica)
+                                tape, settings.targets_per_replica)
     spk_values, lst_values, adv_vars = [], [], []
     total = None
     for trace in traces:
         advs = group_advantages(trace, settings.standardize_advantages)
         lengths = trace.lengths
-        # each row's tokens share -A / (length * B); 0 past its end
+        # each row's tokens share -A / (length * B); past a row's end the
+        # node is 0 and its rule drops the gradient, so no mask is needed
         per_row = -advs / lengths.astype(F32) / F32(lengths.size)
-        live = np.arange(trace.logprobs.shape[1]) < lengths[:, None]
-        spk_node = sequence_loss(tape, trace.logprobs,
-                                 np.where(live, per_row[:, None], F32(0)))
+        spk_node = sequence_loss(tape, trace.logprobs, per_row[:, None])
         lst_node = sequence_loss(tape, trace.logp_target,
                                  F32(-1 / lengths.size))
         spk_values.append(spk_node.item())

@@ -367,9 +367,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.scenes)
 
-    def scene_ids(self) -> set[int]:
-        return {s.scene_id for s in self.scenes}
-
     def model_inputs(self) -> np.ndarray:
         """What the agents see: attribute vectors, or flat rasters."""
         if self.spec.raster:

@@ -228,8 +228,8 @@ def input_rows(tape, w: Tensor, lo: int, hi: int) -> Tensor:
 
 
 def encode(speaker, obs: np.ndarray, tape) -> Tensor:
-    """Observation to a (patches x d_e) set of vectors, one observation
-    at a time. ``SpeakerPolicy.encode`` runs the same ops over a whole
+    """Observation to its (patches, d_e) rows, one observation at a
+    time. ``SpeakerPolicy.encode`` runs the same ops over a whole
     stack, so the pair agrees by construction; the finite-difference
     checks in ``tests/test_agents.py`` are the independent ones."""
     cfg, p = speaker.cfg, speaker.params
@@ -255,7 +255,7 @@ def embed_images(listener, observations: np.ndarray, tape=None,
     rows = []
     for obs in observations:
         patches = encode(enc, obs, tape)
-        pooled = T.mean(tape, T.reshape(tape, patches, (1,) + patches.shape))
+        pooled = T.mean(tape, patches, len(patches.data))
         rows.append(T.matmul(tape, pooled, p["img.w"]))
     return concat(tape, rows, axis=0)
 
@@ -314,8 +314,9 @@ def step(speaker, tok: int, hidden: list, keys: Tensor, layer0, tape):
 
 
 def decode(speaker, patches, keys, h0, tape, *, tokens=None, t_max=0,
-           temperature=1.0, rng=None):
-    """Teacher-forced when ``tokens`` is given, sampling otherwise.
+           rng=None):
+    """Teacher-forced when ``tokens`` is given, sampling otherwise: from
+    the softmax with ``rng``, or greedily when it is None.
 
     Returns (tokens, (T, 1) tape node of the chosen tokens' log-probs),
     as ``decode_message`` returns a block's.
@@ -330,10 +331,10 @@ def decode(speaker, patches, keys, h0, tape, *, tokens=None, t_max=0,
         logits, hidden, _ = step(speaker, prev, hidden, keys, layer0, tape)
         logp = T.log_softmax(tape, logits)
         if sampling:
-            if temperature == 0:
+            if rng is None:
                 tok = int(np.argmax(logits.data))
             else:
-                x = logits.data[0].astype(np.float64) / temperature
+                x = logits.data[0].astype(np.float64)
                 x -= x.max()
                 prob = np.exp(x)
                 prob /= prob.sum()
@@ -356,15 +357,15 @@ def start(speaker, obs, tape):
     p = speaker.params
     patches = encode(speaker, obs, tape)
     keys = T.matmul(tape, patches, p["attn.we"])
-    pooled = T.mean(tape, T.reshape(tape, patches, (1,) + patches.shape))
+    pooled = T.mean(tape, patches, len(patches.data))
     h0 = [T.tanh(tape, T.add(tape, T.matmul(tape, pooled, p[f"init{l}.w"]),
                              p[f"init{l}.b"]))
           for l in range(speaker.cfg.n_layers)]
     return patches, keys, h0
 
 
-def sample(speaker, obs: np.ndarray, t_max: int, temperature: float,
-           n_samples: int, rng, tape=None):
+def sample(speaker, obs: np.ndarray, t_max: int, n_samples: int, rng,
+           tape=None):
     """``SpeakerPolicy.sample`` of one observation, one message at a
     time, built from individual ops; returns one (T, 1) node per
     message."""
@@ -372,7 +373,7 @@ def sample(speaker, obs: np.ndarray, t_max: int, temperature: float,
     samples, nodes = [], []
     for _ in range(n_samples):
         tokens, node = decode(speaker, patches, keys, h0, tape,
-                              t_max=t_max, temperature=temperature, rng=rng)
+                              t_max=t_max, rng=rng)
         samples.append(MessageSample(tuple(tokens)))
         nodes.append(node)
     return samples, nodes
@@ -389,15 +390,15 @@ def logprobs(speaker, obs: np.ndarray, tokens, tape=None):
 # listener message GRU (oracle for _decode.gru_sequence)
 
 
-def gru_sequence(emb: Tensor, tokens, h0: np.ndarray, w: Tensor, b: Tensor,
-                 tape) -> Tensor:
-    """Final hidden state of a GRU run over one token sequence: the
-    (V, 3·d_h) vocabulary table emb·W_x + b once, then one
+def gru_sequence(emb: Tensor, tokens, w: Tensor, b: Tensor, tape) -> Tensor:
+    """Final hidden state of a GRU run from zero over one token sequence:
+    the (V, 3·d_h) vocabulary table emb·W_x + b once, then one
     ``gru_cell_split`` per token on its row of the table."""
-    table = T.add(tape, T.matmul(tape, emb, input_rows(tape, w, h0.shape[1],
+    d = b.shape[0] // 3
+    table = T.add(tape, T.matmul(tape, emb, input_rows(tape, w, d,
                                                        w.shape[0])), b)
     w_state = state_rows(tape, w)
-    h = Tensor(h0)
+    h = Tensor(np.zeros((1, d), F32))
     for tok in tokens:
         h = gru_cell_split(tape, T.embedding(tape, table, [tok]), h, w_state)
     return h
@@ -406,9 +407,7 @@ def gru_sequence(emb: Tensor, tokens, h0: np.ndarray, w: Tensor, b: Tensor,
 def embed_message(listener, tokens, tape=None) -> Tensor:
     """``ListenerModel.embed_message`` of one message: (1, d_o)."""
     p = listener.params
-    h = gru_sequence(p["emb"], list(tokens),
-                     np.zeros((1, listener.cfg.d_o), F32), p["gru.w"],
-                     p["gru.b"], tape)
+    h = gru_sequence(p["emb"], list(tokens), p["gru.w"], p["gru.b"], tape)
     mid = T.tanh(tape, T.add(tape, T.matmul(tape, h, p["proj.l1.w"]),
                              p["proj.l1.b"]))
     return T.add(tape, T.matmul(tape, mid, p["proj.l2.w"]), p["proj.l2.b"])
@@ -573,8 +572,7 @@ def evaluate_agents(speaker, listener, dataset, k: int, n_rounds: int = 200,
         (scenes,), (target,) = sample_game_batch(dataset, k, 1, rng)
         obs = dataset.model_inputs()[scenes]
         target_idx = int(scenes[target])
-        (message,), (node,) = sample(speaker, obs[target], t_max, 0.0, 1,
-                                     None)
+        (message,), (node,) = sample(speaker, obs[target], t_max, 1, None)
         v_imgs = listener.embed_images(obs, None, encoder=speaker)
         v_m = embed_message(listener, message.tokens)
         logp = listener.log_probs(v_m, v_imgs, np.arange(k)[None, :])

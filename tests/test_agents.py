@@ -30,7 +30,7 @@ def world():
 def test_sample_contract(world):
     ds, cfg, speaker, _ = world
     rng = np.random.default_rng(0)
-    samples, node = speaker.sample(ds.model_inputs()[0], 12, 1.0, 5, rng)
+    samples, node = speaker.sample(ds.model_inputs()[0], 12, 5, rng)
     assert len(samples) == 5
     assert node.shape == (5, max(s.length for s in samples))
     assert (node.data <= 0).all()
@@ -40,14 +40,14 @@ def test_sample_contract(world):
         assert not row[s.length:].any()
         if EOS in s.tokens:
             assert s.tokens.index(EOS) == s.length - 1
-    # generally distinct at temperature 1
+    # generally distinct when drawn from the softmax
     assert len({s.tokens for s in samples}) > 1
 
 
 def test_greedy_is_deterministic(world):
     ds, _, speaker, _ = world
-    (a,), a_node = speaker.sample(ds.model_inputs()[3], 12, 0.0, 1, None)
-    (b,), b_node = speaker.sample(ds.model_inputs()[3], 12, 0.0, 1, None)
+    (a,), a_node = speaker.sample(ds.model_inputs()[3], 12, 1, None)
+    (b,), b_node = speaker.sample(ds.model_inputs()[3], 12, 1, None)
     assert a.tokens == b.tokens
     assert a_node.data.tobytes() == b_node.data.tobytes()
 
@@ -56,14 +56,14 @@ def test_greedy_is_deterministic(world):
 def test_sample_refuses_fewer_than_one_step(world, t_max):
     ds, _, speaker, _ = world
     with pytest.raises(ValueError, match=f"t_max must be >= 1, got {t_max}"):
-        speaker.sample(ds.model_inputs()[3], t_max, 0.0, 1, None)
+        speaker.sample(ds.model_inputs()[3], t_max, 1, None)
 
 
 def test_sampling_deterministic_given_seed(world):
     ds, _, speaker, _ = world
-    s1, _ = speaker.sample(ds.model_inputs()[1], 12, 1.0, 3,
+    s1, _ = speaker.sample(ds.model_inputs()[1], 12, 3,
                            np.random.default_rng(99))
-    s2, _ = speaker.sample(ds.model_inputs()[1], 12, 1.0, 3,
+    s2, _ = speaker.sample(ds.model_inputs()[1], 12, 3,
                            np.random.default_rng(99))
     assert [m.tokens for m in s1] == [m.tokens for m in s2]
 
@@ -72,7 +72,7 @@ def test_rescoring_reproduces_sampled_logprobs_bitwise(world):
     # a sampled block rescored teacher-forced as a block of the same shape
     ds, _, speaker, _ = world
     obs = ds.model_inputs()[2:5]
-    samples, node = speaker.sample(obs, 12, 1.0, 5,
+    samples, node = speaker.sample(obs, 12, 5,
                                    np.random.default_rng(5))
     rescored = speaker.logprobs(np.repeat(obs, 5, axis=0),
                                 [s.tokens for s in samples])
@@ -104,7 +104,7 @@ def test_early_ended_sample_gradients_match_rescoring_bitwise(world,
         speaker.params.zero_grads()
         tape = Tape()
         if path == "sampled":
-            samples, node = speaker.sample(obs, t_max, 1.0, 4,
+            samples, node = speaker.sample(obs, t_max, 4,
                                            np.random.default_rng(8), tape)
         else:
             node = speaker.logprobs(np.repeat(obs, 4, axis=0),
@@ -125,9 +125,9 @@ def test_fused_and_generic_paths_agree_bitwise(world):
     ds, _, speaker, _ = world
     for i, seed in ((4, 1), (5, 2), (6, 3), (7, 4)):
         obs = ds.model_inputs()[i]
-        (f1,), n1 = speaker.sample(obs, 10, 1.0, 1,
+        (f1,), n1 = speaker.sample(obs, 10, 1,
                                    np.random.default_rng(seed))
-        (f2,), (n2,) = reference.sample(speaker, obs, 10, 1.0, 1,
+        (f2,), (n2,) = reference.sample(speaker, obs, 10, 1,
                                         np.random.default_rng(seed))
         assert f1.tokens == f2.tokens
         assert n1.data.tobytes() == n2.data.tobytes()
@@ -174,7 +174,7 @@ def test_sample_encodes_each_observation_once(world, monkeypatch):
     for g in (1, 5):
         products.clear()
         tape = Tape()
-        _, node = speaker.sample(obs, 6, 1.0, g, np.random.default_rng(3),
+        _, node = speaker.sample(obs, 6, g, np.random.default_rng(3),
                                  tape)
         assert node.shape[0] == 4 * g
         assert products[0] == ((4, cfg.obs_dim), speaker.params["enc.l1.w"])
@@ -195,10 +195,10 @@ def test_untaped_forward_passes_match_taped_bitwise(world, n_layers):
     def same(a, b):
         assert a.shape == b.shape and a.data.tobytes() == b.data.tobytes()
 
-    for temperature in (1.0, 0.0):
+    for seed in (5, None):  # sampled, then greedy
         (s0, n0), (s1, n1) = (
-            speaker.sample(obs, 8, temperature, 3,
-                           np.random.default_rng(5), tape)
+            speaker.sample(obs, 8, 3, None if seed is None
+                           else np.random.default_rng(seed), tape)
             for tape in (None, Tape()))
         assert [m.tokens for m in s0] == [m.tokens for m in s1]
         same(n0, n1)
@@ -215,14 +215,12 @@ def test_draw_one_row_matches_rng_choice():
     rng = np.random.default_rng(0)
     for seed in range(500):
         logits = rng.normal(0, 2, (1, 23)).astype(np.float32)
-        temperature = (0.5, 1.0, 1.7)[seed % 3]
-        xs = logits.ravel().astype(np.float64) / temperature
+        xs = logits.ravel().astype(np.float64)
         xs -= xs.max()
         prob = np.exp(xs)
         prob /= prob.sum()
         want = np.random.default_rng(seed).choice(23, p=prob)
-        got = _draw(logits, temperature, np.random.default_rng(seed),
-                    np.ones(1, bool))
+        got = _draw(logits, np.random.default_rng(seed), np.ones(1, bool))
         assert got.tolist() == [want]
 
 
@@ -231,13 +229,15 @@ def test_draw_takes_one_uniform_per_row_in_row_order():
     rng = np.random.default_rng(1)
     logits = rng.normal(0, 2, (6, 11)).astype(np.float32)
     live = np.array([True, False, True, True, False, True])
-    block = _draw(logits, 1.0, np.random.default_rng(9), live)
+    block = _draw(logits, np.random.default_rng(9), live)
     stream = np.random.default_rng(9)
-    rows = [_draw(row[None], 1.0, stream, np.ones(1, bool))[0] if on
+    rows = [_draw(row[None], stream, np.ones(1, bool))[0] if on
             else EOS for row, on in zip(logits, live)]
     assert block.tolist() == rows
+    # greedy if and only if there is no rng
     greedy = np.where(live, np.argmax(logits, 1), EOS)
-    assert _draw(logits, 0.0, None, live).tolist() == greedy.tolist()
+    assert _draw(logits, None, live).tolist() == greedy.tolist()
+    assert block.tolist() != greedy.tolist()
 
 
 # Largest differences between a row of a block and the op-by-op oracle
@@ -320,7 +320,7 @@ def test_sampled_block_gradients_match_per_message_reference(world, n_layers):
     obs = ds.model_inputs()[10:13]
     speaker.params.zero_grads()
     tape = Tape()
-    samples, node = speaker.sample(obs, 12, 1.0, 5,
+    samples, node = speaker.sample(obs, 12, 5,
                                    np.random.default_rng(4), tape)
     weights = np.random.default_rng(5).normal(0, 1, node.shape)
     backward(tape, T.tsum(tape, T.mul(tape, node, Tensor(weights))))
@@ -403,7 +403,7 @@ def _assert_grads_close(fused: dict, generic: dict) -> None:
 def test_fused_and_generic_gradients_agree(world):
     ds, _, speaker, _ = world
     obs = ds.model_inputs()[6]
-    msg, _ = speaker.sample(obs, 8, 1.0, 1, np.random.default_rng(3))
+    msg, _ = speaker.sample(obs, 8, 1, np.random.default_rng(3))
     grads = {}
     fused = lambda o, m, tape: speaker.logprobs(o[None], [m], tape)
     for path, logprobs in (("fused", fused),
@@ -466,19 +466,18 @@ def test_encode_gradients_match_finite_differences(encoder_world):
     obs = ds.model_inputs()[:2]
     loss = _weighted_sum(speaker.encode(obs, None), 1)
     err = gradcheck(lambda ps, tape: loss(tape, speaker.encode(obs, tape)),
-                    speaker.params.subset("enc.", strip=False),
-                    eps=1e-2, n_coords=6)
+                    speaker.params.subset("enc."), eps=1e-2, n_coords=6)
     assert err < 1e-3, f"gradcheck error {err}"
 
 
 def test_listener_projection_gradients_match_finite_differences(world):
     ds, _, speaker, listener = world
     messages = [s.tokens for s in speaker.sample(
-        ds.model_inputs()[:3], 6, 1.0, 1, np.random.default_rng(4))[0]]
+        ds.model_inputs()[:3], 6, 1, np.random.default_rng(4))[0]]
     loss = _weighted_sum(listener.embed_message(messages), 2)
     err = gradcheck(
         lambda ps, tape: loss(tape, listener.embed_message(messages, tape)),
-        listener.params.subset("proj.", strip=False), eps=1e-2, n_coords=6)
+        listener.params.subset("proj."), eps=1e-2, n_coords=6)
     assert err < 1e-3, f"gradcheck error {err}"
 
 
@@ -489,7 +488,7 @@ def test_speaker_refuses_observations_of_another_width(world):
     rng = np.random.default_rng(0)
     calls = [lambda: speaker.encode(wide, None),
              lambda: speaker.encode(wide[0], None),
-             lambda: speaker.sample(wide[0], 4, 1.0, 2, rng),
+             lambda: speaker.sample(wide[0], 4, 2, rng),
              lambda: speaker.logprobs(wide, [[3, 4], [5]])]
     for call in calls:
         with pytest.raises(ShapeError, match=f"obs_dim {cfg.obs_dim}"):
@@ -572,24 +571,18 @@ def _listener_gru(listener):
 def test_gru_sequence_matches_reference_bitwise(world):
     _, _, _, listener = world
     emb = listener.params["emb"]
-    d_o = listener.cfg.d_o
-    rng = np.random.default_rng(2)
     for tokens in ([5], [4, 2, 1], [7, 7, 3, 9, 2, 5]):
-        for h0 in (np.zeros((1, d_o), np.float32),
-                   rng.normal(0, 1, (1, d_o)).astype(np.float32)):
-            fused = gru_sequence(emb, np.array(tokens)[:, None],
-                                 [len(tokens)], h0,
-                                 *_listener_gru(listener), None)
-            generic = reference.gru_sequence(emb, tokens, h0,
-                                             *_listener_gru(listener), None)
-            assert fused.shape == generic.shape
-            assert fused.data.tobytes() == generic.data.tobytes()
+        fused = gru_sequence(emb, np.array(tokens)[:, None], [len(tokens)],
+                             *_listener_gru(listener), None)
+        generic = reference.gru_sequence(emb, tokens,
+                                         *_listener_gru(listener), None)
+        assert fused.shape == generic.shape
+        assert fused.data.tobytes() == generic.data.tobytes()
 
 
 def test_gru_sequence_gradients_match_reference(world):
     _, _, _, listener = world
     tokens = [7, 7, 3, 9, 2, 5]
-    h0 = np.zeros((1, listener.cfg.d_o), np.float32)
     weights = Tensor(np.random.default_rng(1).normal(
         0, 1, (1, listener.cfg.d_o)))
     grads = {}
@@ -598,8 +591,7 @@ def test_gru_sequence_gradients_match_reference(world):
     for path, run in (("fused", fused), ("generic", reference.gru_sequence)):
         listener.params.zero_grads()
         tape = Tape()
-        h = run(listener.params["emb"], tokens, h0, *_listener_gru(listener),
-                tape)
+        h = run(listener.params["emb"], tokens, *_listener_gru(listener), tape)
         backward(tape, T.tsum(tape, T.mul(tape, h, weights)))
         grads[path] = _grads(listener.params)
     _assert_grads_close(grads["fused"], grads["generic"])

@@ -451,8 +451,6 @@ def _train_config(path, dataset, run, **overrides):
     ("train", "train", {"targets_per_replica": 0},
      "[train] targets_per_replica must be at least 1"),
     ("train", "train", {"clip_norm": -1}, "[train] clip_norm must be positive"),
-    ("train", "train", {"temperature": -1},
-     "[train] temperature must be >= 0"),
     ("eval", "eval", {"rounds": 0}, "[eval] rounds must be at least 1"),
     ("sweep", "eval", {"rounds": 0}, "[eval] rounds must be at least 1"),
     ("train", "train", {"steps": -5}, "[train] steps must be at least 0"),
@@ -467,8 +465,7 @@ def _train_config(path, dataset, run, **overrides):
     ("gen-world", "world", {"grid": 255},
      "[world] grid 255 gives 3-object scene ids past LGW1's u64"),
 ], ids=["game-k", "world-objects", "train-replicas", "train-targets",
-        "train-clip-norm",
-        "train-temperature", "eval-rounds-eval", "eval-rounds-sweep",
+        "train-clip-norm", "eval-rounds-eval", "eval-rounds-sweep",
         "train-steps-negative", "train-lr-speaker-nan",
         "world-raster-size-zero", "world-seed-past-u64", "world-noise-nan",
         "world-grid-past-u64-ids"])
@@ -494,8 +491,9 @@ def test_bad_config_value_exits_1(eval_files, tmp_path, command, section,
     ("model", "d_att", "12"),
     ("model", "listener_stop_gradient", "true"),
     ("game", "gamma", "0.95"),
+    ("train", "temperature", "1.0"),
 ], ids=["baseline_mode", "optimizer_speaker", "optimizer_listener", "d_att",
-        "listener_stop_gradient", "gamma"])
+        "listener_stop_gradient", "gamma", "temperature"])
 def test_removed_config_key_exits_1(eval_files, tmp_path, section, key,
                                     value):
     # the training recipe is fixed in code: these switches no longer exist

@@ -118,7 +118,6 @@ OUT_OF_RANGE = [
     ("train", "lr_speaker", "nan", "lr_speaker must be finite and non-negative"),
     ("train", "lr_listener", "-0.001",
      "lr_listener must be finite and non-negative"),
-    ("train", "temperature", "nan", "temperature must be >= 0"),
     ("train", "clip_norm", "nan", "clip_norm must be positive"),
     ("train", "sync_period", "-1", "sync_period must be at least 0"),
     ("train", "eval_interval", "-1", "eval_interval must be at least 0"),
@@ -149,6 +148,13 @@ def test_parse_config_refuses_the_deleted_discount():
     with pytest.raises(ConfigError, match=re.escape(
             "unknown key 'gamma' in section [game]")):
         parse_config("[game]\ngamma = 0.95\n")
+
+
+def test_parse_config_refuses_the_deleted_temperature():
+    # messages are drawn from the logits' own softmax, or greedily
+    with pytest.raises(ConfigError, match=re.escape(
+            "unknown key 'temperature' in section [train]")):
+        parse_config("[train]\ntemperature = 1.0\n")
 
 
 @pytest.mark.parametrize("key", ["lr_speaker", "lr_listener"])

@@ -12,7 +12,7 @@ import pytest
 import reference
 from lewisgame.agents import ListenerModel, ModelConfig, SpeakerPolicy
 from lewisgame.cli import main
-from lewisgame.config import RunConfig
+from lewisgame.config import ConfigError, RunConfig
 from lewisgame.evaluate import ablation_sweep, bleu, evaluate_agents
 from lewisgame.training import Trainer
 from lewisgame.world import WorldSpec, generate_splits
@@ -125,7 +125,7 @@ def _tiny_config() -> RunConfig:
     cfg.train = replace(cfg.train, steps=2, seed=1, replicas=2,
                         sync_period=1, targets_per_replica=2, lr_speaker=0.05,
                         lr_listener=0.01, standardize_advantages=True,
-                        temperature=0.8, clip_norm=0.5)
+                        clip_norm=0.5)
     cfg.eval = replace(cfg.eval, rounds=6, seed=9)
     return cfg
 
@@ -165,6 +165,24 @@ def test_sweep_cell_equals_direct_run(tmp_path, capsys):
     assert rows == [{**expected.row(run_id="sweep", seed=5),
                      "train_reward": train_reward}]
     assert "K=4: coverage" in capsys.readouterr().out
+
+
+def test_sweep_without_a_val_split_is_refused_before_any_cell(tmp_path,
+                                                              capsys):
+    # its cells would be scored on the scenes they trained on
+    cfg = _tiny_config()
+    cfg.world = replace(cfg.world, val_scenes=0)
+    with pytest.raises(ConfigError, match=r"\[world\] val_scenes must be at least 1"):
+        ablation_sweep(cfg, [4], [5])
+    config_path = tmp_path / "run.ini"
+    config_path.write_text(cfg.to_text(), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["sweep", "--config", str(config_path), "--k-list", "4",
+                 "--seeds", "5", "--out", str(tmp_path / "sweep.jsonl")])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["run.ini"]
 
 
 def test_sweep_cell_of_zero_steps_has_no_train_reward():

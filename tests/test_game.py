@@ -121,7 +121,7 @@ def test_play_rounds_with_shared_scenes_matches_per_round_reference(setup):
         p.zero_grads()
     tape = Tape()
     (trace,) = play_rounds([(speaker, scenes, targets, rng)], listener,
-                           inputs, g, 6, 1.0, tape)
+                           inputs, g, 6, tape)
     width = trace.logprobs.shape[1]
     backward(tape, T.add(tape, T.tsum(tape, T.mul(
         tape, trace.logprobs, Tensor(weights[:, :width]))),
@@ -183,7 +183,7 @@ def test_one_listener_block_matches_each_speaker_block_alone(setup,
         tape = Tape()
         traces = _play_round_traced(
             players, listener, ds, cfg,
-            [np.random.default_rng(s) for s in seeds], 1.0, tape, 2)
+            [np.random.default_rng(s) for s in seeds], tape, 2)
         loss = None
         for trace in traces:
             width = trace.logprobs.shape[1]

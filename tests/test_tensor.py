@@ -60,6 +60,14 @@ def test_log_softmax_refuses_ranks_other_than_two():
             T.log_softmax(None, Tensor(np.zeros(shape, np.float32)))
 
 
+def test_mean_pools_runs_of_rows_and_refuses_a_ragged_last_run():
+    a = Tensor(np.arange(12, dtype=np.float32).reshape(6, 2))
+    assert T.mean(None, a, 3).data.tolist() == [[2, 3], [8, 9]]
+    for shape, m in [((5, 2), 3), ((6,), 3), ((2, 3, 2), 3)]:
+        with pytest.raises(ShapeError, match="mean"):
+            T.mean(None, Tensor(np.zeros(shape, np.float32)), m)
+
+
 def test_add_and_mul_refuse_mismatched_operands():
     a = Tensor(np.zeros((2, 3), np.float32))
     # add takes a's shape or a row over a's rows; mul only a's shape
@@ -311,7 +319,7 @@ OP_CASES = {
         t, reference.concat(t, [p["p0"], p["p1"]], axis=1))),
         [(2, 3), (2, 2)]),
     "mean_axis1": (lambda p, t: T.tsum(t, T.tanh(t, T.mul(
-        t, T.mean(t, p["p0"]), p["p1"]))), [(3, 4, 2), (3, 2)]),
+        t, T.mean(t, p["p0"], 4), p["p1"]))), [(12, 2), (3, 2)]),
     "inner": (lambda p, t: T.tsum(t, T.tanh(t, T.inner(t, p["p0"], p["p1"]))),
               [(3, 4), (5, 4)]),
     "take_cols": (lambda p, t: T.tsum(t, T.tanh(t, T.take_cols(

@@ -192,7 +192,7 @@ def _played_rounds(trainer_setup, seed, n_rounds):
     rng = np.random.default_rng(seed)
     tape = Tape()
     (trace,) = _play_round_traced([tr.speaker], tr.listener, ds, gcfg,
-                                  [rng], 1.0, tape, n_rounds)
+                                  [rng], tape, n_rounds)
     return tape, trace
 
 

@@ -108,9 +108,11 @@ def test_splits_disjoint_by_scene_id():
     splits = generate_splits(21, WorldSpec(), 50, 20, 10)
     train, val, test = splits["train"], splits["val"], splits["test"]
     assert len(train) == 50 and len(val) == 20 and len(test) == 10
-    assert not (train.scene_ids() & val.scene_ids())
-    assert not (train.scene_ids() & test.scene_ids())
-    assert not (val.scene_ids() & test.scene_ids())
+    train_ids, val_ids, test_ids = ({s.scene_id for s in ds.scenes}
+                                    for ds in (train, val, test))
+    assert not (train_ids & val_ids)
+    assert not (train_ids & test_ids)
+    assert not (val_ids & test_ids)
 
 
 def test_raster_renders_colors_in_place():
