@@ -23,7 +23,7 @@ from .agents import ListenerModel, SpeakerPolicy, model_config_from_params
 from .config import ConfigError, RunConfig, load_config
 from .evaluate import (EVAL_METRICS, ablation_sweep, ema, evaluate_agents,
                        sweep_summary)
-from .params import (FormatError, ParameterSet, check_layout,
+from .params import (FormatError, ParameterSet, check_layout, is_count,
                      load_checkpoint, save_checkpoint, write_atomic)
 from .training import NumericalFailureError, supervised_pretrain
 from .world import CapacityError, SamplingError, load_dataset, save_dataset
@@ -147,10 +147,15 @@ def cmd_eval(args) -> int:
     dataset = load_dataset(args.dataset)
     state = load_checkpoint(args.checkpoint)
     speaker, listener = _agents_from_checkpoint(state, dataset)
+    step = -1  # a checkpoint of agents alone records no training step
+    if "meta.step" in state:
+        if not is_count(state["meta.step"].data):
+            raise FormatError("meta.step is not a whole number >= 0")
+        step = int(state["meta.step"].data[0])
     report = evaluate_agents(speaker, listener, dataset, k=cfg.game.k,
                              n_rounds=cfg.eval.rounds, t_max=cfg.game.t_max,
                              seed=cfg.eval.seed)
-    row = report.row(run_id=os.path.basename(args.checkpoint),
+    row = report.row(run_id=os.path.basename(args.checkpoint), step=step,
                      seed=cfg.eval.seed)
     for name in EVAL_METRICS:
         print(f"{name}: {row[name]:.4f}")
@@ -180,7 +185,7 @@ def cmd_sweep(args) -> int:
             for c in cells:
                 if "report" in c:
                     fh.write(json.dumps({**c["report"].row(
-                        run_id="sweep", seed=c["seed"]),
+                        run_id="sweep", step=cfg.train.steps, seed=c["seed"]),
                         "train_reward": c["train_reward"]}) + "\n")
                 else:
                     fh.write(json.dumps(c) + "\n")

@@ -15,7 +15,7 @@ import struct
 
 import numpy as np
 
-from .tensor import F32, Tensor
+from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"LGC1"
 
@@ -167,24 +167,8 @@ class _Reader:
         self.off += n
         return piece
 
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def f32(self) -> float:
-        return struct.unpack("<f", self.take(4))[0]
-
-    def f32_array(self, n: int) -> np.ndarray:
-        raw = self.take(4 * n)
-        return np.frombuffer(raw, dtype="<f4").astype(F32, copy=False)
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
 def load_checkpoint(path: str) -> ParameterSet:
@@ -198,20 +182,20 @@ def load_checkpoint(path: str) -> ParameterSet:
             raise UnsupportedVersionError(
                 f"unsupported checkpoint version {magic!r}", 0)
         raise FormatError(f"bad magic {magic!r}", 0)
-    count = r.u32()
+    (count,) = r.unpack("<I")
     out = ParameterSet()
     for _ in range(count):
         start = r.off
         try:
-            name = r.take(r.u16()).decode("utf-8")
+            name = r.take(*r.unpack("<H")).decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError("entry name is not UTF-8", start) from None
         if name in out:
             raise FormatError(f"repeated entry {name!r}", start)
-        rank = r.u8()
-        shape = tuple(r.u32() for _ in range(rank))
-        data = r.f32_array(math.prod(shape)).reshape(shape)
-        out.add(name, Tensor(data.copy(), True))
+        (rank,) = r.unpack("<B")
+        shape = r.unpack(f"<{rank}I")
+        data = np.frombuffer(r.take(4 * math.prod(shape)), "<f4")
+        out.add(name, Tensor(data.reshape(shape).copy(), True))
     if r.off != len(blob):
         raise FormatError(f"{len(blob) - r.off} trailing bytes", r.off)
     return out

@@ -7,14 +7,15 @@ supervised warm starts. All randomness is keyed by explicit seeds;
 regenerating with the same seed and spec is bitwise identical.
 
 World file layout (all integers little-endian): magic ``LGW1``, u16
-version 2, then u8 grid, u8 min objects, u8 max objects, u8 raster flag,
-u16 raster size, f32 noise, u64 seed, u8 split code (0 train, 1 val,
-2 test) and u32 scene count, 29 bytes in all. Each scene follows as a
-u64 id, a u8 object count, and per object (in cell order) five u8:
-shape, color, size, row, col. Observations, rasters and captions are
-functions of the header and the scenes, so the file does not hold them:
-loading rebuilds them through ``Dataset``'s constructor, as generating
-the split built them.
+version 2, then ``_HEADER``: u8 grid, u8 min objects, u8 max objects,
+u8 raster flag, u16 raster size, f32 noise, u64 seed, u8 split code
+(0 train, 1 val, 2 test) and u32 scene count, 29 bytes in all. Each
+scene follows as ``_SCENE``, a u64 id and a u8 object count, and per
+object (in cell order) ``_OBJECT``, five u8: shape, color, size, row,
+col. Observations, rasters and captions are functions of the header
+and the scenes, so the file does not hold them: loading rebuilds them
+through ``Dataset``'s constructor, as generating the split built them,
+and a change to how they are drawn moves no file byte and no version.
 """
 
 from __future__ import annotations
@@ -40,13 +41,16 @@ BOS, EOS, PAD, UNK = 0, 1, 2, 3
 
 DATASET_MAGIC = b"LGW1"
 DATASET_VERSION = 2
+# the LGW1 records that follow the magic and the version, as ``struct``
+# formats that both save_dataset and load_dataset use
+_HEADER, _SCENE, _OBJECT = "<BBBBHfQBI", "<QB", "<5B"
 
 _N_ATTR = len(SHAPES) * len(COLORS) * len(SIZES)  # 60 attribute combos
 _SPLIT_CODES = {"train": 0, "val": 1, "test": 2}
 _SPLIT_NAMES = {v: k for k, v in _SPLIT_CODES.items()}
-# byte offset in an LGW1 file of each header field a WorldSpec checks
+# byte offset in an LGW1 file of each header field load_dataset checks
 _HEADER_OFFSETS = {"grid": 6, "min_objects": 7, "max_objects": 8,
-                   "raster_size": 10, "noise": 12}
+                   "raster": 9, "raster_size": 10, "noise": 12, "split": 24}
 
 
 class CapacityError(ValueError):
@@ -261,7 +265,7 @@ def observation_vectors(scenes, spec: WorldSpec, rng) -> np.ndarray:
     return obs
 
 
-# glyph masks on a 4x4 cell; small variants sit in the 2x2 center
+# glyph masks on a 4x4 cell; small ones, each its own, in the 2x2 center
 _GLYPHS_BIG = {
     "circle": [(0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2)],
     "square": [(r, c) for r in range(4) for c in range(4)
@@ -272,7 +276,7 @@ _GLYPHS_BIG = {
               (1, 0), (1, 3), (2, 0), (2, 3)],
 }
 _GLYPHS_SMALL = {
-    "circle": [(1, 1), (1, 2), (2, 1), (2, 2)],
+    "circle": [(1, 2), (2, 1)],
     "square": [(1, 1), (1, 2), (2, 1), (2, 2)],
     "triangle": [(1, 1), (2, 1), (2, 2)],
     "star": [(1, 1), (2, 2)],
@@ -419,16 +423,15 @@ def sample_game_batch(dataset: Dataset, k: int, n: int,
 def save_dataset(dataset: Dataset, path: str) -> None:
     spec = dataset.spec
     chunks = [
-        DATASET_MAGIC,
-        struct.pack("<HBBBBHfQBI", DATASET_VERSION, spec.grid,
-                    spec.min_objects, spec.max_objects, spec.raster,
-                    spec.raster_size, spec.noise, dataset.seed,
+        DATASET_MAGIC + struct.pack("<H", DATASET_VERSION),
+        struct.pack(_HEADER, spec.grid, spec.min_objects, spec.max_objects,
+                    spec.raster, spec.raster_size, spec.noise, dataset.seed,
                     _SPLIT_CODES[dataset.split], len(dataset)),
     ]
     for scene in dataset.scenes:
-        chunks.append(struct.pack("<QB", scene.scene_id, len(scene.objects)))
+        chunks.append(struct.pack(_SCENE, scene.scene_id, len(scene.objects)))
         for o in scene.objects:
-            chunks.append(struct.pack("<5B", o.shape, o.color, o.size,
+            chunks.append(struct.pack(_OBJECT, o.shape, o.color, o.size,
                                       o.row, o.col))
     # one join costs less than a write per chunk of a few bytes
     write_atomic(path, [b"".join(chunks)])
@@ -441,20 +444,18 @@ def load_dataset(path: str) -> Dataset:
     magic = r.take(4)
     if magic != DATASET_MAGIC:
         raise FormatError(f"bad magic {magic!r}", 0)
-    version = r.u16()
+    (version,) = r.unpack("<H")
     if version != DATASET_VERSION:
         raise UnsupportedVersionError(
             f"unsupported dataset version {version}", 4)
-    grid, min_obj, max_obj, raster_flag, raster_size = struct.unpack(
-        "<BBBBH", r.take(6))
+    (grid, min_obj, max_obj, raster_flag, raster_size, noise, seed,
+     split_code, n_scenes) = r.unpack(_HEADER)
     if raster_flag > 1:
-        raise FormatError(f"raster flag must be 0 or 1, not {raster_flag}", 9)
-    noise = r.f32()
-    seed = r.u64()
-    split = _SPLIT_NAMES.get(r.u8())
+        raise FormatError(f"raster flag must be 0 or 1, not {raster_flag}",
+                          _HEADER_OFFSETS["raster"])
+    split = _SPLIT_NAMES.get(split_code)
     if split is None:
-        raise FormatError("bad split tag", r.off - 1)
-    n_scenes = r.u32()
+        raise FormatError("bad split tag", _HEADER_OFFSETS["split"])
     try:
         spec = WorldSpec(grid=grid, min_objects=min_obj, max_objects=max_obj,
                          noise=noise, raster=bool(raster_flag),
@@ -465,12 +466,11 @@ def load_dataset(path: str) -> Dataset:
     scenes, seen = [], set()
     for _ in range(n_scenes):
         start = r.off
-        sid = r.u64()
-        count = r.u8()
+        sid, count = r.unpack(_SCENE)
         if not min_obj <= count <= max_obj:
             raise FormatError(f"scene {sid} holds {count} objects, outside "
                               f"[{min_obj}, {max_obj}]", start)
-        objs = [ObjectSpec(*r.take(5)) for _ in range(count)]
+        objs = [ObjectSpec(*r.unpack(_OBJECT)) for _ in range(count)]
         try:
             scene = Scene.from_objects(objs, grid)
         except ValueError as exc:

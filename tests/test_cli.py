@@ -392,6 +392,33 @@ def test_eval_honours_the_config_environment_variable(eval_files, tmp_path):
     assert row == report.row(run_id="agents.lgc", seed=9)
 
 
+def test_eval_row_carries_the_checkpoints_training_step(eval_files,
+                                                       tmp_path):
+    # a trained checkpoint's rows can be ordered by its meta.step (agents
+    # alone keep -1, as above); a step that is not a count exits 2
+    config = _train_config(tmp_path / "run.ini", eval_files / "world.lgw",
+                           tmp_path, train={"steps": 2})
+    assert _run_cli("train", "--config", config).returncode == 0
+    latest = tmp_path / "ckpt" / "latest.lgc"
+    state = load_checkpoint(str(latest))
+    save_checkpoint(_edited(state, "meta.step", [0.5]),
+                    str(tmp_path / "half.lgc"))
+    out = tmp_path / "eval.jsonl"
+
+    def run_eval(checkpoint):
+        return _run_cli("eval", "--config", config, "--checkpoint",
+                        str(checkpoint), "--dataset",
+                        str(eval_files / "world.lgw"), "--out", str(out))
+    proc = run_eval(latest)
+    assert proc.returncode == 0, proc.stderr
+    (row,) = [json.loads(line) for line in out.read_text().splitlines()]
+    assert row["step"] == state["meta.step"].data[0] == 2
+    proc = run_eval(tmp_path / "half.lgc")
+    assert proc.returncode == 2
+    assert proc.stderr == "data error: meta.step is not a whole number >= 0\n"
+    assert len(out.read_text().splitlines()) == 1
+
+
 def test_config_with_unknown_section_exits_1(tmp_path):
     config = tmp_path / "bad.ini"
     config.write_text("[game]\nk = 8\n\n[gaem]\nk = 8\n", encoding="utf-8")

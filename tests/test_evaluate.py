@@ -162,7 +162,7 @@ def test_sweep_cell_equals_direct_run(tmp_path, capsys):
     expected, reports = _direct_run(cfg, k=4, seed=5)
     # steps 5 and 6 of 6
     train_reward = np.mean([r.mean_reward for r in reports[4:]])
-    assert rows == [{**expected.row(run_id="sweep", seed=5),
+    assert rows == [{**expected.row(run_id="sweep", step=6, seed=5),
                      "train_reward": train_reward}]
     assert "K=4: coverage" in capsys.readouterr().out
 

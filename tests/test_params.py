@@ -61,13 +61,20 @@ def test_checkpoint_file_bytes_deterministic(tmp_path):
 
 
 def test_truncated_checkpoint_reports_offset(tmp_path):
+    # every proper prefix is refused as truncated, at a byte inside it
     ps = _sample_set()
     path = str(tmp_path / "state.lgc")
     save_checkpoint(ps, path)
     blob = Path(path).read_bytes()
-    Path(path).write_bytes(blob[:len(blob) // 2])
-    with pytest.raises(FormatError, match="at byte"):
+    for n in range(len(blob)):
+        Path(path).write_bytes(blob[:n])
+        with pytest.raises(FormatError, match="^truncated file") as err:
+            load_checkpoint(path)
+        assert err.value.offset <= n
+    Path(path).write_bytes(blob + b"\0")
+    with pytest.raises(FormatError) as err:
         load_checkpoint(path)
+    assert str(err.value) == f"1 trailing bytes (at byte {len(blob)})"
 
 
 def test_bad_magic_is_format_error(tmp_path):

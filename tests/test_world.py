@@ -8,11 +8,11 @@ import pytest
 from reference import generate_dataset
 
 from lewisgame.params import FormatError, UnsupportedVersionError
-from lewisgame.world import (BOS, EOS, PAD, UNK, CapacityError, Dataset,
-                             ObjectSpec, SamplingError, Scene, Vocabulary,
-                             WorldSpec, build_captions, generate_splits,
-                             load_dataset, render_raster, sample_game_batch,
-                             save_dataset)
+from lewisgame.world import (BOS, EOS, PAD, SHAPES, SIZES, UNK,
+                             CapacityError, Dataset, ObjectSpec,
+                             SamplingError, Scene, Vocabulary, WorldSpec,
+                             build_captions, generate_splits, load_dataset,
+                             render_raster, sample_game_batch, save_dataset)
 
 
 def _derived(ds):
@@ -129,6 +129,15 @@ def test_raster_renders_colors_in_place():
     assert outside.max() == 0.0           # empty cells stay black
 
 
+def test_every_shape_and_size_renders_its_own_pixels():
+    # one object at a time, in one color and cell, at the default raster
+    spec = WorldSpec(min_objects=1, max_objects=1, raster=True)
+    images = {render_raster(Scene.from_objects(
+        [ObjectSpec(shape, 0, size, 1, 2)], spec.grid), spec).tobytes()
+        for shape in range(len(SHAPES)) for size in range(len(SIZES))}
+    assert len(images) == len(SHAPES) * len(SIZES)
+
+
 def test_raster_deterministic():
     spec = WorldSpec(raster=True)
     ds1 = generate_dataset(13, 12, spec)
@@ -234,13 +243,21 @@ def test_dataset_file_bytes_deterministic(tmp_path):
 
 
 def test_dataset_truncation_reports_offset(tmp_path):
-    ds = generate_dataset(17, 25, WorldSpec())
+    # every proper prefix of an attribute and of a raster world is
+    # refused as truncated, at a byte inside the prefix
     path = str(tmp_path / "w.lgw")
-    save_dataset(ds, path)
-    blob = Path(path).read_bytes()
-    Path(path).write_bytes(blob[:100])
-    with pytest.raises(FormatError, match="at byte"):
-        load_dataset(path)
+    for spec in (WorldSpec(), WorldSpec(raster=True)):
+        save_dataset(generate_dataset(17, 25, spec), path)
+        blob = Path(path).read_bytes()
+        for n in range(len(blob)):
+            Path(path).write_bytes(blob[:n])
+            with pytest.raises(FormatError, match="^truncated file") as err:
+                load_dataset(path)
+            assert err.value.offset <= n
+        Path(path).write_bytes(blob + b"\0")
+        with pytest.raises(FormatError) as err:
+            load_dataset(path)
+        assert str(err.value) == f"1 trailing bytes (at byte {len(blob)})"
 
 
 @pytest.mark.parametrize("version", [1, 99])
