@@ -230,7 +230,7 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, rows,
     w = [p[f"gru{l}.w"].data for l in range(L)]
     bias = [p[f"gru{l}.b"].data for l in range(L)]
     Pt = patches.data
-    N, P = len(init_hidden[0].data), cfg.patch_count
+    N, P = len(init_hidden[0].data), cfg.n_patches
     B = rows.size
     K = keys.data.reshape(N, P, d)[rows]
     # layer 0's input side: x·W_x + b = table[token] + alpha·proj

@@ -2,11 +2,13 @@
 
 The Speaker encodes an observation into a small set of "patch" vectors
 and decodes a token sequence with a stacked gated-recurrent cell using
-additive attention over those patches. The Listener summarizes a
-message with its own recurrent encoder, projects the summary into the
-image-embedding space with a two-layer MLP, and scores candidates by
-inner product. The Listener reuses the Speaker's observation encoder,
-and its loss gradient flows back into that encoder.
+additive attention over those patches. An observation is ``cells``
+equal runs of values (an image's grid cells, or one attribute vector),
+and one MLP encodes each run into ``n_patches // cells`` patches. The
+Listener summarizes a message with its own recurrent encoder, projects
+the summary into the image-embedding space with a two-layer MLP, and
+scores candidates by inner product. The Listener reuses the Speaker's
+observation encoder, and its loss gradient flows back into that encoder.
 
 Messages are decoded, rescored and embedded in blocks, one message per
 row. The speaker encodes each run of equal consecutive observation rows
@@ -45,20 +47,7 @@ class ModelConfig:
     d_o: int = 128
     n_layers: int = 2
     n_patches: int = 4
-    raster: bool = False
-    raster_size: int = 16
-    raster_grid: int = 4
-
-    @property
-    def patch_dim(self) -> int:
-        if not self.raster:
-            return self.obs_dim
-        cell = self.raster_size // self.raster_grid
-        return cell * cell * 3
-
-    @property
-    def patch_count(self) -> int:
-        return self.raster_grid ** 2 if self.raster else self.n_patches
+    cells: int = 1
 
 
 @dataclass(frozen=True)
@@ -106,23 +95,10 @@ def _mlp(tape, x: Tensor, params: ParameterSet, name: str) -> Tensor:
                  params[f"{name}.l2.b"])
 
 
-def _raster_patches(obs: np.ndarray, cfg: ModelConfig) -> np.ndarray:
-    """Grid cells of one or more flat rasters as patch rows.
-
-    ``obs`` is (obs_dim,) or (N, obs_dim); the result holds grid² rows
-    per observation, cells in row-major grid order, each cell flattened
-    as (row, column, channel).
-    """
-    size, grid = cfg.raster_size, cfg.raster_grid
-    cell = size // grid
-    img = obs.reshape(-1, grid, cell, grid, cell, 3)
-    return img.transpose(0, 1, 3, 2, 4, 5).reshape(-1, cfg.patch_dim)
-
-
 class SpeakerPolicy:
     """Observation encoder plus attentional recurrent token decoder.
 
-    The encoder is an ``_mlp`` over each observation's patch rows, built
+    The encoder is an ``_mlp`` over each observation's cell rows, built
     from generic tape ops; the decoder is the kernel of ``_decode``,
     which records one tape node per decoded block of messages.
     """
@@ -135,12 +111,9 @@ class SpeakerPolicy:
     def create(cls, cfg: ModelConfig, seed: int) -> "SpeakerPolicy":
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x59]))
         p = ParameterSet()
-        if cfg.raster:
-            _add_linear(p, rng, "enc.l1", cfg.patch_dim, cfg.d_e)
-            _add_linear(p, rng, "enc.l2", cfg.d_e, cfg.d_e)
-        else:
-            _add_linear(p, rng, "enc.l1", cfg.obs_dim, cfg.d_e)
-            _add_linear(p, rng, "enc.l2", cfg.d_e, cfg.n_patches * cfg.d_e)
+        _add_linear(p, rng, "enc.l1", cfg.obs_dim // cfg.cells, cfg.d_e)
+        _add_linear(p, rng, "enc.l2", cfg.d_e,
+                    cfg.n_patches // cfg.cells * cfg.d_e)
         p.add("emb", Tensor(rng.normal(0, 0.1, (cfg.vocab_size, cfg.d_e))
                             .astype(F32), True))
         d_in = 2 * cfg.d_e
@@ -170,15 +143,13 @@ class SpeakerPolicy:
         """Observations to patch vectors, all rows through one ``_mlp``.
 
         One (obs_dim,) observation or an (N, obs_dim) stack gives its
-        (N·P, d_e) rows, P = ``cfg.patch_count`` consecutive per observation.
+        (N·P, d_e) rows, P = ``cfg.n_patches`` consecutive per observation,
+        each of its ``cfg.cells`` runs encoded into P / cells of them.
         """
         cfg = self.cfg
-        rows = self._stack(obs)
-        if cfg.raster:
-            return _mlp(tape, Tensor(_raster_patches(rows, cfg)),
-                        self.params, "enc")
+        rows = self._stack(obs).reshape(-1, cfg.obs_dim // cfg.cells)
         flat = _mlp(tape, Tensor(rows), self.params, "enc")
-        return T.reshape(tape, flat, (len(rows) * cfg.n_patches, cfg.d_e))
+        return T.reshape(tape, flat, (flat.size // cfg.d_e, cfg.d_e))
 
     def initial_hidden(self, patches: Tensor, tape) -> list[Tensor]:
         """Decoder start states, (N, d_e) per layer, each row conditioned
@@ -188,7 +159,7 @@ class SpeakerPolicy:
         observation-dependent from the first step, which is what lets
         the retrieval game bootstrap from random weights.
         """
-        pooled = T.mean(tape, patches, self.cfg.patch_count)
+        pooled = T.mean(tape, patches, self.cfg.n_patches)
         states = []
         for layer in range(self.cfg.n_layers):
             p = self.params
@@ -306,7 +277,7 @@ class ListenerModel:
         if enc is None:
             raise ValueError("listener has no bound image encoder")
         pooled = T.mean(tape, enc.encode(observations, tape),
-                        enc.cfg.patch_count)
+                        enc.cfg.n_patches)
         return T.matmul(tape, pooled, self.params["img.w"])
 
     def log_probs(self, v_msgs: Tensor, v_imgs: Tensor, cols,
@@ -348,9 +319,8 @@ def model_config_from_params(speaker_params: ParameterSet,
                     if n.startswith("gru")})
     in_dim = speaker_params["enc.l1.w"].shape[0]
     out_dim = speaker_params["enc.l2.w"].shape[1]
-    if raster:
-        return ModelConfig(vocab_size=vocab, obs_dim=raster_size ** 2 * 3,
-                           d_e=d_e, d_o=d_o, n_layers=n_layers, raster=True,
-                           raster_size=raster_size, raster_grid=raster_grid)
-    return ModelConfig(vocab_size=vocab, obs_dim=in_dim, d_e=d_e, d_o=d_o,
-                       n_layers=n_layers, n_patches=out_dim // d_e)
+    cells = raster_grid ** 2 if raster else 1
+    return ModelConfig(vocab_size=vocab,
+                       obs_dim=raster_size ** 2 * 3 if raster else in_dim,
+                       d_e=d_e, d_o=d_o, n_layers=n_layers,
+                       n_patches=cells * (out_dim // d_e), cells=cells)

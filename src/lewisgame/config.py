@@ -54,6 +54,9 @@ class WorldSection(WorldSpec):
 
 @dataclass
 class ModelSection:
+    """``n_patches`` is read only in an attribute world; a raster world
+    has one patch per grid cell."""
+
     d_e: int = 128
     d_o: int = 128
     n_layers: int = 2
@@ -111,8 +114,8 @@ class RunConfig:
         w = self.world
         return ModelConfig(vocab_size=vocab_size, obs_dim=obs_dim,
                            d_e=m.d_e, d_o=m.d_o, n_layers=m.n_layers,
-                           n_patches=m.n_patches, raster=w.raster,
-                           raster_size=w.raster_size, raster_grid=w.grid)
+                           n_patches=w.cells if w.raster else m.n_patches,
+                           cells=w.cells)
 
     def train_settings(self) -> TrainSettings:
         return replace(self.train)

@@ -299,14 +299,11 @@ class Trainer:
     def __init__(self, dataset, game_cfg: GameConfig, model_cfg: ModelConfig,
                  settings: TrainSettings):
         check_candidate_count(dataset, game_cfg.k)
-        spec = dataset.spec
-        want = (spec.input_dim, spec.raster, spec.raster_size, spec.grid)
-        have = (model_cfg.obs_dim, model_cfg.raster, model_cfg.raster_size,
-                model_cfg.raster_grid)
-        if have[:2] != want[:2] or spec.raster and have != want:
-            raise FormatError(
-                f"dataset observations (width, raster, raster_size, grid) "
-                f"{want} do not fit the model's {have}")
+        want = (dataset.spec.input_dim, dataset.spec.cells)
+        have = (model_cfg.obs_dim, model_cfg.cells)
+        if have != want:
+            raise FormatError(f"dataset observations (width, cells) {want} "
+                              f"do not fit the model's {have}")
         self.dataset = dataset
         self.game_cfg = game_cfg
         self.settings = settings

@@ -16,6 +16,7 @@ col. Observations, rasters and captions are functions of the header
 and the scenes, so the file does not hold them: loading rebuilds them
 through ``Dataset``'s constructor, as generating the split built them,
 and a change to how they are drawn moves no file byte and no version.
+A raster reaches the agents as its grid cells, in row-major order.
 """
 
 from __future__ import annotations
@@ -188,6 +189,11 @@ class WorldSpec:
         """Width of the vector the agents actually consume."""
         return self.raster_size ** 2 * 3 if self.raster else self.obs_dim
 
+    @property
+    def cells(self) -> int:
+        """Grid cells per model input: grid² in a raster world, else 1."""
+        return self.grid ** 2 if self.raster else 1
+
     def capacity(self) -> int:
         cells = self.grid * self.grid
         total = 0
@@ -348,8 +354,8 @@ def build_captions(scene: Scene, vocab: Vocabulary) -> list[list[int]]:
 class Dataset:
     """One split: the four fields an LGW1 file stores, all that ``==``
     compares. The constructor builds ``observations`` (noise keyed by
-    ``seed`` and the split), ``rasters`` (None but in a raster world) and
-    ``captions`` in ``vocab``, the vocabulary every dataset shares."""
+    ``seed`` and the split), ``rasters`` (None but in a raster world), the
+    agents' inputs and ``captions`` in ``vocab``, which all datasets share."""
 
     spec: WorldSpec
     seed: int
@@ -366,16 +372,19 @@ class Dataset:
         self.rasters = np.array(
             [render_raster(s, spec) for s in self.scenes], F32
         ).reshape(-1, size, size, 3) if spec.raster else None
+        # each raster's grid cells in row-major order, as (row, col, channel)
+        g, c = spec.grid, size // spec.grid
+        self._inputs = (self.rasters.reshape(-1, g, c, g, c, 3).transpose(
+            0, 1, 3, 2, 4, 5).reshape(-1, spec.input_dim) if spec.raster
+            else self.observations)
         self.captions = [build_captions(s, self.vocab) for s in self.scenes]
 
     def __len__(self) -> int:
         return len(self.scenes)
 
     def model_inputs(self) -> np.ndarray:
-        """What the agents see: attribute vectors, or flat rasters."""
-        if self.spec.raster:
-            return self.rasters.reshape(len(self), -1)
-        return self.observations
+        """What the agents see: attribute vectors, or raster grid cells."""
+        return self._inputs
 
 
 def generate_splits(seed: int, spec: WorldSpec, n_train: int, n_val: int = 0,

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from lewisgame import tensor as T
-from lewisgame.agents import MessageSample, _raster_patches
+from lewisgame.agents import MessageSample
 from lewisgame.evaluate import (BLEU_EPS, EvalReport, _closest_ref_len,
                                 _ngram_counts, _strip_eos, attribute_coverage)
 from lewisgame.game import RoundTrace
@@ -233,13 +233,10 @@ def encode(speaker, obs: np.ndarray, tape) -> Tensor:
     stack, so the pair agrees by construction; the finite-difference
     checks in ``tests/test_agents.py`` are the independent ones."""
     cfg, p = speaker.cfg, speaker.params
-    rows = _raster_patches(obs, cfg) if cfg.raster else obs.reshape(1, -1)
-    x = Tensor(rows)
+    x = Tensor(obs.reshape(cfg.cells, -1))
     h = T.tanh(tape, T.add(tape, T.matmul(tape, x, p["enc.l1.w"]),
                            p["enc.l1.b"]))
     flat = T.add(tape, T.matmul(tape, h, p["enc.l2.w"]), p["enc.l2.b"])
-    if cfg.raster:
-        return flat
     return T.reshape(tape, flat, (cfg.n_patches, cfg.d_e))
 
 

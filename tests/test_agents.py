@@ -10,7 +10,8 @@ from reference import generate_dataset, gradcheck
 from lewisgame import tensor as T
 from lewisgame._decode import _draw, gru_sequence
 from lewisgame.agents import (ListenerModel, ModelConfig, SpeakerPolicy,
-                              _raster_patches, model_config_from_params)
+                              model_config_from_params)
+from lewisgame.config import RunConfig
 from lewisgame.params import ParameterSet
 from lewisgame.tensor import ShapeError, Tape, Tensor, backward
 from lewisgame.world import EOS, WorldSpec
@@ -270,8 +271,7 @@ def raster_world():
     spec = WorldSpec(raster=True)
     ds = generate_dataset(7, 18, spec)
     cfg = ModelConfig(vocab_size=len(ds.vocab), obs_dim=spec.input_dim,
-                      d_e=32, d_o=24, raster=True,
-                      raster_size=spec.raster_size, raster_grid=spec.grid)
+                      d_e=32, d_o=24, n_patches=spec.cells, cells=spec.cells)
     return ds, cfg
 
 
@@ -422,8 +422,8 @@ def encoder_world(request):
     spec = WorldSpec(raster=raster)
     ds = generate_dataset(5, 8, spec)
     cfg = ModelConfig(vocab_size=len(ds.vocab), obs_dim=spec.input_dim,
-                      d_e=16, d_o=8, n_patches=3, raster=raster,
-                      raster_size=spec.raster_size, raster_grid=spec.grid)
+                      d_e=16, d_o=8, n_patches=spec.cells if raster else 3,
+                      cells=spec.cells)
     return ds, SpeakerPolicy.create(cfg, 17)
 
 
@@ -442,7 +442,7 @@ def test_encode_observation_gradients_match_reference(encoder_world):
     cfg = speaker.cfg
     # a random weighting, so that no two output cells get the same gradient
     weights = Tensor(np.random.default_rng(0).normal(
-        0, 1, (cfg.patch_count, cfg.d_e)))
+        0, 1, (cfg.n_patches, cfg.d_e)))
     grads = {}
     for path, encode in (("fused", speaker.encode),
                          ("generic", partial(reference.encode, speaker))):
@@ -493,33 +493,6 @@ def test_speaker_refuses_observations_of_another_width(world):
     for call in calls:
         with pytest.raises(ShapeError, match=f"obs_dim {cfg.obs_dim}"):
             call()
-
-
-def _old_raster_patches(flat_obs, cfg):
-    # the per-cell loop that _raster_patches replaced, kept as its oracle
-    size, grid = cfg.raster_size, cfg.raster_grid
-    cell = size // grid
-    img = flat_obs.reshape(size, size, 3)
-    rows = []
-    for r in range(grid):
-        for c in range(grid):
-            rows.append(img[r * cell:(r + 1) * cell,
-                            c * cell:(c + 1) * cell].ravel())
-    return np.stack(rows)
-
-
-def test_raster_patches_match_cell_loop():
-    spec = WorldSpec(raster=True, raster_size=12, grid=3)
-    ds = generate_dataset(5, 6, spec)
-    cfg = ModelConfig(vocab_size=len(ds.vocab), obs_dim=spec.input_dim,
-                      raster=True, raster_size=12, raster_grid=3)
-    obs = ds.model_inputs()
-    stacked = _raster_patches(obs, cfg)
-    looped = np.concatenate([_old_raster_patches(o, cfg) for o in obs])
-    assert stacked.shape == looped.shape == (6 * 9, cfg.patch_dim)
-    assert stacked.tobytes() == looped.tobytes()
-    assert (_raster_patches(obs[2], cfg).tobytes()
-            == _old_raster_patches(obs[2], cfg).tobytes())
 
 
 def test_embed_images_matches_per_candidate_reference(encoder_world):
@@ -772,3 +745,15 @@ def test_model_config_reconstruction(world):
         listener = ListenerModel.create(cfg, 13, encoder=speaker)
         rebuilt = model_config_from_params(speaker.params, listener.params)
         assert rebuilt == cfg
+    # a raster checkpoint rebuilds the config its world's run trains, as
+    # lewisgame eval and the harness rebuild it: n_patches is one per cell
+    run = RunConfig()
+    run.world.raster, run.world.raster_size, run.world.grid = True, 12, 3
+    run.model.d_e, run.model.d_o = 16, 8
+    cfg = run.model_config(len(world[0].vocab), run.world_spec().input_dim)
+    assert (cfg.n_patches, cfg.cells) == (9, 9)
+    speaker = SpeakerPolicy.create(cfg, 11)
+    listener = ListenerModel.create(cfg, 13, encoder=speaker)
+    assert model_config_from_params(speaker.params, listener.params,
+                                    raster=True, raster_size=12,
+                                    raster_grid=3) == cfg

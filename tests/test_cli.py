@@ -567,22 +567,25 @@ def test_config_values_are_read_literally(eval_files, tmp_path):
     assert len(metrics.read_text(encoding="utf-8").splitlines()) == 1
 
 
-@pytest.mark.parametrize("raster", [False, True],
-                         ids=["raster-world-flat-model",
-                              "flat-world-raster-model"])
+@pytest.mark.parametrize("file_world, config_world", [
+    ({"raster": True, "raster_size": 8}, {"raster": False, "raster_size": 8}),
+    (None, {"raster": True, "raster_size": 8}),
+    ({"raster": True, "raster_size": 8, "grid": 2},
+     {"raster": True, "raster_size": 8, "grid": 4}),
+], ids=["raster-world-flat-model", "flat-world-raster-model",
+        "raster-world-other-grid"])
 def test_train_model_that_does_not_read_the_world_exits_2_before_writing(
-        eval_files, tmp_path, raster):
-    # [world] raster sets the model's input layout; the world file sets
-    # the observations it has to read
-    world = tmp_path / "world.lgw"
-    if raster:
-        world = eval_files / "world.lgw"
-    else:
-        save_dataset(generate_dataset(3, 12, WorldSpec(raster=True,
-                                                       raster_size=8)),
+        eval_files, tmp_path, file_world, config_world):
+    # [world] sets the model's input layout; the world file sets the
+    # observations it has to read. Both rasters of the last row are 192
+    # wide, so only their cell counts tell them apart
+    world = eval_files / "world.lgw"
+    if file_world is not None:
+        world = tmp_path / "world.lgw"
+        save_dataset(generate_dataset(3, 12, WorldSpec(**file_world)),
                      str(world))
     config = _train_config(tmp_path / "run.ini", world, tmp_path,
-                           world={"raster": raster, "raster_size": 8})
+                           world=config_world)
     listed = sorted(os.listdir(tmp_path))
     proc = _run_cli("train", "--config", config)
     assert proc.returncode == 2

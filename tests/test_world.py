@@ -19,7 +19,8 @@ def _derived(ds):
     """The arrays a Dataset's constructor builds from its four fields,
     as bytes, so two datasets' can be compared bit for bit."""
     rasters = None if ds.rasters is None else ds.rasters.tobytes()
-    return ds.observations.tobytes(), rasters, ds.captions
+    return (ds.observations.tobytes(), rasters, ds.captions,
+            ds.model_inputs().tobytes())
 
 
 def test_vocab_specials_reserved_and_small():
@@ -146,6 +147,25 @@ def test_raster_deterministic():
     assert ds1.model_inputs().shape == (12, 16 * 16 * 3)
 
 
+def _cell_loop(raster, grid):
+    # a raster's grid cells one at a time, row-major, each flattened as
+    # (row, column, channel): the oracle of a raster world's model inputs
+    cell = len(raster) // grid
+    return np.concatenate([raster[r * cell:(r + 1) * cell,
+                                  c * cell:(c + 1) * cell].ravel()
+                           for r in range(grid) for c in range(grid)])
+
+
+def test_raster_model_inputs_match_cell_loop():
+    spec = WorldSpec(raster=True, raster_size=12, grid=3)
+    ds = generate_dataset(5, 6, spec)
+    assert spec.cells == 9 and WorldSpec().cells == 1
+    looped = np.stack([_cell_loop(img, spec.grid) for img in ds.rasters])
+    assert ds.model_inputs().shape == looped.shape == (6, spec.input_dim)
+    assert ds.model_inputs().tobytes() == looped.tobytes()
+    assert ds.rasters.shape == (6, 12, 12, 3)
+
+
 def test_sample_game_batch_contract():
     ds = generate_dataset(31, 50, WorldSpec())
     rng = np.random.default_rng(0)
@@ -218,6 +238,17 @@ def test_dataset_file_roundtrip(tmp_path):
                                 (train.seed, "val", train.scenes),
                                 (train.seed, "train", other_scene)):
         assert Dataset(train.spec, seed, split, scenes) != train
+
+
+@pytest.mark.parametrize("raster", [False, True],
+                         ids=["attributes", "raster"])
+def test_empty_split_has_no_model_inputs(tmp_path, raster):
+    # an LGW1 file may hold no scenes; its split still has inputs of the
+    # world's width, none of them
+    spec = WorldSpec(raster=raster)
+    path = str(tmp_path / "w.lgw")
+    save_dataset(Dataset(spec, 3, "val", []), path)
+    assert load_dataset(path).model_inputs().shape == (0, spec.input_dim)
 
 
 def test_world_file_holds_only_header_and_scenes(tmp_path):
