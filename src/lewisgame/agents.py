@@ -49,6 +49,11 @@ class ModelConfig:
     n_patches: int = 4
     cells: int = 1
 
+    def __post_init__(self):
+        if self.cells < 1 or self.n_patches < 1 or self.n_patches % self.cells:
+            raise ValueError(f"n_patches {self.n_patches} is not a positive "
+                             f"multiple of cells {self.cells}")
+
 
 @dataclass(frozen=True)
 class MessageSample:

@@ -149,11 +149,13 @@ def sync_replicas(param_sets) -> None:
     """
     if len(param_sets) <= 1:
         return
-    for name in param_sets[0].names():
-        total = param_sets[0][name].data.astype(np.float64)
-        for ps in param_sets[1:]:
+    first, second, *rest = param_sets
+    for name in first.names():
+        total = np.add(first[name].data, second[name].data, dtype=np.float64)
+        for ps in rest:
             total += ps[name].data
-        mean = (total / len(param_sets)).astype(F32)
+        total /= len(param_sets)
+        mean = total.astype(F32)
         for ps in param_sets:
             np.copyto(ps[name].data, mean)
 
@@ -341,34 +343,64 @@ class Trainer:
     def run(self, n_steps: int, metrics_fh=None, run_id: str = "run",
             checkpoint_dir=None, checkpoint_every: int = 0,
             stop_flag=None, on_report=None) -> list[LossReport]:
+        """Take up to ``n_steps`` steps, fewer once ``stop_flag()`` is true,
+        passing each report to ``on_report`` and to ``metrics_fh`` as a row
+        tagged ``run_id``. With ``checkpoint_dir``, before the first step,
+        every ``checkpoint_every`` steps and after the last, the rows are
+        flushed, the state is written to ``latest.lgc.new`` there, and a
+        thread renames it onto ``latest.lgc``, freeing the old file off the
+        step. ``run`` ends only after the last rename, and raises a failed
+        one unless it is already raising. A crash can leave ``latest.lgc.tmp``
+        or ``latest.lgc.new``, a whole checkpoint newer than ``latest.lgc``."""
         from .params import save_checkpoint
         import os
-        reports = []
+        import threading
+        reports, renames, failed = [], [], []
+
+        def rename():
+            try:
+                os.replace(latest + ".new", latest)
+            except OSError as exc:  # for the training thread to raise
+                failed.append(exc)
+
+        def joined():
+            while renames:
+                renames.pop().join()
+            if failed:
+                raise failed[0]
 
         def checkpoint():
             # rows first, so a resume finds every earlier step logged
             if metrics_fh is not None:
                 metrics_fh.flush()
-            save_checkpoint(self.pack_state(), latest)
+            joined()
+            save_checkpoint(self.pack_state(), latest + ".new")
+            renames.append(threading.Thread(target=rename))
+            renames[-1].start()
 
         if checkpoint_dir:
             os.makedirs(checkpoint_dir, exist_ok=True)
             latest = os.path.join(checkpoint_dir, "latest.lgc")
             checkpoint()
-        for _ in range(n_steps):
-            if stop_flag is not None and stop_flag():
-                break
-            report = self.step_once()
-            reports.append(report)
-            if metrics_fh is not None:
-                metrics_fh.write(json.dumps(report.row(run_id)) + "\n")
-            if on_report is not None:
-                on_report(report)
-            if checkpoint_dir and checkpoint_every and \
-                    self.step_index % checkpoint_every == 0:
+        try:
+            for _ in range(n_steps):
+                if stop_flag is not None and stop_flag():
+                    break
+                report = self.step_once()
+                reports.append(report)
+                if metrics_fh is not None:
+                    metrics_fh.write(json.dumps(report.row(run_id)) + "\n")
+                if on_report is not None:
+                    on_report(report)
+                if checkpoint_dir and checkpoint_every and \
+                        self.step_index % checkpoint_every == 0:
+                    checkpoint()
+            if checkpoint_dir:
                 checkpoint()
-        if checkpoint_dir:
-            checkpoint()
+            joined()
+        finally:
+            for thread in renames:  # left running only by an error
+                thread.join()
         return reports
 
     # -- checkpointable state ------------------------------------------------

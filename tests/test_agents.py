@@ -757,3 +757,24 @@ def test_model_config_reconstruction(world):
     assert model_config_from_params(speaker.params, listener.params,
                                     raster=True, raster_size=12,
                                     raster_grid=3) == cfg
+
+
+@pytest.mark.parametrize("n_patches, cells", [(4, 16), (0, 1), (6, 4)])
+def test_model_config_refuses_patches_not_a_multiple_of_cells(n_patches,
+                                                              cells):
+    # each cell is encoded into n_patches / cells patches, so anything
+    # else would build an enc.l2 of the wrong width (0 wide at (4, 16))
+    with pytest.raises(ValueError, match=f"^n_patches {n_patches} is not a "
+                       f"positive multiple of cells {cells}$"):
+        ModelConfig(vocab_size=8, obs_dim=48, n_patches=n_patches,
+                    cells=cells)
+
+
+@pytest.mark.parametrize("n_patches, cells", [(16, 16), (3, 1)])
+def test_model_config_builds_whole_patches_per_cell(n_patches, cells):
+    cfg = ModelConfig(vocab_size=8, obs_dim=48, d_e=8, d_o=8,
+                      n_patches=n_patches, cells=cells)
+    speaker = SpeakerPolicy.create(cfg, 1)
+    assert speaker.params["enc.l2.w"].shape == (8, n_patches // cells * 8)
+    assert speaker.encode(np.zeros((2, 48), np.float32),
+                          Tape()).shape == (2 * n_patches, 8)

@@ -694,6 +694,8 @@ def test_diverging_train_exits_3_and_its_resume_fails_alike(eval_files,
         assert proc.stderr.startswith("numerical failure at step 1: "
                                       "non-finite")
         assert proc.stderr.count("\n") == 1  # no numpy warnings
+        # the last checkpoint's rename ends before exit 3's own save
+        assert os.listdir(ckpt.parent) == ["latest.lgc"]
         outputs.append((ckpt.read_bytes(), log.read_bytes()))
     assert outputs[0] == outputs[1]
     state = load_checkpoint(str(ckpt))

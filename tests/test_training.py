@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import warnings
 
@@ -12,7 +13,8 @@ from reference import (Episode, episodes, generate_dataset, listener_loss,
 from lewisgame import training
 from lewisgame.agents import ModelConfig, SpeakerPolicy
 from lewisgame.game import GameConfig, _play_round_traced
-from lewisgame.params import FormatError, ParameterSet
+from lewisgame.params import (FormatError, ParameterSet, load_checkpoint,
+                              save_checkpoint)
 from lewisgame.tensor import Tape, Tensor, backward
 from lewisgame.training import (NumericalFailureError, Trainer, TrainSettings,
                                 advantage_variance, group_advantages,
@@ -295,15 +297,17 @@ def test_train_step_losses_match_reference_on_its_rounds(trainer_setup,
     assert abs(report.listener_loss - want) <= 1e-6 * want
 
 
-def test_sync_replicas_means_and_equalizes():
+@pytest.mark.parametrize("n_rep", [2, 3])
+def test_sync_replicas_means_and_equalizes(n_rep):
+    # at 2 replicas the first float64 add is the whole sum
     spec = WorldSpec()
     ds = generate_dataset(1, 8, spec)
     cfg = ModelConfig(vocab_size=len(ds.vocab), obs_dim=spec.input_dim,
                       d_e=8, d_o=8, n_layers=1, n_patches=2)
     from lewisgame.agents import SpeakerPolicy
-    reps = [SpeakerPolicy.create(cfg, 1) for _ in range(3)]
+    reps = [SpeakerPolicy.create(cfg, 1) for _ in range(n_rep)]
     for i, rep in enumerate(reps):
-        rep.params["head.b"].data[:] = float(i)  # values 0, 1, 2
+        rep.params["head.b"].data[:] = float(i)  # values 0, 1, ...
     rng = np.random.default_rng(3)
     for rep in reps[1:]:
         for name, t in rep.params.items():
@@ -315,7 +319,7 @@ def test_sync_replicas_means_and_equalizes():
             for name in reps[0].params.names()}
     sync_replicas([r.params for r in reps])
     for rep in reps:
-        assert np.allclose(rep.params["head.b"].data, 1.0)
+        assert np.allclose(rep.params["head.b"].data, (n_rep - 1) / 2)
     for rep, before in zip(reps, arrays):
         # averaged in place: every tensor keeps its array
         assert all(t.data is a
@@ -510,6 +514,90 @@ def test_metrics_rows_reach_disk_before_each_checkpoint(trainer_setup,
         trainer.run(5, metrics_fh=fh, checkpoint_dir=str(tmp_path / "ckpt"),
                     checkpoint_every=2)
     assert seen == [(step, step) for step in (0, 2, 4, 5)]
+
+
+def test_run_leaves_only_its_last_checkpoint(trainer_setup, tmp_path):
+    # each checkpoint is staged as latest.lgc.new and renamed on a thread;
+    # run returns only after the last rename
+    ds, mcfg, gcfg = trainer_setup
+    trainer = Trainer(ds, gcfg, mcfg, TrainSettings(seed=3, replicas=2))
+    ckpt = tmp_path / "ckpt"
+    trainer.run(5, checkpoint_dir=str(ckpt), checkpoint_every=2)
+    assert os.listdir(ckpt) == ["latest.lgc"]
+    save_checkpoint(trainer.pack_state(), str(tmp_path / "want.lgc"))
+    assert ((ckpt / "latest.lgc").read_bytes()
+            == (tmp_path / "want.lgc").read_bytes())
+
+
+def test_run_raises_a_failed_rename_at_the_next_checkpoint(trainer_setup,
+                                                           tmp_path):
+    # a non-empty directory named latest.lgc cannot be replaced, so the
+    # first checkpoint's rename fails on its thread and the checkpoint
+    # after step 2 raises its error, leaving the staged file whole
+    ds, mcfg, gcfg = trainer_setup
+    trainer = Trainer(ds, gcfg, mcfg, TrainSettings(seed=3, replicas=1))
+    ckpt = tmp_path / "ckpt"
+    (ckpt / "latest.lgc").mkdir(parents=True)
+    (ckpt / "latest.lgc" / "keep").write_bytes(b"x")
+    with pytest.raises(OSError):
+        trainer.run(5, checkpoint_dir=str(ckpt), checkpoint_every=2)
+    assert trainer.step_index == 2
+    assert sorted(os.listdir(ckpt)) == ["latest.lgc", "latest.lgc.new"]
+    staged = load_checkpoint(str(ckpt / "latest.lgc.new"))
+    assert staged["meta.step"].data.tolist() == [0.0]
+
+
+def test_run_raises_a_failed_last_rename_as_it_ends(trainer_setup, tmp_path,
+                                                    monkeypatch):
+    # the step-2 rename lands; then latest.lgc becomes a non-empty
+    # directory, so only the last rename fails, and run raises its error
+    from lewisgame import params
+    ds, mcfg, gcfg = trainer_setup
+    trainer = Trainer(ds, gcfg, mcfg, TrainSettings(seed=3, replicas=1))
+    latest = tmp_path / "latest.lgc"
+    save = params.save_checkpoint
+
+    def blocked_at_the_end(state, path):
+        if state["meta.step"].data[0] == 3:
+            latest.unlink()
+            latest.mkdir()
+            (latest / "keep").write_bytes(b"x")
+        save(state, path)
+
+    monkeypatch.setattr(params, "save_checkpoint", blocked_at_the_end)
+    with pytest.raises(OSError):
+        trainer.run(3, checkpoint_dir=str(tmp_path), checkpoint_every=2)
+    assert trainer.step_index == 3
+    assert sorted(os.listdir(tmp_path)) == ["latest.lgc", "latest.lgc.new"]
+
+
+def test_run_joins_its_rename_before_a_step_error_leaves(trainer_setup,
+                                                         tmp_path,
+                                                         monkeypatch):
+    # a step that fails after a checkpoint leaves run only once that
+    # checkpoint is in place, so a caller may then write its own; a
+    # failed rename does not replace the step's error
+    ds, mcfg, gcfg = trainer_setup
+    trainer = Trainer(ds, gcfg, mcfg, TrainSettings(seed=3, replicas=1))
+    step_once = trainer.step_once
+
+    def failing():
+        if trainer.step_index == 3:
+            raise NumericalFailureError("step 3")
+        return step_once()
+
+    monkeypatch.setattr(trainer, "step_once", failing)
+    ckpt = tmp_path / "ckpt"
+    with pytest.raises(NumericalFailureError):
+        trainer.run(5, checkpoint_dir=str(ckpt), checkpoint_every=3)
+    assert os.listdir(ckpt) == ["latest.lgc"]
+    state = load_checkpoint(str(ckpt / "latest.lgc"))
+    assert state.equal(trainer.pack_state())
+    (ckpt / "latest.lgc").unlink()
+    (ckpt / "latest.lgc").mkdir()
+    (ckpt / "latest.lgc" / "keep").write_bytes(b"x")
+    with pytest.raises(NumericalFailureError):
+        trainer.run(5, checkpoint_dir=str(ckpt), checkpoint_every=3)
 
 
 def test_train_step_aborts_on_nonfinite(trainer_setup):
