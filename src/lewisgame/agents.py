@@ -50,9 +50,11 @@ class ModelConfig:
     cells: int = 1
 
     def __post_init__(self):
-        if self.cells < 1 or self.n_patches < 1 or self.n_patches % self.cells:
-            raise ValueError(f"n_patches {self.n_patches} is not a positive "
-                             f"multiple of cells {self.cells}")
+        for name in ("n_patches", "obs_dim"):  # each cell gets a whole share
+            size = getattr(self, name)
+            if self.cells < 1 or size < 1 or size % self.cells:
+                raise ValueError(f"{name} {size} is not a positive multiple "
+                                 f"of cells {self.cells}")
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,8 @@ class RunConfig:
 
     def trainer(self, dataset: Dataset) -> Trainer:
         """A fresh trainer of this run's agents on ``dataset``."""
+        # before ModelConfig, which refuses a width the cells do not divide
+        dataset.spec.check_read_by(dataset.spec.input_dim, self.world.cells)
         return Trainer(dataset, self.game_config(),
                        self.model_config(len(dataset.vocab),
                                          dataset.spec.input_dim),

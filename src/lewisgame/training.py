@@ -301,11 +301,7 @@ class Trainer:
     def __init__(self, dataset, game_cfg: GameConfig, model_cfg: ModelConfig,
                  settings: TrainSettings):
         check_candidate_count(dataset, game_cfg.k)
-        want = (dataset.spec.input_dim, dataset.spec.cells)
-        have = (model_cfg.obs_dim, model_cfg.cells)
-        if have != want:
-            raise FormatError(f"dataset observations (width, cells) {want} "
-                              f"do not fit the model's {have}")
+        dataset.spec.check_read_by(model_cfg.obs_dim, model_cfg.cells)
         self.dataset = dataset
         self.game_cfg = game_cfg
         self.settings = settings
@@ -347,42 +343,30 @@ class Trainer:
         passing each report to ``on_report`` and to ``metrics_fh`` as a row
         tagged ``run_id``. With ``checkpoint_dir``, before the first step,
         every ``checkpoint_every`` steps and after the last, the rows are
-        flushed, the state is written to ``latest.lgc.new`` there, and a
-        thread renames it onto ``latest.lgc``, freeing the old file off the
-        step. ``run`` ends only after the last rename, and raises a failed
-        one unless it is already raising. A crash can leave ``latest.lgc.tmp``
-        or ``latest.lgc.new``, a whole checkpoint newer than ``latest.lgc``."""
+        flushed, the state is written to ``latest.lgc.new`` there, and one
+        worker thread renames it onto ``latest.lgc`` off the step. The next
+        checkpoint, or the end of ``run``, raises a failed rename; a step
+        error waits for the rename and stays the error raised. A crash
+        leaves ``latest.lgc.new.tmp`` or a whole, newer ``latest.lgc.new``."""
+        from concurrent.futures import ThreadPoolExecutor
         from .params import save_checkpoint
         import os
-        import threading
-        reports, renames, failed = [], [], []
+        reports = []
 
-        def rename():
-            try:
-                os.replace(latest + ".new", latest)
-            except OSError as exc:  # for the training thread to raise
-                failed.append(exc)
-
-        def joined():
-            while renames:
-                renames.pop().join()
-            if failed:
-                raise failed[0]
-
-        def checkpoint():
+        def checkpoint(renamed):
             # rows first, so a resume finds every earlier step logged
             if metrics_fh is not None:
                 metrics_fh.flush()
-            joined()
+            if renamed is not None:  # the staged name is reused
+                renamed.result()
             save_checkpoint(self.pack_state(), latest + ".new")
-            renames.append(threading.Thread(target=rename))
-            renames[-1].start()
+            return renamer.submit(os.replace, latest + ".new", latest)
 
-        if checkpoint_dir:
-            os.makedirs(checkpoint_dir, exist_ok=True)
-            latest = os.path.join(checkpoint_dir, "latest.lgc")
-            checkpoint()
-        try:
+        with ThreadPoolExecutor(max_workers=1) as renamer:
+            if checkpoint_dir:
+                os.makedirs(checkpoint_dir, exist_ok=True)
+                latest = os.path.join(checkpoint_dir, "latest.lgc")
+                renamed = checkpoint(None)
             for _ in range(n_steps):
                 if stop_flag is not None and stop_flag():
                     break
@@ -394,13 +378,9 @@ class Trainer:
                     on_report(report)
                 if checkpoint_dir and checkpoint_every and \
                         self.step_index % checkpoint_every == 0:
-                    checkpoint()
+                    renamed = checkpoint(renamed)
             if checkpoint_dir:
-                checkpoint()
-            joined()
-        finally:
-            for thread in renames:  # left running only by an error
-                thread.join()
+                checkpoint(renamed).result()
         return reports
 
     # -- checkpointable state ------------------------------------------------

@@ -194,6 +194,13 @@ class WorldSpec:
         """Grid cells per model input: grid² in a raster world, else 1."""
         return self.grid ** 2 if self.raster else 1
 
+    def check_read_by(self, obs_dim: int, cells: int) -> None:
+        """``FormatError`` unless a model's (obs_dim, cells) is this layout."""
+        want, have = (self.input_dim, self.cells), (obs_dim, cells)
+        if have != want:
+            raise FormatError(f"dataset observations (width, cells) {want} "
+                              f"do not fit the model's {have}")
+
     def capacity(self) -> int:
         cells = self.grid * self.grid
         total = 0

@@ -770,6 +770,16 @@ def test_model_config_refuses_patches_not_a_multiple_of_cells(n_patches,
                     cells=cells)
 
 
+@pytest.mark.parametrize("obs_dim", [48, 0])
+def test_model_config_refuses_an_obs_dim_not_a_multiple_of_cells(obs_dim):
+    # each cell is encoded from obs_dim / cells values; at 48 and 5 cells
+    # enc.l1 would be 9 wide and encode would return 16 rows for 15
+    with pytest.raises(ValueError, match=f"^obs_dim {obs_dim} is not a "
+                       "positive multiple of cells 5$"):
+        ModelConfig(vocab_size=8, obs_dim=obs_dim, d_e=8, d_o=8,
+                    n_patches=5, cells=5)
+
+
 @pytest.mark.parametrize("n_patches, cells", [(16, 16), (3, 1)])
 def test_model_config_builds_whole_patches_per_cell(n_patches, cells):
     cfg = ModelConfig(vocab_size=8, obs_dim=48, d_e=8, d_o=8,

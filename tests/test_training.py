@@ -1,7 +1,9 @@
 import math
 import os
 import re
+import threading
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -446,6 +448,17 @@ def test_trainer_sync_period_equalizes(trainer_setup):
     assert not all(rep.params.equal(ref) for rep in tr.replicas[1:])
 
 
+@pytest.mark.parametrize("obs_dim, cells", [(64, 1), (63, 3)])
+def test_trainer_refuses_a_model_that_does_not_read_its_world(trainer_setup,
+                                                              obs_dim, cells):
+    ds, mcfg, gcfg = trainer_setup
+    mcfg = replace(mcfg, obs_dim=obs_dim, n_patches=2 * cells, cells=cells)
+    with pytest.raises(FormatError, match=re.escape(
+            f"dataset observations (width, cells) (63, 1) do not fit the "
+            f"model's ({obs_dim}, {cells})")):
+        Trainer(ds, gcfg, mcfg, TrainSettings(seed=3))
+
+
 def test_trainer_resume_bitwise_continuation(trainer_setup, tmp_path):
     ds, mcfg, gcfg = trainer_setup
     settings = TrainSettings(seed=8, replicas=2)
@@ -484,8 +497,10 @@ def test_resume_from_the_step_0_checkpoint_is_bitwise(trainer_setup,
     assert len(optim) == 1 + 2 * len(state.subset("listener."))
     assert all(not t.data.any() for _, t in optim.items())
 
-    full = Trainer(ds, gcfg, mcfg, settings)
-    straight = full.run(3)
+    full, threads = Trainer(ds, gcfg, mcfg, settings), []
+    straight = full.run(3, on_report=lambda _: threads.append(
+        threading.active_count()))
+    assert threads == [threading.active_count()] * 3  # no rename, no thread
     second = Trainer(ds, gcfg, mcfg, settings)
     second.load_state(state)
     resumed = second.run(3)
@@ -521,8 +536,9 @@ def test_run_leaves_only_its_last_checkpoint(trainer_setup, tmp_path):
     # run returns only after the last rename
     ds, mcfg, gcfg = trainer_setup
     trainer = Trainer(ds, gcfg, mcfg, TrainSettings(seed=3, replicas=2))
-    ckpt = tmp_path / "ckpt"
+    ckpt, threads = tmp_path / "ckpt", threading.active_count()
     trainer.run(5, checkpoint_dir=str(ckpt), checkpoint_every=2)
+    assert threading.active_count() == threads
     assert os.listdir(ckpt) == ["latest.lgc"]
     save_checkpoint(trainer.pack_state(), str(tmp_path / "want.lgc"))
     assert ((ckpt / "latest.lgc").read_bytes()
@@ -539,8 +555,10 @@ def test_run_raises_a_failed_rename_at_the_next_checkpoint(trainer_setup,
     ckpt = tmp_path / "ckpt"
     (ckpt / "latest.lgc").mkdir(parents=True)
     (ckpt / "latest.lgc" / "keep").write_bytes(b"x")
+    threads = threading.active_count()
     with pytest.raises(OSError):
         trainer.run(5, checkpoint_dir=str(ckpt), checkpoint_every=2)
+    assert threading.active_count() == threads
     assert trainer.step_index == 2
     assert sorted(os.listdir(ckpt)) == ["latest.lgc", "latest.lgc.new"]
     staged = load_checkpoint(str(ckpt / "latest.lgc.new"))
@@ -587,9 +605,10 @@ def test_run_joins_its_rename_before_a_step_error_leaves(trainer_setup,
         return step_once()
 
     monkeypatch.setattr(trainer, "step_once", failing)
-    ckpt = tmp_path / "ckpt"
+    ckpt, threads = tmp_path / "ckpt", threading.active_count()
     with pytest.raises(NumericalFailureError):
         trainer.run(5, checkpoint_dir=str(ckpt), checkpoint_every=3)
+    assert threading.active_count() == threads
     assert os.listdir(ckpt) == ["latest.lgc"]
     state = load_checkpoint(str(ckpt / "latest.lgc"))
     assert state.equal(trainer.pack_state())
@@ -598,6 +617,7 @@ def test_run_joins_its_rename_before_a_step_error_leaves(trainer_setup,
     (ckpt / "latest.lgc" / "keep").write_bytes(b"x")
     with pytest.raises(NumericalFailureError):
         trainer.run(5, checkpoint_dir=str(ckpt), checkpoint_every=3)
+    assert threading.active_count() == threads
 
 
 def test_train_step_aborts_on_nonfinite(trainer_setup):
