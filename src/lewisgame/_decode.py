@@ -73,7 +73,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import F32, Tensor, _log_softmax_rows, _scatter_rows
+from .tensor import F32, Tensor, _log_softmax_rows, _node, _scatter_rows
 from .world import BOS, EOS
 
 ONE = F32(1)
@@ -297,9 +297,8 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, rows,
     mask = np.arange(T_len)[None, :] < lengths[:, None]
     lp_arr = np.where(mask, lp, F32(0))
     out_tokens = [tok_arr[b, :n].tolist() for b, n in enumerate(lengths)]
-    out = Tensor(lp_arr, taped)
     if not taped:
-        return out_tokens, out
+        return out_tokens, Tensor(lp_arr)
 
     inputs = [patches, keys] + [p[n] for n in (
         "emb", "attn.wh", "attn.v", "head.w", "head.b",
@@ -361,8 +360,7 @@ def decode_message(policy, patches: Tensor, keys: Tensor, init_hidden, rows,
         grads.extend(map(per_obs, carry))  # d loss / d start states
         return grads
 
-    tape.record(out, tuple(inputs), rule)
-    return out_tokens, out
+    return out_tokens, _node(tape, lp_arr, tuple(inputs), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +394,8 @@ def gru_sequence(emb: Tensor, ids, lengths, w: Tensor, b: Tensor,
         zr, c = _gru_split_forward(XS[t], h, W, *(buf[t] for buf in bufs))
         zr[:, :d] *= alive[t]  # z = 0 holds a finished row
         h = _blend(h, zr[:, :d], c)
-    out = Tensor(h.copy(), taped)
     if not taped:
-        return out
+        return Tensor(h)
 
     def rule(dh):
         H, V, ZR, C = bufs
@@ -410,5 +407,4 @@ def gru_sequence(emb: Tensor, ids, lengths, w: Tensor, b: Tensor,
         dtable = _scatter_rows(table.shape, ids.ravel(), _step_rows(gates))
         return [dtable @ W[d:].T] + _gru_weight_grads(H, V, gates, (E, dtable))
 
-    tape.record(out, (emb, w, b), rule)
-    return out
+    return _node(tape, h, (emb, w, b), rule)

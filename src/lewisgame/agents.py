@@ -50,6 +50,9 @@ class ModelConfig:
     cells: int = 1
 
     def __post_init__(self):
+        for name in ("vocab_size", "d_e", "d_o", "n_layers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} {getattr(self, name)} is below 1")
         for name in ("n_patches", "obs_dim"):  # each cell gets a whole share
             size = getattr(self, name)
             if self.cells < 1 or size < 1 or size % self.cells:
@@ -310,16 +313,17 @@ def model_config_from_params(speaker_params: ParameterSet,
     """Reconstruct dimensions from checkpointed parameter shapes.
 
     Raises ``FormatError`` if an entry the sizes are read from is not a
-    matrix, and ``KeyError`` if one is missing.
+    matrix or is empty, and ``KeyError`` if one is missing.
     """
     for prefix, params, name in (("speaker", speaker_params, "emb"),
                                  ("speaker", speaker_params, "enc.l1.w"),
                                  ("speaker", speaker_params, "enc.l2.w"),
                                  ("listener", listener_params, "img.w")):
         shape = params[name].shape
-        if len(shape) != 2:
+        if len(shape) != 2 or 0 in shape:
+            what = "not rank 2" if len(shape) != 2 else "which is empty"
             raise FormatError(f"checkpoint entry {prefix}.{name} has shape "
-                              f"{shape}, not rank 2")
+                              f"{shape}, {what}")
     vocab, d_e = speaker_params["emb"].shape
     d_o = listener_params["img.w"].shape[1]
     n_layers = len({n.split(".")[0] for n in speaker_params.names()

@@ -70,12 +70,14 @@ def _logged_from(line: bytes, run_id: str, step: int) -> bool:
 def _drop_rows_from(path: str, run_id: str, step: int) -> None:
     """Rewrite the metrics log at ``path`` without ``run_id``'s rows at or
     past ``step``, so that a run resumed from a checkpoint older than the
-    log does not log those steps twice. Other lines are kept as they are."""
+    log does not log those steps twice, and without a last line lacking
+    its newline (a row cut by a crash). Other lines are kept as they are."""
     if not os.path.exists(path):
         return
     with open(path, "rb") as fh:
         lines = fh.readlines()
-    kept = [line for line in lines if not _logged_from(line, run_id, step)]
+    kept = [line for line in lines if line.endswith(b"\n")
+            and not _logged_from(line, run_id, step)]
     if len(kept) < len(lines):
         write_atomic(path, kept)
 
@@ -120,8 +122,8 @@ def cmd_train(args) -> int:
 def _agents_from_checkpoint(state: ParameterSet, dataset):
     """The checkpoint's agents, for ``dataset``'s observations and
     vocabulary. Entries that do not fit agents of those and of the other
-    sizes the entries imply, or that are not finite, raise ``FormatError``
-    through ``check_layout``, as on a resume."""
+    sizes the entries imply, that imply sizes no agent has, or that are
+    not finite, raise ``FormatError``, as on a resume."""
     speaker_params = state.subset("speaker.")
     listener_params = state.subset("listener.")
     spec = dataset.spec
@@ -133,6 +135,8 @@ def _agents_from_checkpoint(state: ParameterSet, dataset):
     except KeyError as exc:
         raise FormatError(f"checkpoint lacks speaker./listener. entry "
                           f"{exc}") from None
+    except ValueError as exc:  # a FormatError, or ModelConfig's refusal
+        raise FormatError(str(exc)) from None
     check_layout(SpeakerPolicy.create(cfg, 0).params, speaker_params,
                  "speaker.")
     check_layout(ListenerModel.create(cfg, 0).params, listener_params,
@@ -199,9 +203,8 @@ def cmd_pretrain(args) -> int:
     supervised_pretrain(trainer.speaker, dataset, steps=args.steps,
                         lr=args.lr, seed=cfg.train.seed,
                         clip_norm=cfg.train.clip_norm)
-    for rep in trainer.replicas[1:]:
-        for name, t in rep.params.items():
-            t.data = trainer.speaker.params[name].data.copy()
+    trainer.replicas[1:] = [trainer.speaker.copy()
+                            for _ in trainer.replicas[1:]]
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     save_checkpoint(trainer.pack_state(), args.out)
     print(f"pretrained speaker for {args.steps} steps -> {args.out}")

@@ -2,9 +2,11 @@
 
 A tensor is its numpy array: ``data`` holds the values at the tensor's
 shape, a tuple of positive ints. Ops validate shapes eagerly, compute
-with numpy, and (when a Tape is supplied and an input requires
-gradients) record a backward rule on the tape. Backward replays the
-tape in exact reverse order, so two runs on identical inputs produce
+with numpy, and build their output through one helper, ``_node``: the
+output requires gradients when an input does, and then (when a Tape is
+supplied) its backward rule is recorded on the tape. A rule returns one
+gradient per input, constants included. Backward replays the tape in
+exact reverse order, so two runs on identical inputs produce
 bitwise-equal gradients. Gradients accumulate additively until
 explicitly zeroed.
 
@@ -96,9 +98,11 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 def backward(tape: Tape, loss: Tensor) -> None:
     """Populate grads of every reachable gradient-requiring tensor.
 
-    ``loss`` must be a scalar produced on this tape. Gradients add into
-    existing buffers, so shared parameters accumulate contributions from
-    every use.
+    ``loss`` must be a scalar produced on this tape. Every node was made
+    by ``_node``, and its rule returns one gradient per input; a rule
+    that returns another count raises ValueError. Only inputs that
+    require gradients take theirs, added into existing buffers, so
+    shared parameters accumulate contributions from every use.
     """
     if loss.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -107,8 +111,8 @@ def backward(tape: Tape, loss: Tensor) -> None:
         g = out.grad
         if g is None:
             continue
-        for inp, gi in zip(inputs, rule(g)):
-            if gi is not None and inp.requires_grad:
+        for inp, gi in zip(inputs, rule(g), strict=True):
+            if inp.requires_grad:
                 _accum(inp, gi)
 
 
@@ -116,24 +120,26 @@ def backward(tape: Tape, loss: Tensor) -> None:
 # ops
 
 
+def _node(tape, values, inputs: tuple, rule) -> Tensor:
+    """An op's output: ``values``, needing a gradient when any input
+    does, and then recorded on ``tape`` (if given) with its ``rule``."""
+    out = Tensor(values, any(t.requires_grad for t in inputs))
+    if out.requires_grad and tape is not None:
+        tape.record(out, inputs, rule)
+    return out
+
+
 def matmul(tape, a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two rank-2 tensors."""
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
     A, B = a.data, b.data
-    req = a.requires_grad or b.requires_grad
-    out = Tensor(A @ B, req)
-    if req and tape is not None:
-        def rule(g):
-            # np.matmul multiplies a one-row A's (k, 1) transpose without
-            # BLAS, 5-10x slower than np.dot, which gives the same bits
-            return (
-                (g @ B.T) if a.requires_grad else None,
-                (np.dot(A.T, g) if len(A) == 1 else A.T @ g)
-                if b.requires_grad else None,
-            )
-        tape.record(out, (a, b), rule)
-    return out
+
+    def rule(g):
+        # np.matmul multiplies a one-row A's (k, 1) transpose without
+        # BLAS, 5-10x slower than np.dot, which gives the same bits
+        return g @ B.T, np.dot(A.T, g) if len(A) == 1 else A.T @ g
+    return _node(tape, A @ B, (a, b), rule)
 
 
 def inner(tape, a: Tensor, b: Tensor) -> Tensor:
@@ -142,16 +148,10 @@ def inner(tape, a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"inner: incompatible shapes {a.shape} and {b.shape}")
     A, B = a.data, b.data
-    req = a.requires_grad or b.requires_grad
-    out = Tensor(A @ B.T, req)
-    if req and tape is not None:
-        def rule(g):
-            return (
-                (g @ B) if a.requires_grad else None,
-                (g.T @ A) if b.requires_grad else None,
-            )
-        tape.record(out, (a, b), rule)
-    return out
+
+    def rule(g):
+        return g @ B, g.T @ A
+    return _node(tape, A @ B.T, (a, b), rule)
 
 
 def add(tape, a: Tensor, b: Tensor) -> Tensor:
@@ -159,17 +159,10 @@ def add(tape, a: Tensor, b: Tensor) -> Tensor:
     row = a.ndim == 2 and b.shape == (a.shape[1],)
     if b.shape != a.shape and not row:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
-    req = a.requires_grad or b.requires_grad
-    out = Tensor(a.data + b.data, req)
-    if req and tape is not None:
-        def rule(g):
-            return (
-                g.copy() if a.requires_grad else None,
-                (g.sum(axis=0, dtype=F32) if row else g)
-                if b.requires_grad else None,
-            )
-        tape.record(out, (a, b), rule)
-    return out
+
+    def rule(g):
+        return g.copy(), g.sum(axis=0, dtype=F32) if row else g
+    return _node(tape, a.data + b.data, (a, b), rule)
 
 
 def mul(tape, a: Tensor, b: Tensor) -> Tensor:
@@ -177,40 +170,28 @@ def mul(tape, a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
     A, B = a.data, b.data
-    req = a.requires_grad or b.requires_grad
-    out = Tensor(A * B, req)
-    if req and tape is not None:
-        def rule(g):
-            return (
-                (g * B) if a.requires_grad else None,
-                (g * A) if b.requires_grad else None,
-            )
-        tape.record(out, (a, b), rule)
-    return out
+
+    def rule(g):
+        return g * B, g * A
+    return _node(tape, A * B, (a, b), rule)
 
 
 def mean(tape, a: Tensor, m: int) -> Tensor:
     """Mean of each run of m rows of a rank-2 tensor, (n·m, d) -> (n, d)."""
     if a.ndim != 2 or a.shape[0] % m:
         raise ShapeError(f"mean: cannot pool {a.shape} in runs of {m} rows")
-    req = a.requires_grad
-    out = Tensor(a.data.reshape(-1, m, a.shape[1]).mean(axis=1, dtype=F32),
-                 req)
-    if req and tape is not None:
-        def rule(g):
-            return (np.repeat(g / F32(m), m, axis=0),)
-        tape.record(out, (a,), rule)
-    return out
+
+    def rule(g):
+        return (np.repeat(g / F32(m), m, axis=0),)
+    return _node(tape, a.data.reshape(-1, m, a.shape[1]).mean(
+        axis=1, dtype=F32), (a,), rule)
 
 
 def tsum(tape, a: Tensor) -> Tensor:
     """Sum of all elements, as a scalar tensor."""
-    out = Tensor(a.data.sum(dtype=F32), a.requires_grad)
-    if a.requires_grad and tape is not None:
-        def rule(g):
-            return (np.full(a.shape, g[0], F32),)
-        tape.record(out, (a,), rule)
-    return out
+    def rule(g):
+        return (np.full(a.shape, g[0], F32),)
+    return _node(tape, a.data.sum(dtype=F32), (a,), rule)
 
 
 def _scatter_rows(shape, idx, rows: np.ndarray) -> np.ndarray:
@@ -248,13 +229,10 @@ def embedding(tape, table: Tensor, ids) -> Tensor:
     if idx.ndim != 1:
         raise ShapeError(f"embedding: indices must be 1-D, got shape {idx.shape}")
     check_index("embedding", idx, table.shape[0])
-    req = table.requires_grad
-    out = Tensor(table.data[idx], req)
-    if req and tape is not None:
-        def rule(g):
-            return (_scatter_rows(table.shape, idx, g),)
-        tape.record(out, (table,), rule)
-    return out
+
+    def rule(g):
+        return (_scatter_rows(table.shape, idx, g),)
+    return _node(tape, table.data[idx], (table,), rule)
 
 
 def take_cols(tape, a: Tensor, cols) -> Tensor:
@@ -267,14 +245,12 @@ def take_cols(tape, a: Tensor, cols) -> Tensor:
     check_index("take_cols", idx, a.shape[1])
     if (np.diff(np.sort(idx, axis=1), axis=1) == 0).any():
         raise ValueError("take_cols: a row repeats a column")
-    out = Tensor(np.take_along_axis(a.data, idx, 1), a.requires_grad)
-    if a.requires_grad and tape is not None:
-        def rule(g):
-            G = np.zeros(a.shape, F32)
-            np.put_along_axis(G, idx, g, 1)
-            return (G,)
-        tape.record(out, (a,), rule)
-    return out
+
+    def rule(g):
+        G = np.zeros(a.shape, F32)
+        np.put_along_axis(G, idx, g, 1)
+        return (G,)
+    return _node(tape, np.take_along_axis(a.data, idx, 1), (a,), rule)
 
 
 def reshape(tape, a: Tensor, shape) -> Tensor:
@@ -282,23 +258,18 @@ def reshape(tape, a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if math.prod(shape) != a.size:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
-    out = Tensor(a.data.reshape(shape).copy(), a.requires_grad)
-    if a.requires_grad and tape is not None:
-        def rule(g):
-            return (g.copy(),)
-        tape.record(out, (a,), rule)
-    return out
+
+    def rule(g):
+        return (g.copy(),)
+    return _node(tape, a.data.reshape(shape).copy(), (a,), rule)
 
 
 def tanh(tape, a: Tensor) -> Tensor:
     out_nd = np.tanh(a.data)
-    req = a.requires_grad
-    out = Tensor(out_nd, req)
-    if req and tape is not None:
-        def rule(g):
-            return (g * (F32(1) - out_nd * out_nd),)
-        tape.record(out, (a,), rule)
-    return out
+
+    def rule(g):
+        return (g * (F32(1) - out_nd * out_nd),)
+    return _node(tape, out_nd, (a,), rule)
 
 
 def _log_softmax_rows(X: np.ndarray, out=None) -> np.ndarray:
@@ -313,10 +284,7 @@ def log_softmax(tape, a: Tensor) -> Tensor:
     if a.ndim != 2:
         raise ShapeError(f"log_softmax: needs rank 2, got shape {a.shape}")
     out_nd = _log_softmax_rows(a.data)
-    req = a.requires_grad
-    out = Tensor(out_nd, req)
-    if req and tape is not None:
-        def rule(g):
-            return (g - np.exp(out_nd) * g.sum(axis=1, keepdims=True),)
-        tape.record(out, (a,), rule)
-    return out
+
+    def rule(g):
+        return (g - np.exp(out_nd) * g.sum(axis=1, keepdims=True),)
+    return _node(tape, out_nd, (a,), rule)

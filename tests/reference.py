@@ -74,13 +74,10 @@ def softmax(tape, a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=1, keepdims=True)
-    req = a.requires_grad
-    out = Tensor(s, req)
-    if req and tape is not None:
-        def rule(g):
-            return (((g - (g * s).sum(axis=1, keepdims=True)) * s),)
-        tape.record(out, (a,), rule)
-    return out
+
+    def rule(g):
+        return (((g - (g * s).sum(axis=1, keepdims=True)) * s),)
+    return T._node(tape, s, (a,), rule)
 
 
 def concat(tape, parts, axis: int = 0) -> Tensor:
@@ -97,23 +94,12 @@ def concat(tape, parts, axis: int = 0) -> Tensor:
         other = 1 - axis
         if nd == 2 and p.shape[other] != parts[0].shape[other]:
             raise ShapeError(f"concat: shape mismatch {parts[0].shape} vs {p.shape}")
-    req = any(p.requires_grad for p in parts)
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis), req)
-    if req and tape is not None:
-        sizes = [p.shape[axis] for p in parts]
-        def rule(g):
-            grads = []
-            off = 0
-            for p, s in zip(parts, sizes):
-                if p.requires_grad:
-                    piece = g[off:off + s] if axis == 0 else g[:, off:off + s]
-                    grads.append(np.ascontiguousarray(piece).copy())
-                else:
-                    grads.append(None)
-                off += s
-            return grads
-        tape.record(out, tuple(parts), rule)
-    return out
+    ends = np.cumsum([p.shape[axis] for p in parts])[:-1]
+
+    def rule(g):
+        return [piece.copy() for piece in np.split(g, ends, axis=axis)]
+    return T._node(tape, np.concatenate([p.data for p in parts], axis=axis),
+                   tuple(parts), rule)
 
 
 def _gates(pre: np.ndarray) -> tuple:
@@ -147,28 +133,24 @@ def gru_cell(tape, x: Tensor, h: Tensor, w: Tensor, b: Tensor) -> Tensor:
     z, r = _gates(U @ W[:, :2 * dh] + b.data[:2 * dh])
     V = np.concatenate([r * H, X], axis=1)
     c = np.tanh(V @ W[:, 2 * dh:] + b.data[2 * dh:])
-    inputs = (x, h, w, b)
-    req = any(t.requires_grad for t in inputs)
-    out = Tensor(H + z * (c - H), req)
-    if req and tape is not None:
-        def rule(G):
-            dz = G * (c - H) * z * (F32(1) - z)
-            dc = G * z * (F32(1) - c * c)
-            dH = G * (F32(1) - z)
-            dV = dc @ W[:, 2 * dh:].T
-            drh = dV[:, :dh]
-            dX = dV[:, dh:].copy()
-            dr = drh * H * r * (F32(1) - r)
-            dH = dH + drh * r
-            dzr = np.concatenate([dz, dr], axis=1)
-            dU = dzr @ W[:, :2 * dh].T
-            dH = dH + dU[:, :dh]
-            dX += dU[:, dh:]
-            dW = np.concatenate([U.T @ dzr, V.T @ dc], axis=1)
-            db = np.concatenate([dzr, dc], axis=1).sum(axis=0, dtype=F32)
-            return dX, dH, dW, db
-        tape.record(out, inputs, rule)
-    return out
+
+    def rule(G):
+        dz = G * (c - H) * z * (F32(1) - z)
+        dc = G * z * (F32(1) - c * c)
+        dH = G * (F32(1) - z)
+        dV = dc @ W[:, 2 * dh:].T
+        drh = dV[:, :dh]
+        dX = dV[:, dh:].copy()
+        dr = drh * H * r * (F32(1) - r)
+        dH = dH + drh * r
+        dzr = np.concatenate([dz, dr], axis=1)
+        dU = dzr @ W[:, :2 * dh].T
+        dH = dH + dU[:, :dh]
+        dX += dU[:, dh:]
+        dW = np.concatenate([U.T @ dzr, V.T @ dc], axis=1)
+        db = np.concatenate([dzr, dc], axis=1).sum(axis=0, dtype=F32)
+        return dX, dH, dW, db
+    return T._node(tape, H + z * (c - H), (x, h, w, b), rule)
 
 
 def gru_cell_split(tape, xs: Tensor, h: Tensor, w_state: Tensor) -> Tensor:
@@ -194,21 +176,17 @@ def gru_cell_split(tape, xs: Tensor, h: Tensor, w_state: Tensor) -> Tensor:
     z, r = _gates(H @ W[:, :2 * dh] + XS[:, :2 * dh])
     V = r * H
     c = np.tanh(V @ W[:, 2 * dh:] + XS[:, 2 * dh:])
-    inputs = (xs, h, w_state)
-    req = any(t.requires_grad for t in inputs)
-    out = Tensor(H + z * (c - H), req)
-    if req and tape is not None:
-        def rule(G):
-            dz = G * (c - H) * z * (F32(1) - z)
-            dc = G * z * (F32(1) - c * c)
-            drh = dc @ W[:, 2 * dh:].T
-            dr = drh * H * r * (F32(1) - r)
-            dzr = np.concatenate([dz, dr], axis=1)
-            dH = G * (F32(1) - z) + drh * r + dzr @ W[:, :2 * dh].T
-            return (np.concatenate([dzr, dc], axis=1), dH,
-                    np.concatenate([H.T @ dzr, V.T @ dc], axis=1))
-        tape.record(out, inputs, rule)
-    return out
+
+    def rule(G):
+        dz = G * (c - H) * z * (F32(1) - z)
+        dc = G * z * (F32(1) - c * c)
+        drh = dc @ W[:, 2 * dh:].T
+        dr = drh * H * r * (F32(1) - r)
+        dzr = np.concatenate([dz, dr], axis=1)
+        dH = G * (F32(1) - z) + drh * r + dzr @ W[:, :2 * dh].T
+        return (np.concatenate([dzr, dc], axis=1), dH,
+                np.concatenate([H.T @ dzr, V.T @ dc], axis=1))
+    return T._node(tape, H + z * (c - H), (xs, h, w_state), rule)
 
 
 def state_rows(tape, w: Tensor) -> Tensor:

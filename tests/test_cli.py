@@ -175,6 +175,32 @@ def test_eval_checkpoint_with_a_misshapen_entry_exits_2(eval_files,
     assert sorted(os.listdir(tmp_path)) == ["bad.lgc", "eval.ini"]
 
 
+@pytest.mark.parametrize("name, cols", [
+    ("speaker.enc.l2.w", 4), ("speaker.emb", 0), ("listener.img.w", 0),
+    ("speaker.gru", None)])
+def test_eval_checkpoint_whose_entries_imply_no_agents_exits_2(
+        eval_files, tmp_path, name, cols):
+    # enc.l2 narrower than d_e (no patch), d_e or d_o of 0, or no decoder
+    # layer (every gru and init entry removed)
+    state = load_checkpoint(str(eval_files / "agents.lgc"))
+    if cols is None:
+        bad = ParameterSet()
+        for key, t in state.items():
+            if not key.startswith(("speaker.gru", "speaker.init")):
+                bad.add(key, t)
+    else:
+        bad = _edited(state, name, state[name].data[:, :cols])
+    save_checkpoint(bad, str(tmp_path / "bad.lgc"))
+    config = _write_config(tmp_path / "eval.ini", {"game": {"k": 4}})
+    proc = _run_eval(eval_files, config, "--out", str(tmp_path / "out"),
+                     checkpoint=tmp_path / "bad.lgc")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("data error: ")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+    assert sorted(os.listdir(tmp_path)) == ["bad.lgc", "eval.ini"]
+
+
 @pytest.mark.parametrize("name, rank", [
     ("speaker.emb", 1), ("speaker.emb", 3), ("speaker.enc.l1.w", 1),
     ("speaker.enc.l2.w", 1), ("listener.img.w", 1)])
@@ -914,6 +940,22 @@ def test_resumed_runs_log_each_step_once(eval_files, tmp_path):
     rows = steps(straight_rows)
     assert [s for _, s in rows] == list(range(6))
     assert steps(resumed[0])[3:] == rows[3:]
+
+
+@pytest.mark.parametrize("resume_step", [2, 3])
+def test_resume_drops_a_row_cut_by_a_crash(eval_files, tmp_path, resume_step):
+    # a crash cut the log 25 characters into step 3's row; a resume from
+    # step 2 also drops step 2's whole row, one from step 3 drops no row
+    dataset = eval_files / "world.lgw"
+    _train_in(tmp_path, dataset, resume_step)
+    (tmp_path / "kept.lgc").write_bytes(
+        (tmp_path / "ckpt" / "latest.lgc").read_bytes())
+    lines = _train_in(tmp_path, dataset, 4, "ckpt/latest.lgc")[0].splitlines(
+        keepends=True)
+    (tmp_path / "m.jsonl").write_bytes(b"".join(lines[:3]) + lines[3][:25])
+    log = _train_in(tmp_path, dataset, 4, "kept.lgc")[0]
+    assert [json.loads(line)["step"] for line in log.splitlines()] == [
+        0, 1, 2, 3]
 
 
 def test_sweep_prints_the_gate_numbers_per_k(monkeypatch, capsys):

@@ -348,3 +348,38 @@ def test_gradcheck_each_op(name):
     build, shapes = OP_CASES[name]
     for seed in range(3):
         _check_op(build, shapes, seed=seed)
+
+
+@pytest.mark.parametrize("name", sorted(OP_CASES))
+def test_each_op_records_only_what_needs_a_gradient(name):
+    build, shapes = OP_CASES[name]
+    rng = np.random.default_rng(0)
+    arrays = [rng.normal(0, 1, shape).astype(np.float32) for shape in shapes]
+
+    def run(needs):
+        ps = ParameterSet()
+        for i, arr in enumerate(arrays):
+            ps.add(f"p{i}", Tensor(arr.copy(), requires_grad=i in needs))
+        tape = Tape()
+        loss = build(ps, tape)
+        if needs:
+            backward(tape, loss)
+        return loss, tape, [p.grad for _, p in ps.items()]
+
+    loss, tape, _ = run(())
+    assert not loss.requires_grad and len(tape) == 0
+    _, _, every = run(range(len(arrays)))
+    for i in range(len(arrays)):
+        _, _, grads = run((i,))
+        # the one input's gradient is bitwise the one it gets beside others
+        np.testing.assert_array_equal(grads[i], every[i])
+        assert all(g is None for j, g in enumerate(grads) if j != i)
+
+
+def test_backward_refuses_a_rule_with_a_gradient_short():
+    a, b = Tensor([1.0], requires_grad=True), Tensor([2.0], requires_grad=True)
+    out = Tensor(a.data + b.data, requires_grad=True)
+    tape = Tape()
+    tape.record(out, (a, b), lambda g: (g,))
+    with pytest.raises(ValueError):
+        backward(tape, out)
