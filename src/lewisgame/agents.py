@@ -7,8 +7,9 @@ equal runs of values (an image's grid cells, or one attribute vector),
 and one MLP encodes each run into ``n_patches // cells`` patches. The
 Listener summarizes a message with its own recurrent encoder, projects
 the summary into the image-embedding space with a two-layer MLP, and
-scores candidates by inner product. The Listener reuses the Speaker's
-observation encoder, and its loss gradient flows back into that encoder.
+scores candidates by inner product. The Listener sees every candidate
+through one bound speaker's observation encoder, and its loss gradient
+flows back into that encoder alone.
 
 Messages are decoded, rescored and embedded in blocks, one message per
 row. The speaker encodes each run of equal consecutive observation rows
@@ -231,7 +232,8 @@ class SpeakerPolicy:
 
 
 class ListenerModel:
-    """Message encoder, projection MLP, and shared image encoder head.
+    """Message encoder, projection MLP, and image head over the bound
+    ``encoder`` speaker's observation encoder.
 
     Candidates are embedded as one batch of generic ops
     (``embed_images``) and messages as one padded GRU block
@@ -275,19 +277,17 @@ class ListenerModel:
                          tape)
         return _mlp(tape, h, p, "proj")
 
-    def embed_images(self, observations: np.ndarray, tape=None,
-                     encoder=None) -> Tensor:
+    def embed_images(self, observations: np.ndarray, tape=None) -> Tensor:
         """(N, d_o) embeddings of N candidate observations, one per row.
 
-        All candidates go through the shared encoder as one batch, one
-        node per op for the whole set; each candidate's patches are then
-        mean-pooled and projected the same way.
+        All candidates go through the listener's bound encoder as one
+        batch, one node per op for the whole set; each candidate's
+        patches are then mean-pooled and projected the same way.
         """
-        enc = encoder or self.encoder
-        if enc is None:
+        if self.encoder is None:
             raise ValueError("listener has no bound image encoder")
-        pooled = T.mean(tape, enc.encode(observations, tape),
-                        enc.cfg.n_patches)
+        pooled = T.mean(tape, self.encoder.encode(observations, tape),
+                        self.cfg.n_patches)
         return T.matmul(tape, pooled, self.params["img.w"])
 
     def log_probs(self, v_msgs: Tensor, v_imgs: Tensor, cols,

@@ -155,18 +155,18 @@ def evaluate_agents(speaker: SpeakerPolicy, listener: ListenerModel,
     Every round's K candidates are drawn first; the rounds are then
     played through ``game.play_rounds``, as training plays them, as a
     single block of ``speaker``: one message per round decoded greedily
-    (argmax), no tape and no rng, all ``n_rounds`` messages embedded by
-    the listener as one block and each distinct candidate scene embedded
-    once. Deterministic given (parameters, dataset, seed, n_rounds):
-    distractor draws come from a fresh seeded stream.
+    (argmax), no tape and no rng, the listener's one pass embedding all
+    messages and, through its bound encoder, each distinct candidate
+    scene once. Deterministic given (parameters, dataset, seed,
+    n_rounds): distractor draws come from a fresh seeded stream.
     """
     if n_rounds < 1:
         raise ValueError(f"evaluate_agents: n_rounds must be >= 1, got "
                          f"{n_rounds}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A1]))
     scenes, targets = sample_game_batch(dataset, k, n_rounds, rng)
-    (trace,) = play_rounds([(speaker, scenes, targets, None)], listener,
-                           dataset.model_inputs(), 1, t_max)
+    trace = play_rounds([(speaker, scenes, targets, None)], listener,
+                        dataset.model_inputs(), 1, t_max)
     bleus, coverages, lengths = [], [], []
     for target, message in zip(scenes[np.arange(n_rounds), targets],
                                trace.messages):

@@ -9,16 +9,14 @@ reads the 0/1 indicator (argmax hit) alongside it.
 
 ``play_rounds`` plays rounds once their candidates are drawn, for
 training (sampled, taped) and evaluation (one greedy message per round,
-untaped) through one path. It plays one block of rounds per speaker:
-each speaker decodes its block's messages as one block, the listener
-embeds the messages of every block as one block, and each block embeds
-its distinct candidate scenes once, so the tape holds the same nodes
-whatever the number of rounds and of messages per round. It returns one
-``RoundTrace`` per block, the one record of that played block: one row
-per message, with its target, the listener's probabilities and its
-log-probs as arrays and tape nodes over the block. Each row's reward
-is one advantage for all its tokens (``training.group_advantages``),
-and ``solve_rate`` ranks every row at once.
+untaped) through one path. Each speaker decodes its own block of rounds,
+and the listener plays every block as one: one call embeds every
+message, one embeds each distinct candidate scene once through the
+listener's one bound encoder, and one node scores them all, so the tape
+holds the same nodes whatever the number of rounds and of messages. It
+returns one ``RoundTrace``, one row per message. Each row's reward is
+one advantage for all its tokens (``training.group_advantages``), and
+``solve_rate`` ranks every row at once.
 
 Reference captions are never read here; the game is fully unsupervised.
 """
@@ -60,16 +58,17 @@ class GameConfig:
 
 @dataclass
 class RoundTrace:
-    """Played rounds as one block record: B rows, round-major (each
-    round's G generations in a row), and the tape handles the trainer
-    consumes. Row b is message ``messages[b]`` played against its round's
-    candidates; its reward is ``probs[b, targets[b]]``."""
+    """Played rounds as one record: B rows, block-major, then round-major
+    (each round's G generations in a row), and the tape handles the
+    trainer consumes. Row b is message ``messages[b]`` played against its
+    round's candidates, all seen through the listener's bound encoder;
+    its reward is ``probs[b, targets[b]]``."""
 
     messages: list       # B MessageSamples
     targets: np.ndarray  # (B,) target positions among the K candidates
     probs: np.ndarray    # (B, K) listener probabilities
     generations: int
-    logprobs: Tensor     # (B, T) chosen-token log-probs, 0 past each end
+    logprobs: tuple      # each block's (B_w, T) token log-probs, 0 past ends
     logp_target: Tensor  # (B, 1) listener log-probs at the targets; None
     #                      when played without a tape
 
@@ -86,51 +85,45 @@ class RoundTrace:
 
 
 def play_rounds(blocks, listener: ListenerModel, inputs: np.ndarray,
-                generations: int, t_max: int, tape=None) -> list[RoundTrace]:
+                generations: int, t_max: int, tape=None) -> RoundTrace:
     """Play drawn rounds: ``generations`` messages per round, one
-    ``RoundTrace`` per block and one row of it per message.
+    ``RoundTrace`` of every block, one row per message.
 
     ``blocks`` holds one ``(speaker, scenes, targets, rng)`` per speaker.
     ``inputs`` holds every scene's model input, one per row; a block's
     round n has the K candidates ``scenes[n]`` and the target
     ``targets[n]``. Each block's speaker describes its rounds' targets
     ``generations`` times in one ``SpeakerPolicy.sample`` call with the
-    block's rng, and one ``embed_message`` call embeds the messages of
-    every block. Each block embeds its M distinct candidate scenes once,
-    with its own speaker's encoder, scores each of its messages against
-    all M in one inner product and takes each row's K columns, so memory
-    is bounded by the scenes drawn, not by K × rounds; on a tape a scene
-    that several rounds share sums their gradients. A block takes its own
-    rows of the message summaries by ``T.embedding``, and on a tape its
-    row b's target log-prob by ``T.take_cols``. A block whose rng is
-    None decodes greedily.
+    block's rng, greedily if it is None. The listener then embeds every
+    message in one ``embed_message`` call, and the M distinct candidate
+    scenes of all rounds in one ``embed_images`` call through its bound
+    encoder. One ``log_probs`` node scores each message against all M and
+    takes its round's K columns, so memory is bounded by the scenes
+    drawn, not by K × rounds; on a tape a scene that several rounds share
+    sums their gradients, and one ``T.take_cols`` node holds each row's
+    target log-prob.
     """
     sampled = [speaker.sample(inputs[scenes[np.arange(targets.size), targets]],
                               t_max, generations, rng, tape)
                for speaker, scenes, targets, rng in blocks]
-    v_msgs = listener.embed_message(
-        [s.tokens for samples, _ in sampled for s in samples], tape)
-    traces, start = [], 0
-    for (speaker, scenes, targets, _), (samples, logprobs) in zip(blocks,
-                                                                  sampled):
-        rows = np.arange(start, start + len(samples))
-        start += len(samples)
-        distinct, slots = np.unique(scenes.ravel(), return_inverse=True)
-        node = listener.log_probs(
-            T.embedding(tape, v_msgs, rows),
-            listener.embed_images(inputs[distinct], tape, encoder=speaker),
-            np.repeat(slots.reshape(scenes.shape), generations, axis=0), tape)
-        row_targets = np.repeat(targets, generations)
-        logp_target = None if tape is None else T.take_cols(
-            tape, node, row_targets[:, None])
-        traces.append(RoundTrace(samples, row_targets, np.exp(node.data),
-                                 generations, logprobs, logp_target))
-    return traces
+    _, scenes, targets, _ = zip(*blocks)
+    scenes = np.concatenate(scenes)
+    targets = np.repeat(np.concatenate(targets), generations)
+    samples = [s for block, _ in sampled for s in block]
+    distinct, slots = np.unique(scenes.ravel(), return_inverse=True)
+    node = listener.log_probs(
+        listener.embed_message([s.tokens for s in samples], tape),
+        listener.embed_images(inputs[distinct], tape),
+        np.repeat(slots.reshape(scenes.shape), generations, axis=0), tape)
+    logp_target = None if tape is None else T.take_cols(tape, node,
+                                                        targets[:, None])
+    return RoundTrace(samples, targets, np.exp(node.data), generations,
+                      tuple(logprobs for _, logprobs in sampled), logp_target)
 
 
 def _play_round_traced(speakers, listener: ListenerModel, dataset: Dataset,
                        config: GameConfig, rngs, tape=None,
-                       n_rounds: int = 1) -> list[RoundTrace]:
+                       n_rounds: int = 1) -> RoundTrace:
     """Draw ``n_rounds`` training rounds' candidates for each speaker, from
     its own rng of ``rngs``, then play them: one block per speaker."""
     blocks = [(speaker, *sample_game_batch(dataset, config.k, n_rounds, rng),

@@ -3,26 +3,27 @@ supervised warm start.
 
 Every loss is one ``sequence_loss``: a log-prob node times a float32
 weight array, summed. The speaker's is GRPO's outcome surrogate over
-each group of G generations: each token of a row of the replica's
-(B, T) played block (``game.RoundTrace``) weighs -A / (length * B),
-with A = R - b, b the group's mean reward (the group-relative
-baseline), optionally over the group's reward std. Advantages are
-constants; no gradient flows through them. The listener's weighs its
-(B, 1) target log-probs by -1 / B, the cross-entropy against the
-one-hot target. The warm start's weighs the teacher-forced log-probs
+each group of G generations: each token of a row of a replica's (B_w, T)
+played block (``game.RoundTrace``) weighs -A / (length * B_w), with
+A = R - b, b the group's mean reward (the group-relative baseline),
+optionally over the group's reward std. Advantages are constants; no
+gradient flows through them. The listener's weighs the (B, 1) target
+log-probs of a step's B messages by -1 / B, the cross-entropy against
+the one-hot target. The warm start's weighs the teacher-forced log-probs
 of reference captions by -1 / (tokens in the batch).
 
 A step runs W speaker replicas over disjoint sub-batches (in-process,
 sequential, so results are bitwise reproducible). Each replica decodes
-its own block, and the listener embeds every block's messages as one
-block. The step is recorded on one tape: the sum over replicas of each
-replica's speaker + (lambda / W) * listener loss is backpropagated once,
-so the listener's gradient holds every replica's share. Every agent,
-the warm start's speaker too, steps through ``update``: it refuses a
-non-finite step, clips each gradient norm, and applies SGD to speakers
-and Adam to the listener. Replica weights are averaged periodically. Every
-config takes this one path: at lambda = 0 the listener's gradient is 0,
-and a group of one has zero advantages.
+its own block, and the listener plays every block as one through its one
+bound encoder, the first replica's (``game.play_rounds``). The step is
+recorded on one tape: the W speaker losses plus lambda times the one
+listener loss are backpropagated once, so the listener's loss trains
+replica 0's encoder alone. Every agent, the warm start's speaker too,
+steps through ``update``: it refuses a non-finite step, clips each
+gradient norm, and applies SGD to speakers and Adam to the listener.
+Replica weights are averaged periodically. Every config takes this one
+path: at lambda = 0 the listener's gradient is 0, and a group of one has
+zero advantages.
 """
 
 from __future__ import annotations
@@ -88,8 +89,10 @@ class TrainSettings:
 
 @dataclass
 class LossReport:
-    """Per-step summary. Replica-level quantities are averaged across
-    replicas; joint_loss always equals speaker + lambda * listener."""
+    """Per-step summary. The speaker's loss, grad norm and clip scale
+    are means across replicas; replica 0's grad norm alone holds a share
+    of the listener's loss, through the bound encoder. joint_loss always
+    equals speaker + lambda * listener."""
 
     speaker_loss: float
     listener_loss: float
@@ -232,10 +235,10 @@ def train_step(replicas, listener: ListenerModel, dataset,
     """One optimization step across all replicas.
 
     Each replica plays its ``targets_per_replica`` rounds as one block
-    and optimizes the mean of its group losses; the listener scores the
-    messages of every block in one block and optimizes the mean loss
-    over every message of the step. The step is one tape and one
-    ``backward``, then one ``update`` of every replica and the listener.
+    and optimizes the mean of its group losses; the listener plays every
+    block as one and optimizes its mean loss over every message of the
+    step, one loss node. The step is one tape and one ``backward``, then
+    one ``update`` of every replica and the listener.
     """
     n_rep = len(replicas)
     lam = game_cfg.lam
@@ -245,41 +248,33 @@ def train_step(replicas, listener: ListenerModel, dataset,
         params.zero_grads()
 
     tape = Tape()
-    traces = _play_round_traced(replicas, listener, dataset, game_cfg, rngs,
-                                tape, settings.targets_per_replica)
-    spk_values, lst_values, adv_vars = [], [], []
-    total = None
-    for trace in traces:
-        advs = group_advantages(trace, settings.standardize_advantages)
-        lengths = trace.lengths
-        # each row's tokens share -A / (length * B); past a row's end the
-        # node is 0 and its rule drops the gradient, so no mask is needed
-        per_row = -advs / lengths.astype(F32) / F32(lengths.size)
-        spk_node = sequence_loss(tape, trace.logprobs, per_row[:, None])
-        lst_node = sequence_loss(tape, trace.logp_target,
-                                 F32(-1 / lengths.size))
-        spk_values.append(spk_node.item())
-        lst_values.append(lst_node.item())
-        adv_vars.append(advantage_variance(advs, game_cfg.generations))
-        loss = T.add(tape, spk_node,
-                     T.mul(tape, lst_node, Tensor([lam / n_rep])))
-        total = loss if total is None else T.add(tape, total, loss)
+    trace = _play_round_traced(replicas, listener, dataset, game_cfg, rngs,
+                               tape, settings.targets_per_replica)
+    advs = group_advantages(trace, settings.standardize_advantages)
+    # a row's tokens share -A / (length * B_w), B_w a replica's rows; past
+    # its end the node is 0 and its rule drops the gradient: no mask needed
+    per_row = -advs / trace.lengths.astype(F32) / F32(advs.size // n_rep)
+    spk_nodes = [sequence_loss(tape, node, weights[:, None]) for node, weights
+                 in zip(trace.logprobs, np.split(per_row, n_rep))]
+    lst_node = sequence_loss(tape, trace.logp_target, F32(-1 / advs.size))
+    total = T.mul(tape, lst_node, Tensor([lam]))
+    for node in spk_nodes:
+        total = T.add(tape, node, total)
     backward(tape, total)
+    spk_values = [node.item() for node in spk_nodes]
     norms, scales = update(learners, settings.clip_norm,
-                           spk_values + lst_values)
+                           spk_values + [lst_node.item()])
 
     speaker_mean = float(np.mean(spk_values))
-    listener_mean = float(np.mean(lst_values))
+    listener_mean = lst_node.item()
     return LossReport(
         speaker_loss=speaker_mean,
         listener_loss=listener_mean,
         joint_loss=speaker_mean + lam * listener_mean,
-        mean_reward=float(np.mean(np.concatenate(
-            [tr.rewards for tr in traces]))),
-        mean_indicator=solve_rate(
-            np.concatenate([tr.probs for tr in traces]),
-            np.concatenate([tr.targets for tr in traces]), 1),
-        advantage_variance=float(np.mean(np.concatenate(adv_vars))),
+        mean_reward=float(np.mean(trace.rewards)),
+        mean_indicator=solve_rate(trace.probs, trace.targets, 1),
+        advantage_variance=float(np.mean(
+            advantage_variance(advs, game_cfg.generations))),
         grad_norm_speaker=float(np.mean(norms[:-1])),
         grad_norm_listener=norms[-1],
         clip_scale_speaker=float(np.mean(scales[:-1])),

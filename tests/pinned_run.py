@@ -28,22 +28,40 @@ line is the sha256 of ``pre.lgc``. Three more lines hash the raster
 stage's world file, ``latest.lgc`` and eval stdout, so a raster run,
 which the default config does not make, is pinned too.
 
-It takes no options; ``PYTHONPATH`` chooses the package it runs. Two
-runs of one commit must print the same lines (bitwise reproducibility),
-and a refactor that claims unchanged numbers must print the parent's
-lines:
+Before those lines it prints a header, one ``# key value`` line each:
+the Python and numpy versions, numpy's BLAS library and version, and the
+machine, on which float32 round-off may depend. ``PYTHONPATH`` chooses
+the package it runs. Two runs of one commit must print the same lines
+(bitwise reproducibility). ``tests/data/pinned_hashes.txt`` holds its
+output at the last commit that moved a line on purpose:
 
-    PYTHONPATH=src python tests/pinned_run.py
+    PYTHONPATH=src python tests/pinned_run.py > tests/data/pinned_hashes.txt
 
-pytest does not collect this file.
+With ``--check`` it compares its lines with that file instead, names
+each line that moved and exits 1 if any did; a refactor that claims
+unchanged numbers must pass it. When the header differs from the file's,
+the difference is named too, since a hash may then move by round-off
+alone.
+
+    PYTHONPATH=src python tests/pinned_run.py --check
+
+pytest does not collect this file; ``tests/test_pinned_run.py`` runs the
+check.
 """
 
+import argparse
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
+
+import numpy
+
+PINNED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                      "pinned_hashes.txt")
 
 STEPS = 50
 CONFIG = f"""[paths]
@@ -123,28 +141,87 @@ def _train_and_eval(root: str, config: str) -> bytes:
                       "--dataset", "world.lgw")
 
 
-def main() -> int:
+def environment() -> dict:
+    """The header's facts about this interpreter, its numpy and BLAS."""
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.25 prints, returns None
+        blas = "unknown"
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "blas": blas, "machine": platform.machine()}
+
+
+def read_pinned(path: str = PINNED) -> tuple[dict, dict]:
+    """The header and the hash lines of a file this script wrote, each as
+    a dict of name to value."""
+    header, hashes = {}, {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.startswith("# "):
+                key, _, value = line[2:].rstrip("\n").partition(" ")
+                header[key] = value
+            elif line.strip():
+                name, value = line.split()
+                hashes[name] = value
+    return header, hashes
+
+
+def differences(want: dict, got: dict) -> list[str]:
+    """One ``name: want -> got`` line per name whose values differ."""
+    return [f"{name}: {want.get(name)} -> {got.get(name)}"
+            for name in dict.fromkeys([*want, *got])
+            if want.get(name) != got.get(name)]
+
+
+def pinned_lines() -> dict:
+    """Run the recipe; each hash line's name and sha256."""
+    out = {}
     with tempfile.TemporaryDirectory(prefix="pinned-run-") as root:
         eval_out = _train_and_eval(root, CONFIG)
         _lewisgame(root, "pretrain", "--config", "run.ini",
                    "--out", "pre.lgc", "--steps", "20")
-        print(f"world.lgw {_file_sha256(os.path.join(root, 'world.lgw'))}")
-        print(f"metrics.jsonl "
-              f"{_file_sha256(os.path.join(root, 'metrics.jsonl'))}")
-        print(f"latest.lgc "
-              f"{_file_sha256(os.path.join(root, 'ckpt', 'latest.lgc'))}")
-        print(f"eval.stdout {_sha256(eval_out)}")
-        print(f"metrics.rows-without-run_id "
-              f"{_rows_sha256(os.path.join(root, 'metrics.jsonl'))}")
-        print(f"pre.lgc {_file_sha256(os.path.join(root, 'pre.lgc'))}")
+        out["world.lgw"] = _file_sha256(os.path.join(root, "world.lgw"))
+        out["metrics.jsonl"] = _file_sha256(
+            os.path.join(root, "metrics.jsonl"))
+        out["latest.lgc"] = _file_sha256(
+            os.path.join(root, "ckpt", "latest.lgc"))
+        out["eval.stdout"] = _sha256(eval_out)
+        out["metrics.rows-without-run_id"] = _rows_sha256(
+            os.path.join(root, "metrics.jsonl"))
+        out["pre.lgc"] = _file_sha256(os.path.join(root, "pre.lgc"))
         raster = os.path.join(root, "raster")
         eval_out = _train_and_eval(raster, RASTER_CONFIG)
-        print(f"raster/world.lgw "
-              f"{_file_sha256(os.path.join(raster, 'world.lgw'))}")
-        print(f"raster/latest.lgc "
-              f"{_file_sha256(os.path.join(raster, 'ckpt', 'latest.lgc'))}")
-        print(f"raster/eval.stdout {_sha256(eval_out)}")
-    return 0
+        out["raster/world.lgw"] = _file_sha256(
+            os.path.join(raster, "world.lgw"))
+        out["raster/latest.lgc"] = _file_sha256(
+            os.path.join(raster, "ckpt", "latest.lgc"))
+        out["raster/eval.stdout"] = _sha256(eval_out)
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Run the pinned recipe "
+                                     "and print, or check, its hashes.")
+    parser.add_argument("--check", action="store_true",
+                        help=f"compare with {os.path.relpath(PINNED)}")
+    args = parser.parse_args(argv)
+    lines = pinned_lines()
+    if not args.check:
+        for key, value in environment().items():
+            print(f"# {key} {value}")
+        for name, value in lines.items():
+            print(f"{name} {value}")
+        return 0
+    header, hashes = read_pinned()
+    for line in differences(header, environment()):
+        print(f"environment differs, {line}")
+    moved = differences(hashes, lines)
+    for line in moved:
+        print(f"moved {line}")
+    if not moved:
+        print(f"all {len(lines)} lines match {os.path.relpath(PINNED)}")
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":

@@ -222,14 +222,13 @@ def encode(speaker, obs: np.ndarray, tape) -> Tensor:
 # listener candidate embedding (oracle for ListenerModel.embed_images)
 
 
-def embed_images(listener, observations: np.ndarray, tape=None,
-                 encoder=None) -> Tensor:
-    """``ListenerModel.embed_images`` one candidate at a time."""
-    enc = encoder or listener.encoder
+def embed_images(listener, observations: np.ndarray, tape=None) -> Tensor:
+    """``ListenerModel.embed_images`` one candidate at a time, through the
+    listener's bound encoder."""
     p = listener.params
     rows = []
     for obs in observations:
-        patches = encode(enc, obs, tape)
+        patches = encode(listener.encoder, obs, tape)
         pooled = T.mean(tape, patches, len(patches.data))
         rows.append(T.matmul(tape, pooled, p["img.w"]))
     return concat(tape, rows, axis=0)
@@ -415,11 +414,11 @@ class Episode:
 
 
 def episodes(trace: RoundTrace) -> list:
-    """The rows of a played block, one ``Episode`` each."""
-    lps = trace.logprobs.data
-    return [Episode(int(t), lps[row, :m.length].copy(), p)
-            for row, (m, t, p) in enumerate(zip(trace.messages,
-                                                trace.targets, trace.probs))]
+    """The rows of played rounds, one ``Episode`` each."""
+    lps = [row for node in trace.logprobs for row in node.data]
+    return [Episode(int(t), lp[:m.length].copy(), p)
+            for lp, m, t, p in zip(lps, trace.messages, trace.targets,
+                                   trace.probs)]
 
 
 def round_trace(episodes, generations: int, width: int = 0,
@@ -434,7 +433,7 @@ def round_trace(episodes, generations: int, width: int = 0,
     return RoundTrace([MessageSample((5,) * ep.length) for ep in episodes],
                       np.array([ep.target for ep in episodes]),
                       np.stack([ep.probs for ep in episodes]), generations,
-                      Tensor(block, True), None)
+                      (Tensor(block, True),), None)
 
 
 def group_advantages(episodes, standardize: bool = False) -> list:
@@ -548,7 +547,7 @@ def evaluate_agents(speaker, listener, dataset, k: int, n_rounds: int = 200,
         obs = dataset.model_inputs()[scenes]
         target_idx = int(scenes[target])
         (message,), (node,) = sample(speaker, obs[target], t_max, 1, None)
-        v_imgs = listener.embed_images(obs, None, encoder=speaker)
+        v_imgs = listener.embed_images(obs, None)
         v_m = embed_message(listener, message.tokens)
         logp = listener.log_probs(v_m, v_imgs, np.arange(k)[None, :])
         episodes.append(Episode(int(target), node.data[:, 0].copy(),

@@ -508,7 +508,7 @@ def test_embed_images_matches_per_candidate_reference(encoder_world):
         speaker.params.zero_grads()
         listener.params.zero_grads()
         tape = Tape()
-        v = embed(obs, tape, encoder=speaker)
+        v = embed(obs, tape)
         backward(tape, T.tsum(tape, T.mul(tape, v, weights)))
         out[path] = v.data.copy()
         grads[path] = {**_grads(speaker.params),
@@ -531,7 +531,7 @@ def test_embed_images_tape_nodes_independent_of_k(world):
     counts = []
     for k in (2, 33):
         tape = Tape()
-        listener.embed_images(ds.model_inputs()[:k], tape, encoder=speaker)
+        listener.embed_images(ds.model_inputs()[:k], tape)
         counts.append(len(tape))
     assert counts[0] == counts[1] > 0
 
@@ -628,7 +628,7 @@ def test_listener_embed_identical_obs_bitwise(world):
     obs = ds.model_inputs()[:4].copy()
     obs[2] = obs[0]
     v_m = listener.embed_message([[5, 6, 1]])
-    v_imgs = listener.embed_images(obs, encoder=speaker)
+    v_imgs = listener.embed_images(obs)
     rows = v_imgs.data
     assert rows[0].tobytes() == rows[2].tobytes()
     assert np.isfinite(v_m.data).all()
@@ -638,8 +638,8 @@ def test_listener_embed_permutation_equivariant(world):
     ds, _, speaker, listener = world
     obs = ds.model_inputs()[:5]
     perm = [3, 1, 4, 0, 2]
-    v1 = listener.embed_images(obs, encoder=speaker)
-    v2 = listener.embed_images(obs[perm], encoder=speaker)
+    v1 = listener.embed_images(obs)
+    v2 = listener.embed_images(obs[perm])
     assert v2.data.tobytes() == v1.data[perm].tobytes()
 
 
@@ -713,7 +713,7 @@ def test_log_probs_scores_each_round_against_its_own_candidates(world):
     messages = [[int(t) for t in rng.integers(4, 20, n)]
                 for n in (3, 1, 5, 2, 4, 6)]
     v_m = listener.embed_message(messages)
-    v_imgs = listener.embed_images(ds.model_inputs()[:7], encoder=speaker)
+    v_imgs = listener.embed_images(ds.model_inputs()[:7])
     slots = np.array([[3, 0, 6, 1], [2, 5, 0, 4], [6, 4, 1, 3]])
     logp = listener.log_probs(v_m, v_imgs, np.repeat(slots, 2, axis=0))
     assert logp.shape == (6, 4)
@@ -728,7 +728,7 @@ def test_listener_accepts_any_k(world):
     ds, _, speaker, listener = world
     for k in (2, 5, 17, 33):
         obs = ds.model_inputs()[:k]
-        v_imgs = listener.embed_images(obs, encoder=speaker)
+        v_imgs = listener.embed_images(obs)
         logp = listener.log_probs(listener.embed_message([[4, 2, 1]]),
                                   v_imgs, np.arange(k)[None, :])
         assert logp.shape == (1, k)

@@ -54,8 +54,7 @@ def test_game_config_validation():
 
 def _trace(speaker, listener, ds, cfg, rng):
     """Draw a round from ``ds`` and play it through ``play_rounds``."""
-    (trace,) = _play_round_traced([speaker], listener, ds, cfg, [rng])
-    return trace
+    return _play_round_traced([speaker], listener, ds, cfg, [rng])
 
 
 def test_play_round_structure(setup):
@@ -120,19 +119,18 @@ def test_play_rounds_with_shared_scenes_matches_per_round_reference(setup):
     for p in params:
         p.zero_grads()
     tape = Tape()
-    (trace,) = play_rounds([(speaker, scenes, targets, rng)], listener,
-                           inputs, g, 6, tape)
-    width = trace.logprobs.shape[1]
+    trace = play_rounds([(speaker, scenes, targets, rng)], listener,
+                        inputs, g, 6, tape)
+    (logprobs,) = trace.logprobs
     backward(tape, T.add(tape, T.tsum(tape, T.mul(
-        tape, trace.logprobs, Tensor(weights[:, :width]))),
+        tape, logprobs, Tensor(weights[:, :logprobs.shape[1]]))),
         T.tsum(tape, trace.logp_target)))
     block = [_grads(p) for p in params]
     for p in params:
         p.zero_grads()
     for i in range(3):
         tape = Tape()
-        v_imgs = reference.embed_images(listener, inputs[scenes[i]], tape,
-                                        encoder=speaker)
+        v_imgs = reference.embed_images(listener, inputs[scenes[i]], tape)
         terms = []
         for b in range(i * g, (i + 1) * g):
             tokens = trace.messages[b].tokens
@@ -160,14 +158,16 @@ def test_play_rounds_with_shared_scenes_matches_per_round_reference(setup):
 
 def test_one_listener_block_matches_each_speaker_block_alone(setup,
                                                             monkeypatch):
-    # three speakers' blocks, their messages scored in one listener block
-    # on one tape with one backward, against each block played alone on a
-    # tape of its own with the same rng: the draws, tokens and speaker
-    # log-probs match bitwise, the listener's values and every gradient
-    # within float32 round-off
-    ds, _, listener = setup
+    # three speakers' blocks, the first that of the listener's bound
+    # encoder as in training, played as one listener block on one tape
+    # with one backward, against each block played alone on a tape of its
+    # own with the same rng and the same bound listener: the draws, tokens
+    # and speaker log-probs match bitwise, the listener's values and every
+    # gradient within float32 round-off
+    ds, bound, listener = setup
     cfg = GameConfig(k=4, generations=3, t_max=6)
-    speakers = [SpeakerPolicy.create(listener.cfg, seed) for seed in (3, 4, 5)]
+    speakers = [bound] + [SpeakerPolicy.create(listener.cfg, seed)
+                          for seed in (4, 5)]
     draws = []
 
     def recording(*args):
@@ -175,24 +175,21 @@ def test_one_listener_block_matches_each_speaker_block_alone(setup,
         return draws[-1]
 
     monkeypatch.setattr(game, "sample_game_batch", recording)
-    weights = np.random.default_rng(8).normal(
-        0, 1, (2 * cfg.generations, cfg.t_max))
+    rows = 2 * cfg.generations
+    weights = np.random.default_rng(8).normal(0, 1, (rows, cfg.t_max))
     params = [s.params for s in speakers] + [listener.params]
 
     def play(players, seeds):
         tape = Tape()
-        traces = _play_round_traced(
+        trace = _play_round_traced(
             players, listener, ds, cfg,
             [np.random.default_rng(s) for s in seeds], tape, 2)
-        loss = None
-        for trace in traces:
-            width = trace.logprobs.shape[1]
-            term = T.add(tape, T.tsum(tape, T.mul(
-                tape, trace.logprobs, Tensor(weights[:, :width]))),
-                T.tsum(tape, trace.logp_target))
-            loss = term if loss is None else T.add(tape, loss, term)
+        loss = T.tsum(tape, trace.logp_target)
+        for node in trace.logprobs:
+            loss = T.add(tape, loss, T.tsum(tape, T.mul(
+                tape, node, Tensor(weights[:, :node.shape[1]]))))
         backward(tape, loss)
-        return traces
+        return trace
 
     for p in params:
         p.zero_grads()
@@ -201,25 +198,60 @@ def test_one_listener_block_matches_each_speaker_block_alone(setup,
     draws.clear()
     for p in params:
         p.zero_grads()
-    alone = [play([s], (seed,))[0] for seed, s in enumerate(speakers)]
+    alone = [play([s], (seed,)) for seed, s in enumerate(speakers)]
     alone_grads = [_grads(p) for p in params]
 
-    assert len(joint) == len(alone) == len(joint_draws) == len(draws) == 3
+    assert len(joint.logprobs) == len(joint_draws) == len(draws) == 3
+    assert len(joint.messages) == 3 * rows
     for (scenes, targets), (want_scenes, want_targets) in zip(joint_draws,
                                                               draws):
         assert scenes.tobytes() == want_scenes.tobytes()
         assert targets.tobytes() == want_targets.tobytes()
-    for got, want in zip(joint, alone):
-        assert ([m.tokens for m in got.messages]
+    for w, (node, want) in enumerate(zip(joint.logprobs, alone)):
+        got = slice(w * rows, (w + 1) * rows)
+        assert ([m.tokens for m in joint.messages[got]]
                 == [m.tokens for m in want.messages])
-        assert got.targets.tolist() == want.targets.tolist()
-        assert got.logprobs.data.tobytes() == want.logprobs.data.tobytes()
-        assert np.abs(got.probs - want.probs).max() <= BLOCK_LOGPROB_ATOL
+        assert joint.targets[got].tolist() == want.targets.tolist()
+        (want_node,) = want.logprobs
+        assert node.data.tobytes() == want_node.data.tobytes()
+        assert (np.abs(joint.probs[got] - want.probs).max()
+                <= BLOCK_LOGPROB_ATOL)
+        assert (np.abs(joint.logp_target.data[got]
+                       - want.logp_target.data).max() <= BLOCK_LOGPROB_ATOL)
     for got, want in zip(joint_grads, alone_grads):
         assert got.keys() == want.keys()
         for name, grad in want.items():
             assert (np.abs(got[name] - grad).max()
                     <= BLOCK_GRAD_RTOL * np.abs(grad).max()), name
+
+
+def test_play_rounds_calls_the_listener_once_whatever_the_blocks(
+        setup, monkeypatch):
+    # the listener embeds every message, every distinct candidate and
+    # scores every row in one call each, for one block as for three
+    ds, bound, listener = setup
+    cfg = GameConfig(k=4, generations=2, t_max=6)
+    calls = []
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return counted
+
+    for name in ("embed_images", "embed_message", "log_probs"):
+        monkeypatch.setattr(ListenerModel, name,
+                            counting(name, getattr(ListenerModel, name)))
+    for n_blocks in (1, 3):
+        calls.clear()
+        speakers = [bound] + [SpeakerPolicy.create(listener.cfg, seed)
+                              for seed in range(n_blocks - 1)]
+        trace = _play_round_traced(
+            speakers, listener, ds, cfg,
+            [np.random.default_rng(s) for s in range(n_blocks)], Tape(), 2)
+        assert len(trace.logprobs) == n_blocks
+        assert sorted(calls) == ["embed_images", "embed_message",
+                                 "log_probs"], n_blocks
 
 
 def _all_cols(v_imgs):

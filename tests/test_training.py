@@ -158,10 +158,11 @@ def test_advantage_variance_two_episode_closed_form():
 
 
 def _speaker_weights(trace, advs):
-    """(B, T) weights of the speaker's ``sequence_loss``: -A / (length * B)
-    on each row's tokens, 0 past its end."""
+    """(B, T) weights of the speaker's ``sequence_loss`` over a one-block
+    trace: -A / (length * B) on each row's tokens, 0 past its end."""
     lengths = trace.lengths
-    live = np.arange(trace.logprobs.shape[1]) < lengths[:, None]
+    (node,) = trace.logprobs
+    live = np.arange(node.shape[1]) < lengths[:, None]
     return np.where(live, -advs[:, None] / (lengths[:, None] * lengths.size),
                     0).astype(np.float32)
 
@@ -176,13 +177,14 @@ def test_group_loss_node_matches_reference(standardize):
              for n in (1, 3, 4, 7, 12)]
     trace = round_trace(group, len(group), pad=1.0)
     advs = group_advantages(trace, standardize)
+    (node,) = trace.logprobs
     tape = Tape()
-    loss = sequence_loss(tape, trace.logprobs, _speaker_weights(trace, advs))
+    loss = sequence_loss(tape, node, _speaker_weights(trace, advs))
     assert len(tape) == 2
     expected = speaker_loss(group, standardize)
     assert abs(loss.item() - expected) <= 1e-6 * max(1.0, abs(expected))
     backward(tape, loss)
-    grad = trace.logprobs.grad
+    grad = node.grad
     want = reference.group_advantages(group, standardize)
     for row, (ep, a) in enumerate(zip(group, want)):
         w = -float(a) / (ep.length * len(group))
@@ -195,13 +197,13 @@ def _played_rounds(trainer_setup, seed, n_rounds):
     tr = Trainer(ds, gcfg, mcfg, TrainSettings(seed=seed, replicas=1))
     rng = np.random.default_rng(seed)
     tape = Tape()
-    (trace,) = _play_round_traced([tr.speaker], tr.listener, ds, gcfg,
-                                  [rng], tape, n_rounds)
+    trace = _play_round_traced([tr.speaker], tr.listener, ds, gcfg, [rng],
+                               tape, n_rounds)
     return tape, trace
 
 
 def _groups(trace):
-    """A played block's episodes, one list per round."""
+    """Played rounds' episodes, one list per round."""
     eps, g = episodes(trace), trace.generations
     return [eps[i:i + g] for i in range(0, len(eps), g)]
 
@@ -211,7 +213,7 @@ def test_group_loss_node_matches_reference_on_played_round(trainer_setup):
     tape, trace = _played_rounds(trainer_setup, 10, 3)
     groups = _groups(trace)
     assert len(groups) == 3
-    loss = sequence_loss(tape, trace.logprobs,
+    loss = sequence_loss(tape, trace.logprobs[0],
                          _speaker_weights(trace, group_advantages(trace)))
     expected = np.mean([speaker_loss(group) for group in groups])
     assert abs(loss.item() - expected) <= 1e-6 * max(1.0, abs(expected))
@@ -253,29 +255,30 @@ def test_replica_tape_nodes_independent_of_g_and_targets(trainer_setup,
 
 
 def _recorded_step(trainer_setup, monkeypatch, settings):
-    """One trainer step's report and the blocks it played."""
+    """One trainer step's report and the rounds it played."""
     ds, mcfg, gcfg = trainer_setup
     traces = []
 
     def recording(*args, **kwargs):
-        played = _play_round_traced(*args, **kwargs)
-        traces.extend(played)
-        return played
+        traces.append(_play_round_traced(*args, **kwargs))
+        return traces[-1]
 
     monkeypatch.setattr(training, "_play_round_traced", recording)
-    return Trainer(ds, gcfg, mcfg, settings).step_once(), traces
+    report = Trainer(ds, gcfg, mcfg, settings).step_once()
+    (trace,) = traces
+    return report, trace
 
 
 def test_advantage_variance_reports_the_trained_advantages(trainer_setup,
                                                           monkeypatch):
     settings = TrainSettings(seed=12, replicas=2, targets_per_replica=2,
                              standardize_advantages=True)
-    report, traces = _recorded_step(trainer_setup, monkeypatch, settings)
+    report, trace = _recorded_step(trainer_setup, monkeypatch, settings)
     expected = [
         reference.advantage_variance(reference.group_advantages(
             group, standardize=True))
-        for tr in traces for group in _groups(tr)]
-    assert len(traces) == 2  # one block of two rounds per replica
+        for group in _groups(trace)]
+    assert len(trace.logprobs) == 2  # one block of two rounds per replica
     assert len(expected) == 4
     assert report.advantage_variance == float(np.mean(expected))
 
@@ -289,13 +292,12 @@ def test_train_step_losses_match_reference_on_its_rounds(trainer_setup,
     # in size, so each reported loss is a mean over all of them
     settings = TrainSettings(seed=15, replicas=2, targets_per_replica=2,
                              standardize_advantages=standardize)
-    report, traces = _recorded_step(trainer_setup, monkeypatch, settings)
-    groups = [group for tr in traces for group in _groups(tr)]
-    want = np.mean([speaker_loss(group, standardize) for group in groups])
+    report, trace = _recorded_step(trainer_setup, monkeypatch, settings)
+    want = np.mean([speaker_loss(group, standardize)
+                    for group in _groups(trace)])
     # float32 advantages of nearly equal rewards: 6e-6 relative measured
     assert abs(report.speaker_loss - want) <= 2e-5 * abs(want)
-    want = np.mean([listener_loss(ep) for tr in traces
-                    for ep in episodes(tr)])
+    want = np.mean([listener_loss(ep) for ep in episodes(trace)])
     assert abs(report.listener_loss - want) <= 1e-6 * want
 
 
@@ -376,6 +378,23 @@ def test_train_step_lambda_zero_freezes_listener(trainer_setup):
         tr.step_once()
     for n, t in tr.listener.params.items():
         assert t.data.tobytes() == before[n].tobytes()
+
+
+def test_listener_loss_trains_only_the_bound_replica(trainer_setup):
+    # the listener sees every block's candidates through replica 0's
+    # encoder, so its loss reaches replica 0 and no other replica: after
+    # one step, replica 1 is bitwise the same at lambda = 0 and 1
+    ds, mcfg, _ = trainer_setup
+    states = []
+    for lam in (0.0, 1.0):
+        gcfg = GameConfig(k=6, lam=lam, generations=3, t_max=6)
+        tr = Trainer(ds, gcfg, mcfg, TrainSettings(seed=16, replicas=2))
+        assert tr.listener.encoder is tr.replicas[0]
+        tr.step_once()
+        states.append([rep.params for rep in tr.replicas])
+    (zero0, zero1), (one0, one1) = states
+    assert zero1.equal(one1)
+    assert not zero0.equal(one0)
 
 
 def test_lambda_zero_groups_of_one_take_the_general_path(trainer_setup,
