@@ -8,15 +8,16 @@ log-softmax its loss backpropagates through; ``solve_rate`` at top 1
 reads the 0/1 indicator (argmax hit) alongside it.
 
 ``play_rounds`` plays rounds once their candidates are drawn, for
-training (sampled, taped) and evaluation (one greedy message per round,
-untaped) through one path. Each speaker decodes its own block of rounds,
-and the listener plays every block as one: one call embeds every
-message, one embeds each distinct candidate scene once through the
-listener's one bound encoder, and one node scores them all, so the tape
-holds the same nodes whatever the number of rounds and of messages. It
-returns one ``RoundTrace``, one row per message. Each row's reward is
-one advantage for all its tokens (``training.group_advantages``), and
-``solve_rate`` ranks every row at once.
+training (sampled, taped) and evaluation (greedy, untaped) through one
+path. Each speaker decodes its own block of rounds, a greedy one each
+distinct target once, and the listener plays every block as one: one
+call embeds every decoded message, one embeds each distinct candidate
+scene once through the listener's one bound encoder, and one node
+scores them all, so the tape holds the same nodes whatever the number
+of rounds and of messages. It returns one ``RoundTrace``, one row per
+message. Each row's reward is one advantage for all its tokens
+(``training.group_advantages``), and ``solve_rate`` ranks every row at
+once.
 
 Reference captions are never read here; the game is fully unsupervised.
 """
@@ -94,31 +95,47 @@ def play_rounds(blocks, listener: ListenerModel, inputs: np.ndarray,
     round n has the K candidates ``scenes[n]`` and the target
     ``targets[n]``. Each block's speaker describes its rounds' targets
     ``generations`` times in one ``SpeakerPolicy.sample`` call with the
-    block's rng, greedily if it is None. The listener then embeds every
-    message in one ``embed_message`` call, and the M distinct candidate
-    scenes of all rounds in one ``embed_images`` call through its bound
-    encoder. One ``log_probs`` node scores each message against all M and
-    takes its round's K columns, so memory is bounded by the scenes
-    drawn, not by K × rounds; on a tape a scene that several rounds share
-    sums their gradients, and one ``T.take_cols`` node holds each row's
-    target log-prob.
+    block's rng. A greedy block (rng None) describes each distinct target
+    scene once, since its messages depend on the target alone, and one
+    ``T.embedding`` node gathers its log-probs back to one row per round.
+    The listener then embeds the decoded messages in one
+    ``embed_message`` call, gathered the same way when a block is greedy,
+    and the M distinct candidate scenes of all rounds in one
+    ``embed_images`` call through its bound encoder. One ``log_probs``
+    node scores each message against all M and takes its round's K
+    columns, so memory is bounded by the scenes drawn, not by K × rounds;
+    on a tape a scene that several rounds share sums their gradients, and
+    one ``T.take_cols`` node holds each row's target log-prob.
     """
-    sampled = [speaker.sample(inputs[scenes[np.arange(targets.size), targets]],
-                              t_max, generations, rng, tape)
-               for speaker, scenes, targets, rng in blocks]
+    decoded, samples, logprobs, rows = [], [], [], []
+    for speaker, scenes, targets, rng in blocks:
+        shown = scenes[np.arange(targets.size), targets]
+        firsts = np.arange(targets.size)
+        if rng is None:  # each round's row of the distinct targets' block
+            shown, firsts = np.unique(shown, return_inverse=True)
+        block, node = speaker.sample(inputs[shown], t_max, generations, rng,
+                                     tape)
+        picks = (firsts[:, None] * generations
+                 + np.arange(generations)).ravel()
+        rows.append(len(decoded) + picks)
+        decoded += block
+        samples += [block[i] for i in picks]
+        logprobs.append(node if rng is not None
+                        else T.embedding(tape, node, picks))
+    v_msgs = listener.embed_message([s.tokens for s in decoded], tape)
+    if any(rng is None for *_, rng in blocks):
+        v_msgs = T.embedding(tape, v_msgs, np.concatenate(rows))
     _, scenes, targets, _ = zip(*blocks)
     scenes = np.concatenate(scenes)
     targets = np.repeat(np.concatenate(targets), generations)
-    samples = [s for block, _ in sampled for s in block]
     distinct, slots = np.unique(scenes.ravel(), return_inverse=True)
     node = listener.log_probs(
-        listener.embed_message([s.tokens for s in samples], tape),
-        listener.embed_images(inputs[distinct], tape),
+        v_msgs, listener.embed_images(inputs[distinct], tape),
         np.repeat(slots.reshape(scenes.shape), generations, axis=0), tape)
     logp_target = None if tape is None else T.take_cols(tape, node,
                                                         targets[:, None])
     return RoundTrace(samples, targets, np.exp(node.data), generations,
-                      tuple(logprobs for _, logprobs in sampled), logp_target)
+                      tuple(logprobs), logp_target)
 
 
 def _play_round_traced(speakers, listener: ListenerModel, dataset: Dataset,

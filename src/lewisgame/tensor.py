@@ -17,6 +17,7 @@ computation, nothing recorded.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 
 import numpy as np
 
@@ -120,10 +121,14 @@ def backward(tape: Tape, loss: Tensor) -> None:
 # ops
 
 
+_requires_grad = attrgetter("requires_grad")
+
+
 def _node(tape, values, inputs: tuple, rule) -> Tensor:
     """An op's output: ``values``, needing a gradient when any input
     does, and then recorded on ``tape`` (if given) with its ``rule``."""
-    out = Tensor(values, any(t.requires_grad for t in inputs))
+    # map over an attrgetter tests the inputs in C, without a generator
+    out = Tensor(values, any(map(_requires_grad, inputs)))
     if out.requires_grad and tape is not None:
         tape.record(out, inputs, rule)
     return out

@@ -28,6 +28,14 @@ line is the sha256 of ``pre.lgc``. Three more lines hash the raster
 stage's world file, ``latest.lgc`` and eval stdout, so a raster run,
 which the default config does not make, is pinned too.
 
+Last come the benchmark's reference runs, ``bench/harness.py``'s
+``reference_run`` of ``PIN_STEPS`` steps (the loss stream the measured
+training must reproduce, and the state evaluation serves) for the
+train-k64 and train-toy-k8 workloads at world seeds 1 and 7. Each has
+two lines: the sha256 of its loss stream (``harness.loss_stream``, as
+JSON) and of its packed state written as an LGC1 checkpoint. These run
+in this process, from the package that ``PYTHONPATH`` names.
+
 Before those lines it prints a header, one ``# key value`` line each:
 the Python and numpy versions, numpy's BLAS library and version, and the
 machine, on which float32 round-off may depend. ``PYTHONPATH`` chooses
@@ -60,8 +68,13 @@ import tempfile
 
 import numpy
 
-PINNED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
-                      "pinned_hashes.txt")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+PINNED = os.path.join(TESTS, "data", "pinned_hashes.txt")
+BENCH = os.path.join(os.path.dirname(TESTS), "bench")
+# (workload, world seed) of each pinned reference run
+REFERENCE_RUNS = tuple((workload, seed) for workload in ("train-k64",
+                                                         "train-toy-k8")
+                       for seed in (1, 7))
 
 STEPS = 50
 CONFIG = f"""[paths]
@@ -200,6 +213,27 @@ def pinned_lines() -> dict:
     return out
 
 
+def reference_lines(root: str) -> dict:
+    """The loss-stream and packed-state hash lines of each run of
+    ``REFERENCE_RUNS``, its files written under ``root``."""
+    if BENCH not in sys.path:
+        sys.path.insert(0, BENCH)
+    import harness
+    from lewisgame.params import save_checkpoint
+
+    out = {}
+    for workload, seed in REFERENCE_RUNS:
+        cfg = harness.workload_config(harness.WORKLOADS[workload], seed, root)
+        state, reports = harness.reference_run(cfg, harness.PIN_STEPS)
+        name = f"reference/{workload}/seed{seed}"
+        out[f"{name}/losses"] = _sha256(
+            json.dumps(harness.loss_stream(reports)).encode())
+        path = os.path.join(root, f"{workload}-{seed}.lgc")
+        save_checkpoint(state, path)
+        out[f"{name}/state.lgc"] = _file_sha256(path)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Run the pinned recipe "
                                      "and print, or check, its hashes.")
@@ -207,6 +241,8 @@ def main(argv=None) -> int:
                         help=f"compare with {os.path.relpath(PINNED)}")
     args = parser.parse_args(argv)
     lines = pinned_lines()
+    with tempfile.TemporaryDirectory(prefix="pinned-reference-") as root:
+        lines.update(reference_lines(root))
     if not args.check:
         for key, value in environment().items():
             print(f"# {key} {value}")

@@ -38,12 +38,14 @@ time. The package does it as arrays over a played block
 (``game.RoundTrace``), which must match these bitwise; ``episodes`` and
 ``round_trace`` convert between the two forms.
 
-``bleu`` clips one candidate n-gram at a time; the package's ``bleu``
-clips whole count tables and must return the same scores.
-``evaluate_agents`` is the evaluation loop that draws, decodes, embeds
-and scores each round by hand, one message at a time, with that oracle
-``bleu``; the package's ``evaluate_agents``, which plays every round as
-one block, must return the same report.
+``bleu`` clips one candidate n-gram at a time, counting it in every
+reference, and ``attribute_coverage`` intersects word sets, both for one
+message; the package scores a whole token array against per-scene
+tables and must return the same scores. ``evaluate_agents`` is the
+evaluation loop that draws, decodes, embeds and scores each round by
+hand, one message at a time, with those oracles; the package's
+``evaluate_agents``, which plays every round as one block and decodes
+each distinct target once, must return the same report.
 
 ``gradcheck`` holds tape gradients to central finite differences,
 ``generate_dataset`` is the one-split world the tests train and score
@@ -54,14 +56,14 @@ that loading must refuse. Nothing in ``src/`` imports this module.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from lewisgame import tensor as T
 from lewisgame.agents import MessageSample
-from lewisgame.evaluate import (BLEU_EPS, EvalReport, _closest_ref_len,
-                                _ngram_counts, _strip_eos, attribute_coverage)
+from lewisgame.evaluate import BLEU_EPS, EvalReport
 from lewisgame.game import RoundTrace
 from lewisgame.params import ParameterSet
 from lewisgame.tensor import F32, ShapeError, Tape, Tensor, backward
@@ -503,7 +505,34 @@ def listener_loss(episode) -> float:
 
 
 # ---------------------------------------------------------------------------
-# BLEU (oracle for evaluate.bleu)
+# BLEU and coverage (oracles for evaluate.bleu and
+# evaluate.attribute_coverage), one message at a time
+
+
+def _ngram_counts(tokens, n: int) -> Counter:
+    return Counter(zip(*(tokens[i:] for i in range(n))))
+
+
+def _closest_ref_len(c: int, references) -> int:
+    return min((len(r) for r in references),
+               key=lambda rl: (abs(rl - c), rl))
+
+
+def _strip_eos(tokens) -> list[int]:
+    """The tokens before the first <eos>."""
+    out = []
+    for t in tokens:
+        if t == EOS:
+            break
+        out.append(t)
+    return out
+
+
+def attribute_coverage(message_ids, scene, vocab) -> float:
+    """Fraction of the scene's attribute words present in the message."""
+    attrs = scene.attribute_words()
+    words = set(vocab.decode(message_ids))
+    return len(attrs & words) / len(attrs)
 
 
 def bleu(candidate, references, max_n: int = 4) -> list[float]:
@@ -526,8 +555,12 @@ def bleu(candidate, references, max_n: int = 4) -> list[float]:
             best = max(_ngram_counts(ref, n)[gram] for ref in references)
             clipped += min(cnt, best)
         precisions.append(clipped / total if clipped else BLEU_EPS)
-    return [bp * math.exp(sum(math.log(p) for p in precisions[:n]) / n)
-            for n in range(1, max_n + 1)]
+    scores, log_sum = [], 0.0
+    for n, p in enumerate(precisions, 1):
+        # left to right on every Python; sum() compensates from 3.12 on
+        log_sum += math.log(p)
+        scores.append(bp * math.exp(log_sum / n))
+    return scores
 
 
 # ---------------------------------------------------------------------------

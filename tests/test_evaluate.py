@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 import reference
+from lewisgame import evaluate
 from lewisgame.agents import ListenerModel, ModelConfig, SpeakerPolicy
 from lewisgame.cli import main
 from lewisgame.config import ConfigError, RunConfig
-from lewisgame.evaluate import ablation_sweep, bleu, evaluate_agents
+from lewisgame.evaluate import (References, ablation_sweep, attribute_coverage,
+                                bleu, evaluate_agents, references)
 from lewisgame.training import Trainer
 from lewisgame.world import WorldSpec, generate_splits
 
@@ -54,30 +56,98 @@ def _read_bleu_case(path):
     return candidate, references
 
 
+def _batch_bleu(cases):
+    """BLEU-1..4 of each (candidate, references) pair of token-id lists,
+    as rows of one ``bleu`` call."""
+    tokens = np.zeros((len(cases), max(len(c) for c, _ in cases)), np.intp)
+    for row, (candidate, _) in zip(tokens, cases):
+        row[:len(candidate)] = candidate
+    refs = References(len(cases), lambda s: (cases[s][1], ()))
+    return bleu(tokens, [len(c) for c, _ in cases], refs,
+                np.arange(len(cases)))
+
+
 @pytest.mark.parametrize("path", BLEU_CASES, ids=os.path.basename)
 def test_bleu_fixture(path):
     candidate, references = _read_bleu_case(path)
+    ids = {}
+    for words in [candidate, *references]:
+        for w in words:
+            ids.setdefault(w, len(ids))
+    (got,) = _batch_bleu([([ids[w] for w in candidate],
+                           [[ids[w] for w in r] for r in references])])
     expected = BLEU_EXPECTED[os.path.basename(path)]
-    assert bleu(candidate, references, 4) == pytest.approx(expected, rel=1e-9)
+    assert got.tolist() == pytest.approx(expected, rel=1e-9)
 
 
 def test_bleu_matches_per_gram_oracle():
     # short messages over a few words, so n-grams repeat and clip often
     rng = np.random.default_rng(0)
+    cases = []
     for _ in range(2000):
         candidate = rng.integers(5, size=rng.integers(1, 9)).tolist()
         references = [rng.integers(5, size=rng.integers(1, 9)).tolist()
                       for _ in range(rng.integers(1, 4))]
-        assert (bleu(candidate, references, 4)
-                == reference.bleu(candidate, references, 4))
+        cases.append((candidate, references))
     # shorter than 4 tokens; a word repeated more often than any
     # reference holds it; a repeated bigram
-    for candidate, references in (
-            ([3, 1], [[3, 1, 2, 4], [1, 3]]),
-            ([2, 2, 2, 2, 1], [[2, 1, 2], [1, 2, 4, 4]]),
-            ([1, 2, 1, 2, 1, 2], [[1, 2, 3, 1, 2], [2, 1, 2]])):
-        assert (bleu(candidate, references, 4)
-                == reference.bleu(candidate, references, 4))
+    cases += [([3, 1], [[3, 1, 2, 4], [1, 3]]),
+              ([2, 2, 2, 2, 1], [[2, 1, 2], [1, 2, 4, 4]]),
+              ([1, 2, 1, 2, 1, 2], [[1, 2, 3, 1, 2], [2, 1, 2]])]
+    for got, (candidate, references) in zip(_batch_bleu(cases), cases):
+        assert got.tolist() == reference.bleu(candidate, references, 4)
+
+
+def test_bleu_scores_an_empty_row_zero_and_reads_only_its_content():
+    # the tokens past a row's length are not part of its candidate
+    refs = References(2, lambda s: ([[4, 5, 6]], ()))
+    tokens = np.array([[4, 5, 6, 9], [4, 5, 6, 9]])
+    got = bleu(tokens, [0, 3], refs, np.array([0, 1]))
+    assert got.tolist() == [[0.0] * 4,
+                            reference.bleu([4, 5, 6], [[4, 5, 6]], 4)]
+
+
+@pytest.mark.parametrize("lengths", [[3, 5], [3, -1], [3]])
+def test_bleu_refuses_lengths_that_do_not_fit_the_rows(lengths):
+    refs = References(2, lambda s: ([[4, 5, 6]], ()))
+    with pytest.raises(ValueError, match="lengths must be one per row"):
+        bleu(np.full((2, 4), 4), lengths, refs, np.array([0, 1]))
+
+
+def test_attribute_coverage_matches_the_word_set_oracle():
+    # random messages, some naming a word twice, against every scene of a
+    # 1-3 object world
+    ds = reference.generate_dataset(3, 30, WorldSpec())
+    rng = np.random.default_rng(1)
+    scenes = rng.integers(len(ds), size=200)
+    lengths = rng.integers(0, 7, size=200)
+    tokens = rng.integers(len(ds.vocab), size=(200, 7))
+    got = attribute_coverage(tokens, lengths, references(ds), scenes)
+    want = [reference.attribute_coverage(row[:n].tolist(), ds.scenes[s],
+                                         ds.vocab)
+            for row, n, s in zip(tokens, lengths, scenes)]
+    assert got.tolist() == want
+
+
+def test_references_build_each_scored_scene_once(monkeypatch):
+    # a dataset's table is made on its first scoring and kept; a scene's
+    # entry is built when the scene is first scored, and never again
+    ds = reference.generate_dataset(3, 12, WorldSpec())
+    built = []
+
+    def counting(*args):
+        built.append(args[-1])
+        return entry(*args)
+
+    entry = evaluate._scene_references
+    monkeypatch.setattr(evaluate, "_scene_references", counting)
+    tokens = np.zeros((4, 2), np.intp)
+    refs = references(ds)
+    bleu(tokens, [1, 1, 1, 1], refs, np.array([5, 2, 5, 2]))
+    assert sorted(built) == [2, 5]
+    attribute_coverage(tokens, [1, 1, 1, 1], references(ds),
+                       np.array([2, 7, 7, 0]))
+    assert references(ds) is refs and sorted(built) == [0, 2, 5, 7]
 
 
 def test_evaluate_agents_embeds_each_scene_at_most_once(monkeypatch):
@@ -233,12 +303,12 @@ def test_sweep_pool_has_at_most_one_worker_per_cell(monkeypatch):
     assert pooled == ablation_sweep(cfg, [4], [5, 6], workers=1)
 
 
-@pytest.mark.parametrize("raster", [False, True], ids=["plain", "raster"])
-def test_evaluate_agents_matches_inline_round_oracle(raster):
-    # three training steps first; with this seed both worlds' messages
-    # are non-empty and name some of the target's attributes
+def _check_against_inline_oracle(raster, val_scenes, k, n_rounds):
+    """Train three steps, then hold ``evaluate_agents`` on the val split
+    to the inline round oracle, field for field by ``repr``."""
     cfg = _tiny_config()
-    cfg.world = replace(cfg.world, raster=raster, raster_size=8)
+    cfg.world = replace(cfg.world, raster=raster, raster_size=8,
+                        val_scenes=val_scenes)
     cfg.train = replace(cfg.train, seed=5)
     w = cfg.world
     splits = generate_splits(w.seed, cfg.world_spec(), w.n_scenes,
@@ -248,11 +318,25 @@ def test_evaluate_agents_matches_inline_round_oracle(raster):
                       cfg.model_config(len(train.vocab), train.spec.input_dim),
                       cfg.train_settings())
     trainer.run(3)
-    args = (trainer.speaker, trainer.listener, splits["val"], 12)
-    kwargs = dict(n_rounds=25, t_max=6, seed=4)
+    args = (trainer.speaker, trainer.listener, splits["val"], k)
+    kwargs = dict(n_rounds=n_rounds, t_max=6, seed=4)
     got = evaluate_agents(*args, **kwargs)
     want = reference.evaluate_agents(*args, **kwargs)
-    assert (want.n_rounds, want.k) == (25, 12)
+    assert (want.n_rounds, want.k) == (n_rounds, k)
     assert want.mean_length > 0 and want.coverage > 0
     for name, value in vars(want).items():
         assert repr(getattr(got, name)) == repr(value), name
+
+
+@pytest.mark.parametrize("raster", [False, True], ids=["plain", "raster"])
+def test_evaluate_agents_matches_inline_round_oracle(raster):
+    # with this seed both worlds' messages are non-empty and name some of
+    # the target's attributes
+    _check_against_inline_oracle(raster, 16, 12, 25)
+
+
+@pytest.mark.parametrize("raster", [False, True], ids=["plain", "raster"])
+def test_duplicate_heavy_evaluation_matches_inline_round_oracle(raster):
+    # 300 rounds over 12 scenes: every target repeats about 25 times, so
+    # nearly every row is decoded, embedded and scored as another's copy
+    _check_against_inline_oracle(raster, 12, 8, 300)

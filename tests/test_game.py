@@ -254,6 +254,45 @@ def test_play_rounds_calls_the_listener_once_whatever_the_blocks(
                                  "log_probs"], n_blocks
 
 
+def test_greedy_block_decodes_and_embeds_each_distinct_target_once(
+        setup, monkeypatch):
+    # 30 rounds over 6 scenes: a greedy block decodes and embeds one
+    # message per distinct target, and gathers them back to one row per
+    # round; a sampled block decodes and embeds every message
+    _, speaker, listener = setup
+    ds = generate_dataset(5, 6, WorldSpec())
+    scenes, targets = sample_game_batch(ds, 4, 30, np.random.default_rng(3))
+    shown = scenes[np.arange(30), targets]
+    decoded, embedded = [], []
+
+    def counting(sink, original, rows_of):
+        def counted(self, arg, *args, **kwargs):
+            sink.append(rows_of(arg, *args))
+            return original(self, arg, *args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(SpeakerPolicy, "sample", counting(
+        decoded, SpeakerPolicy.sample, lambda obs, t_max, n, *_: len(obs) * n))
+    monkeypatch.setattr(ListenerModel, "embed_message", counting(
+        embedded, ListenerModel.embed_message, lambda msgs, *_: len(msgs)))
+    greedy = play_rounds([(speaker, scenes, targets, None)], listener,
+                         ds.model_inputs(), 1, 6)
+    n_distinct = np.unique(shown).size
+    assert n_distinct < 30
+    assert decoded == embedded == [n_distinct]
+    assert len(greedy.messages) == 30 and greedy.logprobs[0].shape[0] == 30
+    for n, scene in enumerate(shown):
+        first = int(np.flatnonzero(shown == scene)[0])
+        assert greedy.messages[n] is greedy.messages[first]
+        assert (greedy.logprobs[0].data[n]
+                == greedy.logprobs[0].data[first]).all()
+    decoded.clear()
+    embedded.clear()
+    play_rounds([(speaker, scenes, targets, np.random.default_rng(4))],
+                listener, ds.model_inputs(), 2, 6)
+    assert decoded == embedded == [60]
+
+
 def _all_cols(v_imgs):
     """One row of columns naming every candidate of ``v_imgs`` in order."""
     return np.arange(v_imgs.shape[0])[None, :]

@@ -6,10 +6,14 @@ import pytest
 import pinned_run
 
 
-def test_pinned_file_holds_a_header_and_nine_lines():
+def test_pinned_file_holds_a_header_and_every_pinned_line():
+    # nine lines of the recipe, then two per benchmark reference run
     header, hashes = pinned_run.read_pinned()
     assert header.keys() == pinned_run.environment().keys()
-    assert len(hashes) == 9
+    references = [f"reference/{workload}/seed{seed}/{what}"
+                  for workload, seed in pinned_run.REFERENCE_RUNS
+                  for what in ("losses", "state.lgc")]
+    assert len(hashes) == 9 + 8 and list(hashes)[9:] == references
     assert all(len(value) == 64 for value in hashes.values())
 
 
