@@ -18,17 +18,16 @@ Both scores run on arrays: a batch of messages is a (B, T) token array
 and each row's content length, its tokens before <eos>. Row b is scored
 against one scene's entry of a ``References`` table: each of its
 captions' n-grams (as integer codes) at its largest count in any one
-caption, the captions' lengths and the scene's attribute-word ids. An
-entry is built the first time its scene is scored and then kept, in one
-table per dataset. BLEU's logs and exps run in ``math``, once per
-distinct value, since numpy's vectorised ones may differ from libm's in
-the last bit; so the scores equal a per-round loop's bit for bit.
+caption, the captions' lengths and the scene's attribute-word ids. A
+dataset's table is built whole, in arrays, on its first scoring and kept.
+BLEU's logs and exps run in ``math``, once per distinct value, since
+numpy's vectorised ones may differ from libm's in the last bit; so the
+scores equal a per-round loop's bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from copy import deepcopy
 from dataclasses import dataclass
 from functools import partial
@@ -47,97 +46,87 @@ _TOKEN_BITS = 8  # an n-gram's code is its token ids' base-2^8 number
 _FAR = 1 << 30  # pads caption lengths, so that no pad is the closest
 
 
-def _gram_codes(tokens: np.ndarray) -> np.ndarray:
-    """(B, BLEU_N, T) codes of the n-grams of a (B, T) token array: entry
-    [b, n - 1, i] codes the n-gram that starts at position i of row b, -1
-    where none fits. Distinct n-grams of ids below 2^8 get distinct
-    codes, below 2^32. An n-gram's key puts its group, a row or a scene
-    times BLEU_N plus n - 1, above its code's 32 bits."""
-    check_index("bleu", tokens, 1 << _TOKEN_BITS)
+def _messages(name: str, tokens, lengths) -> tuple:
+    """``tokens`` as a (B, T) array of ids below 2^8 and ``lengths`` as
+    one content length per row, each from 0 to T; anything else raises."""
+    tokens = np.asarray(tokens, np.intp)
+    lengths = np.asarray(lengths, np.intp)
+    width = tokens.shape[1]
+    if lengths.shape != tokens.shape[:1] or (
+            (lengths < 0) | (lengths > width)).any():
+        raise ValueError(f"{name}: lengths must be one per row, each from 0 "
+                         f"to the row width {width}")
+    check_index(name, tokens, 1 << _TOKEN_BITS)
+    return tokens, lengths
+
+
+def _grams(tokens: np.ndarray, lengths: np.ndarray) -> tuple:
+    """Each n-gram (n = 1..BLEU_N) in row b's first ``lengths[b]`` tokens,
+    as arrays of its row, n - 1 and code: its ids' base-2^8 number, below
+    2^32. A key puts a group (row or scene) * BLEU_N + n - 1 above that."""
     width = tokens.shape[1]
     codes = np.full((len(tokens), BLEU_N, width), -1, np.int64)
     codes[:, 0] = tokens
     for j in range(1, min(BLEU_N, width)):
         codes[:, j, :-j] = (codes[:, j - 1, :-j] << _TOKEN_BITS) | tokens[:, j:]
-    return codes
+    live = np.arange(width) < (lengths[:, None] - np.arange(BLEU_N))[:, :, None]
+    row, order, _ = np.nonzero(live)
+    return row, order, codes[live]
 
 
-def _widen(table: np.ndarray, width: int, fill) -> np.ndarray:
-    """``table`` with columns of ``fill`` added up to ``width``."""
-    if width <= table.shape[1]:
-        return table
-    out = np.full((len(table), width), fill, table.dtype)
-    out[:, :table.shape[1]] = table
+def _pad(rows, fill) -> np.ndarray:
+    """Integer rows of any lengths as one array, padded with ``fill``."""
+    sizes = np.array([len(r) for r in rows], np.intp)
+    out = np.full((len(rows), sizes.max(initial=0)), fill, np.intp)
+    out[np.arange(out.shape[1]) < sizes[:, None]] = [v for r in rows for v in r]
     return out
 
 
 class References:
-    """The references that ``bleu`` and ``attribute_coverage`` score
-    against, one entry per scene of ``n_scenes``.
+    """What ``bleu`` and ``attribute_coverage`` score against: scene s's
+    captions ``captions[s]`` (token-id sequences, at least one) and its
+    attribute-word ids ``attributes[s]``, built whole in one pass and
+    never changed. Scene s's entry is each distinct n-gram's largest count
+    in any one caption, for n = 1..BLEU_N, in one sorted array of keys
+    over all scenes; its captions' lengths, as row s of ``lengths``
+    (padded with a length far from any message's); and its attribute ids,
+    as row s of ``attributes`` (padded with -1)."""
 
-    ``entry(s)`` gives scene s's captions (token-id sequences, at least
-    one) and its attribute-word ids. Its entry is each distinct n-gram's
-    largest count in any one caption, for n = 1..BLEU_N, in one sorted
-    array of keys over all built scenes; the captions' lengths, as row s
-    of ``lengths`` (padded with a length far from any message's); and the
-    attribute ids, as row s of ``attributes`` (padded with -1). ``build``
-    makes the entries of the scenes that it has not made yet.
-    """
-
-    def __init__(self, n_scenes: int, entry):
-        self._entry = entry
-        self._built = np.zeros(n_scenes, bool)
+    def __init__(self, captions, attributes):
+        per_scene = np.array([len(c) for c in captions], np.intp)
+        if not per_scene.all():
+            raise ValueError(f"references: scene {per_scene.argmin()} has "
+                             f"no captions")
+        flat = [caption for scene in captions for caption in scene]
+        row, order, codes = _grams(*_messages(
+            "references", _pad(flat, 0), [len(c) for c in flat]))
+        keys = (np.repeat(np.arange(len(captions)), per_scene)[row] * BLEU_N
+                + order) << 32 | codes
+        # each key's count in each caption, from runs of (key, caption)
+        by = np.lexsort((row, keys))
+        keys, row = keys[by], row[by]
+        runs = np.flatnonzero((np.diff(keys, prepend=-1) != 0)
+                              | (np.diff(row, prepend=-1) != 0))
+        keys, counts = keys[runs], np.diff(runs, append=len(by))
+        firsts = np.flatnonzero(np.diff(keys, prepend=-1))
         # sorted n-gram keys, ended by one above every key
-        self._keys = np.array([np.iinfo(np.int64).max])
-        self._maxima = np.zeros(1, np.intp)
-        self.lengths = np.full((n_scenes, 0), _FAR, np.intp)
-        self.attributes = np.full((n_scenes, 0), -1, np.intp)
-
-    def build(self, scenes: np.ndarray) -> None:
-        # a set, not np.unique, whose form without indices imports numpy.ma
-        new = sorted(set(scenes[~self._built[scenes]].tolist()))
-        if not new:
-            return
-        keys, maxima = [self._keys], [self._maxima]
-        for s in new:
-            captions, attributes = self._entry(s)
-            if not captions:
-                raise ValueError(f"references: scene {s} has no captions")
-            best = Counter()
-            groups = np.arange(s * BLEU_N, (s + 1) * BLEU_N)[:, None] << 32
-            for caption in captions:
-                codes = _gram_codes(np.array(caption, np.intp)[None])[0]
-                best |= Counter((groups | codes)[codes >= 0].tolist())
-            keys.append(np.array(list(best), np.int64))
-            maxima.append(np.array(list(best.values()), np.intp))
-            self.lengths = _widen(self.lengths, len(captions), _FAR)
-            self.lengths[s, :len(captions)] = [len(c) for c in captions]
-            self.attributes = _widen(self.attributes, len(attributes), -1)
-            self.attributes[s, :len(attributes)] = attributes
-        keys = np.concatenate(keys)
-        order = np.argsort(keys)
-        self._keys, self._maxima = keys[order], np.concatenate(maxima)[order]
-        self._built[new] = True
+        self._keys = np.append(keys[firsts], np.iinfo(np.int64).max)
+        self._maxima = np.append(np.maximum.reduceat(counts, firsts), 0)
+        self.lengths = _pad([[len(c) for c in s] for s in captions], _FAR)
+        self.attributes = _pad(attributes, -1)
 
     def maxima(self, keys: np.ndarray) -> np.ndarray:
         """Each n-gram key's largest count in any one caption of its
-        (built) scene, 0 for an n-gram in none."""
+        scene, 0 for an n-gram in none."""
         at = np.searchsorted(self._keys, keys)
         return np.where(self._keys[at] == keys, self._maxima[at], 0)
 
 
-def _scene_references(captions, scenes, vocab, s: int) -> tuple:
-    return captions[s], vocab.encode(scenes[s].attribute_words())
-
-
 def references(dataset: Dataset) -> References:
-    """``dataset``'s ``References``, made when it is first scored and kept
-    on it. They hold its captions and scenes but not the dataset itself,
-    so that no reference cycle outlives its last use."""
+    """``dataset``'s ``References``, made on its first scoring and kept."""
     if "_references" not in vars(dataset):
-        dataset._references = References(len(dataset), partial(
-            _scene_references, dataset.captions, dataset.scenes,
-            dataset.vocab))
+        dataset._references = References(dataset.captions, [
+            dataset.vocab.encode(s.attribute_words()) for s in dataset.scenes])
     return dataset._references
 
 
@@ -158,22 +147,15 @@ def bleu(tokens: np.ndarray, lengths: np.ndarray, refs: References,
     as often as it occurs, at most its largest count in any one caption.
     Token ids must lie below 2^8.
     """
-    tokens = np.asarray(tokens, np.intp)
-    c = np.asarray(lengths, np.intp)
-    if c.shape != tokens.shape[:1] or ((c < 0) | (c > tokens.shape[1])).any():
-        raise ValueError(f"bleu: lengths must be one per row, each from 0 "
-                         f"to the row width {tokens.shape[1]}")
+    tokens, c = _messages("bleu", tokens, lengths)
     scenes = np.asarray(scenes, np.intp)
-    refs.build(scenes)
     # the closest caption length, the shorter of two equally close
     ref_lengths = refs.lengths[scenes]
     gap = np.abs(ref_lengths - c[:, None])
     r = np.where(gap == gap.min(axis=1, keepdims=True), ref_lengths,
                  _FAR).min(axis=1)
     total = c[:, None] - np.arange(BLEU_N)  # (B, BLEU_N) n-grams per row
-    live = np.arange(tokens.shape[1]) < total[:, :, None]
-    row, order, _ = np.nonzero(live)
-    codes = _gram_codes(tokens)[live]
+    row, order, codes = _grams(tokens, c)
     grams, first, counts = np.unique((row * BLEU_N + order) << 32 | codes,
                                      return_index=True, return_counts=True)
     allowed = refs.maxima((scenes[row[first]] * BLEU_N + order[first]) << 32
@@ -194,16 +176,14 @@ def bleu(tokens: np.ndarray, lengths: np.ndarray, refs: References,
 def attribute_coverage(tokens: np.ndarray, lengths: np.ndarray,
                        refs: References, scenes: np.ndarray) -> np.ndarray:
     """(B,) fraction of scene ``scenes[b]``'s attribute words among the
-    first ``lengths[b]`` tokens of row b of a (B, T) token array."""
-    tokens = np.asarray(tokens, np.intp)
-    scenes = np.asarray(scenes, np.intp)
-    refs.build(scenes)
-    attributes = refs.attributes[scenes]
+    first ``lengths[b]`` tokens of row b of a (B, T) token array. Token
+    ids must lie below 2^8."""
+    tokens, lengths = _messages("attribute_coverage", tokens, lengths)
+    attributes = refs.attributes[np.asarray(scenes, np.intp)]
     n_words = (attributes >= 0).sum(axis=1)
     if not n_words.all():
         raise ValueError("attribute_coverage: scene has no objects")
-    said = np.where(np.arange(tokens.shape[1]) < np.asarray(lengths)[:, None],
-                    tokens, -2)
+    said = np.where(np.arange(tokens.shape[1]) < lengths[:, None], tokens, -2)
     found = (said[:, None, :] == attributes[:, :, None]).any(axis=2)
     return found.sum(axis=1) / n_words
 

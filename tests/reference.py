@@ -513,6 +513,16 @@ def _ngram_counts(tokens, n: int) -> Counter:
     return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
+def gram_maxima(captions, max_n: int = 4) -> Counter:
+    """Each n-gram's (n = 1..max_n) largest count in any one caption, keyed
+    by its tuple of token ids (oracle for evaluate.References)."""
+    best = Counter()
+    for caption in captions:
+        for n in range(1, max_n + 1):
+            best |= _ngram_counts(list(caption), n)
+    return best
+
+
 def _closest_ref_len(c: int, references) -> int:
     return min((len(r) for r in references),
                key=lambda rl: (abs(rl - c), rl))

@@ -62,7 +62,7 @@ def _batch_bleu(cases):
     tokens = np.zeros((len(cases), max(len(c) for c, _ in cases)), np.intp)
     for row, (candidate, _) in zip(tokens, cases):
         row[:len(candidate)] = candidate
-    refs = References(len(cases), lambda s: (cases[s][1], ()))
+    refs = References([r for _, r in cases], [()] * len(cases))
     return bleu(tokens, [len(c) for c, _ in cases], refs,
                 np.arange(len(cases)))
 
@@ -81,26 +81,31 @@ def test_bleu_fixture(path):
 
 
 def test_bleu_matches_per_gram_oracle():
-    # short messages over a few words, so n-grams repeat and clip often
-    rng = np.random.default_rng(0)
-    cases = []
-    for _ in range(2000):
-        candidate = rng.integers(5, size=rng.integers(1, 9)).tolist()
-        references = [rng.integers(5, size=rng.integers(1, 9)).tolist()
-                      for _ in range(rng.integers(1, 4))]
-        cases.append((candidate, references))
-    # shorter than 4 tokens; a word repeated more often than any
-    # reference holds it; a repeated bigram
-    cases += [([3, 1], [[3, 1, 2, 4], [1, 3]]),
-              ([2, 2, 2, 2, 1], [[2, 1, 2], [1, 2, 4, 4]]),
-              ([1, 2, 1, 2, 1, 2], [[1, 2, 3, 1, 2], [2, 1, 2]])]
-    for got, (candidate, references) in zip(_batch_bleu(cases), cases):
-        assert got.tolist() == reference.bleu(candidate, references, 4)
+    # short messages over a few words, so n-grams repeat and clip often;
+    # over ids 250-255, a 4-gram of 255s fills all 32 bits of its code
+    for low, n_ids in ((0, 5), (250, 6)):
+        rng = np.random.default_rng(0)
+        cases = []
+        for _ in range(2000):
+            candidate = low + rng.integers(n_ids, size=rng.integers(1, 9))
+            references = [(low + rng.integers(n_ids, size=rng.integers(1, 9)))
+                          .tolist() for _ in range(rng.integers(1, 4))]
+            cases.append((candidate.tolist(), references))
+        # shorter than 4 tokens; a word repeated more often than any
+        # reference holds it; a repeated bigram; a repeated 4-gram
+        cases += [([low + t for t in c], [[low + t for t in r] for r in refs])
+                  for c, refs in [
+                      ([3, 1], [[3, 1, 2, 4], [1, 3]]),
+                      ([2, 2, 2, 2, 1], [[2, 1, 2], [1, 2, 4, 4]]),
+                      ([1, 2, 1, 2, 1, 2], [[1, 2, 3, 1, 2], [2, 1, 2]]),
+                      ([5, 5, 5, 5, 5], [[5, 5, 5, 5], [5, 4, 5]])]]
+        for got, (candidate, references) in zip(_batch_bleu(cases), cases):
+            assert got.tolist() == reference.bleu(candidate, references, 4)
 
 
 def test_bleu_scores_an_empty_row_zero_and_reads_only_its_content():
     # the tokens past a row's length are not part of its candidate
-    refs = References(2, lambda s: ([[4, 5, 6]], ()))
+    refs = References([[[4, 5, 6]]] * 2, [()] * 2)
     tokens = np.array([[4, 5, 6, 9], [4, 5, 6, 9]])
     got = bleu(tokens, [0, 3], refs, np.array([0, 1]))
     assert got.tolist() == [[0.0] * 4,
@@ -109,9 +114,21 @@ def test_bleu_scores_an_empty_row_zero_and_reads_only_its_content():
 
 @pytest.mark.parametrize("lengths", [[3, 5], [3, -1], [3]])
 def test_bleu_refuses_lengths_that_do_not_fit_the_rows(lengths):
-    refs = References(2, lambda s: ([[4, 5, 6]], ()))
-    with pytest.raises(ValueError, match="lengths must be one per row"):
-        bleu(np.full((2, 4), 4), lengths, refs, np.array([0, 1]))
+    # both scorers take their rows through one check
+    refs = References([[[4, 5, 6]]] * 2, [[4], [5]])
+    for score in (bleu, attribute_coverage):
+        with pytest.raises(ValueError, match="lengths must be one per row"):
+            score(np.full((2, 4), 4), lengths, refs, np.array([0, 1]))
+
+
+@pytest.mark.parametrize("score", [bleu, attribute_coverage],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("bad", [-1, 256])
+def test_scorers_refuse_token_ids_outside_eight_bits(score, bad):
+    # a -1 would match the -1 pads of a shorter attribute row
+    refs = References([[[4]], [[4]]], [[1, 2, 3], [0]])
+    with pytest.raises(IndexError, match=f"index {bad} out of range"):
+        score(np.array([[bad, 0]]), [1], refs, np.array([1]))
 
 
 def test_attribute_coverage_matches_the_word_set_oracle():
@@ -129,25 +146,25 @@ def test_attribute_coverage_matches_the_word_set_oracle():
     assert got.tolist() == want
 
 
-def test_references_build_each_scored_scene_once(monkeypatch):
-    # a dataset's table is made on its first scoring and kept; a scene's
-    # entry is built when the scene is first scored, and never again
+def test_references_keep_each_grams_largest_count_in_one_caption():
+    # a dataset's table is made on its first scoring and kept; it holds
+    # every scene's n-grams, and no n-gram that a scene lacks
     ds = reference.generate_dataset(3, 12, WorldSpec())
-    built = []
-
-    def counting(*args):
-        built.append(args[-1])
-        return entry(*args)
-
-    entry = evaluate._scene_references
-    monkeypatch.setattr(evaluate, "_scene_references", counting)
-    tokens = np.zeros((4, 2), np.intp)
     refs = references(ds)
-    bleu(tokens, [1, 1, 1, 1], refs, np.array([5, 2, 5, 2]))
-    assert sorted(built) == [2, 5]
-    attribute_coverage(tokens, [1, 1, 1, 1], references(ds),
-                       np.array([2, 7, 7, 0]))
-    assert references(ds) is refs and sorted(built) == [0, 2, 5, 7]
+    assert references(ds) is refs
+    best = [reference.gram_maxima(c, evaluate.BLEU_N) for c in ds.captions]
+    grams = sorted(set().union(*best))
+    for s, scene_best in enumerate(best):
+        keys = [(s * evaluate.BLEU_N + len(g) - 1) << 32
+                | sum(t << 8 * i for i, t in enumerate(reversed(g)))
+                for g in grams]
+        assert refs.maxima(np.array(keys)).tolist() == [scene_best[g]
+                                                        for g in grams]
+
+
+def test_references_refuse_a_scene_without_captions():
+    with pytest.raises(ValueError, match="scene 1 has no captions"):
+        References([[[4]], [], [[5]]], [[4], [5], [6]])
 
 
 def test_evaluate_agents_embeds_each_scene_at_most_once(monkeypatch):
