@@ -125,8 +125,8 @@ class References:
 def references(dataset: Dataset) -> References:
     """``dataset``'s ``References``, made on its first scoring and kept."""
     if "_references" not in vars(dataset):
-        dataset._references = References(dataset.captions, [
-            dataset.vocab.encode(s.attribute_words()) for s in dataset.scenes])
+        dataset._references = References(dataset.captions,
+                                         dataset.attribute_ids())
     return dataset._references
 
 

@@ -6,25 +6,40 @@ raster), plus templated reference captions used only for evaluation and
 supervised warm starts. All randomness is keyed by explicit seeds;
 regenerating with the same seed and spec is bitwise identical.
 
+A split is built in whole-split array passes over ``_Scenes``: its
+object counts, one (shape, color, size, row, col) row per object (scene
+after scene, each in cell order) and its u64 ids. A draw decodes only
+the enumeration indices it keeps, or draws scenes one at a time and
+dedupes their ids after. ``_scene_ids`` numbers the scenes of a draw,
+and ``_faults`` with it checks those of a file or of
+``Scene.from_objects``, all at once. The ``Scene`` list, observations,
+captions (made when first read) and attribute ids are each one pass
+over those arrays.
+
 World file layout (all integers little-endian): magic ``LGW1``, u16
 version 2, then ``_HEADER``: u8 grid, u8 min objects, u8 max objects,
 u8 raster flag, u16 raster size, f32 noise, u64 seed, u8 split code
 (0 train, 1 val, 2 test) and u32 scene count, 29 bytes in all. Each
 scene follows as ``_SCENE``, a u64 id and a u8 object count, and per
 object (in cell order) ``_OBJECT``, five u8: shape, color, size, row,
-col. Observations, rasters and captions are functions of the header
-and the scenes, so the file does not hold them: loading rebuilds them
-through ``Dataset``'s constructor, as generating the split built them,
-and a change to how they are drawn moves no file byte and no version.
-A raster reaches the agents as its grid cells, in row-major order.
+col. Both directions go through one table with a row per record: the
+reader finds each record's offset from the object counts, and refuses
+the first scene any check fails at that scene's first byte.
+Observations, rasters and captions are functions of the header and the
+scenes, so the file does not hold them: loading rebuilds them as
+generating the split built them, and a change to how they are drawn
+moves no file byte and no version. A raster reaches the agents as its
+grid cells, in row-major order.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +60,7 @@ DATASET_VERSION = 2
 # the LGW1 records that follow the magic and the version, as ``struct``
 # formats that both save_dataset and load_dataset use
 _HEADER, _SCENE, _OBJECT = "<BBBBHfQBI", "<QB", "<5B"
+_ID_BYTES, _SCENE_BYTES, _OBJECT_BYTES = 8, 9, 5  # of an id, _SCENE, _OBJECT
 
 _N_ATTR = len(SHAPES) * len(COLORS) * len(SIZES)  # 60 attribute combos
 _SPLIT_CODES = {"train": 0, "val": 1, "test": 2}
@@ -104,6 +120,7 @@ class ObjectSpec:
         return SIZES[self.size], COLORS[self.color], SHAPES[self.shape]
 
     def code(self, grid: int) -> int:
+        # ``_scene_ids`` calls this on an ObjectSpec of whole columns
         pos = self.row * grid + self.col
         return pos * _N_ATTR + self.shape * (len(COLORS) * len(SIZES)) \
             + self.color * len(SIZES) + self.size
@@ -119,24 +136,112 @@ class Scene:
     @classmethod
     def from_objects(cls, objects, grid: int) -> "Scene":
         objs = tuple(sorted(objects, key=lambda o: (o.row, o.col)))
-        cells = {(o.row, o.col) for o in objs}
-        if len(cells) != len(objs):
-            raise ValueError("scene objects must occupy distinct cells")
-        for o in objs:
-            if not (o.shape < len(SHAPES) and o.color < len(COLORS)
-                    and o.size < len(SIZES) and max(o.row, o.col) < grid):
-                raise ValueError(f"object {o} is out of range")
-        base = grid * grid * _N_ATTR + 1
-        sid = 0
-        for i, o in enumerate(objs):
-            sid += (o.code(grid) + 1) * base ** i
-        return cls(objs, sid)
+        arrays = _Scenes.of([cls(objs, 0)])
+        faults = _faults(arrays.counts, arrays.objects, grid)[0]
+        if faults.any():
+            raise ValueError(_fault_message(faults.argmax(), arrays.objects,
+                                            grid))
+        return cls(objs, int(_scene_ids(arrays.counts, arrays.objects,
+                                        grid)[0]))
 
     def attribute_words(self) -> set[str]:
         out = set()
         for o in self.objects:
             out.update(o.words())
         return out
+
+
+class _Scenes(NamedTuple):
+    """Scenes as arrays: ``counts`` (N,) objects per scene, ``objects``
+    (counts.sum(), 5) each object's shape, color, size, row and col,
+    scene after scene and each scene's in cell order, and ``ids`` (N,)
+    their u64 scene ids."""
+
+    counts: np.ndarray
+    objects: np.ndarray
+    ids: np.ndarray
+
+    @classmethod
+    def of(cls, scenes) -> "_Scenes":
+        objects = [v for s in scenes for o in s.objects
+                   for v in (o.shape, o.color, o.size, o.row, o.col)]
+        return cls(np.array([len(s.objects) for s in scenes], np.intp),
+                   np.array(objects, np.intp).reshape(-1, 5),
+                   np.array([s.scene_id for s in scenes], np.uint64))
+
+    def take(self, index) -> "_Scenes":
+        """The scenes at positions ``index``, in the order it gives."""
+        counts = self.counts[index]
+        first = np.cumsum(self.counts) - self.counts
+        _, slot = _slots(counts)
+        return _Scenes(counts, self.objects[np.repeat(first[index], counts)
+                                            + slot], self.ids[index])
+
+    def scenes(self) -> list:
+        objects = [ObjectSpec(*o) for o in self.objects.tolist()]
+        return [Scene(tuple(objs), sid) for objs, sid in zip(
+            _split(objects, self.counts), self.ids.tolist())]
+
+
+def _split(values: list, sizes: np.ndarray) -> list:
+    """``values`` cut into consecutive lists of ``sizes`` items."""
+    ends = np.cumsum(sizes).tolist()
+    return [values[start:end] for start, end in zip([0, *ends], ends)]
+
+
+def _slots(counts: np.ndarray) -> tuple:
+    """Each object's scene and its slot, its place in the scene's cell
+    order, for scenes of ``counts`` objects laid out one after another."""
+    scene = np.repeat(np.arange(len(counts)), counts)
+    return scene, np.arange(len(scene)) - (np.cumsum(counts) - counts)[scene]
+
+
+def _scene_ids(counts: np.ndarray, objects: np.ndarray,
+               grid: int) -> np.ndarray:
+    """Each scene's id, as LGW1's u64: the sum over its objects of
+    (code + 1) * (grid² · 60 + 1) ** slot."""
+    scene, slot = _slots(counts)
+    codes = ObjectSpec(*objects.T.astype(np.uint64)).code(grid)
+    table = np.zeros((len(counts), counts.max(initial=0)), np.uint64)
+    table[scene, slot] = (codes + np.uint64(1)) * np.uint64(
+        grid * grid * _N_ATTR + 1) ** slot.astype(np.uint64)
+    return table.sum(axis=1, dtype=np.uint64)
+
+
+def _out_of_range(objects: np.ndarray, grid: int) -> np.ndarray:
+    limits = (len(SHAPES), len(COLORS), len(SIZES), grid, grid)
+    return (objects >= limits).any(axis=1)
+
+
+# what ``_faults`` finds in a scene, in the order a scene's faults are
+# reported; an out-of-range object is named where the {} stands
+_FAULTS = ("scene objects must occupy distinct cells",
+           "scene objects must be in cell order",
+           "object {} is out of range")
+
+
+def _faults(counts: np.ndarray, objects: np.ndarray, grid: int) -> np.ndarray:
+    """(N, 3) bools: whether scene n's objects share a cell, stand out of
+    cell order (row, then column) or hold a value out of range."""
+    scene, _ = _slots(counts)
+    row, col = objects[:, 3], objects[:, 4]
+    out = np.zeros((len(counts), len(_FAULTS)), bool)
+    by = np.lexsort((col, row, scene))
+    twin = ((np.diff(scene[by]) == 0) & (np.diff(row[by]) == 0)
+            & (np.diff(col[by]) == 0))
+    out[scene[by][1:][twin], 0] = True
+    down = (scene[1:] == scene[:-1]) & (
+        (row[1:] < row[:-1]) | (row[1:] == row[:-1]) & (col[1:] < col[:-1]))
+    out[scene[1:][down], 1] = True
+    out[scene[_out_of_range(objects, grid)], 2] = True
+    return out
+
+
+def _fault_message(fault: int, objects: np.ndarray, grid: int) -> str:
+    """``_FAULTS[fault]`` for a scene of ``objects``, naming its first
+    object out of range."""
+    bad = objects[_out_of_range(objects, grid)]
+    return _FAULTS[fault].format(bad.size and ObjectSpec(*bad[0].tolist()))
 
 
 @dataclass
@@ -202,43 +307,66 @@ class WorldSpec:
                               f"do not fit the model's {have}")
 
     def capacity(self) -> int:
-        cells = self.grid * self.grid
-        total = 0
-        for c in range(self.min_objects, self.max_objects + 1):
-            total += math.comb(cells, c) * _N_ATTR ** c
-        return total
+        return sum(self._block_sizes())
+
+    def _block_sizes(self) -> list[int]:
+        """How many scenes hold each object count, min_objects first."""
+        return [math.comb(self.grid ** 2, c) * _N_ATTR ** c
+                for c in range(self.min_objects, self.max_objects + 1)]
 
 
-def _random_scene(rng, spec: WorldSpec) -> Scene:
-    count = int(rng.integers(spec.min_objects, spec.max_objects + 1))
-    cells = rng.choice(spec.grid * spec.grid, size=count, replace=False)
-    objs = []
-    for cell in cells:
-        objs.append(ObjectSpec(
-            shape=int(rng.integers(len(SHAPES))),
-            color=int(rng.integers(len(COLORS))),
-            size=int(rng.integers(len(SIZES))),
-            row=int(cell) // spec.grid,
-            col=int(cell) % spec.grid,
-        ))
-    return Scene.from_objects(objs, spec.grid)
+def _objects(shape, color, size, cell, grid: int) -> np.ndarray:
+    return np.stack([shape, color, size, cell // grid, cell % grid], axis=1)
 
 
-def _enumerate_scenes(spec: WorldSpec):
-    cells = range(spec.grid * spec.grid)
-    for count in range(spec.min_objects, spec.max_objects + 1):
-        for cell_combo in itertools.combinations(cells, count):
-            for attrs in itertools.product(range(_N_ATTR), repeat=count):
-                objs = []
-                for cell, a in zip(cell_combo, attrs):
-                    shape, rest = divmod(a, len(COLORS) * len(SIZES))
-                    color, size = divmod(rest, len(SIZES))
-                    objs.append(ObjectSpec(shape, color, size,
-                                           cell // spec.grid, cell % spec.grid))
-                yield Scene.from_objects(objs, spec.grid)
+def _enumerated(spec: WorldSpec, index: np.ndarray) -> _Scenes:
+    """The scenes at positions ``index`` of the enumeration: by object
+    count, then by cell combination (lexicographic), then by attribute
+    combination (the first object's most significant), each object's
+    attributes numbered shape, then color, then size."""
+    sizes = spec._block_sizes()
+    ends = np.cumsum(sizes)
+    block = np.searchsorted(ends, index, side="right")
+    counts = spec.min_objects + block
+    local = index - (ends - sizes)[block]
+    scene, slot = _slots(counts)
+    count, local = counts[scene], local[scene]
+    attrs = local // _N_ATTR ** (count - 1 - slot) % _N_ATTR
+    combo = local // _N_ATTR ** count
+    cells = np.empty(len(scene), np.intp)
+    for c in range(spec.min_objects, spec.max_objects + 1):
+        combos = np.array(list(itertools.combinations(range(spec.grid ** 2),
+                                                      c)), np.intp)
+        mine = count == c
+        cells[mine] = combos.reshape(-1, c)[combo[mine], slot[mine]]
+    shape, rest = np.divmod(attrs, len(COLORS) * len(SIZES))
+    objects = _objects(shape, *np.divmod(rest, len(SIZES)), cells, spec.grid)
+    return _Scenes(counts, objects, _scene_ids(counts, objects, spec.grid))
 
 
-def draw_scenes(seed: int, n: int, spec: WorldSpec) -> list[Scene]:
+def _random_scenes(rng, spec: WorldSpec, n: int) -> _Scenes:
+    """Scenes drawn one at a time, each an object count, its cells and,
+    cell by cell, a shape, a color and a size, kept in the order drawn
+    unless an earlier one holds the same objects, until ``n`` are kept."""
+    seen, counts, drawn = set(), [], []
+    while len(counts) < n:
+        count = int(rng.integers(spec.min_objects, spec.max_objects + 1))
+        scene = tuple(sorted(
+            (cell, int(rng.integers(len(SHAPES))),
+             int(rng.integers(len(COLORS))), int(rng.integers(len(SIZES))))
+            for cell in rng.choice(spec.grid ** 2, size=count,
+                                   replace=False).tolist()))
+        if scene not in seen:
+            seen.add(scene)
+            counts.append(count)
+            drawn += scene
+    cell, shape, color, size = np.array(drawn, np.intp).reshape(-1, 4).T
+    counts = np.array(counts, np.intp)
+    objects = _objects(shape, color, size, cell, spec.grid)
+    return _Scenes(counts, objects, _scene_ids(counts, objects, spec.grid))
+
+
+def _draw_scenes(seed: int, n: int, spec: WorldSpec) -> _Scenes:
     """Draw ``n`` distinct scenes, deterministically in ``seed``."""
     cap = spec.capacity()
     if n > cap:
@@ -246,33 +374,18 @@ def draw_scenes(seed: int, n: int, spec: WorldSpec) -> list[Scene]:
             f"requested {n} scenes but the spec holds only {cap} distinct ones")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5C3E]))
     if cap <= 200_000:
-        all_scenes = list(_enumerate_scenes(spec))
-        order = rng.permutation(len(all_scenes))
-        return [all_scenes[i] for i in order[:n]]
-    seen = set()
-    out = []
-    while len(out) < n:
-        s = _random_scene(rng, spec)
-        if s.scene_id not in seen:
-            seen.add(s.scene_id)
-            out.append(s)
-    return out
+        return _enumerated(spec, rng.permutation(cap)[:n])
+    return _random_scenes(rng, spec, n)
 
 
-def observation_vectors(scenes, spec: WorldSpec, rng) -> np.ndarray:
+def _observations(arrays: _Scenes, spec: WorldSpec, rng) -> np.ndarray:
     """(N, obs_dim) rows of one-hot attribute blocks per object slot, zero
     padded, plus noise drawn row after row."""
-    starts = tuple(itertools.accumulate(
-        (0, len(SHAPES), len(COLORS), len(SIZES), spec.grid)))
-    bd = spec.block_dim
-    rows, cols = [], []
-    for n, scene in enumerate(scenes):
-        for i, o in enumerate(scene.objects):
-            rows += [n] * len(starts)
-            cols += [i * bd + start + value for start, value
-                     in zip(starts, (o.shape, o.color, o.size, o.row, o.col))]
-    obs = np.zeros((len(scenes), spec.obs_dim), F32)
-    obs[rows, cols] = 1
+    scene, slot = _slots(arrays.counts)
+    starts = np.cumsum((0, len(SHAPES), len(COLORS), len(SIZES), spec.grid))
+    obs = np.zeros((len(arrays.counts), spec.obs_dim), F32)
+    obs[scene[:, None],
+        (slot * spec.block_dim)[:, None] + starts + arrays.objects] = 1
     if spec.noise > 0:
         obs += rng.normal(0.0, spec.noise, size=obs.shape).astype(F32)
     return obs
@@ -325,44 +438,71 @@ def render_raster(scene: Scene, spec: WorldSpec) -> np.ndarray:
     return img
 
 
-def _relation(a: ObjectSpec, b: ObjectSpec) -> list[str]:
-    if a.col < b.col:
-        return ["left", "of"]
-    if a.col > b.col:
-        return ["right", "of"]
-    return ["above"] if a.row < b.row else ["below"]
+_ATTRIBUTE_WORDS = SIZES + COLORS + SHAPES
+
+
+def _attribute_words(objects: np.ndarray) -> np.ndarray:
+    """(M, 3) each object's size, color and shape, as indices into
+    ``_ATTRIBUTE_WORDS``: its words in the order a caption says them."""
+    return objects[:, [2, 1, 0]] + (0, len(SIZES), len(SIZES) + len(COLORS))
+
+
+# the objects each caption of a scene describes in turn, by the scene's
+# object count, as slots (-1 for none): in cell order, reversed, and
+# rotated left by one
+_ORDERS = np.array([[[-1] * 3] * 3,
+                    [[0, -1, -1], [-1] * 3, [-1] * 3],
+                    [[0, 1, -1], [1, 0, -1], [-1] * 3],
+                    [[0, 1, 2], [2, 1, 0], [1, 2, 0]]])
+# which of a caption's objects each of its 15 token places describes
+_PLACES = np.repeat([0, 1, 2], [4, 6, 5])
+
+
+def _captions(arrays: _Scenes, vocab: Vocabulary) -> list:
+    """Each scene's templated captions, one per order of ``_ORDERS`` that
+    gives a caption no earlier order gave, as token-id lists in
+    ``vocab``: "a <size> <color> <shape>" of the first object, then its
+    relation to the second ("left of", "right of", "above" or "below")
+    and "a <size> <color> <shape>" of the second, then "and" and the
+    third's description."""
+    a, and_, left, right, above, below, of = vocab.encode(GLUE)
+    words = np.array(vocab.encode(_ATTRIBUTE_WORDS))[
+        _attribute_words(arrays.objects)]
+    row, col = arrays.objects[:, 3], arrays.objects[:, 4]
+    order = _ORDERS[arrays.counts]
+    obj = np.where(order >= 0, (np.cumsum(arrays.counts)
+                                - arrays.counts)[:, None, None] + order, -1)
+    one, two = obj[..., 0], obj[..., 1]
+    caption = np.empty(order.shape[:2] + _PLACES.shape, np.intp)
+    caption[..., [0, 6, 11]], caption[..., 10] = a, and_
+    caption[..., 1:4], caption[..., 7:10], caption[..., 12:] = (
+        words[obj].transpose(2, 0, 1, 3))
+    caption[..., 4] = np.where(col[one] < col[two], left, np.where(
+        col[one] > col[two], right, np.where(row[one] < row[two], above,
+                                             below)))
+    caption[..., 5] = np.where(col[one] != col[two], of, -1)
+    caption[obj[..., _PLACES] < 0] = -1  # holes
+    keep = obj[..., 0] >= 0
+    for k in (1, 2):
+        for earlier in range(k):
+            keep[:, k] &= (caption[:, k] != caption[:, earlier]).any(axis=1)
+    caption = caption[keep]
+    return _split(_split(caption[caption >= 0].tolist(),
+                         (caption >= 0).sum(axis=1)), keep.sum(axis=1))
 
 
 def build_captions(scene: Scene, vocab: Vocabulary) -> list[list[int]]:
     """Templated reference captions (1-3 per scene) as token-id lists."""
-    def describe(o):
-        return ["a", *o.words()]
-
-    objs = list(scene.objects)
-    orders = [objs]
-    if len(objs) >= 2:
-        orders.append(objs[::-1])
-    if len(objs) == 3:
-        orders.append(objs[1:] + objs[:1])
-    captions = []
-    for order in orders:
-        words = describe(order[0])
-        if len(order) >= 2:
-            words += _relation(order[0], order[1]) + describe(order[1])
-        for extra in order[2:]:
-            words += ["and"] + describe(extra)
-        ids = vocab.encode(words)
-        if ids not in captions:
-            captions.append(ids)
-    return captions
+    return _captions(_Scenes.of([scene]), vocab)[0]
 
 
 @dataclass
 class Dataset:
     """One split: the four fields an LGW1 file stores, all that ``==``
     compares. The constructor builds ``observations`` (noise keyed by
-    ``seed`` and the split), ``rasters`` (None but in a raster world), the
-    agents' inputs and ``captions`` in ``vocab``, which all datasets share."""
+    ``seed`` and the split), ``rasters`` (None but in a raster world) and
+    the agents' inputs; ``captions``, in ``vocab``, which all datasets
+    share, are made when first read."""
 
     spec: WorldSpec
     seed: int
@@ -372,10 +512,25 @@ class Dataset:
 
     def __post_init__(self):
         self.scenes = list(self.scenes)
+        self._build(_Scenes.of(self.scenes))
+
+    @classmethod
+    def _from_arrays(cls, spec: WorldSpec, seed: int, split: str,
+                     arrays: _Scenes) -> "Dataset":
+        """The dataset of the scenes ``arrays`` holds, its ``Scene`` list
+        made from them."""
+        dataset = cls.__new__(cls)
+        dataset.spec, dataset.seed, dataset.split = spec, seed, split
+        dataset.scenes = arrays.scenes()
+        dataset._build(arrays)
+        return dataset
+
+    def _build(self, arrays: _Scenes) -> None:
+        self._arrays = arrays
         spec, size = self.spec, self.spec.raster_size
         obs_rng = np.random.default_rng(np.random.SeedSequence(
             [int(self.seed), 0x0B5, _SPLIT_CODES[self.split]]))
-        self.observations = observation_vectors(self.scenes, spec, obs_rng)
+        self.observations = _observations(arrays, spec, obs_rng)
         self.rasters = np.array(
             [render_raster(s, spec) for s in self.scenes], F32
         ).reshape(-1, size, size, 3) if spec.raster else None
@@ -384,7 +539,10 @@ class Dataset:
         self._inputs = (self.rasters.reshape(-1, g, c, g, c, 3).transpose(
             0, 1, 3, 2, 4, 5).reshape(-1, spec.input_dim) if spec.raster
             else self.observations)
-        self.captions = [build_captions(s, self.vocab) for s in self.scenes]
+
+    @functools.cached_property
+    def captions(self) -> list:
+        return _captions(self._arrays, self.vocab)
 
     def __len__(self) -> int:
         return len(self.scenes)
@@ -393,18 +551,27 @@ class Dataset:
         """What the agents see: attribute vectors, or raster grid cells."""
         return self._inputs
 
+    def attribute_ids(self) -> list[list[int]]:
+        """Each scene's distinct attribute-word ids in ``vocab``."""
+        scene, _ = _slots(self._arrays.counts)
+        said = np.zeros((len(self), len(_ATTRIBUTE_WORDS)), bool)
+        said[scene[:, None], _attribute_words(self._arrays.objects)] = True
+        ids = np.array(self.vocab.encode(_ATTRIBUTE_WORDS))
+        return _split(ids[np.nonzero(said)[1]].tolist(), said.sum(axis=1))
+
 
 def generate_splits(seed: int, spec: WorldSpec, n_train: int, n_val: int = 0,
                     n_test: int = 0) -> dict[str, Dataset]:
     """Disjoint train/val/test datasets drawn from one scene pool."""
     total = n_train + n_val + n_test
-    scenes = draw_scenes(seed, total, spec)
+    scenes = _draw_scenes(seed, total, spec)
     out = {}
     start = 0
     for split, n in (("train", n_train), ("val", n_val), ("test", n_test)):
         if n == 0 and split != "train":
             continue
-        out[split] = Dataset(spec, seed, split, scenes[start:start + n])
+        out[split] = Dataset._from_arrays(
+            spec, seed, split, scenes.take(np.arange(start, start + n)))
         start += n
     return out
 
@@ -436,21 +603,34 @@ def sample_game_batch(dataset: Dataset, k: int, n: int,
 # serialization (LGW1)
 
 
+def _records(counts: np.ndarray) -> tuple:
+    """A zeroed table for the LGW1 records of scenes of ``counts``
+    objects, one (N, width) u8 row per record from its first byte, the
+    mask of the bytes each record holds (in the file's order when read
+    row after row), and each object's (scene, slot) in the table's
+    (N, most objects, 5) view of its objects."""
+    most = counts.max(initial=0)
+    width = _SCENE_BYTES + _OBJECT_BYTES * most
+    table = np.zeros((len(counts), width), np.uint8)
+    held = np.arange(width) < (_SCENE_BYTES + _OBJECT_BYTES * counts)[:, None]
+    return table, held, table[:, _SCENE_BYTES:].reshape(
+        len(counts), most, _OBJECT_BYTES), _slots(counts)
+
+
 def save_dataset(dataset: Dataset, path: str) -> None:
     spec = dataset.spec
-    chunks = [
+    counts, objects, ids = _Scenes.of(dataset.scenes)
+    table, held, per_slot, at = _records(counts)
+    table[:, :_ID_BYTES] = ids.astype("<u8").view(np.uint8).reshape(
+        -1, _ID_BYTES)
+    table[:, _ID_BYTES] = counts
+    per_slot[at] = objects
+    write_atomic(path, [
         DATASET_MAGIC + struct.pack("<H", DATASET_VERSION),
         struct.pack(_HEADER, spec.grid, spec.min_objects, spec.max_objects,
                     spec.raster, spec.raster_size, spec.noise, dataset.seed,
                     _SPLIT_CODES[dataset.split], len(dataset)),
-    ]
-    for scene in dataset.scenes:
-        chunks.append(struct.pack(_SCENE, scene.scene_id, len(scene.objects)))
-        for o in scene.objects:
-            chunks.append(struct.pack(_OBJECT, o.shape, o.color, o.size,
-                                      o.row, o.col))
-    # one join costs less than a write per chunk of a few bytes
-    write_atomic(path, [b"".join(chunks)])
+        table[held]])
 
 
 def load_dataset(path: str) -> Dataset:
@@ -479,24 +659,50 @@ def load_dataset(path: str) -> Dataset:
     except SpecError as exc:
         raise FormatError(f"bad world header: {exc}",
                           _HEADER_OFFSETS[exc.field]) from None
-    scenes, seen = [], set()
+    # each record's object count, up to the first record whose count is
+    # refused or which the file cuts short
+    counts, off = [], r.off
     for _ in range(n_scenes):
-        start = r.off
+        if off + _SCENE_BYTES > len(blob):
+            break
+        count = blob[off + _ID_BYTES]
+        end = off + _SCENE_BYTES + _OBJECT_BYTES * count
+        if not min_obj <= count <= max_obj or end > len(blob):
+            break
+        counts.append(count)
+        off = end
+    counts = np.array(counts, np.intp)
+    table, held, per_slot, at = _records(counts)
+    table[held] = np.frombuffer(blob, np.uint8, off - r.off, r.off)
+    ids = np.ascontiguousarray(table[:, :_ID_BYTES]).view("<u8").ravel()
+    objects = per_slot[at]
+    _, first = np.unique(ids, return_index=True)
+    repeated = np.ones(len(ids), bool)
+    repeated[first] = False
+    faults = np.column_stack([_faults(counts, objects, grid),
+                              _scene_ids(counts, objects, grid) != ids,
+                              repeated])
+    bad = np.flatnonzero(faults.any(axis=1))
+    if len(bad):
+        n, fault = bad[0], faults[bad[0]].argmax()
+        sid = int(ids[n])
+        if fault < len(_FAULTS):
+            mine = objects[at[0] == n]
+            message = f"scene {sid}: {_fault_message(fault, mine, grid)}"
+        else:
+            message = (f"scene id mismatch for {sid}", f"repeated scene {sid}"
+                       )[fault - len(_FAULTS)]
+        raise FormatError(message, r.off + int(held[:n].sum()))
+    if len(counts) < n_scenes:
+        # the record the counts stopped at, read as far as it goes
+        r.off = off
         sid, count = r.unpack(_SCENE)
         if not min_obj <= count <= max_obj:
             raise FormatError(f"scene {sid} holds {count} objects, outside "
-                              f"[{min_obj}, {max_obj}]", start)
-        objs = [ObjectSpec(*r.unpack(_OBJECT)) for _ in range(count)]
-        try:
-            scene = Scene.from_objects(objs, grid)
-        except ValueError as exc:
-            raise FormatError(f"scene {sid}: {exc}", start) from None
-        if scene.scene_id != sid:
-            raise FormatError(f"scene id mismatch for {sid}", r.off)
-        if sid in seen:
-            raise FormatError(f"repeated scene {sid}", start)
-        seen.add(sid)
-        scenes.append(scene)
-    if r.off != len(blob):
-        raise FormatError(f"{len(blob) - r.off} trailing bytes", r.off)
-    return Dataset(spec, seed, split, scenes)
+                              f"[{min_obj}, {max_obj}]", off)
+        for _ in range(count):
+            r.unpack(_OBJECT)
+    if off != len(blob):
+        raise FormatError(f"{len(blob) - off} trailing bytes", off)
+    return Dataset._from_arrays(spec, seed, split,
+                                _Scenes(counts, objects, ids))

@@ -47,6 +47,17 @@ hand, one message at a time, with those oracles; the package's
 ``evaluate_agents``, which plays every round as one block and decodes
 each distinct target once, must return the same report.
 
+The world oracles build one scene, object or LGW1 record at a time:
+``draw_scenes`` enumerates every scene of a small world with
+``scene_from_objects`` and permutes them, or draws scenes one by one;
+``observation_vectors`` writes each object's one-hot blocks in turn;
+``build_captions`` joins each caption's words and encodes them;
+``save_bytes`` packs and ``load_dataset`` parses each record in turn.
+The package builds a split's scenes, observations, captions and
+reference attribute ids, and reads and writes its records, in array
+passes over the whole split, and must match them bitwise, refusals
+included.
+
 ``gradcheck`` holds tape gradients to central finite differences,
 ``generate_dataset`` is the one-split world the tests train and score
 on, and ``per_gate`` rewrites a checkpoint in the per-gate GRU layout
@@ -55,7 +66,9 @@ that loading must refuse. Nothing in ``src/`` imports this module.
 
 from __future__ import annotations
 
+import itertools
 import math
+import struct
 from collections import Counter
 from dataclasses import dataclass
 
@@ -67,8 +80,10 @@ from lewisgame.evaluate import BLEU_EPS, EvalReport
 from lewisgame.game import RoundTrace
 from lewisgame.params import ParameterSet
 from lewisgame.tensor import F32, ShapeError, Tape, Tensor, backward
-from lewisgame.world import (BOS, EOS, Dataset, WorldSpec, generate_splits,
-                             sample_game_batch)
+from lewisgame.params import FormatError
+from lewisgame.world import (BOS, COLORS, DATASET_MAGIC, DATASET_VERSION, EOS,
+                             SHAPES, SIZES, Dataset, ObjectSpec, Scene,
+                             WorldSpec, generate_splits, sample_game_batch)
 
 
 def softmax(tape, a: Tensor) -> Tensor:
@@ -620,6 +635,209 @@ def evaluate_agents(speaker, listener, dataset, k: int, n_rounds: int = 200,
 
 # ---------------------------------------------------------------------------
 # test worlds
+
+
+_N_ATTR = len(SHAPES) * len(COLORS) * len(SIZES)
+_SPLIT_CODES = {"train": 0, "val": 1, "test": 2}
+
+
+def scene_from_objects(objects, grid: int) -> Scene:
+    """The scene of ``objects``, sorted into cell order, with its id
+    summed one object at a time (oracle for Scene.from_objects)."""
+    objs = tuple(sorted(objects, key=lambda o: (o.row, o.col)))
+    cells = {(o.row, o.col) for o in objs}
+    if len(cells) != len(objs):
+        raise ValueError("scene objects must occupy distinct cells")
+    for o in objs:
+        if not (o.shape < len(SHAPES) and o.color < len(COLORS)
+                and o.size < len(SIZES) and max(o.row, o.col) < grid):
+            raise ValueError(f"object {o} is out of range")
+    base = grid * grid * _N_ATTR + 1
+    sid = 0
+    for i, o in enumerate(objs):
+        sid += (o.code(grid) + 1) * base ** i
+    return Scene(objs, sid)
+
+
+def _random_scene(rng, spec: WorldSpec) -> Scene:
+    count = int(rng.integers(spec.min_objects, spec.max_objects + 1))
+    cells = rng.choice(spec.grid * spec.grid, size=count, replace=False)
+    objs = []
+    for cell in cells:
+        objs.append(ObjectSpec(
+            shape=int(rng.integers(len(SHAPES))),
+            color=int(rng.integers(len(COLORS))),
+            size=int(rng.integers(len(SIZES))),
+            row=int(cell) // spec.grid,
+            col=int(cell) % spec.grid,
+        ))
+    return scene_from_objects(objs, spec.grid)
+
+
+def enumerate_scenes(spec: WorldSpec):
+    """Every scene of ``spec``, by object count, then cell combination,
+    then attribute combination."""
+    cells = range(spec.grid * spec.grid)
+    for count in range(spec.min_objects, spec.max_objects + 1):
+        for cell_combo in itertools.combinations(cells, count):
+            for attrs in itertools.product(range(_N_ATTR), repeat=count):
+                objs = []
+                for cell, a in zip(cell_combo, attrs):
+                    shape, rest = divmod(a, len(COLORS) * len(SIZES))
+                    color, size = divmod(rest, len(SIZES))
+                    objs.append(ObjectSpec(shape, color, size,
+                                           cell // spec.grid, cell % spec.grid))
+                yield scene_from_objects(objs, spec.grid)
+
+
+def draw_scenes(seed: int, n: int, spec: WorldSpec) -> list[Scene]:
+    """``n`` distinct scenes: the first ``n`` of a permutation of every
+    scene when the world holds at most 200,000, else scenes drawn one at
+    a time, each kept unless an earlier one has its id (oracle for the
+    draw of world.generate_splits)."""
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5C3E]))
+    if spec.capacity() <= 200_000:
+        all_scenes = list(enumerate_scenes(spec))
+        order = rng.permutation(len(all_scenes))
+        return [all_scenes[i] for i in order[:n]]
+    seen = set()
+    out = []
+    while len(out) < n:
+        s = _random_scene(rng, spec)
+        if s.scene_id not in seen:
+            seen.add(s.scene_id)
+            out.append(s)
+    return out
+
+
+def observation_rng(seed: int, split: str):
+    """The rng a split's observation noise is drawn from."""
+    return np.random.default_rng(np.random.SeedSequence(
+        [int(seed), 0x0B5, _SPLIT_CODES[split]]))
+
+
+def observation_vectors(scenes, spec: WorldSpec, rng) -> np.ndarray:
+    """(N, obs_dim) rows of one-hot attribute blocks per object slot, zero
+    padded, plus noise drawn row after row."""
+    starts = tuple(itertools.accumulate(
+        (0, len(SHAPES), len(COLORS), len(SIZES), spec.grid)))
+    bd = spec.block_dim
+    rows, cols = [], []
+    for n, scene in enumerate(scenes):
+        for i, o in enumerate(scene.objects):
+            rows += [n] * len(starts)
+            cols += [i * bd + start + value for start, value
+                     in zip(starts, (o.shape, o.color, o.size, o.row, o.col))]
+    obs = np.zeros((len(scenes), spec.obs_dim), F32)
+    obs[rows, cols] = 1
+    if spec.noise > 0:
+        obs += rng.normal(0.0, spec.noise, size=obs.shape).astype(F32)
+    return obs
+
+
+def _relation(a: ObjectSpec, b: ObjectSpec) -> list[str]:
+    if a.col < b.col:
+        return ["left", "of"]
+    if a.col > b.col:
+        return ["right", "of"]
+    return ["above"] if a.row < b.row else ["below"]
+
+
+def build_captions(scene: Scene, vocab) -> list[list[int]]:
+    """Templated reference captions (1-3 per scene) as token-id lists,
+    each built as words and then encoded."""
+    def describe(o):
+        return ["a", *o.words()]
+
+    objs = list(scene.objects)
+    orders = [objs]
+    if len(objs) >= 2:
+        orders.append(objs[::-1])
+    if len(objs) == 3:
+        orders.append(objs[1:] + objs[:1])
+    captions = []
+    for order in orders:
+        words = describe(order[0])
+        if len(order) >= 2:
+            words += _relation(order[0], order[1]) + describe(order[1])
+        for extra in order[2:]:
+            words += ["and"] + describe(extra)
+        ids = vocab.encode(words)
+        if ids not in captions:
+            captions.append(ids)
+    return captions
+
+
+_HEADER, _SCENE, _OBJECT = "<BBBBHfQBI", "<QB", "<5B"
+
+
+def save_bytes(dataset: Dataset) -> bytes:
+    """``dataset`` as an LGW1 file, packed one record at a time."""
+    spec = dataset.spec
+    chunks = [
+        DATASET_MAGIC + struct.pack("<H", DATASET_VERSION),
+        struct.pack(_HEADER, spec.grid, spec.min_objects, spec.max_objects,
+                    spec.raster, spec.raster_size, spec.noise, dataset.seed,
+                    _SPLIT_CODES[dataset.split], len(dataset)),
+    ]
+    for scene in dataset.scenes:
+        chunks.append(struct.pack(_SCENE, scene.scene_id, len(scene.objects)))
+        for o in scene.objects:
+            chunks.append(struct.pack(_OBJECT, o.shape, o.color, o.size,
+                                      o.row, o.col))
+    return b"".join(chunks)
+
+
+def load_dataset(path: str) -> Dataset:
+    """The LGW1 file at ``path``, parsed one record at a time; a scene it
+    refuses is named at its first byte. The header must be whole and
+    one the package reads: only the records are checked here."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    (grid, min_obj, max_obj, raster, raster_size, noise, seed, split_code,
+     n_scenes) = struct.unpack_from(_HEADER, blob, 6)
+    spec = WorldSpec(grid=grid, min_objects=min_obj, max_objects=max_obj,
+                     noise=noise, raster=bool(raster), raster_size=raster_size)
+    split = {v: k for k, v in _SPLIT_CODES.items()}[split_code]
+    off = 6 + struct.calcsize(_HEADER)
+    scenes, seen = [], set()
+
+    def take(n):
+        nonlocal off
+        if off + n > len(blob):
+            raise FormatError(f"truncated file: need {n} bytes, have "
+                              f"{len(blob) - off}", off)
+        off += n
+        return blob[off - n:off]
+
+    for _ in range(n_scenes):
+        start = off
+        sid, count = struct.unpack(_SCENE, take(9))
+        if not min_obj <= count <= max_obj:
+            raise FormatError(f"scene {sid} holds {count} objects, outside "
+                              f"[{min_obj}, {max_obj}]", start)
+        objs = [ObjectSpec(*struct.unpack(_OBJECT, take(5)))
+                for _ in range(count)]
+        cells = [(o.row, o.col) for o in objs]
+        if len(set(cells)) != len(cells):
+            raise FormatError(f"scene {sid}: scene objects must occupy "
+                              f"distinct cells", start)
+        if cells != sorted(cells):
+            raise FormatError(f"scene {sid}: scene objects must be in cell "
+                              f"order", start)
+        try:
+            scene = scene_from_objects(objs, grid)
+        except ValueError as exc:
+            raise FormatError(f"scene {sid}: {exc}", start) from None
+        if scene.scene_id != sid:
+            raise FormatError(f"scene id mismatch for {sid}", start)
+        if sid in seen:
+            raise FormatError(f"repeated scene {sid}", start)
+        seen.add(sid)
+        scenes.append(scene)
+    if off != len(blob):
+        raise FormatError(f"{len(blob) - off} trailing bytes", off)
+    return Dataset(spec, seed, split, scenes)
 
 
 def generate_dataset(seed: int, n_scenes: int, spec: WorldSpec) -> Dataset:

@@ -1,12 +1,16 @@
+import itertools
 import math
+import re
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reference
 from reference import generate_dataset
 
+from lewisgame import evaluate
 from lewisgame.params import FormatError, UnsupportedVersionError
 from lewisgame.world import (BOS, EOS, PAD, SHAPES, SIZES, UNK,
                              CapacityError, Dataset, ObjectSpec,
@@ -339,3 +343,148 @@ def test_bad_header_field_reports_its_own_offset(tmp_path, at, patch, offset,
         load_dataset(path)
     assert err.value.offset == offset
     assert str(err.value).endswith(f"{message} (at byte {offset})")
+
+
+# (grid, min objects, max objects, noise, raster size or 0 for none,
+# seed, train, val and test scenes): enumerated worlds (capacity up to
+# 200,000) and drawn ones, on either side of that switch
+ORACLE_WORLDS = [
+    (2, 1, 2, 0.0, 0, 0, 200, 50, 20),  # enumerated, 21,840 scenes
+    (3, 1, 1, 0.05, 12, 1, 300, 100, 0),  # enumerated, 540
+    (3, 1, 2, 0.05, 0, 2, 300, 60, 30),  # enumerated, 130,140
+    (4, 1, 1, 0.05, 0, 3, 900, 60, 0),  # enumerated, every one of 960
+    (5, 1, 1, 0.0, 20, 4, 400, 50, 0),  # enumerated, 1,500
+    (4, 1, 2, 0.0, 0, 5, 300, 60, 0),  # drawn, 432,960
+    (4, 1, 3, 0.05, 0, 6, 300, 60, 0),  # drawn, the default world
+    (2, 1, 3, 0.05, 0, 7, 300, 60, 20),  # drawn, with many repeats
+    (3, 2, 3, 0.0, 12, 8, 100, 20, 0),  # drawn
+    (5, 2, 3, 0.05, 0, 9, 200, 40, 0),  # drawn
+]
+
+
+@pytest.mark.parametrize(
+    "grid, lo, hi, noise, raster, seed, n_train, n_val, n_test",
+    ORACLE_WORLDS, ids=[f"grid{w[0]}-{w[1]}to{w[2]}-noise{w[3]}-raster{w[4]}"
+                        for w in ORACLE_WORLDS])
+def test_array_world_matches_per_object_oracles(tmp_path, grid, lo, hi, noise,
+                                                raster, seed, n_train, n_val,
+                                                n_test):
+    # the scenes, ids, observations, captions, reference attribute rows
+    # and LGW1 bytes each split builds in array passes, against the
+    # per-object and per-record oracles
+    spec = WorldSpec(grid=grid, min_objects=lo, max_objects=hi, noise=noise,
+                     raster=bool(raster), raster_size=raster or 16)
+    splits = generate_splits(seed, spec, n_train, n_val, n_test)
+    drawn = reference.draw_scenes(seed, n_train + n_val + n_test, spec)
+    assert [s for ds in splits.values() for s in ds.scenes] == drawn
+    assert len({s.scene_id for s in drawn}) == len(drawn)
+    assert [Scene.from_objects(s.objects[::-1], grid) for s in drawn[:50]] \
+        == drawn[:50]
+    path = str(tmp_path / "w.lgw")
+    for split, ds in splits.items():
+        assert ds.observations.tobytes() == reference.observation_vectors(
+            ds.scenes, spec, reference.observation_rng(seed, split)).tobytes()
+        assert ds.captions == [reference.build_captions(s, ds.vocab)
+                               for s in ds.scenes]
+        assert build_captions(ds.scenes[0], ds.vocab) == ds.captions[0]
+        rows = evaluate.references(ds).attributes
+        assert [set(row[row >= 0].tolist()) for row in rows] == [
+            set(ds.vocab.encode(s.attribute_words())) for s in ds.scenes]
+        save_dataset(ds, path)
+        assert Path(path).read_bytes() == reference.save_bytes(ds)
+        for loaded in (load_dataset(path), reference.load_dataset(path)):
+            assert loaded == ds and _derived(loaded) == _derived(ds)
+
+
+def _record_offsets(ds):
+    """Each scene record's first byte in ``ds``'s LGW1 file."""
+    return list(itertools.accumulate(
+        (9 + 5 * len(s.objects) for s in ds.scenes[:-1]), initial=29))
+
+
+def _corruptions(blob, offsets, rng):
+    """Files made from the LGW1 file ``blob`` whose scene records start
+    at ``offsets``: one to three record bytes changed at a time, cuts
+    inside the records, a trailing byte, and the first record written
+    over the second (the same size in a world of one object count)."""
+    for _ in range(300):
+        bad = bytearray(blob)
+        for at in rng.integers(offsets[0], len(blob), size=rng.integers(1, 4)):
+            bad[at] = rng.choice([rng.integers(256), bad[at] ^ 1,
+                                  (bad[at] + 1) % 256])
+        yield bytes(bad)
+    for n in rng.integers(offsets[0], len(blob), size=20):
+        yield blob[:n]
+    yield blob + b"\0"
+    first, second, third = offsets[:3]
+    if second - first == third - second:
+        yield blob[:second] + blob[first:second] + blob[third:]
+
+
+@pytest.mark.parametrize("grid, lo, hi", [(4, 1, 3), (2, 1, 3), (3, 2, 2)],
+                         ids=["default", "grid2", "two-objects"])
+def test_loader_refuses_as_the_per_record_parse(tmp_path, grid, lo, hi):
+    # the array reader must refuse each corrupt file with the per-record
+    # parse's message and byte, or load the same dataset
+    ds = generate_dataset(3, 40, WorldSpec(grid=grid, min_objects=lo,
+                                           max_objects=hi))
+    path = str(tmp_path / "w.lgw")
+    save_dataset(ds, path)
+    refusals = set()
+    for blob in _corruptions(Path(path).read_bytes(), _record_offsets(ds),
+                             np.random.default_rng(grid)):
+        Path(path).write_bytes(blob)
+        outcomes = []
+        for load in (load_dataset, reference.load_dataset):
+            try:
+                outcomes.append(load(path))
+            except FormatError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        if isinstance(outcomes[0], str):
+            refusals.add(re.sub(r"\d+|ObjectSpec\(.*\)", "N", outcomes[0]))
+    # the files reach most of the refusals: a count out of range, objects
+    # in one cell, out of cell order or out of range, an id mismatch, a
+    # repeated scene, a truncated file and a trailing byte
+    assert len(refusals) >= 7, refusals
+
+
+def _swap_first_two_objects(blob, at):
+    # the scene record at byte ``at`` with its first two objects swapped
+    bad = bytearray(blob)
+    bad[at + 9:at + 19] = blob[at + 14:at + 19] + blob[at + 9:at + 14]
+    return bytes(bad)
+
+
+def test_objects_out_of_cell_order_are_refused(tmp_path):
+    # a scene whose objects are stored out of cell order is refused at
+    # its first byte, not sorted on load into a scene that saves to other
+    # bytes
+    ds = generate_dataset(17, 25, WorldSpec())
+    path = str(tmp_path / "w.lgw")
+    save_dataset(ds, path)
+    i = next(i for i, s in enumerate(ds.scenes) if len(s.objects) > 1)
+    at = _record_offsets(ds)[i]
+    Path(path).write_bytes(_swap_first_two_objects(Path(path).read_bytes(),
+                                                   at))
+    with pytest.raises(FormatError) as err:
+        load_dataset(path)
+    assert str(err.value) == (f"scene {ds.scenes[i].scene_id}: scene objects "
+                              f"must be in cell order (at byte {at})")
+    assert err.value.offset == at
+
+
+def test_scene_id_mismatch_names_the_scenes_first_byte(tmp_path):
+    ds = generate_dataset(17, 25, WorldSpec())
+    path = str(tmp_path / "w.lgw")
+    save_dataset(ds, path)
+    i = next(i for i, s in enumerate(ds.scenes) if len(s.objects) > 1)
+    at = _record_offsets(ds)[i]
+    sid = ds.scenes[i].scene_id + 1
+    blob = bytearray(Path(path).read_bytes())
+    blob[at:at + 8] = struct.pack("<Q", sid)
+    Path(path).write_bytes(bytes(blob))
+    with pytest.raises(FormatError) as err:
+        load_dataset(path)
+    assert str(err.value) == f"scene id mismatch for {sid} (at byte {at})"
+    assert err.value.offset == at
